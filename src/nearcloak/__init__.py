@@ -13,7 +13,7 @@ from .bie import BoundaryCurve, DensitySolution, circle, kite
 from .media import JacobianData, MediumSpec, RadialMapSpec
 from .mie import (FarFieldPattern, LayerWavenumbers, ModalSolution,
                   SchemeSpec, WaveParams)
-from .specfun import ScaledValue
+from .specfun import ScaledArray, ScaledValue
 
 __version__ = "0.1.0"
 
@@ -23,6 +23,6 @@ __all__ = [
     "BoundaryCurve", "DensitySolution", "circle", "kite",
     "JacobianData", "MediumSpec", "RadialMapSpec",
     "FarFieldPattern", "LayerWavenumbers", "ModalSolution",
-    "SchemeSpec", "WaveParams", "ScaledValue",
+    "SchemeSpec", "WaveParams", "ScaledArray", "ScaledValue",
     "__version__",
 ]

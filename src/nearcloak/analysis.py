@@ -27,8 +27,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import mie
-from .errors import DomainError, InsufficientDataError, ShapeError
-from .media import MediumSpec, virtual_core_params
+from .errors import DomainError, InsufficientDataError, NearCloakError, ShapeError
+from .media import MediumSpec
 from .mie import ModalSolution, SchemeSpec, WaveParams
 
 DEFAULT_ANGLE_COUNT = 100
@@ -64,9 +64,6 @@ class FitResult:
     model: str
     n_used: int
 
-    def __iter__(self):
-        return iter((self.slope, self.residual))
-
 
 @dataclass(frozen=True)
 class SweepResult:
@@ -95,22 +92,6 @@ class SweepResult:
         object.__setattr__(self, "max_amplitude", amp)
 
 
-def _default_core(dim: int, rho: float) -> MediumSpec:
-    """Virtual-space contents for physical (sigma', q') = (1, 1)."""
-    return virtual_core_params(MediumSpec.isotropic(1.0, 1.0, dim), rho, dim)
-
-
-def _solve(scheme: SchemeSpec, dim: int, wave: WaveParams, rho: float,
-           core_physical: MediumSpec | None) -> ModalSolution:
-    if not scheme.is_layered:
-        return mie.solve(scheme, dim, wave, rho)
-    if core_physical is None:
-        core = _default_core(dim, rho)
-    else:
-        core = virtual_core_params(core_physical, rho, dim)
-    return mie.coeffs_layered(dim, wave, rho, scheme, core)
-
-
 # ---------------------------------------------------------------------------
 # Sweeps
 # ---------------------------------------------------------------------------
@@ -132,9 +113,10 @@ def sweep(scheme: SchemeSpec, dim: int, wave: WaveParams,
     maxima = np.empty(rho.size)
     for i, r in enumerate(rho):
         try:
-            sol = _solve(scheme, dim, wave, r, core_physical)
-        except Exception as exc:
-            raise RuntimeError(f"solver failed at rho={r:g}: {exc}") from exc
+            core = mie.virtual_core(dim, r, core_physical) if scheme.is_layered else None
+            sol = mie.solve(scheme, dim, wave, r, core)
+        except NearCloakError as exc:
+            raise type(exc)(f"solver failed at rho={r:g}: {exc}") from exc
         maxima[i] = mie.far_field(sol, angles).max_abs
     if model is None:
         model = "power-law" if scheme.kind in ("sh", "fsh") else "inverse-log"

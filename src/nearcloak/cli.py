@@ -218,11 +218,8 @@ def _run_mie(params: dict) -> None:
     wave = _wave_from(params, dim)
     scheme = _scheme_from(params, "scheme")
     rho = params["rho"]
-    if scheme.is_layered:
-        core = media.virtual_core_params(_core_from(params, dim), rho, dim)
-        sol = mie.coeffs_layered(dim, wave, rho, scheme, core)
-    else:
-        sol = mie.solve(scheme, dim, wave, rho)
+    core = mie.virtual_core(dim, rho, _core_from(params, dim)) if scheme.is_layered else None
+    sol = mie.solve(scheme, dim, wave, rho, core)
     pattern = mie.far_field(sol, analysis.observation_angles(dim, params["angles"]))
     _write_farfield_csv(params["out"], pattern)
 

@@ -31,3 +31,7 @@ class ResonanceError(NearCloakError, RuntimeError):
 
 class InsufficientDataError(NearCloakError, ValueError):
     """Not enough data points for the requested fit."""
+
+
+class TruncationError(NearCloakError, RuntimeError):
+    """Modal series still above its tail threshold at the largest order."""

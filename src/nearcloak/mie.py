@@ -41,14 +41,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import specfun
-from .errors import DomainError
+from .errors import DomainError, TruncationError
 from .media import MediumSpec, virtual_core_params
-from .specfun import scaled
+from .specfun import ScaledArray
 
 TAIL_THRESHOLD = 1e-14
 DEGENERATE_CONDITION = 1e14
@@ -56,7 +56,8 @@ DEGENERATE_CONDITION = 1e14
 # Switch to the degenerate inner-interface branch below this level.
 BRANCH_THRESHOLD = 1e-12
 
-_I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)  # i^n for n mod 4
+_I_POW = np.array([1.0, 1.0j, -1.0, -1.0j])  # i^n for n mod 4
+_ONE = specfun.scaled(1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +188,9 @@ class ModalSolution:
     h_quotient: np.ndarray | None = None
     branch_flags: tuple[str, ...] | None = None
     degenerate_modes: tuple[int, ...] = ()
-    _a_sv: tuple = field(default=(), repr=False)
-    _b_sv: tuple = field(default=(), repr=False)
-    _c_sv: tuple = field(default=(), repr=False)
+    _a_sv: ScaledArray | None = field(default=None, repr=False)
+    _b_sv: ScaledArray | None = field(default=None, repr=False)
+    _c_sv: ScaledArray | None = field(default=None, repr=False)
 
     @property
     def is_layered(self) -> bool:
@@ -226,8 +227,13 @@ class FarFieldPattern:
 
 
 # ---------------------------------------------------------------------------
-# Truncation
+# Truncation and the per-dimension Bessel families
 # ---------------------------------------------------------------------------
+# Largest n_max whose solve (orders 0..n_max+1 for the derivatives) stays
+# within the specfun order cap.
+N_MAX_CAP = specfun.ORDER_MAX - 1
+
+
 def default_n_max(k: float, rho: float) -> int:
     """Initial truncation order: krho + 8 + 4 (krho)^(1/3), rounded up."""
     x = k * rho
@@ -241,42 +247,69 @@ def _tail(d: np.ndarray) -> float:
     return float(abs(d[-1])) / peak
 
 
+def _truncated(solve_at, k: float, rho: float, n_max: int | None) -> ModalSolution:
+    """``solve_at(n_max)`` at the given order, or adaptively.
+
+    Without an explicit n_max the order grows from default_n_max in steps
+    of 8 until the tail of d_n falls to TAIL_THRESHOLD, clamped at
+    N_MAX_CAP; a tail still above threshold there raises TruncationError.
+    """
+    if n_max is not None:
+        return solve_at(int(n_max))
+    nmax = default_n_max(k, rho)
+    while True:
+        nmax = min(nmax, N_MAX_CAP)
+        solution = solve_at(nmax)
+        if solution.truncation_tail <= TAIL_THRESHOLD:
+            return solution
+        if nmax == N_MAX_CAP:
+            raise TruncationError(
+                f"modal tail {solution.truncation_tail:.3g} is above {TAIL_THRESHOLD:g} "
+                f"at the order cap n_max = {nmax} (k rho = {k * rho:g})")
+        nmax += 8
+
+
+def _family(dim: int, kind: str, nmax: int, z: complex) -> ScaledArray:
+    """Orders 0..nmax+1 of J_n / H_n^(1) (2D) or j_n / h_n^(1) (3D) at z.
+
+    ``kind`` is "j" or "h"; the extra order feeds specfun.derivative_all.
+    """
+    if dim == 2:
+        fn = specfun.bessel_j_all if kind == "j" else specfun.bessel_h1_all
+    else:
+        fn = specfun.spherical_j_all if kind == "j" else specfun.spherical_h1_all
+    return fn(nmax + 1, z)
+
+
+def _phase(dim: int, nmax: int):
+    """Per-mode incident phase: i^n in 2D, 1 in 3D."""
+    return _I_POW[np.arange(nmax + 1) & 3] if dim == 2 else 1.0
+
+
 # ---------------------------------------------------------------------------
 # Ideal linings (Dirichlet / Neumann obstacle)
 # ---------------------------------------------------------------------------
-def _bessel_pack(dim: int, nmax: int, z: complex):
-    """(B, H, B', H') scaled sequences of the dim-appropriate family."""
-    if dim == 2:
-        js = specfun.bessel_j_all(nmax + 1, z)
-        hs = specfun.bessel_h1_all(nmax + 1, z)
-    else:
-        js = specfun.spherical_j_all(nmax + 1, z)
-        hs = specfun.spherical_h1_all(nmax + 1, z)
-    return js, hs, specfun.derivative_all(js, z), specfun.derivative_all(hs, z)
-
-
 def _obstacle_coeffs(dim: int, wave: WaveParams, rho: float, neumann: bool,
                      n_max: int | None) -> ModalSolution:
     if rho <= 0:
         raise DomainError("obstacle radius must be positive")
     if dim not in (2, 3):
         raise DomainError(f"dim must be 2 or 3, got {dim}")
-    nmax = default_n_max(wave.k, rho) if n_max is None else int(n_max)
-    while True:
-        z = complex(wave.k * rho)
-        js, hs, djs, dhs = _bessel_pack(dim, nmax, z)
-        d = np.empty(nmax + 1, dtype=complex)
-        for n in range(nmax + 1):
-            num, den = (djs[n], dhs[n]) if neumann else (js[n], hs[n])
-            phase = _I_POW[n & 3] if dim == 2 else 1.0
-            d[n] = (-(phase) * (num / den)).to_complex()
-        tail = _tail(d)
-        if tail <= TAIL_THRESHOLD or n_max is not None or nmax >= specfun.ORDER_MAX - 2:
-            break
-        nmax += 8
-    return ModalSolution(dim=dim, rho=rho, k=wave.k, n_max=nmax, d_n=d,
-                         truncation_tail=tail,
-                         scheme=SchemeSpec.sound_hard() if neumann else SchemeSpec.sound_soft())
+    z = complex(wave.k * rho)
+    scheme = SchemeSpec.sound_hard() if neumann else SchemeSpec.sound_soft()
+
+    def solve_at(nmax: int) -> ModalSolution:
+        js = _family(dim, "j", nmax, z)
+        hs = _family(dim, "h", nmax, z)
+        if neumann:
+            num, den = specfun.derivative_all(js, z), specfun.derivative_all(hs, z)
+        else:
+            num, den = js[:-1], hs[:-1]
+        d = (num / den * -_phase(dim, nmax)).to_complex()
+        return ModalSolution(dim=dim, rho=rho, k=wave.k, n_max=nmax, d_n=d,
+                             truncation_tail=_tail(d), scheme=scheme)
+
+    return _truncated(solve_at, wave.k, rho, n_max)
 
 
 def coeffs_sound_hard(dim: int, wave: WaveParams, rho: float,
@@ -316,9 +349,9 @@ def coeffs_layered(dim: int, wave: WaveParams, rho: float, scheme: SchemeSpec,
     """Solve the layer (rho/2 <= |x| <= rho) + core transmission problem.
 
     ``core`` holds the virtual-space parameters of the uniform contents
-    of the ball of radius rho/2; use media.virtual_core_params to enter
-    physical-space contents.  Modes whose outer elimination loses more
-    than ~14 digits to cancellation are flagged in degenerate_modes.
+    of the ball of radius rho/2; use virtual_core to enter physical-space
+    contents.  Modes whose outer elimination loses more than ~14 digits
+    to cancellation are flagged in degenerate_modes.
     """
     if rho <= 0:
         raise DomainError("rho must be positive")
@@ -327,94 +360,74 @@ def coeffs_layered(dim: int, wave: WaveParams, rho: float, scheme: SchemeSpec,
     if not scheme.is_layered:
         raise DomainError(f"scheme {scheme.kind!r} has no layer to solve")
     lw = layer_wavenumbers(scheme, rho, wave.k, core)
-    nmax = default_n_max(wave.k, rho) if n_max is None else int(n_max)
+    zk = complex(wave.k * rho)
+    zt = lw.k_tilde * rho
+    zt2 = 0.5 * lw.k_tilde * rho
+    zc = 0.5 * lw.k2 * rho
+    core_factor = lw.c0 * lw.coupling
 
-    while True:
-        zk = complex(wave.k * rho)
-        zt = lw.k_tilde * rho
-        zt2 = 0.5 * lw.k_tilde * rho
-        zc = 0.5 * lw.k2 * rho
-        jk, hk, djk, dhk = _bessel_pack(dim, nmax, zk)
-        jt, ht, djt, dht = _bessel_pack(dim, nmax, zt)
-        jt2, ht2, djt2, dht2 = _bessel_pack(dim, nmax, zt2)
-        if dim == 2:
-            jc = specfun.bessel_j_all(nmax + 1, zc)
-        else:
-            jc = specfun.spherical_j_all(nmax + 1, zc)
-        djc = specfun.derivative_all(jc, zc)
+    def solve_at(nmax: int) -> ModalSolution:
+        def with_derivative(kind, z):
+            seq = _family(dim, kind, nmax, z)
+            return seq[:-1], specfun.derivative_all(seq, z)
 
-        c0_sv = scaled(lw.c0, 0.0)
-        coup_sv = scaled(lw.coupling, 0.0)
+        jk, djk = with_derivative("j", zk)
+        hk, dhk = with_derivative("h", zk)
+        jt, djt = with_derivative("j", zt)
+        ht, dht = with_derivative("h", zt)
+        jt2, djt2 = with_derivative("j", zt2)
+        ht2, dht2 = with_derivative("h", zt2)
+        jc, djc = with_derivative("j", zc)
 
-        d = np.empty(nmax + 1, dtype=complex)
-        a_arr = np.empty(nmax + 1, dtype=complex)
-        b_arr = np.empty(nmax + 1, dtype=complex)
-        c_arr = np.empty(nmax + 1, dtype=complex)
-        wq = np.empty(nmax + 1, dtype=complex)
-        a_sv_list, b_sv_list, c_sv_list = [], [], []
-        branches = []
-        degenerate = []
+        # Inner interface: ratio Upsilon_0 = b_n / a_n.  Each branch is
+        # evaluated on every mode with the other branch's divisor set to 1.
+        zero_core = (jc.abs_log() < math.log(BRANCH_THRESHOLD)
+                     + np.maximum(0.0, djc.abs_log()))
+        jc_div = ScaledArray.where(zero_core, _ONE, jc)
+        djc_div = ScaledArray.where(zero_core, djc, _ONE) * core_factor
+        f = djc / jc_div * core_factor
+        ups = ScaledArray.where(zero_core, -(jt2 / ht2),
+                                -(djt2 - f * jt2) / (dht2 - f * ht2))
 
-        for n in range(nmax + 1):
-            # Inner interface: ratio Upsilon_0 = b_n / a_n.
-            if jc[n].abs_log() < math.log(BRANCH_THRESHOLD) + max(0.0, djc[n].abs_log()):
-                ups = -(jt2[n] / ht2[n])
-                branch = "zero-core"
-            else:
-                f_sv = c0_sv * coup_sv * (djc[n] / jc[n])
-                ups = -(djt2[n] - f_sv * jt2[n]) / (dht2[n] - f_sv * ht2[n])
-                branch = "nonzero-core"
-            branches.append(branch)
+        # Outer interface: impedance quotient and exterior coefficient.
+        q_den = jt + ups * ht
+        w = (djt + ups * dht) / q_den / lw.c0
+        wh = w * hk
+        den = dhk - wh
+        cancel = np.maximum(dhk.abs_log(), wh.abs_log()) - den.abs_log()
+        degenerate = cancel > math.log(DEGENERATE_CONDITION)
+        den_zero = den.mantissa == 0  # exact cancellation: degenerate, d_n = 0
+        phase = _phase(dim, nmax)
+        d_sv = -(djk - w * jk) / ScaledArray.where(den_zero, _ONE, den) * (phase * ~den_zero)
 
-            # Outer interface: impedance quotient and exterior coefficient.
-            q_den = jt[n] + ups * ht[n]
-            q_num = djt[n] + ups * dht[n]
-            w_sv = (q_num / q_den) / c0_sv
-            num = djk[n] - w_sv * jk[n]
-            den = dhk[n] - w_sv * hk[n]
-            if den.is_zero:
-                degenerate.append(n)
-                d_sv = scaled(0.0, 0.0)
-            else:
-                cancel = math.exp(max(dhk[n].abs_log(), (w_sv * hk[n]).abs_log())
-                                  - den.abs_log())
-                if cancel > DEGENERATE_CONDITION:
-                    degenerate.append(n)
-                d_sv = -(num / den)
-            phase = _I_POW[n & 3] if dim == 2 else 1.0 + 0j
-            d_sv = d_sv * phase
+        a = (jk * phase + d_sv * hk) / q_den
+        b = ups * a
+        c = ScaledArray.where(zero_core, (a * djt2 + b * dht2) / djc_div,
+                              (a * jt2 + b * ht2) / jc_div)
 
-            a_sv = (scaled(phase, 0.0) * jk[n] + d_sv * hk[n]) / q_den
-            b_sv = ups * a_sv
-            if branch == "nonzero-core":
-                c_sv = (a_sv * jt2[n] + b_sv * ht2[n]) / jc[n]
-            else:
-                c_sv = (a_sv * djt2[n] + b_sv * dht2[n]) / (c0_sv * coup_sv * djc[n])
+        d = d_sv.to_complex()
+        return ModalSolution(
+            dim=dim, rho=rho, k=wave.k, n_max=nmax, d_n=d,
+            a_n=a.to_complex(), b_n=b.to_complex(), c_n=c.to_complex(),
+            truncation_tail=_tail(d), scheme=scheme,
+            layer=replace(lw, upsilon0_branch="mixed" if zero_core.any() else "nonzero-core"),
+            h_quotient=w.to_complex(),
+            branch_flags=tuple(np.where(zero_core, "zero-core", "nonzero-core").tolist()),
+            degenerate_modes=tuple(np.flatnonzero(degenerate).tolist()),
+            _a_sv=a, _b_sv=b, _c_sv=c)
 
-            d[n] = d_sv.to_complex()
-            wq[n] = w_sv.to_complex()
-            a_arr[n] = a_sv.to_complex()
-            b_arr[n] = b_sv.to_complex()
-            c_arr[n] = c_sv.to_complex()
-            a_sv_list.append(a_sv)
-            b_sv_list.append(b_sv)
-            c_sv_list.append(c_sv)
+    return _truncated(solve_at, wave.k, rho, n_max)
 
-        tail = _tail(d)
-        if tail <= TAIL_THRESHOLD or n_max is not None or nmax >= specfun.ORDER_MAX - 2:
-            break
-        nmax += 8
 
-    lw = LayerWavenumbers(lw.k_tilde, lw.k2, lw.c0, lw.coupling,
-                          upsilon0_branch=("nonzero-core" if all(
-                              b == "nonzero-core" for b in branches) else "mixed"))
-    return ModalSolution(dim=dim, rho=rho, k=wave.k, n_max=nmax, d_n=d,
-                         a_n=a_arr, b_n=b_arr, c_n=c_arr,
-                         truncation_tail=tail, scheme=scheme, layer=lw,
-                         h_quotient=wq, branch_flags=tuple(branches),
-                         degenerate_modes=tuple(degenerate),
-                         _a_sv=tuple(a_sv_list), _b_sv=tuple(b_sv_list),
-                         _c_sv=tuple(c_sv_list))
+def virtual_core(dim: int, rho: float, physical: MediumSpec | None = None) -> MediumSpec:
+    """Virtual-space core for physical-space contents at this rho.
+
+    The one conversion from a default or physical core to the layered
+    solver's input; the default is physical (sigma', q') = (1, 1).
+    """
+    if physical is None:
+        physical = MediumSpec.isotropic(1.0, 1.0, dim)
+    return virtual_core_params(physical, rho, dim)
 
 
 def solve(scheme: SchemeSpec, dim: int, wave: WaveParams, rho: float,
@@ -423,15 +436,14 @@ def solve(scheme: SchemeSpec, dim: int, wave: WaveParams, rho: float,
     """Dispatch to the right solver for the scheme kind.
 
     ``core`` is the virtual-space contents for layered schemes; when
-    omitted it defaults to physical (sigma', q') = (1, 1) converted at
-    this rho.
+    omitted it is virtual_core(dim, rho).
     """
     if scheme.kind == "sh":
         return coeffs_sound_hard(dim, wave, rho, n_max=n_max)
     if scheme.kind == "ss":
         return coeffs_sound_soft(dim, wave, rho, n_max=n_max)
     if core is None:
-        core = virtual_core_params(MediumSpec.isotropic(1.0, 1.0, dim), rho, dim)
+        core = virtual_core(dim, rho)
     return coeffs_layered(dim, wave, rho, scheme, core, n_max=n_max)
 
 
@@ -493,16 +505,6 @@ def _region_of(solution: ModalSolution, r: float) -> str:
         f"r = {r:.6g} lies inside the obstacle of radius {solution.rho:.6g}")
 
 
-def _bessel_seq(dim: int, kind: str, nmax: int, z: complex, derivative: bool):
-    if dim == 2:
-        base = (specfun.bessel_j_all if kind == "j" else specfun.bessel_h1_all)(nmax + 1, z)
-    else:
-        base = (specfun.spherical_j_all if kind == "j" else specfun.spherical_h1_all)(nmax + 1, z)
-    if derivative:
-        return specfun.derivative_all(base, z)
-    return base[:nmax + 1]
-
-
 def _radial_sums(solution: ModalSolution, region: str, r: float,
                  scattered_only: bool, derivative: bool) -> np.ndarray:
     """Per-mode radial factors of the field expansion at radius r.
@@ -510,43 +512,32 @@ def _radial_sums(solution: ModalSolution, region: str, r: float,
     The 2D factors carry their i^n phase inside the coefficients; the
     3D assembly applies (2n+1) i^n afterwards.
     """
-    nmax = solution.n_max
-    out = np.empty(nmax + 1, dtype=complex)
+    nmax, dim = solution.n_max, solution.dim
+
+    def radial(kind, z):
+        seq = _family(dim, kind, nmax, z)
+        return specfun.derivative_all(seq, z) if derivative else seq[:-1]
 
     if region == "exterior":
         z = complex(solution.k * r)
-        hs = _bessel_seq(solution.dim, "h1", nmax, z, derivative)
-        js = None if scattered_only else _bessel_seq(solution.dim, "j", nmax, z, derivative)
-        scale = solution.k if derivative else 1.0
-        for n in range(nmax + 1):
-            term = solution.d_n[n] * hs[n].to_complex()
-            if js is not None:
-                phase = _I_POW[n & 3] if solution.dim == 2 else 1.0
-                term += phase * js[n].to_complex()
-            out[n] = scale * term
-        return out
+        out = solution.d_n * radial("h", z).to_complex()
+        if not scattered_only:
+            out = out + _phase(dim, nmax) * radial("j", z).to_complex()
+        return (solution.k if derivative else 1.0) * out
 
     if not solution.is_layered:
         raise DomainError("solution has no interior regions")
     lw = solution.layer
     if region == "layer":
         z = lw.k_tilde * r
-        scale = lw.k_tilde if derivative else 1.0
-        js = _bessel_seq(solution.dim, "j", nmax, z, derivative)
-        hs = _bessel_seq(solution.dim, "h1", nmax, z, derivative)
-        for n in range(nmax + 1):
-            sv = solution._a_sv[n] * js[n] + solution._b_sv[n] * hs[n]
-            out[n] = scale * sv.to_complex()
-        return out
+        sv = solution._a_sv * radial("j", z) + solution._b_sv * radial("h", z)
+        return (lw.k_tilde if derivative else 1.0) * sv.to_complex()
     if region == "core":
         z = lw.k2 * r
         if derivative and z == 0:
             raise DomainError("radial derivative undefined at the origin")
-        scale = lw.k2 if derivative else 1.0
-        js = _bessel_seq(solution.dim, "j", nmax, z, derivative)
-        for n in range(nmax + 1):
-            out[n] = scale * (solution._c_sv[n] * js[n]).to_complex()
-        return out
+        sv = solution._c_sv * radial("j", z)
+        return (lw.k2 if derivative else 1.0) * sv.to_complex()
     raise DomainError(f"unknown region {region!r}")
 
 

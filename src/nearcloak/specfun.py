@@ -2,26 +2,35 @@
 
 The lossy-layer solves evaluate J_n and H_n^(1) at arguments z whose
 imaginary part reaches into the hundreds, where J_n(z) grows like
-e^{|Im z|} and H_n^(1)(z) decays like e^{-Im z}.  Every function here
-therefore returns a :class:`ScaledValue` -- a (mantissa, log_scale) pair
-representing ``mantissa * exp(log_scale)`` -- and the layer algebra
-downstream cancels the exponentials symbolically by adding and
-subtracting log scales.  Raw unscaled values are never formed for large
-|Im z|.
+e^{|Im z|} and H_n^(1)(z) decays like e^{-Im z}.  Every value here is
+therefore held in log-scaled form, ``mantissa * exp(log_scale)``: a
+sequence of orders 0..nmax is one :class:`ScaledArray` (an ndarray of
+mantissas and an ndarray of log scales), and indexing it yields its
+elements as :class:`ScaledValue`.  The layer algebra downstream cancels
+the exponentials symbolically by adding and subtracting log scales, so
+raw unscaled values are never formed for large |Im z|.
 
 Algorithms
 ----------
+All four families run the one three-term recurrence
+``f_{m-1} + f_{m+1} = (2(m + nu)/z) f_m`` (nu = 0 cylindrical, 1/2
+spherical, as j_n and h_n^(1) are J and H of order n + 1/2 up to a
+common factor), downward for J/j and upward for H/h, with the working pair
+rescaled on the fly so no intermediate overflow occurs for any
+admissible z.
+
 * J_n: Miller backward recurrence, normalised against the identity
   ``J_0(z) + 2 sum_{m>=1} (-i)^m J_m(z) = exp(-iz)`` for Im z >= 0
-  (conjugate reflection below the real axis).  The working values are
-  rescaled on the fly, so no intermediate overflow occurs for any
-  admissible z.  Upward recurrence is unstable for J and is not used.
+  (conjugate reflection below the real axis).  Upward recurrence is
+  unstable for J and is not used.
 * H_n^(1): orders 0 and 1 from the power series with the log term split
   off (|z| < 12.5) or from the large-argument Hankel expansion
   (|z| >= 12.5), then stable upward recurrence.
 * spherical j_n: Miller backward recurrence normalised against the
   closed forms j_0 = sin(z)/z, j_1 = sin(z)/z^2 - cos(z)/z.
 * spherical h_n^(1): closed forms for orders 0 and 1, upward recurrence.
+* Both Hankel families reach Im z < 0 through the reflection
+  h(z) = 2 j(z) - conj(h(conj z)).
 * derivatives: B_n'(z) = (n/z) B_n(z) - B_{n+1}(z), valid for both the
   cylindrical and the spherical families.
 * Legendre P_n: Bonnet recurrence.
@@ -69,9 +78,12 @@ _RESCALE_AT = 1e250
 # precision (e^-40 ~ 4e-18).
 _ADD_SCALE_GAP = 40.0
 
+# Floor on |mantissa| in array normalisation, so zeros need no mask.
+_TINY = 1e-300
+
 _EULER_GAMMA = 0.5772156649015328606
 
-_MINUS_I_POW = (1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j)  # (-i)^m for m mod 4
+_MINUS_I_POW = np.array([1.0, -1.0j, -1.0, 1.0j])  # (-i)^m for m mod 4
 
 
 # ---------------------------------------------------------------------------
@@ -179,12 +191,111 @@ def scaled(mantissa: complex, log_scale: float) -> ScaledValue:
     return ScaledValue(mantissa / a, log_scale + math.log(a))
 
 
-_ZERO = ScaledValue(0j, 0.0)
+class ScaledArray:
+    """An array of complex numbers stored as ``mantissa * exp(log_scale)``.
+
+    ``mantissa`` (complex) and ``log_scale`` (float) are ndarrays of one
+    shape, normalised elementwise like :class:`ScaledValue` (a zero
+    element may carry any scale).  Arithmetic is elementwise with the
+    scalar rules; the right operand is a ScaledArray or a ScaledValue,
+    and for ``*`` and ``/`` also a plain number or ndarray (scale 0).  An
+    integer index returns that element as a ScaledValue, a slice returns
+    a ScaledArray.
+    """
+
+    __slots__ = ("mantissa", "log_scale", "_items")
+    __array_ufunc__ = None  # make ndarray (op) ScaledArray defer to us
+
+    def __init__(self, mantissa: np.ndarray, log_scale: np.ndarray):
+        self.mantissa = mantissa
+        self.log_scale = log_scale
+        self._items = None
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.mantissa.shape
+
+    def __len__(self) -> int:
+        return len(self.mantissa)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return ScaledArray(self.mantissa[index], self.log_scale[index])
+        items = self._items
+        if items is None:
+            # Elements are built once, from Python scalars: element-wise
+            # scalar arithmetic on a sequence must not pay for numpy scalars.
+            items = self._items = list(map(
+                ScaledValue, self.mantissa.tolist(), self.log_scale.tolist()))
+        return items[index]
+
+    def abs_log(self) -> np.ndarray:
+        """Natural log of |value| per element (-inf for zeros)."""
+        a = np.abs(self.mantissa)
+        return np.log(a, out=np.full(a.shape, -math.inf), where=a > 0) + self.log_scale
+
+    def to_complex(self) -> np.ndarray:
+        """Collapse to a complex ndarray; see ScaledValue.to_complex."""
+        top = float(np.max(self.abs_log()))
+        if top > 700.0:
+            raise RangeError(f"scaled value exp({top:.1f}) overflows a double")
+        # Zero elements may carry any scale; cap it so they stay 0.
+        return self.mantissa * np.exp(np.minimum(self.log_scale, 700.0))
+
+    def conjugate(self) -> "ScaledArray":
+        return ScaledArray(self.mantissa.conjugate(), self.log_scale)
+
+    @staticmethod
+    def where(mask, a, b) -> "ScaledArray":
+        """Elementwise choice between scaled operands, like numpy.where."""
+        return ScaledArray(np.where(mask, a.mantissa, b.mantissa),
+                           np.where(mask, a.log_scale, b.log_scale))
+
+    # -- arithmetic ---------------------------------------------------------
+    def __mul__(self, other) -> "ScaledArray":
+        m, s = _parts(other)
+        return _normalised(self.mantissa * m, self.log_scale + s)
+
+    def __truediv__(self, other) -> "ScaledArray":
+        m, s = _parts(other)
+        if not np.all(m):
+            raise ZeroDivisionError("division by zero ScaledArray element")
+        return _normalised(self.mantissa / m, self.log_scale - s)
+
+    def __add__(self, other) -> "ScaledArray":
+        # Past a scale gap of ~37 the smaller addend drops out in rounding,
+        # as ScaledValue drops it explicitly past _ADD_SCALE_GAP.
+        s1, s2 = self.log_scale, other.log_scale
+        top = np.maximum(s1, s2)
+        return _normalised(self.mantissa * np.exp(s1 - top)
+                           + other.mantissa * np.exp(s2 - top), top)
+
+    def __sub__(self, other) -> "ScaledArray":
+        return self + (-other)
+
+    def __neg__(self) -> "ScaledArray":
+        return ScaledArray(-self.mantissa, self.log_scale)
 
 
-def _scaled_expi(z: complex) -> ScaledValue:
-    """exp(i z) as a scaled value: mantissa e^{i Re z}, scale -Im z."""
-    return ScaledValue(cmath.exp(1j * z.real), -z.imag)
+def _parts(x):
+    """(mantissa, log_scale) of a scaled operand; plain numbers have scale 0."""
+    if isinstance(x, (ScaledArray, ScaledValue)):
+        return x.mantissa, x.log_scale
+    return x, 0.0
+
+
+def _normalised(mantissa, log_scale) -> ScaledArray:
+    """ScaledArray with every nonzero mantissa normalised to |m| = 1.
+
+    A zero keeps mantissa 0 and takes a finite scale ~690 below its
+    operands', low enough that it does not set the common scale of a sum.
+    """
+    a = np.maximum(np.abs(mantissa), _TINY)
+    logs = np.log(a)
+    logs += log_scale
+    if not logs.max() < math.inf:
+        raise RangeError("non-finite mantissa in scaled arithmetic")
+    return ScaledArray(mantissa / a, logs)
 
 
 def _scaled_sin(z: complex) -> ScaledValue:
@@ -226,56 +337,76 @@ def _check_argument(z: complex) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Cylindrical J_n: Miller backward recurrence
+# The rescaled three-term recurrence
 # ---------------------------------------------------------------------------
-def _jn_sequence(nmax: int, z: complex) -> list[ScaledValue]:
-    """J_0(z) .. J_nmax(z) as scaled values."""
-    if z == 0:
-        return [scaled(1.0, 0.0)] + [_ZERO] * nmax
-    if z.imag < 0:
-        return [v.conjugate() for v in _jn_sequence(nmax, z.conjugate())]
+def _recurrence(z: complex, nu: float, f0: complex, f1: complex,
+                orders: range, shift: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Run f_{m-1} + f_{m+1} = (2(m + nu)/z) f_m over ``orders``.
 
+    ``orders`` steps by +1 (upward) or -1 (downward, Miller); f0 and f1
+    are the values at its first two orders, both at log scale ``shift``.
+    Returns (values, log scales) at every order of ``orders``, in its
+    order.  The working pair is renormalised whenever it exceeds
+    _RESCALE_AT; values already stored keep their own scale.
+    """
+    vals = [f0, f1]
+    rescaled = [(0, shift)]  # (first index, scale) of each stretch
+    fp, fc = f0, f1
+    two_over_z = 2.0 / z
+    for m in orders[1:-1]:
+        fp, fc = fc, ((m + nu) * two_over_z) * fc - fp
+        a = abs(fc)
+        if a > _RESCALE_AT:
+            la = math.log(a)
+            r = math.exp(-la)
+            fc *= r
+            fp *= r
+            shift += la
+            rescaled.append((len(vals), shift))
+        vals.append(fc)
+    n = len(orders)
+    logs = np.empty(n)
+    for i, scale in rescaled:
+        logs[i:] = scale
+    return np.array(vals[:n]), logs
+
+
+def _miller(nmax: int, z: complex, nu: float) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalised minimal solution, indexed by order, from well above nmax."""
     x = abs(z)
     start = nmax + 20 + int(x + 16.0 * x ** (1.0 / 3.0))
-    two_over_z = 2.0 / z
+    # The seed scale drops out in the normalisation.
+    vals, logs = _recurrence(z, nu, 0j, 1e-280 + 0j, range(start + 1, -1, -1))
+    return vals[::-1], logs[::-1]
 
-    fp = 0j            # F_{m+1}
-    fc = 1e-280 + 0j   # F_m; the seed scale drops out in the normalisation
-    shift = 0.0        # cumulative log applied to the working values
-    vals = [0j] * (nmax + 1)
-    logs = [0.0] * (nmax + 1)
-    s = 0j             # running normalisation sum, held at the current shift
 
-    for m in range(start, -1, -1):
-        if m <= nmax:
-            vals[m] = fc
-            logs[m] = shift
-        if m == 0:
-            s += fc
-        else:
-            s += 2.0 * _MINUS_I_POW[m & 3] * fc
-        if m > 0:
-            fp, fc = fc, (m * two_over_z) * fc - fp
-            a = abs(fc)
-            if a > _RESCALE_AT:
-                la = math.log(a)
-                r = math.exp(-la)
-                fc *= r
-                fp *= r
-                s *= r
-                shift += la
-
-    # True J_m = F_m * e^{-iz} / S with F_m = vals[m] e^{logs[m]},
-    # S = s e^{shift}, e^{-iz} = e^{-i Re z} e^{Im z}.
-    if s == 0:
-        raise RangeError("Miller normalisation sum vanished")
-    t_mant = cmath.exp(-1j * z.real) / s
-    t_log = z.imag - shift
-    return [scaled(vals[m] * t_mant, logs[m] + t_log) for m in range(nmax + 1)]
+def _impulse(nmax: int) -> ScaledArray:
+    """Orders 0..nmax of J_n(0) = j_n(0) = delta_{n0}."""
+    return ScaledArray(np.eye(1, nmax + 1, dtype=complex)[0], np.zeros(nmax + 1))
 
 
 # ---------------------------------------------------------------------------
-# Cylindrical H_n^(1): series or asymptotic base, upward recurrence
+# Cylindrical J_n
+# ---------------------------------------------------------------------------
+def _bessel_j(nmax: int, z: complex) -> ScaledArray:
+    """J_0(z) .. J_nmax(z)."""
+    if z == 0:
+        return _impulse(nmax)
+    if z.imag < 0:
+        return _bessel_j(nmax, z.conjugate()).conjugate()
+    vals, logs = _miller(nmax, z, 0.0)
+    # True J_m = F_m e^{-iz} / S with F_m = vals[m] e^{logs[m]} and
+    # S = F_0 + 2 sum_{m>=1} (-i)^m F_m; logs[0] is the largest scale.
+    terms = vals * np.exp(logs - logs[0])
+    s = 2.0 * np.dot(_MINUS_I_POW[np.arange(len(terms)) & 3], terms) - terms[0]
+    if s == 0:
+        raise RangeError("Miller normalisation sum vanished")
+    return _normalised(vals[:nmax + 1] * (cmath.exp(-1j * z.real) / s),
+                       logs[:nmax + 1] + (z.imag - logs[0]))
+
+
+# ---------------------------------------------------------------------------
+# Cylindrical H_n^(1) base values: series, asymptotic or continued fraction
 # ---------------------------------------------------------------------------
 def _h01_series(z: complex) -> tuple[complex, complex]:
     """H_0^(1), H_1^(1) by the Maclaurin series with the log term split off.
@@ -393,7 +524,7 @@ def _h01_base(z: complex) -> tuple[complex, complex, float]:
     # Gap region: recessive H via its CF log-derivative plus the Wronskian
     # J_0 H_0' - J_0' H_0 = 2i/(pi z), with J_0, J_1 from Miller.
     l0 = _h1_logderiv_cf(z)
-    js = _jn_sequence(1, z)
+    js = _bessel_j(1, z)
     denom = js[0] * l0 + js[1]  # J_0 L_0 - J_0',  J_0' = -J_1
     if denom.is_zero:
         raise RangeError("degenerate Wronskian solve for H base values")
@@ -403,68 +534,18 @@ def _h01_base(z: complex) -> tuple[complex, complex, float]:
     return h0.mantissa, h1.mantissa * math.exp(h1.log_scale - base_log), base_log
 
 
-def _h1n_sequence(nmax: int, z: complex) -> list[ScaledValue]:
-    """H_0^(1)(z) .. H_nmax^(1)(z) as scaled values."""
-    if z.imag < 0:
-        # Reflection keeps every ingredient on its stable side: Miller J at
-        # z and the upper-half-plane H sequence at the conjugate point.
-        js = _jn_sequence(nmax, z)
-        hs = _h1n_sequence(nmax, z.conjugate())
-        return [js[n] * 2.0 - hs[n].conjugate() for n in range(nmax + 1)]
-
-    h0, h1, base_log = _h01_base(z)
-    out = [scaled(h0, base_log)]
-    if nmax >= 1:
-        out.append(scaled(h1, base_log))
-    hp, hc = h0, h1
-    shift = base_log
-    for m in range(1, nmax):
-        hp, hc = hc, (2.0 * m / z) * hc - hp
-        a = abs(hc)
-        if a > _RESCALE_AT:
-            la = math.log(a)
-            r = math.exp(-la)
-            hc *= r
-            hp *= r
-            shift += la
-        out.append(scaled(hc, shift))
-    return out[:nmax + 1]
-
-
 # ---------------------------------------------------------------------------
-# Spherical j_n, h_n^(1)
+# Spherical j_n and both Hankel families
 # ---------------------------------------------------------------------------
-def _sph_jn_sequence(nmax: int, z: complex) -> list[ScaledValue]:
+def _spherical_j(nmax: int, z: complex) -> ScaledArray:
+    """j_0(z) .. j_nmax(z)."""
     if z == 0:
-        return [scaled(1.0, 0.0)] + [_ZERO] * nmax
-
-    # Closed-form anchors.
+        return _impulse(nmax)
     sv_sin = _scaled_sin(z)
     sv_cos = _scaled_cos(z)
     j0_ref = sv_sin / z
     j1_ref = sv_sin / (z * z) - sv_cos / z
-
-    x = abs(z)
-    start = nmax + 20 + int(x + 16.0 * x ** (1.0 / 3.0))
-    fp = 0j
-    fc = 1e-280 + 0j
-    shift = 0.0
-    vals = [0j] * (max(nmax, 1) + 1)
-    logs = [0.0] * (max(nmax, 1) + 1)
-    for m in range(start, -1, -1):
-        if m <= max(nmax, 1):
-            vals[m] = fc
-            logs[m] = shift
-        if m > 0:
-            fp, fc = fc, ((2.0 * m + 1.0) / z) * fc - fp
-            a = abs(fc)
-            if a > _RESCALE_AT:
-                la = math.log(a)
-                r = math.exp(-la)
-                fc *= r
-                fp *= r
-                shift += la
-
+    vals, logs = _miller(max(nmax, 1), z, 0.5)
     # Normalise against whichever anchor is larger (j_0 can sit at a zero).
     if j0_ref.abs_log() >= j1_ref.abs_log():
         p, ref = 0, j0_ref
@@ -472,76 +553,61 @@ def _sph_jn_sequence(nmax: int, z: complex) -> list[ScaledValue]:
         p, ref = 1, j1_ref
     if vals[p] == 0:
         raise RangeError("spherical Miller recurrence lost the anchor order")
-    kappa = ref / scaled(vals[p], logs[p])
-    return [scaled(vals[m], logs[m]) * kappa for m in range(nmax + 1)]
+    kappa = ref / scaled(complex(vals[p]), float(logs[p]))
+    return _normalised(vals[:nmax + 1] * kappa.mantissa,
+                       logs[:nmax + 1] + kappa.log_scale)
 
 
-def _sph_h1n_sequence(nmax: int, z: complex) -> list[ScaledValue]:
+def _hankel(nmax: int, z: complex, spherical: bool) -> ScaledArray:
+    """H_0^(1) .. H_nmax^(1), or h_0^(1) .. h_nmax^(1) when ``spherical``."""
     if z == 0:
-        raise SingularArgumentError("spherical h_n^(1) is singular at z = 0")
+        raise SingularArgumentError(
+            f"{'spherical h_n' if spherical else 'H_n'}^(1) is singular at z = 0")
     if z.imag < 0:
-        # Same reflection as the cylindrical case: the upward recurrence can
-        # pass through a magnitude dip in the lower half-plane.
-        js = _sph_jn_sequence(nmax, z)
-        hs = _sph_h1n_sequence(nmax, z.conjugate())
-        return [js[n] * 2.0 - hs[n].conjugate() for n in range(nmax + 1)]
-    phase = cmath.exp(1j * z.real)
-    base_log = -z.imag
-    h0 = -1j * phase / z
-    h1 = -phase * (1.0 / z + 1j / (z * z))
-
-    out = [scaled(h0, base_log)]
-    if nmax >= 1:
-        out.append(scaled(h1, base_log))
-    hp, hc = h0, h1
-    shift = base_log
-    for m in range(1, nmax):
-        hp, hc = hc, ((2.0 * m + 1.0) / z) * hc - hp
-        a = abs(hc)
-        if a > _RESCALE_AT:
-            la = math.log(a)
-            r = math.exp(-la)
-            hc *= r
-            hp *= r
-            shift += la
-        out.append(scaled(hc, shift))
-    return out[:nmax + 1]
+        # Reflection keeps every ingredient on its stable side: Miller j at
+        # z and the upper-half-plane sequence at the conjugate point (the
+        # upward recurrence can pass through a magnitude dip below the axis).
+        js = _spherical_j(nmax, z) if spherical else _bessel_j(nmax, z)
+        return js * 2.0 - _hankel(nmax, z.conjugate(), spherical).conjugate()
+    if spherical:
+        phase = cmath.exp(1j * z.real)
+        h0 = -1j * phase / z
+        h1 = -phase * (1.0 / z + 1j / (z * z))
+        base_log = -z.imag
+    else:
+        h0, h1, base_log = _h01_base(z)
+    nu = 0.5 if spherical else 0.0
+    return _normalised(*_recurrence(z, nu, h0, h1, range(nmax + 1), base_log))
 
 
 # ---------------------------------------------------------------------------
 # Batch API (orders 0..nmax at a fixed argument)
 # ---------------------------------------------------------------------------
-def bessel_j_all(nmax: int, z: complex) -> list[ScaledValue]:
+def bessel_j_all(nmax: int, z: complex) -> ScaledArray:
     """J_0(z) .. J_nmax(z)."""
     _check_order(nmax)
-    z = _check_argument(z)
-    return _jn_sequence(nmax, z)
+    return _bessel_j(nmax, _check_argument(z))
 
 
-def bessel_h1_all(nmax: int, z: complex) -> list[ScaledValue]:
+def bessel_h1_all(nmax: int, z: complex) -> ScaledArray:
     """H_0^(1)(z) .. H_nmax^(1)(z).  Raises on z = 0."""
     _check_order(nmax)
-    z = _check_argument(z)
-    if z == 0:
-        raise SingularArgumentError("H_n^(1) is singular at z = 0")
-    return _h1n_sequence(nmax, z)
+    return _hankel(nmax, _check_argument(z), spherical=False)
 
 
-def spherical_j_all(nmax: int, z: complex) -> list[ScaledValue]:
+def spherical_j_all(nmax: int, z: complex) -> ScaledArray:
     """j_0(z) .. j_nmax(z)."""
     _check_order(nmax)
-    z = _check_argument(z)
-    return _sph_jn_sequence(nmax, z)
+    return _spherical_j(nmax, _check_argument(z))
 
 
-def spherical_h1_all(nmax: int, z: complex) -> list[ScaledValue]:
+def spherical_h1_all(nmax: int, z: complex) -> ScaledArray:
     """h_0^(1)(z) .. h_nmax^(1)(z).  Raises on z = 0."""
     _check_order(nmax)
-    z = _check_argument(z)
-    return _sph_h1n_sequence(nmax, z)
+    return _hankel(nmax, _check_argument(z), spherical=True)
 
 
-def derivative_all(values: list[ScaledValue], z: complex) -> list[ScaledValue]:
+def derivative_all(values: ScaledArray, z: complex) -> ScaledArray:
     """Derivatives of a Bessel-family sequence via B_n' = (n/z)B_n - B_{n+1}.
 
     ``values`` must hold orders 0..M; the result holds orders 0..M-1.
@@ -550,12 +616,11 @@ def derivative_all(values: list[ScaledValue], z: complex) -> list[ScaledValue]:
     z = complex(z)
     if len(values) < 2:
         raise RangeError("need at least orders 0 and 1 to differentiate")
-    out = [-values[1]]
-    if len(values) > 2 and z == 0:
-        raise SingularArgumentError("derivative recurrence needs z != 0 for n >= 1")
-    for n in range(1, len(values) - 1):
-        out.append(values[n] * (n / z) - values[n + 1])
-    return out
+    if z == 0:
+        if len(values) > 2:
+            raise SingularArgumentError("derivative recurrence needs z != 0 for n >= 1")
+        return -values[1:]
+    return values[:-1] * (np.arange(len(values) - 1) / z) - values[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -578,37 +643,6 @@ def bessel_h1(n: int, z: complex) -> ScaledValue:
     return bessel_h1_all(n, z)[n]
 
 
-def bessel_y(n: int, z: complex) -> ScaledValue:
-    """Cylindrical Y_n(z) = (H_n^(1)(z) - J_n(z)) / i."""
-    h = bessel_h1(n, z)
-    j = bessel_j(n, z)
-    return (h - j) * ScaledValue(-1j, 0.0)
-
-
-def bessel_deriv(kind: str, n: int, z: complex) -> ScaledValue:
-    """Derivative of J_n or H_n^(1) via B_n' = (n/z)B_n - B_{n+1}.
-
-    ``kind`` is "J" or "H1"; for n = 0 the recurrence reduces to
-    B_0' = -B_1 and z = 0 is then admissible for kind "J".
-    """
-    _check_order(n)
-    z = _check_argument(z)
-    if n > 0 and z == 0:
-        raise SingularArgumentError("derivative recurrence needs z != 0 for n >= 1")
-    kind = kind.upper()
-    if kind == "J":
-        seq = _jn_sequence(n + 1, z)
-    elif kind == "H1":
-        if z == 0:
-            raise SingularArgumentError("H_n^(1) is singular at z = 0")
-        seq = _h1n_sequence(n + 1, z)
-    else:
-        raise ValueError(f"kind must be 'J' or 'H1', got {kind!r}")
-    if n == 0:
-        return -seq[1]
-    return seq[n] * (n / z) - seq[n + 1]
-
-
 def spherical_bessel(kind: str, n: int, z: complex) -> ScaledValue:
     """Spherical j_n(z) or h_n^(1)(z) (kind "j" or "h1")."""
     kind = kind.lower()
@@ -617,24 +651,6 @@ def spherical_bessel(kind: str, n: int, z: complex) -> ScaledValue:
     if kind == "h1":
         return spherical_h1_all(n, z)[n]
     raise ValueError(f"kind must be 'j' or 'h1', got {kind!r}")
-
-
-def spherical_bessel_deriv(kind: str, n: int, z: complex) -> ScaledValue:
-    """Derivative of a spherical Bessel function, same recurrence as above."""
-    _check_order(n)
-    z = _check_argument(z)
-    if n > 0 and z == 0:
-        raise SingularArgumentError("derivative recurrence needs z != 0 for n >= 1")
-    kind = kind.lower()
-    if kind == "j":
-        seq = _sph_jn_sequence(n + 1, z)
-    elif kind == "h1":
-        seq = _sph_h1n_sequence(n + 1, z)
-    else:
-        raise ValueError(f"kind must be 'j' or 'h1', got {kind!r}")
-    if n == 0:
-        return -seq[1]
-    return seq[n] * (n / z) - seq[n + 1]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from nearcloak import analysis, mie
 from nearcloak.analysis import SweepResult, fit_decay, sweep
-from nearcloak.errors import DomainError, InsufficientDataError, ShapeError
+from nearcloak.errors import DomainError, InsufficientDataError, RangeError, ShapeError
 from nearcloak.mie import SchemeSpec, WaveParams
 
 WAVE2 = WaveParams(2.0, np.array([1.0, 0.0]))
@@ -105,7 +105,7 @@ def test_compare_schemes():
 
 
 def test_sweep_error_annotated_with_rho():
-    with pytest.raises(RuntimeError, match="rho=8"):
+    with pytest.raises(RangeError, match="rho=8"):
         # FSS beta rule is fine, but rho >= R1-scale geometry is nonsense
         # only at the solver level: force a failure via a huge rho that
         # breaks the argument guard.

@@ -73,6 +73,21 @@ def test_compare_command(tmp_path):
     assert np.all(np.diff(table[:, 3]) < 0)  # FSS -> SS difference shrinks
 
 
+def test_mie_command_fsh_physical_core(tmp_path):
+    # Non-default physical core flags, against frozen reference rows.
+    code = run(["mie", "--scheme", "fsh", "--dim", "2", "--k", "2", "--rho", "0.5",
+                "--angles", "4", "--core-sigma", "2", "--core-q-re", "3",
+                "--core-q-im", "0.5", "--out", "ff.csv"], tmp_path)
+    assert code == 0
+    reference = np.array([
+        [0.0, -0.45263893573930575, 0.49068105398928885, 0.6675701482924853],
+        [1.5707963267948966, -0.22054574542793726, 0.0338494981440964, 0.22312824642113713],
+        [3.141592653589793, 0.01553791361221107, -0.048991028043439425, 0.0513959880552325],
+        [4.71238898038469, -0.22054574542793715, 0.03384949814409632, 0.22312824642113702],
+    ])
+    assert np.max(np.abs(read_table(tmp_path / "ff.csv") - reference)) <= 1e-10
+
+
 def test_media_and_bie_commands(tmp_path):
     assert run(["media", "--rho", "0.25", "--cells", "10", "--out", "m.csv"],
                tmp_path) == 0
@@ -136,6 +151,23 @@ def test_unwritable_output_path(tmp_path, capsys):
     code = run(["mie", "--rho", "0.5", "--angles", "8",
                 "--out", "no/such/dir/out.csv"], tmp_path)
     assert code == cli.EXIT_UNWRITABLE_OUTPUT
+
+
+def test_sweep_keeps_solver_error_type(tmp_path, capsys):
+    # k rho = 500 at the first rho: the modal series cannot converge below
+    # the order cap, which is an invalid parameter, not an internal error.
+    code = run(["sweep", "--k", "1000", "--out", "x.csv"], tmp_path)
+    assert code == cli.EXIT_INVALID_PARAMETER
+    record = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert record["error"] == "TruncationError"
+    assert "rho=0.5" in record["message"]
+
+
+def test_truncation_at_order_cap_is_invalid_parameter(tmp_path, capsys):
+    code = run(["mie", "--k", "330", "--rho", "0.5", "--out", "x.csv"], tmp_path)
+    assert code == cli.EXIT_INVALID_PARAMETER
+    record = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert record["error"] == "TruncationError"
 
 
 def test_invalid_physics_parameter(tmp_path):

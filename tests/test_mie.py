@@ -9,7 +9,7 @@ import pytest
 from scipy import special
 
 from nearcloak import media, mie
-from nearcloak.errors import DomainError
+from nearcloak.errors import DomainError, TruncationError
 from nearcloak.media import MediumSpec, virtual_core_params
 from nearcloak.mie import SchemeSpec, WaveParams
 
@@ -170,6 +170,17 @@ def test_tail_decay_property():
             nz = mags[peak:]
             nz = nz[nz > 0]
             assert np.all(np.diff(nz) < 0)  # strictly decreasing past the peak
+
+
+def test_adaptive_truncation_clamped_at_order_cap():
+    # k rho = 165: the adaptive order would step past the cap (195 -> 203);
+    # it stops at n_max = 199, where the tail is still 1.55e-13.
+    wave = WaveParams(330.0, np.array([1.0, 0.0]))
+    with pytest.raises(TruncationError, match="165"):
+        mie.coeffs_sound_hard(2, wave, 0.5)
+    sol = mie.coeffs_sound_hard(2, wave, 0.5, n_max=mie.N_MAX_CAP)
+    assert sol.n_max == 199
+    assert sol.truncation_tail == pytest.approx(1.55e-13, rel=0.01)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,115 @@
+"""Property tests over parameter space: S-matrix invariants and scaled arrays.
+
+The modal invariants are per-mode unitarity |S_n| = 1 for the lossless
+sound-soft/sound-hard linings and passivity |S_n| <= 1 for the lossy
+FSS/FSH linings, with S_n = 1 + 2 d_n (-i)^n in 2D (d_n carries i^n) and
+S_n = 1 + 2 d_n in 3D.  The sequence properties pin the array arithmetic
+of specfun to the element-by-element ScaledValue arithmetic it replaces.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from nearcloak import mie, specfun
+from nearcloak.mie import SchemeSpec, WaveParams
+
+SETTINGS = settings(max_examples=40, deadline=None)
+
+dims = st.sampled_from([2, 3])
+wavenumbers = st.floats(0.5, 4.0)
+radii = st.floats(math.log(1e-6), math.log(0.5)).map(math.exp)
+lossy_schemes = st.one_of(
+    st.builds(SchemeSpec.finite_sound_soft, beta_coeff=st.floats(0.1, 10.0)),
+    st.builds(SchemeSpec.finite_sound_hard, c=st.floats(0.2, 5.0),
+              delta=st.floats(0.1, 0.75), a=st.floats(0.5, 5.0), b=st.floats(0.1, 5.0)))
+
+_MINUS_I_POW = np.array([1.0, -1.0j, -1.0, 1.0j])
+
+
+def _wave(dim, k):
+    return WaveParams(k, np.eye(dim)[0])
+
+
+def _smatrix(sol):
+    n = np.arange(sol.n_max + 1)
+    phase = _MINUS_I_POW[n & 3] if sol.dim == 2 else 1.0
+    return 1.0 + 2.0 * sol.d_n * phase
+
+
+# ---------------------------------------------------------------------------
+# Modal invariants
+# ---------------------------------------------------------------------------
+@SETTINGS
+@given(dim=dims, k=wavenumbers, rho=radii, kind=st.sampled_from(["ss", "sh"]))
+def test_lossless_linings_are_unitary_per_mode(dim, k, rho, kind):
+    sol = mie.solve(SchemeSpec(kind), dim, _wave(dim, k), rho)
+    assert np.max(np.abs(np.abs(_smatrix(sol)) - 1.0)) <= 1e-12
+
+
+@SETTINGS
+@given(dim=dims, k=wavenumbers, rho=radii, scheme=lossy_schemes)
+def test_lossy_linings_are_passive_per_mode(dim, k, rho, scheme):
+    core = mie.virtual_core(dim, rho)
+    lw = mie.layer_wavenumbers(scheme, rho, k, core)
+    # Beyond the argument guard the solve correctly raises RangeError.
+    assume(abs(lw.k_tilde * rho) <= specfun.ARGUMENT_GUARD)
+    sol = mie.solve(scheme, dim, _wave(dim, k), rho, core)
+    assert np.max(np.abs(_smatrix(sol))) <= 1.0 + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Scaled arrays against element-wise ScaledValue arithmetic
+# ---------------------------------------------------------------------------
+FAMILIES = [specfun.bessel_j_all, specfun.bessel_h1_all,
+            specfun.spherical_j_all, specfun.spherical_h1_all]
+
+arguments = st.builds(
+    lambda r, angle: complex(r * math.cos(angle), r * math.sin(angle)),
+    st.floats(math.log(0.1), math.log(200.0)).map(math.exp),
+    st.floats(-0.45 * math.pi, math.pi))
+
+
+def _assert_close(got, expected, scale, tol=1e-13):
+    """|got - expected| <= tol * exp(scale), both scalar scaled values.
+
+    The tolerance covers the rounding of log scales up to a few hundred.
+    """
+    err = got - expected
+    assert err.is_zero or err.abs_log() - scale <= math.log(tol), (got, expected)
+
+
+@SETTINGS
+@given(family=st.sampled_from(FAMILIES), nmax=st.integers(1, 30), z=arguments)
+def test_array_derivative_matches_elementwise(family, nmax, z):
+    seq = family(nmax, z)
+    deriv = specfun.derivative_all(seq, z)
+    assert deriv.shape == (nmax,)
+    for n in range(nmax):
+        expected = -seq[1] if n == 0 else seq[n] * (n / z) - seq[n + 1]
+        scale = max(seq[n].abs_log() + math.log(max(n, 1) / abs(z)), seq[n + 1].abs_log())
+        _assert_close(deriv[n], expected, scale)
+
+
+@SETTINGS
+@given(fa=st.sampled_from(FAMILIES), fb=st.sampled_from(FAMILIES),
+       nmax=st.integers(0, 30), za=arguments, zb=arguments)
+def test_array_arithmetic_matches_elementwise(fa, fb, nmax, za, zb):
+    a, b = fa(nmax, za), fb(nmax, zb)
+    prod, quot, total, diff = a * b, a / b, a + b, a - b
+    for n in range(nmax + 1):
+        x, y = a[n], b[n]
+        _assert_close(prod[n], x * y, (x * y).abs_log())
+        _assert_close(quot[n], x / y, (x / y).abs_log())
+        top = max(x.abs_log(), y.abs_log())
+        _assert_close(total[n], x + y, top)
+        _assert_close(diff[n], x - y, top)
+    logs = a.abs_log()
+    assert logs == pytest.approx([a[n].abs_log() for n in range(nmax + 1)], abs=1e-13)
+    if np.max(logs) <= 700.0:
+        values = a.to_complex()
+        for n in range(nmax + 1):
+            assert values[n] == pytest.approx(a[n].to_complex(), rel=1e-13, abs=0.0)

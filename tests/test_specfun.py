@@ -87,21 +87,22 @@ def test_h_scale_tracks_exponential_decay():
 
 def test_deriv_order_zero_is_minus_first_order():
     z = 1.3 + 0.4j
-    d = sf.bessel_deriv("J", 0, z).to_complex()
+    d = sf.derivative_all(sf.bessel_j_all(1, z), z)[0].to_complex()
     assert abs(d + sf.bessel_j(1, z).to_complex()) < 1e-14 * abs(d)
 
 
 def test_deriv_small_argument_leading_order():
     oracle = -j1_maclaurin(0.04)  # J_0' = -J_1 ~ -z/2
-    d = sf.bessel_deriv("J", 0, 0.04).to_complex()
+    d = sf.derivative_all(sf.bessel_j_all(1, 0.04), 0.04)[0].to_complex()
     assert abs(d - oracle) < 1e-12
     assert abs(d + 0.02) < 1e-5
 
 
 def test_h_deriv_magnitude_decays_exponentially():
     z = 25.0 + 20.0j
+    ds = sf.derivative_all(sf.bessel_h1_all(3, z), z)
     for n in range(3):
-        d = sf.bessel_deriv("H1", n, z)
+        d = ds[n]
         expected = math.sqrt(2.0 / (math.pi * abs(z))) * math.exp(-z.imag)
         assert abs(math.exp(d.abs_log()) / expected - 1.0) < 10.0 / abs(z)
 
@@ -295,7 +296,9 @@ def test_range_guards():
     with pytest.raises(SingularArgumentError):
         sf.bessel_h1(0, 0.0)
     with pytest.raises(SingularArgumentError):
-        sf.bessel_deriv("J", 2, 0.0)
+        sf.derivative_all(sf.bessel_j_all(3, 0.0), 0.0)
+    # order 0 only needs B_0' = -B_1, which is admissible at z = 0
+    assert sf.derivative_all(sf.bessel_j_all(1, 0.0), 0.0)[0].is_zero
 
 
 def test_scaled_arithmetic_basics():
@@ -316,9 +319,9 @@ def test_scaled_arithmetic_basics():
 
 def test_spherical_derivatives_closed_forms():
     z = 1.7 + 0.6j
-    d = sf.spherical_bessel_deriv("j", 0, z).to_complex()
+    d = sf.derivative_all(sf.spherical_j_all(1, z), z)[0].to_complex()
     expected = cmath.cos(z) / z - cmath.sin(z) / z ** 2  # j_0' = -j_1
     assert abs(d - expected) < 1e-13 * abs(expected)
-    d = sf.spherical_bessel_deriv("h1", 0, z).to_complex()
+    d = sf.derivative_all(sf.spherical_h1_all(1, z), z)[0].to_complex()
     h1 = -cmath.exp(1j * z) * (1.0 / z + 1j / z ** 2)
     assert abs(d + h1) < 1e-13 * abs(h1)  # h_0' = -h_1
