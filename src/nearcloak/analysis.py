@@ -216,16 +216,24 @@ def near_field_deviation(fsh: ModalSolution, sh: ModalSolution, radius: float,
 # ---------------------------------------------------------------------------
 # Persistence
 # ---------------------------------------------------------------------------
+def write_csv(path, schema: str, columns, rows, footer=()) -> None:
+    """Stream a ``# schema=<schema>-v1`` CSV: header, rows of numbers written
+    as ``repr(float(v))`` (exact round trip), then ``# key,text`` footer lines."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# schema={schema}-v{CSV_SCHEMA_VERSION}\n")
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(",".join(map(repr, map(float, row))) + "\n" for row in rows)
+        for key, text in footer:
+            fh.write(f"# {key},{text}\n")
+
+
 def write_sweep_csv(result: SweepResult, path) -> None:
     """CSV with one (rho, max_abs_A) row per sweep point, fit in the footer."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# schema=sweep-v{CSV_SCHEMA_VERSION}\n")
-        fh.write("rho,max_abs_A\n")
-        for r, a in zip(result.rho_values, result.max_amplitude):
-            fh.write(f"{float(r)!r},{float(a)!r}\n")
-        fh.write(f"# model,{result.model}\n")
-        fh.write(f"# fitted_exponent,{float(result.fitted_exponent)!r}\n")
-        fh.write(f"# fit_residual,{float(result.fit_residual)!r}\n")
+    write_csv(path, "sweep", ["rho", "max_abs_A"],
+              zip(result.rho_values, result.max_amplitude),
+              footer=[("model", result.model),
+                      ("fitted_exponent", repr(float(result.fitted_exponent))),
+                      ("fit_residual", repr(float(result.fit_residual)))])
 
 
 def sweep_summary(result: SweepResult) -> dict:

@@ -93,10 +93,6 @@ class BoundaryCurve:
     def nodes(self) -> np.ndarray:
         return 2.0 * math.pi * np.arange(self.n_points) / self.n_points
 
-    def with_points(self, n_points: int) -> "BoundaryCurve":
-        return BoundaryCurve(self.position, self.derivative,
-                             self.second_derivative, n_points, self.name)
-
 
 def circle(radius: float, n_points: int = 256) -> BoundaryCurve:
     if radius <= 0:

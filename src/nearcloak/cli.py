@@ -33,8 +33,6 @@ EXIT_INVALID_PARAMETER = 3
 EXIT_UNWRITABLE_OUTPUT = 4
 EXIT_INTERNAL = 5
 
-CSV_SCHEMA_VERSION = analysis.CSV_SCHEMA_VERSION
-
 _DEFAULTS = {
     "mie": {
         "scheme": "sh", "dim": 2, "k": 2.0, "rho": 0.5, "angles": 100,
@@ -202,12 +200,10 @@ def _rho_grid(params: dict) -> list[float]:
 
 
 def _write_farfield_csv(path: str, pattern) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# schema=farfield-v{CSV_SCHEMA_VERSION}\n")
-        fh.write("theta,re_A,im_A,abs_A\n")
-        for th, a in zip(pattern.angles, pattern.amplitude):
-            a = complex(a)
-            fh.write(f"{float(th)!r},{a.real!r},{a.imag!r},{abs(a)!r}\n")
+    # abs of the Python complex, not np.abs: they differ in the last bit.
+    analysis.write_csv(path, "farfield", ["theta", "re_A", "im_A", "abs_A"],
+                       ((th, a.real, a.imag, abs(a))
+                        for th, a in zip(pattern.angles, map(complex, pattern.amplitude))))
 
 
 # ---------------------------------------------------------------------------
@@ -248,17 +244,14 @@ def _run_compare(params: dict) -> None:
                                       angle_count=params["angles"],
                                       core_physical=core))
     diff = analysis.compare_schemes(results[0], results[1])
-    with open(params["out"], "w", encoding="utf-8") as fh:
-        fh.write(f"# schema=compare-v{CSV_SCHEMA_VERSION}\n")
-        fh.write("rho,max_abs_A_a,max_abs_A_b,abs_diff\n")
-        for r, a, b, d in zip(results[0].rho_values, results[0].max_amplitude,
-                              results[1].max_amplitude, diff):
-            fh.write(f"{float(r)!r},{float(a)!r},{float(b)!r},{float(d)!r}\n")
+    analysis.write_csv(params["out"], "compare",
+                       ["rho", "max_abs_A_a", "max_abs_A_b", "abs_diff"],
+                       zip(results[0].rho_values, results[0].max_amplitude,
+                           results[1].max_amplitude, diff))
 
 
 def _run_bie(params: dict) -> None:
-    wave = mie.WaveParams(params["k"], np.array([
-        math.cos(params["incident_angle"]), math.sin(params["incident_angle"])]))
+    wave = _wave_from(params, 2)
     if params["curve"] == "circle":
         curve = bie.circle(params["radius"], params["n_points"])
     else:
@@ -272,15 +265,10 @@ def _run_bie(params: dict) -> None:
 def _run_media(params: dict) -> None:
     spec = media.RadialMapSpec(params["rho"], params["r1"], params["r2"])
     rows = media.sample_cloak_grid(spec, params["cells"], dim=params["dim"])
-    dim = params["dim"]
-    coords = ["x", "y", "z"][:dim]
-    iu = [f"sigma_{a}{b}" for i, a in enumerate(coords)
-          for b in coords[i:]]
-    with open(params["out"], "w", encoding="utf-8") as fh:
-        fh.write(f"# schema=media-v{CSV_SCHEMA_VERSION}\n")
-        fh.write(",".join(coords + iu + ["re_q", "im_q"]) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    coords = "xyz"[:params["dim"]]
+    iu = [f"sigma_{a}{b}" for i, a in enumerate(coords) for b in coords[i:]]
+    analysis.write_csv(params["out"], "media", [*coords, *iu, "re_q", "im_q"],
+                       (row.tolist() for row in rows))
 
 
 _RUNNERS = {

@@ -190,30 +190,42 @@ def push_forward(medium: MediumSpec, jac: JacobianData) -> MediumSpec:
     return MediumSpec(sigma_new, medium.q / jac.det)
 
 
-def cloak_medium_at(spec: RadialMapSpec, y: np.ndarray) -> MediumSpec:
-    """Cloaking-shell parameters at physical point y, R1 <= |y| <= R2.
+def cloak_tensor(spec: RadialMapSpec, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cloaking-shell sigma (..., dim, dim) and real q (...) at y (..., dim).
 
-    Push-forward of the homogeneous medium (I, 1) under the blow-up,
-    evaluated with the analytic Jacobian at x = F^{-1}(y).  In polar
-    form the eigenvalues are s r/f (radial) and f/(s r) repeated
-    (tangential) with r = |x|, f = |y|; the tangential entries blow up
-    like 1/rho as |y| -> R1.
+    Closed-form push-forward of (I, 1) under the blow-up: with f = |y| in
+    [R1, R2], r = F^{-1}(f), t = f/r and J = s t^(dim-1), sigma =
+    (t^2/J) I + ((s^2 - t^2)/J) yhat yhat^T and q = 1/J.
     """
     y = np.asarray(y, dtype=float)
-    x = radial_blowup_inverse(spec, y)
-    jac = radial_jacobian(spec, x)
-    return push_forward(MediumSpec.isotropic(1.0, 1.0, y.size), jac)
+    dim, s = y.shape[-1], spec.slope
+    f = np.linalg.norm(y, axis=-1)
+    outside = (f < spec.r1 * (1 - _GEOM_RTOL)) | (f > spec.r2 * (1 + _GEOM_RTOL))
+    if np.any(outside):
+        raise DomainError(f"|y| = {f[outside][0]:.6g} outside [{spec.r1:.6g}, {spec.r2:.6g}]")
+    t = f / spec.inverse_radius(f)
+    jac = s * t ** (dim - 1)
+    tang, radial = (t * t / jac)[..., None, None], (s * s / jac)[..., None, None]
+    yhat = y / f[..., None]
+    proj = yhat[..., :, None] * yhat[..., None, :]
+    return tang * np.eye(dim) + (radial - tang) * proj, 1.0 / jac
+
+
+def cloak_medium_at(spec: RadialMapSpec, y: np.ndarray) -> MediumSpec:
+    """Cloaking-shell parameters at one physical point y, R1 <= |y| <= R2."""
+    return MediumSpec(*cloak_tensor(spec, y))
 
 
 # ---------------------------------------------------------------------------
 # Physical <-> virtual conversions under the dilation x -> x/rho
 # ---------------------------------------------------------------------------
-def _dilation_push(sigma: float, q: complex, factor_dim: tuple[float, int],
+def _dilation_push(sigma: float, q: complex, rho: float, dim: int,
                    to_physical: bool) -> tuple[float, complex]:
-    rho, dim = factor_dim
-    # y = x/rho: M = I/rho, J = rho^-dim, so sigma -> rho^(dim-2) sigma... in
-    # the virtual->physical direction sigma_phys = rho^(2-dim) sigma  and
-    # q_phys = rho^dim q; the other direction inverts the powers.
+    # y = x/rho has M = I/rho and J = rho^-dim, so in the virtual -> physical
+    # direction sigma_phys = rho^(dim-2) sigma_virt and q_phys = rho^dim q_virt;
+    # the other direction inverts the powers.
+    if dim not in (2, 3):
+        raise DomainError(f"dim must be 2 or 3, got {dim}")
     if to_physical:
         return sigma * rho ** (dim - 2), q * rho ** dim
     return sigma * rho ** (2 - dim), q * rho ** (-dim)
@@ -226,11 +238,9 @@ def virtual_core_params(physical: MediumSpec, rho: float, dim: int) -> MediumSpe
     ball of radius rho/2 as (sigma', q'/rho^2) in 2D and
     (sigma'/rho, q'/rho^3) in 3D.
     """
-    if dim not in (2, 3):
-        raise DomainError(f"dim must be 2 or 3, got {dim}")
     if rho <= 0:
         raise DomainError("rho must be positive")
-    sig, q = _dilation_push(physical.sigma_scalar, physical.q, (rho, dim),
+    sig, q = _dilation_push(physical.sigma_scalar, physical.q, rho, dim,
                             to_physical=False)
     return MediumSpec.isotropic(sig, q, dim)
 
@@ -238,17 +248,13 @@ def virtual_core_params(physical: MediumSpec, rho: float, dim: int) -> MediumSpe
 def layer_virtual_from_physical(sigma: float, q: complex, rho: float,
                                 dim: int) -> tuple[float, complex]:
     """Lossy-layer parameters: physical-space values -> virtual space."""
-    if dim not in (2, 3):
-        raise DomainError(f"dim must be 2 or 3, got {dim}")
-    return _dilation_push(sigma, q, (rho, dim), to_physical=False)
+    return _dilation_push(sigma, q, rho, dim, to_physical=False)
 
 
 def layer_physical_from_virtual(sigma: float, q: complex, rho: float,
                                 dim: int) -> tuple[float, complex]:
     """Lossy-layer parameters: virtual-space values -> physical space."""
-    if dim not in (2, 3):
-        raise DomainError(f"dim must be 2 or 3, got {dim}")
-    return _dilation_push(sigma, q, (rho, dim), to_physical=True)
+    return _dilation_push(sigma, q, rho, dim, to_physical=True)
 
 
 # ---------------------------------------------------------------------------
@@ -261,19 +267,19 @@ def sample_cloak_grid(spec: RadialMapSpec, cells_per_side: int,
     Cell centers never hit the inner interface |y| = R1 exactly, where
     the tangential entries are singular.  Rows hold the point, the
     row-major upper triangle of sigma, then Re q and Im q; points outside
-    the shell are skipped.
+    the shell are skipped (an empty shell gives zero rows).  One
+    ``cloak_tensor`` call covers all kept centers; positivity needs no
+    per-cell check, as s > 0 and r >= rho > 0 make t, J > 0.
     """
     if dim not in (2, 3):
         raise DomainError(f"dim must be 2 or 3, got {dim}")
+    if cells_per_side < 1:
+        raise DomainError(f"need at least one cell per side, got {cells_per_side}")
     edges = np.linspace(-spec.r2, spec.r2, cells_per_side + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    grids = np.meshgrid(*([centers] * dim), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
+    pts = np.stack(np.meshgrid(*([centers] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
     radii = np.linalg.norm(pts, axis=1)
-    keep = (radii >= spec.r1) & (radii <= spec.r2)
+    pts = pts[(radii >= spec.r1) & (radii <= spec.r2)]
+    sigma, q = cloak_tensor(spec, pts)
     iu = np.triu_indices(dim)
-    rows = []
-    for p in pts[keep]:
-        med = cloak_medium_at(spec, p)
-        rows.append(np.concatenate([p, med.sigma[iu], [med.q.real, med.q.imag]]))
-    return np.asarray(rows)
+    return np.column_stack([pts, sigma[:, iu[0], iu[1]], q, np.zeros_like(q)])

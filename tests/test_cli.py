@@ -170,6 +170,13 @@ def test_truncation_at_order_cap_is_invalid_parameter(tmp_path, capsys):
     assert record["error"] == "TruncationError"
 
 
+def test_media_without_cells_is_invalid_parameter(tmp_path, capsys):
+    code = run(["media", "--cells", "0", "--out", "m.csv"], tmp_path)
+    assert code == cli.EXIT_INVALID_PARAMETER
+    assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "DomainError"
+    assert not (tmp_path / "m.csv").exists()
+
+
 def test_invalid_physics_parameter(tmp_path):
     code = run(["mie", "--rho", "-0.5", "--out", "x.csv"], tmp_path)
     assert code == cli.EXIT_INVALID_PARAMETER

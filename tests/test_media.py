@@ -235,3 +235,54 @@ def test_sample_cloak_grid_shell_only():
     assert np.all((radii >= SPEC.r1) & (radii <= SPEC.r2))
     # cell-centered grid never hits the singular inner interface exactly
     assert np.min(np.abs(radii - SPEC.r1)) > 1e-12
+
+
+def test_sample_cloak_grid_needs_a_cell():
+    for cells in (0, -3):
+        with pytest.raises(DomainError):
+            media.sample_cloak_grid(SPEC, cells, dim=2)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_sample_cloak_grid_empty_shell_keeps_columns(dim):
+    # One cell per side: the only center is the origin, inside the core.
+    rows = media.sample_cloak_grid(SPEC, 1, dim=dim)
+    assert rows.shape == (0, dim + dim * (dim + 1) // 2 + 2)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("rho", [0.5, 1e-4])
+def test_sample_cloak_grid_matches_pointwise_pushforward(dim, rho):
+    # Every row against the independent single-point chain: inverse map,
+    # analytic Jacobian, generic push-forward of (I, 1).  The two paths
+    # may round |y| differently in the last bit, and r = (|y| - c)/s
+    # amplifies that by cond = |y|/(|y| - c), up to ~4e4 next to R1 at
+    # rho = 1e-4; the tolerance allows ~45 ulps of |y| on top of 1e-12.
+    spec = RadialMapSpec(rho, 2.0, 3.0)
+    rows = media.sample_cloak_grid(spec, 13 if dim == 2 else 9, dim=dim)
+    assert rows.shape[0] > 0
+    iu = np.triu_indices(dim)
+    unit = MediumSpec.isotropic(1.0, 1.0, dim)
+    for row in rows:
+        y = row[:dim]
+        ref = media.push_forward(unit, media.radial_jacobian(
+            spec, media.radial_blowup_inverse(spec, y)))
+        f = np.linalg.norm(y)
+        tol = 1e-12 + 1e-14 * f / (f - spec.offset)
+        assert np.max(np.abs(row[dim:-2] - ref.sigma[iu])) <= tol * np.max(np.abs(ref.sigma))
+        assert abs(complex(row[-2], row[-1]) - ref.q) <= tol * abs(ref.q)
+
+
+def test_cloak_tensor_broadcasts_over_leading_axes():
+    rng = np.random.default_rng(5)
+    y = rng.normal(size=(4, 5, 3))
+    y *= rng.uniform(SPEC.r1, SPEC.r2, (4, 5, 1)) / np.linalg.norm(y, axis=-1, keepdims=True)
+    sigma, q = media.cloak_tensor(SPEC, y)
+    assert sigma.shape == (4, 5, 3, 3) and q.shape == (4, 5)
+    med = media.cloak_medium_at(SPEC, y[2, 3])
+    assert np.array_equal(sigma[2, 3], med.sigma) and q[2, 3] == med.q
+    y[1, 2] *= 0.5   # one point inside the core rejects the whole batch
+    with pytest.raises(DomainError):
+        media.cloak_tensor(SPEC, y)
+    with pytest.raises(DomainError):
+        media.cloak_medium_at(SPEC, np.array([0.0, 3.5]))

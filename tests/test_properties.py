@@ -3,10 +3,12 @@
 The modal invariants are per-mode unitarity |S_n| = 1 for the lossless
 sound-soft/sound-hard linings and passivity |S_n| <= 1 for the lossy
 FSS/FSH linings, with S_n = 1 + 2 d_n (-i)^n in 2D (d_n carries i^n) and
-S_n = 1 + 2 d_n in 3D.  The sequence properties pin the array arithmetic
+S_n = 1 + 2 d_n in 3D; for the lossy linings the optical theorem becomes
+the inequality scattered power <= extinction.  The sequence properties pin the array arithmetic
 of specfun to the element-by-element ScaledValue arithmetic it replaces.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -59,6 +61,40 @@ def test_lossy_linings_are_passive_per_mode(dim, k, rho, scheme):
     assume(abs(lw.k_tilde * rho) <= specfun.ARGUMENT_GUARD)
     sol = mie.solve(scheme, dim, _wave(dim, k), rho, core)
     assert np.max(np.abs(_smatrix(sol))) <= 1.0 + 1e-12
+
+
+def _scattered_and_extinction(sol, k):
+    """Quadrature of the scattered power and the forward-amplitude extinction.
+
+    2D: int_0^{2pi} |A|^2 dtheta (4096-point trapezoid, exact for the
+    trigonometric polynomial) against -sqrt(8 pi / k) Re[e^{i pi/4} A(0)].
+    3D: 2 pi int_0^pi |A|^2 sin(theta) dtheta (64-node Gauss-Legendre in
+    cos(theta), exact for degree 2 n_max <= 127) against (4 pi / k) Im A(0).
+    """
+    forward = mie.far_field(sol, np.array([0.0])).amplitude[0]
+    if sol.dim == 2:
+        th = np.linspace(0, 2 * math.pi, 4096, endpoint=False)
+        amp = mie.far_field(sol, th).amplitude
+        scattered = np.mean(np.abs(amp) ** 2) * 2 * math.pi
+        return scattered, -math.sqrt(8 * math.pi / k) * (cmath.exp(1j * math.pi / 4) * forward).real
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    th = np.arccos(np.clip(nodes, -1, 1))
+    order = np.argsort(th)
+    amp = mie.far_field(sol, th[order]).amplitude[np.argsort(order)]
+    scattered = 2 * math.pi * float(weights @ (np.abs(amp) ** 2))
+    return scattered, (4 * math.pi / k) * forward.imag
+
+
+@SETTINGS
+@given(dim=dims, k=wavenumbers, rho=radii, scheme=lossy_schemes)
+def test_lossy_linings_scatter_at_most_the_extinction(dim, k, rho, scheme):
+    core = mie.virtual_core(dim, rho)
+    lw = mie.layer_wavenumbers(scheme, rho, k, core)
+    assume(abs(lw.k_tilde * rho) <= specfun.ARGUMENT_GUARD)
+    sol = mie.solve(scheme, dim, _wave(dim, k), rho, core)
+    assert sol.n_max <= 63   # inside the exactness range of both quadratures
+    scattered, extinction = _scattered_and_extinction(sol, k)
+    assert scattered <= extinction * (1.0 + 1e-8)
 
 
 # ---------------------------------------------------------------------------
