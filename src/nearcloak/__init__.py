@@ -13,7 +13,7 @@ from .bie import BoundaryCurve, DensitySolution, circle, kite
 from .media import JacobianData, MediumSpec, RadialMapSpec
 from .mie import (FarFieldPattern, LayerWavenumbers, ModalSolution,
                   SchemeSpec, WaveParams)
-from .specfun import ScaledArray, ScaledValue
+from .specfun import ScaledArray
 
 __version__ = "0.1.0"
 
@@ -23,6 +23,6 @@ __all__ = [
     "BoundaryCurve", "DensitySolution", "circle", "kite",
     "JacobianData", "MediumSpec", "RadialMapSpec",
     "FarFieldPattern", "LayerWavenumbers", "ModalSolution",
-    "SchemeSpec", "WaveParams", "ScaledArray", "ScaledValue",
+    "SchemeSpec", "WaveParams", "ScaledArray",
     "__version__",
 ]

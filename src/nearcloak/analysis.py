@@ -251,10 +251,15 @@ def sweep_summary(result: SweepResult) -> dict:
     }
 
 
-def write_sweep_json(result: SweepResult, path) -> None:
+def write_json(path, obj) -> None:
+    """Write ``obj`` as indented JSON with sorted keys and a final newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(sweep_summary(result), fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_sweep_json(result: SweepResult, path) -> None:
+    write_json(path, sweep_summary(result))
 
 
 def read_sweep_csv(path) -> tuple[np.ndarray, np.ndarray]:

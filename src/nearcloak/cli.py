@@ -65,6 +65,10 @@ _DEFAULTS = {
 }
 
 
+# Types a --config value may take, by the type of its default (never bool).
+_CONFIG_TYPES = {int: (int,), float: (int, float), str: (str,), type(None): (str, type(None))}
+
+
 # ---------------------------------------------------------------------------
 # Parser construction
 # ---------------------------------------------------------------------------
@@ -152,10 +156,18 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
     if cfg_path:
         with open(cfg_path, encoding="utf-8") as fh:
             cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise NearCloakError("config file must hold a JSON object")
         cfg.pop("command", None)
         unknown = set(cfg) - set(params)
         if unknown:
             raise NearCloakError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in cfg.items():
+            accepted = _CONFIG_TYPES[type(params[key])]
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                names = " or ".join(t.__name__ for t in accepted)
+                raise NearCloakError(
+                    f"config key {key!r} needs {names}, got {json.dumps(value)}")
         params.update(cfg)
     for key in params:
         val = getattr(args, key.replace("-", "_"), None)
@@ -307,10 +319,7 @@ def main(argv=None) -> int:
     dump = getattr(args, "dump_config", None)
     if dump:
         try:
-            with open(dump, "w", encoding="utf-8") as fh:
-                json.dump({"command": args.command, **params}, fh,
-                          indent=2, sort_keys=True)
-                fh.write("\n")
+            analysis.write_json(dump, {"command": args.command, **params})
         except OSError as exc:
             return _fail(EXIT_UNWRITABLE_OUTPUT, type(exc).__name__, str(exc))
 

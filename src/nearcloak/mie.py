@@ -57,7 +57,6 @@ DEGENERATE_CONDITION = 1e14
 BRANCH_THRESHOLD = 1e-12
 
 _I_POW = np.array([1.0, 1.0j, -1.0, -1.0j])  # i^n for n mod 4
-_ONE = specfun.scaled(1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +382,8 @@ def coeffs_layered(dim: int, wave: WaveParams, rho: float, scheme: SchemeSpec,
         # evaluated on every mode with the other branch's divisor set to 1.
         zero_core = (jc.abs_log() < math.log(BRANCH_THRESHOLD)
                      + np.maximum(0.0, djc.abs_log()))
-        jc_div = ScaledArray.where(zero_core, _ONE, jc)
-        djc_div = ScaledArray.where(zero_core, djc, _ONE) * core_factor
+        jc_div = ScaledArray.where(zero_core, 1.0, jc)
+        djc_div = ScaledArray.where(zero_core, djc, 1.0) * core_factor
         f = djc / jc_div * core_factor
         ups = ScaledArray.where(zero_core, -(jt2 / ht2),
                                 -(djt2 - f * jt2) / (dht2 - f * ht2))
@@ -398,7 +397,7 @@ def coeffs_layered(dim: int, wave: WaveParams, rho: float, scheme: SchemeSpec,
         degenerate = cancel > math.log(DEGENERATE_CONDITION)
         den_zero = den.mantissa == 0  # exact cancellation: degenerate, d_n = 0
         phase = _phase(dim, nmax)
-        d_sv = -(djk - w * jk) / ScaledArray.where(den_zero, _ONE, den) * (phase * ~den_zero)
+        d_sv = -(djk - w * jk) / ScaledArray.where(den_zero, 1.0, den) * (phase * ~den_zero)
 
         a = (jk * phase + d_sv * hk) / q_den
         b = ups * a

@@ -3,12 +3,13 @@
 The lossy-layer solves evaluate J_n and H_n^(1) at arguments z whose
 imaginary part reaches into the hundreds, where J_n(z) grows like
 e^{|Im z|} and H_n^(1)(z) decays like e^{-Im z}.  Every value here is
-therefore held in log-scaled form, ``mantissa * exp(log_scale)``: a
-sequence of orders 0..nmax is one :class:`ScaledArray` (an ndarray of
-mantissas and an ndarray of log scales), and indexing it yields its
-elements as :class:`ScaledValue`.  The layer algebra downstream cancels
-the exponentials symbolically by adding and subtracting log scales, so
-raw unscaled values are never formed for large |Im z|.
+therefore held in log-scaled form, ``mantissa * exp(log_scale)``, by
+the one scaled type :class:`ScaledArray` (an ndarray of mantissas and an
+ndarray of log scales): a sequence of orders 0..nmax is a 1-d one,
+indexing it with an integer gives a 0-d one, and :func:`scaled` builds
+one of any shape from plain numbers.  The layer algebra downstream
+cancels the exponentials symbolically by adding and subtracting log
+scales, so raw unscaled values are never formed for large |Im z|.
 
 Algorithms
 ----------
@@ -52,7 +53,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,11 +74,7 @@ _H_SERIES_BUDGET = 13.5
 # Mantissas are renormalised once they exceed this during recurrences.
 _RESCALE_AT = 1e250
 
-# Scale gap beyond which the smaller addend is negligible in double
-# precision (e^-40 ~ 4e-18).
-_ADD_SCALE_GAP = 40.0
-
-# Floor on |mantissa| in array normalisation, so zeros need no mask.
+# Floor on |mantissa| in scaled(), so zeros need no mask.
 _TINY = 1e-300
 
 _EULER_GAMMA = 0.5772156649015328606
@@ -87,129 +83,25 @@ _MINUS_I_POW = np.array([1.0, -1.0j, -1.0, 1.0j])  # (-i)^m for m mod 4
 
 
 # ---------------------------------------------------------------------------
-# Scaled values
+# Scaled arrays
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
-class ScaledValue:
-    """A complex number stored as ``mantissa * exp(log_scale)``.
-
-    The mantissa is kept normalised (|mantissa| in [0.5, 2], here exactly
-    1 after construction through :func:`scaled`) unless the value is
-    exactly zero, in which case log_scale is 0.
-    """
-
-    mantissa: complex
-    log_scale: float
-
-    @property
-    def is_zero(self) -> bool:
-        return self.mantissa == 0
-
-    def abs_log(self) -> float:
-        """Natural log of |value| (-inf for zero)."""
-        if self.mantissa == 0:
-            return -math.inf
-        return math.log(abs(self.mantissa)) + self.log_scale
-
-    def to_complex(self) -> complex:
-        """Collapse to a plain complex.
-
-        Underflow collapses silently to 0; overflow (log_scale beyond
-        ~700) raises :class:`RangeError` because the value cannot be
-        represented in double precision.
-        """
-        if self.mantissa == 0:
-            return 0j
-        t = math.log(abs(self.mantissa)) + self.log_scale
-        if t > 700.0:
-            raise RangeError(f"scaled value exp({t:.1f}) overflows a double")
-        if t < -745.0:
-            return 0j
-        return self.mantissa * math.exp(self.log_scale)
-
-    @staticmethod
-    def from_complex(value: complex) -> "ScaledValue":
-        return scaled(value, 0.0)
-
-    def conjugate(self) -> "ScaledValue":
-        return ScaledValue(self.mantissa.conjugate(), self.log_scale)
-
-    # -- arithmetic ---------------------------------------------------------
-    def __mul__(self, other):
-        if isinstance(other, ScaledValue):
-            return scaled(self.mantissa * other.mantissa,
-                          self.log_scale + other.log_scale)
-        return scaled(self.mantissa * other, self.log_scale)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, ScaledValue):
-            if other.mantissa == 0:
-                raise ZeroDivisionError("division by zero ScaledValue")
-            return scaled(self.mantissa / other.mantissa,
-                          self.log_scale - other.log_scale)
-        return scaled(self.mantissa / other, self.log_scale)
-
-    def __rtruediv__(self, other):
-        if self.mantissa == 0:
-            raise ZeroDivisionError("division by zero ScaledValue")
-        return scaled(other / self.mantissa, -self.log_scale)
-
-    def __add__(self, other: "ScaledValue") -> "ScaledValue":
-        if not isinstance(other, ScaledValue):
-            return NotImplemented
-        if self.mantissa == 0:
-            return other
-        if other.mantissa == 0:
-            return self
-        gap = other.log_scale - self.log_scale
-        if gap > _ADD_SCALE_GAP:
-            return other
-        if gap < -_ADD_SCALE_GAP:
-            return self
-        if gap >= 0:
-            return scaled(self.mantissa * math.exp(-gap) + other.mantissa,
-                          other.log_scale)
-        return scaled(self.mantissa + other.mantissa * math.exp(gap),
-                      self.log_scale)
-
-    def __sub__(self, other: "ScaledValue") -> "ScaledValue":
-        return self + (-other)
-
-    def __neg__(self) -> "ScaledValue":
-        return ScaledValue(-self.mantissa, self.log_scale)
-
-
-def scaled(mantissa: complex, log_scale: float) -> ScaledValue:
-    """Build a ScaledValue with the mantissa normalised to |m| = 1."""
-    if mantissa == 0:
-        return ScaledValue(0j, 0.0)
-    a = abs(mantissa)
-    if not math.isfinite(a):
-        raise RangeError("non-finite mantissa in scaled arithmetic")
-    return ScaledValue(mantissa / a, log_scale + math.log(a))
-
-
 class ScaledArray:
     """An array of complex numbers stored as ``mantissa * exp(log_scale)``.
 
     ``mantissa`` (complex) and ``log_scale`` (float) are ndarrays of one
-    shape, normalised elementwise like :class:`ScaledValue` (a zero
-    element may carry any scale).  Arithmetic is elementwise with the
-    scalar rules; the right operand is a ScaledArray or a ScaledValue,
-    and for ``*`` and ``/`` also a plain number or ndarray (scale 0).  An
-    integer index returns that element as a ScaledValue, a slice returns
-    a ScaledArray.
+    shape, with every nonzero mantissa normalised to |m| = 1 (a zero
+    element may carry any scale).  Arithmetic is elementwise; the right
+    operand is a ScaledArray, and for ``*`` and ``/`` also a plain number
+    or ndarray (scale 0).  Indexing returns a ScaledArray: an integer
+    index gives a 0-d one (shape ``()``), a slice a 1-d one.
     """
 
-    __slots__ = ("mantissa", "log_scale", "_items")
+    __slots__ = ("mantissa", "log_scale")
     __array_ufunc__ = None  # make ndarray (op) ScaledArray defer to us
 
     def __init__(self, mantissa: np.ndarray, log_scale: np.ndarray):
         self.mantissa = mantissa
         self.log_scale = log_scale
-        self._items = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -218,16 +110,8 @@ class ScaledArray:
     def __len__(self) -> int:
         return len(self.mantissa)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return ScaledArray(self.mantissa[index], self.log_scale[index])
-        items = self._items
-        if items is None:
-            # Elements are built once, from Python scalars: element-wise
-            # scalar arithmetic on a sequence must not pay for numpy scalars.
-            items = self._items = list(map(
-                ScaledValue, self.mantissa.tolist(), self.log_scale.tolist()))
-        return items[index]
+    def __getitem__(self, index) -> "ScaledArray":
+        return ScaledArray(self.mantissa[index], self.log_scale[index])
 
     def abs_log(self) -> np.ndarray:
         """Natural log of |value| per element (-inf for zeros)."""
@@ -235,7 +119,12 @@ class ScaledArray:
         return np.log(a, out=np.full(a.shape, -math.inf), where=a > 0) + self.log_scale
 
     def to_complex(self) -> np.ndarray:
-        """Collapse to a complex ndarray; see ScaledValue.to_complex."""
+        """Collapse to complex values.
+
+        Underflow collapses silently to 0; overflow (a value beyond
+        ~e^700) raises :class:`RangeError` because it cannot be
+        represented in double precision.
+        """
         top = float(np.max(self.abs_log()))
         if top > 700.0:
             raise RangeError(f"scaled value exp({top:.1f}) overflows a double")
@@ -247,28 +136,27 @@ class ScaledArray:
 
     @staticmethod
     def where(mask, a, b) -> "ScaledArray":
-        """Elementwise choice between scaled operands, like numpy.where."""
-        return ScaledArray(np.where(mask, a.mantissa, b.mantissa),
-                           np.where(mask, a.log_scale, b.log_scale))
+        """Elementwise choice between scaled or plain operands, like numpy.where."""
+        (ma, sa), (mb, sb) = _parts(a), _parts(b)
+        return ScaledArray(np.where(mask, ma, mb), np.where(mask, sa, sb))
 
     # -- arithmetic ---------------------------------------------------------
     def __mul__(self, other) -> "ScaledArray":
         m, s = _parts(other)
-        return _normalised(self.mantissa * m, self.log_scale + s)
+        return scaled(self.mantissa * m, self.log_scale + s)
 
     def __truediv__(self, other) -> "ScaledArray":
         m, s = _parts(other)
         if not np.all(m):
             raise ZeroDivisionError("division by zero ScaledArray element")
-        return _normalised(self.mantissa / m, self.log_scale - s)
+        return scaled(self.mantissa / m, self.log_scale - s)
 
     def __add__(self, other) -> "ScaledArray":
-        # Past a scale gap of ~37 the smaller addend drops out in rounding,
-        # as ScaledValue drops it explicitly past _ADD_SCALE_GAP.
+        # Past a scale gap of ~37 the smaller addend drops out in rounding.
         s1, s2 = self.log_scale, other.log_scale
         top = np.maximum(s1, s2)
-        return _normalised(self.mantissa * np.exp(s1 - top)
-                           + other.mantissa * np.exp(s2 - top), top)
+        return scaled(self.mantissa * np.exp(s1 - top)
+                      + other.mantissa * np.exp(s2 - top), top)
 
     def __sub__(self, other) -> "ScaledArray":
         return self + (-other)
@@ -279,13 +167,14 @@ class ScaledArray:
 
 def _parts(x):
     """(mantissa, log_scale) of a scaled operand; plain numbers have scale 0."""
-    if isinstance(x, (ScaledArray, ScaledValue)):
+    if isinstance(x, ScaledArray):
         return x.mantissa, x.log_scale
     return x, 0.0
 
 
-def _normalised(mantissa, log_scale) -> ScaledArray:
-    """ScaledArray with every nonzero mantissa normalised to |m| = 1.
+def scaled(mantissa, log_scale) -> ScaledArray:
+    """ScaledArray of ``mantissa * exp(log_scale)`` for numbers or arrays of
+    any shape, with every nonzero mantissa normalised to |m| = 1.
 
     A zero keeps mantissa 0 and takes a finite scale ~690 below its
     operands', low enough that it does not set the common scale of a sum.
@@ -293,28 +182,27 @@ def _normalised(mantissa, log_scale) -> ScaledArray:
     a = np.maximum(np.abs(mantissa), _TINY)
     logs = np.log(a)
     logs += log_scale
-    if not logs.max() < math.inf:
+    if not logs.max(initial=-math.inf) < math.inf:
         raise RangeError("non-finite mantissa in scaled arithmetic")
     return ScaledArray(mantissa / a, logs)
 
 
-def _scaled_sin(z: complex) -> ScaledValue:
-    if abs(z.imag) <= 30.0:
-        return scaled(cmath.sin(z), 0.0)
-    if z.imag < 0:
-        return _scaled_sin(z.conjugate()).conjugate()
-    # sin z = -(e^{-iz}/2i) (1 - e^{2iz}); |e^{2iz}| = e^{-2 Im z} << 1
-    corr = 1.0 - cmath.exp(2j * z) if z.imag < 350.0 else 1.0
-    return scaled(1j * 0.5 * cmath.exp(-1j * z.real) * corr, z.imag)
+def _sin_cos(z: complex) -> tuple[complex, complex, float]:
+    """sin z and cos z as mantissas at one common log scale.
 
-
-def _scaled_cos(z: complex) -> ScaledValue:
+    The scale is 0 for |Im z| <= 30 and |Im z| beyond, where both grow
+    like e^{|Im z|}/2.
+    """
     if abs(z.imag) <= 30.0:
-        return scaled(cmath.cos(z), 0.0)
+        return cmath.sin(z), cmath.cos(z), 0.0
     if z.imag < 0:
-        return _scaled_cos(z.conjugate()).conjugate()
-    corr = 1.0 + cmath.exp(2j * z) if z.imag < 350.0 else 1.0
-    return scaled(0.5 * cmath.exp(-1j * z.real) * corr, z.imag)
+        s, c, scale = _sin_cos(z.conjugate())
+        return s.conjugate(), c.conjugate(), scale
+    # sin z = (i/2) e^{-iz} (1 - e^{2iz}), cos z = (1/2) e^{-iz} (1 + e^{2iz});
+    # |e^{2iz}| = e^{-2 Im z} << 1
+    e = cmath.exp(2j * z) if z.imag < 350.0 else 0.0
+    half = 0.5 * cmath.exp(-1j * z.real)
+    return 1j * half * (1.0 - e), half * (1.0 + e), z.imag
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +289,8 @@ def _bessel_j(nmax: int, z: complex) -> ScaledArray:
     s = 2.0 * np.dot(_MINUS_I_POW[np.arange(len(terms)) & 3], terms) - terms[0]
     if s == 0:
         raise RangeError("Miller normalisation sum vanished")
-    return _normalised(vals[:nmax + 1] * (cmath.exp(-1j * z.real) / s),
-                       logs[:nmax + 1] + (z.imag - logs[0]))
+    return scaled(vals[:nmax + 1] * (cmath.exp(-1j * z.real) / s),
+                  logs[:nmax + 1] + (z.imag - logs[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +346,9 @@ def _h01_series(z: complex) -> tuple[complex, complex]:
     return j0 + 1j * y0, j1 + 1j * y1
 
 
-def _h_asymptotic(n: int, z: complex) -> ScaledValue:
-    """H_n^(1)(z) by the large-argument Hankel expansion (orders 0, 1)."""
+def _h_asymptotic(n: int, z: complex) -> complex:
+    """Mantissa of H_n^(1)(z) at log scale -Im z, by the large-argument
+    Hankel expansion (orders 0, 1)."""
     s = 1.0 + 0j
     term = 1.0 + 0j
     four_n2 = 4.0 * n * n
@@ -475,7 +364,7 @@ def _h_asymptotic(n: int, z: complex) -> ScaledValue:
         m += 1
     front = cmath.sqrt(2.0 / (math.pi * z)) * cmath.exp(
         1j * (z.real - n * math.pi / 2.0 - math.pi / 4.0))
-    return scaled(front * s, -z.imag)
+    return front * s
 
 
 def _h1_logderiv_cf(z: complex, max_iter: int = 20000) -> complex:
@@ -515,23 +404,17 @@ def _h01_base(z: complex) -> tuple[complex, complex, float]:
         h0, h1 = _h01_series(z)
         return h0, h1, 0.0
     if abs(z) >= _H_ASYMPTOTIC_CUTOFF:
-        sv0 = _h_asymptotic(0, z)
-        sv1 = _h_asymptotic(1, z)
-        base_log = sv0.log_scale
-        return (sv0.mantissa,
-                sv1.mantissa * math.exp(sv1.log_scale - base_log),
-                base_log)
+        return _h_asymptotic(0, z), _h_asymptotic(1, z), -z.imag
     # Gap region: recessive H via its CF log-derivative plus the Wronskian
-    # J_0 H_0' - J_0' H_0 = 2i/(pi z), with J_0, J_1 from Miller.
+    # J_0 H_0' - J_0' H_0 = 2i/(pi z), with J_0, J_1 from Miller.  Here
+    # |z| < 12.5, so J_0, J_1 <= e^12.5 need no scaling.
     l0 = _h1_logderiv_cf(z)
-    js = _bessel_j(1, z)
-    denom = js[0] * l0 + js[1]  # J_0 L_0 - J_0',  J_0' = -J_1
-    if denom.is_zero:
+    j0, j1 = _bessel_j(1, z).to_complex().tolist()
+    denom = j0 * l0 + j1  # J_0 L_0 - J_0',  J_0' = -J_1
+    if denom == 0:
         raise RangeError("degenerate Wronskian solve for H base values")
-    h0 = scaled(2j / (math.pi * z), 0.0) / denom
-    h1 = -(h0 * l0)  # H_0' = -H_1
-    base_log = h0.log_scale
-    return h0.mantissa, h1.mantissa * math.exp(h1.log_scale - base_log), base_log
+    h0 = 2j / (math.pi * z) / denom
+    return h0, -h0 * l0, 0.0  # H_0' = -H_1
 
 
 # ---------------------------------------------------------------------------
@@ -541,21 +424,15 @@ def _spherical_j(nmax: int, z: complex) -> ScaledArray:
     """j_0(z) .. j_nmax(z)."""
     if z == 0:
         return _impulse(nmax)
-    sv_sin = _scaled_sin(z)
-    sv_cos = _scaled_cos(z)
-    j0_ref = sv_sin / z
-    j1_ref = sv_sin / (z * z) - sv_cos / z
+    sin, cos, scale = _sin_cos(z)
+    refs = (sin / z, sin / (z * z) - cos / z)  # j_0, j_1 at log scale ``scale``
     vals, logs = _miller(max(nmax, 1), z, 0.5)
     # Normalise against whichever anchor is larger (j_0 can sit at a zero).
-    if j0_ref.abs_log() >= j1_ref.abs_log():
-        p, ref = 0, j0_ref
-    else:
-        p, ref = 1, j1_ref
+    p = 0 if abs(refs[0]) >= abs(refs[1]) else 1
     if vals[p] == 0:
         raise RangeError("spherical Miller recurrence lost the anchor order")
-    kappa = ref / scaled(complex(vals[p]), float(logs[p]))
-    return _normalised(vals[:nmax + 1] * kappa.mantissa,
-                       logs[:nmax + 1] + kappa.log_scale)
+    return scaled(vals[:nmax + 1] * (refs[p] / vals[p]),
+                  logs[:nmax + 1] + (scale - logs[p]))
 
 
 def _hankel(nmax: int, z: complex, spherical: bool) -> ScaledArray:
@@ -577,7 +454,7 @@ def _hankel(nmax: int, z: complex, spherical: bool) -> ScaledArray:
     else:
         h0, h1, base_log = _h01_base(z)
     nu = 0.5 if spherical else 0.0
-    return _normalised(*_recurrence(z, nu, h0, h1, range(nmax + 1), base_log))
+    return scaled(*_recurrence(z, nu, h0, h1, range(nmax + 1), base_log))
 
 
 # ---------------------------------------------------------------------------
@@ -624,52 +501,8 @@ def derivative_all(values: ScaledArray, z: complex) -> ScaledArray:
 
 
 # ---------------------------------------------------------------------------
-# Scalar API
-# ---------------------------------------------------------------------------
-def bessel_j(n: int, z: complex) -> ScaledValue:
-    """Cylindrical J_n(z) as a scaled value.
-
-    Relative error <= 1e-10 for |z| <= 50; graceful degradation like
-    O(1/|z|) of the asymptotic forms far beyond that.
-    """
-    return bessel_j_all(n, z)[n]
-
-
-def bessel_h1(n: int, z: complex) -> ScaledValue:
-    """Cylindrical H_n^(1)(z) as a scaled value.
-
-    For Im z > 0 the log scale is negative (exponential decay e^{-Im z}).
-    """
-    return bessel_h1_all(n, z)[n]
-
-
-def spherical_bessel(kind: str, n: int, z: complex) -> ScaledValue:
-    """Spherical j_n(z) or h_n^(1)(z) (kind "j" or "h1")."""
-    kind = kind.lower()
-    if kind == "j":
-        return spherical_j_all(n, z)[n]
-    if kind == "h1":
-        return spherical_h1_all(n, z)[n]
-    raise ValueError(f"kind must be 'j' or 'h1', got {kind!r}")
-
-
-# ---------------------------------------------------------------------------
 # Legendre polynomials
 # ---------------------------------------------------------------------------
-def legendre_p(n: int, x: float) -> float:
-    """P_n(x) by the Bonnet recurrence; requires |x| <= 1."""
-    _check_order(n)
-    if abs(x) > 1.0 + 1e-14:
-        raise DomainError(f"Legendre argument |x| = {abs(x):.6g} > 1")
-    x = min(1.0, max(-1.0, float(x)))
-    if n == 0:
-        return 1.0
-    pm, pc = 1.0, x
-    for m in range(1, n):
-        pm, pc = pc, ((2 * m + 1) * x * pc - m * pm) / (m + 1)
-    return pc
-
-
 def legendre_p_table(nmax: int, x: np.ndarray) -> np.ndarray:
     """P_0..P_nmax at each entry of x; shape (nmax+1, len(x))."""
     _check_order(nmax)

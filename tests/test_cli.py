@@ -126,6 +126,22 @@ def test_unknown_config_key_rejected(tmp_path):
     assert code == cli.EXIT_INVALID_PARAMETER
 
 
+@pytest.mark.parametrize("command, cfg", [
+    ("mie", {"angles": 2.5}),
+    ("media", {"cells": 2.5}),
+    ("mie", {"k": "2"}),
+    ("sweep", {"dim": True}),
+    ("sweep", {"json_out": 1}),
+    ("mie", [1, 2]),
+])
+def test_config_value_of_wrong_type_rejected(tmp_path, capsys, command, cfg):
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    code = run([command, "--config", "cfg.json"], tmp_path)
+    assert code == cli.EXIT_INVALID_PARAMETER
+    assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "NearCloakError"
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 # ---------------------------------------------------------------------------
 # Exit codes and error records
 # ---------------------------------------------------------------------------

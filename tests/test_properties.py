@@ -4,19 +4,23 @@ The modal invariants are per-mode unitarity |S_n| = 1 for the lossless
 sound-soft/sound-hard linings and passivity |S_n| <= 1 for the lossy
 FSS/FSH linings, with S_n = 1 + 2 d_n (-i)^n in 2D (d_n carries i^n) and
 S_n = 1 + 2 d_n in 3D; for the lossy linings the optical theorem becomes
-the inequality scattered power <= extinction.  The sequence properties pin the array arithmetic
-of specfun to the element-by-element ScaledValue arithmetic it replaces.
+the inequality scattered power <= extinction.  The BIE far field is
+invariant under rotating the obstacle and the incident direction together.
+The sequence properties pin the scaled array arithmetic of specfun to an
+element-by-element mpmath oracle, which is independent of specfun and has
+no exponent limit.
 """
 
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nearcloak import mie, specfun
+from nearcloak import bie, mie, specfun
 from nearcloak.mie import SchemeSpec, WaveParams
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -98,7 +102,61 @@ def test_lossy_linings_scatter_at_most_the_extinction(dim, k, rho, scheme):
 
 
 # ---------------------------------------------------------------------------
-# Scaled arrays against element-wise ScaledValue arithmetic
+# BIE far field under rotation
+# ---------------------------------------------------------------------------
+def _star_curve(amps, phases, alpha, n_points=64):
+    """r(t) = 1 + sum_{m=2..4} a_m cos(m t + phi_m), rotated by alpha."""
+    m = np.arange(2, 5)
+    c, s = math.cos(alpha), math.sin(alpha)
+    rot_t = np.array([[c, s], [-s, c]])  # row vectors times R^T
+
+    def frame(t):
+        t = np.asarray(t, dtype=float)
+        arg = np.multiply.outer(t, m) + phases
+        r = 1.0 + np.cos(arg) @ amps
+        dr = -np.sin(arg) @ (m * amps)
+        ddr = -np.cos(arg) @ (m * m * amps)
+        radial = np.stack([np.cos(t), np.sin(t)], axis=-1)
+        tangent = np.stack([-np.sin(t), np.cos(t)], axis=-1)
+        return r[..., None], dr[..., None], ddr[..., None], radial, tangent
+
+    def pos(t):
+        r, _, _, e, _ = frame(t)
+        return (r * e) @ rot_t
+
+    def dpos(t):
+        r, dr, _, e, p = frame(t)
+        return (dr * e + r * p) @ rot_t
+
+    def ddpos(t):
+        r, dr, ddr, e, p = frame(t)
+        return ((ddr - r) * e + 2.0 * dr * p) @ rot_t
+
+    return bie.BoundaryCurve(pos, dpos, ddpos, n_points, name="star")
+
+
+coefficients = st.lists(st.floats(-0.08, 0.08), min_size=3, max_size=3).map(np.array)
+phase_triples = st.lists(st.floats(0.0, 2 * math.pi), min_size=3, max_size=3).map(np.array)
+
+
+@SETTINGS
+@given(amps=coefficients, phases=phase_triples, k=wavenumbers,
+       alpha=st.floats(0.0, math.pi))
+def test_bie_far_field_is_rotation_invariant(amps, phases, k, alpha):
+    # theta + alpha stays inside [0, 2 pi]
+    angles = np.linspace(0.0, 2 * math.pi - alpha, 32)
+    wave = WaveParams(k, np.array([1.0, 0.0]))
+    turned = WaveParams(k, np.array([math.cos(alpha), math.sin(alpha)]))
+    a0 = bie.far_field_from_density(
+        bie.assemble_and_solve(_star_curve(amps, phases, 0.0), wave), wave, angles).amplitude
+    a1 = bie.far_field_from_density(
+        bie.assemble_and_solve(_star_curve(amps, phases, alpha), turned), turned,
+        angles + alpha).amplitude
+    assert np.max(np.abs(a0 - a1)) <= 1e-12 * np.max(np.abs(a0))
+
+
+# ---------------------------------------------------------------------------
+# Scaled arrays against an element-wise mpmath oracle
 # ---------------------------------------------------------------------------
 FAMILIES = [specfun.bessel_j_all, specfun.bessel_h1_all,
             specfun.spherical_j_all, specfun.spherical_h1_all]
@@ -109,13 +167,23 @@ arguments = st.builds(
     st.floats(-0.45 * math.pi, math.pi))
 
 
+def _mp(a):
+    """The elements mantissa * exp(log_scale) of a 1-d scaled array in mpmath."""
+    return [mpmath.mpc(m) * mpmath.exp(s)
+            for m, s in zip(a.mantissa.tolist(), a.log_scale.tolist())]
+
+
+def _log_abs(x) -> float:
+    return float(mpmath.log(abs(x)))
+
+
 def _assert_close(got, expected, scale, tol=1e-13):
-    """|got - expected| <= tol * exp(scale), both scalar scaled values.
+    """|got - expected| <= tol * exp(scale), both mpmath numbers.
 
     The tolerance covers the rounding of log scales up to a few hundred.
     """
-    err = got - expected
-    assert err.is_zero or err.abs_log() - scale <= math.log(tol), (got, expected)
+    err = abs(got - expected)
+    assert err == 0 or _log_abs(err) - scale <= math.log(tol), (got, expected)
 
 
 @SETTINGS
@@ -124,10 +192,12 @@ def test_array_derivative_matches_elementwise(family, nmax, z):
     seq = family(nmax, z)
     deriv = specfun.derivative_all(seq, z)
     assert deriv.shape == (nmax,)
+    s, d, logs = _mp(seq), _mp(deriv), seq.abs_log()
+    zm = mpmath.mpc(z)
     for n in range(nmax):
-        expected = -seq[1] if n == 0 else seq[n] * (n / z) - seq[n + 1]
-        scale = max(seq[n].abs_log() + math.log(max(n, 1) / abs(z)), seq[n + 1].abs_log())
-        _assert_close(deriv[n], expected, scale)
+        expected = -s[1] if n == 0 else s[n] * (n / zm) - s[n + 1]
+        scale = max(logs[n] + math.log(max(n, 1) / abs(z)), logs[n + 1])
+        _assert_close(d[n], expected, scale)
 
 
 @SETTINGS
@@ -135,17 +205,17 @@ def test_array_derivative_matches_elementwise(family, nmax, z):
        nmax=st.integers(0, 30), za=arguments, zb=arguments)
 def test_array_arithmetic_matches_elementwise(fa, fb, nmax, za, zb):
     a, b = fa(nmax, za), fb(nmax, zb)
-    prod, quot, total, diff = a * b, a / b, a + b, a - b
-    for n in range(nmax + 1):
-        x, y = a[n], b[n]
-        _assert_close(prod[n], x * y, (x * y).abs_log())
-        _assert_close(quot[n], x / y, (x / y).abs_log())
-        top = max(x.abs_log(), y.abs_log())
+    prod, quot, total, diff = (_mp(v) for v in (a * b, a / b, a + b, a - b))
+    xs, ys = _mp(a), _mp(b)
+    for n, (x, y) in enumerate(zip(xs, ys)):
+        _assert_close(prod[n], x * y, _log_abs(x * y))
+        _assert_close(quot[n], x / y, _log_abs(x / y))
+        top = max(_log_abs(x), _log_abs(y))
         _assert_close(total[n], x + y, top)
         _assert_close(diff[n], x - y, top)
     logs = a.abs_log()
-    assert logs == pytest.approx([a[n].abs_log() for n in range(nmax + 1)], abs=1e-13)
+    assert logs == pytest.approx([_log_abs(x) for x in xs], abs=1e-13)
     if np.max(logs) <= 700.0:
         values = a.to_complex()
-        for n in range(nmax + 1):
-            assert values[n] == pytest.approx(a[n].to_complex(), rel=1e-13, abs=0.0)
+        for n, x in enumerate(xs):
+            assert values[n] == pytest.approx(complex(x), rel=1e-13, abs=0.0)

@@ -58,29 +58,29 @@ def y0_series(z: complex) -> complex:
 # Point values
 # ---------------------------------------------------------------------------
 def test_j_at_zero():
-    v = sf.bessel_j(0, 0.0)
+    v = sf.bessel_j_all(0, 0.0)[0]
     assert v.to_complex() == 1.0
-    v = sf.bessel_j(1, 0.0)
-    assert v.mantissa == 0 and v.log_scale == 0.0
+    v = sf.bessel_j_all(1, 0.0)[1]
+    assert v.mantissa == 0 and v.to_complex() == 0
 
 
 def test_j0_at_one_against_maclaurin_oracle():
     oracle = j0_maclaurin(1.0)
     assert abs(oracle - 0.7651976866) < 1e-9  # frozen from the oracle
-    ours = sf.bessel_j(0, 1.0).to_complex()
+    ours = sf.bessel_j_all(0, 1.0)[0].to_complex()
     assert abs(ours - oracle) < 1e-12
 
 
 def test_h0_at_one_against_series_oracle():
     oracle = j0_maclaurin(1.0) + 1j * y0_series(1.0)
     assert abs(oracle - (0.7651976866 + 0.0882569642j)) < 1e-9
-    ours = sf.bessel_h1(0, 1.0).to_complex()
+    ours = sf.bessel_h1_all(0, 1.0)[0].to_complex()
     assert abs(ours - oracle) < 1e-11
 
 
 def test_h_scale_tracks_exponential_decay():
     z = 12.0 + 20.0j
-    v = sf.bessel_h1(0, z)
+    v = sf.bessel_h1_all(0, z)[0]
     # |H_0| ~ sqrt(2/(pi|z|)) e^{-Im z}: log scale -20 up to O(log|z|).
     assert -20.0 - math.log(abs(z)) - 2.0 < v.abs_log() < -20.0 + 2.0
 
@@ -88,7 +88,7 @@ def test_h_scale_tracks_exponential_decay():
 def test_deriv_order_zero_is_minus_first_order():
     z = 1.3 + 0.4j
     d = sf.derivative_all(sf.bessel_j_all(1, z), z)[0].to_complex()
-    assert abs(d + sf.bessel_j(1, z).to_complex()) < 1e-14 * abs(d)
+    assert abs(d + sf.bessel_j_all(1, z)[1].to_complex()) < 1e-14 * abs(d)
 
 
 def test_deriv_small_argument_leading_order():
@@ -112,9 +112,9 @@ def test_h_deriv_magnitude_decays_exponentially():
 # ---------------------------------------------------------------------------
 def test_spherical_closed_forms():
     for z in (0.7, 2.0 + 1.5j, 9.0 - 0.3j):
-        j0 = sf.spherical_bessel("j", 0, z).to_complex()
+        j0 = sf.spherical_j_all(0, z)[0].to_complex()
         assert abs(j0 - cmath.sin(z) / z) < 1e-13 * abs(j0)
-        h0 = sf.spherical_bessel("h1", 0, z).to_complex()
+        h0 = sf.spherical_h1_all(0, z)[0].to_complex()
         assert abs(h0 - (-1j * cmath.exp(1j * z) / z)) < 1e-13 * abs(h0)
 
 
@@ -122,15 +122,15 @@ def test_spherical_j1_closed_form_oracle():
     z = 0.1
     oracle = math.sin(z) / z ** 2 - math.cos(z) / z
     assert abs(oracle - 0.0333001) < 5e-7  # quoted to 6 digits
-    ours = sf.spherical_bessel("j", 1, z).to_complex()
+    ours = sf.spherical_j_all(1, z)[1].to_complex()
     assert abs(ours - oracle) < 1e-14
 
 
 def test_spherical_at_zero():
-    assert sf.spherical_bessel("j", 0, 0.0).to_complex() == 1.0
-    assert sf.spherical_bessel("j", 2, 0.0).mantissa == 0
+    assert sf.spherical_j_all(0, 0.0)[0].to_complex() == 1.0
+    assert sf.spherical_j_all(2, 0.0)[2].mantissa == 0
     with pytest.raises(SingularArgumentError):
-        sf.spherical_bessel("h1", 0, 0.0)
+        sf.spherical_h1_all(0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -138,15 +138,16 @@ def test_spherical_at_zero():
 # ---------------------------------------------------------------------------
 def test_legendre_low_orders():
     for x in (-1.0, -0.3, 0.0, 0.8, 1.0):
-        assert sf.legendre_p(0, x) == 1.0
-        assert sf.legendre_p(1, x) == x
+        p = sf.legendre_p_table(1, x)
+        assert p[0] == 1.0
+        assert p[1] == x
 
 
 def test_legendre_p5_explicit_polynomial():
     x = 0.3
     oracle = (63 * x ** 5 - 70 * x ** 3 + 15 * x) / 8.0
     assert abs(oracle - 0.3454) < 1e-4
-    assert abs(sf.legendre_p(5, x) - oracle) < 1e-14
+    assert abs(sf.legendre_p_table(5, x)[5] - oracle) < 1e-14
 
 
 def test_legendre_bounded_and_domain_checked():
@@ -154,7 +155,7 @@ def test_legendre_bounded_and_domain_checked():
     table = sf.legendre_p_table(12, xs)
     assert np.max(np.abs(table)) <= 1.0 + 1e-12
     with pytest.raises(DomainError):
-        sf.legendre_p(3, 1.2)
+        sf.legendre_p_table(3, 1.2)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +177,7 @@ def test_wronskian_y_form():
         hs = sf.bessel_h1_all(n + 1, z)
         djs = sf.derivative_all(js, z)
         dhs = sf.derivative_all(hs, z)
-        minus_i = sf.ScaledValue(-1j, 0.0)
+        minus_i = -1j
         ys = [(hs[m] - js[m]) * minus_i for m in range(n + 1)]
         dys = [(dhs[m] - djs[m]) * minus_i for m in range(n)] + []
         w = js[n] * ((dhs[n] - djs[n]) * minus_i) - djs[n] * ys[n]
@@ -211,7 +212,7 @@ def test_recurrence_consistency(kind):
         lhs = seq[n - 1] + seq[n + 1]
         rhs = seq[n] * (2.0 * n / z)
         scale = max(seq[n - 1].abs_log(), seq[n + 1].abs_log(), rhs.abs_log())
-        err = math.exp((lhs - rhs).abs_log() - scale) if not (lhs - rhs).is_zero else 0.0
+        err = math.exp((lhs - rhs).abs_log() - scale) if (lhs - rhs).mantissa != 0 else 0.0
         assert err <= 1e-9
 
 
@@ -220,15 +221,16 @@ def test_scaled_value_round_trip():
     # 1e-13-tight over 1e+-200 magnitudes; re-scaling the unscaled value
     # must then reproduce the mantissa exactly (idempotent normal form).
     rng = np.random.default_rng(11)
-    for _ in range(300):
-        v = complex(rng.normal(), rng.normal()) * 10.0 ** rng.integers(-200, 200)
-        sv = sf.ScaledValue.from_complex(v)
-        assert sv.to_complex() == pytest.approx(v, rel=1e-13, abs=0.0)
-        assert sv.is_zero or 0.5 <= abs(sv.mantissa) <= 2.0
-        again = sf.ScaledValue.from_complex(sv.to_complex())
-        assert again.mantissa == pytest.approx(sv.mantissa, rel=1e-15)
-    zero = sf.ScaledValue.from_complex(0.0)
-    assert zero.is_zero and zero.log_scale == 0.0
+    v = np.array([complex(rng.normal(), rng.normal()) * 10.0 ** rng.integers(-200, 200)
+                  for _ in range(300)])
+    sv = sf.scaled(v, 0.0)
+    assert sv.to_complex() == pytest.approx(v, rel=1e-13, abs=0.0)
+    size = np.abs(sv.mantissa)
+    assert np.all((size == 0) | ((0.5 <= size) & (size <= 2.0)))
+    again = sf.scaled(sv.to_complex(), 0.0)
+    assert again.mantissa == pytest.approx(sv.mantissa, rel=1e-15)
+    zero = sf.scaled(0.0, 0.0)
+    assert zero.mantissa == 0 and zero.to_complex() == 0
     with pytest.raises(RangeError):
         sf.scaled(1.0, 800.0).to_complex()
 
@@ -243,11 +245,11 @@ def test_asymptotic_agreement_large_imaginary():
         x = rng.uniform(0.0, 300.0)
         y = rng.uniform(15.0, 300.0)
         z = complex(x, y)
-        jn = sf.bessel_j(n, z)
+        jn = sf.bessel_j_all(n, z)[n]
         j_lead = (sf.scaled(cmath.sqrt(1.0 / (2 * math.pi * z)), 0.0)
                   * sf.scaled(cmath.exp(1j * (-z.real + n * math.pi / 2 + math.pi / 4)), abs(z.imag)))
         assert abs(((jn - j_lead) / j_lead).to_complex()) <= 10.0 / abs(z)
-        hn = sf.bessel_h1(n, z)
+        hn = sf.bessel_h1_all(n, z)[n]
         h_lead = (sf.scaled(cmath.sqrt(2.0 / (math.pi * z)), 0.0)
                   * sf.scaled(cmath.exp(1j * (z.real - n * math.pi / 2 - math.pi / 4)), -z.imag))
         assert abs(((hn - h_lead) / h_lead).to_complex()) <= 10.0 / abs(z)
@@ -260,10 +262,10 @@ def test_cross_check_against_scipy_complex_plane():
         n = int(rng.integers(0, 21))
         z = complex(rng.uniform(0.1, 30.0)
                     * cmath.exp(1j * rng.uniform(-0.45 * math.pi, math.pi)))
-        ours = sf.bessel_j(n, z).to_complex()
+        ours = sf.bessel_j_all(n, z)[n].to_complex()
         ref = complex(special.jv(n, z))
         assert abs(ours - ref) <= 1e-9 * max(abs(ref), 1e-280)
-        ours = sf.bessel_h1(n, z).to_complex()
+        ours = sf.bessel_h1_all(n, z)[n].to_complex()
         ref = complex(special.hankel1(n, z))
         assert abs(ours - ref) <= 1e-9 * abs(ref)
 
@@ -275,10 +277,10 @@ def test_spherical_cross_check_against_scipy():
         z = complex(rng.uniform(0.1, 30.0)
                     * cmath.exp(1j * rng.uniform(-0.45 * math.pi, math.pi)))
         front = cmath.sqrt(math.pi / (2 * z))
-        ours = sf.spherical_bessel("j", n, z).to_complex()
+        ours = sf.spherical_j_all(n, z)[n].to_complex()
         ref = front * complex(special.jv(n + 0.5, z))
         assert abs(ours - ref) <= 1e-9 * abs(ref)
-        ours = sf.spherical_bessel("h1", n, z).to_complex()
+        ours = sf.spherical_h1_all(n, z)[n].to_complex()
         ref = front * complex(special.hankel1(n + 0.5, z))
         assert abs(ours - ref) <= 1e-9 * abs(ref)
 
@@ -288,17 +290,17 @@ def test_spherical_cross_check_against_scipy():
 # ---------------------------------------------------------------------------
 def test_range_guards():
     with pytest.raises(RangeError):
-        sf.bessel_j(sf.ORDER_MAX + 1, 1.0)
+        sf.bessel_j_all(sf.ORDER_MAX + 1, 1.0)
     with pytest.raises(RangeError):
-        sf.bessel_j(0, 3.0e4)
+        sf.bessel_j_all(0, 3.0e4)
     with pytest.raises(RangeError):
-        sf.bessel_j(-1, 1.0)
+        sf.bessel_j_all(-1, 1.0)
     with pytest.raises(SingularArgumentError):
-        sf.bessel_h1(0, 0.0)
+        sf.bessel_h1_all(0, 0.0)
     with pytest.raises(SingularArgumentError):
         sf.derivative_all(sf.bessel_j_all(3, 0.0), 0.0)
     # order 0 only needs B_0' = -B_1, which is admissible at z = 0
-    assert sf.derivative_all(sf.bessel_j_all(1, 0.0), 0.0)[0].is_zero
+    assert sf.derivative_all(sf.bessel_j_all(1, 0.0), 0.0)[0].mantissa == 0
 
 
 def test_scaled_arithmetic_basics():
