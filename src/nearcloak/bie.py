@@ -30,12 +30,15 @@ with gamma = e^{i pi/4}/sqrt(8 pi k), a smooth integrand handled by the
 trapezoid rule.  A companion routine evaluates the same representation
 from Cauchy data sampled on any circle enclosing the scatterer.
 
-The direct second-kind equation is ill-conditioned at interior Neumann
-eigenvalues of the curve; the solver estimates the condition number of
-the discrete system and raises ResonanceError above 1e12 instead of
-silently returning garbage.
+The direct second-kind equation is singular at interior Dirichlet
+eigenvalues of the curve (on a circle of radius a, the k with
+J_n(ka) = 0); the solver estimates the condition number of the discrete
+system and raises ResonanceError above 1e12 instead of silently
+returning garbage.
 
-Kernel evaluation uses scipy's real-argument Bessel routines; this module
+Kernel evaluation uses scipy's real-argument order-0/1 Bessel routines
+(j0, j1, y0, y1), and the system matrices are assembled in real
+arithmetic, each from one circulant carrying both log weights; this module
 is the cross-validation oracle for the modal solver and deliberately
 shares none of its special-function machinery.
 """
@@ -167,14 +170,6 @@ def log_weights(n_half: int) -> np.ndarray:
     return r
 
 
-def _log_sin_factor(t: np.ndarray) -> np.ndarray:
-    """log(4 sin^2((t_i - t_j)/2)) with zeros on the diagonal."""
-    dt = t[:, None] - t[None, :]
-    s = 4.0 * np.sin(dt / 2.0) ** 2
-    np.fill_diagonal(s, 1.0)
-    return np.log(s)
-
-
 # ---------------------------------------------------------------------------
 # Assembly and solve
 # ---------------------------------------------------------------------------
@@ -188,60 +183,62 @@ def _geometry(curve: BoundaryCurve):
     return t, pts, d1, d2, normals, jac
 
 
-def _kernel_matrices(k: float, t, pts, d1, d2, normals, jac):
-    """Split double-layer (M1, M2) and single-layer (S1, S2) kernels."""
-    diff = pts[:, None, :] - pts[None, :, :]
-    r = np.hypot(diff[..., 0], diff[..., 1])
+def _system_matrices(k: float, t, pts, d1, d2, normals, jac):
+    """Nystrom matrices of the double layer K and the single layer S.
+
+    Each kernel is split as k1 log(4 sin^2((t_i - t_j)/2)) + k2, weighted
+    R_|i-j| k1 + c k2 with c = pi/N.  With the circulant
+    C = R_|i-j| - c log(4 sin^2((t_i - t_j)/2)), which carries both log
+    weights, the off-diagonal entries are, for q = b/r,
+
+        K = q (-k/(4 pi) C J_1 - (k c/4) Y_1) + i q (k c/4) J_1,
+        S = (-C J_0/(4 pi) - (c/4) Y_0) |x'_j| + i (c/4) J_0 |x'_j|,
+
+    so only real arrays are formed; H = J + iY enters through J and Y.
+    """
+    n_half = t.size // 2
+    c = math.pi / n_half
+    m = np.arange(t.size)
+    row = log_weights(n_half)
+    row[1:] -= c * np.log(4.0 * np.sin(0.5 * t[1:]) ** 2)
+    circ = row[np.abs(m[:, None] - m[None, :])]
+
+    dx = pts[:, None, 0] - pts[None, :, 0]
+    dy = pts[:, None, 1] - pts[None, :, 1]
+    r = np.hypot(dx, dy)
     np.fill_diagonal(r, 1.0)  # placeholder; diagonals are overwritten below
+    q = (dx * normals[None, :, 0] + dy * normals[None, :, 1]) / r
     kr = k * r
-    b = diff[..., 0] * normals[None, :, 0] + diff[..., 1] * normals[None, :, 1]
-    logsin = _log_sin_factor(t)
+    j0, j1, y0, y1 = special.j0(kr), special.j1(kr), special.y0(kr), special.y1(kr)
 
-    j1 = special.jv(1, kr)
-    h1 = special.hankel1(1, kr)
-    m_full = 0.25j * k * h1 * b / r
-    m1 = -(k / (4.0 * math.pi)) * j1 * b / r
-    m2 = m_full - m1 * logsin
-    np.fill_diagonal(m1, 0.0)
-    diag_m2 = (d2[:, 0] * d1[:, 1] - d2[:, 1] * d1[:, 0]) / (4.0 * math.pi * jac ** 2)
-    np.fill_diagonal(m2, diag_m2)
+    kmat = np.empty(circ.shape, dtype=complex)
+    kmat.real = q * (-(k / (4.0 * math.pi)) * circ * j1 - (0.25 * k * c) * y1)
+    kmat.imag = q * ((0.25 * k * c) * j1)
+    curvature = (d2[:, 0] * d1[:, 1] - d2[:, 1] * d1[:, 0]) / (4.0 * math.pi * jac ** 2)
+    np.fill_diagonal(kmat, c * curvature)
 
-    j0 = special.jv(0, kr)
-    h0 = special.hankel1(0, kr)
-    s_full = 0.25j * h0 * jac[None, :]
-    s1 = -(1.0 / (4.0 * math.pi)) * j0 * jac[None, :]
-    s2 = s_full - s1 * logsin
-    np.fill_diagonal(s1, -(1.0 / (4.0 * math.pi)) * jac)  # J_0(0) = 1
+    smat = np.empty(circ.shape, dtype=complex)
+    smat.real = (-(1.0 / (4.0 * math.pi)) * circ * j0 - 0.25 * c * y0) * jac[None, :]
+    smat.imag = (0.25 * c) * j0 * jac[None, :]
     diag_s2 = jac * (0.25j - (np.log(0.5 * k * jac) + _EULER_GAMMA) / (2.0 * math.pi))
-    np.fill_diagonal(s2, diag_s2)
-    return m1, m2, s1, s2
-
-
-def _quadrature_matrix(k1, k2, r_weights, n_half):
-    """Combine a split kernel into one quadrature matrix."""
-    n = 2 * n_half
-    idx = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-    return r_weights[idx] * k1 + (math.pi / n_half) * k2
+    np.fill_diagonal(smat, row[0] * (-(1.0 / (4.0 * math.pi)) * jac) + c * diag_s2)
+    return kmat, smat
 
 
 def assemble_and_solve(curve: BoundaryCurve, wave: WaveParams) -> DensitySolution:
     """Assemble (1/2 I - K) v = g and solve it densely.
 
     Raises ResonanceError when the system's estimated condition number
-    exceeds 1e12 (interior Neumann resonance of the curve).
+    exceeds 1e12 (interior Dirichlet resonance of the curve).
     """
     if wave.d.size != 2:
         raise DomainError("boundary-integral solver is 2D; give a 2-vector direction")
     k = wave.k
-    n_half = curve.n_points // 2
     t, pts, d1, d2, normals, jac = _geometry(curve)
-    m1, m2, s1, s2 = _kernel_matrices(k, t, pts, d1, d2, normals, jac)
-    rw = log_weights(n_half)
-    kmat = _quadrature_matrix(m1, m2, rw, n_half)
-    smat = _quadrature_matrix(s1, s2, rw, n_half)
+    kmat, smat = _system_matrices(k, t, pts, d1, d2, normals, jac)
 
     # psi = du^s/dnu = -d(e^{ik d.y})/dnu; the unit normal is normals/jac.
-    phase = np.exp(1j * k * pts @ wave.d)
+    phase = np.exp(1j * k * (pts @ wave.d))
     psi = -1j * k * (normals @ wave.d) / jac * phase
 
     g = -(smat @ psi)
@@ -280,9 +277,11 @@ def far_field_from_density(solution: DensitySolution, wave: WaveParams,
     pts, normals = solution.nodes, solution.normals
     n_half = solution.curve.n_points // 2
 
-    phase_out = np.exp(-1j * k * xhat @ pts.T)           # (n_angles, 2N)
+    # The parentheses keep the products real: a complex @ runs zgemm, after
+    # which OpenBLAS leaves the process's vector code slow until a dgemm runs.
+    phase_out = np.exp(-1j * k * (xhat @ pts.T))         # (n_angles, 2N)
     dn_out = -1j * k * (xhat @ normals.T) * phase_out    # includes |x'|
-    inc_flux = 1j * k * (normals @ wave.d) * np.exp(1j * k * pts @ wave.d)
+    inc_flux = 1j * k * (normals @ wave.d) * np.exp(1j * k * (pts @ wave.d))
     integrand = dn_out * solution.trace[None, :] + phase_out * inc_flux[None, :]
     amp = _gamma_2d(k) * (math.pi / n_half) * integrand.sum(axis=1)
     return FarFieldPattern(angles, amp, "2d")
@@ -311,7 +310,7 @@ def far_field_from_cauchy_data(radius: float, u: np.ndarray, dudn: np.ndarray,
     angles = np.asarray(angles, dtype=float)
     xhat = np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
-    phase_out = np.exp(-1j * k * xhat @ ys.T)            # (n_angles, M)
+    phase_out = np.exp(-1j * k * (xhat @ ys.T))          # (n_angles, M); real @
     dn_out = -1j * k * (xhat @ nu.T) * phase_out
     integrand = dn_out * u[None, :] - phase_out * dudn[None, :]
     ds = 2.0 * math.pi * radius / m

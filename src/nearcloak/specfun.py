@@ -37,9 +37,12 @@ admissible z.
 * Legendre P_n: Bonnet recurrence.
 
 Guards: the order must satisfy n <= ORDER_MAX (200) and the argument
-|z| <= ARGUMENT_GUARD (2e4); beyond these a :class:`RangeError` is
-raised.  Within the guard, arguments with |Im z| in the thousands are
-handled through the log scale -- e^{|Im z|} itself is never formed.
+ARGUMENT_FLOOR (1e-50) <= |z| <= ARGUMENT_GUARD (2e4) or z = 0; beyond
+these a :class:`RangeError` is raised.  Below the floor the closed forms
+and the recurrence coefficients 2(m + nu)/z overflow or underflow (z**2
+in j_1 underflows to 0 below ~1e-154), so results would be non-finite.
+Within the guard, arguments with |Im z| in the thousands are handled
+through the log scale -- e^{|Im z|} itself is never formed.
 
 Branch convention: the principal branch of ln and sqrt is used
 throughout, so results are accurate for arguments in the closed upper
@@ -60,6 +63,7 @@ from .errors import DomainError, RangeError, SingularArgumentError
 
 ORDER_MAX = 200
 ARGUMENT_GUARD = 2.0e4
+ARGUMENT_FLOOR = 1.0e-50
 
 # Terminate power series when a term falls below this fraction of the sum.
 SERIES_EPS = 1e-18
@@ -221,6 +225,8 @@ def _check_argument(z: complex) -> complex:
         raise RangeError("non-finite argument")
     if abs(z) > ARGUMENT_GUARD:
         raise RangeError(f"|z| = {abs(z):.3g} exceeds the guard {ARGUMENT_GUARD:g}")
+    if 0 < abs(z) < ARGUMENT_FLOOR:
+        raise RangeError(f"|z| = {abs(z):.3g} is below the floor {ARGUMENT_FLOOR:g}")
     return z
 
 
@@ -427,8 +433,9 @@ def _spherical_j(nmax: int, z: complex) -> ScaledArray:
     sin, cos, scale = _sin_cos(z)
     refs = (sin / z, sin / (z * z) - cos / z)  # j_0, j_1 at log scale ``scale``
     vals, logs = _miller(max(nmax, 1), z, 0.5)
-    # Normalise against whichever anchor is larger (j_0 can sit at a zero).
-    p = 0 if abs(refs[0]) >= abs(refs[1]) else 1
+    # Normalise against whichever anchor is larger (j_0 can sit at a zero,
+    # but not for |z| < 1, where the j_1 closed form cancels to noise).
+    p = 0 if abs(z) < 1 or abs(refs[0]) >= abs(refs[1]) else 1
     if vals[p] == 0:
         raise RangeError("spherical Miller recurrence lost the anchor order")
     return scaled(vals[:nmax + 1] * (refs[p] / vals[p]),

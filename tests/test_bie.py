@@ -70,13 +70,50 @@ def test_circle_trace_matches_modal_series():
 def test_zero_incident_gives_zero_density():
     # homogeneous system: the invertible operator maps only 0 to 0
     crv = bie.circle(0.5, 64)
-    t, pts, d1, d2, normals, jac = bie._geometry(crv)
-    m1, m2, s1, s2 = bie._kernel_matrices(WAVE.k, t, pts, d1, d2, normals, jac)
-    rw = bie.log_weights(crv.n_points // 2)
-    kmat = bie._quadrature_matrix(m1, m2, rw, crv.n_points // 2)
+    kmat, _ = bie._system_matrices(WAVE.k, *bie._geometry(crv))
     a = 0.5 * np.eye(crv.n_points) - kmat
     v = lu_solve(lu_factor(a), np.zeros(crv.n_points, dtype=complex))
     assert np.max(np.abs(v)) == 0.0
+
+
+def _split_kernel_matrices(k, t, pts, d1, d2, normals, jac):
+    """Reference assembly: each kernel split as k1 log(4 sin^2) + k2 with
+    general-order (Amos) J and H^(1), combined as R_|i-j| k1 + (pi/N) k2."""
+    n_half = t.size // 2
+    diff = pts[:, None, :] - pts[None, :, :]
+    r = np.hypot(diff[..., 0], diff[..., 1])
+    np.fill_diagonal(r, 1.0)
+    kr = k * r
+    b = diff[..., 0] * normals[None, :, 0] + diff[..., 1] * normals[None, :, 1]
+    s = 4.0 * np.sin((t[:, None] - t[None, :]) / 2.0) ** 2
+    np.fill_diagonal(s, 1.0)
+    logsin = np.log(s)
+
+    m1 = -(k / (4 * math.pi)) * special.jv(1, kr) * b / r
+    m2 = 0.25j * k * special.hankel1(1, kr) * b / r - m1 * logsin
+    np.fill_diagonal(m1, 0.0)
+    np.fill_diagonal(m2, (d2[:, 0] * d1[:, 1] - d2[:, 1] * d1[:, 0])
+                     / (4 * math.pi * jac ** 2))
+    s1 = -(1 / (4 * math.pi)) * special.jv(0, kr) * jac[None, :]
+    s2 = 0.25j * special.hankel1(0, kr) * jac[None, :] - s1 * logsin
+    np.fill_diagonal(s1, -(1 / (4 * math.pi)) * jac)
+    np.fill_diagonal(s2, jac * (0.25j - (np.log(0.5 * k * jac) + np.euler_gamma)
+                                / (2 * math.pi)))
+    idx = np.abs(np.arange(t.size)[:, None] - np.arange(t.size)[None, :])
+    rw = bie.log_weights(n_half)
+    return (rw[idx] * m1 + (math.pi / n_half) * m2,
+            rw[idx] * s1 + (math.pi / n_half) * s2)
+
+
+@pytest.mark.parametrize("k", [0.5, 2.7, 20.0])
+@pytest.mark.parametrize("n_points", [64, 128])
+@pytest.mark.parametrize("make", [bie.kite, lambda n: bie.circle(0.6, n)],
+                         ids=["kite", "circle"])
+def test_system_matrices_match_split_kernel_reference(make, n_points, k):
+    geometry = bie._geometry(make(n_points))
+    for got, ref in zip(bie._system_matrices(k, *geometry),
+                        _split_kernel_matrices(k, *geometry)):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_kite_self_convergence():
@@ -213,6 +250,17 @@ def test_interior_resonance_detected():
     # slightly detuned wavenumbers are fine
     bie.assemble_and_solve(bie.circle(1.0, 128),
                            WaveParams(k_res + 0.05, np.array([1.0, 0.0])))
+
+
+def test_interior_neumann_eigenvalue_is_not_resonant():
+    # j'_{1,1} is an interior Neumann eigenvalue of the unit circle but lies
+    # below j_{0,1}, the smallest zero of any J_n, so the direct equation
+    # stays well conditioned there.
+    k = special.jnp_zeros(1, 1)[0]
+    assert k < special.jn_zeros(0, 1)[0]
+    sol = bie.assemble_and_solve(bie.circle(1.0, 128),
+                                 WaveParams(k, np.array([1.0, 0.0])))
+    assert sol.condition_estimate < 100
 
 
 def test_curve_validation():

@@ -2,11 +2,14 @@
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nearcloak
 from nearcloak import cli
 
 DATA = Path(__file__).parent / "data"
@@ -152,6 +155,16 @@ def test_no_arguments_prints_usage_and_fails(capsys):
     assert json.loads(err.splitlines()[-1])["exit_code"] == cli.EXIT_USAGE
 
 
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(nearcloak.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "nearcloak", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert "sweep" in proc.stdout and "bie" in proc.stdout
+
+
 def test_unknown_subcommand_is_usage_error():
     assert cli.main(["warp"]) == cli.EXIT_USAGE
 
@@ -184,6 +197,12 @@ def test_truncation_at_order_cap_is_invalid_parameter(tmp_path, capsys):
     assert code == cli.EXIT_INVALID_PARAMETER
     record = json.loads(capsys.readouterr().err.splitlines()[-1])
     assert record["error"] == "TruncationError"
+
+
+def test_argument_below_specfun_floor_is_invalid_parameter(tmp_path, capsys):
+    code = run(["mie", "--dim", "3", "--rho", "1e-200", "--out", "x.csv"], tmp_path)
+    assert code == cli.EXIT_INVALID_PARAMETER
+    assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "RangeError"
 
 
 def test_media_without_cells_is_invalid_parameter(tmp_path, capsys):

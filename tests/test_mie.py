@@ -73,6 +73,15 @@ def test_ss_3d_small_argument_d0():
     assert sol.d_n[0] == pytest.approx(expected, rel=1e-12)
 
 
+def test_ss_3d_d0_at_tiny_argument():
+    # k rho = 2e-40: the closed form of j_1 cancels to noise here, so the
+    # spherical Miller sequence must be normalised against j_0.
+    z = 2e-40
+    sol = mie.coeffs_sound_soft(3, WAVE3, z / 2.0)
+    expected = -(cmath.sin(z) / z) / (-1j * cmath.exp(1j * z) / z)
+    assert sol.d_n[0] == pytest.approx(expected, rel=1e-12)
+
+
 def test_degenerate_radius_rejected():
     with pytest.raises(DomainError):
         mie.coeffs_sound_soft(2, WAVE2, 0.0)

@@ -2,7 +2,9 @@
 
 import cmath
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special
@@ -301,6 +303,36 @@ def test_range_guards():
         sf.derivative_all(sf.bessel_j_all(3, 0.0), 0.0)
     # order 0 only needs B_0' = -B_1, which is admissible at z = 0
     assert sf.derivative_all(sf.bessel_j_all(1, 0.0), 0.0)[0].mantissa == 0
+
+
+FAMILIES = {
+    "bessel_j_all": (sf.bessel_j_all, mpmath.besselj),
+    "bessel_h1_all": (sf.bessel_h1_all, mpmath.hankel1),
+    "spherical_j_all": (sf.spherical_j_all,
+                        lambda n, z: mpmath.sqrt(mpmath.pi / (2 * z)) * mpmath.besselj(n + 0.5, z)),
+    "spherical_h1_all": (sf.spherical_h1_all,
+                         lambda n, z: mpmath.sqrt(mpmath.pi / (2 * z)) * mpmath.hankel1(n + 0.5, z)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_argument_floor(name):
+    family, oracle = FAMILIES[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z in (1e-200, 1e-200j, -3e-60 + 1e-60j):
+            with pytest.raises(RangeError, match="floor"):
+                family(3, z)
+        # just above the floor every order is finite and accurate
+        z = 1.5 * sf.ARGUMENT_FLOOR * cmath.exp(0.7j)
+        seq = family(sf.ORDER_MAX, z)
+    with mpmath.workdps(30):
+        for n in (0, 1, 3, sf.ORDER_MAX):
+            ref = oracle(n, mpmath.mpc(z))
+            got = mpmath.mpc(complex(seq.mantissa[n])) * mpmath.exp(seq.log_scale[n])
+            # a log scale near 2.4e4 (order 200) is itself rounded to ~5e-12
+            tol = 1e-12 + 1e-15 * abs(seq.log_scale[n])
+            assert abs(got - ref) <= tol * abs(ref)
 
 
 def test_scaled_arithmetic_basics():
