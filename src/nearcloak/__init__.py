@@ -10,7 +10,7 @@ cloak's material tensors.
 from . import analysis, bie, media, mie, specfun
 from .analysis import FitResult, SweepResult, fit_decay, sweep
 from .bie import BoundaryCurve, DensitySolution, circle, kite
-from .media import JacobianData, MediumSpec, RadialMapSpec
+from .media import RadialMapSpec
 from .mie import (FarFieldPattern, LayerWavenumbers, ModalSolution,
                   SchemeSpec, WaveParams)
 from .specfun import ScaledArray
@@ -21,7 +21,7 @@ __all__ = [
     "analysis", "bie", "media", "mie", "specfun",
     "FitResult", "SweepResult", "fit_decay", "sweep",
     "BoundaryCurve", "DensitySolution", "circle", "kite",
-    "JacobianData", "MediumSpec", "RadialMapSpec",
+    "RadialMapSpec",
     "FarFieldPattern", "LayerWavenumbers", "ModalSolution",
     "SchemeSpec", "WaveParams", "ScaledArray",
     "__version__",

@@ -28,7 +28,6 @@ import numpy as np
 
 from . import mie
 from .errors import DomainError, InsufficientDataError, NearCloakError, ShapeError
-from .media import MediumSpec
 from .mie import ModalSolution, SchemeSpec, WaveParams
 
 DEFAULT_ANGLE_COUNT = 100
@@ -97,14 +96,14 @@ class SweepResult:
 # ---------------------------------------------------------------------------
 def sweep(scheme: SchemeSpec, dim: int, wave: WaveParams,
           rho_values, angle_count: int = DEFAULT_ANGLE_COUNT,
-          core_physical: MediumSpec | None = None,
+          contents: tuple[float, complex] = (1.0, 1.0),
           model: str | None = None) -> SweepResult:
     """max|A| per rho over the observation grid, with the default fit.
 
-    ``core_physical`` holds physical-space contents for the layered
-    schemes (default (1, 1)); the per-rho virtual parameters follow from
-    the dilation rule.  The fit model defaults to power-law for the
-    sound-hard family and inverse-log for the sound-soft family.
+    ``contents`` is the physical-space (sigma', q') of the cloaked region,
+    passed to mie.solve at every rho.  The fit model defaults to
+    power-law for the sound-hard family and inverse-log for the
+    sound-soft family.
     """
     rho = np.asarray(sorted(set(float(r) for r in rho_values), reverse=True))
     if rho.size == 0:
@@ -113,8 +112,7 @@ def sweep(scheme: SchemeSpec, dim: int, wave: WaveParams,
     maxima = np.empty(rho.size)
     for i, r in enumerate(rho):
         try:
-            core = mie.virtual_core(dim, r, core_physical) if scheme.is_layered else None
-            sol = mie.solve(scheme, dim, wave, r, core)
+            sol = mie.solve(scheme, dim, wave, r, contents)
         except NearCloakError as exc:
             raise type(exc)(f"solver failed at rho={r:g}: {exc}") from exc
         maxima[i] = mie.far_field(sol, angles).max_abs
@@ -261,16 +259,3 @@ def write_json(path, obj) -> None:
 def write_sweep_json(result: SweepResult, path) -> None:
     write_json(path, sweep_summary(result))
 
-
-def read_sweep_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read back the (rho, max_abs_A) table of write_sweep_csv."""
-    rho, amp = [], []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("rho"):
-                continue
-            a, b = line.split(",")
-            rho.append(float(a))
-            amp.append(float(b))
-    return np.asarray(rho), np.asarray(amp)

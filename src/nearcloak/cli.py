@@ -33,27 +33,22 @@ EXIT_INVALID_PARAMETER = 3
 EXIT_UNWRITABLE_OUTPUT = 4
 EXIT_INTERNAL = 5
 
+# Defaults of the flags that _add_scheme_params adds, shared by mie, sweep
+# and compare.
+_SCHEME_DEFAULTS = {
+    "dim": 2, "k": 2.0, "angles": 100, "fsh_c": 1.0, "fsh_delta": 0.5,
+    "fsh_a": 3.0, "fsh_b": 2.0, "fss_beta": 2.5, "core_sigma": 1.0,
+    "core_q_re": 1.0, "core_q_im": 0.0,
+}
+_RHO_GRID_DEFAULTS = {"rho_start": 0.5, "rho_factor": 0.5, "rho_count": 7}
+
 _DEFAULTS = {
-    "mie": {
-        "scheme": "sh", "dim": 2, "k": 2.0, "rho": 0.5, "angles": 100,
-        "incident_angle": 0.0, "fsh_c": 1.0, "fsh_delta": 0.5, "fsh_a": 3.0,
-        "fsh_b": 2.0, "fss_beta": 2.5, "core_sigma": 1.0, "core_q_re": 1.0,
-        "core_q_im": 0.0, "out": "farfield.csv",
-    },
-    "sweep": {
-        "scheme": "sh", "dim": 2, "k": 2.0, "rho_start": 0.5,
-        "rho_factor": 0.5, "rho_count": 7, "angles": 100, "model": "auto",
-        "fsh_c": 1.0, "fsh_delta": 0.5, "fsh_a": 3.0, "fsh_b": 2.0,
-        "fss_beta": 2.5, "core_sigma": 1.0, "core_q_re": 1.0,
-        "core_q_im": 0.0, "out": "sweep.csv", "json_out": None,
-    },
-    "compare": {
-        "scheme_a": "fsh", "scheme_b": "sh", "dim": 2, "k": 2.0,
-        "rho_start": 0.5, "rho_factor": 0.5, "rho_count": 7, "angles": 100,
-        "fsh_c": 1.0, "fsh_delta": 0.5, "fsh_a": 3.0, "fsh_b": 2.0,
-        "fss_beta": 2.5, "core_sigma": 1.0, "core_q_re": 1.0,
-        "core_q_im": 0.0, "out": "compare.csv",
-    },
+    "mie": {**_SCHEME_DEFAULTS, "scheme": "sh", "rho": 0.5, "incident_angle": 0.0,
+            "out": "farfield.csv"},
+    "sweep": {**_SCHEME_DEFAULTS, **_RHO_GRID_DEFAULTS, "scheme": "sh", "model": "auto",
+              "out": "sweep.csv", "json_out": None},
+    "compare": {**_SCHEME_DEFAULTS, **_RHO_GRID_DEFAULTS, "scheme_a": "fsh",
+                "scheme_b": "sh", "out": "compare.csv"},
     "bie": {
         "curve": "circle", "radius": 0.5, "k": 2.0, "incident_angle": 0.0,
         "n_points": 256, "angles": 100, "out": "bie_farfield.csv",
@@ -198,9 +193,8 @@ def _wave_from(params: dict, dim: int) -> mie.WaveParams:
     return mie.WaveParams(params["k"], d)
 
 
-def _core_from(params: dict, dim: int) -> media.MediumSpec:
-    return media.MediumSpec.isotropic(
-        params["core_sigma"], params["core_q_re"] + 1j * params["core_q_im"], dim)
+def _contents_from(params: dict) -> tuple[float, complex]:
+    return params["core_sigma"], params["core_q_re"] + 1j * params["core_q_im"]
 
 
 def _rho_grid(params: dict) -> list[float]:
@@ -225,9 +219,7 @@ def _run_mie(params: dict) -> None:
     dim = params["dim"]
     wave = _wave_from(params, dim)
     scheme = _scheme_from(params, "scheme")
-    rho = params["rho"]
-    core = mie.virtual_core(dim, rho, _core_from(params, dim)) if scheme.is_layered else None
-    sol = mie.solve(scheme, dim, wave, rho, core)
+    sol = mie.solve(scheme, dim, wave, params["rho"], _contents_from(params))
     pattern = mie.far_field(sol, analysis.observation_angles(dim, params["angles"]))
     _write_farfield_csv(params["out"], pattern)
 
@@ -238,7 +230,7 @@ def _run_sweep(params: dict) -> None:
     model = None if params["model"] == "auto" else params["model"]
     result = analysis.sweep(scheme, dim, _wave_from(params, dim),
                             _rho_grid(params), angle_count=params["angles"],
-                            core_physical=_core_from(params, dim), model=model)
+                            contents=_contents_from(params), model=model)
     analysis.write_sweep_csv(result, params["out"])
     if params.get("json_out"):
         analysis.write_sweep_json(result, params["json_out"])
@@ -248,13 +240,13 @@ def _run_compare(params: dict) -> None:
     dim = params["dim"]
     wave = _wave_from(params, dim)
     rhos = _rho_grid(params)
-    core = _core_from(params, dim)
+    contents = _contents_from(params)
     results = []
     for key in ("scheme_a", "scheme_b"):
         scheme = _scheme_from(params, key)
         results.append(analysis.sweep(scheme, dim, wave, rhos,
                                       angle_count=params["angles"],
-                                      core_physical=core))
+                                      contents=contents))
     diff = analysis.compare_schemes(results[0], results[1])
     analysis.write_csv(params["out"], "compare",
                        ["rho", "max_abs_A_a", "max_abs_A_b", "abs_diff"],
@@ -264,12 +256,12 @@ def _run_compare(params: dict) -> None:
 
 def _run_bie(params: dict) -> None:
     wave = _wave_from(params, 2)
+    angles = analysis.observation_angles(2, params["angles"])
     if params["curve"] == "circle":
         curve = bie.circle(params["radius"], params["n_points"])
     else:
         curve = bie.kite(params["n_points"])
     solution = bie.assemble_and_solve(curve, wave)
-    angles = 2.0 * math.pi * np.arange(params["angles"]) / params["angles"]
     pattern = bie.far_field_from_density(solution, wave, angles)
     _write_farfield_csv(params["out"], pattern)
 

@@ -1,90 +1,41 @@
 """Transformation-acoustics algebra.
 
 Material parameters are the pair (sigma, q): sigma is the inverse mass
-density tensor (real symmetric positive definite) and q the complex bulk
-modulus, both in dimensionless relative units.  Under a bi-Lipschitz,
-orientation-preserving change of variables y = F(x) with Jacobian matrix
-M = dy/dx and J = det M > 0, the push-forward rule is
+density (a real symmetric positive definite tensor, a positive scalar
+for isotropic media) and q the complex bulk modulus with Im q >= 0
+(passive material), both in dimensionless relative units.  Under a
+bi-Lipschitz, orientation-preserving change of variables y = F(x) with
+Jacobian matrix M = dy/dx and J = det M > 0, the push-forward rule is
 
     sigma_new = (1/J) M sigma M^T,      q_new = q / J,
 
 which leaves the governing equation invariant.  The cloak construction
 pushes the homogeneous medium (I, 1) forward under the radial map that
-blows the ball of radius rho up to the ball of radius R1 inside R2.
+blows the ball of radius rho up to the ball of radius R1 inside R2;
+``cloak_tensor`` is that push-forward in closed form.
 
 Two coordinate descriptions are used throughout: the *physical* space
 (cloak shell between R1 and R2, lossy layer between R1/2 and R1) and the
 *virtual* space (small obstacle of radius rho, layer between rho/2 and
 rho), related by the piecewise map that is the radial blow-up on the
-shell and the dilation x -> x/rho on the small ball.  The helpers at the
-bottom convert layer/core parameters between the two descriptions under
-that dilation.
+shell and the dilation x -> x/rho on the small ball.
+``virtual_core_params`` is the one conversion of cloaked contents from
+physical to virtual space (the push-forward under the inverse dilation),
+and ``check_passive`` the one check that a pair (sigma, q) is a passive
+isotropic medium.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import cmath
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, OrientationError
+from .errors import DomainError, RangeError
 
 _GEOM_RTOL = 1e-12
-
-
-# ---------------------------------------------------------------------------
-# Data types
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class MediumSpec:
-    """An acoustic medium (sigma, q) with cached ellipticity bounds.
-
-    sigma must be real symmetric with eigenvalues in (0, inf); q must
-    have nonnegative imaginary part (passive material).
-    """
-
-    sigma: np.ndarray
-    q: complex
-    sigma_min: float = field(init=False)
-    sigma_max: float = field(init=False)
-
-    def __post_init__(self):
-        sig = np.asarray(self.sigma, dtype=float)
-        if sig.ndim != 2 or sig.shape[0] != sig.shape[1]:
-            raise DomainError(f"sigma must be a square matrix, got {sig.shape}")
-        if not np.allclose(sig, sig.T, rtol=1e-10, atol=1e-14 * max(1.0, abs(sig).max())):
-            raise DomainError("sigma must be symmetric")
-        sig = 0.5 * (sig + sig.T)
-        eig = np.linalg.eigvalsh(sig)
-        if eig[0] <= 0:
-            raise DomainError(f"sigma must be positive definite (min eig {eig[0]:.3g})")
-        q = complex(self.q)
-        if q.imag < -1e-15 * abs(q):
-            raise DomainError(f"Im q must be >= 0, got {q.imag:.3g}")
-        object.__setattr__(self, "sigma", sig)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "sigma_min", float(eig[0]))
-        object.__setattr__(self, "sigma_max", float(eig[-1]))
-
-    @classmethod
-    def isotropic(cls, sigma: float, q: complex, dim: int) -> "MediumSpec":
-        return cls(sigma * np.eye(dim), q)
-
-    @property
-    def dim(self) -> int:
-        return self.sigma.shape[0]
-
-    @property
-    def is_isotropic(self) -> bool:
-        return np.allclose(self.sigma, self.sigma[0, 0] * np.eye(self.dim),
-                           rtol=1e-12, atol=1e-300)
-
-    @property
-    def sigma_scalar(self) -> float:
-        """Scalar sigma for isotropic media; raises otherwise."""
-        if not self.is_isotropic:
-            raise DomainError("medium is anisotropic; no scalar sigma")
-        return float(self.sigma[0, 0])
 
 
 @dataclass(frozen=True)
@@ -112,82 +63,8 @@ class RadialMapSpec:
     def offset(self) -> float:
         return (self.r1 - self.rho) * self.r2 / (self.r2 - self.rho)
 
-    def forward_radius(self, r):
-        return self.offset + self.slope * np.asarray(r, dtype=float)
-
     def inverse_radius(self, s):
         return (np.asarray(s, dtype=float) - self.offset) / self.slope
-
-
-@dataclass(frozen=True)
-class JacobianData:
-    """Jacobian matrix M = dy/dx and its determinant J = det M > 0."""
-
-    matrix: np.ndarray
-    det: float
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        object.__setattr__(self, "matrix", m)
-        if not np.isfinite(self.det) or self.det <= 0:
-            raise OrientationError(f"Jacobian determinant must be > 0, got {self.det}")
-
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray) -> "JacobianData":
-        m = np.asarray(matrix, dtype=float)
-        return cls(m, float(np.linalg.det(m)))
-
-
-# ---------------------------------------------------------------------------
-# The radial blow-up map
-# ---------------------------------------------------------------------------
-def radial_blowup(spec: RadialMapSpec, x: np.ndarray) -> np.ndarray:
-    """Map a point of the annulus rho <= |x| <= R2 into R1 <= |y| <= R2."""
-    x = np.asarray(x, dtype=float)
-    r = float(np.linalg.norm(x))
-    if r < spec.rho * (1 - _GEOM_RTOL) - 1e-300 or r > spec.r2 * (1 + _GEOM_RTOL):
-        raise DomainError(f"|x| = {r:.6g} outside [{spec.rho:.6g}, {spec.r2:.6g}]")
-    return float(spec.forward_radius(r)) * x / r
-
-
-def radial_blowup_inverse(spec: RadialMapSpec, y: np.ndarray) -> np.ndarray:
-    """Inverse map from the shell R1 <= |y| <= R2 back to the annulus."""
-    y = np.asarray(y, dtype=float)
-    s = float(np.linalg.norm(y))
-    if s < spec.r1 * (1 - _GEOM_RTOL) or s > spec.r2 * (1 + _GEOM_RTOL):
-        raise DomainError(f"|y| = {s:.6g} outside [{spec.r1:.6g}, {spec.r2:.6g}]")
-    return float(spec.inverse_radius(s)) * y / s
-
-
-def radial_jacobian(spec: RadialMapSpec, x: np.ndarray) -> JacobianData:
-    """Analytic Jacobian of the radial blow-up at x.
-
-    M = (f(r)/r)(I - xhat xhat^T) + f'(r) xhat xhat^T with f(r) = c + s r,
-    so the radial stretch is s and each tangential stretch is f(r)/r.
-    """
-    x = np.asarray(x, dtype=float)
-    r = float(np.linalg.norm(x))
-    if r <= 0:
-        raise DomainError("Jacobian undefined at the origin")
-    dim = x.size
-    xhat = x / r
-    f = float(spec.forward_radius(r))
-    tang = f / r
-    proj = np.outer(xhat, xhat)
-    m = tang * (np.eye(dim) - proj) + spec.slope * proj
-    det = spec.slope * tang ** (dim - 1)
-    return JacobianData(m, det)
-
-
-# ---------------------------------------------------------------------------
-# Push-forward
-# ---------------------------------------------------------------------------
-def push_forward(medium: MediumSpec, jac: JacobianData) -> MediumSpec:
-    """Push (sigma, q) forward: sigma -> M sigma M^T / J, q -> q / J."""
-    m = jac.matrix
-    sigma_new = (m @ medium.sigma @ m.T) / jac.det
-    sigma_new = 0.5 * (sigma_new + sigma_new.T)
-    return MediumSpec(sigma_new, medium.q / jac.det)
 
 
 def cloak_tensor(spec: RadialMapSpec, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -211,50 +88,41 @@ def cloak_tensor(spec: RadialMapSpec, y: np.ndarray) -> tuple[np.ndarray, np.nda
     return tang * np.eye(dim) + (radial - tang) * proj, 1.0 / jac
 
 
-def cloak_medium_at(spec: RadialMapSpec, y: np.ndarray) -> MediumSpec:
-    """Cloaking-shell parameters at one physical point y, R1 <= |y| <= R2."""
-    return MediumSpec(*cloak_tensor(spec, y))
+# ---------------------------------------------------------------------------
+# Cloaked contents: physical -> virtual under the dilation x -> rho x
+# ---------------------------------------------------------------------------
+def check_passive(sigma: float, q: complex) -> tuple[float, complex]:
+    """(sigma, q) as (float, complex) if it is a passive isotropic medium.
+
+    sigma must be finite and positive, q finite with Im q >= -1e-15 |q|.
+    """
+    sigma, q = float(sigma), complex(q)
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise DomainError(f"sigma must be finite and positive, got {sigma}")
+    if not cmath.isfinite(q) or q.imag < -1e-15 * abs(q):
+        raise DomainError(f"q must be finite with Im q >= 0, got {q}")
+    return sigma, q
 
 
-# ---------------------------------------------------------------------------
-# Physical <-> virtual conversions under the dilation x -> x/rho
-# ---------------------------------------------------------------------------
-def _dilation_push(sigma: float, q: complex, rho: float, dim: int,
-                   to_physical: bool) -> tuple[float, complex]:
-    # y = x/rho has M = I/rho and J = rho^-dim, so in the virtual -> physical
-    # direction sigma_phys = rho^(dim-2) sigma_virt and q_phys = rho^dim q_virt;
-    # the other direction inverts the powers.
+def virtual_core_params(sigma: float, q: complex, rho: float,
+                        dim: int) -> tuple[float, complex]:
+    """Virtual-space (sigma_a, q_a) of physical cloaked contents (sigma', q').
+
+    The dilation x -> rho x (M = rho I, J = rho^dim) maps the contents of
+    the half-unit ball to the ball of radius rho/2 as
+    (sigma' rho^(2-dim), q' rho^-dim): (sigma', q'/rho^2) in 2D and
+    (sigma'/rho, q'/rho^3) in 3D.  A power of rho beyond the double range
+    (rho below about 1e-103 in 3D) raises RangeError.
+    """
+    sigma, q = check_passive(sigma, q)
+    if not (math.isfinite(rho) and rho > 0):
+        raise DomainError(f"rho must be finite and positive, got {rho}")
     if dim not in (2, 3):
         raise DomainError(f"dim must be 2 or 3, got {dim}")
-    if to_physical:
-        return sigma * rho ** (dim - 2), q * rho ** dim
-    return sigma * rho ** (2 - dim), q * rho ** (-dim)
-
-
-def virtual_core_params(physical: MediumSpec, rho: float, dim: int) -> MediumSpec:
-    """Cloaked-content parameters seen in virtual space.
-
-    The physical contents (sigma', q') of the half-unit ball map to the
-    ball of radius rho/2 as (sigma', q'/rho^2) in 2D and
-    (sigma'/rho, q'/rho^3) in 3D.
-    """
-    if rho <= 0:
-        raise DomainError("rho must be positive")
-    sig, q = _dilation_push(physical.sigma_scalar, physical.q, rho, dim,
-                            to_physical=False)
-    return MediumSpec.isotropic(sig, q, dim)
-
-
-def layer_virtual_from_physical(sigma: float, q: complex, rho: float,
-                                dim: int) -> tuple[float, complex]:
-    """Lossy-layer parameters: physical-space values -> virtual space."""
-    return _dilation_push(sigma, q, rho, dim, to_physical=False)
-
-
-def layer_physical_from_virtual(sigma: float, q: complex, rho: float,
-                                dim: int) -> tuple[float, complex]:
-    """Lossy-layer parameters: virtual-space values -> physical space."""
-    return _dilation_push(sigma, q, rho, dim, to_physical=True)
+    try:
+        return sigma * rho ** (2 - dim), q * rho ** (-dim)
+    except OverflowError:
+        raise RangeError(f"virtual contents overflow at rho = {rho:g}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ Solves time-harmonic scattering of a unit plane wave by
 * the three-region transmission problem: homogeneous exterior, a lossy
   layer occupying rho/2 <= |x| <= rho with isotropic parameters
   (sigma_l, q_l), and a uniform core inside rho/2 with (sigma_a, q_a) --
-  all in the virtual-space description.
+  all in the virtual-space description (``solve`` converts physical
+  cloaked contents with media.virtual_core_params).
 
 Per mode n, the exterior field is i^n J_n(k r) + d_n H_n^(1)(k r)
 (angular factor e^{i n theta}) in 2D, and the axisymmetric reduction
@@ -47,7 +48,7 @@ import numpy as np
 
 from . import specfun
 from .errors import DomainError, TruncationError
-from .media import MediumSpec, virtual_core_params
+from .media import check_passive, virtual_core_params
 from .specfun import ScaledArray
 
 TAIL_THRESHOLD = 1e-14
@@ -74,7 +75,8 @@ class WaveParams:
             raise DomainError(f"wavenumber must be positive, got {self.k}")
         d = np.asarray(self.d, dtype=float)
         norm = float(np.linalg.norm(d))
-        if d.ndim != 1 or d.size not in (2, 3) or abs(norm - 1.0) > 1e-10:
+        # "not <=" so that a NaN or infinite direction fails too.
+        if d.ndim != 1 or d.size not in (2, 3) or not abs(norm - 1.0) <= 1e-10:
             raise DomainError("incident direction must be a 2- or 3-vector of unit length")
         object.__setattr__(self, "d", d / norm)
 
@@ -86,7 +88,8 @@ class SchemeSpec:
     kinds: "ss" and "sh" are the ideal sound-soft/sound-hard linings;
     "fss" is the lossy layer sigma_l = 1, q_l = 1 + i beta rho^-2;
     "fsh" is the lossy layer sigma_l = C rho^{2+2 delta}, q_l = a + i b;
-    "layered" takes explicit (sigma_l, q_l) values as given.
+    "layered" takes explicit (sigma_l, q_l) values as given, which must be
+    passive (media.check_passive).
     """
 
     kind: str
@@ -101,11 +104,13 @@ class SchemeSpec:
     def __post_init__(self):
         if self.kind not in ("ss", "sh", "fss", "fsh", "layered"):
             raise DomainError(f"unknown scheme kind {self.kind!r}")
-        if self.kind == "fsh" and min(self.fsh_c, self.fsh_delta,
-                                      self.fsh_a, self.fsh_b) <= 0:
-            raise DomainError("FSH requires C, delta, a, b > 0")
-        if self.kind == "fss" and self.fss_beta_coeff <= 0:
-            raise DomainError("FSS requires beta > 0")
+        if self.kind == "fsh" and not all(
+                0 < v < math.inf for v in (self.fsh_c, self.fsh_delta, self.fsh_a, self.fsh_b)):
+            raise DomainError("FSH requires finite C, delta, a, b > 0")
+        if self.kind == "fss" and not 0 < self.fss_beta_coeff < math.inf:
+            raise DomainError("FSS requires a finite beta > 0")
+        if self.kind == "layered":
+            check_passive(self.layer_sigma, self.layer_q)
 
     @classmethod
     def sound_soft(cls) -> "SchemeSpec":
@@ -127,10 +132,6 @@ class SchemeSpec:
     @classmethod
     def layered(cls, sigma_l: float, q_l: complex) -> "SchemeSpec":
         return cls("layered", layer_sigma=sigma_l, layer_q=q_l)
-
-    @property
-    def is_layered(self) -> bool:
-        return self.kind in ("fss", "fsh", "layered")
 
     def layer_params(self, rho: float) -> tuple[float, complex]:
         """Virtual-space (sigma_l, q_l) of the lossy layer at this rho."""
@@ -211,8 +212,8 @@ class FarFieldPattern:
 
     def __post_init__(self):
         a = np.asarray(self.angles, dtype=float)
-        if a.ndim != 1 or np.any(np.diff(a) <= 0):
-            raise DomainError("angles must be strictly increasing")
+        if a.ndim != 1 or a.size == 0 or np.any(np.diff(a) <= 0):
+            raise DomainError("angles must be a nonempty, strictly increasing 1-d array")
         hi = 2.0 * math.pi if self.gamma_convention == "2d" else math.pi
         if a[0] < 0 or a[-1] > hi + 1e-12:
             raise DomainError("angles outside the valid range")
@@ -288,12 +289,16 @@ def _phase(dim: int, nmax: int):
 # ---------------------------------------------------------------------------
 # Ideal linings (Dirichlet / Neumann obstacle)
 # ---------------------------------------------------------------------------
-def _obstacle_coeffs(dim: int, wave: WaveParams, rho: float, neumann: bool,
-                     n_max: int | None) -> ModalSolution:
-    if rho <= 0:
-        raise DomainError("obstacle radius must be positive")
+def _check_radius(dim: int, rho: float) -> None:
+    if not (math.isfinite(rho) and rho > 0):
+        raise DomainError(f"rho must be finite and positive, got {rho}")
     if dim not in (2, 3):
         raise DomainError(f"dim must be 2 or 3, got {dim}")
+
+
+def _obstacle_coeffs(dim: int, wave: WaveParams, rho: float, neumann: bool,
+                     n_max: int | None) -> ModalSolution:
+    _check_radius(dim, rho)
     z = complex(wave.k * rho)
     scheme = SchemeSpec.sound_hard() if neumann else SchemeSpec.sound_soft()
 
@@ -327,11 +332,10 @@ def coeffs_sound_soft(dim: int, wave: WaveParams, rho: float,
 # Layered transmission problem
 # ---------------------------------------------------------------------------
 def layer_wavenumbers(scheme: SchemeSpec, rho: float, k: float,
-                      core: MediumSpec) -> LayerWavenumbers:
-    sigma_l, q_l = scheme.layer_params(rho)
-    if not core.is_isotropic:
-        raise DomainError("radial solver needs an isotropic core")
-    sigma_a, q_a = core.sigma_scalar, core.q
+                      core: tuple[float, complex]) -> LayerWavenumbers:
+    """Constants of the lining at this rho and of the virtual core (sigma_a, q_a)."""
+    sigma_l, q_l = check_passive(*scheme.layer_params(rho))
+    sigma_a, q_a = check_passive(*core)
     k_tilde = k * cmath.sqrt(q_l / sigma_l)
     if k_tilde.imag < 0:
         k_tilde = -k_tilde
@@ -344,20 +348,15 @@ def layer_wavenumbers(scheme: SchemeSpec, rho: float, k: float,
 
 
 def coeffs_layered(dim: int, wave: WaveParams, rho: float, scheme: SchemeSpec,
-                   core: MediumSpec, n_max: int | None = None) -> ModalSolution:
+                   core: tuple[float, complex], n_max: int | None = None) -> ModalSolution:
     """Solve the layer (rho/2 <= |x| <= rho) + core transmission problem.
 
-    ``core`` holds the virtual-space parameters of the uniform contents
-    of the ball of radius rho/2; use virtual_core to enter physical-space
+    ``core`` is the virtual-space pair (sigma_a, q_a) of the uniform
+    contents of the ball of radius rho/2; ``solve`` enters physical-space
     contents.  Modes whose outer elimination loses more than ~14 digits
     to cancellation are flagged in degenerate_modes.
     """
-    if rho <= 0:
-        raise DomainError("rho must be positive")
-    if dim not in (2, 3):
-        raise DomainError(f"dim must be 2 or 3, got {dim}")
-    if not scheme.is_layered:
-        raise DomainError(f"scheme {scheme.kind!r} has no layer to solve")
+    _check_radius(dim, rho)
     lw = layer_wavenumbers(scheme, rho, wave.k, core)
     zk = complex(wave.k * rho)
     zt = lw.k_tilde * rho
@@ -418,31 +417,20 @@ def coeffs_layered(dim: int, wave: WaveParams, rho: float, scheme: SchemeSpec,
     return _truncated(solve_at, wave.k, rho, n_max)
 
 
-def virtual_core(dim: int, rho: float, physical: MediumSpec | None = None) -> MediumSpec:
-    """Virtual-space core for physical-space contents at this rho.
-
-    The one conversion from a default or physical core to the layered
-    solver's input; the default is physical (sigma', q') = (1, 1).
-    """
-    if physical is None:
-        physical = MediumSpec.isotropic(1.0, 1.0, dim)
-    return virtual_core_params(physical, rho, dim)
-
-
 def solve(scheme: SchemeSpec, dim: int, wave: WaveParams, rho: float,
-          core: MediumSpec | None = None,
+          contents: tuple[float, complex] = (1.0, 1.0),
           n_max: int | None = None) -> ModalSolution:
     """Dispatch to the right solver for the scheme kind.
 
-    ``core`` is the virtual-space contents for layered schemes; when
-    omitted it is virtual_core(dim, rho).
+    ``contents`` is the physical-space pair (sigma', q') of the cloaked
+    region.  Every scheme checks it; the layered ones solve with its
+    virtual-space image, virtual_core_params(sigma', q', rho, dim).
     """
+    core = virtual_core_params(*contents, rho, dim)
     if scheme.kind == "sh":
         return coeffs_sound_hard(dim, wave, rho, n_max=n_max)
     if scheme.kind == "ss":
         return coeffs_sound_soft(dim, wave, rho, n_max=n_max)
-    if core is None:
-        core = virtual_core(dim, rho)
     return coeffs_layered(dim, wave, rho, scheme, core, n_max=n_max)
 
 
@@ -565,16 +553,6 @@ def field_on_circle(solution: ModalSolution, r: float, thetas: np.ndarray,
         return (eps * radial) @ np.cos(np.outer(n, thetas))
     pn = specfun.legendre_p_table(solution.n_max, np.cos(thetas))
     return ((2 * n + 1) * (1j ** n) * radial) @ pn
-
-
-def field_at(solution: ModalSolution, point, region: str | None = None,
-             scattered_only: bool = False,
-             radial_derivative: bool = False) -> complex:
-    """Field at a single polar point (r, theta); see field_on_circle."""
-    r, theta = float(point[0]), float(point[1])
-    return complex(field_on_circle(solution, r, np.array([theta]), region=region,
-                                   scattered_only=scattered_only,
-                                   radial_derivative=radial_derivative)[0])
 
 
 def scattered_cauchy_data(solution: ModalSolution, radius: float,

@@ -1,0 +1,146 @@
+"""Test-only oracles: the pointwise blow-up, Jacobian and anisotropic
+push-forward that media.cloak_tensor and media.virtual_core_params are
+checked against, plus readers over the library's outputs."""
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from nearcloak import mie
+from nearcloak.errors import DomainError, OrientationError
+from nearcloak.media import _GEOM_RTOL, RadialMapSpec, cloak_tensor
+
+
+@dataclass(frozen=True)
+class MediumSpec:
+    """An acoustic medium (sigma, q) with cached ellipticity bounds.
+
+    sigma must be real symmetric with eigenvalues in (0, inf); q must
+    have nonnegative imaginary part (passive material).
+    """
+
+    sigma: np.ndarray
+    q: complex
+    sigma_min: float = field(init=False)
+    sigma_max: float = field(init=False)
+
+    def __post_init__(self):
+        sig = np.asarray(self.sigma, dtype=float)
+        if sig.ndim != 2 or sig.shape[0] != sig.shape[1]:
+            raise DomainError(f"sigma must be a square matrix, got {sig.shape}")
+        if not np.allclose(sig, sig.T, rtol=1e-10, atol=1e-14 * max(1.0, abs(sig).max())):
+            raise DomainError("sigma must be symmetric")
+        sig = 0.5 * (sig + sig.T)
+        eig = np.linalg.eigvalsh(sig)
+        if eig[0] <= 0:
+            raise DomainError(f"sigma must be positive definite (min eig {eig[0]:.3g})")
+        q = complex(self.q)
+        if q.imag < -1e-15 * abs(q):
+            raise DomainError(f"Im q must be >= 0, got {q.imag:.3g}")
+        object.__setattr__(self, "sigma", sig)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "sigma_min", float(eig[0]))
+        object.__setattr__(self, "sigma_max", float(eig[-1]))
+
+    @classmethod
+    def isotropic(cls, sigma: float, q: complex, dim: int) -> "MediumSpec":
+        return cls(sigma * np.eye(dim), q)
+
+
+@dataclass(frozen=True)
+class JacobianData:
+    """Jacobian matrix M = dy/dx and its determinant J = det M > 0."""
+
+    matrix: np.ndarray
+    det: float
+
+    def __post_init__(self):
+        m = np.asarray(self.matrix, dtype=float)
+        object.__setattr__(self, "matrix", m)
+        if not np.isfinite(self.det) or self.det <= 0:
+            raise OrientationError(f"Jacobian determinant must be > 0, got {self.det}")
+
+    @classmethod
+    def from_matrix(cls, matrix: np.ndarray) -> "JacobianData":
+        m = np.asarray(matrix, dtype=float)
+        return cls(m, float(np.linalg.det(m)))
+
+
+def forward_radius(spec: RadialMapSpec, r):
+    """|F(x)| for |x| = r: c + s r."""
+    return spec.offset + spec.slope * np.asarray(r, dtype=float)
+
+
+def radial_blowup(spec: RadialMapSpec, x: np.ndarray) -> np.ndarray:
+    """Map a point of the annulus rho <= |x| <= R2 into R1 <= |y| <= R2."""
+    x = np.asarray(x, dtype=float)
+    r = float(np.linalg.norm(x))
+    if r < spec.rho * (1 - _GEOM_RTOL) - 1e-300 or r > spec.r2 * (1 + _GEOM_RTOL):
+        raise DomainError(f"|x| = {r:.6g} outside [{spec.rho:.6g}, {spec.r2:.6g}]")
+    return float(forward_radius(spec, r)) * x / r
+
+
+def radial_blowup_inverse(spec: RadialMapSpec, y: np.ndarray) -> np.ndarray:
+    """Inverse map from the shell R1 <= |y| <= R2 back to the annulus."""
+    y = np.asarray(y, dtype=float)
+    s = float(np.linalg.norm(y))
+    if s < spec.r1 * (1 - _GEOM_RTOL) or s > spec.r2 * (1 + _GEOM_RTOL):
+        raise DomainError(f"|y| = {s:.6g} outside [{spec.r1:.6g}, {spec.r2:.6g}]")
+    return float(spec.inverse_radius(s)) * y / s
+
+
+def radial_jacobian(spec: RadialMapSpec, x: np.ndarray) -> JacobianData:
+    """Analytic Jacobian of the radial blow-up at x.
+
+    M = (f(r)/r)(I - xhat xhat^T) + f'(r) xhat xhat^T with f(r) = c + s r,
+    so the radial stretch is s and each tangential stretch is f(r)/r.
+    """
+    x = np.asarray(x, dtype=float)
+    r = float(np.linalg.norm(x))
+    if r <= 0:
+        raise DomainError("Jacobian undefined at the origin")
+    dim = x.size
+    xhat = x / r
+    f = float(forward_radius(spec, r))
+    tang = f / r
+    proj = np.outer(xhat, xhat)
+    m = tang * (np.eye(dim) - proj) + spec.slope * proj
+    det = spec.slope * tang ** (dim - 1)
+    return JacobianData(m, det)
+
+
+def push_forward(medium: MediumSpec, jac: JacobianData) -> MediumSpec:
+    """Push (sigma, q) forward: sigma -> M sigma M^T / J, q -> q / J."""
+    m = jac.matrix
+    sigma_new = (m @ medium.sigma @ m.T) / jac.det
+    sigma_new = 0.5 * (sigma_new + sigma_new.T)
+    return MediumSpec(sigma_new, medium.q / jac.det)
+
+
+def cloak_medium_at(spec: RadialMapSpec, y: np.ndarray) -> MediumSpec:
+    """Cloaking-shell parameters at one physical point y, R1 <= |y| <= R2."""
+    return MediumSpec(*cloak_tensor(spec, y))
+
+
+def read_sweep_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read back the (rho, max_abs_A) table of analysis.write_sweep_csv."""
+    rho, amp = [], []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line or line.startswith("#") or line.startswith("rho"):
+                continue
+            a, b = line.split(",")
+            rho.append(float(a))
+            amp.append(float(b))
+    return np.asarray(rho), np.asarray(amp)
+
+
+def field_at(solution, point, region: str | None = None,
+             scattered_only: bool = False,
+             radial_derivative: bool = False) -> complex:
+    """Field at a single polar point (r, theta); see mie.field_on_circle."""
+    r, theta = float(point[0]), float(point[1])
+    return complex(mie.field_on_circle(solution, r, np.array([theta]), region=region,
+                                       scattered_only=scattered_only,
+                                       radial_derivative=radial_derivative)[0])

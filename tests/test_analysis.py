@@ -10,6 +10,8 @@ from nearcloak.analysis import SweepResult, fit_decay, sweep
 from nearcloak.errors import DomainError, InsufficientDataError, RangeError, ShapeError
 from nearcloak.mie import SchemeSpec, WaveParams
 
+import oracles
+
 WAVE2 = WaveParams(2.0, np.array([1.0, 0.0]))
 WAVE3 = WaveParams(2.0, np.array([1.0, 0.0, 0.0]))
 
@@ -140,7 +142,7 @@ def test_sweep_csv_round_trip(tmp_path):
     result = sweep(SchemeSpec.sound_hard(), 2, WAVE2, 0.5 ** np.arange(3, 7))
     path = tmp_path / "sweep.csv"
     analysis.write_sweep_csv(result, path)
-    rho, amp = analysis.read_sweep_csv(path)
+    rho, amp = oracles.read_sweep_csv(path)
     assert np.array_equal(rho, result.rho_values)
     assert np.array_equal(amp, result.max_amplitude)
     jpath = tmp_path / "sweep.json"
@@ -157,7 +159,7 @@ def test_fit_reproducible_from_persisted_csv(tmp_path):
     result = sweep(SchemeSpec.sound_hard(), 2, WAVE2, 0.5 ** np.arange(3, 9))
     path = tmp_path / "sweep.csv"
     analysis.write_sweep_csv(result, path)
-    rho, amp = analysis.read_sweep_csv(path)
+    rho, amp = oracles.read_sweep_csv(path)
     refit = fit_decay(_synthetic(rho, amp), "power-law")
     assert refit.slope == result.fitted_exponent
     assert refit.residual == result.fit_residual

@@ -217,6 +217,34 @@ def test_invalid_physics_parameter(tmp_path):
     assert code == cli.EXIT_INVALID_PARAMETER
 
 
+@pytest.mark.parametrize("args", [
+    ["mie", "--rho", "inf"], ["mie", "--rho", "nan"],
+    ["mie", "--incident-angle", "nan"], ["bie", "--incident-angle", "nan"],
+    ["mie", "--scheme", "fsh", "--fsh-delta", "inf"],
+    ["mie", "--scheme", "fsh", "--fsh-c", "nan"],
+    ["mie", "--scheme", "fss", "--fss-beta", "inf"],
+    ["bie", "--angles", "0"], ["bie", "--angles", "-3"], ["bie", "--angles", "1"],
+], ids="_".join)
+def test_non_finite_or_too_few_inputs_are_domain_errors(tmp_path, capsys, args):
+    assert run(args + ["--out", "x.csv"], tmp_path) == cli.EXIT_INVALID_PARAMETER
+    assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "DomainError"
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("scheme", ["ss", "sh", "fss", "fsh"])
+@pytest.mark.parametrize("flags", [["--core-sigma", "-1"], ["--core-sigma", "nan"],
+                                   ["--core-q-im", "-1"], ["--core-q-re", "inf"]],
+                         ids="_".join)
+@pytest.mark.parametrize("command", ["mie", "sweep", "compare"])
+def test_contents_are_checked_for_every_scheme(tmp_path, capsys, command, flags, scheme):
+    if command == "compare":
+        args = ["compare", "--scheme-a", scheme, "--scheme-b", scheme]
+    else:
+        args = [command, "--scheme", scheme]
+    assert run(args + flags + ["--out", "x.csv"], tmp_path) == cli.EXIT_INVALID_PARAMETER
+    assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "DomainError"
+
+
 # ---------------------------------------------------------------------------
 # Golden files (schema stability)
 # ---------------------------------------------------------------------------

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from nearcloak import media
-from nearcloak.errors import DomainError, OrientationError
-from nearcloak.media import JacobianData, MediumSpec, RadialMapSpec
+from nearcloak.errors import DomainError, OrientationError, RangeError
+from nearcloak.media import RadialMapSpec
+
+import oracles
+from oracles import JacobianData, MediumSpec
 
 SPEC = RadialMapSpec(rho=0.5, r1=2.0, r2=3.0)
 
@@ -17,38 +20,38 @@ SPEC = RadialMapSpec(rho=0.5, r1=2.0, r2=3.0)
 # ---------------------------------------------------------------------------
 def test_blowup_endpoints():
     x = np.array([0.5, 0.0])
-    assert np.linalg.norm(media.radial_blowup(SPEC, x)) == pytest.approx(2.0)
+    assert np.linalg.norm(oracles.radial_blowup(SPEC, x)) == pytest.approx(2.0)
     x = np.array([0.0, 3.0])
-    assert np.allclose(media.radial_blowup(SPEC, x), x)  # identity on |x| = R2
+    assert np.allclose(oracles.radial_blowup(SPEC, x), x)  # identity on |x| = R2
 
 
 def test_blowup_midpoint():
     # Affine radial rule: |x| = 1.75 (midpoint of [0.5, 3]) -> 2.5.
     x = 1.75 * np.array([math.cos(0.3), math.sin(0.3)])
-    y = media.radial_blowup(SPEC, x)
+    y = oracles.radial_blowup(SPEC, x)
     assert np.linalg.norm(y) == pytest.approx(2.5, rel=1e-14)
 
 
 def test_blowup_domain_errors():
     with pytest.raises(DomainError):
-        media.radial_blowup(SPEC, np.array([0.3, 0.0]))
+        oracles.radial_blowup(SPEC, np.array([0.3, 0.0]))
     with pytest.raises(DomainError):
-        media.radial_blowup(SPEC, np.array([3.5, 0.0]))
+        oracles.radial_blowup(SPEC, np.array([3.5, 0.0]))
     with pytest.raises(DomainError):
-        media.radial_blowup_inverse(SPEC, np.array([1.0, 0.0]))
+        oracles.radial_blowup_inverse(SPEC, np.array([1.0, 0.0]))
 
 
 def test_blowup_monotone_bijection():
     rng = np.random.default_rng(0)
     radii = np.sort(rng.uniform(SPEC.rho, SPEC.r2, 50))
-    images = SPEC.forward_radius(radii)
+    images = oracles.forward_radius(SPEC, radii)
     assert np.all(np.diff(images) > 0)
     assert np.min(images) >= SPEC.r1 - 1e-12 and np.max(images) <= SPEC.r2 + 1e-12
     for _ in range(50):
         x = rng.uniform(-1, 1, 2)
         x *= rng.uniform(SPEC.rho, SPEC.r2) / np.linalg.norm(x)
-        y = media.radial_blowup(SPEC, x)
-        back = media.radial_blowup_inverse(SPEC, y)
+        y = oracles.radial_blowup(SPEC, x)
+        back = oracles.radial_blowup_inverse(SPEC, y)
         assert np.max(np.abs(back - x)) <= 1e-12 * np.linalg.norm(x)
 
 
@@ -57,14 +60,14 @@ def test_blowup_monotone_bijection():
 # ---------------------------------------------------------------------------
 def test_push_forward_identity():
     med = MediumSpec(np.array([[2.0, 0.3], [0.3, 1.0]]), 1.5 + 0.2j)
-    out = media.push_forward(med, JacobianData(np.eye(2), 1.0))
+    out = oracles.push_forward(med, JacobianData(np.eye(2), 1.0))
     assert np.allclose(out.sigma, med.sigma)
     assert out.q == med.q
 
 
 def test_push_forward_2d_dilation_conformal():
     med = MediumSpec(np.array([[2.0, 0.3], [0.3, 1.0]]), 1.0 + 0j)
-    out = media.push_forward(med, JacobianData(2.0 * np.eye(2), 4.0))
+    out = oracles.push_forward(med, JacobianData(2.0 * np.eye(2), 4.0))
     assert np.allclose(out.sigma, med.sigma)  # sigma invariant in 2D
     assert out.q == pytest.approx(0.25)
 
@@ -80,8 +83,8 @@ def _fd_jacobian(spec, x, h=1e-6):
     for i in range(x.size):
         e = np.zeros_like(x)
         e[i] = h
-        cols.append((media.radial_blowup(spec, x + e)
-                     - media.radial_blowup(spec, x - e)) / (2 * h))
+        cols.append((oracles.radial_blowup(spec, x + e)
+                     - oracles.radial_blowup(spec, x - e)) / (2 * h))
     return np.stack(cols, axis=1)
 
 
@@ -91,7 +94,7 @@ def test_radial_jacobian_matches_finite_differences(dim):
     for _ in range(25):
         x = rng.normal(size=dim)
         x *= rng.uniform(SPEC.rho * 1.05, SPEC.r2 * 0.95) / np.linalg.norm(x)
-        jac = media.radial_jacobian(SPEC, x)
+        jac = oracles.radial_jacobian(SPEC, x)
         fd = _fd_jacobian(SPEC, x)
         assert np.max(np.abs(jac.matrix - fd)) <= 1e-8
         assert jac.det == pytest.approx(np.linalg.det(fd), rel=1e-6)
@@ -103,9 +106,9 @@ def test_cloak_medium_matches_fd_pushforward(dim):
     for _ in range(20):
         y = rng.normal(size=dim)
         y *= rng.uniform(SPEC.r1 * 1.01, SPEC.r2 * 0.99) / np.linalg.norm(y)
-        med = media.cloak_medium_at(SPEC, y)
-        x = media.radial_blowup_inverse(SPEC, y)
-        fd = media.push_forward(MediumSpec.isotropic(1.0, 1.0, dim),
+        med = oracles.cloak_medium_at(SPEC, y)
+        x = oracles.radial_blowup_inverse(SPEC, y)
+        fd = oracles.push_forward(MediumSpec.isotropic(1.0, 1.0, dim),
                                 JacobianData.from_matrix(_fd_jacobian(SPEC, x)))
         assert np.max(np.abs(med.sigma - fd.sigma)) <= 1e-8
         assert abs(med.q - fd.q) <= 1e-6 * abs(fd.q)
@@ -118,7 +121,7 @@ def test_cloak_at_outer_interface_closed_form():
     # finite-difference push-forward oracle confirms this; the shell
     # medium is genuinely discontinuous across |y| = R2).
     y = np.array([0.0, 3.0])
-    med = media.cloak_medium_at(SPEC, y)
+    med = oracles.cloak_medium_at(SPEC, y)
     s = SPEC.slope
     assert np.allclose(np.sort(np.linalg.eigvalsh(med.sigma)), [s, 1.0 / s],
                        rtol=1e-12)
@@ -130,7 +133,7 @@ def test_cloak_tensor_spd_everywhere():
     for _ in range(60):
         y = rng.normal(size=2)
         y *= rng.uniform(SPEC.r1 + 1e-6, SPEC.r2) / np.linalg.norm(y)
-        med = media.cloak_medium_at(SPEC, y)
+        med = oracles.cloak_medium_at(SPEC, y)
         assert med.sigma_min > 0
 
 
@@ -141,7 +144,7 @@ def test_cloak_tensor_grows_like_inverse_rho():
     eigs = []
     for rho in rhos:
         spec = RadialMapSpec(rho, 2.0, 3.0)
-        med = media.cloak_medium_at(spec, y)
+        med = oracles.cloak_medium_at(spec, y)
         eigs.append(med.sigma_max)
     slope = np.polyfit(np.log(rhos), np.log(eigs), 1)[0]
     assert abs(slope + 1.0) <= 0.1
@@ -160,8 +163,8 @@ def test_push_forward_composition():
         jg = JacobianData.from_matrix(m2)
         jf = JacobianData.from_matrix(m1)
         jfg = JacobianData.from_matrix(m1 @ m2)
-        two_step = media.push_forward(media.push_forward(med, jg), jf)
-        one_step = media.push_forward(med, jfg)
+        two_step = oracles.push_forward(oracles.push_forward(med, jg), jf)
+        one_step = oracles.push_forward(med, jfg)
         assert np.max(np.abs(two_step.sigma - one_step.sigma)) <= 1e-10 * np.max(np.abs(one_step.sigma))
         assert abs(two_step.q - one_step.q) <= 1e-10 * abs(one_step.q)
 
@@ -170,38 +173,51 @@ def test_push_forward_composition():
 # Physical <-> virtual conversions
 # ---------------------------------------------------------------------------
 def test_virtual_core_identity_at_rho_one():
-    out = media.virtual_core_params(MediumSpec.isotropic(1.0, 1.0, 2), 1.0, 2)
-    assert out.sigma_scalar == pytest.approx(1.0)
-    assert out.q == pytest.approx(1.0)
+    sigma, q = media.virtual_core_params(1.0, 1.0, 1.0, 2)
+    assert sigma == pytest.approx(1.0)
+    assert q == pytest.approx(1.0)
 
 
 def test_virtual_core_scaling_2d_3d():
-    phys2 = MediumSpec.isotropic(2.0, 5.0, 2)
-    out = media.virtual_core_params(phys2, 0.1, 2)
-    assert out.sigma_scalar == pytest.approx(2.0)
-    assert out.q == pytest.approx(500.0)
-    phys3 = MediumSpec.isotropic(2.0, 5.0, 3)
-    out = media.virtual_core_params(phys3, 0.1, 3)
-    assert out.sigma_scalar == pytest.approx(20.0)
-    assert out.q == pytest.approx(5000.0)
+    sigma, q = media.virtual_core_params(2.0, 5.0, 0.1, 2)
+    assert sigma == pytest.approx(2.0)
+    assert q == pytest.approx(500.0)
+    sigma, q = media.virtual_core_params(2.0, 5.0, 0.1, 3)
+    assert sigma == pytest.approx(20.0)
+    assert q == pytest.approx(5000.0)
 
 
 def test_layer_conversion_round_trip_and_reference_values():
     rho = 0.01
     # Virtual FSH layer (C=1, delta=0.5): sigma = rho^3, q = 3+2i maps to
     # the physical pair (rho^3, rho^2 (3+2i)); sigma is 2D-conformal.
-    sig_p, q_p = media.layer_physical_from_virtual(rho ** 3, 3 + 2j, rho, 2)
+    sig_p, q_p = media.virtual_core_params(rho ** 3, 3 + 2j, 1 / rho, 2)
     assert sig_p == pytest.approx(rho ** 3)
     assert q_p == pytest.approx(rho ** 2 * (3 + 2j))
     # Virtual FSS layer: (1, 1 + 2.5 rho^-2 i) -> (1, rho^2 (1 + 2.5 rho^-2 i)).
-    sig_p, q_p = media.layer_physical_from_virtual(1.0, 1 + 2.5j / rho ** 2, rho, 2)
+    sig_p, q_p = media.virtual_core_params(1.0, 1 + 2.5j / rho ** 2, 1 / rho, 2)
     assert sig_p == pytest.approx(1.0)
     assert q_p == pytest.approx(rho ** 2 + 2.5j)
     for dim in (2, 3):
-        sig_v, q_v = media.layer_virtual_from_physical(sig_p, q_p, rho, dim)
-        back = media.layer_physical_from_virtual(sig_v, q_v, rho, dim)
+        sig_v, q_v = media.virtual_core_params(sig_p, q_p, rho, dim)
+        back = media.virtual_core_params(sig_v, q_v, 1 / rho, dim)
         assert back[0] == pytest.approx(sig_p)
         assert back[1] == pytest.approx(q_p)
+
+
+def test_virtual_core_params_checks_the_contents():
+    bad = [(0.0, 1.0, 0.1, 2), (-1.0, 1.0, 0.1, 2), (math.nan, 1.0, 0.1, 2),
+           (math.inf, 1.0, 0.1, 3), (1.0, 1.0 - 1e-3j, 0.1, 2),
+           (1.0, complex(math.inf, 0.0), 0.1, 2), (1.0, complex(1.0, math.nan), 0.1, 3),
+           (1.0, 1.0, 0.0, 2), (1.0, 1.0, -0.1, 2), (1.0, 1.0, math.nan, 2),
+           (1.0, 1.0, math.inf, 3), (1.0, 1.0, 0.1, 4)]
+    for sigma, q, rho, dim in bad:
+        with pytest.raises(DomainError):
+            media.virtual_core_params(sigma, q, rho, dim)
+    # Rounding-level negative Im q passes, as it always has.
+    assert media.virtual_core_params(1.0, 1.0 - 1e-16j, 0.1, 2)[1].imag < 0
+    with pytest.raises(RangeError):   # rho^-3 beyond the double range
+        media.virtual_core_params(1.0, 1.0, 1e-200, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +233,6 @@ def test_medium_spec_validation():
     med = MediumSpec(np.diag([0.5, 3.0]), 1.0)
     assert med.sigma_min == pytest.approx(0.5)
     assert med.sigma_max == pytest.approx(3.0)
-    with pytest.raises(DomainError):
-        _ = med.sigma_scalar
 
 
 def test_radial_map_validation():
@@ -265,8 +279,8 @@ def test_sample_cloak_grid_matches_pointwise_pushforward(dim, rho):
     unit = MediumSpec.isotropic(1.0, 1.0, dim)
     for row in rows:
         y = row[:dim]
-        ref = media.push_forward(unit, media.radial_jacobian(
-            spec, media.radial_blowup_inverse(spec, y)))
+        ref = oracles.push_forward(unit, oracles.radial_jacobian(
+            spec, oracles.radial_blowup_inverse(spec, y)))
         f = np.linalg.norm(y)
         tol = 1e-12 + 1e-14 * f / (f - spec.offset)
         assert np.max(np.abs(row[dim:-2] - ref.sigma[iu])) <= tol * np.max(np.abs(ref.sigma))
@@ -279,10 +293,10 @@ def test_cloak_tensor_broadcasts_over_leading_axes():
     y *= rng.uniform(SPEC.r1, SPEC.r2, (4, 5, 1)) / np.linalg.norm(y, axis=-1, keepdims=True)
     sigma, q = media.cloak_tensor(SPEC, y)
     assert sigma.shape == (4, 5, 3, 3) and q.shape == (4, 5)
-    med = media.cloak_medium_at(SPEC, y[2, 3])
+    med = oracles.cloak_medium_at(SPEC, y[2, 3])
     assert np.array_equal(sigma[2, 3], med.sigma) and q[2, 3] == med.q
     y[1, 2] *= 0.5   # one point inside the core rejects the whole batch
     with pytest.raises(DomainError):
         media.cloak_tensor(SPEC, y)
     with pytest.raises(DomainError):
-        media.cloak_medium_at(SPEC, np.array([0.0, 3.5]))
+        oracles.cloak_medium_at(SPEC, np.array([0.0, 3.5]))

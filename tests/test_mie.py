@@ -10,8 +10,10 @@ from scipy import special
 
 from nearcloak import media, mie
 from nearcloak.errors import DomainError, TruncationError
-from nearcloak.media import MediumSpec, virtual_core_params
+from nearcloak.media import virtual_core_params
 from nearcloak.mie import SchemeSpec, WaveParams
+
+import oracles
 
 WAVE2 = WaveParams(2.0, np.array([1.0, 0.0]))
 WAVE3 = WaveParams(2.0, np.array([1.0, 0.0, 0.0]))
@@ -22,7 +24,7 @@ def _wave(dim, k=2.0):
 
 
 def _default_core(dim, rho):
-    return virtual_core_params(MediumSpec.isotropic(1.0, 1.0, dim), rho, dim)
+    return virtual_core_params(1.0, 1.0, rho, dim)
 
 
 def _fit_slope(x, y):
@@ -92,7 +94,7 @@ def test_degenerate_radius_rejected():
 # ---------------------------------------------------------------------------
 def test_layered_homogeneous_limit_scatters_nothing():
     for dim in (2, 3):
-        core = MediumSpec.isotropic(1.0, 1.0, dim)
+        core = (1.0, 1.0)
         sol = mie.coeffs_layered(dim, _wave(dim), 0.3, SchemeSpec.layered(1.0, 1.0), core)
         assert np.max(np.abs(sol.d_n)) <= 1e-12
 
@@ -150,11 +152,11 @@ def test_layered_degenerate_core_branch():
     rho, k = 0.1, 2.0
     j01 = special.jn_zeros(0, 1)[0]
     q_a = (2.0 * j01 / (k * rho)) ** 2
-    core = MediumSpec.isotropic(1.0, q_a, 2)
+    core = (1.0, q_a)
     sol = mie.coeffs_layered(2, WAVE2, rho, SchemeSpec.finite_sound_hard(), core)
     assert sol.branch_flags[0] == "zero-core"
     assert np.all(np.isfinite(sol.d_n))
-    core_eps = MediumSpec.isotropic(1.0, q_a * (1 + 1e-9), 2)
+    core_eps = (1.0, q_a * (1 + 1e-9))
     sol_eps = mie.coeffs_layered(2, WAVE2, rho, SchemeSpec.finite_sound_hard(), core_eps)
     assert sol.d_n[0] == pytest.approx(sol_eps.d_n[0], rel=1e-5)
 
@@ -272,7 +274,7 @@ def test_field_reduces_to_plane_wave_without_scattering(dim):
     sol = mie.solve(SchemeSpec.sound_hard(), dim, _wave(dim), 0.3, n_max=45)
     quiet = replace(sol, d_n=np.zeros_like(sol.d_n))
     for r, th in ((0.7, 0.3), (2.0, 1.9), (5.0, 4.0)):
-        u = mie.field_at(quiet, (r, th))
+        u = oracles.field_at(quiet, (r, th))
         expected = cmath.exp(1j * 2.0 * r * math.cos(th))
         assert u == pytest.approx(expected, rel=1e-11)
 
@@ -303,14 +305,14 @@ def test_field_region_dispatch_and_errors():
     sol = mie.coeffs_layered(2, WAVE2, rho, SchemeSpec.finite_sound_soft(),
                              _default_core(2, rho))
     # interface points use the outer expansion by convention
-    v_auto = mie.field_at(sol, (rho, 0.4))
-    v_ext = mie.field_at(sol, (rho, 0.4), region="exterior")
+    v_auto = oracles.field_at(sol, (rho, 0.4))
+    v_ext = oracles.field_at(sol, (rho, 0.4), region="exterior")
     assert v_auto == v_ext
     sh = mie.coeffs_sound_hard(2, WAVE2, 0.3)
     with pytest.raises(DomainError):
-        mie.field_at(sh, (0.2, 0.0))
+        oracles.field_at(sh, (0.2, 0.0))
     with pytest.raises(DomainError):
-        mie.field_at(sol, (rho, 0.0), region="nowhere")
+        oracles.field_at(sol, (rho, 0.0), region="nowhere")
 
 
 # ---------------------------------------------------------------------------
@@ -405,3 +407,48 @@ def test_scheme_validation():
         SchemeSpec.finite_sound_soft(beta_coeff=0.0)
     with pytest.raises(DomainError):
         SchemeSpec.sound_hard().layer_params(0.1)
+
+
+def test_non_finite_inputs_are_domain_errors():
+    for d in ([math.nan, 0.0], [math.inf, 0.0], [1.0, math.nan, 0.0]):
+        with pytest.raises(DomainError):
+            WaveParams(2.0, np.array(d))
+    for rho in (math.inf, math.nan):
+        for solver in (mie.coeffs_sound_hard, mie.coeffs_sound_soft):
+            with pytest.raises(DomainError):
+                solver(2, WAVE2, rho)
+        with pytest.raises(DomainError):
+            mie.coeffs_layered(2, WAVE2, rho, SchemeSpec.finite_sound_hard(), (1.0, 1.0))
+    with pytest.raises(DomainError):
+        mie.FarFieldPattern(np.array([]), np.array([]), "2d")
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_scheme_constants_must_be_finite(bad):
+    for name in ("c", "delta", "a", "b"):
+        with pytest.raises(DomainError):
+            SchemeSpec.finite_sound_hard(**{name: bad})
+    with pytest.raises(DomainError):
+        SchemeSpec.finite_sound_soft(beta_coeff=bad)
+
+
+def test_layered_lining_and_contents_must_be_passive():
+    for sigma_l, q_l in [(1.0, 1.0 - 0.5j), (-1.0, 1.0), (math.nan, 1.0), (1.0, math.inf)]:
+        with pytest.raises(DomainError):
+            SchemeSpec.layered(sigma_l, q_l)
+    scheme = SchemeSpec.layered(1.0, 1.0 + 0.5j)
+    with pytest.raises(DomainError):
+        mie.coeffs_layered(2, WAVE2, 0.3, scheme, (1.0, 1.0 - 0.5j))
+    for kind in (scheme, SchemeSpec.sound_hard(), SchemeSpec.sound_soft()):
+        with pytest.raises(DomainError):
+            mie.solve(kind, 2, WAVE2, 0.3, (-1.0, 1.0))
+
+
+def test_solve_enters_physical_contents_through_virtual_core_params():
+    rho, contents = 0.05, (2.5, 3.0 + 0.7j)
+    for dim in (2, 3):
+        for scheme in (SchemeSpec.finite_sound_hard(), SchemeSpec.finite_sound_soft()):
+            core = virtual_core_params(*contents, rho, dim)
+            direct = mie.coeffs_layered(dim, _wave(dim), rho, scheme, core)
+            sol = mie.solve(scheme, dim, _wave(dim), rho, contents)
+            assert np.array_equal(sol.d_n, direct.d_n)

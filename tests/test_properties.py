@@ -21,7 +21,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nearcloak import bie, mie, specfun
+from nearcloak.media import virtual_core_params
 from nearcloak.mie import SchemeSpec, WaveParams
+
+import oracles
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -59,11 +62,11 @@ def test_lossless_linings_are_unitary_per_mode(dim, k, rho, kind):
 @SETTINGS
 @given(dim=dims, k=wavenumbers, rho=radii, scheme=lossy_schemes)
 def test_lossy_linings_are_passive_per_mode(dim, k, rho, scheme):
-    core = mie.virtual_core(dim, rho)
+    core = virtual_core_params(1.0, 1.0, rho, dim)
     lw = mie.layer_wavenumbers(scheme, rho, k, core)
     # Beyond the argument guard the solve correctly raises RangeError.
     assume(abs(lw.k_tilde * rho) <= specfun.ARGUMENT_GUARD)
-    sol = mie.solve(scheme, dim, _wave(dim, k), rho, core)
+    sol = mie.solve(scheme, dim, _wave(dim, k), rho, (1.0, 1.0))
     assert np.max(np.abs(_smatrix(sol))) <= 1.0 + 1e-12
 
 
@@ -92,13 +95,29 @@ def _scattered_and_extinction(sol, k):
 @SETTINGS
 @given(dim=dims, k=wavenumbers, rho=radii, scheme=lossy_schemes)
 def test_lossy_linings_scatter_at_most_the_extinction(dim, k, rho, scheme):
-    core = mie.virtual_core(dim, rho)
+    core = virtual_core_params(1.0, 1.0, rho, dim)
     lw = mie.layer_wavenumbers(scheme, rho, k, core)
     assume(abs(lw.k_tilde * rho) <= specfun.ARGUMENT_GUARD)
-    sol = mie.solve(scheme, dim, _wave(dim, k), rho, core)
+    sol = mie.solve(scheme, dim, _wave(dim, k), rho, (1.0, 1.0))
     assert sol.n_max <= 63   # inside the exactness range of both quadratures
     scattered, extinction = _scattered_and_extinction(sol, k)
     assert scattered <= extinction * (1.0 + 1e-8)
+
+
+# ---------------------------------------------------------------------------
+# Cloaked contents under the dilation x -> rho x
+# ---------------------------------------------------------------------------
+@SETTINGS
+@given(dim=dims, rho=radii, sigma=st.floats(math.log(1e-3), math.log(1e3)).map(math.exp),
+       q_re=st.floats(-1e3, 1e3), q_im=st.floats(0.0, 1e3))
+def test_virtual_core_params_is_the_dilation_push_forward(dim, rho, sigma, q_re, q_im):
+    # The generic push-forward with M = rho I and J = rho^dim.
+    q = complex(q_re, q_im)
+    sigma_v, q_v = virtual_core_params(sigma, q, rho, dim)
+    ref = oracles.push_forward(oracles.MediumSpec.isotropic(sigma, q, dim),
+                               oracles.JacobianData(rho * np.eye(dim), rho ** dim))
+    assert np.allclose(ref.sigma, sigma_v * np.eye(dim), rtol=1e-13, atol=0.0)
+    assert abs(ref.q - q_v) <= 1e-13 * abs(q_v)
 
 
 # ---------------------------------------------------------------------------
