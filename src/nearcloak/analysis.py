@@ -100,22 +100,25 @@ def sweep(scheme: SchemeSpec, dim: int, wave: WaveParams,
           model: str | None = None) -> SweepResult:
     """max|A| per rho over the observation grid, with the default fit.
 
-    ``contents`` is the physical-space (sigma', q') of the cloaked region,
-    passed to mie.solve at every rho.  The fit model defaults to
-    power-law for the sound-hard family and inverse-log for the
-    sound-soft family.
+    ``contents`` is the physical-space (sigma', q') of the cloaked region;
+    one mie.solve_many call and one far-field product cover all rho.  The
+    fit model defaults to power-law for the sound-hard family and
+    inverse-log for the sound-soft family.
     """
     rho = np.asarray(sorted(set(float(r) for r in rho_values), reverse=True))
     if rho.size == 0:
         raise InsufficientDataError("empty rho list")
     angles = observation_angles(dim, angle_count)
-    maxima = np.empty(rho.size)
-    for i, r in enumerate(rho):
-        try:
-            sol = mie.solve(scheme, dim, wave, r, contents)
-        except NearCloakError as exc:
-            raise type(exc)(f"solver failed at rho={r:g}: {exc}") from exc
-        maxima[i] = mie.far_field(sol, angles).max_abs
+    try:
+        solutions = mie.solve_many(scheme, dim, wave, rho, contents)
+    except NearCloakError:
+        for r in rho:  # solve one rho at a time to name the largest failing one
+            try:
+                mie.solve(scheme, dim, wave, r, contents)
+            except NearCloakError as exc:
+                raise type(exc)(f"solver failed at rho={r:g}: {exc}") from exc
+        raise
+    maxima = np.abs(mie._far_field_rows(solutions, angles)).max(axis=1)
     if model is None:
         model = "power-law" if scheme.kind in ("sh", "fsh") else "inverse-log"
     result = SweepResult(scheme=scheme, dim=dim, k=wave.k, rho_values=rho,
@@ -185,13 +188,9 @@ def special_angle_suppression(dim: int, wave: WaveParams, rho_values,
     theta_star = SPECIAL_ANGLE_2D if dim == 2 else SPECIAL_ANGLE_3D
     angles = observation_angles(dim, angle_count)
     rho = np.asarray(sorted(set(float(r) for r in rho_values), reverse=True))
-    out = np.empty(rho.size)
-    for i, r in enumerate(rho):
-        sol = mie.coeffs_sound_hard(dim, wave, r)
-        peak = mie.far_field(sol, angles).max_abs
-        star = abs(mie.far_field(sol, np.array([theta_star])).amplitude[0])
-        out[i] = star / peak
-    return out
+    solutions = mie.solve_many(SchemeSpec.sound_hard(), dim, wave, rho)
+    amplitude = np.abs(mie._far_field_rows(solutions, np.append(angles, theta_star)))
+    return amplitude[:, -1] / amplitude[:, :-1].max(axis=1)
 
 
 def near_field_deviation(fsh: ModalSolution, sh: ModalSolution, radius: float,

@@ -98,8 +98,8 @@ class BoundaryCurve:
 
 
 def circle(radius: float, n_points: int = 256) -> BoundaryCurve:
-    if radius <= 0:
-        raise DomainError("circle radius must be positive")
+    if not (math.isfinite(radius) and radius > 0):
+        raise DomainError(f"circle radius must be finite and positive, got {radius}")
 
     def pos(t):
         t = np.asarray(t, dtype=float)

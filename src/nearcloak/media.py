@@ -51,9 +51,9 @@ class RadialMapSpec:
     r2: float
 
     def __post_init__(self):
-        if not (0.0 < self.rho < self.r1 < self.r2):
-            raise DomainError(
-                f"need 0 < rho < R1 < R2, got rho={self.rho}, R1={self.r1}, R2={self.r2}")
+        if not (0.0 < self.rho < self.r1 < self.r2 < math.inf):
+            raise DomainError(f"need finite 0 < rho < R1 < R2, "
+                              f"got rho={self.rho}, R1={self.r1}, R2={self.r2}")
 
     @property
     def slope(self) -> float:

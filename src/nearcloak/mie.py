@@ -34,6 +34,9 @@ J/H magnitudes split as e^{+-Im(kt rho)}; the explicit elimination in
 log-scale form cancels those factors symbolically, so the solver is
 stable down to rho ~ 1e-6.
 
+``solve_many`` runs one elimination on (B, n) arrays padded to the largest
+n_max of its rho values; ``solve`` and ``coeffs_*`` are batches of one.
+
 All solvers are pure functions; modes are independent; returned
 solutions are immutable.
 """
@@ -221,10 +224,6 @@ class FarFieldPattern:
         object.__setattr__(self, "amplitude",
                            np.asarray(self.amplitude, dtype=complex))
 
-    @property
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.amplitude)))
-
 
 # ---------------------------------------------------------------------------
 # Truncation and the per-dimension Bessel families
@@ -247,38 +246,46 @@ def _tail(d: np.ndarray) -> float:
     return float(abs(d[-1])) / peak
 
 
-def _truncated(solve_at, k: float, rho: float, n_max: int | None) -> ModalSolution:
-    """``solve_at(n_max)`` at the given order, or adaptively.
+def _truncated(solve_at, k: float, rho: list[float],
+               n_max: int | None) -> tuple[ModalSolution, ...]:
+    """One solution per rho from ``solve_at(rows, orders)``, which solves
+    the elements ``rows`` each at its own order.  Without an explicit n_max
+    each order grows from default_n_max in steps of 8 (up to N_MAX_CAP,
+    where it raises TruncationError) while the tail of d_n is above
+    TAIL_THRESHOLD; only those elements are solved again."""
+    orders = [min(default_n_max(k, r), N_MAX_CAP) if n_max is None else int(n_max)
+              for r in rho]
+    out, rows = [None] * len(rho), list(range(len(rho)))
+    while rows:
+        for i, solution in zip(rows, solve_at(rows, [orders[i] for i in rows])):
+            if n_max is not None or solution.truncation_tail <= TAIL_THRESHOLD:
+                out[i] = solution
+            elif orders[i] == N_MAX_CAP:
+                raise TruncationError(
+                    f"modal tail {solution.truncation_tail:.3g} is above {TAIL_THRESHOLD:g} "
+                    f"at the order cap n_max = {orders[i]} (k rho = {k * rho[i]:g})")
+            orders[i] = min(orders[i] + 8, N_MAX_CAP)
+        rows = [i for i in rows if out[i] is None]
+    return tuple(out)
 
-    Without an explicit n_max the order grows from default_n_max in steps
-    of 8 until the tail of d_n falls to TAIL_THRESHOLD, clamped at
-    N_MAX_CAP; a tail still above threshold there raises TruncationError.
-    """
-    if n_max is not None:
-        return solve_at(int(n_max))
-    nmax = default_n_max(k, rho)
-    while True:
-        nmax = min(nmax, N_MAX_CAP)
-        solution = solve_at(nmax)
-        if solution.truncation_tail <= TAIL_THRESHOLD:
-            return solution
-        if nmax == N_MAX_CAP:
-            raise TruncationError(
-                f"modal tail {solution.truncation_tail:.3g} is above {TAIL_THRESHOLD:g} "
-                f"at the order cap n_max = {nmax} (k rho = {k * rho:g})")
-        nmax += 8
+
+def _cut(values: ScaledArray, orders: list[int]) -> list[np.ndarray]:
+    """Complex rows of a padded batch, each cut to its orders 0..orders[j];
+    padded orders get mantissa 0 first, so they never raise in to_complex."""
+    if min(orders) < values.shape[-1] - 1:
+        keep = np.arange(values.shape[-1]) <= np.array(orders)[:, None]
+        values = ScaledArray(np.where(keep, values.mantissa, 0.0), values.log_scale)
+    return [row[:n + 1] for row, n in zip(values.to_complex(), orders)]
 
 
-def _family(dim: int, kind: str, nmax: int, z: complex) -> ScaledArray:
-    """Orders 0..nmax+1 of J_n / H_n^(1) (2D) or j_n / h_n^(1) (3D) at z.
-
-    ``kind`` is "j" or "h"; the extra order feeds specfun.derivative_all.
-    """
+def _family(dim: int, kind: str, nmax, z) -> ScaledArray:
+    """Orders 0..nmax (one order, or one per z) of J_n / H_n^(1) (2D) or
+    j_n / h_n^(1) (3D) at each z; ``kind`` is "j" or "h"."""
     if dim == 2:
         fn = specfun.bessel_j_all if kind == "j" else specfun.bessel_h1_all
     else:
         fn = specfun.spherical_j_all if kind == "j" else specfun.spherical_h1_all
-    return fn(nmax + 1, z)
+    return fn(nmax, z)
 
 
 def _phase(dim: int, nmax: int):
@@ -289,29 +296,33 @@ def _phase(dim: int, nmax: int):
 # ---------------------------------------------------------------------------
 # Ideal linings (Dirichlet / Neumann obstacle)
 # ---------------------------------------------------------------------------
-def _check_radius(dim: int, rho: float) -> None:
-    if not (math.isfinite(rho) and rho > 0):
-        raise DomainError(f"rho must be finite and positive, got {rho}")
+def _check_radii(dim: int, rho: list[float]) -> None:
+    for r in rho:
+        if not (math.isfinite(r) and r > 0):
+            raise DomainError(f"rho must be finite and positive, got {r}")
     if dim not in (2, 3):
         raise DomainError(f"dim must be 2 or 3, got {dim}")
 
 
-def _obstacle_coeffs(dim: int, wave: WaveParams, rho: float, neumann: bool,
-                     n_max: int | None) -> ModalSolution:
-    _check_radius(dim, rho)
-    z = complex(wave.k * rho)
+def _obstacle_coeffs(dim: int, wave: WaveParams, rho: list[float], neumann: bool,
+                     n_max: int | None) -> tuple[ModalSolution, ...]:
+    _check_radii(dim, rho)
+    z = wave.k * np.array(rho)
     scheme = SchemeSpec.sound_hard() if neumann else SchemeSpec.sound_soft()
 
-    def solve_at(nmax: int) -> ModalSolution:
-        js = _family(dim, "j", nmax, z)
-        hs = _family(dim, "h", nmax, z)
-        if neumann:
-            num, den = specfun.derivative_all(js, z), specfun.derivative_all(hs, z)
+    def solve_at(rows: list[int], orders: list[int]) -> list[ModalSolution]:
+        nmax, zr, sizes = max(orders), z[rows], [n + 1 for n in orders]
+        js, hs = _family(dim, "j", sizes, zr), _family(dim, "h", sizes, zr)
+        if neumann:  # one derivative call for J rows stacked over H rows
+            both = specfun.derivative_all(ScaledArray.concatenate([js, hs]),
+                                          np.concatenate([zr, zr]))
+            num, den = both[:len(rows)], both[len(rows):]
         else:
-            num, den = js[:-1], hs[:-1]
-        d = (num / den * -_phase(dim, nmax)).to_complex()
-        return ModalSolution(dim=dim, rho=rho, k=wave.k, n_max=nmax, d_n=d,
-                             truncation_tail=_tail(d), scheme=scheme)
+            num, den = js[..., :-1], hs[..., :-1]
+        d = _cut(num / den * -_phase(dim, nmax), orders)
+        return [ModalSolution(dim=dim, rho=rho[i], k=wave.k, n_max=n, d_n=dn,
+                              truncation_tail=_tail(dn), scheme=scheme)
+                for i, n, dn in zip(rows, orders, d)]
 
     return _truncated(solve_at, wave.k, rho, n_max)
 
@@ -319,13 +330,13 @@ def _obstacle_coeffs(dim: int, wave: WaveParams, rho: float, neumann: bool,
 def coeffs_sound_hard(dim: int, wave: WaveParams, rho: float,
                       n_max: int | None = None) -> ModalSolution:
     """Neumann obstacle: d_n = -i^n J_n'(k rho)/H_n^(1)'(k rho) in 2D."""
-    return _obstacle_coeffs(dim, wave, rho, neumann=True, n_max=n_max)
+    return _obstacle_coeffs(dim, wave, [rho], neumann=True, n_max=n_max)[0]
 
 
 def coeffs_sound_soft(dim: int, wave: WaveParams, rho: float,
                       n_max: int | None = None) -> ModalSolution:
     """Dirichlet obstacle: d_n = -i^n J_n(k rho)/H_n^(1)(k rho) in 2D."""
-    return _obstacle_coeffs(dim, wave, rho, neumann=False, n_max=n_max)
+    return _obstacle_coeffs(dim, wave, [rho], neumann=False, n_max=n_max)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -356,40 +367,51 @@ def coeffs_layered(dim: int, wave: WaveParams, rho: float, scheme: SchemeSpec,
     contents.  Modes whose outer elimination loses more than ~14 digits
     to cancellation are flagged in degenerate_modes.
     """
-    _check_radius(dim, rho)
-    lw = layer_wavenumbers(scheme, rho, wave.k, core)
-    zk = complex(wave.k * rho)
-    zt = lw.k_tilde * rho
-    zt2 = 0.5 * lw.k_tilde * rho
-    zc = 0.5 * lw.k2 * rho
-    core_factor = lw.c0 * lw.coupling
+    return _layered_coeffs(dim, wave, [rho], scheme, [core], n_max)[0]
 
-    def solve_at(nmax: int) -> ModalSolution:
-        def with_derivative(kind, z):
-            seq = _family(dim, kind, nmax, z)
-            return seq[:-1], specfun.derivative_all(seq, z)
 
-        jk, djk = with_derivative("j", zk)
-        hk, dhk = with_derivative("h", zk)
-        jt, djt = with_derivative("j", zt)
-        ht, dht = with_derivative("h", zt)
-        jt2, djt2 = with_derivative("j", zt2)
-        ht2, dht2 = with_derivative("h", zt2)
-        jc, djc = with_derivative("j", zc)
+def _layered_coeffs(dim: int, wave: WaveParams, rho: list[float], scheme: SchemeSpec,
+                    cores: list[tuple[float, complex]],
+                    n_max: int | None) -> tuple[ModalSolution, ...]:
+    """coeffs_layered at each rho, with its own virtual core, in one elimination."""
+    _check_radii(dim, rho)
+    layers = [layer_wavenumbers(scheme, r, wave.k, core) for r, core in zip(rho, cores)]
+    k_tilde, k2, c0, coupling = np.array(
+        [(lw.k_tilde, lw.k2, lw.c0, lw.coupling) for lw in layers], dtype=complex).reshape(-1, 4).T
+    r = np.array(rho)
+    zk = wave.k * r
+    zt = k_tilde * r
+    zt2 = 0.5 * k_tilde * r
+    zc = 0.5 * k2 * r
+    core_factor = c0 * coupling
+
+    def solve_at(rows: list[int], orders: list[int]) -> list[ModalSolution]:
+        nmax, size, sizes = max(orders), len(rows), [n + 1 for n in orders]
+        # One call per family and one derivative call for all seven sequences.
+        zj = np.concatenate([zk[rows], zt[rows], zt2[rows], zc[rows]])
+        zh = zj[:3 * size]
+        seq = ScaledArray.concatenate([_family(dim, "j", sizes * 4, zj),
+                                       _family(dim, "h", sizes * 3, zh)])
+        z = np.concatenate([zj, zh])
+        values, derivs = seq[..., :-1], specfun.derivative_all(seq, z)
+        ((jk, djk), (jt, djt), (jt2, djt2), (jc, djc),
+         (hk, dhk), (ht, dht), (ht2, dht2)) = [(values[i:i + size], derivs[i:i + size])
+                                               for i in range(0, z.size, size)]
+        factor = core_factor[rows, None]
 
         # Inner interface: ratio Upsilon_0 = b_n / a_n.  Each branch is
         # evaluated on every mode with the other branch's divisor set to 1.
         zero_core = (jc.abs_log() < math.log(BRANCH_THRESHOLD)
                      + np.maximum(0.0, djc.abs_log()))
         jc_div = ScaledArray.where(zero_core, 1.0, jc)
-        djc_div = ScaledArray.where(zero_core, djc, 1.0) * core_factor
-        f = djc / jc_div * core_factor
+        djc_div = ScaledArray.where(zero_core, djc, 1.0) * factor
+        f = djc / jc_div * factor
         ups = ScaledArray.where(zero_core, -(jt2 / ht2),
                                 -(djt2 - f * jt2) / (dht2 - f * ht2))
 
         # Outer interface: impedance quotient and exterior coefficient.
         q_den = jt + ups * ht
-        w = (djt + ups * dht) / q_den / lw.c0
+        w = (djt + ups * dht) / q_den / c0[rows, None]
         wh = w * hk
         den = dhk - wh
         cancel = np.maximum(dhk.abs_log(), wh.abs_log()) - den.abs_log()
@@ -403,18 +425,37 @@ def coeffs_layered(dim: int, wave: WaveParams, rho: float, scheme: SchemeSpec,
         c = ScaledArray.where(zero_core, (a * djt2 + b * dht2) / djc_div,
                               (a * jt2 + b * ht2) / jc_div)
 
-        d = d_sv.to_complex()
-        return ModalSolution(
-            dim=dim, rho=rho, k=wave.k, n_max=nmax, d_n=d,
-            a_n=a.to_complex(), b_n=b.to_complex(), c_n=c.to_complex(),
-            truncation_tail=_tail(d), scheme=scheme,
-            layer=replace(lw, upsilon0_branch="mixed" if zero_core.any() else "nonzero-core"),
-            h_quotient=w.to_complex(),
-            branch_flags=tuple(np.where(zero_core, "zero-core", "nonzero-core").tolist()),
-            degenerate_modes=tuple(np.flatnonzero(degenerate).tolist()),
-            _a_sv=a, _b_sv=b, _c_sv=c)
+        cut = _cut(ScaledArray.concatenate([d_sv, a, b, c, w]), orders * 5)
+        d, a_n, b_n, c_n, quotient = (cut[i:i + size] for i in range(0, 5 * size, size))
+        out = []
+        for j, (i, n) in enumerate(zip(rows, orders)):
+            mode = (j, slice(n + 1))
+            flags = tuple(np.where(zero_core[mode], "zero-core", "nonzero-core").tolist())
+            branch = "mixed" if "zero-core" in flags else "nonzero-core"
+            out.append(ModalSolution(
+                dim=dim, rho=rho[i], k=wave.k, n_max=n, d_n=d[j], a_n=a_n[j], b_n=b_n[j],
+                c_n=c_n[j], truncation_tail=_tail(d[j]), scheme=scheme, h_quotient=quotient[j],
+                layer=replace(layers[i], upsilon0_branch=branch), branch_flags=flags,
+                degenerate_modes=tuple(np.flatnonzero(degenerate[mode]).tolist()),
+                _a_sv=a[mode], _b_sv=b[mode], _c_sv=c[mode]))
+        return out
 
     return _truncated(solve_at, wave.k, rho, n_max)
+
+
+def solve_many(scheme: SchemeSpec, dim: int, wave: WaveParams, rho_values,
+               contents: tuple[float, complex] = (1.0, 1.0),
+               n_max: int | None = None) -> tuple[ModalSolution, ...]:
+    """``solve`` at every rho of ``rho_values``, as one batched elimination.
+
+    Each element gets the n_max that ``solve`` picks for it, and equals its
+    per-rho solve while the batch's n_max stays below its Miller start
+    (specfun._all)."""
+    rho = [float(r) for r in rho_values]
+    cores = [virtual_core_params(*contents, r, dim) for r in rho]
+    if scheme.kind in ("sh", "ss"):
+        return _obstacle_coeffs(dim, wave, rho, scheme.kind == "sh", n_max)
+    return _layered_coeffs(dim, wave, rho, scheme, cores, n_max)
 
 
 def solve(scheme: SchemeSpec, dim: int, wave: WaveParams, rho: float,
@@ -426,12 +467,7 @@ def solve(scheme: SchemeSpec, dim: int, wave: WaveParams, rho: float,
     region.  Every scheme checks it; the layered ones solve with its
     virtual-space image, virtual_core_params(sigma', q', rho, dim).
     """
-    core = virtual_core_params(*contents, rho, dim)
-    if scheme.kind == "sh":
-        return coeffs_sound_hard(dim, wave, rho, n_max=n_max)
-    if scheme.kind == "ss":
-        return coeffs_sound_soft(dim, wave, rho, n_max=n_max)
-    return coeffs_layered(dim, wave, rho, scheme, core, n_max=n_max)
+    return solve_many(scheme, dim, wave, [rho], contents, n_max)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -445,18 +481,34 @@ def far_field(solution: ModalSolution, angles: np.ndarray) -> FarFieldPattern:
     3D: A(theta) = (-i/k) sum_n (2n+1) d_n P_n(cos theta).
     """
     angles = np.asarray(angles, dtype=float)
-    k = solution.k
-    n = np.arange(solution.n_max + 1)
-    if solution.dim == 2:
-        eps = np.where(n == 0, 1.0, 2.0)
-        coef = eps * solution.d_n * (-1j) ** n
-        basis = np.cos(np.outer(n, angles))
-        amp = math.sqrt(2.0 / (math.pi * k)) * cmath.exp(-1j * math.pi / 4) * (coef @ basis)
-        return FarFieldPattern(angles, amp, "2d")
-    pn = specfun.legendre_p_table(solution.n_max, np.cos(angles))
-    coef = (2 * n + 1) * solution.d_n
-    amp = (-1j / k) * (coef @ pn)
-    return FarFieldPattern(angles, amp, "3d")
+    return FarFieldPattern(angles, _amplitude(solution.dim, solution.k, solution.d_n, angles),
+                           f"{solution.dim}d")
+
+
+def _far_field_rows(solutions, angles: np.ndarray) -> np.ndarray:
+    """far_field amplitudes of solutions sharing dim and k, one row each,
+    from their d_n rows zero-padded into one (B, n) array."""
+    d = np.zeros((len(solutions), max(s.n_max for s in solutions) + 1), dtype=complex)
+    for row, s in zip(d, solutions):
+        row[:s.n_max + 1] = s.d_n
+    return _amplitude(solutions[0].dim, solutions[0].k, d, angles)
+
+
+def _amplitude(dim: int, k: float, d: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """The far_field formula for coefficients d_n along the last axis of d."""
+    if dim == 2:
+        return (math.sqrt(2.0 / (math.pi * k)) * cmath.exp(-1j * math.pi / 4)
+                * _angular_sum(2, d * (-1j) ** np.arange(d.shape[-1]), angles))
+    return (-1j / k) * _angular_sum(3, d, angles)
+
+
+def _angular_sum(dim: int, coef: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """sum_n eps_n coef_n cos(n theta) in 2D (eps_0 = 1, eps_n = 2), or
+    sum_n (2n+1) coef_n P_n(cos theta) in 3D, per row of coef."""
+    n = np.arange(coef.shape[-1])
+    if dim == 2:
+        return (np.where(n == 0, 1.0, 2.0) * coef) @ np.cos(np.outer(n, angles))
+    return ((2 * n + 1) * coef) @ specfun.legendre_p_table(n.size - 1, np.cos(angles))
 
 
 def leading_asymptotic(dim: int, wave: WaveParams, rho: float,
@@ -502,7 +554,7 @@ def _radial_sums(solution: ModalSolution, region: str, r: float,
     nmax, dim = solution.n_max, solution.dim
 
     def radial(kind, z):
-        seq = _family(dim, kind, nmax, z)
+        seq = _family(dim, kind, nmax + 1, z)
         return specfun.derivative_all(seq, z) if derivative else seq[:-1]
 
     if region == "exterior":
@@ -547,12 +599,9 @@ def field_on_circle(solution: ModalSolution, r: float, thetas: np.ndarray,
     if scattered_only and region != "exterior":
         raise DomainError("scattered_only applies to the exterior region")
     radial = _radial_sums(solution, region, r, scattered_only, radial_derivative)
-    n = np.arange(solution.n_max + 1)
-    if solution.dim == 2:
-        eps = np.where(n == 0, 1.0, 2.0)
-        return (eps * radial) @ np.cos(np.outer(n, thetas))
-    pn = specfun.legendre_p_table(solution.n_max, np.cos(thetas))
-    return ((2 * n + 1) * (1j ** n) * radial) @ pn
+    if solution.dim == 3:
+        radial = 1j ** np.arange(solution.n_max + 1) * radial
+    return _angular_sum(solution.dim, radial, thetas)
 
 
 def scattered_cauchy_data(solution: ModalSolution, radius: float,

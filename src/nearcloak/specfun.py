@@ -5,11 +5,14 @@ imaginary part reaches into the hundreds, where J_n(z) grows like
 e^{|Im z|} and H_n^(1)(z) decays like e^{-Im z}.  Every value here is
 therefore held in log-scaled form, ``mantissa * exp(log_scale)``, by
 the one scaled type :class:`ScaledArray` (an ndarray of mantissas and an
-ndarray of log scales): a sequence of orders 0..nmax is a 1-d one,
-indexing it with an integer gives a 0-d one, and :func:`scaled` builds
-one of any shape from plain numbers.  The layer algebra downstream
-cancels the exponentials symbolically by adding and subtracting log
-scales, so raw unscaled values are never formed for large |Im z|.
+ndarray of log scales): a sequence of orders 0..nmax is a 1-d one, a
+batch of sequences a 2-d one, and :func:`scaled` builds one of any shape
+from plain numbers.  The layer algebra downstream cancels the
+exponentials symbolically by adding and subtracting log scales, so raw
+unscaled values are never formed for large |Im z|.
+
+The ``*_all`` functions take a scalar z or a 1-d array of B arguments and
+return orders along the last axis: shape (nmax+1,) or (B, nmax+1).
 
 Algorithms
 ----------
@@ -33,7 +36,7 @@ admissible z.
 * Both Hankel families reach Im z < 0 through the reflection
   h(z) = 2 j(z) - conj(h(conj z)).
 * derivatives: B_n'(z) = (n/z) B_n(z) - B_{n+1}(z), valid for both the
-  cylindrical and the spherical families.
+  cylindrical and the spherical families, along the last axis.
 * Legendre P_n: Bonnet recurrence.
 
 Guards: the order must satisfy n <= ORDER_MAX (200) and the argument
@@ -96,8 +99,8 @@ class ScaledArray:
     shape, with every nonzero mantissa normalised to |m| = 1 (a zero
     element may carry any scale).  Arithmetic is elementwise; the right
     operand is a ScaledArray, and for ``*`` and ``/`` also a plain number
-    or ndarray (scale 0).  Indexing returns a ScaledArray: an integer
-    index gives a 0-d one (shape ``()``), a slice a 1-d one.
+    or ndarray (scale 0).  Indexing works as for ndarrays and returns a
+    ScaledArray (an integer index into a 1-d one gives shape ``()``).
     """
 
     __slots__ = ("mantissa", "log_scale")
@@ -110,9 +113,6 @@ class ScaledArray:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.mantissa.shape
-
-    def __len__(self) -> int:
-        return len(self.mantissa)
 
     def __getitem__(self, index) -> "ScaledArray":
         return ScaledArray(self.mantissa[index], self.log_scale[index])
@@ -137,6 +137,12 @@ class ScaledArray:
 
     def conjugate(self) -> "ScaledArray":
         return ScaledArray(self.mantissa.conjugate(), self.log_scale)
+
+    @staticmethod
+    def concatenate(arrays) -> "ScaledArray":
+        """Join scaled arrays along the first axis, like numpy.concatenate."""
+        return ScaledArray(np.concatenate([a.mantissa for a in arrays]),
+                           np.concatenate([a.log_scale for a in arrays]))
 
     @staticmethod
     def where(mask, a, b) -> "ScaledArray":
@@ -265,38 +271,39 @@ def _recurrence(z: complex, nu: float, f0: complex, f1: complex,
     return np.array(vals[:n]), logs
 
 
-def _miller(nmax: int, z: complex, nu: float) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalised minimal solution, indexed by order, from well above nmax."""
+def _miller(nmax: int, z: complex, nu: float, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalised minimal solution, indexed by order, from well above nmax and top."""
     x = abs(z)
-    start = nmax + 20 + int(x + 16.0 * x ** (1.0 / 3.0))
+    start = max(nmax + 20 + int(x + 16.0 * x ** (1.0 / 3.0)), top)
     # The seed scale drops out in the normalisation.
     vals, logs = _recurrence(z, nu, 0j, 1e-280 + 0j, range(start + 1, -1, -1))
     return vals[::-1], logs[::-1]
 
 
-def _impulse(nmax: int) -> ScaledArray:
-    """Orders 0..nmax of J_n(0) = j_n(0) = delta_{n0}."""
-    return ScaledArray(np.eye(1, nmax + 1, dtype=complex)[0], np.zeros(nmax + 1))
+def _impulse(top: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orders 0..top of J_n(0) = j_n(0) = delta_{n0}."""
+    return np.eye(1, top + 1, dtype=complex)[0], np.zeros(top + 1)
 
 
 # ---------------------------------------------------------------------------
 # Cylindrical J_n
 # ---------------------------------------------------------------------------
-def _bessel_j(nmax: int, z: complex) -> ScaledArray:
-    """J_0(z) .. J_nmax(z)."""
+def _bessel_j(nmax: int, top: int, z: complex) -> tuple[np.ndarray, np.ndarray]:
+    """J_0(z) .. J_top(z), unnormalised, with the Miller start for nmax."""
     if z == 0:
-        return _impulse(nmax)
+        return _impulse(top)
     if z.imag < 0:
-        return _bessel_j(nmax, z.conjugate()).conjugate()
-    vals, logs = _miller(nmax, z, 0.0)
+        vals, logs = _bessel_j(nmax, top, z.conjugate())
+        return vals.conjugate(), logs
+    vals, logs = _miller(nmax, z, 0.0, top)
     # True J_m = F_m e^{-iz} / S with F_m = vals[m] e^{logs[m]} and
     # S = F_0 + 2 sum_{m>=1} (-i)^m F_m; logs[0] is the largest scale.
     terms = vals * np.exp(logs - logs[0])
     s = 2.0 * np.dot(_MINUS_I_POW[np.arange(len(terms)) & 3], terms) - terms[0]
     if s == 0:
         raise RangeError("Miller normalisation sum vanished")
-    return scaled(vals[:nmax + 1] * (cmath.exp(-1j * z.real) / s),
-                  logs[:nmax + 1] + (z.imag - logs[0]))
+    return (vals[:top + 1] * (cmath.exp(-1j * z.real) / s),
+            logs[:top + 1] + (z.imag - logs[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +422,7 @@ def _h01_base(z: complex) -> tuple[complex, complex, float]:
     # J_0 H_0' - J_0' H_0 = 2i/(pi z), with J_0, J_1 from Miller.  Here
     # |z| < 12.5, so J_0, J_1 <= e^12.5 need no scaling.
     l0 = _h1_logderiv_cf(z)
-    j0, j1 = _bessel_j(1, z).to_complex().tolist()
+    j0, j1 = scaled(*_bessel_j(1, 1, z)).to_complex().tolist()
     denom = j0 * l0 + j1  # J_0 L_0 - J_0',  J_0' = -J_1
     if denom == 0:
         raise RangeError("degenerate Wronskian solve for H base values")
@@ -426,24 +433,23 @@ def _h01_base(z: complex) -> tuple[complex, complex, float]:
 # ---------------------------------------------------------------------------
 # Spherical j_n and both Hankel families
 # ---------------------------------------------------------------------------
-def _spherical_j(nmax: int, z: complex) -> ScaledArray:
-    """j_0(z) .. j_nmax(z)."""
+def _spherical_j(nmax: int, top: int, z: complex) -> tuple[np.ndarray, np.ndarray]:
+    """j_0(z) .. j_top(z), unnormalised, with the Miller start for nmax."""
     if z == 0:
-        return _impulse(nmax)
+        return _impulse(top)
     sin, cos, scale = _sin_cos(z)
     refs = (sin / z, sin / (z * z) - cos / z)  # j_0, j_1 at log scale ``scale``
-    vals, logs = _miller(max(nmax, 1), z, 0.5)
+    vals, logs = _miller(max(nmax, 1), z, 0.5, top)
     # Normalise against whichever anchor is larger (j_0 can sit at a zero,
     # but not for |z| < 1, where the j_1 closed form cancels to noise).
     p = 0 if abs(z) < 1 or abs(refs[0]) >= abs(refs[1]) else 1
     if vals[p] == 0:
         raise RangeError("spherical Miller recurrence lost the anchor order")
-    return scaled(vals[:nmax + 1] * (refs[p] / vals[p]),
-                  logs[:nmax + 1] + (scale - logs[p]))
+    return vals[:top + 1] * (refs[p] / vals[p]), logs[:top + 1] + (scale - logs[p])
 
 
-def _hankel(nmax: int, z: complex, spherical: bool) -> ScaledArray:
-    """H_0^(1) .. H_nmax^(1), or h_0^(1) .. h_nmax^(1) when ``spherical``."""
+def _hankel(nmax: int, top: int, z: complex, spherical: bool) -> tuple[np.ndarray, np.ndarray]:
+    """H_0^(1) .. H_top^(1), or h_0^(1) .. h_top^(1) when ``spherical``."""
     if z == 0:
         raise SingularArgumentError(
             f"{'spherical h_n' if spherical else 'H_n'}^(1) is singular at z = 0")
@@ -451,8 +457,9 @@ def _hankel(nmax: int, z: complex, spherical: bool) -> ScaledArray:
         # Reflection keeps every ingredient on its stable side: Miller j at
         # z and the upper-half-plane sequence at the conjugate point (the
         # upward recurrence can pass through a magnitude dip below the axis).
-        js = _spherical_j(nmax, z) if spherical else _bessel_j(nmax, z)
-        return js * 2.0 - _hankel(nmax, z.conjugate(), spherical).conjugate()
+        js = scaled(*(_spherical_j if spherical else _bessel_j)(nmax, top, z))
+        h = js * 2.0 - scaled(*_hankel(nmax, top, z.conjugate(), spherical)).conjugate()
+        return h.mantissa, h.log_scale
     if spherical:
         phase = cmath.exp(1j * z.real)
         h0 = -1j * phase / z
@@ -461,50 +468,67 @@ def _hankel(nmax: int, z: complex, spherical: bool) -> ScaledArray:
     else:
         h0, h1, base_log = _h01_base(z)
     nu = 0.5 if spherical else 0.0
-    return scaled(*_recurrence(z, nu, h0, h1, range(nmax + 1), base_log))
+    return _recurrence(z, nu, h0, h1, range(top + 1), base_log)
 
 
 # ---------------------------------------------------------------------------
-# Batch API (orders 0..nmax at a fixed argument)
+# Batch API (orders 0..nmax at each of a batch of arguments)
 # ---------------------------------------------------------------------------
-def bessel_j_all(nmax: int, z: complex) -> ScaledArray:
-    """J_0(z) .. J_nmax(z)."""
-    _check_order(nmax)
-    return _bessel_j(nmax, _check_argument(z))
+def _all(row, nmax, z, *args) -> ScaledArray:
+    """Orders 0..max(nmax) of ``row`` at each z, with one order nmax or one per z.
 
-
-def bessel_h1_all(nmax: int, z: complex) -> ScaledArray:
-    """H_0^(1)(z) .. H_nmax^(1)(z).  Raises on z = 0."""
-    _check_order(nmax)
-    return _hankel(nmax, _check_argument(z), spherical=False)
-
-
-def spherical_j_all(nmax: int, z: complex) -> ScaledArray:
-    """j_0(z) .. j_nmax(z)."""
-    _check_order(nmax)
-    return _spherical_j(nmax, _check_argument(z))
-
-
-def spherical_h1_all(nmax: int, z: complex) -> ScaledArray:
-    """h_0^(1)(z) .. h_nmax^(1)(z).  Raises on z = 0."""
-    _check_order(nmax)
-    return _hankel(nmax, _check_argument(z), spherical=True)
-
-
-def derivative_all(values: ScaledArray, z: complex) -> ScaledArray:
-    """Derivatives of a Bessel-family sequence via B_n' = (n/z)B_n - B_{n+1}.
-
-    ``values`` must hold orders 0..M; the result holds orders 0..M-1.
-    The same recurrence covers the cylindrical and spherical families.
+    The recurrence runs one z at a time and one scaled() normalises all
+    rows.  A row's Miller start follows its own order (or the top order,
+    once that lies beyond it), so orders 0..nmax[i] equal a call at nmax[i].
     """
-    z = complex(z)
-    if len(values) < 2:
+    z = np.asarray(z, dtype=complex)
+    orders = list(nmax) if isinstance(nmax, (list, tuple, np.ndarray)) else [nmax] * z.size
+    for n in orders:
+        _check_order(n)
+    top = max(orders, default=0)
+    rows = [row(n, top, _check_argument(x), *args)
+            for n, x in zip(orders, z.ravel().tolist(), strict=True)]
+    shape = z.shape + (top + 1,)
+    return scaled(np.array([m for m, _ in rows]).reshape(shape),
+                  np.array([s for _, s in rows]).reshape(shape))
+
+
+def bessel_j_all(nmax, z) -> ScaledArray:
+    """J_0(z) .. J_nmax(z) along the last axis, for a scalar z or a 1-d batch."""
+    return _all(_bessel_j, nmax, z)
+
+
+def bessel_h1_all(nmax, z) -> ScaledArray:
+    """H_0^(1)(z) .. H_nmax^(1)(z) along the last axis.  Raises on z = 0."""
+    return _all(_hankel, nmax, z, False)
+
+
+def spherical_j_all(nmax, z) -> ScaledArray:
+    """j_0(z) .. j_nmax(z) along the last axis."""
+    return _all(_spherical_j, nmax, z)
+
+
+def spherical_h1_all(nmax, z) -> ScaledArray:
+    """h_0^(1)(z) .. h_nmax^(1)(z) along the last axis.  Raises on z = 0."""
+    return _all(_hankel, nmax, z, True)
+
+
+def derivative_all(values: ScaledArray, z) -> ScaledArray:
+    """Derivatives of Bessel-family sequences via B_n' = (n/z)B_n - B_{n+1}.
+
+    ``values`` holds orders 0..M along its last axis, at z (a scalar, or
+    one argument per row); the result holds orders 0..M-1.  The same
+    recurrence covers the cylindrical and spherical families.
+    """
+    z = np.asarray(z, dtype=complex)[..., None]
+    size = values.shape[-1]
+    if size < 2:
         raise RangeError("need at least orders 0 and 1 to differentiate")
-    if z == 0:
-        if len(values) > 2:
+    if np.count_nonzero(z) < z.size:
+        if size > 2:
             raise SingularArgumentError("derivative recurrence needs z != 0 for n >= 1")
-        return -values[1:]
-    return values[:-1] * (np.arange(len(values) - 1) / z) - values[1:]
+        return -values[..., 1:]  # B_0' = -B_1 holds at z = 0 too
+    return values[..., :-1] * (np.arange(size - 1) / z) - values[..., 1:]
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,20 @@ def test_sweep_error_annotated_with_rho():
         sweep(SchemeSpec.sound_hard(), 2, WAVE2, [8.0e4, 4.0e4, 2.0e4])
 
 
+@pytest.mark.parametrize("scheme", ["sh", "fsh"])
+@pytest.mark.parametrize("dim, wave", [(2, WAVE2), (3, WAVE3)], ids=["2d", "3d"])
+@pytest.mark.parametrize("rhos, message", [
+    ([0.5, 1e-60], "solver failed at rho=1e-60: |z| = 2e-60 is below the floor 1e-50"),
+    ([2e4, 1.0, 1e-60], "solver failed at rho=20000: |z| = 4e+04 exceeds the guard 20000"),
+], ids=["floor", "guard-before-floor"])
+def test_batched_sweep_error_names_the_largest_failing_rho(scheme, dim, wave, rhos, message):
+    # The whole grid is one batched solve; its error must still name the
+    # largest rho that fails on its own, with the solver's error type.
+    with pytest.raises(RangeError) as info:
+        sweep(SchemeSpec(scheme), dim, wave, rhos)
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # Special angles and near field
 # ---------------------------------------------------------------------------

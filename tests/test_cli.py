@@ -231,6 +231,16 @@ def test_non_finite_or_too_few_inputs_are_domain_errors(tmp_path, capsys, args):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("args", [
+    ["media", "--r2", "inf"], ["bie", "--radius", "nan"], ["bie", "--radius", "inf"],
+], ids="_".join)
+def test_non_finite_radii_are_domain_errors_without_warnings(tmp_path, capsys, args):
+    assert run(args + ["--out", "x.csv"], tmp_path) == cli.EXIT_INVALID_PARAMETER
+    assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "DomainError"
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("scheme", ["ss", "sh", "fss", "fsh"])
 @pytest.mark.parametrize("flags", [["--core-sigma", "-1"], ["--core-sigma", "nan"],
                                    ["--core-q-im", "-1"], ["--core-q-re", "inf"]],
@@ -258,6 +268,8 @@ GOLDEN_CASES = [
                           "--cells", "8"]),
     ("golden_bie_kite.csv", ["bie", "--curve", "kite", "--k", "2",
                              "--n-points", "64", "--angles", "8"]),
+    ("golden_compare_fsh_sh_3d.csv", ["compare", "--scheme-a", "fsh", "--scheme-b", "sh",
+                                      "--dim", "3", "--k", "2", "--rho-count", "12"]),
 ]
 
 

@@ -240,6 +240,9 @@ def test_radial_map_validation():
         RadialMapSpec(2.5, 2.0, 3.0)
     with pytest.raises(DomainError):
         RadialMapSpec(0.5, 3.0, 2.0)
+    for bad in ((0.5, 2.0, math.inf), (math.nan, 2.0, 3.0), (0.5, math.nan, 3.0)):
+        with pytest.raises(DomainError):
+            RadialMapSpec(*bad)
 
 
 def test_sample_cloak_grid_shell_only():

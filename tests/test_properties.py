@@ -174,6 +174,36 @@ def test_bie_far_field_is_rotation_invariant(amps, phases, k, alpha):
     assert np.max(np.abs(a0 - a1)) <= 1e-12 * np.max(np.abs(a0))
 
 
+def _assert_rows_close(got, expected, tol=1e-13):
+    if expected is None:
+        assert got is None
+        return
+    assert got.shape == expected.shape
+    assert np.max(np.abs(got - expected), initial=0.0) <= tol * np.max(np.abs(expected))
+
+
+@SETTINGS
+@given(dim=dims, k=wavenumbers, kind=st.sampled_from(["ss", "sh", "fss", "fsh"]),
+       large=st.floats(0.25, 0.5), small=st.lists(radii, min_size=1, max_size=5))
+def test_batched_solve_equals_per_rho_solves(dim, k, kind, large, small):
+    # A rho near 0.5 and one near 1e-6 need different n_max, so the batch
+    # is padded; the grid is unsorted on purpose.
+    rhos = small + [large]
+    scheme, wave = SchemeSpec(kind), _wave(dim, k)
+    batch = mie.solve_many(scheme, dim, wave, rhos)
+    singles = [mie.solve(scheme, dim, wave, rho) for rho in rhos]
+    assume(len({sol.n_max for sol in singles}) > 1)
+    assert len(batch) == len(rhos)
+    for got, expected in zip(batch, singles):
+        assert got.rho == expected.rho
+        assert got.n_max == expected.n_max
+        assert got.branch_flags == expected.branch_flags
+        assert got.degenerate_modes == expected.degenerate_modes
+        assert got.truncation_tail == expected.truncation_tail
+        for name in ("d_n", "a_n", "b_n", "c_n"):
+            _assert_rows_close(getattr(got, name), getattr(expected, name))
+
+
 # ---------------------------------------------------------------------------
 # Scaled arrays against an element-wise mpmath oracle
 # ---------------------------------------------------------------------------

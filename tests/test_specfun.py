@@ -359,3 +359,34 @@ def test_spherical_derivatives_closed_forms():
     d = sf.derivative_all(sf.spherical_h1_all(1, z), z)[0].to_complex()
     h1 = -cmath.exp(1j * z) * (1.0 / z + 1j / z ** 2)
     assert abs(d + h1) < 1e-13 * abs(h1)  # h_0' = -h_1
+
+
+# ---------------------------------------------------------------------------
+# Batches of arguments
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("family", [sf.bessel_j_all, sf.bessel_h1_all,
+                                    sf.spherical_j_all, sf.spherical_h1_all],
+                         ids=lambda f: f.__name__)
+def test_batch_rows_equal_calls_at_their_own_order(family):
+    zs = np.array([0.02, 1.5 + 0.5j, 40.0, 3.0 - 2.0j, 600.0 + 900.0j])
+    orders = [9, 30, 12, 20, 25]
+    batch = family(orders, zs)
+    assert batch.shape == (zs.size, max(orders) + 1)
+    derivs = sf.derivative_all(batch, zs)
+    for row, (n, z) in enumerate(zip(orders, zs)):
+        alone = family(n, z)
+        assert np.array_equal(batch.mantissa[row, :n + 1], alone.mantissa)
+        assert np.array_equal(batch.log_scale[row, :n + 1], alone.log_scale)
+        deriv = sf.derivative_all(alone, z)
+        assert np.array_equal(derivs.mantissa[row, :n], deriv.mantissa)
+    # One order for all arguments: each row is the scalar call.
+    same = family(12, zs)
+    for row, z in enumerate(zs):
+        assert np.array_equal(same[row].mantissa, family(12, z).mantissa)
+
+
+def test_batch_guards_apply_to_every_argument():
+    with pytest.raises(RangeError, match="below the floor"):
+        sf.bessel_j_all(3, np.array([1.0, 1e-60]))
+    with pytest.raises(SingularArgumentError):
+        sf.derivative_all(sf.bessel_j_all(3, np.array([1.0, 0.0])), np.array([1.0, 0.0]))
