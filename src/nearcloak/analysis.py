@@ -241,18 +241,26 @@ def sweep_summary(result: SweepResult) -> dict:
         "k": result.k,
         "angle_count": result.angle_count,
         "model": result.model,
-        "exponent": result.fitted_exponent,
-        "residual": result.fit_residual,
+        # JSON has no NaN: a sweep too short to fit writes null.
+        "exponent": _finite_or_none(result.fitted_exponent),
+        "residual": _finite_or_none(result.fit_residual),
         "rho_values": [float(r) for r in result.rho_values],
         "max_amplitude": [float(a) for a in result.max_amplitude],
     }
 
 
+def _finite_or_none(x: float) -> float | None:
+    return float(x) if math.isfinite(x) else None
+
+
 def write_json(path, obj) -> None:
-    """Write ``obj`` as indented JSON with sorted keys and a final newline."""
+    """Write ``obj`` as indented JSON with sorted keys and a final newline.
+
+    A non-finite float raises ValueError before the file is opened, as
+    strict JSON cannot hold it."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_sweep_json(result: SweepResult, path) -> None:

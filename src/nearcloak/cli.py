@@ -312,6 +312,8 @@ def main(argv=None) -> int:
     if dump:
         try:
             analysis.write_json(dump, {"command": args.command, **params})
+        except ValueError as exc:  # a non-finite flag has no JSON form
+            return _fail(EXIT_INVALID_PARAMETER, type(exc).__name__, str(exc))
         except OSError as exc:
             return _fail(EXIT_UNWRITABLE_OUTPUT, type(exc).__name__, str(exc))
 

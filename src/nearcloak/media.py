@@ -51,8 +51,9 @@ class RadialMapSpec:
     r2: float
 
     def __post_init__(self):
-        if not (0.0 < self.rho < self.r1 < self.r2 < math.inf):
-            raise DomainError(f"need finite 0 < rho < R1 < R2, "
+        # 3 R2^2 bounds the squared radius of every grid cell (sample_cloak_grid).
+        if not (0.0 < self.rho < self.r1 < self.r2 and 3.0 * self.r2 * self.r2 < math.inf):
+            raise DomainError(f"need 0 < rho < R1 < R2 with 3 R2^2 finite, "
                               f"got rho={self.rho}, R1={self.r1}, R2={self.r2}")
 
     @property

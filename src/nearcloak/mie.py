@@ -16,17 +16,21 @@ theta is the angle between the observation direction and the incident
 direction.  The layer carries wavenumber k_tilde = k sqrt(q_l/sigma_l),
 branch fixed so Im k_tilde >= 0, and the core k_2 = k sqrt(q_a/sigma_a).
 
-The transmission system per mode is solved by explicit elimination:
-first the layer reflection ratio Upsilon_0 = b_n/a_n from the inner
-interface, then the impedance-like quotient
+The transmission system per mode is solved by explicit elimination.
+The inner interface gives the layer ratio Upsilon_0 = b_n/a_n, multiplied
+through by J_c = J_n(k_2 rho/2) so that it holds at zeros of J_c too
+(J, H at kt rho/2; F = sqrt(sigma_a q_a)/sqrt(sigma_l q_l)):
+
+    ch = H' J_c - F J_c' H,      Upsilon_0 = -(J' J_c - F J_c' J) / ch;
+
+then the impedance-like quotient
 
     W = (1/C_0) (J_n'(kt rho) + Upsilon_0 H_n'(kt rho))
               / (J_n(kt rho)  + Upsilon_0 H_n(kt rho)),
 
-then d_n from the outer interface, with C_0 = 1/sqrt(sigma_l q_l).
-When J_n(k_2 rho/2) vanishes (to the branch threshold) the inner
-elimination switches to the degenerate form
-Upsilon_0 = -J_n(kt rho/2)/H_n^(1)(kt rho/2).
+then d_n from the outer interface, with C_0 = 1/sqrt(sigma_l q_l).  The
+core coefficient c_n = a_n Wr(kt rho/2) / ch uses the layer's Wronskian
+Wr = J H' - J' H (2i/(pi z) in 2D, i/z^2 in 3D), not a cancelling sum.
 
 Everything runs in scaled-mantissa arithmetic (see specfun): for the
 finite sound-hard layer, Im(kt rho) grows like rho^{-delta} and the
@@ -45,7 +49,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,9 +60,6 @@ from .specfun import ScaledArray
 
 TAIL_THRESHOLD = 1e-14
 DEGENERATE_CONDITION = 1e14
-
-# Switch to the degenerate inner-interface branch below this level.
-BRANCH_THRESHOLD = 1e-12
 
 _I_POW = np.array([1.0, 1.0j, -1.0, -1.0j])  # i^n for n mod 4
 
@@ -161,7 +162,6 @@ class LayerWavenumbers:
     k2: complex
     c0: complex
     coupling: complex
-    upsilon0_branch: str = "nonzero-core"
 
 
 @dataclass(frozen=True)
@@ -171,10 +171,10 @@ class ModalSolution:
     d_n are the exterior scattering coefficients (2D convention includes
     the i^n factor; the 3D entries are the axisymmetric reflection
     coefficients multiplying (2n+1) i^n h_n P_n).  For transmission
-    solves a_n/b_n (layer) and c_n (core) are also populated; their
-    public complex arrays may underflow to zero for extreme layer decay,
-    in which case the scaled copies kept privately still carry the full
-    values for field evaluation.
+    solves a_n/b_n (layer) and c_n (core) are also populated, as
+    ScaledArrays: they span far more than the double range once the layer
+    is lossy.  branch_flags is always None: the inner interface has one
+    formula, and the field stays only because bench/spans.py reads it.
     """
 
     dim: int
@@ -182,18 +182,14 @@ class ModalSolution:
     k: float
     n_max: int
     d_n: np.ndarray
-    a_n: np.ndarray | None = None
-    b_n: np.ndarray | None = None
-    c_n: np.ndarray | None = None
+    a_n: ScaledArray | None = None
+    b_n: ScaledArray | None = None
+    c_n: ScaledArray | None = None
     truncation_tail: float = 0.0
     scheme: SchemeSpec | None = None
     layer: LayerWavenumbers | None = None
-    h_quotient: np.ndarray | None = None
     branch_flags: tuple[str, ...] | None = None
     degenerate_modes: tuple[int, ...] = ()
-    _a_sv: ScaledArray | None = field(default=None, repr=False)
-    _b_sv: ScaledArray | None = field(default=None, repr=False)
-    _c_sv: ScaledArray | None = field(default=None, repr=False)
 
     @property
     def is_layered(self) -> bool:
@@ -399,15 +395,9 @@ def _layered_coeffs(dim: int, wave: WaveParams, rho: list[float], scheme: Scheme
                                                for i in range(0, z.size, size)]
         factor = core_factor[rows, None]
 
-        # Inner interface: ratio Upsilon_0 = b_n / a_n.  Each branch is
-        # evaluated on every mode with the other branch's divisor set to 1.
-        zero_core = (jc.abs_log() < math.log(BRANCH_THRESHOLD)
-                     + np.maximum(0.0, djc.abs_log()))
-        jc_div = ScaledArray.where(zero_core, 1.0, jc)
-        djc_div = ScaledArray.where(zero_core, djc, 1.0) * factor
-        f = djc / jc_div * factor
-        ups = ScaledArray.where(zero_core, -(jt2 / ht2),
-                                -(djt2 - f * jt2) / (dht2 - f * ht2))
+        # Inner interface: Upsilon_0 = b_n / a_n, cross-multiplied by J_n(zc).
+        ch = dht2 * jc - djc * ht2 * factor
+        ups = -(djt2 * jc - djc * jt2 * factor) / ch
 
         # Outer interface: impedance quotient and exterior coefficient.
         q_den = jt + ups * ht
@@ -422,23 +412,14 @@ def _layered_coeffs(dim: int, wave: WaveParams, rho: list[float], scheme: Scheme
 
         a = (jk * phase + d_sv * hk) / q_den
         b = ups * a
-        c = ScaledArray.where(zero_core, (a * djt2 + b * dht2) / djc_div,
-                              (a * jt2 + b * ht2) / jc_div)
+        z2 = zt2[rows, None]  # core coefficient from the layer's Wronskian at z2
+        c = a * (2j / (math.pi * z2) if dim == 2 else 1j / (z2 * z2)) / ch
 
-        cut = _cut(ScaledArray.concatenate([d_sv, a, b, c, w]), orders * 5)
-        d, a_n, b_n, c_n, quotient = (cut[i:i + size] for i in range(0, 5 * size, size))
-        out = []
-        for j, (i, n) in enumerate(zip(rows, orders)):
-            mode = (j, slice(n + 1))
-            flags = tuple(np.where(zero_core[mode], "zero-core", "nonzero-core").tolist())
-            branch = "mixed" if "zero-core" in flags else "nonzero-core"
-            out.append(ModalSolution(
-                dim=dim, rho=rho[i], k=wave.k, n_max=n, d_n=d[j], a_n=a_n[j], b_n=b_n[j],
-                c_n=c_n[j], truncation_tail=_tail(d[j]), scheme=scheme, h_quotient=quotient[j],
-                layer=replace(layers[i], upsilon0_branch=branch), branch_flags=flags,
-                degenerate_modes=tuple(np.flatnonzero(degenerate[mode]).tolist()),
-                _a_sv=a[mode], _b_sv=b[mode], _c_sv=c[mode]))
-        return out
+        return [ModalSolution(
+            dim=dim, rho=rho[i], k=wave.k, n_max=n, d_n=dn, a_n=a[j, :n + 1], b_n=b[j, :n + 1],
+            c_n=c[j, :n + 1], truncation_tail=_tail(dn), scheme=scheme, layer=layers[i],
+            degenerate_modes=tuple(np.flatnonzero(degenerate[j, :n + 1]).tolist()))
+            for j, (i, n, dn) in enumerate(zip(rows, orders, _cut(d_sv, orders)))]
 
     return _truncated(solve_at, wave.k, rho, n_max)
 
@@ -569,13 +550,13 @@ def _radial_sums(solution: ModalSolution, region: str, r: float,
     lw = solution.layer
     if region == "layer":
         z = lw.k_tilde * r
-        sv = solution._a_sv * radial("j", z) + solution._b_sv * radial("h", z)
+        sv = solution.a_n * radial("j", z) + solution.b_n * radial("h", z)
         return (lw.k_tilde if derivative else 1.0) * sv.to_complex()
     if region == "core":
         z = lw.k2 * r
         if derivative and z == 0:
             raise DomainError("radial derivative undefined at the origin")
-        sv = solution._c_sv * radial("j", z)
+        sv = solution.c_n * radial("j", z)
         return (lw.k2 if derivative else 1.0) * sv.to_complex()
     raise DomainError(f"unknown region {region!r}")
 

@@ -23,15 +23,14 @@ common factor), downward for J/j and upward for H/h, with the working pair
 rescaled on the fly so no intermediate overflow occurs for any
 admissible z.
 
-* J_n: Miller backward recurrence, normalised against the identity
-  ``J_0(z) + 2 sum_{m>=1} (-i)^m J_m(z) = exp(-iz)`` for Im z >= 0
+* J_n and spherical j_n: one Miller backward recurrence, normalised
+  against the plane-wave sum ``sum_m w_m (-i)^m f_m(z) = exp(-iz)`` for
+  Im z >= 0, with w_m = 1, 2, 2, ... for J and w_m = 2m + 1 for j
   (conjugate reflection below the real axis).  Upward recurrence is
-  unstable for J and is not used.
+  unstable for J and j and is not used.
 * H_n^(1): orders 0 and 1 from the power series with the log term split
   off (|z| < 12.5) or from the large-argument Hankel expansion
   (|z| >= 12.5), then stable upward recurrence.
-* spherical j_n: Miller backward recurrence normalised against the
-  closed forms j_0 = sin(z)/z, j_1 = sin(z)/z^2 - cos(z)/z.
 * spherical h_n^(1): closed forms for orders 0 and 1, upward recurrence.
 * Both Hankel families reach Im z < 0 through the reflection
   h(z) = 2 j(z) - conj(h(conj z)).
@@ -43,7 +42,7 @@ Guards: the order must satisfy n <= ORDER_MAX (200) and the argument
 ARGUMENT_FLOOR (1e-50) <= |z| <= ARGUMENT_GUARD (2e4) or z = 0; beyond
 these a :class:`RangeError` is raised.  Below the floor the closed forms
 and the recurrence coefficients 2(m + nu)/z overflow or underflow (z**2
-in j_1 underflows to 0 below ~1e-154), so results would be non-finite.
+in h_1 underflows to 0 below ~1e-154), so results would be non-finite.
 Within the guard, arguments with |Im z| in the thousands are handled
 through the log scale -- e^{|Im z|} itself is never formed.
 
@@ -59,6 +58,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from itertools import accumulate
 
 import numpy as np
 
@@ -197,24 +197,6 @@ def scaled(mantissa, log_scale) -> ScaledArray:
     return ScaledArray(mantissa / a, logs)
 
 
-def _sin_cos(z: complex) -> tuple[complex, complex, float]:
-    """sin z and cos z as mantissas at one common log scale.
-
-    The scale is 0 for |Im z| <= 30 and |Im z| beyond, where both grow
-    like e^{|Im z|}/2.
-    """
-    if abs(z.imag) <= 30.0:
-        return cmath.sin(z), cmath.cos(z), 0.0
-    if z.imag < 0:
-        s, c, scale = _sin_cos(z.conjugate())
-        return s.conjugate(), c.conjugate(), scale
-    # sin z = (i/2) e^{-iz} (1 - e^{2iz}), cos z = (1/2) e^{-iz} (1 + e^{2iz});
-    # |e^{2iz}| = e^{-2 Im z} << 1
-    e = cmath.exp(2j * z) if z.imag < 350.0 else 0.0
-    half = 0.5 * cmath.exp(-1j * z.real)
-    return 1j * half * (1.0 - e), half * (1.0 + e), z.imag
-
-
 # ---------------------------------------------------------------------------
 # Argument validation
 # ---------------------------------------------------------------------------
@@ -247,10 +229,12 @@ def _recurrence(z: complex, nu: float, f0: complex, f1: complex,
     are the values at its first two orders, both at log scale ``shift``.
     Returns (values, log scales) at every order of ``orders``, in its
     order.  The working pair is renormalised whenever it exceeds
-    _RESCALE_AT; values already stored keep their own scale.
+    _RESCALE_AT; values already stored keep their own scale.  A downward
+    run, whose overall scale drops out, ignores ``shift`` and ends at scale
+    0, so its last orders differ in scale by short sums of rescale factors.
     """
     vals = [f0, f1]
-    rescaled = [(0, shift)]  # (first index, scale) of each stretch
+    starts, steps = [0], [shift]  # first index and scale increment of each stretch
     fp, fc = f0, f1
     two_over_z = 2.0 / z
     for m in orders[1:-1]:
@@ -261,49 +245,48 @@ def _recurrence(z: complex, nu: float, f0: complex, f1: complex,
             r = math.exp(-la)
             fc *= r
             fp *= r
-            shift += la
-            rescaled.append((len(vals), shift))
+            starts.append(len(vals))
+            steps.append(la)
         vals.append(fc)
+    # A downward run sums its steps back from its end, which sits at scale 0.
+    scales = (accumulate(steps) if orders.step > 0
+              else reversed(list(accumulate([0.0] + [-la for la in steps[:0:-1]]))))
     n = len(orders)
     logs = np.empty(n)
-    for i, scale in rescaled:
+    for i, scale in zip(starts, scales):
         logs[i:] = scale
     return np.array(vals[:n]), logs
 
 
-def _miller(nmax: int, z: complex, nu: float, top: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalised minimal solution, indexed by order, from well above nmax and top."""
+# ---------------------------------------------------------------------------
+# J_n and spherical j_n
+# ---------------------------------------------------------------------------
+def _bessel_j(nmax: int, top: int, z: complex, nu: float) -> tuple[np.ndarray, np.ndarray]:
+    """Orders 0..top of J_n (nu = 0) or j_n (nu = 1/2) at z, unnormalised, by
+    Miller's backward recurrence from well above nmax and top."""
+    if z == 0:  # J_n(0) = j_n(0) = delta_{n0}
+        return np.eye(1, top + 1, dtype=complex)[0], np.zeros(top + 1)
+    if z.imag < 0:
+        vals, logs = _bessel_j(nmax, top, z.conjugate(), nu)
+        return vals.conjugate(), logs
     x = abs(z)
     start = max(nmax + 20 + int(x + 16.0 * x ** (1.0 / 3.0)), top)
-    # The seed scale drops out in the normalisation.
-    vals, logs = _recurrence(z, nu, 0j, 1e-280 + 0j, range(start + 1, -1, -1))
-    return vals[::-1], logs[::-1]
-
-
-def _impulse(top: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orders 0..top of J_n(0) = j_n(0) = delta_{n0}."""
-    return np.eye(1, top + 1, dtype=complex)[0], np.zeros(top + 1)
-
-
-# ---------------------------------------------------------------------------
-# Cylindrical J_n
-# ---------------------------------------------------------------------------
-def _bessel_j(nmax: int, top: int, z: complex) -> tuple[np.ndarray, np.ndarray]:
-    """J_0(z) .. J_top(z), unnormalised, with the Miller start for nmax."""
-    if z == 0:
-        return _impulse(top)
-    if z.imag < 0:
-        vals, logs = _bessel_j(nmax, top, z.conjugate())
-        return vals.conjugate(), logs
-    vals, logs = _miller(nmax, z, 0.0, top)
-    # True J_m = F_m e^{-iz} / S with F_m = vals[m] e^{logs[m]} and
-    # S = F_0 + 2 sum_{m>=1} (-i)^m F_m; logs[0] is the largest scale.
-    terms = vals * np.exp(logs - logs[0])
-    s = 2.0 * np.dot(_MINUS_I_POW[np.arange(len(terms)) & 3], terms) - terms[0]
+    # The seed scale drops out in the normalisation.  A seed near 1 keeps the
+    # stored values from about 1 upward, so dividing by S cannot underflow;
+    # the binary mantissa of 1e-280 gives the same roundings as that seed.
+    vals, logs = _recurrence(z, nu, 0j, complex(math.frexp(1e-280)[0]),
+                             range(start + 1, -1, -1))
+    vals, logs = vals[::-1], logs[::-1]
+    # True f_m = F_m e^{-iz} / S with F_m = vals[m] e^{logs[m]} and the
+    # plane-wave sum S = sum_m w_m (-i)^m F_m, w_m = 1, 2, 2, ... for J and
+    # 2m + 1 for j; logs[0] = 0 is the largest scale.
+    m = np.arange(len(vals))
+    terms = vals * np.exp(logs)
+    s = (np.dot(_MINUS_I_POW[m & 3], (2.0 * m + 1.0) * terms) if nu
+         else 2.0 * np.dot(_MINUS_I_POW[m & 3], terms) - terms[0])
     if s == 0:
         raise RangeError("Miller normalisation sum vanished")
-    return (vals[:top + 1] * (cmath.exp(-1j * z.real) / s),
-            logs[:top + 1] + (z.imag - logs[0]))
+    return vals[:top + 1] * (cmath.exp(-1j * z.real) / s), logs[:top + 1] + z.imag
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +405,7 @@ def _h01_base(z: complex) -> tuple[complex, complex, float]:
     # J_0 H_0' - J_0' H_0 = 2i/(pi z), with J_0, J_1 from Miller.  Here
     # |z| < 12.5, so J_0, J_1 <= e^12.5 need no scaling.
     l0 = _h1_logderiv_cf(z)
-    j0, j1 = scaled(*_bessel_j(1, 1, z)).to_complex().tolist()
+    j0, j1 = scaled(*_bessel_j(1, 1, z, 0.0)).to_complex().tolist()
     denom = j0 * l0 + j1  # J_0 L_0 - J_0',  J_0' = -J_1
     if denom == 0:
         raise RangeError("degenerate Wronskian solve for H base values")
@@ -431,33 +414,19 @@ def _h01_base(z: complex) -> tuple[complex, complex, float]:
 
 
 # ---------------------------------------------------------------------------
-# Spherical j_n and both Hankel families
+# Both Hankel families
 # ---------------------------------------------------------------------------
-def _spherical_j(nmax: int, top: int, z: complex) -> tuple[np.ndarray, np.ndarray]:
-    """j_0(z) .. j_top(z), unnormalised, with the Miller start for nmax."""
-    if z == 0:
-        return _impulse(top)
-    sin, cos, scale = _sin_cos(z)
-    refs = (sin / z, sin / (z * z) - cos / z)  # j_0, j_1 at log scale ``scale``
-    vals, logs = _miller(max(nmax, 1), z, 0.5, top)
-    # Normalise against whichever anchor is larger (j_0 can sit at a zero,
-    # but not for |z| < 1, where the j_1 closed form cancels to noise).
-    p = 0 if abs(z) < 1 or abs(refs[0]) >= abs(refs[1]) else 1
-    if vals[p] == 0:
-        raise RangeError("spherical Miller recurrence lost the anchor order")
-    return vals[:top + 1] * (refs[p] / vals[p]), logs[:top + 1] + (scale - logs[p])
-
-
 def _hankel(nmax: int, top: int, z: complex, spherical: bool) -> tuple[np.ndarray, np.ndarray]:
     """H_0^(1) .. H_top^(1), or h_0^(1) .. h_top^(1) when ``spherical``."""
     if z == 0:
         raise SingularArgumentError(
             f"{'spherical h_n' if spherical else 'H_n'}^(1) is singular at z = 0")
+    nu = 0.5 if spherical else 0.0
     if z.imag < 0:
         # Reflection keeps every ingredient on its stable side: Miller j at
         # z and the upper-half-plane sequence at the conjugate point (the
         # upward recurrence can pass through a magnitude dip below the axis).
-        js = scaled(*(_spherical_j if spherical else _bessel_j)(nmax, top, z))
+        js = scaled(*_bessel_j(nmax, top, z, nu))
         h = js * 2.0 - scaled(*_hankel(nmax, top, z.conjugate(), spherical)).conjugate()
         return h.mantissa, h.log_scale
     if spherical:
@@ -467,7 +436,6 @@ def _hankel(nmax: int, top: int, z: complex, spherical: bool) -> tuple[np.ndarra
         base_log = -z.imag
     else:
         h0, h1, base_log = _h01_base(z)
-    nu = 0.5 if spherical else 0.0
     return _recurrence(z, nu, h0, h1, range(top + 1), base_log)
 
 
@@ -495,7 +463,7 @@ def _all(row, nmax, z, *args) -> ScaledArray:
 
 def bessel_j_all(nmax, z) -> ScaledArray:
     """J_0(z) .. J_nmax(z) along the last axis, for a scalar z or a 1-d batch."""
-    return _all(_bessel_j, nmax, z)
+    return _all(_bessel_j, nmax, z, 0.0)
 
 
 def bessel_h1_all(nmax, z) -> ScaledArray:
@@ -505,7 +473,7 @@ def bessel_h1_all(nmax, z) -> ScaledArray:
 
 def spherical_j_all(nmax, z) -> ScaledArray:
     """j_0(z) .. j_nmax(z) along the last axis."""
-    return _all(_spherical_j, nmax, z)
+    return _all(_bessel_j, nmax, z, 0.5)
 
 
 def spherical_h1_all(nmax, z) -> ScaledArray:

@@ -234,11 +234,34 @@ def test_non_finite_or_too_few_inputs_are_domain_errors(tmp_path, capsys, args):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("args", [
     ["media", "--r2", "inf"], ["bie", "--radius", "nan"], ["bie", "--radius", "inf"],
+    # finite, but the squared radius of a grid cell overflows
+    ["media", "--r2", "1e308"], ["media", "--r2", "1e154", "--dim", "3"],
 ], ids="_".join)
 def test_non_finite_radii_are_domain_errors_without_warnings(tmp_path, capsys, args):
     assert run(args + ["--out", "x.csv"], tmp_path) == cli.EXIT_INVALID_PARAMETER
     assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "DomainError"
     assert not (tmp_path / "x.csv").exists()
+
+
+def _strict_json(path):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(Path(path).read_text(), parse_constant=reject)
+
+
+def test_short_sweep_writes_strict_json_without_a_fit(tmp_path):
+    assert run(["sweep", "--rho-count", "2", "--out", "s.csv", "--json-out", "s.json"],
+               tmp_path) == 0
+    payload = _strict_json(tmp_path / "s.json")
+    assert payload["exponent"] is None and payload["residual"] is None
+    assert len(payload["max_amplitude"]) == 2
+
+
+def test_dump_config_of_non_finite_flag_writes_nothing(tmp_path, capsys):
+    args = ["mie", "--k", "inf", "--out", "x.csv", "--dump-config", "cfg.json"]
+    assert run(args, tmp_path) == cli.EXIT_INVALID_PARAMETER
+    assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "ValueError"
+    assert not (tmp_path / "cfg.json").exists() and not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize("scheme", ["ss", "sh", "fss", "fsh"])

@@ -4,6 +4,7 @@ import cmath
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special
@@ -77,7 +78,7 @@ def test_ss_3d_small_argument_d0():
 
 def test_ss_3d_d0_at_tiny_argument():
     # k rho = 2e-40: the closed form of j_1 cancels to noise here, so the
-    # spherical Miller sequence must be normalised against j_0.
+    # spherical Miller sequence must not be normalised against it.
     z = 2e-40
     sol = mie.coeffs_sound_soft(3, WAVE3, z / 2.0)
     expected = -(cmath.sin(z) / z) / (-1j * cmath.exp(1j * z) / z)
@@ -116,12 +117,13 @@ def test_fsh_wavenumber_branch_and_diagnostics():
     sol = mie.coeffs_layered(2, WAVE2, rho, SchemeSpec.finite_sound_hard(),
                              _default_core(2, rho))
     assert sol.layer.k_tilde.imag > 0
-    assert sol.layer.upsilon0_branch == "nonzero-core"
-    assert sol.branch_flags[0] == "nonzero-core"
-    assert sol.h_quotient is not None
-    # the impedance quotient tends to -i/C0 = -i sqrt(sigma_l q_l)
-    expected = -1j / sol.layer.c0
-    assert sol.h_quotient[0] == pytest.approx(expected, rel=0.2)
+    assert sol.branch_flags is None
+    # the impedance quotient, the exterior log-derivative of mode 0 at rho,
+    # tends to -i/C0 = -i sqrt(sigma_l q_l)
+    x = WAVE2.k * rho
+    quotient = ((-special.jv(1, x) - sol.d_n[0] * special.hankel1(1, x))
+                / (special.jv(0, x) + sol.d_n[0] * special.hankel1(0, x)))
+    assert quotient == pytest.approx(-1j / sol.layer.c0, rel=0.2)
     assert sol.degenerate_modes == ()
 
 
@@ -147,18 +149,61 @@ def test_fss_coefficients_approach_sound_soft():
 
 def test_layered_degenerate_core_branch():
     # Core tuned so k2 rho/2 hits the first zero of J_0: the inner
-    # elimination must switch branch and stay continuous in the core
-    # parameters.
+    # elimination must stay finite and continuous in the core parameters.
     rho, k = 0.1, 2.0
     j01 = special.jn_zeros(0, 1)[0]
     q_a = (2.0 * j01 / (k * rho)) ** 2
     core = (1.0, q_a)
     sol = mie.coeffs_layered(2, WAVE2, rho, SchemeSpec.finite_sound_hard(), core)
-    assert sol.branch_flags[0] == "zero-core"
     assert np.all(np.isfinite(sol.d_n))
     core_eps = (1.0, q_a * (1 + 1e-9))
     sol_eps = mie.coeffs_layered(2, WAVE2, rho, SchemeSpec.finite_sound_hard(), core_eps)
     assert sol.d_n[0] == pytest.approx(sol_eps.d_n[0], rel=1e-5)
+
+
+def _interface_solve(dim, k, rho, layer, core, n):
+    """(d_n, c_n) of mode n from the four interface conditions, solved in
+    50-digit mpmath: continuity of u and sigma du/dr at rho and rho/2."""
+    with mpmath.workdps(50):
+        def bessel(kind, z):  # orders n and n + 1 of J/H (2D) or j/h (3D)
+            f = mpmath.besselj if kind == "j" else mpmath.hankel1
+            s = 1 if dim == 2 else mpmath.sqrt(mpmath.pi / (2 * z))
+            nu = 0 if dim == 2 else mpmath.mpf(1) / 2
+            return s * f(n + nu, z), s * f(n + 1 + nu, z)
+
+        def value_and_flux(kind, wavenumber, sigma, r):
+            z = wavenumber * r
+            f0, f1 = bessel(kind, z)
+            return f0, sigma * wavenumber * (n / z * f0 - f1)
+
+        k, rho = mpmath.mpf(k), mpmath.mpf(rho)
+        (s_l, q_l), (s_a, q_a) = [(mpmath.mpf(s), mpmath.mpc(q)) for s, q in (layer, core)]
+        kt, k2 = k * mpmath.sqrt(q_l / s_l), k * mpmath.sqrt(q_a / s_a)
+        phase = 1j ** n if dim == 2 else 1
+        jk, hk = value_and_flux("j", k, 1, rho), value_and_flux("h", k, 1, rho)
+        jt, ht = value_and_flux("j", kt, s_l, rho), value_and_flux("h", kt, s_l, rho)
+        jt2, ht2 = value_and_flux("j", kt, s_l, rho / 2), value_and_flux("h", kt, s_l, rho / 2)
+        jc = value_and_flux("j", k2, s_a, rho / 2)
+        # unknowns (d, a, b, c)
+        m = mpmath.matrix([[hk[0], -jt[0], -ht[0], 0], [hk[1], -jt[1], -ht[1], 0],
+                           [0, jt2[0], ht2[0], -jc[0]], [0, jt2[1], ht2[1], -jc[1]]])
+        x = mpmath.lu_solve(m, mpmath.matrix([-phase * jk[0], -phase * jk[1], 0, 0]))
+        return complex(x[0]), complex(x[3])
+
+
+@pytest.mark.parametrize("dim, rho, core", [
+    (2, 1e-3, None), (3, 1e-3, None),
+    (2, 0.1, (1.0, (2.0 * special.jn_zeros(0, 1)[0] / (2.0 * 0.1)) ** 2)),  # J_0(k2 rho/2) = 0
+])
+def test_layered_coefficients_match_multiprecision_interface_solve(dim, rho, core):
+    scheme = SchemeSpec.finite_sound_hard()
+    core = core or _default_core(dim, rho)
+    sol = mie.coeffs_layered(dim, _wave(dim), rho, scheme, core)
+    c_n = sol.c_n.to_complex()
+    for n in range(3):
+        d, c = _interface_solve(dim, 2.0, rho, scheme.layer_params(rho), core, n)
+        assert abs(sol.d_n[n] - d) <= 1e-12 * abs(d)
+        assert abs(c_n[n] - c) <= 1e-12 * abs(c)
 
 
 def test_modal_solution_invariants():
@@ -166,8 +211,8 @@ def test_modal_solution_invariants():
     sol = mie.coeffs_layered(2, WAVE2, rho, SchemeSpec.finite_sound_hard(),
                              _default_core(2, rho))
     n = sol.n_max + 1
-    assert len(sol.d_n) == len(sol.a_n) == len(sol.b_n) == len(sol.c_n) == n
-    assert len(sol.branch_flags) == n
+    assert sol.d_n.shape == sol.a_n.shape == sol.b_n.shape == sol.c_n.shape == (n,)
+    assert sol.branch_flags is None
     assert sol.truncation_tail <= 1e-14
 
 
