@@ -33,32 +33,43 @@ EXIT_INVALID_PARAMETER = 3
 EXIT_UNWRITABLE_OUTPUT = 4
 EXIT_INTERNAL = 5
 
-# Defaults of the flags that _add_scheme_params adds, shared by mie, sweep
-# and compare.
+# Every parameter is declared once, here: build_parser adds one flag per key
+# (--<key with _ as ->), typed by its default (str where the default is
+# None).  The scheme key(s) come first, so the flags keep their order.
 _SCHEME_DEFAULTS = {
-    "dim": 2, "k": 2.0, "angles": 100, "fsh_c": 1.0, "fsh_delta": 0.5,
-    "fsh_a": 3.0, "fsh_b": 2.0, "fss_beta": 2.5, "core_sigma": 1.0,
+    "dim": 2, "k": 2.0, "angles": analysis.DEFAULT_ANGLE_COUNT,
+    "fsh_c": mie.SchemeSpec.fsh_c, "fsh_delta": mie.SchemeSpec.fsh_delta,
+    "fsh_a": mie.SchemeSpec.fsh_a, "fsh_b": mie.SchemeSpec.fsh_b,
+    "fss_beta": mie.SchemeSpec.fss_beta_coeff, "core_sigma": 1.0,
     "core_q_re": 1.0, "core_q_im": 0.0,
 }
 _RHO_GRID_DEFAULTS = {"rho_start": 0.5, "rho_factor": 0.5, "rho_count": 7}
 
 _DEFAULTS = {
-    "mie": {**_SCHEME_DEFAULTS, "scheme": "sh", "rho": 0.5, "incident_angle": 0.0,
+    "mie": {"scheme": "sh", **_SCHEME_DEFAULTS, "rho": 0.5, "incident_angle": 0.0,
             "out": "farfield.csv"},
-    "sweep": {**_SCHEME_DEFAULTS, **_RHO_GRID_DEFAULTS, "scheme": "sh", "model": "auto",
+    "sweep": {"scheme": "sh", **_SCHEME_DEFAULTS, **_RHO_GRID_DEFAULTS, "model": "auto",
               "out": "sweep.csv", "json_out": None},
-    "compare": {**_SCHEME_DEFAULTS, **_RHO_GRID_DEFAULTS, "scheme_a": "fsh",
-                "scheme_b": "sh", "out": "compare.csv"},
-    "bie": {
-        "curve": "circle", "radius": 0.5, "k": 2.0, "incident_angle": 0.0,
-        "n_points": 256, "angles": 100, "out": "bie_farfield.csv",
-    },
-    "media": {
-        "rho": 0.5, "r1": 2.0, "r2": 3.0, "dim": 2, "cells": 40,
-        "out": "media_grid.csv",
-    },
+    "compare": {"scheme_a": "fsh", "scheme_b": "sh", **_SCHEME_DEFAULTS,
+                **_RHO_GRID_DEFAULTS, "out": "compare.csv"},
+    "bie": {"curve": "circle", "radius": 0.5, "k": 2.0, "incident_angle": 0.0, "n_points": 256,
+            "angles": analysis.DEFAULT_ANGLE_COUNT, "out": "bie_farfield.csv"},
+    "media": {"rho": 0.5, "r1": 2.0, "r2": 3.0, "dim": 2, "cells": 40, "out": "media_grid.csv"},
 }
 
+_SCHEMES = ["ss", "sh", "fss", "fsh"]
+_CHOICES = {
+    "scheme": _SCHEMES, "scheme_a": _SCHEMES, "scheme_b": _SCHEMES, "dim": [2, 3],
+    "model": ["auto", "power-law", "inverse-log"], "curve": ["circle", "kite"],
+}
+
+_HELP = {
+    "mie": "far-field pattern of one modal solve",
+    "sweep": "rho sweep of max|A| with decay fit",
+    "compare": "per-rho difference of two schemes",
+    "bie": "boundary-integral far field",
+    "media": "sample the cloak tensor on a grid",
+}
 
 # Types a --config value may take, by the type of its default (never bool).
 _CONFIG_TYPES = {int: (int,), float: (int, float), str: (str,), type(None): (str, type(None))}
@@ -67,89 +78,28 @@ _CONFIG_TYPES = {int: (int,), float: (int, float), str: (str,), type(None): (str
 # ---------------------------------------------------------------------------
 # Parser construction
 # ---------------------------------------------------------------------------
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON file with parameter overrides")
-    parser.add_argument("--dump-config", dest="dump_config",
-                        help="write the resolved parameters as JSON, then run")
-
-
-def _add_scheme_params(parser: argparse.ArgumentParser, *names: str) -> None:
-    for name in names:
-        parser.add_argument(f"--{name}", choices=["ss", "sh", "fss", "fsh"])
-    parser.add_argument("--dim", type=int, choices=[2, 3])
-    parser.add_argument("--k", type=float)
-    parser.add_argument("--angles", type=int, help="observation angle count")
-    parser.add_argument("--fsh-c", dest="fsh_c", type=float)
-    parser.add_argument("--fsh-delta", dest="fsh_delta", type=float)
-    parser.add_argument("--fsh-a", dest="fsh_a", type=float)
-    parser.add_argument("--fsh-b", dest="fsh_b", type=float)
-    parser.add_argument("--fss-beta", dest="fss_beta", type=float)
-    parser.add_argument("--core-sigma", dest="core_sigma", type=float,
-                        help="physical-space core sigma'")
-    parser.add_argument("--core-q-re", dest="core_q_re", type=float)
-    parser.add_argument("--core-q-im", dest="core_q_im", type=float)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nearcloak",
         description="Near-cloaking scattering experiments (modal and "
                     "boundary-integral solvers).")
     sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("mie", help="far-field pattern of one modal solve")
-    _add_scheme_params(p, "scheme")
-    p.add_argument("--rho", type=float)
-    p.add_argument("--incident-angle", dest="incident_angle", type=float)
-    p.add_argument("--out")
-    _add_common(p)
-
-    p = sub.add_parser("sweep", help="rho sweep of max|A| with decay fit")
-    _add_scheme_params(p, "scheme")
-    p.add_argument("--rho-start", dest="rho_start", type=float)
-    p.add_argument("--rho-factor", dest="rho_factor", type=float)
-    p.add_argument("--rho-count", dest="rho_count", type=int)
-    p.add_argument("--model", choices=["auto", "power-law", "inverse-log"])
-    p.add_argument("--out")
-    p.add_argument("--json-out", dest="json_out")
-    _add_common(p)
-
-    p = sub.add_parser("compare", help="per-rho difference of two schemes")
-    _add_scheme_params(p, "scheme-a", "scheme-b")
-    p.add_argument("--rho-start", dest="rho_start", type=float)
-    p.add_argument("--rho-factor", dest="rho_factor", type=float)
-    p.add_argument("--rho-count", dest="rho_count", type=int)
-    p.add_argument("--out")
-    _add_common(p)
-
-    p = sub.add_parser("bie", help="boundary-integral far field")
-    p.add_argument("--curve", choices=["circle", "kite"])
-    p.add_argument("--radius", type=float)
-    p.add_argument("--k", type=float)
-    p.add_argument("--incident-angle", dest="incident_angle", type=float)
-    p.add_argument("--n-points", dest="n_points", type=int)
-    p.add_argument("--angles", type=int)
-    p.add_argument("--out")
-    _add_common(p)
-
-    p = sub.add_parser("media", help="sample the cloak tensor on a grid")
-    p.add_argument("--rho", type=float)
-    p.add_argument("--r1", type=float)
-    p.add_argument("--r2", type=float)
-    p.add_argument("--dim", type=int, choices=[2, 3])
-    p.add_argument("--cells", type=int)
-    p.add_argument("--out")
-    _add_common(p)
-
+    for command, defaults in _DEFAULTS.items():
+        p = sub.add_parser(command, help=_HELP[command])
+        for key, default in defaults.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, choices=_CHOICES.get(key),
+                           type=str if default is None else type(default))
+        p.add_argument("--config", help="JSON file with parameter overrides")
+        p.add_argument("--dump-config", dest="dump_config",
+                       help="write the resolved parameters as JSON, then run")
     return parser
 
 
 def _resolve(command: str, args: argparse.Namespace) -> dict:
     """defaults <- config file <- explicit flags."""
     params = dict(_DEFAULTS[command])
-    cfg_path = getattr(args, "config", None)
-    if cfg_path:
-        with open(cfg_path, encoding="utf-8") as fh:
+    if args.config:
+        with open(args.config, encoding="utf-8") as fh:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise NearCloakError("config file must hold a JSON object")
@@ -165,7 +115,7 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
                     f"config key {key!r} needs {names}, got {json.dumps(value)}")
         params.update(cfg)
     for key in params:
-        val = getattr(args, key.replace("-", "_"), None)
+        val = getattr(args, key)
         if val is not None:
             params[key] = val
     return params
@@ -232,7 +182,7 @@ def _run_sweep(params: dict) -> None:
                             _rho_grid(params), angle_count=params["angles"],
                             contents=_contents_from(params), model=model)
     analysis.write_sweep_csv(result, params["out"])
-    if params.get("json_out"):
+    if params["json_out"]:
         analysis.write_sweep_json(result, params["json_out"])
 
 
@@ -308,10 +258,9 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError, NearCloakError) as exc:
         return _fail(EXIT_INVALID_PARAMETER, type(exc).__name__, str(exc))
 
-    dump = getattr(args, "dump_config", None)
-    if dump:
+    if args.dump_config:
         try:
-            analysis.write_json(dump, {"command": args.command, **params})
+            analysis.write_json(args.dump_config, {"command": args.command, **params})
         except ValueError as exc:  # a non-finite flag has no JSON form
             return _fail(EXIT_INVALID_PARAMETER, type(exc).__name__, str(exc))
         except OSError as exc:

@@ -125,12 +125,12 @@ class SchemeSpec:
         return cls("sh")
 
     @classmethod
-    def finite_sound_soft(cls, beta_coeff: float = 2.5) -> "SchemeSpec":
+    def finite_sound_soft(cls, beta_coeff: float = fss_beta_coeff) -> "SchemeSpec":
         return cls("fss", fss_beta_coeff=beta_coeff)
 
     @classmethod
-    def finite_sound_hard(cls, c: float = 1.0, delta: float = 0.5,
-                          a: float = 3.0, b: float = 2.0) -> "SchemeSpec":
+    def finite_sound_hard(cls, c: float = fsh_c, delta: float = fsh_delta,
+                          a: float = fsh_a, b: float = fsh_b) -> "SchemeSpec":
         return cls("fsh", fsh_c=c, fsh_delta=delta, fsh_a=a, fsh_b=b)
 
     @classmethod
@@ -186,7 +186,6 @@ class ModalSolution:
     b_n: ScaledArray | None = None
     c_n: ScaledArray | None = None
     truncation_tail: float = 0.0
-    scheme: SchemeSpec | None = None
     layer: LayerWavenumbers | None = None
     branch_flags: tuple[str, ...] | None = None
     degenerate_modes: tuple[int, ...] = ()
@@ -304,7 +303,6 @@ def _obstacle_coeffs(dim: int, wave: WaveParams, rho: list[float], neumann: bool
                      n_max: int | None) -> tuple[ModalSolution, ...]:
     _check_radii(dim, rho)
     z = wave.k * np.array(rho)
-    scheme = SchemeSpec.sound_hard() if neumann else SchemeSpec.sound_soft()
 
     def solve_at(rows: list[int], orders: list[int]) -> list[ModalSolution]:
         nmax, zr, sizes = max(orders), z[rows], [n + 1 for n in orders]
@@ -317,7 +315,7 @@ def _obstacle_coeffs(dim: int, wave: WaveParams, rho: list[float], neumann: bool
             num, den = js[..., :-1], hs[..., :-1]
         d = _cut(num / den * -_phase(dim, nmax), orders)
         return [ModalSolution(dim=dim, rho=rho[i], k=wave.k, n_max=n, d_n=dn,
-                              truncation_tail=_tail(dn), scheme=scheme)
+                              truncation_tail=_tail(dn))
                 for i, n, dn in zip(rows, orders, d)]
 
     return _truncated(solve_at, wave.k, rho, n_max)
@@ -417,7 +415,7 @@ def _layered_coeffs(dim: int, wave: WaveParams, rho: list[float], scheme: Scheme
 
         return [ModalSolution(
             dim=dim, rho=rho[i], k=wave.k, n_max=n, d_n=dn, a_n=a[j, :n + 1], b_n=b[j, :n + 1],
-            c_n=c[j, :n + 1], truncation_tail=_tail(dn), scheme=scheme, layer=layers[i],
+            c_n=c[j, :n + 1], truncation_tail=_tail(dn), layer=layers[i],
             degenerate_modes=tuple(np.flatnonzero(degenerate[j, :n + 1]).tolist()))
             for j, (i, n, dn) in enumerate(zip(rows, orders, _cut(d_sv, orders)))]
 
@@ -526,8 +524,9 @@ def _region_of(solution: ModalSolution, r: float) -> str:
 
 
 def _radial_sums(solution: ModalSolution, region: str, r: float,
-                 scattered_only: bool, derivative: bool) -> np.ndarray:
-    """Per-mode radial factors of the field expansion at radius r.
+                 derivative: bool) -> np.ndarray:
+    """Per-mode radial factors of the field expansion at radius r; in the
+    exterior only those of the scattered wave.
 
     The 2D factors carry their i^n phase inside the coefficients; the
     3D assembly applies (2n+1) i^n afterwards.
@@ -540,10 +539,7 @@ def _radial_sums(solution: ModalSolution, region: str, r: float,
 
     if region == "exterior":
         z = complex(solution.k * r)
-        out = solution.d_n * radial("h", z).to_complex()
-        if not scattered_only:
-            out = out + _phase(dim, nmax) * radial("j", z).to_complex()
-        return (solution.k if derivative else 1.0) * out
+        return (solution.k if derivative else 1.0) * solution.d_n * radial("h", z).to_complex()
 
     if not solution.is_layered:
         raise DomainError("solution has no interior regions")
@@ -569,8 +565,11 @@ def field_on_circle(solution: ModalSolution, r: float, thetas: np.ndarray,
     2D assembly: u = sum_n eps_n R_n(r) cos(n theta); 3D assembly:
     u = sum_n (2n+1) i^n R_n(r) P_n(cos theta), with R_n the per-mode
     radial factor of the active region.  Points on an interface use the
-    outer region by convention.  ``scattered_only`` drops the incident
-    wave (exterior region only).
+    outer region by convention.  In the exterior the incident wave is
+    added in closed form, e^{i k r cos theta} (radial derivative
+    i k cos theta e^{i k r cos theta}), so it is exact at any radius,
+    not only where n_max resolves k r.  ``scattered_only`` drops it
+    (exterior region only).
     """
     if r < 0 or not math.isfinite(r):
         raise DomainError(f"radius must be finite and nonnegative, got {r}")
@@ -579,10 +578,15 @@ def field_on_circle(solution: ModalSolution, r: float, thetas: np.ndarray,
         region = _region_of(solution, r)
     if scattered_only and region != "exterior":
         raise DomainError("scattered_only applies to the exterior region")
-    radial = _radial_sums(solution, region, r, scattered_only, radial_derivative)
+    radial = _radial_sums(solution, region, r, radial_derivative)
     if solution.dim == 3:
         radial = 1j ** np.arange(solution.n_max + 1) * radial
-    return _angular_sum(solution.dim, radial, thetas)
+    u = _angular_sum(solution.dim, radial, thetas)
+    if region == "exterior" and not scattered_only:
+        cos = np.cos(thetas)
+        incident = np.exp(1j * solution.k * r * cos)
+        u = u + (1j * solution.k * cos * incident if radial_derivative else incident)
+    return u
 
 
 def scattered_cauchy_data(solution: ModalSolution, radius: float,

@@ -145,6 +145,31 @@ def test_config_value_of_wrong_type_rejected(tmp_path, capsys, command, cfg):
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+def _non_default(key, default):
+    """A valid value of a parameter that differs from its default."""
+    if key in cli._CHOICES:
+        return next(c for c in cli._CHOICES[key] if c != default)
+    if default is None:
+        return "nondefault.json"
+    if isinstance(default, str):
+        return "nondefault_" + default
+    return default + (2 if isinstance(default, int) else 0.25)
+
+
+@pytest.mark.parametrize("command", list(cli._DEFAULTS))
+def test_every_flag_reaches_the_dumped_config(tmp_path, command):
+    defaults = cli._DEFAULTS[command]
+    values = {key: _non_default(key, default) for key, default in defaults.items()}
+    args = [command, "--dump-config", "cfg.json"]
+    for key, value in values.items():
+        args += ["--" + key.replace("_", "-"), str(value)]
+    assert run(args, tmp_path) == 0
+    dumped = json.loads((tmp_path / "cfg.json").read_text())
+    assert dumped == {"command": command, **values}
+    for key, default in defaults.items():
+        assert type(dumped[key]) is (str if default is None else type(default)), key
+
+
 # ---------------------------------------------------------------------------
 # Exit codes and error records
 # ---------------------------------------------------------------------------
@@ -180,6 +205,14 @@ def test_unwritable_output_path(tmp_path, capsys):
     code = run(["mie", "--rho", "0.5", "--angles", "8",
                 "--out", "no/such/dir/out.csv"], tmp_path)
     assert code == cli.EXIT_UNWRITABLE_OUTPUT
+
+
+def test_dump_config_into_missing_directory_writes_nothing(tmp_path, capsys):
+    code = run(["mie", "--angles", "8", "--out", "x.csv",
+                "--dump-config", "no/such/dir/cfg.json"], tmp_path)
+    assert code == cli.EXIT_UNWRITABLE_OUTPUT
+    assert json.loads(capsys.readouterr().err.splitlines()[-1])["exit_code"] == code
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_keeps_solver_error_type(tmp_path, capsys):

@@ -315,8 +315,7 @@ def test_asymptotic_consistency_remainder_order(dim):
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("dim", [2, 3])
 def test_field_reduces_to_plane_wave_without_scattering(dim):
-    # truncation must exceed k*r for the incident-series tail to vanish
-    sol = mie.solve(SchemeSpec.sound_hard(), dim, _wave(dim), 0.3, n_max=45)
+    sol = mie.solve(SchemeSpec.sound_hard(), dim, _wave(dim), 0.3)
     quiet = replace(sol, d_n=np.zeros_like(sol.d_n))
     for r, th in ((0.7, 0.3), (2.0, 1.9), (5.0, 4.0)):
         u = oracles.field_at(quiet, (r, th))
@@ -343,6 +342,40 @@ def test_interface_continuity_and_flux(scheme):
     u_lay2 = mie.field_on_circle(sol, rho / 2, th, region="layer")
     u_core = mie.field_on_circle(sol, rho / 2, th, region="core")
     assert np.max(np.abs(u_lay2 - u_core)) <= 1e-10 * np.max(np.abs(u_core))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("r", [0.3, 3.0, 6.0])
+def test_incident_wave_is_exact_at_any_radius(dim, r):
+    # n_max = 12 resolves k rho = 0.6, far below k r = 12 at r = 6
+    sol = mie.solve(SchemeSpec.sound_hard(), dim, _wave(dim), 0.3)
+    assert sol.n_max == 12
+    th = np.linspace(0.0, 2 * math.pi if dim == 2 else math.pi, 73)
+    cos = np.cos(th)
+    plane = np.exp(2j * r * cos)
+    for derivative, expected in ((False, plane), (True, 2j * cos * plane)):
+        total = mie.field_on_circle(sol, r, th, radial_derivative=derivative)
+        scattered = mie.field_on_circle(sol, r, th, scattered_only=True,
+                                        radial_derivative=derivative)
+        assert np.max(np.abs(total - scattered - expected)) <= 1e-13
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("scheme", [SchemeSpec.finite_sound_hard(),
+                                    SchemeSpec.finite_sound_soft()])
+def test_region_inferred_inside_a_layered_solution(dim, scheme):
+    rho = 0.05
+    sol = mie.solve(scheme, dim, _wave(dim), rho)
+    th = np.linspace(0.0, math.pi, 19)
+    for r, region in ((0.99 * rho, "layer"), (0.75 * rho, "layer"), (0.5 * rho, "layer"),
+                      (0.49 * rho, "core"), (0.25 * rho, "core")):
+        for derivative in (False, True):
+            inferred = mie.field_on_circle(sol, r, th, radial_derivative=derivative)
+            named = mie.field_on_circle(sol, r, th, region=region,
+                                        radial_derivative=derivative)
+            assert np.array_equal(inferred, named)
+    assert not np.array_equal(mie.field_on_circle(sol, 0.25 * rho, th),
+                              mie.field_on_circle(sol, 0.25 * rho, th, region="layer"))
 
 
 def test_field_region_dispatch_and_errors():
