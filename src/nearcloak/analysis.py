@@ -34,6 +34,7 @@ DEFAULT_ANGLE_COUNT = 100
 DEFAULT_FIT_FRACTION = 2.0 / 3.0
 
 CSV_SCHEMA_VERSION = 1
+_CSV_BLOCK_ROWS = 1024  # rows joined per write: peak memory stays flat
 
 # Leading-order zeros of the sound-hard pattern: theta* with
 # cos(theta*)/2 = 1/4 in 2D and = 1/3 in 3D.
@@ -214,14 +215,27 @@ def near_field_deviation(fsh: ModalSolution, sh: ModalSolution, radius: float,
 # Persistence
 # ---------------------------------------------------------------------------
 def write_csv(path, schema: str, columns, rows, footer=()) -> None:
-    """Stream a ``# schema=<schema>-v1`` CSV: header, rows of numbers written
-    as ``repr(float(v))`` (exact round trip), then ``# key,text`` footer lines."""
+    """Write a ``# schema=<schema>-v1`` CSV: header, rows of numbers written
+    as ``repr(float(v))`` (exact round trip), then ``# key,text`` footer lines.
+
+    The float64 table is built before the file is opened, so a bad row
+    leaves the file untouched.  Each distinct bit pattern (-0.0 keeps its
+    sign) is formatted once: grids repeat most of their values."""
+    table = np.ascontiguousarray(rows if isinstance(rows, np.ndarray) else list(rows),
+                                 dtype=float)
+    if table.size and table.shape[1:] != (len(columns),):
+        raise ShapeError(f"{len(columns)} columns, but rows of shape {table.shape}")
+    bits, inverse = np.unique(table.view(np.int64), return_inverse=True)
+    text = np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)
+    inverse = inverse.reshape(table.shape)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# schema={schema}-v{CSV_SCHEMA_VERSION}\n")
         fh.write(",".join(columns) + "\n")
-        fh.writelines(",".join(map(repr, map(float, row))) + "\n" for row in rows)
-        for key, text in footer:
-            fh.write(f"# {key},{text}\n")
+        for start in range(0, len(table), _CSV_BLOCK_ROWS):
+            block = text[inverse[start:start + _CSV_BLOCK_ROWS]].tolist()
+            fh.writelines(",".join(row) + "\n" for row in block)
+        for key, value in footer:
+            fh.write(f"# {key},{value}\n")
 
 
 def write_sweep_csv(result: SweepResult, path) -> None:

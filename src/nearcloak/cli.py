@@ -18,6 +18,7 @@ record on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -78,6 +79,7 @@ _CONFIG_TYPES = {int: (int,), float: (int, float), str: (str,), type(None): (str
 # ---------------------------------------------------------------------------
 # Parser construction
 # ---------------------------------------------------------------------------
+@functools.cache  # parsing never mutates the parser, so main reuses one
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nearcloak",
@@ -221,8 +223,7 @@ def _run_media(params: dict) -> None:
     rows = media.sample_cloak_grid(spec, params["cells"], dim=params["dim"])
     coords = "xyz"[:params["dim"]]
     iu = [f"sigma_{a}{b}" for i, a in enumerate(coords) for b in coords[i:]]
-    analysis.write_csv(params["out"], "media", [*coords, *iu, "re_q", "im_q"],
-                       (row.tolist() for row in rows))
+    analysis.write_csv(params["out"], "media", [*coords, *iu, "re_q", "im_q"], rows)
 
 
 _RUNNERS = {

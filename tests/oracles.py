@@ -1,12 +1,13 @@
 """Test-only oracles: the pointwise blow-up, Jacobian and anisotropic
 push-forward that media.cloak_tensor and media.virtual_core_params are
-checked against, plus readers over the library's outputs."""
+checked against, plus readers and a reference writer for the library's
+outputs."""
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from nearcloak import mie
+from nearcloak import analysis, mie
 from nearcloak.errors import DomainError, OrientationError
 from nearcloak.media import _GEOM_RTOL, RadialMapSpec, cloak_tensor
 
@@ -134,6 +135,16 @@ def read_sweep_csv(path) -> tuple[np.ndarray, np.ndarray]:
             rho.append(float(a))
             amp.append(float(b))
     return np.asarray(rho), np.asarray(amp)
+
+
+def write_csv_per_value(path, schema: str, columns, rows, footer=()) -> None:
+    """The byte format of analysis.write_csv, one repr(float(v)) per value."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# schema={schema}-v{analysis.CSV_SCHEMA_VERSION}\n")
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(",".join(map(repr, map(float, row))) + "\n" for row in rows)
+        for key, text in footer:
+            fh.write(f"# {key},{text}\n")
 
 
 def field_at(solution, point, region: str | None = None,

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from nearcloak import analysis, mie
 from nearcloak.analysis import SweepResult, fit_decay, sweep
@@ -177,3 +179,47 @@ def test_fit_reproducible_from_persisted_csv(tmp_path):
     refit = fit_decay(_synthetic(rho, amp), "power-law")
     assert refit.slope == result.fitted_exponent
     assert refit.residual == result.fit_residual
+
+
+# Edge values of the byte format; integers must read as their float.
+_CSV_VALUES = st.one_of(
+    st.sampled_from([-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-5]),
+    st.floats(), st.integers(-2 ** 64, 2 ** 64))
+
+
+@st.composite
+def _csv_tables(draw):
+    """(width, rows) drawn from a small pool, so values repeat heavily."""
+    pool = draw(st.lists(_CSV_VALUES, min_size=1, max_size=6))
+    width = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.sampled_from(pool), min_size=width, max_size=width),
+                         max_size=12))
+    return width, rows
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=_csv_tables(), as_array=st.booleans())
+@example(table=(3, []), as_array=True)
+@example(table=(2, [[-0.0, 0.0]]), as_array=False)
+def test_write_csv_matches_the_per_value_writer(tmp_path, table, as_array):
+    width, rows = table
+    columns = [f"c{j}" for j in range(width)]
+    footer = [("model", "power-law"), ("fitted_exponent", "nan")]
+    given_rows = np.array(rows, dtype=float).reshape(-1, width) if as_array else rows
+    analysis.write_csv(tmp_path / "new.csv", "t", columns, given_rows, footer)
+    oracles.write_csv_per_value(tmp_path / "ref.csv", "t", columns, rows, footer)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("rows, error", [
+    ([(1.0, 2.0), ("x", 3.0)], ValueError),     # not a number
+    ([(1.0, 2.0), (3.0,)], ValueError),         # ragged
+    ([(1.0, 2.0, 3.0)], ShapeError),            # wider than the header
+])
+def test_write_csv_bad_row_leaves_the_file_untouched(tmp_path, rows, error):
+    path = tmp_path / "t.csv"
+    path.write_text("kept\n")
+    with pytest.raises(error):
+        analysis.write_csv(path, "t", ["a", "b"], rows)
+    assert path.read_text() == "kept\n"

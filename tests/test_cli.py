@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 import nearcloak
-from nearcloak import cli
+from nearcloak import cli, media
+
+import oracles
 
 DATA = Path(__file__).parent / "data"
 
@@ -22,6 +24,17 @@ def run(args, cwd):
         return cli.main(args)
     finally:
         os.chdir(old)
+
+
+def _fresh_process(args, cwd):
+    """Run the CLI in a new interpreter, whose parser has never parsed."""
+    src = str(Path(nearcloak.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "nearcloak", *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc
 
 
 def read_table(path):
@@ -170,6 +183,24 @@ def test_every_flag_reaches_the_dumped_config(tmp_path, command):
         assert type(dumped[key]) is (str if default is None else type(default)), key
 
 
+@pytest.mark.parametrize("first, second", [
+    (["sweep", "--k", "3", "--json-out", "a.json", "--out", "a.csv"],
+     ["sweep", "--out", "b.csv"]),
+    (["sweep", "--scheme", "fss", "--k", "3", "--rho-count", "4", "--json-out", "a.json",
+      "--out", "a.csv"],
+     ["sweep", "--config", "cfg.json", "--out", "b.csv"]),
+], ids=["flags", "config"])
+def test_consecutive_calls_share_no_parameters(tmp_path, first, second):
+    # main reuses one parser: a flag of one call must not reach the next.
+    (tmp_path / "cfg.json").write_text(json.dumps({"scheme": "fsh", "rho_count": 5}))
+    assert run(first, tmp_path) == 0
+    (tmp_path / "a.json").unlink()
+    assert run(second, tmp_path) == 0
+    assert not (tmp_path / "a.json").exists()
+    _fresh_process([*second[:-1], "fresh.csv"], tmp_path)
+    assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # Exit codes and error records
 # ---------------------------------------------------------------------------
@@ -180,13 +211,8 @@ def test_no_arguments_prints_usage_and_fails(capsys):
     assert json.loads(err.splitlines()[-1])["exit_code"] == cli.EXIT_USAGE
 
 
-def test_python_dash_m_runs_the_cli():
-    src = str(Path(nearcloak.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "nearcloak", "--help"], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0
+def test_python_dash_m_runs_the_cli(tmp_path):
+    proc = _fresh_process(["--help"], tmp_path)
     assert "sweep" in proc.stdout and "bie" in proc.stdout
 
 
@@ -350,3 +376,13 @@ def test_media_command_3d(tmp_path):
     assert table.shape[1] == 3 + 6 + 2  # x, y, z, upper triangle, Re q, Im q
     radii = np.linalg.norm(table[:, :3], axis=1)
     assert np.all((radii >= 2.0) & (radii <= 3.0))
+
+
+@pytest.mark.parametrize("dim, cells", [(2, 23), (3, 9)])
+def test_media_csv_matches_the_per_value_writer(tmp_path, dim, cells):
+    assert run(["media", "--rho", "0.3", "--dim", str(dim), "--cells", str(cells),
+                "--out", "m.csv"], tmp_path) == 0
+    grid = media.sample_cloak_grid(media.RadialMapSpec(0.3, 2.0, 3.0), cells, dim=dim)
+    columns = (tmp_path / "m.csv").read_text().splitlines()[1].split(",")
+    oracles.write_csv_per_value(tmp_path / "ref.csv", "media", columns, grid)
+    assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
