@@ -39,7 +39,9 @@ log-scale form cancels those factors symbolically, so the solver is
 stable down to rho ~ 1e-6.
 
 ``solve_many`` runs one elimination on (B, n) arrays padded to the largest
-n_max of its rho values; ``solve`` and ``coeffs_*`` are batches of one.
+n_max of its rho values; ``solve`` and ``coeffs_layered`` are batches of
+one.  Every solve picks n_max adaptively (``_truncated``), so a returned
+solution has a tail at or below TAIL_THRESHOLD.
 
 All solvers are pure functions; modes are independent; returned
 solutions are immutable.
@@ -241,19 +243,17 @@ def _tail(d: np.ndarray) -> float:
     return float(abs(d[-1])) / peak
 
 
-def _truncated(solve_at, k: float, rho: list[float],
-               n_max: int | None) -> tuple[ModalSolution, ...]:
+def _truncated(solve_at, k: float, rho: list[float]) -> tuple[ModalSolution, ...]:
     """One solution per rho from ``solve_at(rows, orders)``, which solves
-    the elements ``rows`` each at its own order.  Without an explicit n_max
-    each order grows from default_n_max in steps of 8 (up to N_MAX_CAP,
-    where it raises TruncationError) while the tail of d_n is above
-    TAIL_THRESHOLD; only those elements are solved again."""
-    orders = [min(default_n_max(k, r), N_MAX_CAP) if n_max is None else int(n_max)
-              for r in rho]
+    the elements ``rows`` each at its own order.  Each order grows from
+    default_n_max in steps of 8 (up to N_MAX_CAP, where it raises
+    TruncationError) while the tail of d_n is above TAIL_THRESHOLD; only
+    those elements are solved again."""
+    orders = [min(default_n_max(k, r), N_MAX_CAP) for r in rho]
     out, rows = [None] * len(rho), list(range(len(rho)))
     while rows:
         for i, solution in zip(rows, solve_at(rows, [orders[i] for i in rows])):
-            if n_max is not None or solution.truncation_tail <= TAIL_THRESHOLD:
+            if solution.truncation_tail <= TAIL_THRESHOLD:
                 out[i] = solution
             elif orders[i] == N_MAX_CAP:
                 raise TruncationError(
@@ -299,9 +299,10 @@ def _check_radii(dim: int, rho: list[float]) -> None:
         raise DomainError(f"dim must be 2 or 3, got {dim}")
 
 
-def _obstacle_coeffs(dim: int, wave: WaveParams, rho: list[float], neumann: bool,
-                     n_max: int | None) -> tuple[ModalSolution, ...]:
-    _check_radii(dim, rho)
+def _obstacle_coeffs(dim: int, wave: WaveParams, rho: list[float],
+                     neumann: bool) -> tuple[ModalSolution, ...]:
+    """Sound-hard (d_n = -i^n J_n'(k rho)/H_n^(1)'(k rho) in 2D) or, unprimed,
+    sound-soft obstacle at each rho; ``solve_many`` checked dim and rho."""
     z = wave.k * np.array(rho)
 
     def solve_at(rows: list[int], orders: list[int]) -> list[ModalSolution]:
@@ -318,19 +319,7 @@ def _obstacle_coeffs(dim: int, wave: WaveParams, rho: list[float], neumann: bool
                               truncation_tail=_tail(dn))
                 for i, n, dn in zip(rows, orders, d)]
 
-    return _truncated(solve_at, wave.k, rho, n_max)
-
-
-def coeffs_sound_hard(dim: int, wave: WaveParams, rho: float,
-                      n_max: int | None = None) -> ModalSolution:
-    """Neumann obstacle: d_n = -i^n J_n'(k rho)/H_n^(1)'(k rho) in 2D."""
-    return _obstacle_coeffs(dim, wave, [rho], neumann=True, n_max=n_max)[0]
-
-
-def coeffs_sound_soft(dim: int, wave: WaveParams, rho: float,
-                      n_max: int | None = None) -> ModalSolution:
-    """Dirichlet obstacle: d_n = -i^n J_n(k rho)/H_n^(1)(k rho) in 2D."""
-    return _obstacle_coeffs(dim, wave, [rho], neumann=False, n_max=n_max)[0]
+    return _truncated(solve_at, wave.k, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +342,7 @@ def layer_wavenumbers(scheme: SchemeSpec, rho: float, k: float,
 
 
 def coeffs_layered(dim: int, wave: WaveParams, rho: float, scheme: SchemeSpec,
-                   core: tuple[float, complex], n_max: int | None = None) -> ModalSolution:
+                   core: tuple[float, complex]) -> ModalSolution:
     """Solve the layer (rho/2 <= |x| <= rho) + core transmission problem.
 
     ``core`` is the virtual-space pair (sigma_a, q_a) of the uniform
@@ -361,12 +350,11 @@ def coeffs_layered(dim: int, wave: WaveParams, rho: float, scheme: SchemeSpec,
     contents.  Modes whose outer elimination loses more than ~14 digits
     to cancellation are flagged in degenerate_modes.
     """
-    return _layered_coeffs(dim, wave, [rho], scheme, [core], n_max)[0]
+    return _layered_coeffs(dim, wave, [rho], scheme, [core])[0]
 
 
 def _layered_coeffs(dim: int, wave: WaveParams, rho: list[float], scheme: SchemeSpec,
-                    cores: list[tuple[float, complex]],
-                    n_max: int | None) -> tuple[ModalSolution, ...]:
+                    cores: list[tuple[float, complex]]) -> tuple[ModalSolution, ...]:
     """coeffs_layered at each rho, with its own virtual core, in one elimination."""
     _check_radii(dim, rho)
     layers = [layer_wavenumbers(scheme, r, wave.k, core) for r, core in zip(rho, cores)]
@@ -419,12 +407,11 @@ def _layered_coeffs(dim: int, wave: WaveParams, rho: list[float], scheme: Scheme
             degenerate_modes=tuple(np.flatnonzero(degenerate[j, :n + 1]).tolist()))
             for j, (i, n, dn) in enumerate(zip(rows, orders, _cut(d_sv, orders)))]
 
-    return _truncated(solve_at, wave.k, rho, n_max)
+    return _truncated(solve_at, wave.k, rho)
 
 
 def solve_many(scheme: SchemeSpec, dim: int, wave: WaveParams, rho_values,
-               contents: tuple[float, complex] = (1.0, 1.0),
-               n_max: int | None = None) -> tuple[ModalSolution, ...]:
+               contents: tuple[float, complex] = (1.0, 1.0)) -> tuple[ModalSolution, ...]:
     """``solve`` at every rho of ``rho_values``, as one batched elimination.
 
     Each element gets the n_max that ``solve`` picks for it, and equals its
@@ -433,20 +420,19 @@ def solve_many(scheme: SchemeSpec, dim: int, wave: WaveParams, rho_values,
     rho = [float(r) for r in rho_values]
     cores = [virtual_core_params(*contents, r, dim) for r in rho]
     if scheme.kind in ("sh", "ss"):
-        return _obstacle_coeffs(dim, wave, rho, scheme.kind == "sh", n_max)
-    return _layered_coeffs(dim, wave, rho, scheme, cores, n_max)
+        return _obstacle_coeffs(dim, wave, rho, scheme.kind == "sh")
+    return _layered_coeffs(dim, wave, rho, scheme, cores)
 
 
 def solve(scheme: SchemeSpec, dim: int, wave: WaveParams, rho: float,
-          contents: tuple[float, complex] = (1.0, 1.0),
-          n_max: int | None = None) -> ModalSolution:
+          contents: tuple[float, complex] = (1.0, 1.0)) -> ModalSolution:
     """Dispatch to the right solver for the scheme kind.
 
     ``contents`` is the physical-space pair (sigma', q') of the cloaked
     region.  Every scheme checks it; the layered ones solve with its
     virtual-space image, virtual_core_params(sigma', q', rho, dim).
     """
-    return solve_many(scheme, dim, wave, [rho], contents, n_max)[0]
+    return solve_many(scheme, dim, wave, [rho], contents)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -25,22 +25,20 @@ admissible z.
 
 * J_n and spherical j_n: one Miller backward recurrence, normalised
   against the plane-wave sum ``sum_m w_m (-i)^m f_m(z) = exp(-iz)`` for
-  Im z >= 0, with w_m = 1, 2, 2, ... for J and w_m = 2m + 1 for j
-  (conjugate reflection below the real axis).  Upward recurrence is
-  unstable for J and j and is not used.
+  Im z >= 0, with w_m = 1, 2, 2, ... for J and w_m = 2m + 1 for j.
+  Upward recurrence is unstable for J and j and is not used.
 * H_n^(1): orders 0 and 1 from the power series with the log term split
   off (|z| < 12.5) or from the large-argument Hankel expansion
   (|z| >= 12.5), then stable upward recurrence.
 * spherical h_n^(1): closed forms for orders 0 and 1, upward recurrence.
-* Both Hankel families reach Im z < 0 through the reflection
-  h(z) = 2 j(z) - conj(h(conj z)).
 * derivatives: B_n'(z) = (n/z) B_n(z) - B_{n+1}(z), valid for both the
   cylindrical and the spherical families, along the last axis.
 * Legendre P_n: Bonnet recurrence.
 
 Guards: the order must satisfy n <= ORDER_MAX (200) and the argument
-ARGUMENT_FLOOR (1e-50) <= |z| <= ARGUMENT_GUARD (2e4) or z = 0; beyond
-these a :class:`RangeError` is raised.  Below the floor the closed forms
+must lie in the closed upper half-plane Im z >= 0 (a signed zero -0.0
+counts as 0) with ARGUMENT_FLOOR (1e-50) <= |z| <= ARGUMENT_GUARD (2e4)
+or z = 0; beyond these a :class:`RangeError` is raised.  Below the floor the closed forms
 and the recurrence coefficients 2(m + nu)/z overflow or underflow (z**2
 in h_1 underflows to 0 below ~1e-154), so results would be non-finite.
 Within the guard, arguments with |Im z| in the thousands are handled
@@ -51,9 +49,9 @@ recurrence steps, so on the real axis J_n and j_n are off by a relative
 error of about 8e-17 |z|, common to all orders (1.2e-12 at |z| = 1.4e4).
 
 Branch convention: the principal branch of ln and sqrt is used
-throughout, so results are accurate for arguments in the closed upper
-half-plane and on the positive real axis.  This matches the solver-side
-choice Im(k_tilde) >= 0 for the lossy-layer wavenumber.
+throughout.  The domain is the closed upper half-plane, which holds
+every argument the modal solver forms: the layers are passive, and
+mie.layer_wavenumbers picks Im k_tilde >= 0 and Im k_2 >= 0.
 
 All functions are pure and hold no global state; concurrent use is safe.
 """
@@ -139,9 +137,6 @@ class ScaledArray:
         # Zero elements may carry any scale; cap it so they stay 0.
         return self.mantissa * np.exp(np.minimum(self.log_scale, 700.0))
 
-    def conjugate(self) -> "ScaledArray":
-        return ScaledArray(self.mantissa.conjugate(), self.log_scale)
-
     @staticmethod
     def concatenate(arrays) -> "ScaledArray":
         """Join scaled arrays along the first axis, like numpy.concatenate."""
@@ -219,6 +214,8 @@ def _check_argument(z: complex) -> complex:
         raise RangeError(f"|z| = {abs(z):.3g} exceeds the guard {ARGUMENT_GUARD:g}")
     if 0 < abs(z) < ARGUMENT_FLOOR:
         raise RangeError(f"|z| = {abs(z):.3g} is below the floor {ARGUMENT_FLOOR:g}")
+    if z.imag < 0:
+        raise RangeError(f"Im z = {z.imag:.3g} lies below the real axis")
     return z
 
 
@@ -270,9 +267,6 @@ def _bessel_j(nmax: int, top: int, z: complex, nu: float) -> tuple[np.ndarray, n
     Miller's backward recurrence from well above nmax and top."""
     if z == 0:  # J_n(0) = j_n(0) = delta_{n0}
         return np.eye(1, top + 1, dtype=complex)[0], np.zeros(top + 1)
-    if z.imag < 0:
-        vals, logs = _bessel_j(nmax, top, z.conjugate(), nu)
-        return vals.conjugate(), logs
     x = abs(z)
     start = max(nmax + 20 + int(x + 16.0 * x ** (1.0 / 3.0)), top)
     # The seed scale drops out in the normalisation.  A seed near 1 keeps the
@@ -421,18 +415,13 @@ def _h01_base(z: complex) -> tuple[complex, complex, float]:
 # Both Hankel families
 # ---------------------------------------------------------------------------
 def _hankel(nmax: int, top: int, z: complex, spherical: bool) -> tuple[np.ndarray, np.ndarray]:
-    """H_0^(1) .. H_top^(1), or h_0^(1) .. h_top^(1) when ``spherical``."""
+    """H_0^(1) .. H_top^(1), or h_0^(1) .. h_top^(1) when ``spherical``.
+
+    ``nmax`` is unused: the upward recurrence needs no start above ``top``."""
     if z == 0:
         raise SingularArgumentError(
             f"{'spherical h_n' if spherical else 'H_n'}^(1) is singular at z = 0")
     nu = 0.5 if spherical else 0.0
-    if z.imag < 0:
-        # Reflection keeps every ingredient on its stable side: Miller j at
-        # z and the upper-half-plane sequence at the conjugate point (the
-        # upward recurrence can pass through a magnitude dip below the axis).
-        js = scaled(*_bessel_j(nmax, top, z, nu))
-        h = js * 2.0 - scaled(*_hankel(nmax, top, z.conjugate(), spherical)).conjugate()
-        return h.mantissa, h.log_scale
     if spherical:
         phase = cmath.exp(1j * z.real)
         h0 = -1j * phase / z

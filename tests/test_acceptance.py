@@ -89,7 +89,7 @@ def test_05_fsh_to_sh_coefficient_convergence():
         diffs = []
         for rho in rhos:
             fsh = mie.coeffs_layered(dim, wave, rho, scheme, _default_core(dim, rho))
-            sh = mie.coeffs_sound_hard(dim, wave, rho)
+            sh = mie.solve(SchemeSpec.sound_hard(), dim, wave, rho)
             diff = abs(fsh.d_n[0] - sh.d_n[0])
             diffs.append(diff)
             if dim == 2 and diff > bound_const * rho ** 2.5:
@@ -143,7 +143,7 @@ def test_09_bie_oracle_agreement():
     angles = 2 * math.pi * np.arange(100) / 100
     sol = bie.assemble_and_solve(bie.circle(0.5, 256), WAVE2)
     a_bie = bie.far_field_from_density(sol, WAVE2, angles).amplitude
-    a_mie = mie.far_field(mie.coeffs_sound_hard(2, WAVE2, 0.5), angles).amplitude
+    a_mie = mie.far_field(mie.solve(SchemeSpec.sound_hard(), 2, WAVE2, 0.5), angles).amplitude
     circle_err = float(np.max(np.abs(a_bie - a_mie)) / np.max(np.abs(a_mie)))
     a256 = bie.far_field_from_density(
         bie.assemble_and_solve(bie.kite(256), WAVE2), WAVE2, angles).amplitude

@@ -142,9 +142,9 @@ def test_special_angle_ratio_divides_by_four():
 
 
 def test_near_field_deviation_trivial_and_domain():
-    sol = mie.coeffs_sound_hard(2, WAVE2, 0.05)
+    sol = mie.solve(SchemeSpec.sound_hard(), 2, WAVE2, 0.05)
     assert analysis.near_field_deviation(sol, sol, 0.2) == 0.0
-    other = mie.coeffs_sound_hard(2, WAVE2, 0.1)
+    other = mie.solve(SchemeSpec.sound_hard(), 2, WAVE2, 0.1)
     with pytest.raises(ShapeError):
         analysis.near_field_deviation(sol, other, 0.2)
     with pytest.raises(DomainError):

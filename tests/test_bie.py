@@ -9,7 +9,7 @@ from scipy.linalg import lu_factor, lu_solve
 
 from nearcloak import bie, mie
 from nearcloak.errors import DomainError, ResonanceError, ShapeError
-from nearcloak.mie import WaveParams
+from nearcloak.mie import SchemeSpec, WaveParams
 
 WAVE = WaveParams(2.0, np.array([1.0, 0.0]))
 ANGLES = 2 * math.pi * np.arange(100) / 100
@@ -61,7 +61,7 @@ def test_circle_trace_matches_modal_series():
     crv = bie.circle(rho, 256)
     sol = bie.assemble_and_solve(crv, WAVE)
     assert sol.residual <= 1e-12
-    ref = mie.field_on_circle(mie.coeffs_sound_hard(2, WAVE, rho), rho,
+    ref = mie.field_on_circle(mie.solve(SchemeSpec.sound_hard(), 2, WAVE, rho), rho,
                               crv.nodes(), scattered_only=True)
     err = np.max(np.abs(sol.trace - ref)) / np.max(np.abs(ref))
     assert err <= 1e-8
@@ -143,7 +143,8 @@ def test_far_field_matches_modal_series_on_circles():
             wave = WaveParams(k, np.array([1.0, 0.0]))
             sol = bie.assemble_and_solve(bie.circle(rho, 256), wave)
             a_bie = bie.far_field_from_density(sol, wave, ANGLES).amplitude
-            a_mie = mie.far_field(mie.coeffs_sound_hard(2, wave, rho), ANGLES).amplitude
+            modal = mie.solve(SchemeSpec.sound_hard(), 2, wave, rho)
+            a_mie = mie.far_field(modal, ANGLES).amplitude
             err = np.max(np.abs(a_bie - a_mie)) / np.max(np.abs(a_mie))
             assert err <= 1e-6, (rho, k, err)
 
@@ -206,7 +207,7 @@ def test_plane_wave_only_term_matches_disk_closed_form():
 # ---------------------------------------------------------------------------
 def test_cauchy_data_reproduces_modal_far_field():
     rho, r3 = 0.5, 4.0
-    msol = mie.coeffs_sound_hard(2, WAVE, rho)
+    msol = mie.solve(SchemeSpec.sound_hard(), 2, WAVE, rho)
     phis = 2 * math.pi * np.arange(128) / 128
     u, dudr = mie.scattered_cauchy_data(msol, r3, phis)
     amp = bie.far_field_from_cauchy_data(r3, u, dudr, WAVE, ANGLES).amplitude

@@ -36,7 +36,7 @@ def _fit_slope(x, y):
 # Sound-hard / sound-soft coefficients
 # ---------------------------------------------------------------------------
 def test_sh_2d_small_argument_d0():
-    sol = mie.coeffs_sound_hard(2, WAVE2, 0.01)  # k rho = 0.02
+    sol = mie.solve(SchemeSpec.sound_hard(), 2, WAVE2, 0.01)  # k rho = 0.02
     expected = -1j * math.pi * 0.02 ** 2 / 4.0
     assert abs(sol.d_n[0]) == pytest.approx(3.1416e-4, rel=1e-3)
     # the complex value carries an O((k rho)^2 ln(k rho)) correction
@@ -47,30 +47,30 @@ def test_sh_2d_small_argument_d0():
 def test_sh_2d_coefficient_magnitude_laws(n, slope_2d):
     # d_0 = O(rho^2) and d_n = O(rho^{2n}) for n >= 1.
     rhos = 0.5 ** np.arange(5, 10)
-    mags = [abs(mie.coeffs_sound_hard(2, WAVE2, r).d_n[n]) for r in rhos]
+    mags = [abs(mie.solve(SchemeSpec.sound_hard(), 2, WAVE2, r).d_n[n]) for r in rhos]
     assert _fit_slope(rhos, mags) == pytest.approx(slope_2d if n == 0 else 2 * n,
                                                    abs=0.05)
 
 
 def test_sh_3d_leading_order_cubic():
     rhos = 0.5 ** np.arange(5, 10)
-    mags = [abs(mie.coeffs_sound_hard(3, WAVE3, r).d_n[0]) for r in rhos]
+    mags = [abs(mie.solve(SchemeSpec.sound_hard(), 3, WAVE3, r).d_n[0]) for r in rhos]
     assert _fit_slope(rhos, mags) == pytest.approx(3.0, abs=0.05)
 
 
 def test_ss_2d_inverse_log_leading_order():
     for rho in (1e-3, 1e-5, 1e-7):
-        sol = mie.coeffs_sound_soft(2, WAVE2, rho)
+        sol = mie.solve(SchemeSpec.sound_soft(), 2, WAVE2, rho)
         lead = (math.pi / 2.0) / abs(math.log(2.0 * rho))
         assert abs(sol.d_n[0]) == pytest.approx(lead, rel=0.35)
     # the product |d_0| * |ln(k rho)| tends to pi/2 from below
-    vals = [abs(mie.coeffs_sound_soft(2, WAVE2, r).d_n[0]) * abs(math.log(2 * r))
+    vals = [abs(mie.solve(SchemeSpec.sound_soft(), 2, WAVE2, r).d_n[0]) * abs(math.log(2 * r))
             for r in (1e-3, 1e-6, 1e-9)]
     assert vals[0] < vals[1] < vals[2] < math.pi / 2
 
 
 def test_ss_3d_small_argument_d0():
-    sol = mie.coeffs_sound_soft(3, WAVE3, 0.01)  # k rho = 0.02
+    sol = mie.solve(SchemeSpec.sound_soft(), 3, WAVE3, 0.01)  # k rho = 0.02
     assert abs(sol.d_n[0]) == pytest.approx(0.02, rel=1e-3)
     expected = -(cmath.sin(0.02) / 0.02) / (-1j * cmath.exp(0.02j) / 0.02)
     assert sol.d_n[0] == pytest.approx(expected, rel=1e-12)
@@ -80,14 +80,14 @@ def test_ss_3d_d0_at_tiny_argument():
     # k rho = 2e-40: the closed form of j_1 cancels to noise here, so the
     # spherical Miller sequence must not be normalised against it.
     z = 2e-40
-    sol = mie.coeffs_sound_soft(3, WAVE3, z / 2.0)
+    sol = mie.solve(SchemeSpec.sound_soft(), 3, WAVE3, z / 2.0)
     expected = -(cmath.sin(z) / z) / (-1j * cmath.exp(1j * z) / z)
     assert sol.d_n[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_degenerate_radius_rejected():
     with pytest.raises(DomainError):
-        mie.coeffs_sound_soft(2, WAVE2, 0.0)
+        mie.solve(SchemeSpec.sound_soft(), 2, WAVE2, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +108,7 @@ def test_fsh_deviation_bound_at_reference_rho():
     assert bound == pytest.approx(1.193e-4, rel=1e-3)
     fsh = mie.coeffs_layered(2, WAVE2, rho, SchemeSpec.finite_sound_hard(),
                              _default_core(2, rho))
-    sh = mie.coeffs_sound_hard(2, WAVE2, rho)
+    sh = mie.solve(SchemeSpec.sound_hard(), 2, WAVE2, rho)
     assert abs(fsh.d_n[0] - sh.d_n[0]) <= bound
 
 
@@ -131,7 +131,7 @@ def test_fsh_no_overflow_down_to_1e6():
     rho = 1e-6
     fsh = mie.coeffs_layered(2, WAVE2, rho, SchemeSpec.finite_sound_hard(),
                              _default_core(2, rho))
-    sh = mie.coeffs_sound_hard(2, WAVE2, rho)
+    sh = mie.solve(SchemeSpec.sound_hard(), 2, WAVE2, rho)
     assert np.all(np.isfinite(fsh.d_n))
     bound = math.pi * 2.0 * abs(cmath.sqrt(3 + 2j)) * rho ** 2.5
     assert abs(fsh.d_n[0] - sh.d_n[0]) <= bound
@@ -142,7 +142,7 @@ def test_fss_coefficients_approach_sound_soft():
     for rho in (0.5 ** 4, 0.5 ** 6, 0.5 ** 8):
         fss = mie.coeffs_layered(2, WAVE2, rho, SchemeSpec.finite_sound_soft(),
                                  _default_core(2, rho))
-        ss = mie.coeffs_sound_soft(2, WAVE2, rho)
+        ss = mie.solve(SchemeSpec.sound_soft(), 2, WAVE2, rho)
         diffs.append(abs(fss.d_n[0] - ss.d_n[0]))
     assert diffs[0] > diffs[1] > diffs[2]
 
@@ -232,11 +232,8 @@ def test_adaptive_truncation_clamped_at_order_cap():
     # k rho = 165: the adaptive order would step past the cap (195 -> 203);
     # it stops at n_max = 199, where the tail is still 1.55e-13.
     wave = WaveParams(330.0, np.array([1.0, 0.0]))
-    with pytest.raises(TruncationError, match="165"):
-        mie.coeffs_sound_hard(2, wave, 0.5)
-    sol = mie.coeffs_sound_hard(2, wave, 0.5, n_max=mie.N_MAX_CAP)
-    assert sol.n_max == 199
-    assert sol.truncation_tail == pytest.approx(1.55e-13, rel=0.01)
+    with pytest.raises(TruncationError, match=r"1\.55e-13 .* n_max = 199 \(k rho = 165\)"):
+        mie.solve(SchemeSpec.sound_hard(), 2, wave, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +243,7 @@ def test_far_field_matches_direct_neumann_series():
     # Independent evaluation of the closed-form sound-hard series using
     # scipy Bessel functions.
     rho = 0.37
-    sol = mie.coeffs_sound_hard(2, WAVE2, rho)
+    sol = mie.solve(SchemeSpec.sound_hard(), 2, WAVE2, rho)
     th = np.linspace(0, 2 * math.pi, 33, endpoint=False)
     ours = mie.far_field(sol, th).amplitude
     n = np.arange(40)
@@ -258,7 +255,7 @@ def test_far_field_matches_direct_neumann_series():
 
 def test_far_field_backscatter_leading_magnitude_2d():
     # |A(pi)| ~ sqrt(2 pi/k) (3/4) (k rho)^2 = 5.317e-4 at k=2, rho=0.01.
-    sol = mie.coeffs_sound_hard(2, WAVE2, 0.01)
+    sol = mie.solve(SchemeSpec.sound_hard(), 2, WAVE2, 0.01)
     amp = mie.far_field(sol, np.array([math.pi])).amplitude[0]
     lead = math.sqrt(2 * math.pi / 2.0) * 0.75 * 0.02 ** 2
     assert lead == pytest.approx(5.317e-4, rel=1e-3)
@@ -266,7 +263,7 @@ def test_far_field_backscatter_leading_magnitude_2d():
 
 
 def test_far_field_forward_leading_magnitude_3d():
-    sol = mie.coeffs_sound_hard(3, WAVE3, 0.01)
+    sol = mie.solve(SchemeSpec.sound_hard(), 3, WAVE3, 0.01)
     amp = mie.far_field(sol, np.array([0.0])).amplitude[0]
     lead = (1 / 2.0) * (1.0 / 6.0) * 0.02 ** 3
     assert lead == pytest.approx(6.667e-7, rel=1e-3)
@@ -278,9 +275,10 @@ def test_far_field_depends_only_on_relative_angle():
     # the same pattern over theta = angle(xhat, d).
     th = np.linspace(0, 2 * math.pi, 50, endpoint=False)
     rho = 0.2
-    a1 = mie.far_field(mie.coeffs_sound_hard(2, WaveParams(2.0, np.array([1.0, 0.0])), rho), th)
+    sh = SchemeSpec.sound_hard()
+    a1 = mie.far_field(mie.solve(sh, 2, WaveParams(2.0, np.array([1.0, 0.0])), rho), th)
     d = np.array([math.cos(1.1), math.sin(1.1)])
-    a2 = mie.far_field(mie.coeffs_sound_hard(2, WaveParams(2.0, d), rho), th)
+    a2 = mie.far_field(mie.solve(sh, 2, WaveParams(2.0, d), rho), th)
     assert np.max(np.abs(a1.amplitude - a2.amplitude)) <= 1e-12 * np.max(np.abs(a1.amplitude))
 
 
@@ -386,7 +384,7 @@ def test_field_region_dispatch_and_errors():
     v_auto = oracles.field_at(sol, (rho, 0.4))
     v_ext = oracles.field_at(sol, (rho, 0.4), region="exterior")
     assert v_auto == v_ext
-    sh = mie.coeffs_sound_hard(2, WAVE2, 0.3)
+    sh = mie.solve(SchemeSpec.sound_hard(), 2, WAVE2, 0.3)
     with pytest.raises(DomainError):
         oracles.field_at(sh, (0.2, 0.0))
     with pytest.raises(DomainError):
@@ -440,7 +438,7 @@ def test_fsh_to_sh_coefficient_slopes(dim, extra):
         for rho in rhos:
             fsh = mie.coeffs_layered(dim, wave, rho, SchemeSpec.finite_sound_hard(),
                                      _default_core(dim, rho))
-            sh = mie.coeffs_sound_hard(dim, wave, rho)
+            sh = mie.solve(SchemeSpec.sound_hard(), dim, wave, rho)
             diffs.append(abs(fsh.d_n[n] - sh.d_n[n]))
         assert _fit_slope(rhos, diffs) >= 2 * n + extra + 0.5 - 0.1
 
@@ -452,7 +450,7 @@ def test_near_field_deviation_slope():
     for rho in rhos:
         fsh = mie.coeffs_layered(2, WAVE2, rho, SchemeSpec.finite_sound_hard(),
                                  _default_core(2, rho))
-        sh = mie.coeffs_sound_hard(2, WAVE2, rho)
+        sh = mie.solve(SchemeSpec.sound_hard(), 2, WAVE2, rho)
         devs.append(near_field_deviation(fsh, sh, 0.1, 180))
         devs_on_boundary.append(near_field_deviation(fsh, sh, rho, 180))
     slope_fixed = _fit_slope(rhos, devs)            # fixed radius: rho^{2+delta}
@@ -492,9 +490,9 @@ def test_non_finite_inputs_are_domain_errors():
         with pytest.raises(DomainError):
             WaveParams(2.0, np.array(d))
     for rho in (math.inf, math.nan):
-        for solver in (mie.coeffs_sound_hard, mie.coeffs_sound_soft):
+        for scheme in (SchemeSpec.sound_hard(), SchemeSpec.sound_soft()):
             with pytest.raises(DomainError):
-                solver(2, WAVE2, rho)
+                mie.solve(scheme, 2, WAVE2, rho)
         with pytest.raises(DomainError):
             mie.coeffs_layered(2, WAVE2, rho, SchemeSpec.finite_sound_hard(), (1.0, 1.0))
     with pytest.raises(DomainError):
