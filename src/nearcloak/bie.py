@@ -268,23 +268,27 @@ def _gamma_2d(k: float) -> complex:
     return np.exp(1j * math.pi / 4) / math.sqrt(8.0 * math.pi * k)
 
 
+def _green_far_field(k: float, angles: np.ndarray, ys: np.ndarray, normals: np.ndarray,
+                     u: np.ndarray, flux: np.ndarray, weight: float) -> FarFieldPattern:
+    """A(xhat) = gamma w sum_j [d_nu e^{-ik xhat.y_j} u_j - e^{-ik xhat.y_j} flux_j]
+    over points y_j with normals nu_j and quadrature weight w."""
+    angles = np.asarray(angles, dtype=float)
+    xhat = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    # The parentheses keep the products real: a complex @ runs zgemm, after
+    # which OpenBLAS leaves the process's vector code slow until a dgemm runs.
+    phase_out = np.exp(-1j * k * (xhat @ ys.T))          # (n_angles, N)
+    dn_out = -1j * k * (xhat @ normals.T) * phase_out
+    integrand = dn_out * u[None, :] - phase_out * flux[None, :]
+    return FarFieldPattern(angles, _gamma_2d(k) * weight * integrand.sum(axis=1), "2d")
+
+
 def far_field_from_density(solution: DensitySolution, wave: WaveParams,
                            angles: np.ndarray) -> FarFieldPattern:
     """A(xhat) from the solved trace, trapezoid over the smooth kernel."""
-    k = wave.k
-    angles = np.asarray(angles, dtype=float)
-    xhat = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    pts, normals = solution.nodes, solution.normals
-    n_half = solution.curve.n_points // 2
-
-    # The parentheses keep the products real: a complex @ runs zgemm, after
-    # which OpenBLAS leaves the process's vector code slow until a dgemm runs.
-    phase_out = np.exp(-1j * k * (xhat @ pts.T))         # (n_angles, 2N)
-    dn_out = -1j * k * (xhat @ normals.T) * phase_out    # includes |x'|
-    inc_flux = 1j * k * (normals @ wave.d) * np.exp(1j * k * (pts @ wave.d))
-    integrand = dn_out * solution.trace[None, :] + phase_out * inc_flux[None, :]
-    amp = _gamma_2d(k) * (math.pi / n_half) * integrand.sum(axis=1)
-    return FarFieldPattern(angles, amp, "2d")
+    k, pts, normals = wave.k, solution.nodes, solution.normals  # normals carry |x'|
+    flux = -1j * k * (normals @ wave.d) * np.exp(1j * k * (pts @ wave.d))  # -du^i/dnu
+    return _green_far_field(k, angles, pts, normals, solution.trace, flux,
+                            math.pi / (solution.curve.n_points // 2))
 
 
 def far_field_from_cauchy_data(radius: float, u: np.ndarray, dudn: np.ndarray,
@@ -303,16 +307,7 @@ def far_field_from_cauchy_data(radius: float, u: np.ndarray, dudn: np.ndarray,
     if radius <= 0:
         raise DomainError("sampling radius must be positive")
     m = u.size
-    k = wave.k
     phis = 2.0 * math.pi * np.arange(m) / m
     ys = radius * np.stack([np.cos(phis), np.sin(phis)], axis=1)
-    nu = ys / radius
-    angles = np.asarray(angles, dtype=float)
-    xhat = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-
-    phase_out = np.exp(-1j * k * (xhat @ ys.T))          # (n_angles, M); real @
-    dn_out = -1j * k * (xhat @ nu.T) * phase_out
-    integrand = dn_out * u[None, :] - phase_out * dudn[None, :]
-    ds = 2.0 * math.pi * radius / m
-    amp = _gamma_2d(k) * ds * integrand.sum(axis=1)
-    return FarFieldPattern(angles, amp, "2d")
+    return _green_far_field(wave.k, angles, ys, ys / radius, u, dudn,
+                            2.0 * math.pi * radius / m)

@@ -63,7 +63,7 @@ from .specfun import ScaledArray
 TAIL_THRESHOLD = 1e-14
 DEGENERATE_CONDITION = 1e14
 
-_I_POW = np.array([1.0, 1.0j, -1.0, -1.0j])  # i^n for n mod 4
+_I_POW = np.array([1.0, 1.0j, -1.0, -1.0j])  # i^n for n mod 4; (-i)^n = _I_POW[-n & 3]
 
 
 # ---------------------------------------------------------------------------
@@ -291,14 +291,6 @@ def _phase(dim: int, nmax: int):
 # ---------------------------------------------------------------------------
 # Ideal linings (Dirichlet / Neumann obstacle)
 # ---------------------------------------------------------------------------
-def _check_radii(dim: int, rho: list[float]) -> None:
-    for r in rho:
-        if not (math.isfinite(r) and r > 0):
-            raise DomainError(f"rho must be finite and positive, got {r}")
-    if dim not in (2, 3):
-        raise DomainError(f"dim must be 2 or 3, got {dim}")
-
-
 def _obstacle_coeffs(dim: int, wave: WaveParams, rho: list[float],
                      neumann: bool) -> tuple[ModalSolution, ...]:
     """Sound-hard (d_n = -i^n J_n'(k rho)/H_n^(1)'(k rho) in 2D) or, unprimed,
@@ -350,13 +342,17 @@ def coeffs_layered(dim: int, wave: WaveParams, rho: float, scheme: SchemeSpec,
     contents.  Modes whose outer elimination loses more than ~14 digits
     to cancellation are flagged in degenerate_modes.
     """
+    if not (math.isfinite(rho) and rho > 0):
+        raise DomainError(f"rho must be finite and positive, got {rho}")
+    if dim not in (2, 3):
+        raise DomainError(f"dim must be 2 or 3, got {dim}")
     return _layered_coeffs(dim, wave, [rho], scheme, [core])[0]
 
 
 def _layered_coeffs(dim: int, wave: WaveParams, rho: list[float], scheme: SchemeSpec,
                     cores: list[tuple[float, complex]]) -> tuple[ModalSolution, ...]:
-    """coeffs_layered at each rho, with its own virtual core, in one elimination."""
-    _check_radii(dim, rho)
+    """coeffs_layered at each rho, with its own virtual core, in one elimination;
+    the callers have checked dim and rho."""
     layers = [layer_wavenumbers(scheme, r, wave.k, core) for r, core in zip(rho, cores)]
     k_tilde, k2, c0, coupling = np.array(
         [(lw.k_tilde, lw.k2, lw.c0, lw.coupling) for lw in layers], dtype=complex).reshape(-1, 4).T
@@ -463,7 +459,7 @@ def _amplitude(dim: int, k: float, d: np.ndarray, angles: np.ndarray) -> np.ndar
     """The far_field formula for coefficients d_n along the last axis of d."""
     if dim == 2:
         return (math.sqrt(2.0 / (math.pi * k)) * cmath.exp(-1j * math.pi / 4)
-                * _angular_sum(2, d * (-1j) ** np.arange(d.shape[-1]), angles))
+                * _angular_sum(2, d * _I_POW[-np.arange(d.shape[-1]) & 3], angles))
     return (-1j / k) * _angular_sum(3, d, angles)
 
 
@@ -566,7 +562,7 @@ def field_on_circle(solution: ModalSolution, r: float, thetas: np.ndarray,
         raise DomainError("scattered_only applies to the exterior region")
     radial = _radial_sums(solution, region, r, radial_derivative)
     if solution.dim == 3:
-        radial = 1j ** np.arange(solution.n_max + 1) * radial
+        radial = _I_POW[np.arange(solution.n_max + 1) & 3] * radial
     u = _angular_sum(solution.dim, radial, thetas)
     if region == "exterior" and not scattered_only:
         cos = np.cos(thetas)

@@ -253,6 +253,39 @@ def test_far_field_matches_direct_neumann_series():
     assert np.max(np.abs(ours - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_fields_above_order_100_match_closed_form_sound_hard_series(dim):
+    # k rho = 150 needs n_max = 188.  The closed-form sound-hard series,
+    # summed with scipy Bessel functions, checks the far field and the
+    # scattered near field on and outside the obstacle, so the phases
+    # i^n and (-i)^n of every order up to n_max enter.
+    k, rho = 300.0, 0.5
+    sol = mie.solve(SchemeSpec.sound_hard(), dim, WaveParams(k, np.eye(dim)[0]), rho)
+    assert sol.n_max >= 100
+    n, x = np.arange(sol.n_max + 1), k * rho
+    th = np.linspace(0.0, math.pi, 61)
+    i_pow = np.array([1j ** (m % 4) for m in n])
+    radii = (rho, 1.3 * rho, 2.0 * rho)
+    if dim == 2:
+        weights, basis = np.where(n == 0, 1.0, 2.0), np.cos(np.outer(n, th))
+        ratio = special.jvp(n, x) / special.h1vp(n, x)  # -d_n (-i)^n
+        far = -np.exp(-1j * math.pi / 4) * math.sqrt(2 / (math.pi * k)) * ratio
+        outgoing = [special.hankel1(n, k * r) for r in radii]
+    else:
+        weights, basis = 2 * n + 1, special.eval_legendre(n[:, None], np.cos(th))
+        ratio = special.spherical_jn(n, x, True) / (special.spherical_jn(n, x, True)
+                                                    + 1j * special.spherical_yn(n, x, True))
+        far = (1j / k) * ratio
+        outgoing = [special.spherical_jn(n, k * r) + 1j * special.spherical_yn(n, k * r)
+                    for r in radii]
+    pairs = [(mie.far_field(sol, th).amplitude, (weights * far) @ basis)]
+    for r, h in zip(radii, outgoing):
+        pairs.append((mie.field_on_circle(sol, r, th, scattered_only=True),
+                      (weights * i_pow * -ratio * h) @ basis))
+    for got, expected in pairs:
+        assert np.max(np.abs(got - expected)) <= 2.5e-13 * np.max(np.abs(expected))
+
+
 def test_far_field_backscatter_leading_magnitude_2d():
     # |A(pi)| ~ sqrt(2 pi/k) (3/4) (k rho)^2 = 5.317e-4 at k=2, rho=0.01.
     sol = mie.solve(SchemeSpec.sound_hard(), 2, WAVE2, 0.01)

@@ -17,7 +17,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nearcloak import bie, mie, specfun
@@ -302,3 +302,51 @@ def test_j_families_match_mpmath(spherical, nmax, r, angle):
             slope = abs(n / zm * f[n] - f[n + 1]) * min(1.0, r / (n + 1))
             tol = 1e-12 + 1e-15 * abs(seq.log_scale[n]) + 2e-16 * r
             assert abs(got[n] - f[n]) <= tol * max(abs(f[n]), slope), (n, z)
+
+
+def _mp_h(spherical, nmax, z):
+    """H_n^(1)(z) or h_n^(1)(z), n = 0..nmax, in mpmath.
+
+    H_nu(z) = (2/(pi i)) e^{-i pi nu/2} K_nu(-iz), with K_nu run up from two
+    orders by its recurrence, which is stable upward; h_n is H_{n+1/2}
+    times sqrt(pi/2)/sqrt(z), the upper-half-plane branch of
+    sqrt(pi/(2z)).  mpmath.hankel1 is not used: it forms J + iY, which
+    cancels, and returns 0 once Im z reaches about 150.
+    """
+    zm = mpmath.mpc(z)
+    w, nu = -1j * zm, mpmath.mpf(1) / 2 if spherical else mpmath.mpf(0)
+    k = [mpmath.besselk(nu, w), mpmath.besselk(nu + 1, w)]
+    for n in range(1, nmax):
+        k.append(k[n - 1] + 2 * (nu + n) / w * k[n])
+    front = mpmath.sqrt(mpmath.pi / 2) / mpmath.sqrt(zm) if spherical else 1
+    return [front * 2 / (mpmath.pi * 1j) * mpmath.exp(-1j * mpmath.pi * (nu + n) / 2) * k[n]
+            for n in range(nmax + 1)]
+
+
+@SETTINGS
+@given(spherical=st.booleans(), nmax=st.integers(0, 30),
+       r=st.one_of(st.floats(math.log(1e-40), math.log(12.5)),
+                   st.floats(math.log(12.5), math.log(100.0)),
+                   st.floats(math.log(100.0), math.log(2e4))).map(math.exp),
+       angle=st.one_of(st.just(0.0), st.just(math.pi), st.floats(0.0, math.pi)))
+@example(spherical=False, nmax=1, r=13.49, angle=0.0)
+@example(spherical=False, nmax=22, r=13.21, angle=0.0)
+@example(spherical=False, nmax=3, r=200.0, angle=0.0)
+@example(spherical=False, nmax=3, r=1.7e4, angle=math.pi)
+def test_h_families_match_mpmath(spherical, nmax, r, angle):
+    # Log-uniform |z| in each region of the H base values, real axes
+    # included.  The tolerances are the error budget of the specfun
+    # docstring: the power series (|z| < 12.5) loses up to e^{13.5} ulps
+    # to cancellation; the continued fraction and the Hankel expansion
+    # near the crossover stay within 5e-12; beyond |z| = 100 the error is
+    # that of the log scale's ulp, about 2.2e-16 |log_scale|.
+    z = complex(-r, 0.0) if angle == math.pi else complex(r * math.cos(angle),
+                                                          r * math.sin(angle))
+    seq = (specfun.spherical_h1_all if spherical else specfun.bessel_h1_all)(nmax, z)
+    got = _mp(seq)
+    with mpmath.workdps(50):
+        expected = _mp_h(spherical, nmax, z)
+        for n in range(nmax + 1):
+            tol = (1e-10 if r < 12.5 else 5e-12 if r < 100.0
+                   else 1e-15 + 2.3e-16 * abs(seq.log_scale[n]))
+            assert abs(got[n] - expected[n]) <= tol * abs(expected[n]), (n, z)
