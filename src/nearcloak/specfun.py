@@ -40,11 +40,11 @@ admissible z.
 Guards: the order must satisfy n <= ORDER_MAX (200) and the argument
 must lie in the closed upper half-plane Im z >= 0 (a signed zero -0.0
 counts as 0) with ARGUMENT_FLOOR (1e-50) <= |z| <= ARGUMENT_GUARD (2e4)
-or z = 0; beyond these a :class:`RangeError` is raised.  Below the floor the closed forms
-and the recurrence coefficients 2(m + nu)/z overflow or underflow (z**2
-in h_1 underflows to 0 below ~1e-154), so results would be non-finite.
-Within the guard, arguments with |Im z| in the thousands are handled
-through the log scale -- e^{|Im z|} itself is never formed.
+or z = 0; beyond these a :class:`RangeError` is raised.  Below the floor
+the closed forms and the recurrence coefficients 2(m + nu)/z overflow or
+underflow (z**2 in h_1 underflows to 0 below ~1e-154), so results would
+be non-finite.  Within the guard, arguments with |Im z| in the thousands
+are handled through the log scale -- e^{|Im z|} itself is never formed.
 
 Accuracy: the Miller normalisation sum carries rounding from ~|z|
 recurrence steps, so on the real axis J_n and j_n are off by a relative

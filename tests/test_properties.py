@@ -287,9 +287,10 @@ def _mp_j(spherical, n, z):
        r=st.floats(math.log(1e-40), math.log(1.5e4)).map(math.exp),
        angle=st.floats(0.0, math.pi))
 def test_j_families_match_mpmath(spherical, nmax, r, angle):
-    # The closed upper half-plane, from the power-law regime to |z| = 1.5e4.  Errors are
-    # measured against the local envelope max(|f_n|, |f_n'| min(1, |z|/(n+1))),
-    # which is |f_n| except next to a zero of f_n.  Miller rounding
+    # The closed upper half-plane, from the power-law regime to |z| = 1.5e4.
+    # Errors are measured against the local envelope
+    # max(|f_n|, |f_n'| min(1, |z|/(n+1))), which is |f_n| except next to
+    # a zero of f_n.  Miller rounding
     # accumulates over the ~|z| recurrence steps of the oscillatory range,
     # hence the term in |z| (1.2e-12 at |z| = 1.4e4 on the real axis).
     z = complex(r * math.cos(angle), r * math.sin(angle))
@@ -337,9 +338,8 @@ def test_h_families_match_mpmath(spherical, nmax, r, angle):
     # Log-uniform |z| in each region of the H base values, real axes
     # included.  The tolerances are the error budget of the specfun
     # docstring: the power series (|z| < 12.5) loses up to e^{13.5} ulps
-    # to cancellation; the continued fraction and the Hankel expansion
-    # near the crossover stay within 5e-12; beyond |z| = 100 the error is
-    # that of the log scale's ulp, about 2.2e-16 |log_scale|.
+    # to cancellation; the Hankel expansion stays within 5e-12 up to
+    # |z| = 100, and beyond that the rounded log scale dominates.
     z = complex(-r, 0.0) if angle == math.pi else complex(r * math.cos(angle),
                                                           r * math.sin(angle))
     seq = (specfun.spherical_h1_all if spherical else specfun.bessel_h1_all)(nmax, z)
