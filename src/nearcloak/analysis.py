@@ -95,6 +95,14 @@ class SweepResult:
 # ---------------------------------------------------------------------------
 # Sweeps
 # ---------------------------------------------------------------------------
+def _rho_grid(rho_values) -> np.ndarray:
+    """The distinct rho values, sorted decreasing; raises on an empty list."""
+    rho = np.asarray(sorted(set(float(r) for r in rho_values), reverse=True))
+    if rho.size == 0:
+        raise InsufficientDataError("empty rho list")
+    return rho
+
+
 def sweep(scheme: SchemeSpec, dim: int, wave: WaveParams,
           rho_values, angle_count: int = DEFAULT_ANGLE_COUNT,
           contents: tuple[float, complex] = (1.0, 1.0),
@@ -106,9 +114,7 @@ def sweep(scheme: SchemeSpec, dim: int, wave: WaveParams,
     fit model defaults to power-law for the sound-hard family and
     inverse-log for the sound-soft family.
     """
-    rho = np.asarray(sorted(set(float(r) for r in rho_values), reverse=True))
-    if rho.size == 0:
-        raise InsufficientDataError("empty rho list")
+    rho = _rho_grid(rho_values)
     angles = observation_angles(dim, angle_count)
     try:
         solutions = mie.solve_many(scheme, dim, wave, rho, contents)
@@ -188,7 +194,7 @@ def special_angle_suppression(dim: int, wave: WaveParams, rho_values,
     """
     theta_star = SPECIAL_ANGLE_2D if dim == 2 else SPECIAL_ANGLE_3D
     angles = observation_angles(dim, angle_count)
-    rho = np.asarray(sorted(set(float(r) for r in rho_values), reverse=True))
+    rho = _rho_grid(rho_values)
     solutions = mie.solve_many(SchemeSpec.sound_hard(), dim, wave, rho)
     amplitude = np.abs(mie._far_field_rows(solutions, np.append(angles, theta_star)))
     return amplitude[:, -1] / amplitude[:, :-1].max(axis=1)

@@ -40,7 +40,8 @@ Kernel evaluation uses scipy's real-argument order-0/1 Bessel routines
 (j0, j1, y0, y1), and the system matrices are assembled in real
 arithmetic, each from one circulant carrying both log weights; this module
 is the cross-validation oracle for the modal solver and deliberately
-shares none of its special-function machinery.
+shares none of its special-function machinery: specfun takes only the
+complex-argument hankel1e from scipy, and builds J_n itself.
 """
 
 from __future__ import annotations
@@ -304,8 +305,8 @@ def far_field_from_cauchy_data(radius: float, u: np.ndarray, dudn: np.ndarray,
     dudn = np.asarray(dudn, dtype=complex)
     if u.shape != dudn.shape or u.ndim != 1:
         raise ShapeError("u and dudn must be 1D arrays of equal length")
-    if radius <= 0:
-        raise DomainError("sampling radius must be positive")
+    if not (math.isfinite(radius) and radius > 0):
+        raise DomainError(f"sampling radius must be finite and positive, got {radius}")
     m = u.size
     phis = 2.0 * math.pi * np.arange(m) / m
     ys = radius * np.stack([np.cos(phis), np.sin(phis)], axis=1)

@@ -27,11 +27,9 @@ admissible z.
   against the plane-wave sum ``sum_m w_m (-i)^m f_m(z) = exp(-iz)`` for
   Im z >= 0, with w_m = 1, 2, 2, ... for J and w_m = 2m + 1 for j.
   Upward recurrence is unstable for J and j and is not used.
-* H_n^(1): orders 0 and 1 from the large-argument Hankel expansion
-  (|z| >= 12.5); below that from the power series with the log term
-  split off while |z| + Im z <= 13.5, else from a continued fraction for
-  H_0'/H_0 and the Wronskian with Miller J_0, J_1; then stable upward
-  recurrence.
+* H_n^(1): orders 0 and 1 from scipy.special.hankel1e, the exponentially
+  scaled H_nu^(1)(z) e^{-iz} of Amos's algorithm (D. E. Amos, ACM TOMS
+  12, 265, 1986), at log scale -Im z; then stable upward recurrence.
 * spherical h_n^(1): closed forms for orders 0 and 1, upward recurrence.
 * derivatives: B_n'(z) = (n/z) B_n(z) - B_{n+1}(z), valid for both the
   cylindrical and the spherical families, along the last axis.
@@ -50,9 +48,8 @@ Accuracy: the Miller normalisation sum carries rounding from ~|z|
 recurrence steps, so on the real axis J_n and j_n are off by a relative
 error of about 8e-17 |z|, common to all orders (1.2e-12 at |z| = 1.4e4).
 H_n and h_n (n <= 30, against a 50-digit oracle) are off by a relative
-error below 1e-10 where the power series runs (it loses up to e^{13.5}
-ulps to cancellation), below 5e-12 for 12.5 <= |z| < 100, and below
-1e-15 + 2.3e-16 |log_scale| beyond.  That last term bounds every scaled
+error below 1e-14 + 2.3e-16 |log_scale| for |z| < 100 and below
+1e-15 + 2.3e-16 |log_scale| beyond.  The second term bounds every scaled
 value: its log scale L is a rounded double, which moves the value by up
 to half an ulp of L, at most 1.1e-16 |L| (9e-13 for H at Im z ~ 9e3,
 where L ~ -9e3); the bound allows two such roundings.
@@ -69,9 +66,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from itertools import accumulate
 
 import numpy as np
+from scipy import special
 
 from .errors import DomainError, RangeError, SingularArgumentError
 
@@ -79,23 +76,11 @@ ORDER_MAX = 200
 ARGUMENT_GUARD = 2.0e4
 ARGUMENT_FLOOR = 1.0e-50
 
-# Terminate power series when a term falls below this fraction of the sum.
-SERIES_EPS = 1e-18
-
-# Crossover |z| between the series and the large-argument expansion for H.
-_H_ASYMPTOTIC_CUTOFF = 12.5
-
-# The H = J + iY series loses a factor ~e^{|z| + Im z} to cancellation; below
-# the crossover it runs only while that stays around 1e-10 in double precision.
-_H_SERIES_BUDGET = 13.5
-
 # Mantissas are renormalised once they exceed this during recurrences.
 _RESCALE_AT = 1e250
 
 # Floor on |mantissa| in scaled(), so zeros need no mask.
 _TINY = 1e-300
-
-_EULER_GAMMA = 0.5772156649015328606
 
 _MINUS_I_POW = np.array([1.0, -1.0j, -1.0, 1.0j])  # (-i)^m for m mod 4
 
@@ -258,9 +243,11 @@ def _recurrence(z: complex, nu: float, f0: complex, f1: complex,
             starts.append(len(vals))
             steps.append(la)
         vals.append(fc)
-    # A downward run sums its steps back from its end, which sits at scale 0.
-    scales = (accumulate(steps) if orders.step > 0
-              else reversed(list(accumulate([0.0] + [-la for la in steps[:0:-1]]))))
+    # One correctly rounded sum per stretch, so a log scale is rounded once
+    # however many rescales precede it.  A downward run sums its steps back
+    # from its end, which sits at scale 0.
+    scales = [math.fsum(steps[:j + 1]) if orders.step > 0 else -math.fsum(steps[j + 1:])
+              for j in range(len(steps))]
     n = len(orders)
     logs = np.empty(n)
     for i, scale in zip(starts, scales):
@@ -297,133 +284,18 @@ def _bessel_j(nmax: int, top: int, z: complex, nu: float) -> tuple[np.ndarray, n
 
 
 # ---------------------------------------------------------------------------
-# Cylindrical H_n^(1) base values: series, asymptotic or continued fraction
-# ---------------------------------------------------------------------------
-def _h01_series(z: complex) -> tuple[complex, complex]:
-    """H_0^(1), H_1^(1) by the Maclaurin series with the log term split off.
-
-    Valid on the cut plane; accurate for |z| below the asymptotic
-    crossover (the e^{|Re z|} cancellation stays under ~1e5 there).
-    """
-    q = (z / 2.0) ** 2
-    lg = cmath.log(z / 2.0) + _EULER_GAMMA
-
-    # J_0 and sum (-1)^m h_m q^m/(m!)^2 for Y_0
-    term = 1.0 + 0j
-    j0 = term
-    y0s = 0j
-    hm = 0.0
-    m = 1
-    while True:
-        term *= -q / (m * m)
-        j0 += term
-        hm += 1.0 / m
-        y0s += term * hm
-        if abs(term) < SERIES_EPS * abs(j0):
-            break
-        m += 1
-        if m > 200:  # unreachable for |z| < 13
-            break
-    y0 = (2.0 / math.pi) * (lg * j0 - y0s)
-
-    # J_1 and sum (-1)^m (h_m + h_{m+1}) (z/2)^{2m+1} / (m!(m+1)!) for Y_1
-    term = z / 2.0
-    j1 = term
-    y1s = term  # m = 0: h_0 + h_1 = 1
-    hm = 0.0
-    hm1 = 1.0
-    m = 1
-    while True:
-        term *= -q / (m * (m + 1))
-        j1 += term
-        hm += 1.0 / m
-        hm1 += 1.0 / (m + 1)
-        y1s += term * (hm + hm1)
-        if abs(term) < SERIES_EPS * abs(j1):
-            break
-        m += 1
-        if m > 200:
-            break
-    y1 = (2.0 / math.pi) * lg * j1 - 2.0 / (math.pi * z) - y1s / math.pi
-
-    return j0 + 1j * y0, j1 + 1j * y1
-
-
-def _h_asymptotic(n: int, z: complex) -> complex:
-    """Mantissa of H_n^(1)(z) at log scale -Im z, by the large-argument
-    Hankel expansion (orders 0, 1)."""
-    s = 1.0 + 0j
-    term = 1.0 + 0j
-    four_n2 = 4.0 * n * n
-    m = 0
-    while m < 40:
-        new = term * 1j * (four_n2 - (2 * m + 1) ** 2) / (8.0 * z * (m + 1))
-        if abs(new) >= abs(term):  # asymptotic tail started diverging
-            break
-        term = new
-        s += term
-        if abs(term) < SERIES_EPS * abs(s):
-            break
-        m += 1
-    # Two factors: z.real - pi/4 in one sum would round to the ulp of |z|.
-    front = (cmath.sqrt(2.0 / (math.pi * z)) * cmath.exp(1j * z.real)
-             * cmath.exp(-1j * (n * math.pi / 2.0 + math.pi / 4.0)))
-    return front * s
-
-
-def _h1_logderiv_cf(z: complex, max_iter: int = 20000) -> complex:
-    """Logarithmic derivative H_0^(1)'(z)/H_0^(1)(z) by continued fraction.
-
-    L_0 = -1/(2z) + i + (i/z) * K_{k>=1} [ (k-1/2)^2 / (2(z + ik)) ]
-    evaluated with the modified Lentz algorithm.  Converges for z off the
-    negative real axis; used in the upper half-plane gap where neither
-    the power series nor the large-argument expansion is accurate.
-    """
-    tiny = 1e-300
-    f = tiny + 0j
-    c = f
-    d = 0j
-    for k in range(1, max_iter):
-        a = (k - 0.5) ** 2
-        b = 2.0 * (z + 1j * k)
-        d = b + a * d
-        if d == 0:
-            d = tiny
-        c = b + a / c
-        if c == 0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    else:
-        raise RangeError("continued fraction for H did not converge")
-    return -0.5 / z + 1j + (1j / z) * f
-
-
-def _h01_base(z: complex) -> tuple[complex, complex, float]:
-    """H_0^(1), H_1^(1) for Im z >= 0 as (mantissa0, mantissa1, log_scale)."""
-    if abs(z) >= _H_ASYMPTOTIC_CUTOFF:
-        return _h_asymptotic(0, z), _h_asymptotic(1, z), -z.imag
-    if abs(z) + z.imag <= _H_SERIES_BUDGET:
-        h0, h1 = _h01_series(z)
-        return h0, h1, 0.0
-    # Gap region: recessive H via its CF log-derivative plus the Wronskian
-    # J_0 H_0' - J_0' H_0 = 2i/(pi z), with J_0, J_1 from Miller.  Here
-    # |z| < 12.5, so J_0, J_1 <= e^12.5 need no scaling.
-    l0 = _h1_logderiv_cf(z)
-    j0, j1 = scaled(*_bessel_j(1, 1, z, 0.0)).to_complex().tolist()
-    denom = j0 * l0 + j1  # J_0 L_0 - J_0',  J_0' = -J_1
-    if denom == 0:
-        raise RangeError("degenerate Wronskian solve for H base values")
-    h0 = 2j / (math.pi * z) / denom
-    return h0, -h0 * l0, 0.0  # H_0' = -H_1
-
-
-# ---------------------------------------------------------------------------
 # Both Hankel families
 # ---------------------------------------------------------------------------
+def _h01_base(z: complex) -> tuple[complex, complex, float]:
+    """H_0^(1), H_1^(1) for Im z >= 0 as (mantissa0, mantissa1, log_scale).
+
+    hankel1e(nu, z) = H_nu^(1)(z) e^{-iz}, so the mantissas carry e^{i Re z}
+    and the scale is -Im z.
+    """
+    h0, h1 = (special.hankel1e((0.0, 1.0), z) * cmath.exp(1j * z.real)).tolist()
+    return h0, h1, -z.imag
+
+
 def _hankel(nmax: int, top: int, z: complex, spherical: bool) -> tuple[np.ndarray, np.ndarray]:
     """H_0^(1) .. H_top^(1), or h_0^(1) .. h_top^(1) when ``spherical``
     (``nmax`` is unused: an upward run needs no start above ``top``)."""

@@ -141,6 +141,13 @@ def test_special_angle_ratio_divides_by_four():
         assert np.all((factors >= 3.2) & (factors <= 4.8)), (dim, factors)
 
 
+def test_empty_rho_list_is_insufficient_data():
+    with pytest.raises(InsufficientDataError, match="empty rho list"):
+        analysis.special_angle_suppression(2, WAVE2, [])
+    with pytest.raises(InsufficientDataError, match="empty rho list"):
+        sweep(SchemeSpec.sound_hard(), 2, WAVE2, [])
+
+
 def test_near_field_deviation_trivial_and_domain():
     sol = mie.solve(SchemeSpec.sound_hard(), 2, WAVE2, 0.05)
     assert analysis.near_field_deviation(sol, sol, 0.2) == 0.0

@@ -1,13 +1,15 @@
 """Boundary-integral solver tests: quadrature, oracle agreement, far fields."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import special
 from scipy.linalg import lu_factor, lu_solve
 
-from nearcloak import bie, mie
+from nearcloak import bie, mie, specfun
 from nearcloak.errors import DomainError, ResonanceError, ShapeError
 from nearcloak.mie import SchemeSpec, WaveParams
 
@@ -56,6 +58,26 @@ def test_laplace_double_layer_gauss_identity():
 # ---------------------------------------------------------------------------
 # Solver: oracle agreement against the modal series
 # ---------------------------------------------------------------------------
+def _scipy_special_names(module) -> set[str]:
+    """Names a module takes from scipy.special, as ``special.<name>`` or imports."""
+    names = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "special"):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "scipy.special":
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_oracle_shares_no_special_function_with_modal_solver():
+    # The BIE oracle cross-validates the modal solver only while the two
+    # draw their Bessel functions from different routines.
+    bie_names = _scipy_special_names(bie)
+    assert bie_names, "no scipy.special use found in bie"
+    assert bie_names.isdisjoint(_scipy_special_names(specfun))
+
+
 def test_circle_trace_matches_modal_series():
     rho = 0.5
     crv = bie.circle(rho, 256)
@@ -236,6 +258,12 @@ def test_cauchy_data_point_source_far_field():
 def test_cauchy_data_shape_error():
     with pytest.raises(ShapeError):
         bie.far_field_from_cauchy_data(2.0, np.zeros(16), np.zeros(17), WAVE, ANGLES)
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0])
+def test_cauchy_data_radius_must_be_finite_and_positive(radius):
+    with pytest.raises(DomainError, match="finite and positive"):
+        bie.far_field_from_cauchy_data(radius, np.zeros(16), np.zeros(16), WAVE, ANGLES)
 
 
 # ---------------------------------------------------------------------------

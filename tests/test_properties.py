@@ -334,12 +334,15 @@ def _mp_h(spherical, nmax, z):
 @example(spherical=False, nmax=22, r=13.21, angle=0.0)
 @example(spherical=False, nmax=3, r=200.0, angle=0.0)
 @example(spherical=False, nmax=3, r=1.7e4, angle=math.pi)
+@example(spherical=False, nmax=4, r=6.6193, angle=1.9663)
+@example(spherical=False, nmax=30, r=3.810767422066023e-35, angle=0.0)
 def test_h_families_match_mpmath(spherical, nmax, r, angle):
-    # Log-uniform |z| in each region of the H base values, real axes
-    # included.  The tolerances are the error budget of the specfun
-    # docstring: the power series (|z| < 12.5) loses up to e^{13.5} ulps
-    # to cancellation; the Hankel expansion stays within 5e-12 up to
-    # |z| = 100, and beyond that the rounded log scale dominates.
+    # Log-uniform |z| in three bands (small, moderate and large arguments),
+    # real axes included.  The tolerances are the error budget of the
+    # specfun docstring: scipy's hankel1e base values and the upward
+    # recurrence stay within a few ulps up to |z| = 100, and beyond that
+    # the rounded log scale dominates.  Tiny |z| at order 30 rescales about
+    # ten times on the way up; its log scale may still carry two roundings.
     z = complex(-r, 0.0) if angle == math.pi else complex(r * math.cos(angle),
                                                           r * math.sin(angle))
     seq = (specfun.spherical_h1_all if spherical else specfun.bessel_h1_all)(nmax, z)
@@ -347,6 +350,5 @@ def test_h_families_match_mpmath(spherical, nmax, r, angle):
     with mpmath.workdps(50):
         expected = _mp_h(spherical, nmax, z)
         for n in range(nmax + 1):
-            tol = (1e-10 if r < 12.5 else 5e-12 if r < 100.0
-                   else 1e-15 + 2.3e-16 * abs(seq.log_scale[n]))
+            tol = (1e-14 if r < 100.0 else 1e-15) + 2.3e-16 * abs(seq.log_scale[n])
             assert abs(got[n] - expected[n]) <= tol * abs(expected[n]), (n, z)

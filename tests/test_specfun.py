@@ -258,7 +258,9 @@ def test_asymptotic_agreement_large_imaginary():
 
 
 def test_cross_check_against_scipy_complex_plane():
-    # Independent implementation check over the closed upper half-plane.
+    # Check over the closed upper half-plane.  J_n is independent of scipy;
+    # H_0 and H_1 are scipy's own hankel1e, so for H this checks the upward
+    # recurrence at the higher orders.
     rng = np.random.default_rng(19)
     for _ in range(400):
         n = int(rng.integers(0, 21))
