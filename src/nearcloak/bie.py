@@ -1,5 +1,8 @@
 """Nystrom solver for 2D exterior sound-hard Helmholtz scattering.
 
+A curve is a Fourier mode table, x(t) = sum_m c_m e^{imt} in the complex
+plane: it closes by construction, and x', x'' are exact mode sums.
+
 Direct (Green-representation) formulation on a smooth closed curve: the
 scattered trace v = u^s|_Gamma solves the second-kind equation
 
@@ -47,8 +50,7 @@ complex-argument hankel1e from scipy, and builds J_n itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -67,75 +69,51 @@ RESONANCE_CONDITION = 1e12
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class BoundaryCurve:
-    """Closed curve t in [0, 2pi) -> R^2 with two derivatives.
+    """Closed curve x(t) = sum_m c_m e^{imt}, t in [0, 2pi), in the complex plane.
 
-    The callables must be vectorized over t and 2pi-periodic; the
-    parametrization must be regular (|x'(t)| > 0) and counterclockwise,
-    so that (x2', -x1') is the outward normal.
+    ``modes`` is a tuple of (m, c_m) pairs with integer m and finite
+    complex c_m.  The parametrization must be regular (|x'(t)| > 0 at every
+    node) and counterclockwise, so that (x2', -x1') is the outward normal.
     """
 
-    position: Callable[[np.ndarray], np.ndarray]
-    derivative: Callable[[np.ndarray], np.ndarray]
-    second_derivative: Callable[[np.ndarray], np.ndarray]
+    modes: tuple
     n_points: int
     name: str = "curve"
 
     def __post_init__(self):
-        if self.n_points % 2 != 0 or self.n_points < 8:
-            raise DomainError("n_points must be an even integer >= 8")
-        if self.n_points > MAX_NODES:
+        n = self.n_points
+        if not isinstance(n, (int, np.integer)) or n % 2 or n < 8:
+            raise DomainError(f"n_points must be an even integer >= 8, got {n!r}")
+        if n > MAX_NODES:
             raise DomainError(f"n_points capped at {MAX_NODES} for the dense solver")
-        t = self.nodes()
-        dp = np.asarray(self.derivative(t))
-        if np.min(np.hypot(dp[:, 0], dp[:, 1])) <= 0:
+        if not all(isinstance(m, (int, np.integer)) and np.isfinite(c) for m, c in self.modes):
+            raise DomainError("modes must be (integer m, finite complex c_m) pairs")
+        if np.min(np.abs(_derivatives(self)[1])) <= 0:
             raise DomainError("parametrization is not regular (|x'| = 0 at a node)")
-        p0 = np.asarray(self.position(np.array([0.0])))
-        p1 = np.asarray(self.position(np.array([2.0 * math.pi])))
-        if np.max(np.abs(p0 - p1)) > 1e-10:
-            raise DomainError("curve is not closed over [0, 2pi]")
 
     def nodes(self) -> np.ndarray:
         return 2.0 * math.pi * np.arange(self.n_points) / self.n_points
 
 
+def _derivatives(curve: BoundaryCurve):
+    """x, x', x'' at the nodes as complex arrays: sum_m (im)^k c_m e^{imt}."""
+    m = np.array([mode[0] for mode in curve.modes], dtype=float)
+    c = np.array([mode[1] for mode in curve.modes], dtype=complex)
+    terms = c * np.exp(1j * np.outer(curve.nodes(), m))
+    # Row sums, not a complex @: see _green_far_field.
+    return [(terms * (1j * m) ** k).sum(axis=1) for k in range(3)]
+
+
 def circle(radius: float, n_points: int = 256) -> BoundaryCurve:
     if not (math.isfinite(radius) and radius > 0):
         raise DomainError(f"circle radius must be finite and positive, got {radius}")
-
-    def pos(t):
-        t = np.asarray(t, dtype=float)
-        return radius * np.stack([np.cos(t), np.sin(t)], axis=-1)
-
-    def dpos(t):
-        t = np.asarray(t, dtype=float)
-        return radius * np.stack([-np.sin(t), np.cos(t)], axis=-1)
-
-    def ddpos(t):
-        t = np.asarray(t, dtype=float)
-        return radius * np.stack([-np.cos(t), -np.sin(t)], axis=-1)
-
-    return BoundaryCurve(pos, dpos, ddpos, n_points, name=f"circle(r={radius:g})")
+    return BoundaryCurve(((1, radius),), n_points, name=f"circle(r={radius:g})")
 
 
 def kite(n_points: int = 256) -> BoundaryCurve:
     """The kite benchmark: x(t) = (cos t + 0.65 cos 2t - 0.65, 1.5 sin t)."""
-
-    def pos(t):
-        t = np.asarray(t, dtype=float)
-        return np.stack([np.cos(t) + 0.65 * np.cos(2 * t) - 0.65,
-                         1.5 * np.sin(t)], axis=-1)
-
-    def dpos(t):
-        t = np.asarray(t, dtype=float)
-        return np.stack([-np.sin(t) - 1.3 * np.sin(2 * t),
-                         1.5 * np.cos(t)], axis=-1)
-
-    def ddpos(t):
-        t = np.asarray(t, dtype=float)
-        return np.stack([-np.cos(t) - 2.6 * np.cos(2 * t),
-                         -1.5 * np.sin(t)], axis=-1)
-
-    return BoundaryCurve(pos, dpos, ddpos, n_points, name="kite")
+    return BoundaryCurve(((-2, 0.325), (-1, -0.25), (0, -0.65), (1, 1.25), (2, 0.325)),
+                         n_points, name="kite")
 
 
 @dataclass(frozen=True)
@@ -144,16 +122,13 @@ class DensitySolution:
 
     curve: BoundaryCurve
     wave: WaveParams
-    nodes: np.ndarray          # (2N, 2) quadrature points
     trace: np.ndarray          # v = u^s on Gamma at the nodes
     neumann_data: np.ndarray   # psi = du^s/dnu = -d(u^i)/dnu at the nodes
-    normals: np.ndarray = field(repr=False, default=None)      # unnormalised (x2', -x1')
-    jacobian: np.ndarray = field(repr=False, default=None)     # |x'(t)|
     residual: float = 0.0
     condition_estimate: float = 0.0
 
     def __post_init__(self):
-        n = self.nodes.shape[0]
+        n = self.curve.n_points
         if self.trace.shape != (n,) or self.neumann_data.shape != (n,):
             raise ShapeError("trace/neumann_data length must match the node count")
 
@@ -164,9 +139,9 @@ class DensitySolution:
 def log_weights(n_half: int) -> np.ndarray:
     """Kress weights R_m, m = 0..2N-1, for the log(4 sin^2) factor."""
     m = np.arange(2 * n_half)
-    p = np.arange(1, n_half)
-    table = np.cos(np.outer(p, m) * math.pi / n_half) / p[:, None]
-    r = -(2.0 * math.pi / n_half) * table.sum(axis=0)
+    inv_p = np.zeros(2 * n_half)
+    inv_p[1:n_half] = 1.0 / m[1:n_half]
+    r = -(2.0 * math.pi / n_half) * np.fft.fft(inv_p).real
     r -= (math.pi / n_half ** 2) * np.cos(m * math.pi)
     return r
 
@@ -175,13 +150,10 @@ def log_weights(n_half: int) -> np.ndarray:
 # Assembly and solve
 # ---------------------------------------------------------------------------
 def _geometry(curve: BoundaryCurve):
-    t = curve.nodes()
-    pts = np.asarray(curve.position(t), dtype=float)
-    d1 = np.asarray(curve.derivative(t), dtype=float)
-    d2 = np.asarray(curve.second_derivative(t), dtype=float)
+    pts, d1, d2 = (np.stack([z.real, z.imag], axis=1) for z in _derivatives(curve))
     normals = np.stack([d1[:, 1], -d1[:, 0]], axis=1)  # outward, length |x'|
     jac = np.hypot(d1[:, 0], d1[:, 1])
-    return t, pts, d1, d2, normals, jac
+    return curve.nodes(), pts, d1, d2, normals, jac
 
 
 def _system_matrices(k: float, t, pts, d1, d2, normals, jac):
@@ -257,8 +229,7 @@ def assemble_and_solve(curve: BoundaryCurve, wave: WaveParams) -> DensitySolutio
     v = lu_solve((lu, piv), g)
     gn = np.linalg.norm(g)
     residual = float(np.linalg.norm(a @ v - g) / gn) if gn > 0 else 0.0
-    return DensitySolution(curve=curve, wave=wave, nodes=pts, trace=v,
-                           neumann_data=psi, normals=normals, jacobian=jac,
+    return DensitySolution(curve=curve, wave=wave, trace=v, neumann_data=psi,
                            residual=residual, condition_estimate=float(cond))
 
 
@@ -286,7 +257,8 @@ def _green_far_field(k: float, angles: np.ndarray, ys: np.ndarray, normals: np.n
 def far_field_from_density(solution: DensitySolution, wave: WaveParams,
                            angles: np.ndarray) -> FarFieldPattern:
     """A(xhat) from the solved trace, trapezoid over the smooth kernel."""
-    k, pts, normals = wave.k, solution.nodes, solution.normals  # normals carry |x'|
+    k = wave.k
+    _, pts, _, _, normals, _ = _geometry(solution.curve)  # normals carry |x'|
     flux = -1j * k * (normals @ wave.d) * np.exp(1j * k * (pts @ wave.d))  # -du^i/dnu
     return _green_far_field(k, angles, pts, normals, solution.trace, flux,
                             math.pi / (solution.curve.n_points // 2))

@@ -212,8 +212,8 @@ class FarFieldPattern:
 
     def __post_init__(self):
         a = np.asarray(self.angles, dtype=float)
-        if a.ndim != 1 or a.size == 0 or np.any(np.diff(a) <= 0):
-            raise DomainError("angles must be a nonempty, strictly increasing 1-d array")
+        if a.ndim != 1 or a.size == 0 or not np.all(np.isfinite(a)) or np.any(np.diff(a) <= 0):
+            raise DomainError("angles must be a nonempty, finite, strictly increasing 1-d array")
         hi = 2.0 * math.pi if self.gamma_convention == "2d" else math.pi
         if a[0] < 0 or a[-1] > hi + 1e-12:
             raise DomainError("angles outside the valid range")

@@ -4,6 +4,7 @@ import ast
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special
@@ -35,6 +36,42 @@ def test_log_weights_exact_on_trig_polynomials(m):
     idx = np.abs(np.arange(2 * n_half)[:, None] - np.arange(2 * n_half)[None, :])
     quad = (r[idx] * np.cos(m * t)[None, :]).sum(axis=1)
     assert np.max(np.abs(quad + (2 * math.pi / m) * np.cos(m * t))) < 1e-12
+
+
+def test_log_weights_match_mpmath_reference():
+    # R_m from its defining sum at 25 digits, over every m.
+    n_half = 64
+    with mpmath.workdps(25):
+        ref = [float(-(2 * mpmath.pi / n_half)
+                     * mpmath.fsum(mpmath.cos(p * m * mpmath.pi / n_half) / p
+                                   for p in range(1, n_half))
+                     - (mpmath.pi / n_half ** 2) * (-1) ** m)
+               for m in range(2 * n_half)]
+    ref = np.array(ref)
+    assert np.max(np.abs(bie.log_weights(n_half) - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def _closed_form_circle(radius, t):
+    return (radius * np.stack([np.cos(t), np.sin(t)], axis=-1),
+            radius * np.stack([-np.sin(t), np.cos(t)], axis=-1),
+            radius * np.stack([-np.cos(t), -np.sin(t)], axis=-1))
+
+
+def _closed_form_kite(t):
+    return (np.stack([np.cos(t) + 0.65 * np.cos(2 * t) - 0.65, 1.5 * np.sin(t)], axis=-1),
+            np.stack([-np.sin(t) - 1.3 * np.sin(2 * t), 1.5 * np.cos(t)], axis=-1),
+            np.stack([-np.cos(t) - 2.6 * np.cos(2 * t), -1.5 * np.sin(t)], axis=-1))
+
+
+@pytest.mark.parametrize("n_points", [8, 64, 2048])
+@pytest.mark.parametrize("curve, closed_form", [
+    (lambda n: bie.circle(0.37, n), lambda t: _closed_form_circle(0.37, t)),
+    (bie.kite, _closed_form_kite)], ids=["circle", "kite"])
+def test_mode_tables_match_closed_forms(curve, closed_form, n_points):
+    crv = curve(n_points)
+    t, pts, d1, d2, _, _ = bie._geometry(crv)
+    for got, ref in zip((pts, d1, d2), closed_form(t)):
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 def test_laplace_double_layer_gauss_identity():
@@ -190,10 +227,8 @@ def test_zero_density_and_no_incident_term_gives_zero_far_field():
     # trace-only first term with zero trace, and a zero incident direction
     # contribution is exercised through the Cauchy-data route below; here
     # the full integrand with trace = 0 reduces to the plane-wave term.
-    zero = bie.DensitySolution(curve=crv, wave=WAVE, nodes=sol.nodes,
-                               trace=np.zeros_like(sol.trace),
-                               neumann_data=np.zeros_like(sol.neumann_data),
-                               normals=sol.normals, jacobian=sol.jacobian)
+    zero = bie.DensitySolution(curve=crv, wave=WAVE, trace=np.zeros_like(sol.trace),
+                               neumann_data=np.zeros_like(sol.neumann_data))
     amp = bie.far_field_from_cauchy_data(2.0, np.zeros(64), np.zeros(64),
                                          WAVE, ANGLES).amplitude
     assert np.max(np.abs(amp)) == 0.0
@@ -208,10 +243,8 @@ def test_plane_wave_only_term_matches_disk_closed_form():
     rho = 0.37
     crv = bie.circle(rho, 256)
     sol = bie.assemble_and_solve(crv, WAVE)
-    zeroed = bie.DensitySolution(curve=crv, wave=WAVE, nodes=sol.nodes,
-                                 trace=np.zeros_like(sol.trace),
-                                 neumann_data=sol.neumann_data,
-                                 normals=sol.normals, jacobian=sol.jacobian)
+    zeroed = bie.DensitySolution(curve=crv, wave=WAVE, trace=np.zeros_like(sol.trace),
+                                 neumann_data=sol.neumann_data)
     amp = bie.far_field_from_density(zeroed, WAVE, ANGLES).amplitude
     gamma = np.exp(1j * math.pi / 4) / math.sqrt(8 * math.pi * WAVE.k)
     oracle = np.empty_like(amp)
@@ -260,6 +293,17 @@ def test_cauchy_data_shape_error():
         bie.far_field_from_cauchy_data(2.0, np.zeros(16), np.zeros(17), WAVE, ANGLES)
 
 
+@pytest.mark.parametrize("far_field", [
+    lambda a: mie.far_field(mie.solve(SchemeSpec.sound_hard(), 2, WAVE, 0.5), a),
+    lambda a: bie.far_field_from_density(
+        bie.assemble_and_solve(bie.circle(0.5, 64), WAVE), WAVE, a),
+    lambda a: bie.far_field_from_cauchy_data(2.0, np.zeros(16), np.zeros(16), WAVE, a)],
+    ids=["mie", "density", "cauchy"])
+def test_far_field_rejects_nan_angles(far_field):
+    with pytest.raises(DomainError, match="finite"):
+        far_field(np.array([0.0, math.nan]))
+
+
 @pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0])
 def test_cauchy_data_radius_must_be_finite_and_positive(radius):
     with pytest.raises(DomainError, match="finite and positive"):
@@ -299,6 +343,15 @@ def test_curve_validation():
         bie.circle(-1.0)
     with pytest.raises(DomainError):
         bie.circle(0.5, 4096)  # beyond the dense-solver cap
+    for n_points in (64.0, "64"):
+        with pytest.raises(DomainError, match="even integer"):
+            bie.circle(0.5, n_points)
+    assert bie.circle(0.5, np.int64(64)).n_points == 64
+    with pytest.raises(DomainError, match="not regular"):
+        bie.BoundaryCurve(((0, 1.0 + 0.5j),), 64)
+    for bad in (math.nan, complex(0.0, math.inf)):
+        with pytest.raises(DomainError, match="finite"):
+            bie.BoundaryCurve(((1, 1.0), (2, bad)), 64)
     with pytest.raises(DomainError):
         bie.assemble_and_solve(bie.circle(0.5, 64),
                                WaveParams(2.0, np.array([1.0, 0.0, 0.0])))

@@ -124,34 +124,14 @@ def test_virtual_core_params_is_the_dilation_push_forward(dim, rho, sigma, q_re,
 # BIE far field under rotation
 # ---------------------------------------------------------------------------
 def _star_curve(amps, phases, alpha, n_points=64):
-    """r(t) = 1 + sum_{m=2..4} a_m cos(m t + phi_m), rotated by alpha."""
-    m = np.arange(2, 5)
-    c, s = math.cos(alpha), math.sin(alpha)
-    rot_t = np.array([[c, s], [-s, c]])  # row vectors times R^T
-
-    def frame(t):
-        t = np.asarray(t, dtype=float)
-        arg = np.multiply.outer(t, m) + phases
-        r = 1.0 + np.cos(arg) @ amps
-        dr = -np.sin(arg) @ (m * amps)
-        ddr = -np.cos(arg) @ (m * m * amps)
-        radial = np.stack([np.cos(t), np.sin(t)], axis=-1)
-        tangent = np.stack([-np.sin(t), np.cos(t)], axis=-1)
-        return r[..., None], dr[..., None], ddr[..., None], radial, tangent
-
-    def pos(t):
-        r, _, _, e, _ = frame(t)
-        return (r * e) @ rot_t
-
-    def dpos(t):
-        r, dr, _, e, p = frame(t)
-        return (dr * e + r * p) @ rot_t
-
-    def ddpos(t):
-        r, dr, ddr, e, p = frame(t)
-        return ((ddr - r) * e + 2.0 * dr * p) @ rot_t
-
-    return bie.BoundaryCurve(pos, dpos, ddpos, n_points, name="star")
+    """r(t) = 1 + sum_{m=2..4} a_m cos(m t + phi_m), turned by alpha:
+    x(t) = r(t) e^{i(t + alpha)} has modes 1 and m + 1, 1 - m."""
+    turn = cmath.exp(1j * alpha)
+    modes = [(1, turn)]
+    for m, a, phi in zip(range(2, 5), amps, phases):
+        modes += [(m + 1, 0.5 * a * turn * cmath.exp(1j * phi)),
+                  (1 - m, 0.5 * a * turn * cmath.exp(-1j * phi))]
+    return bie.BoundaryCurve(tuple(modes), n_points, name="star")
 
 
 coefficients = st.lists(st.floats(-0.08, 0.08), min_size=3, max_size=3).map(np.array)
@@ -172,6 +152,25 @@ def test_bie_far_field_is_rotation_invariant(amps, phases, k, alpha):
         bie.assemble_and_solve(_star_curve(amps, phases, alpha), turned), turned,
         angles + alpha).amplitude
     assert np.max(np.abs(a0 - a1)) <= 1e-12 * np.max(np.abs(a0))
+
+
+@SETTINGS
+@given(amps=coefficients, phases=phase_triples, alpha=st.floats(0.0, 2 * math.pi))
+def test_star_mode_table_matches_polar_form(amps, phases, alpha):
+    # x = r e^{i theta}, theta = t + alpha: x' = (r' + i r) e^{i theta},
+    # x'' = (r'' - r + 2i r') e^{i theta}.
+    crv = _star_curve(amps, phases, alpha)
+    t, pts, d1, d2, _, _ = bie._geometry(crv)
+    m = np.arange(2, 5)
+    arg = np.multiply.outer(t, m) + phases
+    r = 1.0 + np.cos(arg) @ amps
+    dr = -np.sin(arg) @ (m * amps)
+    ddr = -np.cos(arg) @ (m * m * amps)
+    turn = np.exp(1j * (t + alpha))
+    for got, ref in zip((pts, d1, d2), (r * turn, (dr + 1j * r) * turn,
+                                         (ddr - r + 2j * dr) * turn)):
+        got = got[:, 0] + 1j * got[:, 1]
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def _assert_rows_close(got, expected, tol=1e-13):
