@@ -47,8 +47,7 @@ _SCHEME_DEFAULTS = {
 _RHO_GRID_DEFAULTS = {"rho_start": 0.5, "rho_factor": 0.5, "rho_count": 7}
 
 _DEFAULTS = {
-    "mie": {"scheme": "sh", **_SCHEME_DEFAULTS, "rho": 0.5, "incident_angle": 0.0,
-            "out": "farfield.csv"},
+    "mie": {"scheme": "sh", **_SCHEME_DEFAULTS, "rho": 0.5, "out": "farfield.csv"},
     "sweep": {"scheme": "sh", **_SCHEME_DEFAULTS, **_RHO_GRID_DEFAULTS, "model": "auto",
               "out": "sweep.csv", "json_out": None},
     "compare": {"scheme_a": "fsh", "scheme_b": "sh", **_SCHEME_DEFAULTS,
@@ -110,11 +109,12 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
         if unknown:
             raise NearCloakError(f"unknown config keys: {sorted(unknown)}")
         for key, value in cfg.items():
-            accepted = _CONFIG_TYPES[type(params[key])]
-            if isinstance(value, bool) or not isinstance(value, accepted):
-                names = " or ".join(t.__name__ for t in accepted)
+            accepted, choices = _CONFIG_TYPES[type(params[key])], _CHOICES.get(key)
+            if (isinstance(value, bool) or not isinstance(value, accepted)
+                    or choices is not None and value not in choices):
+                needs = choices or " or ".join(t.__name__ for t in accepted)
                 raise NearCloakError(
-                    f"config key {key!r} needs {names}, got {json.dumps(value)}")
+                    f"config key {key!r} needs {needs}, got {json.dumps(value)}")
         params.update(cfg)
     for key in params:
         val = getattr(args, key)

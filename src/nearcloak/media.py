@@ -78,7 +78,8 @@ def cloak_tensor(spec: RadialMapSpec, y: np.ndarray) -> tuple[np.ndarray, np.nda
     y = np.asarray(y, dtype=float)
     dim, s = y.shape[-1], spec.slope
     f = np.linalg.norm(y, axis=-1)
-    outside = (f < spec.r1 * (1 - _GEOM_RTOL)) | (f > spec.r2 * (1 + _GEOM_RTOL))
+    # "not <=" so that a NaN point fails too.
+    outside = ~((spec.r1 * (1 - _GEOM_RTOL) <= f) & (f <= spec.r2 * (1 + _GEOM_RTOL)))
     if np.any(outside):
         raise DomainError(f"|y| = {f[outside][0]:.6g} outside [{spec.r1:.6g}, {spec.r2:.6g}]")
     t = f / spec.inverse_radius(f)

@@ -6,8 +6,9 @@ Solves time-harmonic scattering of a unit plane wave by
 * the three-region transmission problem: homogeneous exterior, a lossy
   layer occupying rho/2 <= |x| <= rho with isotropic parameters
   (sigma_l, q_l), and a uniform core inside rho/2 with (sigma_a, q_a) --
-  all in the virtual-space description (``solve`` converts physical
-  cloaked contents with media.virtual_core_params).
+  all in the virtual-space description.  The cloaked contents enter
+  ``solve_many`` in physical space; media.virtual_core_params converts
+  them.
 
 Per mode n, the exterior field is i^n J_n(k r) + d_n H_n^(1)(k r)
 (angular factor e^{i n theta}) in 2D, and the axisymmetric reduction
@@ -16,8 +17,11 @@ theta is the angle between the observation direction and the incident
 direction.  The layer carries wavenumber k_tilde = k sqrt(q_l/sigma_l),
 branch fixed so Im k_tilde >= 0, and the core k_2 = k sqrt(q_a/sigma_a).
 
-The transmission system per mode is solved by explicit elimination.
-The inner interface gives the layer ratio Upsilon_0 = b_n/a_n, multiplied
+Every lining goes through one explicit elimination per mode; only the
+exterior condition at k rho tells them apart: d_n = -i^n num/den (2D)
+with (num, den) = (J', H') for SH (W = 0), (J, H) for SS (W -> inf) and
+(J' - W J, H' - W H) for a lossy layer, whose W vanishes as rho -> 0 for
+FSH.  The layer's inner interface gives Upsilon_0 = b_n/a_n, multiplied
 through by J_c = J_n(k_2 rho/2) so that it holds at zeros of J_c too
 (J, H at kt rho/2; F = sqrt(sigma_a q_a)/sqrt(sigma_l q_l)):
 
@@ -28,9 +32,9 @@ then the impedance-like quotient
     W = (1/C_0) (J_n'(kt rho) + Upsilon_0 H_n'(kt rho))
               / (J_n(kt rho)  + Upsilon_0 H_n(kt rho)),
 
-then d_n from the outer interface, with C_0 = 1/sqrt(sigma_l q_l).  The
-core coefficient c_n = a_n Wr(kt rho/2) / ch uses the layer's Wronskian
-Wr = J H' - J' H (2i/(pi z) in 2D, i/z^2 in 3D), not a cancelling sum.
+with C_0 = 1/sqrt(sigma_l q_l).  The core coefficient
+c_n = a_n Wr(kt rho/2) / ch uses the layer's Wronskian Wr = J H' - J' H
+(2i/(pi z) in 2D, i/z^2 in 3D), not a cancelling sum.
 
 Everything runs in scaled-mantissa arithmetic (see specfun): for the
 finite sound-hard layer, Im(kt rho) grows like rho^{-delta} and the
@@ -38,10 +42,11 @@ J/H magnitudes split as e^{+-Im(kt rho)}; the explicit elimination in
 log-scale form cancels those factors symbolically, so the solver is
 stable down to rho ~ 1e-6.
 
-``solve_many`` runs one elimination on (B, n) arrays padded to the largest
-n_max of its rho values; ``solve`` and ``coeffs_layered`` are batches of
-one.  Every solve picks n_max adaptively (``_truncated``), so a returned
-solution has a tail at or below TAIL_THRESHOLD.
+``solve_many`` is the solver's only entry: it runs the elimination on
+(B, n) arrays padded to the largest n_max of its rho values, and
+``solve`` is a batch of one.  Every solve picks n_max adaptively
+(``_truncated``), so a returned solution has a tail at or below
+TAIL_THRESHOLD.
 
 All solvers are pure functions; modes are independent; returned
 solutions are immutable.
@@ -283,42 +288,11 @@ def _family(dim: int, kind: str, nmax, z) -> ScaledArray:
     return fn(nmax, z)
 
 
-def _phase(dim: int, nmax: int):
-    """Per-mode incident phase: i^n in 2D, 1 in 3D."""
-    return _I_POW[np.arange(nmax + 1) & 3] if dim == 2 else 1.0
-
-
 # ---------------------------------------------------------------------------
-# Ideal linings (Dirichlet / Neumann obstacle)
+# The one elimination
 # ---------------------------------------------------------------------------
-def _obstacle_coeffs(dim: int, wave: WaveParams, rho: list[float],
-                     neumann: bool) -> tuple[ModalSolution, ...]:
-    """Sound-hard (d_n = -i^n J_n'(k rho)/H_n^(1)'(k rho) in 2D) or, unprimed,
-    sound-soft obstacle at each rho; ``solve_many`` checked dim and rho."""
-    z = wave.k * np.array(rho)
-
-    def solve_at(rows: list[int], orders: list[int]) -> list[ModalSolution]:
-        nmax, zr, sizes = max(orders), z[rows], [n + 1 for n in orders]
-        js, hs = _family(dim, "j", sizes, zr), _family(dim, "h", sizes, zr)
-        if neumann:  # one derivative call for J rows stacked over H rows
-            both = specfun.derivative_all(ScaledArray.concatenate([js, hs]),
-                                          np.concatenate([zr, zr]))
-            num, den = both[:len(rows)], both[len(rows):]
-        else:
-            num, den = js[..., :-1], hs[..., :-1]
-        d = _cut(num / den * -_phase(dim, nmax), orders)
-        return [ModalSolution(dim=dim, rho=rho[i], k=wave.k, n_max=n, d_n=dn,
-                              truncation_tail=_tail(dn))
-                for i, n, dn in zip(rows, orders, d)]
-
-    return _truncated(solve_at, wave.k, rho)
-
-
-# ---------------------------------------------------------------------------
-# Layered transmission problem
-# ---------------------------------------------------------------------------
-def layer_wavenumbers(scheme: SchemeSpec, rho: float, k: float,
-                      core: tuple[float, complex]) -> LayerWavenumbers:
+def _layer_wavenumbers(scheme: SchemeSpec, rho: float, k: float,
+                       core: tuple[float, complex]) -> LayerWavenumbers:
     """Constants of the lining at this rho and of the virtual core (sigma_a, q_a)."""
     sigma_l, q_l = check_passive(*scheme.layer_params(rho))
     sigma_a, q_a = check_passive(*core)
@@ -333,75 +307,74 @@ def layer_wavenumbers(scheme: SchemeSpec, rho: float, k: float,
     return LayerWavenumbers(k_tilde=k_tilde, k2=k2, c0=c0, coupling=coupling)
 
 
-def coeffs_layered(dim: int, wave: WaveParams, rho: float, scheme: SchemeSpec,
-                   core: tuple[float, complex]) -> ModalSolution:
-    """Solve the layer (rho/2 <= |x| <= rho) + core transmission problem.
-
-    ``core`` is the virtual-space pair (sigma_a, q_a) of the uniform
-    contents of the ball of radius rho/2; ``solve`` enters physical-space
-    contents.  Modes whose outer elimination loses more than ~14 digits
-    to cancellation are flagged in degenerate_modes.
-    """
-    if not (math.isfinite(rho) and rho > 0):
-        raise DomainError(f"rho must be finite and positive, got {rho}")
-    if dim not in (2, 3):
-        raise DomainError(f"dim must be 2 or 3, got {dim}")
-    return _layered_coeffs(dim, wave, [rho], scheme, [core])[0]
-
-
-def _layered_coeffs(dim: int, wave: WaveParams, rho: list[float], scheme: SchemeSpec,
-                    cores: list[tuple[float, complex]]) -> tuple[ModalSolution, ...]:
-    """coeffs_layered at each rho, with its own virtual core, in one elimination;
-    the callers have checked dim and rho."""
-    layers = [layer_wavenumbers(scheme, r, wave.k, core) for r, core in zip(rho, cores)]
-    k_tilde, k2, c0, coupling = np.array(
-        [(lw.k_tilde, lw.k2, lw.c0, lw.coupling) for lw in layers], dtype=complex).reshape(-1, 4).T
+def _eliminate(dim: int, wave: WaveParams, rho: list[float], scheme: SchemeSpec,
+               cores: list[tuple[float, complex]]) -> tuple[ModalSolution, ...]:
+    """The solution at each rho, from the one elimination of the module
+    docstring; ``solve_many`` checked dim and rho.  A lossy layer takes one
+    virtual core (sigma_a, q_a) per rho and flags in degenerate_modes the
+    modes whose outer elimination loses more than ~14 digits to cancellation."""
+    lossy = scheme.kind not in ("ss", "sh")
     r = np.array(rho)
-    zk = wave.k * r
-    zt = k_tilde * r
-    zt2 = 0.5 * k_tilde * r
-    zc = 0.5 * k2 * r
-    core_factor = c0 * coupling
+    zh = [wave.k * r]  # arguments of the H rows; the J rows add the core's
+    layers = [None] * len(rho)
+    if lossy:
+        layers = [_layer_wavenumbers(scheme, x, wave.k, core) for x, core in zip(rho, cores)]
+        k_tilde, k2, c0, coupling = np.array(
+            [(lw.k_tilde, lw.k2, lw.c0, lw.coupling) for lw in layers],
+            dtype=complex).reshape(-1, 4).T
+        zh += [k_tilde * r, 0.5 * k_tilde * r]
+        core_factor = c0 * coupling
+    zj = zh + [0.5 * k2 * r] if lossy else zh
 
     def solve_at(rows: list[int], orders: list[int]) -> list[ModalSolution]:
         nmax, size, sizes = max(orders), len(rows), [n + 1 for n in orders]
-        # One call per family and one derivative call for all seven sequences.
-        zj = np.concatenate([zk[rows], zt[rows], zt2[rows], zc[rows]])
-        zh = zj[:3 * size]
-        seq = ScaledArray.concatenate([_family(dim, "j", sizes * 4, zj),
-                                       _family(dim, "h", sizes * 3, zh)])
-        z = np.concatenate([zj, zh])
+        # One call per family and one derivative call for every sequence.
+        zjr, zhr = [np.concatenate([z[rows] for z in zs]) for zs in (zj, zh)]
+        seq = ScaledArray.concatenate([_family(dim, "j", sizes * len(zj), zjr),
+                                       _family(dim, "h", sizes * len(zh), zhr)])
+        z = np.concatenate([zjr, zhr])
         values, derivs = seq[..., :-1], specfun.derivative_all(seq, z)
-        ((jk, djk), (jt, djt), (jt2, djt2), (jc, djc),
-         (hk, dhk), (ht, dht), (ht2, dht2)) = [(values[i:i + size], derivs[i:i + size])
-                                               for i in range(0, z.size, size)]
-        factor = core_factor[rows, None]
+        pairs = [(values[i:i + size], derivs[i:i + size]) for i in range(0, z.size, size)]
+        (jk, djk), (hk, dhk) = pairs[0], pairs[len(zj)]
+        phase = _I_POW[np.arange(nmax + 1) & 3] if dim == 2 else 1.0  # incident phase
+        coeffs, degenerate = (None, None, None), np.zeros((size, nmax + 1), dtype=bool)
 
-        # Inner interface: Upsilon_0 = b_n / a_n, cross-multiplied by J_n(zc).
-        ch = dht2 * jc - djc * ht2 * factor
-        ups = -(djt2 * jc - djc * jt2 * factor) / ch
+        if scheme.kind == "ss":
+            num, den = jk, hk
+        elif scheme.kind == "sh":
+            num, den = djk, dhk
+        else:
+            (jt, djt), (jt2, djt2), (jc, djc), _, (ht, dht), (ht2, dht2) = pairs[1:]
+            factor = core_factor[rows, None]
 
-        # Outer interface: impedance quotient and exterior coefficient.
-        q_den = jt + ups * ht
-        w = (djt + ups * dht) / q_den / c0[rows, None]
-        wh = w * hk
-        den = dhk - wh
-        cancel = np.maximum(dhk.abs_log(), wh.abs_log()) - den.abs_log()
-        degenerate = cancel > math.log(DEGENERATE_CONDITION)
+            # Inner interface: Upsilon_0 = b_n / a_n, cross-multiplied by J_n(zc).
+            ch = dht2 * jc - djc * ht2 * factor
+            ups = -(djt2 * jc - djc * jt2 * factor) / ch
+
+            # Outer interface: the impedance quotient W.
+            q_den = jt + ups * ht
+            w = (djt + ups * dht) / q_den / c0[rows, None]
+            wh = w * hk
+            num, den = djk - w * jk, dhk - wh
+            cancel = np.maximum(dhk.abs_log(), wh.abs_log()) - den.abs_log()
+            degenerate = cancel > math.log(DEGENERATE_CONDITION)
+
         den_zero = den.mantissa == 0  # exact cancellation: degenerate, d_n = 0
-        phase = _phase(dim, nmax)
-        d_sv = -(djk - w * jk) / ScaledArray.where(den_zero, 1.0, den) * (phase * ~den_zero)
+        d_sv = -num / ScaledArray.where(den_zero, 1.0, den) * (phase * ~den_zero)
 
-        a = (jk * phase + d_sv * hk) / q_den
-        b = ups * a
-        z2 = zt2[rows, None]  # core coefficient from the layer's Wronskian at z2
-        c = a * (2j / (math.pi * z2) if dim == 2 else 1j / (z2 * z2)) / ch
+        if lossy:
+            a = (jk * phase + d_sv * hk) / q_den
+            z2 = zh[2][rows, None]  # core coefficient from the layer's Wronskian at z2
+            coeffs = a, ups * a, a * (2j / (math.pi * z2) if dim == 2 else 1j / (z2 * z2)) / ch
 
-        return [ModalSolution(
-            dim=dim, rho=rho[i], k=wave.k, n_max=n, d_n=dn, a_n=a[j, :n + 1], b_n=b[j, :n + 1],
-            c_n=c[j, :n + 1], truncation_tail=_tail(dn), layer=layers[i],
-            degenerate_modes=tuple(np.flatnonzero(degenerate[j, :n + 1]).tolist()))
-            for j, (i, n, dn) in enumerate(zip(rows, orders, _cut(d_sv, orders)))]
+        out = []
+        for j, (i, n, dn) in enumerate(zip(rows, orders, _cut(d_sv, orders))):
+            a_n, b_n, c_n = (None if x is None else x[j, :n + 1] for x in coeffs)
+            out.append(ModalSolution(
+                dim=dim, rho=rho[i], k=wave.k, n_max=n, d_n=dn, a_n=a_n, b_n=b_n, c_n=c_n,
+                truncation_tail=_tail(dn), layer=layers[i],
+                degenerate_modes=tuple(np.flatnonzero(degenerate[j, :n + 1]).tolist())))
+        return out
 
     return _truncated(solve_at, wave.k, rho)
 
@@ -415,17 +388,15 @@ def solve_many(scheme: SchemeSpec, dim: int, wave: WaveParams, rho_values,
     (specfun._all)."""
     rho = [float(r) for r in rho_values]
     cores = [virtual_core_params(*contents, r, dim) for r in rho]
-    if scheme.kind in ("sh", "ss"):
-        return _obstacle_coeffs(dim, wave, rho, scheme.kind == "sh")
-    return _layered_coeffs(dim, wave, rho, scheme, cores)
+    return _eliminate(dim, wave, rho, scheme, cores)
 
 
 def solve(scheme: SchemeSpec, dim: int, wave: WaveParams, rho: float,
           contents: tuple[float, complex] = (1.0, 1.0)) -> ModalSolution:
-    """Dispatch to the right solver for the scheme kind.
+    """The modal solution of one scheme at one rho: a batch of one.
 
     ``contents`` is the physical-space pair (sigma', q') of the cloaked
-    region.  Every scheme checks it; the layered ones solve with its
+    region.  Every scheme checks it; the lossy ones solve with its
     virtual-space image, virtual_core_params(sigma', q', rho, dim).
     """
     return solve_many(scheme, dim, wave, [rho], contents)[0]
@@ -556,6 +527,8 @@ def field_on_circle(solution: ModalSolution, r: float, thetas: np.ndarray,
     if r < 0 or not math.isfinite(r):
         raise DomainError(f"radius must be finite and nonnegative, got {r}")
     thetas = np.asarray(thetas, dtype=float)
+    if not np.all(np.isfinite(thetas)):
+        raise DomainError("angles must be finite")
     if region is None:
         region = _region_of(solution, r)
     if scattered_only and region != "exterior":

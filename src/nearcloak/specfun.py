@@ -57,7 +57,7 @@ where L ~ -9e3); the bound allows two such roundings.
 Branch convention: the principal branch of ln and sqrt is used
 throughout.  The domain is the closed upper half-plane, which holds
 every argument the modal solver forms: the layers are passive, and
-mie.layer_wavenumbers picks Im k_tilde >= 0 and Im k_2 >= 0.
+mie._layer_wavenumbers picks Im k_tilde >= 0 and Im k_2 >= 0.
 
 All functions are pure and hold no global state; concurrent use is safe.
 """

@@ -13,7 +13,7 @@ import pytest
 
 from nearcloak import analysis, bie, mie, specfun
 from nearcloak.analysis import fit_decay, sweep
-from nearcloak.media import RadialMapSpec, virtual_core_params
+from nearcloak.media import RadialMapSpec
 from nearcloak.mie import SchemeSpec, WaveParams
 
 import oracles
@@ -27,10 +27,6 @@ WAVE3 = WaveParams(K, np.array([1.0, 0.0, 0.0]))
 def _report(criterion: str, detail: str, ok: bool) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] {criterion}: {detail}")
     assert ok, f"{criterion}: {detail}"
-
-
-def _default_core(dim, rho):
-    return virtual_core_params(1.0, 1.0, rho, dim)
 
 
 def test_01_sh_rate_2d():
@@ -88,7 +84,7 @@ def test_05_fsh_to_sh_coefficient_convergence():
     for dim, wave in ((2, WAVE2), (3, WAVE3)):
         diffs = []
         for rho in rhos:
-            fsh = mie.coeffs_layered(dim, wave, rho, scheme, _default_core(dim, rho))
+            fsh = mie.solve(scheme, dim, wave, rho)
             sh = mie.solve(SchemeSpec.sound_hard(), dim, wave, rho)
             diff = abs(fsh.d_n[0] - sh.d_n[0])
             diffs.append(diff)

@@ -149,6 +149,9 @@ def test_unknown_config_key_rejected(tmp_path):
     ("sweep", {"dim": True}),
     ("sweep", {"json_out": 1}),
     ("mie", [1, 2]),
+    ("bie", {"curve": "square"}),
+    ("sweep", {"model": "bogus", "rho_count": 2}),
+    ("compare", {"scheme_a": "layered"}),
 ])
 def test_config_value_of_wrong_type_rejected(tmp_path, capsys, command, cfg):
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
@@ -278,7 +281,7 @@ def test_invalid_physics_parameter(tmp_path):
 
 @pytest.mark.parametrize("args", [
     ["mie", "--rho", "inf"], ["mie", "--rho", "nan"],
-    ["mie", "--incident-angle", "nan"], ["bie", "--incident-angle", "nan"],
+    ["bie", "--incident-angle", "nan"],
     ["mie", "--scheme", "fsh", "--fsh-delta", "inf"],
     ["mie", "--scheme", "fsh", "--fsh-c", "nan"],
     ["mie", "--scheme", "fss", "--fss-beta", "inf"],

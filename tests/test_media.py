@@ -303,3 +303,8 @@ def test_cloak_tensor_broadcasts_over_leading_axes():
         media.cloak_tensor(SPEC, y)
     with pytest.raises(DomainError):
         oracles.cloak_medium_at(SPEC, np.array([0.0, 3.5]))
+
+
+def test_cloak_tensor_rejects_nan_points():
+    with pytest.raises(DomainError):
+        media.cloak_tensor(RadialMapSpec(0.5, 2.0, 3.0), np.array([[math.nan, 2.5]]))

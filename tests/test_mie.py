@@ -24,10 +24,6 @@ def _wave(dim, k=2.0):
     return WAVE2 if dim == 2 else WaveParams(k, np.array([1.0, 0.0, 0.0]))
 
 
-def _default_core(dim, rho):
-    return virtual_core_params(1.0, 1.0, rho, dim)
-
-
 def _fit_slope(x, y):
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])
 
@@ -94,9 +90,10 @@ def test_degenerate_radius_rejected():
 # Layered transmission solve
 # ---------------------------------------------------------------------------
 def test_layered_homogeneous_limit_scatters_nothing():
+    # the virtual core (1, 1) holds the physical contents (rho^(dim-2), rho^dim)
     for dim in (2, 3):
-        core = (1.0, 1.0)
-        sol = mie.coeffs_layered(dim, _wave(dim), 0.3, SchemeSpec.layered(1.0, 1.0), core)
+        contents = (0.3 ** (dim - 2), 0.3 ** dim)
+        sol = mie.solve(SchemeSpec.layered(1.0, 1.0), dim, _wave(dim), 0.3, contents)
         assert np.max(np.abs(sol.d_n)) <= 1e-12
 
 
@@ -106,16 +103,14 @@ def test_fsh_deviation_bound_at_reference_rho():
     rho = 0.01
     bound = math.pi * 2.0 * abs(cmath.sqrt(3 + 2j)) * rho ** 2.5
     assert bound == pytest.approx(1.193e-4, rel=1e-3)
-    fsh = mie.coeffs_layered(2, WAVE2, rho, SchemeSpec.finite_sound_hard(),
-                             _default_core(2, rho))
+    fsh = mie.solve(SchemeSpec.finite_sound_hard(), 2, WAVE2, rho)
     sh = mie.solve(SchemeSpec.sound_hard(), 2, WAVE2, rho)
     assert abs(fsh.d_n[0] - sh.d_n[0]) <= bound
 
 
 def test_fsh_wavenumber_branch_and_diagnostics():
     rho = 0.02
-    sol = mie.coeffs_layered(2, WAVE2, rho, SchemeSpec.finite_sound_hard(),
-                             _default_core(2, rho))
+    sol = mie.solve(SchemeSpec.finite_sound_hard(), 2, WAVE2, rho)
     assert sol.layer.k_tilde.imag > 0
     assert sol.branch_flags is None
     # the impedance quotient, the exterior log-derivative of mode 0 at rho,
@@ -129,8 +124,7 @@ def test_fsh_wavenumber_branch_and_diagnostics():
 
 def test_fsh_no_overflow_down_to_1e6():
     rho = 1e-6
-    fsh = mie.coeffs_layered(2, WAVE2, rho, SchemeSpec.finite_sound_hard(),
-                             _default_core(2, rho))
+    fsh = mie.solve(SchemeSpec.finite_sound_hard(), 2, WAVE2, rho)
     sh = mie.solve(SchemeSpec.sound_hard(), 2, WAVE2, rho)
     assert np.all(np.isfinite(fsh.d_n))
     bound = math.pi * 2.0 * abs(cmath.sqrt(3 + 2j)) * rho ** 2.5
@@ -140,8 +134,7 @@ def test_fsh_no_overflow_down_to_1e6():
 def test_fss_coefficients_approach_sound_soft():
     diffs = []
     for rho in (0.5 ** 4, 0.5 ** 6, 0.5 ** 8):
-        fss = mie.coeffs_layered(2, WAVE2, rho, SchemeSpec.finite_sound_soft(),
-                                 _default_core(2, rho))
+        fss = mie.solve(SchemeSpec.finite_sound_soft(), 2, WAVE2, rho)
         ss = mie.solve(SchemeSpec.sound_soft(), 2, WAVE2, rho)
         diffs.append(abs(fss.d_n[0] - ss.d_n[0]))
     assert diffs[0] > diffs[1] > diffs[2]
@@ -152,12 +145,11 @@ def test_layered_degenerate_core_branch():
     # elimination must stay finite and continuous in the core parameters.
     rho, k = 0.1, 2.0
     j01 = special.jn_zeros(0, 1)[0]
-    q_a = (2.0 * j01 / (k * rho)) ** 2
-    core = (1.0, q_a)
-    sol = mie.coeffs_layered(2, WAVE2, rho, SchemeSpec.finite_sound_hard(), core)
+    q_a = (2.0 * j01 / (k * rho)) ** 2  # virtual; the physical q' is q_a rho^2
+    sol = mie.solve(SchemeSpec.finite_sound_hard(), 2, WAVE2, rho, (1.0, q_a * rho ** 2))
     assert np.all(np.isfinite(sol.d_n))
-    core_eps = (1.0, q_a * (1 + 1e-9))
-    sol_eps = mie.coeffs_layered(2, WAVE2, rho, SchemeSpec.finite_sound_hard(), core_eps)
+    sol_eps = mie.solve(SchemeSpec.finite_sound_hard(), 2, WAVE2, rho,
+                        (1.0, q_a * (1 + 1e-9) * rho ** 2))
     assert sol.d_n[0] == pytest.approx(sol_eps.d_n[0], rel=1e-5)
 
 
@@ -191,14 +183,16 @@ def _interface_solve(dim, k, rho, layer, core, n):
         return complex(x[0]), complex(x[3])
 
 
-@pytest.mark.parametrize("dim, rho, core", [
+@pytest.mark.parametrize("dim, rho, contents", [
     (2, 1e-3, None), (3, 1e-3, None),
-    (2, 0.1, (1.0, (2.0 * special.jn_zeros(0, 1)[0] / (2.0 * 0.1)) ** 2)),  # J_0(k2 rho/2) = 0
+    # q' = q_a rho^2 with J_0(k2 rho/2) = 0 in the virtual core
+    (2, 0.1, (1.0, (2.0 * special.jn_zeros(0, 1)[0] / (2.0 * 0.1)) ** 2 * 0.1 ** 2)),
 ])
-def test_layered_coefficients_match_multiprecision_interface_solve(dim, rho, core):
+def test_layered_coefficients_match_multiprecision_interface_solve(dim, rho, contents):
     scheme = SchemeSpec.finite_sound_hard()
-    core = core or _default_core(dim, rho)
-    sol = mie.coeffs_layered(dim, _wave(dim), rho, scheme, core)
+    contents = contents or (1.0, 1.0)
+    core = virtual_core_params(*contents, rho, dim)
+    sol = mie.solve(scheme, dim, _wave(dim), rho, contents)
     c_n = sol.c_n.to_complex()
     for n in range(3):
         d, c = _interface_solve(dim, 2.0, rho, scheme.layer_params(rho), core, n)
@@ -208,8 +202,7 @@ def test_layered_coefficients_match_multiprecision_interface_solve(dim, rho, cor
 
 def test_modal_solution_invariants():
     rho = 0.05
-    sol = mie.coeffs_layered(2, WAVE2, rho, SchemeSpec.finite_sound_hard(),
-                             _default_core(2, rho))
+    sol = mie.solve(SchemeSpec.finite_sound_hard(), 2, WAVE2, rho)
     n = sol.n_max + 1
     assert sol.d_n.shape == sol.a_n.shape == sol.b_n.shape == sol.c_n.shape == (n,)
     assert sol.branch_flags is None
@@ -358,7 +351,7 @@ def test_field_reduces_to_plane_wave_without_scattering(dim):
                                     SchemeSpec.finite_sound_soft()])
 def test_interface_continuity_and_flux(scheme):
     rho = 0.05
-    sol = mie.coeffs_layered(2, WAVE2, rho, scheme, _default_core(2, rho))
+    sol = mie.solve(scheme, 2, WAVE2, rho)
     th = np.linspace(0, 2 * math.pi, 9, endpoint=False)
     sigma_l, _ = scheme.layer_params(rho)
 
@@ -373,6 +366,16 @@ def test_interface_continuity_and_flux(scheme):
     u_lay2 = mie.field_on_circle(sol, rho / 2, th, region="layer")
     u_core = mie.field_on_circle(sol, rho / 2, th, region="core")
     assert np.max(np.abs(u_lay2 - u_core)) <= 1e-10 * np.max(np.abs(u_core))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_near_field_rejects_non_finite_angles(dim):
+    sol = mie.solve(SchemeSpec.sound_hard(), dim, _wave(dim), 0.3)
+    with pytest.raises(DomainError, match="finite"):
+        mie.field_on_circle(sol, 1.0, np.array([math.nan, 0.0, math.inf]))
+    if dim == 2:
+        with pytest.raises(DomainError, match="finite"):
+            mie.scattered_cauchy_data(sol, 1.0, np.array([0.0, math.nan]))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -411,8 +414,7 @@ def test_region_inferred_inside_a_layered_solution(dim, scheme):
 
 def test_field_region_dispatch_and_errors():
     rho = 0.05
-    sol = mie.coeffs_layered(2, WAVE2, rho, SchemeSpec.finite_sound_soft(),
-                             _default_core(2, rho))
+    sol = mie.solve(SchemeSpec.finite_sound_soft(), 2, WAVE2, rho)
     # interface points use the outer expansion by convention
     v_auto = oracles.field_at(sol, (rho, 0.4))
     v_ext = oracles.field_at(sol, (rho, 0.4), region="exterior")
@@ -469,8 +471,7 @@ def test_fsh_to_sh_coefficient_slopes(dim, extra):
     for n in range(3):
         diffs = []
         for rho in rhos:
-            fsh = mie.coeffs_layered(dim, wave, rho, SchemeSpec.finite_sound_hard(),
-                                     _default_core(dim, rho))
+            fsh = mie.solve(SchemeSpec.finite_sound_hard(), dim, wave, rho)
             sh = mie.solve(SchemeSpec.sound_hard(), dim, wave, rho)
             diffs.append(abs(fsh.d_n[n] - sh.d_n[n]))
         assert _fit_slope(rhos, diffs) >= 2 * n + extra + 0.5 - 0.1
@@ -481,8 +482,7 @@ def test_near_field_deviation_slope():
     rhos = 0.5 ** np.arange(4, 10)
     devs, devs_on_boundary = [], []
     for rho in rhos:
-        fsh = mie.coeffs_layered(2, WAVE2, rho, SchemeSpec.finite_sound_hard(),
-                                 _default_core(2, rho))
+        fsh = mie.solve(SchemeSpec.finite_sound_hard(), 2, WAVE2, rho)
         sh = mie.solve(SchemeSpec.sound_hard(), 2, WAVE2, rho)
         devs.append(near_field_deviation(fsh, sh, 0.1, 180))
         devs_on_boundary.append(near_field_deviation(fsh, sh, rho, 180))
@@ -523,11 +523,10 @@ def test_non_finite_inputs_are_domain_errors():
         with pytest.raises(DomainError):
             WaveParams(2.0, np.array(d))
     for rho in (math.inf, math.nan):
-        for scheme in (SchemeSpec.sound_hard(), SchemeSpec.sound_soft()):
+        for scheme in (SchemeSpec.sound_hard(), SchemeSpec.sound_soft(),
+                       SchemeSpec.finite_sound_hard()):
             with pytest.raises(DomainError):
                 mie.solve(scheme, 2, WAVE2, rho)
-        with pytest.raises(DomainError):
-            mie.coeffs_layered(2, WAVE2, rho, SchemeSpec.finite_sound_hard(), (1.0, 1.0))
     with pytest.raises(DomainError):
         mie.FarFieldPattern(np.array([]), np.array([]), "2d")
 
@@ -546,8 +545,8 @@ def test_layered_lining_and_contents_must_be_passive():
         with pytest.raises(DomainError):
             SchemeSpec.layered(sigma_l, q_l)
     scheme = SchemeSpec.layered(1.0, 1.0 + 0.5j)
-    with pytest.raises(DomainError):
-        mie.coeffs_layered(2, WAVE2, 0.3, scheme, (1.0, 1.0 - 0.5j))
+    with pytest.raises(DomainError):  # the virtual core (1, 1 - 0.5j) is active
+        mie.solve(scheme, 2, WAVE2, 0.3, (1.0, (1.0 - 0.5j) * 0.3 ** 2))
     for kind in (scheme, SchemeSpec.sound_hard(), SchemeSpec.sound_soft()):
         with pytest.raises(DomainError):
             mie.solve(kind, 2, WAVE2, 0.3, (-1.0, 1.0))
@@ -558,6 +557,6 @@ def test_solve_enters_physical_contents_through_virtual_core_params():
     for dim in (2, 3):
         for scheme in (SchemeSpec.finite_sound_hard(), SchemeSpec.finite_sound_soft()):
             core = virtual_core_params(*contents, rho, dim)
-            direct = mie.coeffs_layered(dim, _wave(dim), rho, scheme, core)
+            direct = mie._eliminate(dim, _wave(dim), [rho], scheme, [core])[0]
             sol = mie.solve(scheme, dim, _wave(dim), rho, contents)
             assert np.array_equal(sol.d_n, direct.d_n)

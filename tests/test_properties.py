@@ -62,10 +62,9 @@ def test_lossless_linings_are_unitary_per_mode(dim, k, rho, kind):
 @SETTINGS
 @given(dim=dims, k=wavenumbers, rho=radii, scheme=lossy_schemes)
 def test_lossy_linings_are_passive_per_mode(dim, k, rho, scheme):
-    core = virtual_core_params(1.0, 1.0, rho, dim)
-    lw = mie.layer_wavenumbers(scheme, rho, k, core)
+    sigma_l, q_l = scheme.layer_params(rho)
     # Beyond the argument guard the solve correctly raises RangeError.
-    assume(abs(lw.k_tilde * rho) <= specfun.ARGUMENT_GUARD)
+    assume(abs(k * cmath.sqrt(q_l / sigma_l) * rho) <= specfun.ARGUMENT_GUARD)
     sol = mie.solve(scheme, dim, _wave(dim, k), rho, (1.0, 1.0))
     assert np.max(np.abs(_smatrix(sol))) <= 1.0 + 1e-12
 
@@ -95,9 +94,8 @@ def _scattered_and_extinction(sol, k):
 @SETTINGS
 @given(dim=dims, k=wavenumbers, rho=radii, scheme=lossy_schemes)
 def test_lossy_linings_scatter_at_most_the_extinction(dim, k, rho, scheme):
-    core = virtual_core_params(1.0, 1.0, rho, dim)
-    lw = mie.layer_wavenumbers(scheme, rho, k, core)
-    assume(abs(lw.k_tilde * rho) <= specfun.ARGUMENT_GUARD)
+    sigma_l, q_l = scheme.layer_params(rho)
+    assume(abs(k * cmath.sqrt(q_l / sigma_l) * rho) <= specfun.ARGUMENT_GUARD)
     sol = mie.solve(scheme, dim, _wave(dim, k), rho, (1.0, 1.0))
     assert sol.n_max <= 63   # inside the exactness range of both quadratures
     scattered, extinction = _scattered_and_extinction(sol, k)
