@@ -44,7 +44,7 @@ Kernel evaluation uses scipy's real-argument order-0/1 Bessel routines
 arithmetic, each from one circulant carrying both log weights; this module
 is the cross-validation oracle for the modal solver and deliberately
 shares none of its special-function machinery: specfun takes only the
-complex-argument hankel1e from scipy, and builds J_n itself.
+complex-argument jve and hankel1e from scipy, for orders 0 and 1.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ RESONANCE_CONDITION = 1e12
 class BoundaryCurve:
     """Closed curve x(t) = sum_m c_m e^{imt}, t in [0, 2pi), in the complex plane.
 
-    ``modes`` is a tuple of (m, c_m) pairs with integer m and finite
+    ``modes`` holds (m, c_m) pairs with distinct integer m and finite
     complex c_m.  The parametrization must be regular (|x'(t)| > 0 at every
     node) and counterclockwise, so that (x2', -x1') is the outward normal.
     """
@@ -88,8 +88,13 @@ class BoundaryCurve:
             raise DomainError(f"n_points capped at {MAX_NODES} for the dense solver")
         if not all(isinstance(m, (int, np.integer)) and np.isfinite(c) for m, c in self.modes):
             raise DomainError("modes must be (integer m, finite complex c_m) pairs")
+        if len({m for m, _ in self.modes}) < len(self.modes):
+            raise DomainError("modes must not repeat an m")
         if np.min(np.abs(_derivatives(self)[1])) <= 0:
             raise DomainError("parametrization is not regular (|x'| = 0 at a node)")
+        # pi sum m |c_m|^2 is the signed area enclosed.
+        if not sum(m * abs(c) ** 2 for m, c in self.modes) > 0:
+            raise DomainError("curve must run counterclockwise (sum m |c_m|^2 > 0)")
 
     def nodes(self) -> np.ndarray:
         return 2.0 * math.pi * np.arange(self.n_points) / self.n_points
@@ -256,8 +261,11 @@ def _green_far_field(k: float, angles: np.ndarray, ys: np.ndarray, normals: np.n
 
 def far_field_from_density(solution: DensitySolution, wave: WaveParams,
                            angles: np.ndarray) -> FarFieldPattern:
-    """A(xhat) from the solved trace, trapezoid over the smooth kernel."""
+    """A(xhat) from the solved trace, trapezoid over the smooth kernel;
+    ``wave`` must be the one ``solution`` was solved for."""
     k = wave.k
+    if k != solution.wave.k or not np.array_equal(wave.d, solution.wave.d):
+        raise DomainError("far field asked for a wave other than the solved one")
     _, pts, _, _, normals, _ = _geometry(solution.curve)  # normals carry |x'|
     flux = -1j * k * (normals @ wave.d) * np.exp(1j * k * (pts @ wave.d))  # -du^i/dnu
     return _green_far_field(k, angles, pts, normals, solution.trace, flux,

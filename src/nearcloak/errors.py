@@ -17,10 +17,6 @@ class DomainError(NearCloakError, ValueError):
     """Input outside the geometric or mathematical domain of an operation."""
 
 
-class OrientationError(NearCloakError, ValueError):
-    """Jacobian with non-positive determinant (orientation-reversing map)."""
-
-
 class ShapeError(NearCloakError, ValueError):
     """Mismatched array shapes or grids."""
 

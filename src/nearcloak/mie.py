@@ -300,6 +300,9 @@ def _layer_wavenumbers(scheme: SchemeSpec, rho: float, k: float,
     if k_tilde.imag < 0:
         k_tilde = -k_tilde
     k2 = k * cmath.sqrt(q_a / sigma_a)
+    if k2 == 0:
+        raise DomainError(f"lossy linings need contents with q' != 0, got the virtual "
+                          f"core (sigma_a, q_a) = ({sigma_a:g}, {q_a:g})")
     if k2.imag < 0:
         k2 = -k2
     c0 = 1.0 / cmath.sqrt(sigma_l * q_l)

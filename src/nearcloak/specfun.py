@@ -23,14 +23,14 @@ common factor), downward for J/j and upward for H/h, with the working pair
 rescaled on the fly so no intermediate overflow occurs for any
 admissible z.
 
-* J_n and spherical j_n: one Miller backward recurrence, normalised
-  against the plane-wave sum ``sum_m w_m (-i)^m f_m(z) = exp(-iz)`` for
-  Im z >= 0, with w_m = 1, 2, 2, ... for J and w_m = 2m + 1 for j.
-  Upward recurrence is unstable for J and j and is not used.
-* H_n^(1): orders 0 and 1 from scipy.special.hankel1e, the exponentially
-  scaled H_nu^(1)(z) e^{-iz} of Amos's algorithm (D. E. Amos, ACM TOMS
-  12, 265, 1986), at log scale -Im z; then stable upward recurrence.
-* spherical h_n^(1): closed forms for orders 0 and 1, upward recurrence.
+* base values: orders 0 and 1 of every family from scipy's exponentially
+  scaled Amos routines (D. E. Amos, ACM TOMS 12, 265, 1986) at orders nu
+  and nu + 1, jve for J/j and hankel1e for H/h, times sqrt(pi/(2z)) for
+  the spherical families.
+* J_n and spherical j_n: one Miller backward recurrence, matched to the
+  base value at order 0 or 1, whichever is larger in modulus.  Upward
+  recurrence is unstable for J and j; it is stable for H and h, which run
+  up from their base values.
 * derivatives: B_n'(z) = (n/z) B_n(z) - B_{n+1}(z), valid for both the
   cylindrical and the spherical families, along the last axis.
 * Legendre P_n: Bonnet recurrence.
@@ -39,20 +39,21 @@ Guards: the order must satisfy n <= ORDER_MAX (200) and the argument
 must lie in the closed upper half-plane Im z >= 0 (a signed zero -0.0
 counts as 0) with ARGUMENT_FLOOR (1e-50) <= |z| <= ARGUMENT_GUARD (2e4)
 or z = 0; beyond these a :class:`RangeError` is raised.  Below the floor
-the closed forms and the recurrence coefficients 2(m + nu)/z overflow or
-underflow (z**2 in h_1 underflows to 0 below ~1e-154), so results would
-be non-finite.  Within the guard, arguments with |Im z| in the thousands
-are handled through the log scale -- e^{|Im z|} itself is never formed.
+a recurrence step, 2(m + nu)/z times a working value near the rescale
+threshold, can overflow, so results would be non-finite.  Within the
+guard, arguments with |Im z| in the thousands are handled through the log
+scale -- e^{|Im z|} itself is never formed.
 
-Accuracy: the Miller normalisation sum carries rounding from ~|z|
-recurrence steps, so on the real axis J_n and j_n are off by a relative
-error of about 8e-17 |z|, common to all orders (1.2e-12 at |z| = 1.4e4).
-H_n and h_n (n <= 30, against a 50-digit oracle) are off by a relative
-error below 1e-14 + 2.3e-16 |log_scale| for |z| < 100 and below
-1e-15 + 2.3e-16 |log_scale| beyond.  The second term bounds every scaled
-value: its log scale L is a rounded double, which moves the value by up
-to half an ulp of L, at most 1.1e-16 |L| (9e-13 for H at Im z ~ 9e3,
-where L ~ -9e3); the bound allows two such roundings.
+Accuracy: a Miller run carries rounding from its ~|z| downward steps
+through the oscillatory range, so on the real axis the orders of the
+unmatched parity are off by a relative error of about 1e-16 |z| (1.3e-12
+for J_n, 2.4e-12 for j_n at |z| = 1.4e4).  H_n and h_n (n <= 30, against
+a 50-digit oracle) are off by a relative error below 1e-14 + 2.3e-16
+|log_scale| for |z| < 100 and below 1e-15 + 2.3e-16 |log_scale| beyond.
+The second term bounds every scaled value: its log scale L is a rounded
+double, which moves the value by up to half an ulp of L, at most 1.1e-16
+|L| (9e-13 for H at Im z ~ 9e3, where L ~ -9e3); the bound allows two
+such roundings.
 
 Branch convention: the principal branch of ln and sqrt is used
 throughout.  The domain is the closed upper half-plane, which holds
@@ -81,8 +82,6 @@ _RESCALE_AT = 1e250
 
 # Floor on |mantissa| in scaled(), so zeros need no mask.
 _TINY = 1e-300
-
-_MINUS_I_POW = np.array([1.0, -1.0j, -1.0, 1.0j])  # (-i)^m for m mod 4
 
 
 # ---------------------------------------------------------------------------
@@ -256,60 +255,45 @@ def _recurrence(z: complex, nu: float, f0: complex, f1: complex,
 
 
 # ---------------------------------------------------------------------------
-# J_n and spherical j_n
+# Base values, J_n and spherical j_n, both Hankel families
 # ---------------------------------------------------------------------------
+def _base(z: complex, nu: float, hankel: bool) -> tuple[list[complex], float]:
+    """Orders 0 and 1 at z != 0 of J (nu = 0) or j (nu = 1/2), or with
+    ``hankel`` of H^(1) or h^(1), as (mantissas, log scale): for Im z >= 0,
+    jve = J e^{-Im z} and hankel1e = H e^{-iz}, and j, h are sqrt(pi/(2z))
+    times J, H at order n + 1/2."""
+    v = (nu, nu + 1.0)
+    f = special.hankel1e(v, z) * cmath.exp(1j * z.real) if hankel else special.jve(v, z)
+    if nu:
+        f = f * cmath.sqrt(math.pi / (2.0 * z))
+    return f.tolist(), -z.imag if hankel else z.imag
+
+
 def _bessel_j(nmax: int, top: int, z: complex, nu: float) -> tuple[np.ndarray, np.ndarray]:
-    """Orders 0..top of J_n (nu = 0) or j_n (nu = 1/2) at z, unnormalised, by
-    Miller's backward recurrence from well above nmax and top."""
+    """Orders 0..top of J_n (nu = 0) or j_n (nu = 1/2) at z: a Miller run
+    from well above nmax and top, matched to the base value at order 0 or 1."""
     if z == 0:  # J_n(0) = j_n(0) = delta_{n0}
         return np.eye(1, top + 1, dtype=complex)[0], np.zeros(top + 1)
     x = abs(z)
     start = max(nmax + 20 + int(x + 16.0 * x ** (1.0 / 3.0)), top)
-    # The seed scale drops out in the normalisation.  A seed near 1 keeps the
-    # stored values from about 1 upward, so dividing by S cannot underflow;
-    # the binary mantissa of 1e-280 gives the same roundings as that seed.
+    # The seed scale drops out in the match; the binary mantissa of 1e-280
+    # gives the same roundings as that seed.
     vals, logs = _recurrence(z, nu, 0j, complex(math.frexp(1e-280)[0]),
                              range(start + 1, -1, -1))
     vals, logs = vals[::-1], logs[::-1]
-    # True f_m = F_m e^{-iz} / S with F_m = vals[m] e^{logs[m]} and the
-    # plane-wave sum S = sum_m w_m (-i)^m F_m, w_m = 1, 2, 2, ... for J and
-    # 2m + 1 for j; logs[0] = 0 is the largest scale.
-    m = np.arange(len(vals))
-    terms = vals * np.exp(logs)
-    s = (np.dot(_MINUS_I_POW[m & 3], (2.0 * m + 1.0) * terms) if nu
-         else 2.0 * np.dot(_MINUS_I_POW[m & 3], terms) - terms[0])
-    if s == 0:
-        raise RangeError("Miller normalisation sum vanished")
-    return vals[:top + 1] * (cmath.exp(-1j * z.real) / s), logs[:top + 1] + z.imag
+    # Match at the larger of orders 0 and 1, which share no zero; a rescale
+    # may fall between them, hence logs[i].
+    ref, ref_log = _base(z, nu, False)
+    i = int(abs(ref[1]) > abs(ref[0]))
+    return vals[:top + 1] * (ref[i] / vals[i]), logs[:top + 1] - logs[i] + ref_log
 
 
-# ---------------------------------------------------------------------------
-# Both Hankel families
-# ---------------------------------------------------------------------------
-def _h01_base(z: complex) -> tuple[complex, complex, float]:
-    """H_0^(1), H_1^(1) for Im z >= 0 as (mantissa0, mantissa1, log_scale).
-
-    hankel1e(nu, z) = H_nu^(1)(z) e^{-iz}, so the mantissas carry e^{i Re z}
-    and the scale is -Im z.
-    """
-    h0, h1 = (special.hankel1e((0.0, 1.0), z) * cmath.exp(1j * z.real)).tolist()
-    return h0, h1, -z.imag
-
-
-def _hankel(nmax: int, top: int, z: complex, spherical: bool) -> tuple[np.ndarray, np.ndarray]:
-    """H_0^(1) .. H_top^(1), or h_0^(1) .. h_top^(1) when ``spherical``
-    (``nmax`` is unused: an upward run needs no start above ``top``)."""
+def _hankel(nmax: int, top: int, z: complex, nu: float) -> tuple[np.ndarray, np.ndarray]:
+    """Orders 0..top of H^(1) (nu = 0) or h^(1) (nu = 1/2) at z by upward
+    recurrence, which needs no start above ``top``: ``nmax`` is unused."""
     if z == 0:
-        raise SingularArgumentError(
-            f"{'spherical h_n' if spherical else 'H_n'}^(1) is singular at z = 0")
-    nu = 0.5 if spherical else 0.0
-    if spherical:
-        phase = cmath.exp(1j * z.real)
-        h0 = -1j * phase / z
-        h1 = -phase * (1.0 / z + 1j / (z * z))
-        base_log = -z.imag
-    else:
-        h0, h1, base_log = _h01_base(z)
+        raise SingularArgumentError(f"{'spherical h_n' if nu else 'H_n'}^(1) is singular at z = 0")
+    (h0, h1), base_log = _base(z, nu, True)
     return _recurrence(z, nu, h0, h1, range(top + 1), base_log)
 
 
@@ -342,7 +326,7 @@ def bessel_j_all(nmax, z) -> ScaledArray:
 
 def bessel_h1_all(nmax, z) -> ScaledArray:
     """H_0^(1)(z) .. H_nmax^(1)(z) along the last axis.  Raises on z = 0."""
-    return _all(_hankel, nmax, z, False)
+    return _all(_hankel, nmax, z, 0.0)
 
 
 def spherical_j_all(nmax, z) -> ScaledArray:
@@ -352,7 +336,7 @@ def spherical_j_all(nmax, z) -> ScaledArray:
 
 def spherical_h1_all(nmax, z) -> ScaledArray:
     """h_0^(1)(z) .. h_nmax^(1)(z) along the last axis.  Raises on z = 0."""
-    return _all(_hankel, nmax, z, True)
+    return _all(_hankel, nmax, z, 0.5)
 
 
 def derivative_all(values: ScaledArray, z) -> ScaledArray:

@@ -8,8 +8,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from nearcloak import analysis, mie
-from nearcloak.errors import DomainError, OrientationError
+from nearcloak.errors import DomainError, NearCloakError
 from nearcloak.media import _GEOM_RTOL, RadialMapSpec, cloak_tensor
+
+
+class OrientationError(NearCloakError, ValueError):
+    """Jacobian with non-positive determinant (orientation-reversing map)."""
 
 
 @dataclass(frozen=True)

@@ -355,3 +355,26 @@ def test_curve_validation():
     with pytest.raises(DomainError):
         bie.assemble_and_solve(bie.circle(0.5, 64),
                                WaveParams(2.0, np.array([1.0, 0.0, 0.0])))
+
+
+def test_clockwise_curves_are_rejected():
+    # Run clockwise, the circle would solve with the inward normal and a
+    # far field 100% off the sound-hard series.
+    with pytest.raises(DomainError, match="counterclockwise"):
+        bie.BoundaryCurve(((-1, 0.5),), 256)
+    with pytest.raises(DomainError, match="counterclockwise"):
+        bie.BoundaryCurve(tuple((-m, c) for m, c in bie.kite(64).modes), 64)
+    # x = 0.1 e^{-it} runs clockwise, but a repeated m would hide that
+    # from the sum over the table.
+    with pytest.raises(DomainError, match="repeat"):
+        bie.BoundaryCurve(((1, 0.5), (1, -0.5), (-1, 0.1)), 64)
+
+
+def test_far_field_needs_the_solved_wave():
+    sol = bie.assemble_and_solve(bie.kite(64), WAVE)
+    for wave in (WaveParams(3.0, np.array([1.0, 0.0])), WaveParams(2.0, np.array([0.0, 1.0]))):
+        with pytest.raises(DomainError, match="solved"):
+            bie.far_field_from_density(sol, wave, ANGLES)
+    same = WaveParams(2.0, np.array([1.0, 0.0]))
+    assert np.array_equal(bie.far_field_from_density(sol, same, ANGLES).amplitude,
+                          bie.far_field_from_density(sol, WAVE, ANGLES).amplitude)

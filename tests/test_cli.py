@@ -340,6 +340,16 @@ def test_contents_are_checked_for_every_scheme(tmp_path, capsys, command, flags,
     assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "DomainError"
 
 
+@pytest.mark.parametrize("dim", ["2", "3"])
+@pytest.mark.parametrize("scheme", ["fss", "fsh"])
+def test_lossy_lining_of_contents_without_a_wavenumber_is_domain_error(tmp_path, capsys,
+                                                                      scheme, dim):
+    args = ["mie", "--scheme", scheme, "--dim", dim, "--core-q-re", "0", "--out", "x.csv"]
+    assert run(args, tmp_path) == cli.EXIT_INVALID_PARAMETER
+    assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "DomainError"
+    assert not (tmp_path / "x.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # Golden files (schema stability)
 # ---------------------------------------------------------------------------

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from nearcloak import media
-from nearcloak.errors import DomainError, OrientationError, RangeError
+from nearcloak.errors import DomainError, RangeError
 from nearcloak.media import RadialMapSpec
 
 import oracles
-from oracles import JacobianData, MediumSpec
+from oracles import JacobianData, MediumSpec, OrientationError
 
 SPEC = RadialMapSpec(rho=0.5, r1=2.0, r2=3.0)
 

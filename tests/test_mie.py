@@ -552,6 +552,17 @@ def test_layered_lining_and_contents_must_be_passive():
             mie.solve(kind, 2, WAVE2, 0.3, (-1.0, 1.0))
 
 
+def test_lossy_linings_reject_contents_without_a_wavenumber():
+    # q' = 0 is passive and the ideal linings solve it, but the lossy ones
+    # would need J_n at k_2 rho/2 = 0.
+    for dim in (2, 3):
+        for scheme in (SchemeSpec.finite_sound_hard(), SchemeSpec.finite_sound_soft()):
+            with pytest.raises(DomainError, match="q' != 0"):
+                mie.solve(scheme, dim, _wave(dim), 0.05, (1.0, 0.0))
+        for scheme in (SchemeSpec.sound_hard(), SchemeSpec.sound_soft()):
+            mie.solve(scheme, dim, _wave(dim), 0.05, (1.0, 0.0))
+
+
 def test_solve_enters_physical_contents_through_virtual_core_params():
     rho, contents = 0.05, (2.5, 3.0 + 0.7j)
     for dim in (2, 3):

@@ -283,6 +283,12 @@ def _mp_j(spherical, n, z):
 @given(spherical=st.booleans(), nmax=st.integers(0, 60),
        r=st.floats(math.log(1e-40), math.log(1.5e4)).map(math.exp),
        angle=st.floats(0.0, math.pi))
+# At the first zeros of J_0 and j_0, and next to the first, the sequence
+# is matched to its order-1 value.
+@example(spherical=False, nmax=5, r=2.404825557695773, angle=0.0)
+@example(spherical=True, nmax=5, r=math.pi, angle=0.0)
+@example(spherical=False, nmax=5, r=abs(2.404825557695773 + 1e-9j),
+         angle=cmath.phase(2.404825557695773 + 1e-9j))
 def test_j_families_match_mpmath(spherical, nmax, r, angle):
     # The closed upper half-plane, from the power-law regime to |z| = 1.5e4.
     # Errors are measured against the local envelope

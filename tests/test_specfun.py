@@ -258,8 +258,8 @@ def test_asymptotic_agreement_large_imaginary():
 
 
 def test_cross_check_against_scipy_complex_plane():
-    # Check over the closed upper half-plane.  J_n is independent of scipy;
-    # H_0 and H_1 are scipy's own hankel1e, so for H this checks the upward
+    # Check over the closed upper half-plane.  Orders 0 and 1 are scipy's
+    # own jve and hankel1e, so this checks the Miller run and the upward
     # recurrence at the higher orders.
     rng = np.random.default_rng(19)
     for _ in range(400):
