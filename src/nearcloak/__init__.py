@@ -13,7 +13,6 @@ from .bie import BoundaryCurve, DensitySolution, circle, kite
 from .media import RadialMapSpec
 from .mie import (FarFieldPattern, LayerWavenumbers, ModalSolution,
                   SchemeSpec, WaveParams)
-from .specfun import ScaledArray
 
 __version__ = "0.1.0"
 
@@ -23,6 +22,6 @@ __all__ = [
     "BoundaryCurve", "DensitySolution", "circle", "kite",
     "RadialMapSpec",
     "FarFieldPattern", "LayerWavenumbers", "ModalSolution",
-    "SchemeSpec", "WaveParams", "ScaledArray",
+    "SchemeSpec", "WaveParams",
     "__version__",
 ]

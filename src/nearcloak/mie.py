@@ -18,29 +18,28 @@ direction.  The layer carries wavenumber k_tilde = k sqrt(q_l/sigma_l),
 branch fixed so Im k_tilde >= 0, and the core k_2 = k sqrt(q_a/sigma_a).
 
 Every lining goes through one explicit elimination per mode; only the
-exterior condition at k rho tells them apart: d_n = -i^n num/den (2D)
-with (num, den) = (J', H') for SH (W = 0), (J, H) for SS (W -> inf) and
-(J' - W J, H' - W H) for a lossy layer, whose W vanishes as rho -> 0 for
-FSH.  The layer's inner interface gives Upsilon_0 = b_n/a_n, multiplied
-through by J_c = J_n(k_2 rho/2) so that it holds at zeros of J_c too
-(J, H at kt rho/2; F = sqrt(sigma_a q_a)/sqrt(sigma_l q_l)):
+exterior condition at x = k rho tells them apart.  It runs on plain
+complex arrays of ratios and log-derivatives (see specfun), which stay
+in double range however lossy the layer: for the finite sound-hard
+layer, Im(kt rho) grows like rho^{-delta}, and J and H there split as
+e^{+-Im(kt rho)}.  With DJ = J'/J, DH = H'/H, z1 = kt rho, z2 = kt rho/2,
+zc = k_2 rho/2, E = J_n(x)/H_n(x) and F = sqrt(sigma_a q_a)/sqrt(sigma_l q_l),
 
-    ch = H' J_c - F J_c' H,      Upsilon_0 = -(J' J_c - F J_c' J) / ch;
+    d_n = -i^n E (DJ(x) - W)/(DH(x) - W)     (no i^n in 3D),
 
-then the impedance-like quotient
+with W = 0 for SH, W -> inf for SS (d_n = -i^n E) and, for a lossy layer,
 
-    W = (1/C_0) (J_n'(kt rho) + Upsilon_0 H_n'(kt rho))
-              / (J_n(kt rho)  + Upsilon_0 H_n(kt rho)),
+    Q = (DJ(z2) - F DJ(zc)) / (DH(z2) - F DJ(zc)),
+    X = [J_n(z2)/J_n(z1)] [H_n(z1)/H_n(z2)],       t = -X Q,
+    W = (DJ(z1) + t DH(z1)) / ((1 + t) C_0),       C_0 = 1/sqrt(sigma_l q_l).
 
-with C_0 = 1/sqrt(sigma_l q_l).  The core coefficient
-c_n = a_n Wr(kt rho/2) / ch uses the layer's Wronskian Wr = J H' - J' H
-(2i/(pi z) in 2D, i/z^2 in 3D), not a cancelling sum.
-
-Everything runs in scaled-mantissa arithmetic (see specfun): for the
-finite sound-hard layer, Im(kt rho) grows like rho^{-delta} and the
-J/H magnitudes split as e^{+-Im(kt rho)}; the explicit elimination in
-log-scale form cancels those factors symbolically, so the solver is
-stable down to rho ~ 1e-6.
+Q is the inner interface, Upsilon_0 = b_n/a_n = -(J/H)(z2) Q, and W the
+impedance-like quotient of the outer one.  E and X are base ratios times
+running ratio products (``_values``); |X| ~ e^{-Im z1} underflows
+harmlessly.  At a zero of J_n(zc) the fraction's tiny-denominator guard
+makes DJ(zc) huge and Q -> 1, so one formula holds there too.  The core
+coefficient comes from the layer's Wronskian Wr = J H' - J' H (2i/(pi z)
+in 2D, i/z^2 in 3D), not a cancelling sum.
 
 ``solve_many`` is the solver's only entry: it runs the elimination on
 (B, n) arrays padded to the largest n_max of its rho values, and
@@ -61,9 +60,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .errors import DomainError, TruncationError
+from .errors import DomainError, RangeError, TruncationError
 from .media import check_passive, virtual_core_params
-from .specfun import ScaledArray
 
 TAIL_THRESHOLD = 1e-14
 DEGENERATE_CONDITION = 1e14
@@ -178,10 +176,24 @@ class ModalSolution:
     d_n are the exterior scattering coefficients (2D convention includes
     the i^n factor; the 3D entries are the axisymmetric reflection
     coefficients multiplying (2n+1) i^n h_n P_n).  For transmission
-    solves a_n/b_n (layer) and c_n (core) are also populated, as
-    ScaledArrays: they span far more than the double range once the layer
-    is lossy.  branch_flags is always None: the inner interface has one
-    formula, and the field stays only because bench/spans.py reads it.
+    solves a_n/b_n (layer) and c_n (core) are also populated.  The layer
+    field of mode n, a_n^phys J_n(kt r) + b_n^phys H_n(kt r), and the core
+    field c_n^phys J_n(k_2 r) leave the double range factor by factor, so
+    the stored coefficients are normalised: each J factor carries H_n at
+    its region's outer radius, each H factor is divided by H_n at the inner
+    radius,
+
+        layer:  a_n J_n(kt r) H_n(kt rho) + b_n H_n(kt r) / H_n(kt rho/2),
+        core:   c_n J_n(k_2 r) H_n(k_2 rho/2),
+
+    i.e. a_n = a_n^phys / H_n(kt rho), b_n = b_n^phys H_n(kt rho/2) and
+    c_n = c_n^phys / H_n(k_2 rho/2), with H (h in 3D) at the layer or core
+    wavenumber.  Each product J_n(w r) H_n(w R) with r <= R and each
+    quotient H_n(w r)/H_n(w R) with r >= R is at most of order one, so
+    the coefficients are of the order of the mode's field (underflow to 0
+    where that is negligible).  branch_flags is always None: the inner
+    interface has one formula, and the field stays only because
+    bench/spans.py reads it.
     """
 
     dim: int
@@ -189,9 +201,9 @@ class ModalSolution:
     k: float
     n_max: int
     d_n: np.ndarray
-    a_n: ScaledArray | None = None
-    b_n: ScaledArray | None = None
-    c_n: ScaledArray | None = None
+    a_n: np.ndarray | None = None
+    b_n: np.ndarray | None = None
+    c_n: np.ndarray | None = None
     truncation_tail: float = 0.0
     layer: LayerWavenumbers | None = None
     branch_flags: tuple[str, ...] | None = None
@@ -269,23 +281,45 @@ def _truncated(solve_at, k: float, rho: list[float]) -> tuple[ModalSolution, ...
     return tuple(out)
 
 
-def _cut(values: ScaledArray, orders: list[int]) -> list[np.ndarray]:
-    """Complex rows of a padded batch, each cut to its orders 0..orders[j];
-    padded orders get mantissa 0 first, so they never raise in to_complex."""
-    if min(orders) < values.shape[-1] - 1:
-        keep = np.arange(values.shape[-1]) <= np.array(orders)[:, None]
-        values = ScaledArray(np.where(keep, values.mantissa, 0.0), values.log_scale)
-    return [row[:n + 1] for row, n in zip(values.to_complex(), orders)]
-
-
-def _family(dim: int, kind: str, nmax, z) -> ScaledArray:
+def _family(dim: int, kind: str, nmax, z) -> tuple[np.ndarray, np.ndarray]:
     """Orders 0..nmax (one order, or one per z) of J_n / H_n^(1) (2D) or
-    j_n / h_n^(1) (3D) at each z; ``kind`` is "j" or "h"."""
-    if dim == 2:
-        fn = specfun.bessel_j_all if kind == "j" else specfun.bessel_h1_all
-    else:
-        fn = specfun.spherical_j_all if kind == "j" else specfun.spherical_h1_all
-    return fn(nmax, z)
+    j_n / h_n^(1) (3D) at each z in ratio form (base, ratios); ``kind`` is
+    "j" or "h"."""
+    fn = specfun.bessel_j if kind == "j" else specfun.bessel_h1
+    return fn(nmax, z, spherical=dim == 3)
+
+
+def _log_derivative(ratios: np.ndarray, z) -> np.ndarray:
+    """f_n'/f_n = n/z - f_{n+1}/f_n for n along the last axis of ``ratios``,
+    at z (a scalar, or one argument per row)."""
+    return np.arange(ratios.shape[-1]) / np.asarray(z)[..., None] - ratios
+
+
+def _values(num, den=()) -> np.ndarray:
+    """Orders 0..N-1 of the product of the sequences ``num`` over that of
+    ``den``, each in ratio form (Amos-scaled base, N ratios): the base
+    quotient at an anchor order times the running product of the ratio
+    quotients.
+
+    The anchor is order 0 or 1, whichever has the larger product of |base
+    values| over all factors.  J_0 and J_1 share no zero, so it avoids a
+    (near) zero of every J factor; for one J sequence it is the larger of
+    its orders 0 and 1.  A product of J and H at comparable arguments, or
+    a quotient of one kind, stays in double range where its factors need
+    not, since its ratios do.
+    """
+    base, ratio, weight = 1.0, 1.0, 1.0
+    for b, r in num:
+        base, ratio, weight = base * b, ratio * r, weight * np.abs(b)
+    for b, r in den:
+        base, ratio, weight = base / b, ratio / r, weight * np.abs(b)
+    one = weight[..., 1] > weight[..., 0]  # anchored at order 1
+    steps = ratio[..., :-1].copy()
+    steps[..., :1] = np.where(one[..., None], 1.0, steps[..., :1])  # skip f_1/f_0
+    out = np.empty(ratio.shape, dtype=complex)
+    out[..., 0] = np.where(one, base[..., 1] / np.where(one, ratio[..., 0], 1.0), base[..., 0])
+    out[..., 1:] = np.where(one, base[..., 1], base[..., 0])[..., None] * np.cumprod(steps, axis=-1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -318,65 +352,69 @@ def _eliminate(dim: int, wave: WaveParams, rho: list[float], scheme: SchemeSpec,
     modes whose outer elimination loses more than ~14 digits to cancellation."""
     lossy = scheme.kind not in ("ss", "sh")
     r = np.array(rho)
-    zh = [wave.k * r]  # arguments of the H rows; the J rows add the core's
+    zs = [wave.k * r]  # the real x = k rho; a lossy layer adds z1, z2 and zc
     layers = [None] * len(rho)
     if lossy:
         layers = [_layer_wavenumbers(scheme, x, wave.k, core) for x, core in zip(rho, cores)]
         k_tilde, k2, c0, coupling = np.array(
             [(lw.k_tilde, lw.k2, lw.c0, lw.coupling) for lw in layers],
             dtype=complex).reshape(-1, 4).T
-        zh += [k_tilde * r, 0.5 * k_tilde * r]
+        zs += [k_tilde * r, 0.5 * k_tilde * r, 0.5 * k2 * r]
         core_factor = c0 * coupling
-    zj = zh + [0.5 * k2 * r] if lossy else zh
 
     def solve_at(rows: list[int], orders: list[int]) -> list[ModalSolution]:
         nmax, size, sizes = max(orders), len(rows), [n + 1 for n in orders]
-        # One call per family and one derivative call for every sequence.
-        zjr, zhr = [np.concatenate([z[rows] for z in zs]) for zs in (zj, zh)]
-        seq = ScaledArray.concatenate([_family(dim, "j", sizes * len(zj), zjr),
-                                       _family(dim, "h", sizes * len(zh), zhr)])
-        z = np.concatenate([zjr, zhr])
-        values, derivs = seq[..., :-1], specfun.derivative_all(seq, z)
-        pairs = [(values[i:i + size], derivs[i:i + size]) for i in range(0, z.size, size)]
-        (jk, djk), (hk, dhk) = pairs[0], pairs[len(zj)]
+        # One call per family; orders 0..n+1 give the ratios of orders 0..n.
+        # j[i] and h[i] are the rows' sequences (base, ratios) at zs[i].
+        z = np.concatenate([zr[rows] for zr in zs])
+        j, h = ([(base[i:i + size], ratios[i:i + size]) for i in range(0, z.size, size)]
+                for base, ratios in (_family(dim, kind, sizes * len(zs), z) for kind in "jh"))
+        dj, dh = ([_log_derivative(ratios, zr[rows]) for (_, ratios), zr in zip(seqs, zs)]
+                  for seqs in (j, h))
         phase = _I_POW[np.arange(nmax + 1) & 3] if dim == 2 else 1.0  # incident phase
+        e = _values([j[0]], [h[0]])  # J_n(x)/H_n(x); x is real, so no Amos scale
         coeffs, degenerate = (None, None, None), np.zeros((size, nmax + 1), dtype=bool)
 
         if scheme.kind == "ss":
-            num, den = jk, hk
+            num = den = np.ones_like(e)
         elif scheme.kind == "sh":
-            num, den = djk, dhk
+            num, den = dj[0], dh[0]
         else:
-            (jt, djt), (jt2, djt2), (jc, djc), _, (ht, dht), (ht2, dht2) = pairs[1:]
-            factor = core_factor[rows, None]
+            factor, c0_rows = core_factor[rows, None], c0[rows, None]
+            # e^{-Im z1} and e^{-Im z2} restore the Amos scales (Im z1 = 2 Im z2).
+            decay1, decay2 = (np.exp(-zs[i][rows].imag)[:, None] for i in (1, 2))
+            inner = dh[2] - factor * dj[3]
+            q = (dj[2] - factor * dj[3]) / inner
+            t = -_values([j[2], h[1]], [j[1], h[2]]) * decay1 * q
+            w = (dj[1] + t * dh[1]) / ((1.0 + t) * c0_rows)
+            num, den = dj[0] - w, dh[0] - w
+            degenerate = np.maximum(np.abs(dh[0]), np.abs(w)) > DEGENERATE_CONDITION * np.abs(den)
 
-            # Inner interface: Upsilon_0 = b_n / a_n, cross-multiplied by J_n(zc).
-            ch = dht2 * jc - djc * ht2 * factor
-            ups = -(djt2 * jc - djc * jt2 * factor) / ch
-
-            # Outer interface: the impedance quotient W.
-            q_den = jt + ups * ht
-            w = (djt + ups * dht) / q_den / c0[rows, None]
-            wh = w * hk
-            num, den = djk - w * jk, dhk - wh
-            cancel = np.maximum(dhk.abs_log(), wh.abs_log()) - den.abs_log()
-            degenerate = cancel > math.log(DEGENERATE_CONDITION)
-
-        den_zero = den.mantissa == 0  # exact cancellation: degenerate, d_n = 0
-        d_sv = -num / ScaledArray.where(den_zero, 1.0, den) * (phase * ~den_zero)
+        # An exactly zero denominator is a degenerate mode: d_n = 0.
+        nonzero = den != 0
+        d = -phase * e * np.divide(num, den, out=np.zeros_like(e), where=nonzero)
 
         if lossy:
-            a = (jk * phase + d_sv * hk) / q_den
-            z2 = zh[2][rows, None]  # core coefficient from the layer's Wronskian at z2
-            coeffs = a, ups * a, a * (2j / (math.pi * z2) if dim == 2 else 1j / (z2 * z2)) / ch
+            # U = J_n(x) (DH - DJ)/(DH - W) times i^n: the exterior total field at rho.
+            u = phase * _values([j[0]]) * np.divide(
+                j[0][1] - h[0][1], den, out=np.zeros_like(e), where=nonzero)
+            # The normalised coefficients of ModalSolution; J_n(z2) H_n(z1)
+            # and H_n(z1)/H_n(z2) carry e^{-Im z2}.
+            a = u / (_values([j[1], h[1]]) * (1.0 + t))  # a_n / H_n(z1)
+            b = -q * _values([j[2], h[1]]) * decay2 * a  # b_n H_n(z2)
+            z2 = zs[2][rows, None]  # core coefficient from the layer's Wronskian at z2
+            wronskian = 2j / (math.pi * z2) if dim == 2 else 1j / (z2 * z2)
+            c = (a * _values([h[1]], [h[2]]) * decay2 * wronskian  # c_n / H_n(zc)
+                 / (_values([j[3], h[3]]) * inner))
+            coeffs = a, b, c
 
         out = []
-        for j, (i, n, dn) in enumerate(zip(rows, orders, _cut(d_sv, orders))):
-            a_n, b_n, c_n = (None if x is None else x[j, :n + 1] for x in coeffs)
+        for row, (i, n) in enumerate(zip(rows, orders)):
+            d_n, a_n, b_n, c_n = (None if x is None else x[row, :n + 1] for x in (d, *coeffs))
             out.append(ModalSolution(
-                dim=dim, rho=rho[i], k=wave.k, n_max=n, d_n=dn, a_n=a_n, b_n=b_n, c_n=c_n,
-                truncation_tail=_tail(dn), layer=layers[i],
-                degenerate_modes=tuple(np.flatnonzero(degenerate[j, :n + 1]).tolist())))
+                dim=dim, rho=rho[i], k=wave.k, n_max=n, d_n=d_n, a_n=a_n, b_n=b_n, c_n=c_n,
+                truncation_tail=_tail(d_n), layer=layers[i],
+                degenerate_modes=tuple(np.flatnonzero(degenerate[row, :n + 1]).tolist())))
         return out
 
     return _truncated(solve_at, wave.k, rho)
@@ -391,6 +429,9 @@ def solve_many(scheme: SchemeSpec, dim: int, wave: WaveParams, rho_values,
     (specfun._all)."""
     rho = [float(r) for r in rho_values]
     cores = [virtual_core_params(*contents, r, dim) for r in rho]
+    for x in (wave.k * r for r in rho):  # before k rho sizes the truncation order
+        if not x <= specfun.ARGUMENT_GUARD:
+            raise RangeError(f"|z| = {x:.3g} exceeds the guard {specfun.ARGUMENT_GUARD:g}")
     return _eliminate(dim, wave, rho, scheme, cores)
 
 
@@ -482,35 +523,52 @@ def _region_of(solution: ModalSolution, r: float) -> str:
 def _radial_sums(solution: ModalSolution, region: str, r: float,
                  derivative: bool) -> np.ndarray:
     """Per-mode radial factors of the field expansion at radius r; in the
-    exterior only those of the scattered wave.
+    exterior only those of the scattered wave.  Each region's factors are
+    its normalised coefficients (ModalSolution) times in-range products and
+    quotients of ratio-form sequences; a radial derivative is the
+    wavenumber times each term times its log-derivative at r.
 
     The 2D factors carry their i^n phase inside the coefficients; the
     3D assembly applies (2n+1) i^n afterwards.
     """
     nmax, dim = solution.n_max, solution.dim
 
-    def radial(kind, z):
-        seq = _family(dim, kind, nmax + 1, z)
-        return specfun.derivative_all(seq, z) if derivative else seq[:-1]
+    def sequences(kind, *z):
+        base, ratios = _family(dim, kind, nmax + 1, np.array(z))
+        return list(zip(base, ratios))
 
-    if region == "exterior":
-        z = complex(solution.k * r)
-        return (solution.k if derivative else 1.0) * solution.d_n * radial("h", z).to_complex()
-
-    if not solution.is_layered:
-        raise DomainError("solution has no interior regions")
+    # Each term: (coefficients, sequences over, sequences under, Amos-scale
+    # exponent, the sequence at r whose log-derivative it takes).
     lw = solution.layer
-    if region == "layer":
-        z = lw.k_tilde * r
-        sv = solution.a_n * radial("j", z) + solution.b_n * radial("h", z)
-        return (lw.k_tilde if derivative else 1.0) * sv.to_complex()
-    if region == "core":
-        z = lw.k2 * r
+    if region == "exterior":
+        wavenumber = solution.k
+        z = complex(wavenumber * r)
+        (h,) = sequences("h", z)
+        terms = [(solution.d_n, [h], [], 0.0, h)]
+    elif not solution.is_layered:
+        raise DomainError("solution has no interior regions")
+    elif region == "layer":
+        wavenumber = lw.k_tilde
+        z, z1, z2 = wavenumber * r, wavenumber * solution.rho, 0.5 * wavenumber * solution.rho
+        (j,), (h, h1, h2) = sequences("j", z), sequences("h", z, z1, z2)
+        terms = [(solution.a_n, [j, h1], [], z.imag - z1.imag, j),
+                 (solution.b_n, [h], [h2], z2.imag - z.imag, h)]
+    elif region == "core":
+        wavenumber = lw.k2
+        z, zc = wavenumber * r, 0.5 * wavenumber * solution.rho
         if derivative and z == 0:
             raise DomainError("radial derivative undefined at the origin")
-        sv = solution.c_n * radial("j", z)
-        return (lw.k2 if derivative else 1.0) * sv.to_complex()
-    raise DomainError(f"unknown region {region!r}")
+        (j,), (hc,) = sequences("j", z), sequences("h", zc)
+        terms = [(solution.c_n, [j, hc], [], z.imag - zc.imag, j)]
+    else:
+        raise DomainError(f"unknown region {region!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        field = sum(coef * _values(num, den) * np.exp(scale)
+                    * (_log_derivative(seq[1], z) if derivative else 1.0)
+                    for coef, num, den, scale, seq in terms)
+    if not np.all(np.isfinite(field)):
+        raise RangeError(f"the {region} field at r = {r:.6g} leaves the double range")
+    return wavenumber * field if derivative else field
 
 
 def field_on_circle(solution: ModalSolution, r: float, thetas: np.ndarray,

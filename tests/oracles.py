@@ -1,10 +1,11 @@
 """Test-only oracles: the pointwise blow-up, Jacobian and anisotropic
 push-forward that media.cloak_tensor and media.virtual_core_params are
-checked against, plus readers and a reference writer for the library's
-outputs."""
+checked against, readers and a reference writer for the library's
+outputs, and Bessel values rebuilt in mpmath from specfun's ratio form."""
 
 from dataclasses import dataclass, field
 
+import mpmath
 import numpy as np
 
 from nearcloak import analysis, mie
@@ -159,3 +160,17 @@ def field_at(solution, point, region: str | None = None,
     return complex(mie.field_on_circle(solution, r, np.array([theta]), region=region,
                                        scattered_only=scattered_only,
                                        radial_derivative=radial_derivative)[0])
+
+
+def rebuilt(sequence, scale: float) -> list:
+    """Values of orders 0..N of a specfun sequence (base, N ratios) at one
+    argument, in mpmath: e^{scale} times the base at order 0 or 1, whichever
+    is larger in modulus, times the products of the ratios, so no exponent
+    limit applies.  The scale undoes the Amos scaling: Im z for J and j,
+    -Im z for H and h."""
+    base, ratios = ([mpmath.mpc(complex(v)) for v in a] for a in sequence)
+    a = int(bool(ratios) and abs(base[1]) > abs(base[0]))
+    out = [base[a] * mpmath.exp(scale)]
+    for r in ratios[a:]:
+        out.append(out[-1] * r)
+    return [out[0] / ratios[0]] + out if a else out

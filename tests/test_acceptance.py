@@ -155,8 +155,12 @@ def test_09_bie_oracle_agreement():
 
 
 def test_10_special_function_suite():
-    # Wronskian, recurrence and scaled-asymptotic invariants over >= 1e4
-    # random (n, z) samples, within one second.
+    # Wronskian, recurrence and asymptotic invariants over >= 1e4 random
+    # (n, z) samples, within one second, on the in-range quantities of the
+    # ratio form: J_n H_n (r_n - s_n) = 2i/(pi z) with r_n = J_{n+1}/J_n and
+    # s_n = H_{n+1}/H_n; the three-term recurrence divided by f_n,
+    # 1/r_{n-1} + r_n = 2n/z; and the Amos-scaled values against their
+    # leading large-argument forms.
     rng = np.random.default_rng(2024)
     t0 = time.monotonic()
     samples = 0
@@ -166,37 +170,29 @@ def test_10_special_function_suite():
         r = rng.uniform(0.1, 30.0)
         theta = rng.uniform(0.0, math.pi)
         z = complex(r * math.cos(theta), r * math.sin(theta))
-        js = specfun.bessel_j_all(nmax + 1, z)
-        hs = specfun.bessel_h1_all(nmax + 1, z)
-        djs = specfun.derivative_all(js, z)
-        dhs = specfun.derivative_all(hs, z)
-        ref = specfun.scaled(2j / (math.pi * z), 0.0)
+        js, hs = specfun.bessel_j(nmax + 1, z), specfun.bessel_h1(nmax + 1, z)
         # orders 0..nmax-1
-        w = js[:nmax] * dhs[:nmax] - djs[:nmax] * hs[:nmax]
-        worst_w = max(worst_w, float(np.max(np.abs(((w - ref) / ref).to_complex()))))
-        # orders 1..nmax-1: f_{n-1} + f_{n+1} = (2n/z) f_n
+        w = mie._values([js, hs])[:nmax] * (js[1] - hs[1])[:nmax]
+        worst_w = max(worst_w, float(np.max(np.abs(w / (2j / (math.pi * z)) - 1.0))))
+        # orders 1..nmax-1: f_{n-1} + f_{n+1} = (2n/z) f_n, divided by f_n
         n = np.arange(1, nmax)
-        for seq in (js, hs):
-            lower, upper = seq[:nmax - 1], seq[2:nmax + 1]
-            rhs = seq[1:nmax] * (2.0 * n / z)
-            scale = np.maximum(np.maximum(lower.abs_log(), upper.abs_log()), rhs.abs_log())
-            err = np.exp((lower + upper - rhs).abs_log() - scale)  # 0 where exact
+        for _, ratios in (js, hs):
+            lower, upper, rhs = 1.0 / ratios[:nmax - 1], ratios[1:nmax], 2.0 * n / z
+            scale = np.maximum(np.maximum(np.abs(lower), np.abs(upper)), np.abs(rhs))
+            err = np.abs(lower + upper - rhs) / scale
             worst_r = max(worst_r, float(np.max(err, initial=0.0)))
         samples += 2 * nmax
-    # scaled-asymptotic agreement for Im z >= 15
+    # Amos-scaled asymptotic agreement for Im z >= 15
     for _ in range(200):
         n = int(rng.integers(0, 3))
         z = complex(rng.uniform(0, 200), rng.uniform(15, 200))
-        hn = specfun.bessel_h1_all(n, z)[n]
-        lead = (specfun.scaled(cmath.sqrt(2 / (math.pi * z)), 0.0)
-                * specfun.scaled(cmath.exp(1j * (z.real - n * math.pi / 2 - math.pi / 4)),
-                                 -z.imag))
-        worst_a = max(worst_a, abs(((hn - lead) / lead).to_complex()) * abs(z) / 10.0)
-        jn = specfun.bessel_j_all(n, z)[n]
-        jlead = (specfun.scaled(cmath.sqrt(1 / (2 * math.pi * z)), 0.0)
-                 * specfun.scaled(cmath.exp(1j * (-z.real + n * math.pi / 2 + math.pi / 4)),
-                                  abs(z.imag)))
-        worst_a = max(worst_a, abs(((jn - jlead) / jlead).to_complex()) * abs(z) / 10.0)
+        hn = mie._values([specfun.bessel_h1(n + 1, z)])[n]
+        lead = cmath.sqrt(2 / (math.pi * z)) * cmath.exp(1j * (z.real - n * math.pi / 2 - math.pi / 4))
+        worst_a = max(worst_a, abs(hn / lead - 1.0) * abs(z) / 10.0)
+        jn = mie._values([specfun.bessel_j(n + 1, z)])[n]
+        jlead = cmath.sqrt(1 / (2 * math.pi * z)) * cmath.exp(
+            1j * (-z.real + n * math.pi / 2 + math.pi / 4))
+        worst_a = max(worst_a, abs(jn / jlead - 1.0) * abs(z) / 10.0)
     elapsed = time.monotonic() - t0
     _report("criterion 10 (special functions)",
             f"{samples} (n, z) samples: worst Wronskian {worst_w:.2e} <= 1e-9, "

@@ -267,6 +267,21 @@ def test_argument_below_specfun_floor_is_invalid_parameter(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "RangeError"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scheme", ["sh", "fsh"])
+@pytest.mark.parametrize("command, flags", [
+    ("mie", ["--rho", "1e308"]), ("sweep", ["--rho-start", "1e308"]),
+    ("compare", ["--rho-start", "1e308"]),
+], ids=lambda v: v if isinstance(v, str) else "")
+def test_overflowing_k_rho_is_a_range_error_without_warnings(tmp_path, capsys, command,
+                                                             flags, scheme):
+    # k rho = inf lies beyond the argument guard, like any |z| > 2e4.
+    lining = ["--scheme-a", scheme] if command == "compare" else ["--scheme", scheme]
+    assert run([command, *lining, *flags, "--out", "x.csv"], tmp_path) == cli.EXIT_INVALID_PARAMETER
+    assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "RangeError"
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_media_without_cells_is_invalid_parameter(tmp_path, capsys):
     code = run(["media", "--cells", "0", "--out", "m.csv"], tmp_path)
     assert code == cli.EXIT_INVALID_PARAMETER

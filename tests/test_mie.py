@@ -10,7 +10,7 @@ import pytest
 from scipy import special
 
 from nearcloak import media, mie
-from nearcloak.errors import DomainError, TruncationError
+from nearcloak.errors import DomainError, RangeError, TruncationError
 from nearcloak.media import virtual_core_params
 from nearcloak.mie import SchemeSpec, WaveParams
 
@@ -89,6 +89,16 @@ def test_degenerate_radius_rejected():
 # ---------------------------------------------------------------------------
 # Layered transmission solve
 # ---------------------------------------------------------------------------
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("kind", ["sh", "fsh"])
+def test_overflowing_k_rho_is_a_range_error(dim, kind):
+    # k rho = 2e308 overflows to inf; the argument guard names it before the
+    # truncation order or the layer parameters are formed from it.
+    with pytest.raises(RangeError, match="exceeds the guard"):
+        mie.solve(SchemeSpec(kind), dim, _wave(dim), 1e308)
+
+
 def test_layered_homogeneous_limit_scatters_nothing():
     # the virtual core (1, 1) holds the physical contents (rho^(dim-2), rho^dim)
     for dim in (2, 3):
@@ -153,34 +163,63 @@ def test_layered_degenerate_core_branch():
     assert sol.d_n[0] == pytest.approx(sol_eps.d_n[0], rel=1e-5)
 
 
-def _interface_solve(dim, k, rho, layer, core, n):
-    """(d_n, c_n) of mode n from the four interface conditions, solved in
-    50-digit mpmath: continuity of u and sigma du/dr at rho and rho/2."""
-    with mpmath.workdps(50):
-        def bessel(kind, z):  # orders n and n + 1 of J/H (2D) or j/h (3D)
-            f = mpmath.besselj if kind == "j" else mpmath.hankel1
-            s = 1 if dim == 2 else mpmath.sqrt(mpmath.pi / (2 * z))
-            nu = 0 if dim == 2 else mpmath.mpf(1) / 2
-            return s * f(n + nu, z), s * f(n + 1 + nu, z)
+def _mp_sequence(dim, kind, n_max, z):
+    """(values, derivatives) of orders 0..n_max of J/H (2D) or j/h (3D) at z
+    in mpmath.  H runs up from orders 0 and 1, as the recurrence is stable
+    upward for it (mpmath's integer-order Y is slow)."""
+    nu = 0 if dim == 2 else mpmath.mpf(1) / 2
+    s = 1 if dim == 2 else mpmath.sqrt(mpmath.pi / (2 * z))
+    if kind == "j":
+        f = [s * mpmath.besselj(n + nu, z) for n in range(n_max + 2)]
+    else:
+        f = [s * mpmath.hankel1(n + nu, z) for n in range(2)]
+        for n in range(1, n_max + 1):
+            f.append(2 * (n + nu) / z * f[n] - f[n - 1])
+    return f[:-1], [n / z * f[n] - f[n + 1] for n in range(n_max + 1)]
 
-        def value_and_flux(kind, wavenumber, sigma, r):
-            z = wavenumber * r
-            f0, f1 = bessel(kind, z)
-            return f0, sigma * wavenumber * (n / z * f0 - f1)
 
-        k, rho = mpmath.mpf(k), mpmath.mpf(rho)
-        (s_l, q_l), (s_a, q_a) = [(mpmath.mpf(s), mpmath.mpc(q)) for s, q in (layer, core)]
-        kt, k2 = k * mpmath.sqrt(q_l / s_l), k * mpmath.sqrt(q_a / s_a)
+def _interface_solve(dim, k, rho, layer, core, n_max):
+    """(d_n, a_n, b_n, c_n) of every mode n <= n_max from the four interface
+    conditions, solved in 50-digit mpmath: continuity of u and sigma du/dr
+    at rho and rho/2.  The layer field of mode n is a_n J_n(kt r) +
+    b_n H_n(kt r), the core field c_n J_n(k2 r).  Returns kt, k2 and the
+    coefficients."""
+    k, rho = mpmath.mpf(k), mpmath.mpf(rho)
+    (s_l, q_l), (s_a, q_a) = [(mpmath.mpf(s), mpmath.mpc(q)) for s, q in (layer, core)]
+    kt, k2 = k * mpmath.sqrt(q_l / s_l), k * mpmath.sqrt(q_a / s_a)
+
+    def value_and_flux(kind, wavenumber, sigma, r):
+        f, df = _mp_sequence(dim, kind, n_max, wavenumber * r)
+        return [(v, sigma * wavenumber * dv) for v, dv in zip(f, df)]
+
+    jk, hk = (value_and_flux(kind, k, 1, rho) for kind in "jh")
+    jt, ht = (value_and_flux(kind, kt, s_l, rho) for kind in "jh")
+    jt2, ht2 = (value_and_flux(kind, kt, s_l, rho / 2) for kind in "jh")
+    jc = value_and_flux("j", k2, s_a, rho / 2)
+    out = []
+    for n in range(n_max + 1):
         phase = 1j ** n if dim == 2 else 1
-        jk, hk = value_and_flux("j", k, 1, rho), value_and_flux("h", k, 1, rho)
-        jt, ht = value_and_flux("j", kt, s_l, rho), value_and_flux("h", kt, s_l, rho)
-        jt2, ht2 = value_and_flux("j", kt, s_l, rho / 2), value_and_flux("h", kt, s_l, rho / 2)
-        jc = value_and_flux("j", k2, s_a, rho / 2)
-        # unknowns (d, a, b, c)
-        m = mpmath.matrix([[hk[0], -jt[0], -ht[0], 0], [hk[1], -jt[1], -ht[1], 0],
-                           [0, jt2[0], ht2[0], -jc[0]], [0, jt2[1], ht2[1], -jc[1]]])
-        x = mpmath.lu_solve(m, mpmath.matrix([-phase * jk[0], -phase * jk[1], 0, 0]))
-        return complex(x[0]), complex(x[3])
+        m = mpmath.matrix([[hk[n][0], -jt[n][0], -ht[n][0], 0],
+                           [hk[n][1], -jt[n][1], -ht[n][1], 0],
+                           [0, jt2[n][0], ht2[n][0], -jc[n][0]],
+                           [0, jt2[n][1], ht2[n][1], -jc[n][1]]])
+        out.append(mpmath.lu_solve(m, mpmath.matrix([-phase * jk[n][0], -phase * jk[n][1], 0, 0])))
+    return kt, k2, out
+
+
+def _mp_field(dim, terms, thetas):
+    """sum_n eps_n R_n cos(n theta) (2D) or sum_n (2n+1) i^n R_n P_n(cos theta)
+    (3D) in mpmath, for the radial factors R_n of ``terms``."""
+    out = []
+    for th in thetas:
+        th = mpmath.mpf(th)
+        if dim == 2:
+            out.append(sum((1 if n == 0 else 2) * r * mpmath.cos(n * th)
+                           for n, r in enumerate(terms)))
+        else:
+            out.append(sum((2 * n + 1) * 1j ** n * r * mpmath.legendre(n, mpmath.cos(th))
+                           for n, r in enumerate(terms)))
+    return np.array([complex(u) for u in out])
 
 
 @pytest.mark.parametrize("dim, rho, contents", [
@@ -189,15 +228,31 @@ def _interface_solve(dim, k, rho, layer, core, n):
     (2, 0.1, (1.0, (2.0 * special.jn_zeros(0, 1)[0] / (2.0 * 0.1)) ** 2 * 0.1 ** 2)),
 ])
 def test_layered_coefficients_match_multiprecision_interface_solve(dim, rho, contents):
+    # d_n, and the near field in the layer and the core (values and radial
+    # derivatives), against the 50-digit solve summed mode by mode.
     scheme = SchemeSpec.finite_sound_hard()
     contents = contents or (1.0, 1.0)
     core = virtual_core_params(*contents, rho, dim)
     sol = mie.solve(scheme, dim, _wave(dim), rho, contents)
-    c_n = sol.c_n.to_complex()
-    for n in range(3):
-        d, c = _interface_solve(dim, 2.0, rho, scheme.layer_params(rho), core, n)
-        assert abs(sol.d_n[n] - d) <= 1e-12 * abs(d)
-        assert abs(c_n[n] - c) <= 1e-12 * abs(c)
+    th = np.linspace(0.0, math.pi, 7)
+    with mpmath.workdps(50):
+        kt, k2, coeffs = _interface_solve(dim, 2.0, rho, scheme.layer_params(rho), core,
+                                          sol.n_max)
+        for n, (d, _, _, _) in enumerate(coeffs):
+            assert abs(sol.d_n[n] - complex(d)) <= 1e-12 * abs(complex(d))
+        for region, r, parts in (("layer", 0.75 * rho, ((1, "j", kt), (2, "h", kt))),
+                                 ("core", 0.25 * rho, ((3, "j", k2),))):
+            fields = [0, 0]  # radial factors of the value and of the derivative
+            for i, kind, wavenumber in parts:
+                f, df = _mp_sequence(dim, kind, sol.n_max, wavenumber * mpmath.mpf(r))
+                fields = [fields[0] + np.array([x[i] * v for x, v in zip(coeffs, f)]),
+                          fields[1] + np.array([x[i] * wavenumber * v for x, v in zip(coeffs, df)])]
+            for derivative, terms in enumerate(fields):
+                expected = _mp_field(dim, terms, th)
+                got = mie.field_on_circle(sol, r, th, region=region,
+                                          radial_derivative=bool(derivative))
+                assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected)), \
+                    (region, derivative)
 
 
 def test_modal_solution_invariants():
@@ -347,25 +402,13 @@ def test_field_reduces_to_plane_wave_without_scattering(dim):
         assert u == pytest.approx(expected, rel=1e-11)
 
 
-@pytest.mark.parametrize("scheme", [SchemeSpec.finite_sound_hard(),
-                                    SchemeSpec.finite_sound_soft()])
-def test_interface_continuity_and_flux(scheme):
-    rho = 0.05
-    sol = mie.solve(scheme, 2, WAVE2, rho)
-    th = np.linspace(0, 2 * math.pi, 9, endpoint=False)
-    sigma_l, _ = scheme.layer_params(rho)
-
-    u_out = mie.field_on_circle(sol, rho, th, region="exterior")
-    u_lay = mie.field_on_circle(sol, rho, th, region="layer")
-    assert np.max(np.abs(u_out - u_lay)) <= 1e-10 * np.max(np.abs(u_out))
-
-    du_out = mie.field_on_circle(sol, rho, th, region="exterior", radial_derivative=True)
-    du_lay = mie.field_on_circle(sol, rho, th, region="layer", radial_derivative=True)
-    assert np.max(np.abs(du_out - sigma_l * du_lay)) <= 1e-10 * np.max(np.abs(du_out))
-
-    u_lay2 = mie.field_on_circle(sol, rho / 2, th, region="layer")
-    u_core = mie.field_on_circle(sol, rho / 2, th, region="core")
-    assert np.max(np.abs(u_lay2 - u_core)) <= 1e-10 * np.max(np.abs(u_core))
+@pytest.mark.filterwarnings("error")
+def test_near_field_beyond_the_double_range_is_a_range_error():
+    # At k r = 2e-45 the exterior factor d_9 H_9(k r) needs H_9 ~ 1e400.
+    sol = mie.solve(SchemeSpec.sound_hard(), 2, WAVE2, 1e-45)
+    assert np.all(np.isfinite(sol.d_n))
+    with pytest.raises(RangeError, match="leaves the double range"):
+        mie.field_on_circle(sol, 1e-45, np.array([0.0, 1.0]))
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -6,9 +6,11 @@ FSS/FSH linings, with S_n = 1 + 2 d_n (-i)^n in 2D (d_n carries i^n) and
 S_n = 1 + 2 d_n in 3D; for the lossy linings the optical theorem becomes
 the inequality scattered power <= extinction.  The BIE far field is
 invariant under rotating the obstacle and the incident direction together.
-The sequence properties pin the scaled array arithmetic of specfun, and
-the J_n/j_n values themselves, to an element-by-element mpmath oracle,
-which is independent of specfun and has no exponent limit.
+The sequence properties pin specfun's ratio form (log-derivatives, and
+values rebuilt in mpmath from the base value and the ratio products) and
+the solver's in-range products and quotients of sequences to an
+element-by-element mpmath oracle, which is independent of specfun and
+has no exponent limit.
 """
 
 import cmath
@@ -100,6 +102,44 @@ def test_lossy_linings_scatter_at_most_the_extinction(dim, k, rho, scheme):
     assert sol.n_max <= 63   # inside the exactness range of both quadratures
     scattered, extinction = _scattered_and_extinction(sol, k)
     assert scattered <= extinction * (1.0 + 1e-8)
+
+
+# The first zero of J_0: with k = 2 and sigma' = 1 in 2D, q' = J01^2 puts
+# k_2 rho/2 on it at every rho.
+J01 = 2.404825557695773
+
+
+@SETTINGS
+@given(dim=dims, scheme=st.one_of(lossy_schemes, st.just(SchemeSpec.layered(1.5, 2 + 0.3j))),
+       k=wavenumbers, rho=radii,
+       sigma=st.floats(math.log(0.1), math.log(10.0)).map(math.exp),
+       q_re=st.floats(-10.0, 10.0), q_im=st.floats(0.0, 10.0))
+@example(dim=2, scheme=SchemeSpec.finite_sound_hard(), k=2.0, rho=0.1, sigma=1.0,
+         q_re=J01 ** 2, q_im=0.0)
+def test_interface_continuity_and_flux(dim, scheme, k, rho, sigma, q_re, q_im):
+    # u and the flux sigma du/dr are continuous at rho (exterior/layer) and
+    # at rho/2 (layer/core), within 1e-10 of max|u| on the exterior side of
+    # rho.  The flux is taken as r sigma du/dr: sigma du/dr grows like the
+    # layer wavenumber, ~1/rho, and so does its rounding (up to 1e-8 of
+    # max|u| at rho = 1e-6), while r sigma du/dr is scale-free.
+    q = complex(q_re, q_im)
+    assume(abs(q) >= 1e-3)  # lossy linings need contents with a wavenumber
+    sigma_l, q_l = scheme.layer_params(rho)
+    assume(abs(k * cmath.sqrt(q_l / sigma_l) * rho) <= specfun.ARGUMENT_GUARD)
+    sol = mie.solve(scheme, dim, _wave(dim, k), rho, (sigma, q))
+    sigma_a, _ = virtual_core_params(sigma, q, rho, dim)
+    th = np.linspace(0.0, math.pi, 7)
+
+    def field(r, region, derivative=False):
+        return mie.field_on_circle(sol, r, th, region=region, radial_derivative=derivative)
+
+    scale = np.max(np.abs(field(rho, "exterior")))
+    for r, (outer, sigma_out), (inner, sigma_in) in (
+            (rho, ("exterior", 1.0), ("layer", sigma_l)),
+            (rho / 2, ("layer", sigma_l), ("core", sigma_a))):
+        assert np.max(np.abs(field(r, outer) - field(r, inner))) <= 1e-10 * scale
+        flux = sigma_out * field(r, outer, True) - sigma_in * field(r, inner, True)
+        assert r * np.max(np.abs(flux)) <= 1e-10 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -200,17 +240,13 @@ def test_batched_solve_equals_per_rho_solves(dim, k, kind, large, small):
         _assert_rows_close(got.d_n, expected.d_n)
         for name in ("a_n", "b_n", "c_n"):
             got_n, expected_n = getattr(got, name), getattr(expected, name)
-            if expected_n is None:
-                assert got_n is None
-            else:
-                _assert_rows_close(got_n.to_complex(), expected_n.to_complex())
+            _assert_rows_close(got_n, expected_n)
 
 
 # ---------------------------------------------------------------------------
-# Scaled arrays against an element-wise mpmath oracle
+# Ratio-form sequences against an element-wise mpmath oracle
 # ---------------------------------------------------------------------------
-FAMILIES = [specfun.bessel_j_all, specfun.bessel_h1_all,
-            specfun.spherical_j_all, specfun.spherical_h1_all]
+FAMILIES = [(kind, spherical) for kind in ("j", "h") for spherical in (False, True)]
 
 arguments = st.builds(
     lambda r, angle: complex(r * math.cos(angle), r * math.sin(angle)),
@@ -218,58 +254,64 @@ arguments = st.builds(
     st.floats(0.0, math.pi))
 
 
-def _mp(a):
-    """The elements mantissa * exp(log_scale) of a 1-d scaled array in mpmath."""
-    return [mpmath.mpc(m) * mpmath.exp(s)
-            for m, s in zip(a.mantissa.tolist(), a.log_scale.tolist())]
+def _sequence(family, nmax, z):
+    """specfun's (base, ratios) of orders 0..nmax of one family at z."""
+    kind, spherical = family
+    return (specfun.bessel_j if kind == "j" else specfun.bessel_h1)(nmax, z, spherical)
+
+
+def _scale(family, z) -> float:
+    """The exponent that undoes the Amos scaling: Im z for J, -Im z for H."""
+    return z.imag if family[0] == "j" else -z.imag
 
 
 def _log_abs(x) -> float:
     return float(mpmath.log(abs(x)))
 
 
-def _assert_close(got, expected, scale, tol=1e-13):
-    """|got - expected| <= tol * exp(scale), both mpmath numbers.
-
-    The tolerance covers the rounding of log scales up to a few hundred.
-    """
-    err = abs(got - expected)
-    assert err == 0 or _log_abs(err) - scale <= math.log(tol), (got, expected)
-
-
 @SETTINGS
 @given(family=st.sampled_from(FAMILIES), nmax=st.integers(1, 30), z=arguments)
+@example(family=("j", False), nmax=4, z=148.4131591025766 + 0j)  # J_3 near a zero
 def test_array_derivative_matches_elementwise(family, nmax, z):
-    seq = family(nmax, z)
-    deriv = specfun.derivative_all(seq, z)
-    assert deriv.shape == (nmax,)
-    s, d, logs = _mp(seq), _mp(deriv), seq.abs_log()
-    zm = mpmath.mpc(z)
-    for n in range(nmax):
-        expected = -s[1] if n == 0 else s[n] * (n / zm) - s[n + 1]
-        scale = max(logs[n] + math.log(max(n, 1) / abs(z)), logs[n + 1])
-        _assert_close(d[n], expected, scale)
+    # Derivatives f_n' = f_n (n/z - f_{n+1}/f_n), from the log-derivatives
+    # the solver forms and the values rebuilt from the ratio form, against
+    # f_n' = (n/z) f_n - f_{n+1} of the 60-digit oracle.  The error is
+    # measured against max(|f_n'|, |f_n|), so next to a zero of f_n, where
+    # the log-derivative is huge, it counts as the derivative's; the
+    # fraction's rounding over ~|z| steps gives the term in |z|, as in the
+    # value properties below.
+    seq = _sequence(family, nmax, z)
+    logd = mie._log_derivative(seq[1], z)
+    assert logd.shape == (nmax,)
+    got = oracles.rebuilt(seq, _scale(family, z))
+    with mpmath.workdps(60):
+        zm = mpmath.mpc(z)
+        f = (_mp_h(family[1], nmax, zm) if family[0] == "h"
+             else [_mp_j(family[1], n, zm) for n in range(nmax + 1)])
+        for n in range(nmax):
+            exact = n / zm * f[n] - f[n + 1]
+            tol = 1e-12 + 2e-16 * abs(z)
+            assert abs(got[n] * logd[n] - exact) <= tol * max(abs(exact), abs(f[n])), (n, z)
 
 
 @SETTINGS
 @given(fa=st.sampled_from(FAMILIES), fb=st.sampled_from(FAMILIES),
-       nmax=st.integers(0, 30), za=arguments, zb=arguments)
+       nmax=st.integers(1, 30), za=arguments, zb=arguments)
 def test_array_arithmetic_matches_elementwise(fa, fb, nmax, za, zb):
-    a, b = fa(nmax, za), fb(nmax, zb)
-    prod, quot, total, diff = (_mp(v) for v in (a * b, a / b, a + b, a - b))
-    xs, ys = _mp(a), _mp(b)
-    for n, (x, y) in enumerate(zip(xs, ys)):
-        _assert_close(prod[n], x * y, _log_abs(x * y))
-        _assert_close(quot[n], x / y, _log_abs(x / y))
-        top = max(_log_abs(x), _log_abs(y))
-        _assert_close(total[n], x + y, top)
-        _assert_close(diff[n], x - y, top)
-    logs = a.abs_log()
-    assert logs == pytest.approx([_log_abs(x) for x in xs], abs=1e-13)
-    if np.max(logs) <= 700.0:
-        values = a.to_complex()
-        for n, x in enumerate(xs):
-            assert values[n] == pytest.approx(complex(x), rel=1e-13, abs=0.0)
+    # The solver's products and quotients of two sequences (mie._values), in
+    # double precision from the ratios, against the exact products of the
+    # same sequences rebuilt in mpmath.
+    a, b = _sequence(fa, nmax, za), _sequence(fb, nmax, zb)
+    xs, ys = oracles.rebuilt(a, 0.0), oracles.rebuilt(b, 0.0)
+    prod, quot = mie._values([a, b]), mie._values([a], [b])
+    assert prod.shape == quot.shape == (nmax,)
+    for n in range(nmax):
+        for got, expected in ((prod[n], xs[n] * ys[n]), (quot[n], xs[n] / ys[n])):
+            assert abs(got - expected) <= 1e-13 * abs(expected), (n, got, expected)
+    # with the Amos scales restored, the one-sequence values are the oracle's
+    values = mie._values([a]) * np.exp(_scale(fa, za))
+    assert values == pytest.approx([complex(x) * math.exp(_scale(fa, za)) for x in xs[:nmax]],
+                                   rel=1e-13, abs=0.0)
 
 
 def _mp_j(spherical, n, z):
@@ -283,8 +325,8 @@ def _mp_j(spherical, n, z):
 @given(spherical=st.booleans(), nmax=st.integers(0, 60),
        r=st.floats(math.log(1e-40), math.log(1.5e4)).map(math.exp),
        angle=st.floats(0.0, math.pi))
-# At the first zeros of J_0 and j_0, and next to the first, the sequence
-# is matched to its order-1 value.
+# At the first zeros of J_0 and j_0, and next to the first, the values are
+# rebuilt from the order-1 base value.
 @example(spherical=False, nmax=5, r=2.404825557695773, angle=0.0)
 @example(spherical=True, nmax=5, r=math.pi, angle=0.0)
 @example(spherical=False, nmax=5, r=abs(2.404825557695773 + 1e-9j),
@@ -293,18 +335,19 @@ def test_j_families_match_mpmath(spherical, nmax, r, angle):
     # The closed upper half-plane, from the power-law regime to |z| = 1.5e4.
     # Errors are measured against the local envelope
     # max(|f_n|, |f_n'| min(1, |z|/(n+1))), which is |f_n| except next to
-    # a zero of f_n.  Miller rounding
-    # accumulates over the ~|z| recurrence steps of the oscillatory range,
-    # hence the term in |z| (1.2e-12 at |z| = 1.4e4 on the real axis).
+    # a zero of f_n.  The values are rebuilt in mpmath from the base value
+    # and the ratio products.  The downward fraction carries rounding over
+    # its ~|z| steps through the oscillatory range, hence the term in |z|
+    # (1.3e-12 at |z| = 1.4e4 on the real axis).
     z = complex(r * math.cos(angle), r * math.sin(angle))
-    seq = (specfun.spherical_j_all if spherical else specfun.bessel_j_all)(nmax, z)
-    got = _mp(seq)
+    seq = specfun.bessel_j(nmax, z, spherical)
+    got = oracles.rebuilt(seq, z.imag)
     with mpmath.workdps(60):  # mpmath's complex besselj loses digits at 30
         zm = mpmath.mpc(z)
         f = [_mp_j(spherical, n, zm) for n in range(nmax + 2)]
         for n in range(nmax + 1):
             slope = abs(n / zm * f[n] - f[n + 1]) * min(1.0, r / (n + 1))
-            tol = 1e-12 + 1e-15 * abs(seq.log_scale[n]) + 2e-16 * r
+            tol = 1e-12 + 1e-15 * abs(_log_abs(got[n])) + 2e-16 * r
             assert abs(got[n] - f[n]) <= tol * max(abs(f[n]), slope), (n, z)
 
 
@@ -342,16 +385,16 @@ def _mp_h(spherical, nmax, z):
 def test_h_families_match_mpmath(spherical, nmax, r, angle):
     # Log-uniform |z| in three bands (small, moderate and large arguments),
     # real axes included.  The tolerances are the error budget of the
-    # specfun docstring: scipy's hankel1e base values and the upward
-    # recurrence stay within a few ulps up to |z| = 100, and beyond that
-    # the rounded log scale dominates.  Tiny |z| at order 30 rescales about
-    # ten times on the way up; its log scale may still carry two roundings.
+    # specfun docstring: the values, rebuilt in mpmath from scipy's hankel1e
+    # base values and the ratios of the upward step, stay within a few ulps
+    # up to |z| = 100, and beyond that within a budget that grows with
+    # |ln|H_n||.
     z = complex(-r, 0.0) if angle == math.pi else complex(r * math.cos(angle),
                                                           r * math.sin(angle))
-    seq = (specfun.spherical_h1_all if spherical else specfun.bessel_h1_all)(nmax, z)
-    got = _mp(seq)
+    seq = specfun.bessel_h1(nmax, z, spherical)
+    got = oracles.rebuilt(seq, -z.imag)
     with mpmath.workdps(50):
         expected = _mp_h(spherical, nmax, z)
         for n in range(nmax + 1):
-            tol = (1e-14 if r < 100.0 else 1e-15) + 2.3e-16 * abs(seq.log_scale[n])
+            tol = (1e-14 if r < 100.0 else 1e-15) + 2.3e-16 * abs(_log_abs(got[n]))
             assert abs(got[n] - expected[n]) <= tol * abs(expected[n]), (n, z)
