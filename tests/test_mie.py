@@ -437,6 +437,29 @@ def test_incident_wave_is_exact_at_any_radius(dim, r):
         assert np.max(np.abs(total - scattered - expected)) <= 1e-13
 
 
+@pytest.mark.parametrize("scheme", [SchemeSpec.finite_sound_hard(),
+                                    SchemeSpec.finite_sound_soft()])
+def test_interface_continuity_and_flux(scheme):
+    # A fixed 2D point of the hypothesis property of the same name in
+    # test_properties.
+    rho = 0.05
+    sol = mie.solve(scheme, 2, WAVE2, rho)
+    th = np.linspace(0, 2 * math.pi, 9, endpoint=False)
+    sigma_l, _ = scheme.layer_params(rho)
+
+    u_out = mie.field_on_circle(sol, rho, th, region="exterior")
+    u_lay = mie.field_on_circle(sol, rho, th, region="layer")
+    assert np.max(np.abs(u_out - u_lay)) <= 1e-10 * np.max(np.abs(u_out))
+
+    du_out = mie.field_on_circle(sol, rho, th, region="exterior", radial_derivative=True)
+    du_lay = mie.field_on_circle(sol, rho, th, region="layer", radial_derivative=True)
+    assert np.max(np.abs(du_out - sigma_l * du_lay)) <= 1e-10 * np.max(np.abs(du_out))
+
+    u_lay2 = mie.field_on_circle(sol, rho / 2, th, region="layer")
+    u_core = mie.field_on_circle(sol, rho / 2, th, region="core")
+    assert np.max(np.abs(u_lay2 - u_core)) <= 1e-10 * np.max(np.abs(u_core))
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("scheme", [SchemeSpec.finite_sound_hard(),
                                     SchemeSpec.finite_sound_soft()])
