@@ -11,8 +11,7 @@ from . import analysis, bie, media, mie, specfun
 from .analysis import FitResult, SweepResult, fit_decay, sweep
 from .bie import BoundaryCurve, DensitySolution, circle, kite
 from .media import RadialMapSpec
-from .mie import (FarFieldPattern, LayerWavenumbers, ModalSolution,
-                  SchemeSpec, WaveParams)
+from .mie import FarFieldPattern, ModalSolution, SchemeSpec, WaveParams
 
 __version__ = "0.1.0"
 
@@ -21,7 +20,6 @@ __all__ = [
     "FitResult", "SweepResult", "fit_decay", "sweep",
     "BoundaryCurve", "DensitySolution", "circle", "kite",
     "RadialMapSpec",
-    "FarFieldPattern", "LayerWavenumbers", "ModalSolution",
-    "SchemeSpec", "WaveParams",
+    "FarFieldPattern", "ModalSolution", "SchemeSpec", "WaveParams",
     "__version__",
 ]

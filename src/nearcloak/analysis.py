@@ -3,7 +3,8 @@
 The quantitative cloaking claims are all statements about how the
 discrete maximum of |A| over an observation grid decays as the
 regularization parameter rho shrinks: algebraically like rho^2 / rho^3
-for the sound-hard linings, and like 1/|ln rho| for the sound-soft ones.
+for the sound-hard linings, and for the sound-soft ones like 1/|ln rho|
+in 2D and like rho in 3D.
 This module runs the sweeps, fits both decay models, and compares
 schemes pointwise in rho.
 
@@ -32,6 +33,7 @@ from .mie import ModalSolution, SchemeSpec, WaveParams
 
 DEFAULT_ANGLE_COUNT = 100
 DEFAULT_FIT_FRACTION = 2.0 / 3.0
+FIT_MODELS = ("power-law", "inverse-log")
 
 CSV_SCHEMA_VERSION = 1
 _CSV_BLOCK_ROWS = 1024  # rows joined per write: peak memory stays flat
@@ -111,9 +113,14 @@ def sweep(scheme: SchemeSpec, dim: int, wave: WaveParams,
 
     ``contents`` is the physical-space (sigma', q') of the cloaked region;
     one mie.solve_many call and one far-field product cover all rho.  The
-    fit model defaults to power-law for the sound-hard family and
+    fit model defaults to power-law in 3D, where every lining decays
+    algebraically, and in 2D to power-law for the sound-hard family and
     inverse-log for the sound-soft family.
     """
+    if model is None:
+        model = "power-law" if dim == 3 or scheme.kind in ("sh", "fsh") else "inverse-log"
+    elif model not in FIT_MODELS:
+        raise DomainError(f"unknown fit model {model!r}")
     rho = _rho_grid(rho_values)
     angles = observation_angles(dim, angle_count)
     try:
@@ -126,8 +133,6 @@ def sweep(scheme: SchemeSpec, dim: int, wave: WaveParams,
                 raise type(exc)(f"solver failed at rho={r:g}: {exc}") from exc
         raise
     maxima = np.abs(mie._far_field_rows(solutions, angles)).max(axis=1)
-    if model is None:
-        model = "power-law" if scheme.kind in ("sh", "fsh") else "inverse-log"
     result = SweepResult(scheme=scheme, dim=dim, k=wave.k, rho_values=rho,
                          max_amplitude=maxima, fitted_exponent=math.nan,
                          fit_residual=math.nan, model=model,

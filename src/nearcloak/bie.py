@@ -261,15 +261,15 @@ def _green_far_field(k: float, angles: np.ndarray, ys: np.ndarray, normals: np.n
 
 def far_field_from_density(solution: DensitySolution, wave: WaveParams,
                            angles: np.ndarray) -> FarFieldPattern:
-    """A(xhat) from the solved trace, trapezoid over the smooth kernel;
-    ``wave`` must be the one ``solution`` was solved for."""
+    """A(xhat) from the solved trace and the stored flux neumann_data,
+    trapezoid over the smooth kernel; ``wave`` must be the one
+    ``solution`` was solved for."""
     k = wave.k
     if k != solution.wave.k or not np.array_equal(wave.d, solution.wave.d):
         raise DomainError("far field asked for a wave other than the solved one")
-    _, pts, _, _, normals, _ = _geometry(solution.curve)  # normals carry |x'|
-    flux = -1j * k * (normals @ wave.d) * np.exp(1j * k * (pts @ wave.d))  # -du^i/dnu
-    return _green_far_field(k, angles, pts, normals, solution.trace, flux,
-                            math.pi / (solution.curve.n_points // 2))
+    _, pts, _, _, normals, jac = _geometry(solution.curve)  # normals carry |x'|
+    return _green_far_field(k, angles, pts, normals, solution.trace,
+                            solution.neumann_data * jac, math.pi / (solution.curve.n_points // 2))
 
 
 def far_field_from_cauchy_data(radius: float, u: np.ndarray, dudn: np.ndarray,

@@ -60,7 +60,7 @@ _DEFAULTS = {
 _SCHEMES = ["ss", "sh", "fss", "fsh"]
 _CHOICES = {
     "scheme": _SCHEMES, "scheme_a": _SCHEMES, "scheme_b": _SCHEMES, "dim": [2, 3],
-    "model": ["auto", "power-law", "inverse-log"], "curve": ["circle", "kite"],
+    "model": ["auto", *analysis.FIT_MODELS], "curve": ["circle", "kite"],
 }
 
 _HELP = {

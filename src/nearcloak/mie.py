@@ -98,7 +98,7 @@ class SchemeSpec:
     "fss" is the lossy layer sigma_l = 1, q_l = 1 + i beta rho^-2;
     "fsh" is the lossy layer sigma_l = C rho^{2+2 delta}, q_l = a + i b;
     "layered" takes explicit (sigma_l, q_l) values as given, which must be
-    passive (media.check_passive).
+    passive (media.check_passive) with q_l != 0.
     """
 
     kind: str
@@ -118,8 +118,9 @@ class SchemeSpec:
             raise DomainError("FSH requires finite C, delta, a, b > 0")
         if self.kind == "fss" and not 0 < self.fss_beta_coeff < math.inf:
             raise DomainError("FSS requires a finite beta > 0")
-        if self.kind == "layered":
-            check_passive(self.layer_sigma, self.layer_q)
+        if self.kind == "layered" and check_passive(self.layer_sigma, self.layer_q)[1] == 0:
+            raise DomainError("a layered lining needs q_l != 0, got the layer "
+                              f"(sigma_l, q_l) = ({self.layer_sigma:g}, {self.layer_q:g})")
 
     @classmethod
     def sound_soft(cls) -> "SchemeSpec":
@@ -155,21 +156,6 @@ class SchemeSpec:
 
 
 @dataclass(frozen=True)
-class LayerWavenumbers:
-    """Derived layer/core constants for a transmission solve.
-
-    k_tilde = k sqrt(q_l/sigma_l) with Im k_tilde >= 0 (chosen branch),
-    k2 = k sqrt(q_a/sigma_a), C0 = 1/sqrt(sigma_l q_l),
-    coupling = sqrt(q_a sigma_a).
-    """
-
-    k_tilde: complex
-    k2: complex
-    c0: complex
-    coupling: complex
-
-
-@dataclass(frozen=True)
 class ModalSolution:
     """Modal coefficients of a radial scattering solve.
 
@@ -191,27 +177,41 @@ class ModalSolution:
     wavenumber.  Each product J_n(w r) H_n(w R) with r <= R and each
     quotient H_n(w r)/H_n(w R) with r >= R is at most of order one, so
     the coefficients are of the order of the mode's field (underflow to 0
-    where that is negligible).  branch_flags is always None: the inner
-    interface has one formula, and the field stays only because
-    bench/spans.py reads it.
+    where that is negligible).  k_layer (Im >= 0) and k_core are the
+    layer and core wavenumbers k_tilde and k_2 of a transmission solve,
+    None for an obstacle.  n_max and the truncation tail are read off d_n.
+
+    branch_flags is a class constant, always None: the inner interface has
+    one formula and so no branches, but bench/spans.py still counts the
+    "zero-core" flags of every solve it traces.
     """
 
     dim: int
     rho: float
     k: float
-    n_max: int
     d_n: np.ndarray
     a_n: np.ndarray | None = None
     b_n: np.ndarray | None = None
     c_n: np.ndarray | None = None
-    truncation_tail: float = 0.0
-    layer: LayerWavenumbers | None = None
-    branch_flags: tuple[str, ...] | None = None
+    k_layer: complex | None = None
+    k_core: complex | None = None
     degenerate_modes: tuple[int, ...] = ()
+
+    branch_flags = None
+
+    @property
+    def n_max(self) -> int:
+        return self.d_n.size - 1
+
+    @property
+    def truncation_tail(self) -> float:
+        """|d_n| at n_max over the largest |d_n| (0 if every d_n is 0)."""
+        peak = float(np.max(np.abs(self.d_n)))
+        return float(abs(self.d_n[-1])) / peak if peak else 0.0
 
     @property
     def is_layered(self) -> bool:
-        return self.layer is not None
+        return self.k_layer is not None
 
 
 @dataclass(frozen=True)
@@ -240,7 +240,7 @@ class FarFieldPattern:
 
 
 # ---------------------------------------------------------------------------
-# Truncation and the per-dimension Bessel families
+# Truncation and ratio-form sequences
 # ---------------------------------------------------------------------------
 # Largest n_max whose solve (orders 0..n_max+1 for the derivatives) stays
 # within the specfun order cap.
@@ -251,13 +251,6 @@ def default_n_max(k: float, rho: float) -> int:
     """Initial truncation order: krho + 8 + 4 (krho)^(1/3), rounded up."""
     x = k * rho
     return int(math.ceil(x + 8.0 + 4.0 * x ** (1.0 / 3.0)))
-
-
-def _tail(d: np.ndarray) -> float:
-    peak = float(np.max(np.abs(d)))
-    if peak == 0.0:
-        return 0.0
-    return float(abs(d[-1])) / peak
 
 
 def _truncated(solve_at, k: float, rho: list[float]) -> tuple[ModalSolution, ...]:
@@ -279,14 +272,6 @@ def _truncated(solve_at, k: float, rho: list[float]) -> tuple[ModalSolution, ...
             orders[i] = min(orders[i] + 8, N_MAX_CAP)
         rows = [i for i in rows if out[i] is None]
     return tuple(out)
-
-
-def _family(dim: int, kind: str, nmax, z) -> tuple[np.ndarray, np.ndarray]:
-    """Orders 0..nmax (one order, or one per z) of J_n / H_n^(1) (2D) or
-    j_n / h_n^(1) (3D) at each z in ratio form (base, ratios); ``kind`` is
-    "j" or "h"."""
-    fn = specfun.bessel_j if kind == "j" else specfun.bessel_h1
-    return fn(nmax, z, spherical=dim == 3)
 
 
 def _log_derivative(ratios: np.ndarray, z) -> np.ndarray:
@@ -326,8 +311,9 @@ def _values(num, den=()) -> np.ndarray:
 # The one elimination
 # ---------------------------------------------------------------------------
 def _layer_wavenumbers(scheme: SchemeSpec, rho: float, k: float,
-                       core: tuple[float, complex]) -> LayerWavenumbers:
-    """Constants of the lining at this rho and of the virtual core (sigma_a, q_a)."""
+                       core: tuple[float, complex]) -> tuple[complex, complex, complex, complex]:
+    """(k_tilde, k_2, C_0, sqrt(q_a sigma_a)) of the lining at this rho and
+    of the virtual core (sigma_a, q_a)."""
     sigma_l, q_l = check_passive(*scheme.layer_params(rho))
     sigma_a, q_a = check_passive(*core)
     k_tilde = k * cmath.sqrt(q_l / sigma_l)
@@ -341,7 +327,7 @@ def _layer_wavenumbers(scheme: SchemeSpec, rho: float, k: float,
         k2 = -k2
     c0 = 1.0 / cmath.sqrt(sigma_l * q_l)
     coupling = cmath.sqrt(q_a * sigma_a)
-    return LayerWavenumbers(k_tilde=k_tilde, k2=k2, c0=c0, coupling=coupling)
+    return k_tilde, k2, c0, coupling
 
 
 def _eliminate(dim: int, wave: WaveParams, rho: list[float], scheme: SchemeSpec,
@@ -353,12 +339,10 @@ def _eliminate(dim: int, wave: WaveParams, rho: list[float], scheme: SchemeSpec,
     lossy = scheme.kind not in ("ss", "sh")
     r = np.array(rho)
     zs = [wave.k * r]  # the real x = k rho; a lossy layer adds z1, z2 and zc
-    layers = [None] * len(rho)
+    layers = [(None, None)] * len(rho)
     if lossy:
         layers = [_layer_wavenumbers(scheme, x, wave.k, core) for x, core in zip(rho, cores)]
-        k_tilde, k2, c0, coupling = np.array(
-            [(lw.k_tilde, lw.k2, lw.c0, lw.coupling) for lw in layers],
-            dtype=complex).reshape(-1, 4).T
+        k_tilde, k2, c0, coupling = np.array(layers, dtype=complex).reshape(-1, 4).T
         zs += [k_tilde * r, 0.5 * k_tilde * r, 0.5 * k2 * r]
         core_factor = c0 * coupling
 
@@ -368,7 +352,8 @@ def _eliminate(dim: int, wave: WaveParams, rho: list[float], scheme: SchemeSpec,
         # j[i] and h[i] are the rows' sequences (base, ratios) at zs[i].
         z = np.concatenate([zr[rows] for zr in zs])
         j, h = ([(base[i:i + size], ratios[i:i + size]) for i in range(0, z.size, size)]
-                for base, ratios in (_family(dim, kind, sizes * len(zs), z) for kind in "jh"))
+                for base, ratios in (fn(sizes * len(zs), z, spherical=dim == 3)
+                                     for fn in (specfun.bessel_j, specfun.bessel_h1)))
         dj, dh = ([_log_derivative(ratios, zr[rows]) for (_, ratios), zr in zip(seqs, zs)]
                   for seqs in (j, h))
         phase = _I_POW[np.arange(nmax + 1) & 3] if dim == 2 else 1.0  # incident phase
@@ -412,8 +397,8 @@ def _eliminate(dim: int, wave: WaveParams, rho: list[float], scheme: SchemeSpec,
         for row, (i, n) in enumerate(zip(rows, orders)):
             d_n, a_n, b_n, c_n = (None if x is None else x[row, :n + 1] for x in (d, *coeffs))
             out.append(ModalSolution(
-                dim=dim, rho=rho[i], k=wave.k, n_max=n, d_n=d_n, a_n=a_n, b_n=b_n, c_n=c_n,
-                truncation_tail=_tail(d_n), layer=layers[i],
+                dim=dim, rho=rho[i], k=wave.k, d_n=d_n, a_n=a_n, b_n=b_n, c_n=c_n,
+                k_layer=layers[i][0], k_core=layers[i][1],
                 degenerate_modes=tuple(np.flatnonzero(degenerate[row, :n + 1]).tolist())))
         return out
 
@@ -429,6 +414,8 @@ def solve_many(scheme: SchemeSpec, dim: int, wave: WaveParams, rho_values,
     (specfun._all)."""
     rho = [float(r) for r in rho_values]
     cores = [virtual_core_params(*contents, r, dim) for r in rho]
+    if wave.d.size != dim:
+        raise DomainError(f"a {dim}D solve needs a {dim}-vector direction, got {wave.d.size}")
     for x in (wave.k * r for r in rho):  # before k rho sizes the truncation order
         if not x <= specfun.ARGUMENT_GUARD:
             raise RangeError(f"|z| = {x:.3g} exceeds the guard {specfun.ARGUMENT_GUARD:g}")
@@ -533,32 +520,31 @@ def _radial_sums(solution: ModalSolution, region: str, r: float,
     """
     nmax, dim = solution.n_max, solution.dim
 
-    def sequences(kind, *z):
-        base, ratios = _family(dim, kind, nmax + 1, np.array(z))
+    def sequences(fn, *z):
+        base, ratios = fn(nmax + 1, np.array(z), spherical=dim == 3)
         return list(zip(base, ratios))
 
     # Each term: (coefficients, sequences over, sequences under, Amos-scale
     # exponent, the sequence at r whose log-derivative it takes).
-    lw = solution.layer
     if region == "exterior":
         wavenumber = solution.k
         z = complex(wavenumber * r)
-        (h,) = sequences("h", z)
+        (h,) = sequences(specfun.bessel_h1, z)
         terms = [(solution.d_n, [h], [], 0.0, h)]
     elif not solution.is_layered:
         raise DomainError("solution has no interior regions")
     elif region == "layer":
-        wavenumber = lw.k_tilde
+        wavenumber = solution.k_layer
         z, z1, z2 = wavenumber * r, wavenumber * solution.rho, 0.5 * wavenumber * solution.rho
-        (j,), (h, h1, h2) = sequences("j", z), sequences("h", z, z1, z2)
+        (j,), (h, h1, h2) = sequences(specfun.bessel_j, z), sequences(specfun.bessel_h1, z, z1, z2)
         terms = [(solution.a_n, [j, h1], [], z.imag - z1.imag, j),
                  (solution.b_n, [h], [h2], z2.imag - z.imag, h)]
     elif region == "core":
-        wavenumber = lw.k2
+        wavenumber = solution.k_core
         z, zc = wavenumber * r, 0.5 * wavenumber * solution.rho
         if derivative and z == 0:
             raise DomainError("radial derivative undefined at the origin")
-        (j,), (hc,) = sequences("j", z), sequences("h", zc)
+        (j,), (hc,) = sequences(specfun.bessel_j, z), sequences(specfun.bessel_h1, zc)
         terms = [(solution.c_n, [j, hc], [], z.imag - zc.imag, j)]
     else:
         raise DomainError(f"unknown region {region!r}")

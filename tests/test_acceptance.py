@@ -107,15 +107,21 @@ def test_06_fsh_near_cloak_rate():
             1.9 <= e2 <= 2.1 and 2.9 <= e3 <= 3.1)
 
 
-def test_07_ss_inverse_log_law():
-    rhos = [0.5 ** j for j in range(4, 11)]
-    result = sweep(SchemeSpec.sound_soft(), 2, WAVE2, rhos)
-    # the criterion covers the whole stated range: fit all points
+def _inverse_log_bars(result) -> tuple[float, float]:
+    """Correlation of max|A| against 1/|log10 rho|, and the power-law
+    residual over the inverse-log one, both over every point of the sweep."""
     inv = fit_decay(result, "inverse-log", keep_fraction=1.0)
     pow_ = fit_decay(result, "power-law", keep_fraction=1.0)
     corr10 = float(np.corrcoef(1.0 / np.abs(np.log10(result.rho_values)),
                                result.max_amplitude)[0, 1])
-    ratio = pow_.residual / inv.residual
+    return corr10, pow_.residual / inv.residual
+
+
+def test_07_ss_inverse_log_law():
+    rhos = [0.5 ** j for j in range(4, 11)]
+    result = sweep(SchemeSpec.sound_soft(), 2, WAVE2, rhos)
+    # the criterion covers the whole stated range: fit all points
+    corr10, ratio = _inverse_log_bars(result)
     _report("criterion 7 (SS inverse-log law)",
             f"correlation vs 1/|log10 rho| {corr10:.5f} >= 0.99, "
             f"power-law residual / inverse-log residual {ratio:.1f} >= 10",
@@ -242,3 +248,18 @@ def test_11_transformation_media_suite():
             f"composition {comp_ok}, bijectivity {bij_ok}, SPD {spd_ok}, "
             f"largest-eigenvalue slope {slope:.3f} = -1 +- 0.1",
             comp_ok and bij_ok and spd_ok and abs(slope + 1.0) <= 0.1)
+
+
+def test_12_baseline_rates():
+    # The unlined baselines: SS and FSS decay like rho in 3D (default fit)
+    # and like 1/|ln rho| in 2D, which FSS reaches only below rho ~ 4e-3.
+    rhos3 = [0.5 ** j for j in range(3, 15)]
+    e_ss = sweep(SchemeSpec.sound_soft(), 3, WAVE3, rhos3).fitted_exponent
+    e_fss = sweep(SchemeSpec.finite_sound_soft(), 3, WAVE3, rhos3).fitted_exponent
+    fss2 = sweep(SchemeSpec.finite_sound_soft(), 2, WAVE2, [0.5 ** j for j in range(8, 21)])
+    corr10, ratio = _inverse_log_bars(fss2)
+    _report("criterion 12 (baseline rates)",
+            f"3D exponents SS {e_ss:.4f}, FSS {e_fss:.4f} in [0.9, 1.1]; 2D FSS "
+            f"correlation vs 1/|log10 rho| {corr10:.5f} >= 0.99, "
+            f"power-law residual / inverse-log residual {ratio:.1f} >= 10",
+            0.9 <= e_ss <= 1.1 and 0.9 <= e_fss <= 1.1 and corr10 >= 0.99 and ratio >= 10.0)

@@ -71,6 +71,22 @@ def test_sh_sweep_exponent_near_two():
     assert 1.9 <= result.fitted_exponent <= 2.1
 
 
+def test_default_model_is_power_law_in_3d_and_by_family_in_2d():
+    rhos = 0.5 ** np.arange(3, 6)
+    for kind, model_2d in (("sh", "power-law"), ("fsh", "power-law"),
+                           ("ss", "inverse-log"), ("fss", "inverse-log")):
+        assert sweep(SchemeSpec(kind), 2, WAVE2, rhos).model == model_2d
+        assert sweep(SchemeSpec(kind), 3, WAVE3, rhos).model == "power-law"
+
+
+def test_unknown_fit_model_is_rejected_before_solving(monkeypatch):
+    # Below three rho values no fit runs, so only the name check catches it.
+    monkeypatch.setattr(mie, "solve_many", lambda *args: pytest.fail("solved"))
+    for rhos in ([0.5, 0.25], 0.5 ** np.arange(1, 6)):
+        with pytest.raises(DomainError, match="unknown fit model 'bogus'"):
+            sweep(SchemeSpec.sound_hard(), 2, WAVE2, rhos, model="bogus")
+
+
 def test_sweep_determinism():
     rhos = 0.5 ** np.arange(3, 7)
     a = sweep(SchemeSpec.finite_sound_hard(), 2, WAVE2, rhos)

@@ -224,15 +224,15 @@ def test_far_field_rotation_invariance():
 def test_zero_density_and_no_incident_term_gives_zero_far_field():
     crv = bie.circle(0.5, 64)
     sol = bie.assemble_and_solve(crv, WAVE)
-    # trace-only first term with zero trace, and a zero incident direction
-    # contribution is exercised through the Cauchy-data route below; here
-    # the full integrand with trace = 0 reduces to the plane-wave term.
+    # Zero Cauchy data on a circle, and a density record whose trace and
+    # stored flux are both zero, give an exactly zero far field.
     zero = bie.DensitySolution(curve=crv, wave=WAVE, trace=np.zeros_like(sol.trace),
                                neumann_data=np.zeros_like(sol.neumann_data))
     amp = bie.far_field_from_cauchy_data(2.0, np.zeros(64), np.zeros(64),
                                          WAVE, ANGLES).amplitude
     assert np.max(np.abs(amp)) == 0.0
-    assert zero.trace.shape == sol.trace.shape
+    amp = bie.far_field_from_density(zero, WAVE, ANGLES).amplitude
+    assert np.max(np.abs(amp)) == 0.0
 
 
 def test_plane_wave_only_term_matches_disk_closed_form():

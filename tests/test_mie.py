@@ -121,14 +121,15 @@ def test_fsh_deviation_bound_at_reference_rho():
 def test_fsh_wavenumber_branch_and_diagnostics():
     rho = 0.02
     sol = mie.solve(SchemeSpec.finite_sound_hard(), 2, WAVE2, rho)
-    assert sol.layer.k_tilde.imag > 0
+    assert sol.k_layer.imag > 0
     assert sol.branch_flags is None
     # the impedance quotient, the exterior log-derivative of mode 0 at rho,
     # tends to -i/C0 = -i sqrt(sigma_l q_l)
     x = WAVE2.k * rho
     quotient = ((-special.jv(1, x) - sol.d_n[0] * special.hankel1(1, x))
                 / (special.jv(0, x) + sol.d_n[0] * special.hankel1(0, x)))
-    assert quotient == pytest.approx(-1j / sol.layer.c0, rel=0.2)
+    sigma_l, q_l = SchemeSpec.finite_sound_hard().layer_params(rho)
+    assert quotient == pytest.approx(-1j * cmath.sqrt(sigma_l * q_l), rel=0.2)
     assert sol.degenerate_modes == ()
 
 
@@ -607,7 +608,8 @@ def test_scheme_constants_must_be_finite(bad):
 
 
 def test_layered_lining_and_contents_must_be_passive():
-    for sigma_l, q_l in [(1.0, 1.0 - 0.5j), (-1.0, 1.0), (math.nan, 1.0), (1.0, math.inf)]:
+    for sigma_l, q_l in [(1.0, 1.0 - 0.5j), (-1.0, 1.0), (math.nan, 1.0), (1.0, math.inf),
+                         (1.0, 0.0)]:
         with pytest.raises(DomainError):
             SchemeSpec.layered(sigma_l, q_l)
     scheme = SchemeSpec.layered(1.0, 1.0 + 0.5j)
@@ -616,6 +618,14 @@ def test_layered_lining_and_contents_must_be_passive():
     for kind in (scheme, SchemeSpec.sound_hard(), SchemeSpec.sound_soft()):
         with pytest.raises(DomainError):
             mie.solve(kind, 2, WAVE2, 0.3, (-1.0, 1.0))
+
+
+def test_wave_must_match_the_dimension():
+    for scheme in (SchemeSpec.sound_hard(), SchemeSpec.finite_sound_hard()):
+        with pytest.raises(DomainError, match="3-vector"):
+            mie.solve(scheme, 3, WAVE2, 0.3)
+        with pytest.raises(DomainError, match="2-vector"):
+            mie.solve_many(scheme, 2, WAVE3, [0.3, 0.1])
 
 
 def test_lossy_linings_reject_contents_without_a_wavenumber():
