@@ -113,8 +113,9 @@ def virtual_core_params(sigma: float, q: complex, rho: float,
     The dilation x -> rho x (M = rho I, J = rho^dim) maps the contents of
     the half-unit ball to the ball of radius rho/2 as
     (sigma' rho^(2-dim), q' rho^-dim): (sigma', q'/rho^2) in 2D and
-    (sigma'/rho, q'/rho^3) in 3D.  A power of rho beyond the double range
-    (rho below about 1e-103 in 3D) raises RangeError.
+    (sigma'/rho, q'/rho^3) in 3D.  A power of rho or a product beyond the
+    double range (rho below about 1e-103 in 3D, or q' = 1e300 at rho =
+    1e-6) raises RangeError.
     """
     sigma, q = check_passive(sigma, q)
     if not (math.isfinite(rho) and rho > 0):
@@ -122,9 +123,12 @@ def virtual_core_params(sigma: float, q: complex, rho: float,
     if dim not in (2, 3):
         raise DomainError(f"dim must be 2 or 3, got {dim}")
     try:
-        return sigma * rho ** (2 - dim), q * rho ** (-dim)
+        sigma_v, q_v = sigma * rho ** (2 - dim), q * rho ** (-dim)
+        if math.isfinite(sigma_v) and cmath.isfinite(q_v):
+            return sigma_v, q_v
     except OverflowError:
-        raise RangeError(f"virtual contents overflow at rho = {rho:g}") from None
+        pass
+    raise RangeError(f"virtual contents overflow at rho = {rho:g}")
 
 
 # ---------------------------------------------------------------------------

@@ -410,8 +410,9 @@ def solve_many(scheme: SchemeSpec, dim: int, wave: WaveParams, rho_values,
     """``solve`` at every rho of ``rho_values``, as one batched elimination.
 
     Each element gets the n_max that ``solve`` picks for it, and equals its
-    per-rho solve while the batch's n_max stays below its Miller start
-    (specfun._all)."""
+    per-rho solve while the batch's n_max stays below its Miller start and
+    inside the upward range of its own J calls (specfun._all); beyond
+    that it agrees with it to rounding."""
     rho = [float(r) for r in rho_values]
     cores = [virtual_core_params(*contents, r, dim) for r in rho]
     if wave.d.size != dim:

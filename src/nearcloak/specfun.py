@@ -30,23 +30,40 @@ is one step for either direction, x <- 2(m + nu)/z - 1/x:
   routines (D. E. Amos, ACM TOMS 12, 265, 1986) at orders nu and nu + 1,
   jve for J/j and hankel1e for H/h, times sqrt(pi/(2z)) for the spherical
   families.
-* J_n and j_n: the step runs downward on x = f_{m-1}/f_m, as the
-  continued fraction r_{m-1} = 1/(2(m + nu)/z - r_m) for r_m = f_{m+1}/f_m,
-  started from r = 0 at a Miller start well above the orders wanted.  The
-  fraction normalises itself.  An exactly zero denominator is replaced by
-  a tiny value, as in the modified Lentz method (Numerical Recipes,
-  section 5.2): at a zero of f_m this keeps r_{m-1} r_m = -1 =
-  f_{m+1}/f_{m-1}.  Upward recurrence is unstable for J and j.
 * H_n and h_n: the step runs upward, s_m = 2(m + nu)/z - 1/s_{m-1}, from
   s_0 = f_1/f_0 of the base values; H^(1) has no zeros in Im z >= 0.
+* J_n and j_n where Im z >= 20 and top^2 Im z <= |z|^2, with top the
+  largest order of the call: the same upward step, in O(top) steps (the
+  regime split of Amos; DLMF section 10.17).  The two solutions of the
+  recurrence are H^(1) and H^(2), with J = (H^(1) + H^(2))/2.  For
+  Im z >= 20, |H^(1)/H^(2)| is about e^{-2 Im z} <= e^{-40}, so
+  J_n = H^(2)_n/2 to rounding, with no cancellation.  J_0 and J_1 are
+  exact to rounding, and a rounding error at order 0 adds a multiple of
+  H^(1), which grows relative to J_n by G(n) = |H^(1)_n/H^(1)_0| /
+  |H^(2)_n/H^(2)_0|.  The phase of Hankel's expansion,
+  z - n pi/2 - pi/4 +- n^2/(2z) + ..., gives ln G = n^2 Im z/|z|^2 for n
+  well below |z|, so the order condition caps that growth at e.  A
+  looser rule fails: n <= |z|/2 admits J_87(-40.94 + 271.55i), where
+  ln G = 27 and the step is off by 5e-5.
+* J_n and j_n elsewhere: the step runs downward on x = f_{m-1}/f_m, as the
+  continued fraction r_{m-1} = 1/(2(m + nu)/z - r_m) for r_m = f_{m+1}/f_m,
+  started from r = 0 at a Miller start well above the orders wanted, so it
+  costs O(|z|) steps.  The fraction normalises itself.  An exactly zero
+  denominator is replaced by a tiny value, as in the modified Lentz
+  method (Numerical Recipes, section 5.2): at a zero of f_m this keeps
+  r_{m-1} r_m = -1 = f_{m+1}/f_{m-1}.  Upward recurrence is unstable for
+  J and j there.
 * Legendre P_n: Bonnet recurrence.
 
 Guards: the order must satisfy n <= ORDER_MAX (200) and the argument
 must lie in the closed upper half-plane Im z >= 0 (a signed zero -0.0
 counts as 0) with ARGUMENT_FLOOR (1e-50) <= |z| <= ARGUMENT_GUARD (2e4)
-or z = 0; beyond these a :class:`RangeError` is raised.  Above the floor
-the base values (h_1 grows like z^-2) and the ratios (s_n grows like
-2n/z) stay far inside the double range.  At z = 0 the J ratios are their
+or z = 0; beyond these a :class:`RangeError` is raised.  Between 2e4 and
+1e8, the arguments where every order up to ORDER_MAX takes the upward
+step (Im z >= 20 and ORDER_MAX^2 Im z <= |z|^2) are admitted too, so the
+continued fraction never runs beyond |z| = 2e4.  Above the floor the
+base values (h_1 grows like z^-2) and the ratios (s_n grows like 2n/z)
+stay far inside the double range.  At z = 0 the J ratios are their
 limit 0, with base (1, 0), and the H families raise
 :class:`SingularArgumentError`.
 
@@ -54,10 +71,15 @@ Accuracy: a downward fraction carries rounding from its ~|z| steps
 through the oscillatory range, so on the real axis J_n and j_n rebuilt
 from the base and the ratio products are off by a relative error of
 about 1e-16 |z| (1.3e-12 for J_n, 2.4e-12 for j_n at |z| = 1.4e4, orders
-up to 60).  H_n and h_n (n <= 30) rebuilt the same way are off by a
-relative error below 1e-14 + 2.3e-16 |ln|H_n|| for |z| < 100 and below
-1e-15 + 2.3e-16 |ln|H_n|| beyond; over 1500 random draws against a
-50-digit oracle the worst were 3.6e-15 and 1.1e-15.
+up to 60).  On the upward step they are off by at most 3.1e-15 below
+|z| = 2e4 and 5.7e-15 up to 1e8, over 600 random draws each in its
+region against a 60-digit oracle (the fraction: 2.8e-15 at the same
+draws below 2e4).  Both hold for |z| >= 22: below |z| = 21.8, where jve
+leaves its asymptotic expansion, jve itself is off by up to 2.6e-14 at
+orders 1/2 and 3/2.  H_n and h_n (n <= 30) rebuilt the same way are
+off by a relative error below 1e-14 + 2.3e-16 |ln|H_n|| for |z| < 100
+and below 1e-15 + 2.3e-16 |ln|H_n|| beyond; over 1500 random draws
+against a 50-digit oracle the worst were 3.6e-15 and 1.1e-15.
 
 Branch convention: the principal branch of ln and sqrt is used
 throughout.  The domain is the closed upper half-plane, which holds
@@ -80,6 +102,9 @@ from .errors import DomainError, RangeError, SingularArgumentError
 ORDER_MAX = 200
 ARGUMENT_GUARD = 2.0e4
 ARGUMENT_FLOOR = 1.0e-50
+# Beyond ARGUMENT_GUARD, up to this |z|, arguments whose J_n take the upward
+# step at every order n <= ORDER_MAX (_upward_is_stable) are admitted.
+_UPWARD_GUARD = 1.0e8
 
 # Stands in for an exactly zero denominator of the continued fraction.
 _LENTZ_TINY = 1e-30
@@ -99,8 +124,10 @@ def _check_argument(z: complex) -> complex:
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise RangeError("non-finite argument")
-    if abs(z) > ARGUMENT_GUARD:
-        raise RangeError(f"|z| = {abs(z):.3g} exceeds the guard {ARGUMENT_GUARD:g}")
+    if abs(z) > ARGUMENT_GUARD and not (abs(z) <= _UPWARD_GUARD
+                                        and _upward_is_stable(ORDER_MAX, z)):
+        raise RangeError(f"|z| = {abs(z):.3g} exceeds the guard {ARGUMENT_GUARD:g} "
+                         f"({_UPWARD_GUARD:g} where Im z >= 20 and {ORDER_MAX}^2 Im z <= |z|^2)")
     if 0 < abs(z) < ARGUMENT_FLOOR:
         raise RangeError(f"|z| = {abs(z):.3g} is below the floor {ARGUMENT_FLOOR:g}")
     if z.imag < 0:
@@ -123,11 +150,33 @@ def _base(z: complex, nu: float, hankel: bool) -> list[complex]:
     return f.tolist()
 
 
+def _upward_is_stable(top: int, z: complex) -> bool:
+    """Whether the upward step gives J_n or j_n at z for every n <= top to
+    within rounding: Im z >= 20 and top^2 Im z <= |z|^2 (module docstring)."""
+    return z.imag >= 20.0 and top * top * z.imag <= abs(z) ** 2
+
+
+def _upward(base: list, top: int, z: complex, nu: float) -> list:
+    """Ratios 0..top-1 by the upward step s_m = 2(m + nu)/z - 1/s_{m-1}
+    from s_0 = f_1/f_0 of the base values."""
+    two_over_z = 2.0 / z
+    s = base[1] / base[0]
+    ratios = [s]
+    for m in range(1, top):
+        s = (m + nu) * two_over_z - 1.0 / s
+        ratios.append(s)
+    return ratios[:top]
+
+
 def _bessel_j(nmax: int, top: int, z: complex, nu: float) -> tuple[list, list]:
     """Base and ratios 0..top-1 of J_n (nu = 0) or j_n (nu = 1/2) at z: the
-    downward continued fraction from well above nmax and top."""
+    upward step where it is stable up to ``top``, and elsewhere the downward
+    continued fraction from well above nmax and top."""
     if z == 0:  # J_n(0) = j_n(0) = delta_{n0}; J_{n+1}/J_n -> 0
         return [1.0, 0.0], [0.0] * top
+    base = _base(z, nu, False)
+    if _upward_is_stable(top, z):
+        return base, _upward(base, top, z, nu)
     x = abs(z)
     start = max(nmax + 20 + int(x + 16.0 * x ** (1.0 / 3.0)), top)
     two_over_z = 2.0 / z
@@ -138,7 +187,7 @@ def _bessel_j(nmax: int, top: int, z: complex, nu: float) -> tuple[list, list]:
     for m in range(top, 0, -1):
         r = 1.0 / (((m + nu) * two_over_z - r) or _LENTZ_TINY)
         ratios[m - 1] = r
-    return _base(z, nu, False), ratios
+    return base, ratios
 
 
 def _hankel(nmax: int, top: int, z: complex, nu: float) -> tuple[list, list]:
@@ -148,13 +197,7 @@ def _hankel(nmax: int, top: int, z: complex, nu: float) -> tuple[list, list]:
     if z == 0:
         raise SingularArgumentError(f"{'spherical h_n' if nu else 'H_n'}^(1) is singular at z = 0")
     base = _base(z, nu, True)
-    two_over_z = 2.0 / z
-    s = base[1] / base[0]
-    ratios = [s]
-    for m in range(1, top):
-        s = (m + nu) * two_over_z - 1.0 / s
-        ratios.append(s)
-    return base, ratios[:top]
+    return base, _upward(base, top, z, nu)
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +206,14 @@ def _hankel(nmax: int, top: int, z: complex, nu: float) -> tuple[list, list]:
 def _all(row, nmax, z, spherical: bool) -> tuple[np.ndarray, np.ndarray]:
     """(base, ratios) of ``row`` at each z, with one order nmax or one per z.
 
-    The fraction runs one z at a time.  A row's Miller start follows its
-    own order (or the top order, once that lies beyond it), so its ratios
-    0..nmax[i]-1 equal a call at nmax[i].
+    Rows run one z at a time.  The batch's top order picks a J row's path
+    (_upward_is_stable), so its padded orders stay accurate.  A row's
+    ratios 0..nmax[i]-1 equal a call at nmax[i] when both take the same
+    path: the upward step (which the top order takes only where the row's
+    own order does), or the fraction, whose Miller start follows the row's
+    own order (or the top order, once that lies beyond it).  A row whose
+    own call takes the upward step, but whose top order does not, agrees
+    with that call to rounding.
     """
     z = np.asarray(z, dtype=complex)
     orders = list(nmax) if isinstance(nmax, (list, tuple, np.ndarray)) else [nmax] * z.size

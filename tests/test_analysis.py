@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from nearcloak import analysis, mie
+from nearcloak import analysis, mie, specfun
 from nearcloak.analysis import SweepResult, fit_decay, sweep
 from nearcloak.errors import DomainError, InsufficientDataError, RangeError, ShapeError
 from nearcloak.mie import SchemeSpec, WaveParams
@@ -122,6 +122,25 @@ def test_compare_schemes():
     b = sweep(SchemeSpec.sound_hard(), 2, WAVE2, 0.5 ** np.arange(4, 8))
     with pytest.raises(ShapeError):
         analysis.compare_schemes(a, b)
+
+
+@pytest.mark.parametrize("k", [1.0, 2.0, 4.0])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_fsh_with_delta_one_keeps_its_rate_down_to_rho_1e6(dim, k):
+    # With delta = 1 the layer argument k_tilde rho grows like 1/rho and
+    # passes |z| = 2e4 near rho = 1e-4; down to rho = 9.5e-7 it reaches
+    # |z| = 8e6 (k = 4), in the regime where J_n takes the upward step.
+    # The exponent stays in the windows of criteria 1 and 2, and max|A|
+    # approaches the sound-hard obstacle's (FSH - SH is O(rho^(dim+delta))).
+    wave = WaveParams(k, np.eye(dim)[0])
+    rhos = 0.125 * 0.5 ** np.arange(18)
+    fsh = sweep(SchemeSpec.finite_sound_hard(delta=1.0), dim, wave, rhos)
+    sh = sweep(SchemeSpec.sound_hard(), dim, wave, rhos)
+    window = (1.9, 2.1) if dim == 2 else (2.9, 3.1)
+    assert window[0] <= fsh.fitted_exponent <= window[1]
+    assert abs(fsh.max_amplitude[-1] / sh.max_amplitude[-1] - 1.0) <= 1e-3
+    layer = mie.solve(SchemeSpec.finite_sound_hard(delta=1.0), dim, wave, rhos[-1]).k_layer
+    assert abs(layer * rhos[-1]) > 2.0 * specfun.ARGUMENT_GUARD
 
 
 def test_sweep_error_annotated_with_rho():

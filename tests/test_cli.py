@@ -365,6 +365,15 @@ def test_lossy_lining_of_contents_without_a_wavenumber_is_domain_error(tmp_path,
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("flags", [["--core-q-re", "1e300"], ["--core-sigma", "1e300"]],
+                         ids="_".join)
+def test_virtual_contents_overflow_is_invalid_parameter(tmp_path, capsys, flags):
+    args = ["mie", "--scheme", "fsh", "--dim", "3", "--rho", "1e-10", *flags, "--out", "x.csv"]
+    assert run(args, tmp_path) == cli.EXIT_INVALID_PARAMETER
+    assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "RangeError"
+    assert not (tmp_path / "x.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # Golden files (schema stability)
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from nearcloak import media
+from nearcloak import media, mie
 from nearcloak.errors import DomainError, RangeError
 from nearcloak.media import RadialMapSpec
+from nearcloak.mie import SchemeSpec, WaveParams
 
 import oracles
 from oracles import JacobianData, MediumSpec, OrientationError
@@ -218,6 +219,19 @@ def test_virtual_core_params_checks_the_contents():
     assert media.virtual_core_params(1.0, 1.0 - 1e-16j, 0.1, 2)[1].imag < 0
     with pytest.raises(RangeError):   # rho^-3 beyond the double range
         media.virtual_core_params(1.0, 1.0, 1e-200, 3)
+
+
+@pytest.mark.parametrize("sigma, q, rho, dim", [
+    (1.0, 1e300, 1e-6, 3), (1.0, 1e300j, 1e-6, 2), (1e300, 1.0, 1e-10, 3)],
+    ids=["q_re", "q_im", "sigma"])
+def test_virtual_contents_beyond_the_double_range_are_a_range_error(sigma, q, rho, dim):
+    # Finite, passive contents whose product with a finite power of rho
+    # overflows: the RangeError of the docstring, not a DomainError on inf.
+    with pytest.raises(RangeError, match="overflow"):
+        media.virtual_core_params(sigma, q, rho, dim)
+    with pytest.raises(RangeError, match="overflow"):
+        mie.solve(SchemeSpec.finite_sound_hard(), dim, WaveParams(2.0, np.eye(dim)[0]), rho,
+                  (sigma, q))
 
 
 # ---------------------------------------------------------------------------

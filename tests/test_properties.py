@@ -351,6 +351,47 @@ def test_j_families_match_mpmath(spherical, nmax, r, angle):
             assert abs(got[n] - f[n]) <= tol * max(abs(f[n]), slope), (n, z)
 
 
+@st.composite
+def upward_regime(draw):
+    """(z, nmax) where J_n and j_n take the upward step for every n <= nmax:
+    Im z >= 20 and nmax^2 Im z <= |z|^2, with log-uniform |z| up to 1e8 and
+    Im z, and beyond |z| = 2e4 only arguments the guard admits."""
+    # 0.99 keeps |z| inside each guard after the rounding of complex(x, y).
+    r = math.exp(draw(st.floats(math.log(20.0), math.log(0.99 * specfun._UPWARD_GUARD))))
+    y_max = r if r <= 0.99 * specfun.ARGUMENT_GUARD else min(r, (r / specfun.ORDER_MAX) ** 2)
+    y = max(20.0, math.exp(draw(st.floats(math.log(20.0), math.log(y_max)))))
+    z = complex(draw(st.sampled_from([1.0, -1.0])) * math.sqrt(max(r * r - y * y, 0.0)), y)
+    top = min(specfun.ORDER_MAX, math.isqrt(int(abs(z) ** 2 / z.imag)))
+    while not specfun._upward_is_stable(top, z):
+        top -= 1
+    return z, draw(st.integers(0, top))
+
+
+@SETTINGS
+@given(spherical=st.booleans(), point=upward_regime())
+# Order 87 here lies outside the order condition (the upward step would be
+# off by 5e-5), so the continued fraction serves it.
+@example(spherical=False, point=(complex(-40.94, 271.55), 87))
+def test_j_families_match_mpmath_in_the_upward_regime(spherical, point):
+    # Values rebuilt from the base and the ratio products against the
+    # 60-digit oracle at orders 0, 1, nmax/2 and nmax.  The start values
+    # J_0, J_1 are exact to rounding and the order condition keeps the
+    # growth of their rounding below e, so 1e-14 holds here, against
+    # 1e-12 + 2e-16 |z| for the continued fraction on the real axis.  Below
+    # |z| = 21.8, where Amos's jve leaves its asymptotic expansion, jve
+    # itself is off by up to 2.6e-14 at orders 1/2 and 3/2, and the j_n
+    # values carry that.
+    z, nmax = point
+    seq = specfun.bessel_j(nmax, z, spherical)
+    got = oracles.rebuilt(seq, z.imag)
+    tol = 3e-14 if spherical and abs(z) < 21.8 else 1e-14
+    with mpmath.workdps(60):
+        zm = mpmath.mpc(z)
+        for n in sorted({0, min(1, nmax), nmax // 2, nmax}):
+            exact = _mp_j(spherical, n, zm)
+            assert abs(got[n] - exact) <= tol * abs(exact), (n, z)
+
+
 def _mp_h(spherical, nmax, z):
     """H_n^(1)(z) or h_n^(1)(z), n = 0..nmax, in mpmath.
 

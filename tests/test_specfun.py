@@ -310,6 +310,20 @@ def test_range_guards():
     assert base[1].tolist() == [1.0, 0.0] and ratios[1].tolist() == [0.0, 0.0, 0.0]
 
 
+def test_upward_regime_lifts_the_argument_guard():
+    # Beyond |z| = 2e4, up to 1e8, the arguments where every order up to
+    # ORDER_MAX takes the upward step are admitted: Im z >= 20 and
+    # ORDER_MAX^2 Im z <= |z|^2.
+    for z in (3e4 + 20j, 1e6 * cmath.exp(0.294j), 9.9e7 * cmath.exp(0.5j)):
+        for family in (sf.bessel_j, sf.bessel_h1):
+            base, ratios = family(sf.ORDER_MAX, z)
+            assert np.all(np.isfinite(base)) and np.all(np.isfinite(ratios))
+    for z in (3e4, 3e4 + 19.9j, 3e4j, 1.01e8 * cmath.exp(0.5j)):
+        for family in (sf.bessel_j, sf.bessel_h1):
+            with pytest.raises(RangeError, match="exceeds the guard"):
+                family(3, z)
+
+
 FAMILIES = {
     "bessel_j_all": (lambda n, z: sf.bessel_j(n, z), 1.0, mpmath.besselj),
     "bessel_h1_all": (lambda n, z: sf.bessel_h1(n, z), -1.0, mpmath.hankel1),
@@ -374,6 +388,38 @@ def test_batch_rows_equal_calls_at_their_own_order(name):
         alone = family(12, z)
         assert np.array_equal(same[0][row], alone[0])
         assert np.array_equal(same[1][row], alone[1])
+
+
+@pytest.mark.parametrize("spherical", [False, True])
+def test_batch_row_agrees_with_its_call_across_the_route_boundary(spherical):
+    # At the FSH angle, order 14 takes the upward step (14^2 Im z <= |z|^2)
+    # and order 60 does not.  A row at order 14 in a batch whose top order
+    # is 60 takes the continued fraction, so it agrees with its own call to
+    # within rounding, not bit for bit.
+    z = 300.0 * cmath.exp(0.294j)
+    assert sf._upward_is_stable(14, z) and not sf._upward_is_stable(60, z)
+    base, ratios = sf.bessel_j([14, 60], np.array([z, z]), spherical)
+    alone = sf.bessel_j(14, z, spherical)
+    assert np.array_equal(base[0], alone[0])
+    batch = oracles.rebuilt((base[0], ratios[0, :14]), z.imag)
+    single = oracles.rebuilt(alone, z.imag)
+    assert all(abs(b - s) <= 1e-14 * abs(s) for b, s in zip(batch, single))
+
+
+def test_upward_step_needs_the_order_condition():
+    # At z = -40.94 + 271.55i the upward step from J_0, J_1 is off by 5e-5
+    # at order 87, which n <= |z|/2 would admit: a rounding error at order
+    # 0 grows by about exp(n^2 Im z/|z|^2) = e^27 relative to J_n.  The
+    # order condition leaves it to the continued fraction.
+    z, n = complex(-40.94, 271.55), 87
+    assert n <= abs(z) / 2 and not sf._upward_is_stable(n, z)
+    base = sf._base(z, 0.0, False)
+    upward = oracles.rebuilt((base, sf._upward(base, n, z, 0.0)), z.imag)
+    fraction = oracles.rebuilt(sf.bessel_j(n, z), z.imag)
+    with mpmath.workdps(60):
+        exact = mpmath.besselj(n, mpmath.mpc(z))
+        assert abs(upward[n] - exact) > 1e-6 * abs(exact)
+        assert abs(fraction[n] - exact) <= 1e-14 * abs(exact)
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
