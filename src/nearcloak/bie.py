@@ -41,10 +41,15 @@ returning garbage.
 
 Kernel evaluation uses scipy's real-argument order-0/1 Bessel routines
 (j0, j1, y0, y1), and the system matrices are assembled in real
-arithmetic, each from one circulant carrying both log weights; this module
-is the cross-validation oracle for the modal solver and deliberately
-shares none of its special-function machinery: specfun takes only the
-complex-argument jve and hankel1e from scipy, for orders 0 and 1.
+arithmetic, each from one circulant carrying both log weights.  The
+kernel factors depend on a node pair only through |x_i - x_j| and
+|i - j| (the double layer adds the normal at the column node), so they
+are evaluated once per unordered pair, in row blocks, and mirrored: each
+Bessel routine runs about N^2/2 times, and the temporaries take
+O(N _ROW_BLOCK) memory, not O(N^2).  This module is the cross-validation
+oracle for the modal solver and deliberately shares none of its
+special-function machinery: specfun takes only the complex-argument jve
+and hankel1e from scipy, for orders 0 and 1.
 """
 
 from __future__ import annotations
@@ -62,6 +67,8 @@ from .mie import FarFieldPattern, WaveParams
 _EULER_GAMMA = 0.5772156649015328606
 MAX_NODES = 2048
 RESONANCE_CONDITION = 1e12
+# Rows per block of the kernel assembly (_system_matrices).
+_ROW_BLOCK = 64
 
 
 # ---------------------------------------------------------------------------
@@ -173,31 +180,54 @@ def _system_matrices(k: float, t, pts, d1, d2, normals, jac):
         S = (-C J_0/(4 pi) - (c/4) Y_0) |x'_j| + i (c/4) J_0 |x'_j|,
 
     so only real arrays are formed; H = J + iY enters through J and Y.
+
+    C and r = |x_i - x_j| are symmetric, so the Bessel factors are formed
+    once per unordered node pair: rows run in blocks of _ROW_BLOCK over the
+    columns j >= the block's first row, and each block is written to both
+    (i, j) and (j, i) (the block's own square gets equal values twice).
+    The mirrored q is (-dx, -dy).n_i/r; IEEE subtraction is antisymmetric
+    and hypot ignores signs, so every entry equals the one a full N x N
+    evaluation gives, bit for bit, from O(N _ROW_BLOCK) temporaries and
+    about N^2/2 calls of each Bessel function.
     """
-    n_half = t.size // 2
+    n = t.size
+    n_half = n // 2
     c = math.pi / n_half
-    m = np.arange(t.size)
+    m = np.arange(n)
     row = log_weights(n_half)
     row[1:] -= c * np.log(4.0 * np.sin(0.5 * t[1:]) ** 2)
-    circ = row[np.abs(m[:, None] - m[None, :])]
 
-    dx = pts[:, None, 0] - pts[None, :, 0]
-    dy = pts[:, None, 1] - pts[None, :, 1]
-    r = np.hypot(dx, dy)
-    np.fill_diagonal(r, 1.0)  # placeholder; diagonals are overwritten below
-    q = (dx * normals[None, :, 0] + dy * normals[None, :, 1]) / r
-    kr = k * r
-    j0, j1, y0, y1 = special.j0(kr), special.j1(kr), special.y0(kr), special.y1(kr)
+    kmat = np.empty((n, n), dtype=complex)
+    smat = np.empty((n, n), dtype=complex)
+    for i0 in range(0, n, _ROW_BLOCK):
+        i1 = min(i0 + _ROW_BLOCK, n)
+        rows, cols = slice(i0, i1), slice(i0, n)
+        dx = pts[rows, None, 0] - pts[None, cols, 0]
+        dy = pts[rows, None, 1] - pts[None, cols, 1]
+        r = np.hypot(dx, dy)
+        np.fill_diagonal(r, 1.0)  # placeholder; diagonals are overwritten below
+        q = (dx * normals[None, cols, 0] + dy * normals[None, cols, 1]) / r
+        q_mirror = ((-dx) * normals[rows, None, 0] + (-dy) * normals[rows, None, 1]) / r
+        circ = row[np.abs(m[rows, None] - m[None, cols])]
+        kr = k * r
+        j0, j1, y0, y1 = special.j0(kr), special.j1(kr), special.y0(kr), special.y1(kr)
 
-    kmat = np.empty(circ.shape, dtype=complex)
-    kmat.real = q * (-(k / (4.0 * math.pi)) * circ * j1 - (0.25 * k * c) * y1)
-    kmat.imag = q * ((0.25 * k * c) * j1)
+        k_re = -(k / (4.0 * math.pi)) * circ * j1 - (0.25 * k * c) * y1
+        k_im = (0.25 * k * c) * j1
+        kmat.real[rows, cols] = q * k_re
+        kmat.imag[rows, cols] = q * k_im
+        kmat.real[cols, rows] = (q_mirror * k_re).T
+        kmat.imag[cols, rows] = (q_mirror * k_im).T
+
+        s_re = -(1.0 / (4.0 * math.pi)) * circ * j0 - 0.25 * c * y0
+        s_im = (0.25 * c) * j0
+        smat.real[rows, cols] = s_re * jac[None, cols]
+        smat.imag[rows, cols] = s_im * jac[None, cols]
+        smat.real[cols, rows] = (s_re * jac[rows, None]).T
+        smat.imag[cols, rows] = (s_im * jac[rows, None]).T
+
     curvature = (d2[:, 0] * d1[:, 1] - d2[:, 1] * d1[:, 0]) / (4.0 * math.pi * jac ** 2)
     np.fill_diagonal(kmat, c * curvature)
-
-    smat = np.empty(circ.shape, dtype=complex)
-    smat.real = (-(1.0 / (4.0 * math.pi)) * circ * j0 - 0.25 * c * y0) * jac[None, :]
-    smat.imag = (0.25 * c) * j0 * jac[None, :]
     diag_s2 = jac * (0.25j - (np.log(0.5 * k * jac) + _EULER_GAMMA) / (2.0 * math.pi))
     np.fill_diagonal(smat, row[0] * (-(1.0 / (4.0 * math.pi)) * jac) + c * diag_s2)
     return kmat, smat
@@ -220,7 +250,8 @@ def assemble_and_solve(curve: BoundaryCurve, wave: WaveParams) -> DensitySolutio
     psi = -1j * k * (normals @ wave.d) / jac * phase
 
     g = -(smat @ psi)
-    a = 0.5 * np.eye(curve.n_points, dtype=complex) - kmat
+    a = np.negative(kmat, out=kmat)  # 1/2 I - K, built in place
+    a.flat[:: curve.n_points + 1] += 0.5
 
     lu, piv = lu_factor(a)
     gecon = get_lapack_funcs(("gecon",), (a,))[0]

@@ -59,13 +59,13 @@ Guards: the order must satisfy n <= ORDER_MAX (200) and the argument
 must lie in the closed upper half-plane Im z >= 0 (a signed zero -0.0
 counts as 0) with ARGUMENT_FLOOR (1e-50) <= |z| <= ARGUMENT_GUARD (2e4)
 or z = 0; beyond these a :class:`RangeError` is raised.  Between 2e4 and
-1e8, the arguments where every order up to ORDER_MAX takes the upward
-step (Im z >= 20 and ORDER_MAX^2 Im z <= |z|^2) are admitted too, so the
-continued fraction never runs beyond |z| = 2e4.  Above the floor the
-base values (h_1 grows like z^-2) and the ratios (s_n grows like 2n/z)
-stay far inside the double range.  At z = 0 the J ratios are their
-limit 0, with base (1, 0), and the H families raise
-:class:`SingularArgumentError`.
+1e8, the arguments where every order of the call takes the upward step
+(Im z >= 20 and top^2 Im z <= |z|^2, with top the call's largest order)
+are admitted too, so the continued fraction never runs beyond
+|z| = 2e4.  Above the floor the base values (h_1 grows like z^-2) and
+the ratios (s_n grows like 2n/z) stay far inside the double range.  At
+z = 0 the J ratios are their limit 0, with base (1, 0), and the H
+families raise :class:`SingularArgumentError`.
 
 Accuracy: a downward fraction carries rounding from its ~|z| steps
 through the oscillatory range, so on the real axis J_n and j_n rebuilt
@@ -103,7 +103,8 @@ ORDER_MAX = 200
 ARGUMENT_GUARD = 2.0e4
 ARGUMENT_FLOOR = 1.0e-50
 # Beyond ARGUMENT_GUARD, up to this |z|, arguments whose J_n take the upward
-# step at every order n <= ORDER_MAX (_upward_is_stable) are admitted.
+# step at every order of the call (_upward_is_stable at its top order) are
+# admitted.
 _UPWARD_GUARD = 1.0e8
 
 # Stands in for an exactly zero denominator of the continued fraction.
@@ -120,14 +121,16 @@ def _check_order(n: int) -> None:
         raise RangeError(f"order {n} exceeds the supported maximum {ORDER_MAX}")
 
 
-def _check_argument(z: complex) -> complex:
+def _check_argument(z: complex, top: int) -> complex:
+    """z as a complex, or RangeError; ``top`` is the call's largest order."""
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise RangeError("non-finite argument")
     if abs(z) > ARGUMENT_GUARD and not (abs(z) <= _UPWARD_GUARD
-                                        and _upward_is_stable(ORDER_MAX, z)):
+                                        and _upward_is_stable(top, z)):
         raise RangeError(f"|z| = {abs(z):.3g} exceeds the guard {ARGUMENT_GUARD:g} "
-                         f"({_UPWARD_GUARD:g} where Im z >= 20 and {ORDER_MAX}^2 Im z <= |z|^2)")
+                         f"({_UPWARD_GUARD:g} where Im z >= 20 and top^2 Im z <= |z|^2 "
+                         f"at the top order {top})")
     if 0 < abs(z) < ARGUMENT_FLOOR:
         raise RangeError(f"|z| = {abs(z):.3g} is below the floor {ARGUMENT_FLOOR:g}")
     if z.imag < 0:
@@ -221,7 +224,7 @@ def _all(row, nmax, z, spherical: bool) -> tuple[np.ndarray, np.ndarray]:
         _check_order(n)
     top = max(orders, default=0)
     nu = 0.5 if spherical else 0.0
-    rows = [row(n, top, _check_argument(x), nu)
+    rows = [row(n, top, _check_argument(x, top), nu)
             for n, x in zip(orders, z.ravel().tolist(), strict=True)]
     return (np.array([b for b, _ in rows], dtype=complex).reshape(z.shape + (2,)),
             np.array([r for _, r in rows], dtype=complex).reshape(z.shape + (top,)))

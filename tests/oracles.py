@@ -1,14 +1,18 @@
 """Test-only oracles: the pointwise blow-up, Jacobian and anisotropic
 push-forward that media.cloak_tensor and media.virtual_core_params are
 checked against, readers and a reference writer for the library's
-outputs, and Bessel values rebuilt in mpmath from specfun's ratio form."""
+outputs, Bessel values rebuilt in mpmath from specfun's ratio form, and
+the BIE system matrices evaluated densely at every ordered node pair."""
 
 from dataclasses import dataclass, field
 
+import math
+
 import mpmath
 import numpy as np
+from scipy import special
 
-from nearcloak import analysis, mie
+from nearcloak import analysis, bie, mie
 from nearcloak.errors import DomainError, NearCloakError
 from nearcloak.media import _GEOM_RTOL, RadialMapSpec, cloak_tensor
 
@@ -174,3 +178,37 @@ def rebuilt(sequence, scale: float) -> list:
     for r in ratios[a:]:
         out.append(out[-1] * r)
     return [out[0] / ratios[0]] + out if a else out
+
+
+def dense_system_matrices(k, t, pts, d1, d2, normals, jac):
+    """bie._system_matrices formed as full N x N arrays, every kernel
+    factor evaluated at every ordered node pair (i, j), in the same
+    floating-point operations: the blocked, mirrored assembly must
+    reproduce it bit for bit."""
+    n_half = t.size // 2
+    c = math.pi / n_half
+    m = np.arange(t.size)
+    row = bie.log_weights(n_half)
+    row[1:] -= c * np.log(4.0 * np.sin(0.5 * t[1:]) ** 2)
+    circ = row[np.abs(m[:, None] - m[None, :])]
+
+    dx = pts[:, None, 0] - pts[None, :, 0]
+    dy = pts[:, None, 1] - pts[None, :, 1]
+    r = np.hypot(dx, dy)
+    np.fill_diagonal(r, 1.0)
+    q = (dx * normals[None, :, 0] + dy * normals[None, :, 1]) / r
+    kr = k * r
+    j0, j1, y0, y1 = special.j0(kr), special.j1(kr), special.y0(kr), special.y1(kr)
+
+    kmat = np.empty(circ.shape, dtype=complex)
+    kmat.real = q * (-(k / (4.0 * math.pi)) * circ * j1 - (0.25 * k * c) * y1)
+    kmat.imag = q * ((0.25 * k * c) * j1)
+    curvature = (d2[:, 0] * d1[:, 1] - d2[:, 1] * d1[:, 0]) / (4.0 * math.pi * jac ** 2)
+    np.fill_diagonal(kmat, c * curvature)
+
+    smat = np.empty(circ.shape, dtype=complex)
+    smat.real = (-(1.0 / (4.0 * math.pi)) * circ * j0 - 0.25 * c * y0) * jac[None, :]
+    smat.imag = (0.25 * c) * j0 * jac[None, :]
+    diag_s2 = jac * (0.25j - (np.log(0.5 * k * jac) + np.euler_gamma) / (2.0 * math.pi))
+    np.fill_diagonal(smat, row[0] * (-(1.0 / (4.0 * math.pi)) * jac) + c * diag_s2)
+    return kmat, smat

@@ -14,6 +14,8 @@ from nearcloak import bie, mie, specfun
 from nearcloak.errors import DomainError, ResonanceError, ShapeError
 from nearcloak.mie import SchemeSpec, WaveParams
 
+import oracles
+
 WAVE = WaveParams(2.0, np.array([1.0, 0.0]))
 ANGLES = 2 * math.pi * np.arange(100) / 100
 
@@ -165,7 +167,7 @@ def _split_kernel_matrices(k, t, pts, d1, d2, normals, jac):
 
 
 @pytest.mark.parametrize("k", [0.5, 2.7, 20.0])
-@pytest.mark.parametrize("n_points", [64, 128])
+@pytest.mark.parametrize("n_points", [8, 64, 66, 128, 200])
 @pytest.mark.parametrize("make", [bie.kite, lambda n: bie.circle(0.6, n)],
                          ids=["kite", "circle"])
 def test_system_matrices_match_split_kernel_reference(make, n_points, k):
@@ -173,6 +175,20 @@ def test_system_matrices_match_split_kernel_reference(make, n_points, k):
     for got, ref in zip(bie._system_matrices(k, *geometry),
                         _split_kernel_matrices(k, *geometry)):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n_points", [8, 66, 200, 256])
+@pytest.mark.parametrize("make", [bie.kite, lambda n: bie.circle(0.6, n)],
+                         ids=["kite", "circle"])
+def test_blocked_assembly_equals_dense_evaluation_bit_for_bit(make, n_points):
+    # One block, a partial last block, and whole blocks: the mirrored
+    # entries carry the same bits as a dense evaluation at (j, i).
+    geometry = bie._geometry(make(n_points))
+    for k in (0.5, 20.0):
+        for got, ref in zip(bie._system_matrices(k, *geometry),
+                            oracles.dense_system_matrices(k, *geometry)):
+            assert np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got.view(float)), np.signbit(ref.view(float)))
 
 
 def test_kite_self_convergence():

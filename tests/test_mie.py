@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from nearcloak import media, mie
+from nearcloak import media, mie, specfun
 from nearcloak.errors import DomainError, RangeError, TruncationError
 from nearcloak.media import virtual_core_params
 from nearcloak.mie import SchemeSpec, WaveParams
@@ -140,6 +140,27 @@ def test_fsh_no_overflow_down_to_1e6():
     assert np.all(np.isfinite(fsh.d_n))
     bound = math.pi * 2.0 * abs(cmath.sqrt(3 + 2j)) * rho ** 2.5
     assert abs(fsh.d_n[0] - sh.d_n[0]) <= bound
+
+
+def test_fsh_solves_where_the_layer_argument_passes_the_guard_at_low_order():
+    # With delta = 0.734375, a = 1, b = 3 (k = 1) the layer arguments
+    # k_tilde rho (rho = 3e-6) and k_tilde rho/2 (rho = 1.07e-6) lie just above
+    # |z| = 2e4, where the solve's orders (n_max = 9) take the upward step
+    # although ORDER_MAX would not.  d_0 keeps the rate rho^(2 + delta) of
+    # its neighbours and half the bound pi k |sqrt(a + ib)| rho^(2 + delta).
+    scheme = SchemeSpec.finite_sound_hard(c=1.0, delta=0.734375, a=1.0, b=3.0)
+    wave = WaveParams(1.0, np.array([1.0, 0.0]))
+    rhos = (3e-6, 1.07e-6)
+    diffs, layer_args = [], []
+    for rho in rhos:
+        fsh = mie.solve(scheme, 2, wave, rho)
+        sh = mie.solve(SchemeSpec.sound_hard(), 2, wave, rho)
+        assert np.all(np.isfinite(fsh.d_n))
+        diffs.append(abs(fsh.d_n[0] - sh.d_n[0]))
+        assert diffs[-1] <= math.pi * abs(cmath.sqrt(1 + 3j)) * rho ** 2.734375
+        layer_args.append(abs(fsh.k_layer) * rho)
+    assert min(layer_args[0], layer_args[1] / 2) > specfun.ARGUMENT_GUARD
+    assert _fit_slope(rhos, diffs) == pytest.approx(2.734375, abs=0.01)
 
 
 def test_fss_coefficients_approach_sound_soft():

@@ -311,9 +311,9 @@ def test_range_guards():
 
 
 def test_upward_regime_lifts_the_argument_guard():
-    # Beyond |z| = 2e4, up to 1e8, the arguments where every order up to
-    # ORDER_MAX takes the upward step are admitted: Im z >= 20 and
-    # ORDER_MAX^2 Im z <= |z|^2.
+    # Beyond |z| = 2e4, up to 1e8, the arguments where every order of the
+    # call takes the upward step are admitted: Im z >= 20 and
+    # top^2 Im z <= |z|^2.  At top = ORDER_MAX:
     for z in (3e4 + 20j, 1e6 * cmath.exp(0.294j), 9.9e7 * cmath.exp(0.5j)):
         for family in (sf.bessel_j, sf.bessel_h1):
             base, ratios = family(sf.ORDER_MAX, z)
@@ -321,7 +321,29 @@ def test_upward_regime_lifts_the_argument_guard():
     for z in (3e4, 3e4 + 19.9j, 3e4j, 1.01e8 * cmath.exp(0.5j)):
         for family in (sf.bessel_j, sf.bessel_h1):
             with pytest.raises(RangeError, match="exceeds the guard"):
-                family(3, z)
+                family(sf.ORDER_MAX, z)
+
+
+def test_argument_guard_follows_the_top_order_of_the_call():
+    # At top = 150 the order condition admits z = iy for y >= 150^2 = 22500:
+    # 2.3e4i passes and 2.2e4i is refused, as is any Im z < 20.  A batch is
+    # judged by its largest order, and a lower top admits 2.2e4i.
+    for family in (sf.bessel_j, sf.bessel_h1):
+        for z in (2.3e4j, 3e4 + 20j):
+            base, ratios = family(150, z)
+            assert np.all(np.isfinite(base)) and np.all(np.isfinite(ratios))
+        for z in (2.2e4j, 3e4 + 19.9j):
+            with pytest.raises(RangeError, match="exceeds the guard .* top order 150"):
+                family(150, z)
+        with pytest.raises(RangeError, match="top order 150"):
+            family([10, 150], np.array([2.2e4j, 1.0]))
+        family(140, 2.2e4j)
+    # J_n(iy) = i^n I_n(y): the admitted ratios are i I_{n+1}/I_n.
+    y = 2.3e4
+    _, ratios = sf.bessel_j(150, 1j * y)
+    n = np.arange(150)
+    ref = 1j * special.ive(n + 1, y) / special.ive(n, y)
+    assert np.max(np.abs(ratios - ref) / np.abs(ref)) <= 1e-13
 
 
 FAMILIES = {
