@@ -46,8 +46,9 @@ SPECIAL_ANGLE_3D = math.acos(2.0 / 3.0)
 
 def observation_angles(dim: int, count: int) -> np.ndarray:
     """Equidistant observation grid: [0, 2pi) in 2D, [0, pi] in 3D."""
-    if count < 2:
-        raise DomainError("need at least two observation angles")
+    if not isinstance(count, (int, np.integer)) or count < 2:
+        raise DomainError(f"need an integer count of at least two observation angles, "
+                          f"got {count!r}")
     if dim == 2:
         return 2.0 * math.pi * np.arange(count) / count
     if dim == 3:

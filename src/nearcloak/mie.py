@@ -348,12 +348,10 @@ def _eliminate(dim: int, wave: WaveParams, rho: list[float], scheme: SchemeSpec,
 
     def solve_at(rows: list[int], orders: list[int]) -> list[ModalSolution]:
         nmax, size, sizes = max(orders), len(rows), [n + 1 for n in orders]
-        # One call per family; orders 0..n+1 give the ratios of orders 0..n.
-        # j[i] and h[i] are the rows' sequences (base, ratios) at zs[i].
-        z = np.concatenate([zr[rows] for zr in zs])
-        j, h = ([(base[i:i + size], ratios[i:i + size]) for i in range(0, z.size, size)]
-                for base, ratios in (fn(sizes * len(zs), z, spherical=dim == 3)
-                                     for fn in (specfun.bessel_j, specfun.bessel_h1)))
+        # Orders 0..n+1 give the ratios of orders 0..n; j[i] and h[i] are
+        # the rows' sequences (base, ratios) at zs[i].
+        j, h = ([fn(sizes, zr[rows], spherical=dim == 3) for zr in zs]
+                for fn in (specfun.bessel_j, specfun.bessel_h1))
         dj, dh = ([_log_derivative(ratios, zr[rows]) for (_, ratios), zr in zip(seqs, zs)]
                   for seqs in (j, h))
         phase = _I_POW[np.arange(nmax + 1) & 3] if dim == 2 else 1.0  # incident phase
@@ -410,9 +408,7 @@ def solve_many(scheme: SchemeSpec, dim: int, wave: WaveParams, rho_values,
     """``solve`` at every rho of ``rho_values``, as one batched elimination.
 
     Each element gets the n_max that ``solve`` picks for it, and equals its
-    per-rho solve while the batch's n_max stays below its Miller start and
-    inside the upward range of its own J calls (specfun._all); beyond
-    that it agrees with it to rounding."""
+    per-rho solve bit for bit."""
     rho = [float(r) for r in rho_values]
     cores = [virtual_core_params(*contents, r, dim) for r in rho]
     if wave.d.size != dim:

@@ -17,7 +17,8 @@ Amos-scaled value is the base times a cumulative ratio product.
 
 Both functions take a scalar z or a 1-d array of B arguments, and one
 order nmax or one per argument; base has shape (2,) or (B, 2), ratios
-(top,) or (B, top) with top the largest nmax.
+(top,) or (B, top) with top the largest nmax.  A batch row is the call
+at its own order, bit for bit, padded past that order with 1.0.
 
 Algorithms
 ----------
@@ -32,10 +33,10 @@ is one step for either direction, x <- 2(m + nu)/z - 1/x:
   families.
 * H_n and h_n: the step runs upward, s_m = 2(m + nu)/z - 1/s_{m-1}, from
   s_0 = f_1/f_0 of the base values; H^(1) has no zeros in Im z >= 0.
-* J_n and j_n where Im z >= 20 and top^2 Im z <= |z|^2, with top the
-  largest order of the call: the same upward step, in O(top) steps (the
-  regime split of Amos; DLMF section 10.17).  The two solutions of the
-  recurrence are H^(1) and H^(2), with J = (H^(1) + H^(2))/2.  For
+* J_n and j_n where Im z >= 20 and n^2 Im z <= |z|^2, with n the order
+  of the call: the same upward step, in O(n) steps (the regime split of
+  Amos; DLMF section 10.17).  The two solutions of the recurrence are
+  H^(1) and H^(2), with J = (H^(1) + H^(2))/2.  For
   Im z >= 20, |H^(1)/H^(2)| is about e^{-2 Im z} <= e^{-40}, so
   J_n = H^(2)_n/2 to rounding, with no cancellation.  J_0 and J_1 are
   exact to rounding, and a rounding error at order 0 adds a multiple of
@@ -60,12 +61,12 @@ must lie in the closed upper half-plane Im z >= 0 (a signed zero -0.0
 counts as 0) with ARGUMENT_FLOOR (1e-50) <= |z| <= ARGUMENT_GUARD (2e4)
 or z = 0; beyond these a :class:`RangeError` is raised.  Between 2e4 and
 1e8, the arguments where every order of the call takes the upward step
-(Im z >= 20 and top^2 Im z <= |z|^2, with top the call's largest order)
-are admitted too, so the continued fraction never runs beyond
-|z| = 2e4.  Above the floor the base values (h_1 grows like z^-2) and
-the ratios (s_n grows like 2n/z) stay far inside the double range.  At
-z = 0 the J ratios are their limit 0, with base (1, 0), and the H
-families raise :class:`SingularArgumentError`.
+(Im z >= 20 and n^2 Im z <= |z|^2 at the call's order n) are admitted
+too, so the continued fraction never runs beyond |z| = 2e4.  Above the
+floor the base values (h_1 grows like z^-2) and the ratios (s_n grows
+like 2n/z) stay far inside the double range.  At z = 0 the J ratios are
+their limit 0, with base (1, 0), and the H families raise
+:class:`SingularArgumentError`.
 
 Accuracy: a downward fraction carries rounding from its ~|z| steps
 through the oscillatory range, so on the real axis J_n and j_n rebuilt
@@ -97,13 +98,13 @@ import math
 import numpy as np
 from scipy import special
 
-from .errors import DomainError, RangeError, SingularArgumentError
+from .errors import DomainError, RangeError, ShapeError, SingularArgumentError
 
 ORDER_MAX = 200
 ARGUMENT_GUARD = 2.0e4
 ARGUMENT_FLOOR = 1.0e-50
 # Beyond ARGUMENT_GUARD, up to this |z|, arguments whose J_n take the upward
-# step at every order of the call (_upward_is_stable at its top order) are
+# step at every order of the call (_upward_is_stable at its order) are
 # admitted.
 _UPWARD_GUARD = 1.0e8
 
@@ -121,16 +122,16 @@ def _check_order(n: int) -> None:
         raise RangeError(f"order {n} exceeds the supported maximum {ORDER_MAX}")
 
 
-def _check_argument(z: complex, top: int) -> complex:
-    """z as a complex, or RangeError; ``top`` is the call's largest order."""
+def _check_argument(z: complex, n: int) -> complex:
+    """z as a complex, or RangeError; ``n`` is the order of the call."""
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise RangeError("non-finite argument")
     if abs(z) > ARGUMENT_GUARD and not (abs(z) <= _UPWARD_GUARD
-                                        and _upward_is_stable(top, z)):
+                                        and _upward_is_stable(n, z)):
         raise RangeError(f"|z| = {abs(z):.3g} exceeds the guard {ARGUMENT_GUARD:g} "
                          f"({_UPWARD_GUARD:g} where Im z >= 20 and top^2 Im z <= |z|^2 "
-                         f"at the top order {top})")
+                         f"at the top order {n})")
     if 0 < abs(z) < ARGUMENT_FLOOR:
         raise RangeError(f"|z| = {abs(z):.3g} is below the floor {ARGUMENT_FLOOR:g}")
     if z.imag < 0:
@@ -153,54 +154,53 @@ def _base(z: complex, nu: float, hankel: bool) -> list[complex]:
     return f.tolist()
 
 
-def _upward_is_stable(top: int, z: complex) -> bool:
-    """Whether the upward step gives J_n or j_n at z for every n <= top to
-    within rounding: Im z >= 20 and top^2 Im z <= |z|^2 (module docstring)."""
-    return z.imag >= 20.0 and top * top * z.imag <= abs(z) ** 2
+def _upward_is_stable(n: int, z: complex) -> bool:
+    """Whether the upward step gives J_m or j_m at z for every m <= n to
+    within rounding: Im z >= 20 and n^2 Im z <= |z|^2 (module docstring)."""
+    return z.imag >= 20.0 and n * n * z.imag <= abs(z) ** 2
 
 
-def _upward(base: list, top: int, z: complex, nu: float) -> list:
-    """Ratios 0..top-1 by the upward step s_m = 2(m + nu)/z - 1/s_{m-1}
+def _upward(base: list, n: int, z: complex, nu: float) -> list:
+    """Ratios 0..n-1 by the upward step s_m = 2(m + nu)/z - 1/s_{m-1}
     from s_0 = f_1/f_0 of the base values."""
     two_over_z = 2.0 / z
     s = base[1] / base[0]
     ratios = [s]
-    for m in range(1, top):
+    for m in range(1, n):
         s = (m + nu) * two_over_z - 1.0 / s
         ratios.append(s)
-    return ratios[:top]
+    return ratios[:n]
 
 
-def _bessel_j(nmax: int, top: int, z: complex, nu: float) -> tuple[list, list]:
-    """Base and ratios 0..top-1 of J_n (nu = 0) or j_n (nu = 1/2) at z: the
-    upward step where it is stable up to ``top``, and elsewhere the downward
-    continued fraction from well above nmax and top."""
+def _bessel_j(n: int, z: complex, nu: float) -> tuple[list, list]:
+    """Base and ratios 0..n-1 of J_m (nu = 0) or j_m (nu = 1/2) at z: the
+    upward step where it is stable up to n, and elsewhere the downward
+    continued fraction from well above n."""
     if z == 0:  # J_n(0) = j_n(0) = delta_{n0}; J_{n+1}/J_n -> 0
-        return [1.0, 0.0], [0.0] * top
+        return [1.0, 0.0], [0.0] * n
     base = _base(z, nu, False)
-    if _upward_is_stable(top, z):
-        return base, _upward(base, top, z, nu)
+    if _upward_is_stable(n, z):
+        return base, _upward(base, n, z, nu)
     x = abs(z)
-    start = max(nmax + 20 + int(x + 16.0 * x ** (1.0 / 3.0)), top)
+    start = n + 20 + int(x + 16.0 * x ** (1.0 / 3.0))
     two_over_z = 2.0 / z
     r = 0j  # f_{start+1}/f_start
-    for m in range(start, top, -1):
+    for m in range(start, n, -1):
         r = 1.0 / (((m + nu) * two_over_z - r) or _LENTZ_TINY)
-    ratios = [0j] * top
-    for m in range(top, 0, -1):
+    ratios = [0j] * n
+    for m in range(n, 0, -1):
         r = 1.0 / (((m + nu) * two_over_z - r) or _LENTZ_TINY)
         ratios[m - 1] = r
     return base, ratios
 
 
-def _hankel(nmax: int, top: int, z: complex, nu: float) -> tuple[list, list]:
-    """Base and ratios 0..top-1 of H^(1) (nu = 0) or h^(1) (nu = 1/2) at z
-    by the upward step, which needs no start above ``top``: ``nmax`` is
-    unused."""
+def _hankel(n: int, z: complex, nu: float) -> tuple[list, list]:
+    """Base and ratios 0..n-1 of H^(1) (nu = 0) or h^(1) (nu = 1/2) at z
+    by the upward step."""
     if z == 0:
         raise SingularArgumentError(f"{'spherical h_n' if nu else 'H_n'}^(1) is singular at z = 0")
     base = _base(z, nu, True)
-    return base, _upward(base, top, z, nu)
+    return base, _upward(base, n, z, nu)
 
 
 # ---------------------------------------------------------------------------
@@ -209,25 +209,23 @@ def _hankel(nmax: int, top: int, z: complex, nu: float) -> tuple[list, list]:
 def _all(row, nmax, z, spherical: bool) -> tuple[np.ndarray, np.ndarray]:
     """(base, ratios) of ``row`` at each z, with one order nmax or one per z.
 
-    Rows run one z at a time.  The batch's top order picks a J row's path
-    (_upward_is_stable), so its padded orders stay accurate.  A row's
-    ratios 0..nmax[i]-1 equal a call at nmax[i] when both take the same
-    path: the upward step (which the top order takes only where the row's
-    own order does), or the fraction, whose Miller start follows the row's
-    own order (or the top order, once that lies beyond it).  A row whose
-    own call takes the upward step, but whose top order does not, agrees
-    with that call to rounding.
+    Each row is the call at its own order: its route, Miller start and
+    argument guard follow that order alone.  Its ratios are padded past
+    it, up to the batch's largest order, with the finite filler 1.0, which
+    callers cut off.
     """
     z = np.asarray(z, dtype=complex)
     orders = list(nmax) if isinstance(nmax, (list, tuple, np.ndarray)) else [nmax] * z.size
+    if len(orders) != z.size:
+        raise ShapeError(f"{len(orders)} orders for {z.size} arguments")
     for n in orders:
         _check_order(n)
     top = max(orders, default=0)
     nu = 0.5 if spherical else 0.0
-    rows = [row(n, top, _check_argument(x, top), nu)
-            for n, x in zip(orders, z.ravel().tolist(), strict=True)]
+    rows = [row(n, _check_argument(x, n), nu) for n, x in zip(orders, z.ravel().tolist())]
     return (np.array([b for b, _ in rows], dtype=complex).reshape(z.shape + (2,)),
-            np.array([r for _, r in rows], dtype=complex).reshape(z.shape + (top,)))
+            np.array([r + [1.0] * (top - len(r)) for _, r in rows],
+                     dtype=complex).reshape(z.shape + (top,)))
 
 
 def bessel_j(nmax, z, spherical: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -251,7 +249,7 @@ def legendre_p_table(nmax: int, x: np.ndarray) -> np.ndarray:
     """P_0..P_nmax at each entry of x; shape (nmax+1, len(x))."""
     _check_order(nmax)
     x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) > 1.0 + 1e-14):
+    if not np.all(np.abs(x) <= 1.0 + 1e-14):  # "not <=" so that NaN fails too
         raise DomainError("Legendre argument outside [-1, 1]")
     x = np.clip(x, -1.0, 1.0)
     out = np.empty((nmax + 1,) + x.shape)

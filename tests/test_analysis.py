@@ -143,6 +143,29 @@ def test_fsh_with_delta_one_keeps_its_rate_down_to_rho_1e6(dim, k):
     assert abs(layer * rhos[-1]) > 2.0 * specfun.ARGUMENT_GUARD
 
 
+def test_batched_sweep_judges_each_rho_at_its_own_order():
+    # At k = 300 the rho = 0.5 solve runs to n_max = 188, while the layer
+    # argument at rho = 0.14 (|z| = 2.1e4, beyond the 2e4 guard) is admitted
+    # only up to order 174 (n^2 Im z <= |z|^2), and its own solve stops at
+    # 72.  The batch solves each rho as alone.
+    scheme = SchemeSpec.finite_sound_hard(c=1, delta=1, a=1e-3, b=100)
+    wave = WaveParams(300, [1, 0])
+    result = sweep(scheme, 2, wave, [0.5, 0.14])
+    angles = analysis.observation_angles(2, result.angle_count)
+    for rho, amplitude in zip(result.rho_values, result.max_amplitude):
+        alone = np.abs(mie.far_field(mie.solve(scheme, 2, wave, rho), angles).amplitude).max()
+        assert abs(amplitude - alone) <= 1e-13 * alone
+
+
+def test_observation_angle_count_must_be_an_integer_of_at_least_two():
+    assert analysis.observation_angles(2, np.int64(4)).tolist() == [
+        0.0, math.pi / 2, math.pi, 3 * math.pi / 2]
+    for dim in (2, 3):
+        for count in (2.5, 3.0, 1, "3"):
+            with pytest.raises(DomainError, match="integer count of at least two"):
+                analysis.observation_angles(dim, count)
+
+
 def test_sweep_error_annotated_with_rho():
     with pytest.raises(RangeError, match="rho=8"):
         # FSS beta rule is fine, but rho >= R1-scale geometry is nonsense

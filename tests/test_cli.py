@@ -79,6 +79,21 @@ def test_mie_command_fsh_small_rho(tmp_path):
     assert np.all(np.abs(np.hypot(table[:, 1], table[:, 2]) - table[:, 3]) < 1e-14)
 
 
+def test_sweep_command_fsh_where_only_the_low_order_rho_passes_the_guard(tmp_path):
+    # The layer argument at rho = 0.14 has |z| = 2.1e4: admitted at that
+    # rho's own order, not at the n_max = 188 that rho = 0.5 needs.
+    args = ["--scheme", "fsh", "--fsh-delta", "1", "--fsh-a", "1e-3", "--fsh-b", "100",
+            "--k", "300"]
+    assert run(["sweep", *args, "--rho-start", "0.5", "--rho-factor", "0.28",
+                "--rho-count", "2", "--out", "sweep.csv"], tmp_path) == 0
+    table = read_table(tmp_path / "sweep.csv")
+    assert table[:, 0].tolist() == [0.5, 0.14]
+    for rho, amplitude in table:
+        assert run(["mie", *args, "--rho", str(rho), "--out", "ff.csv"], tmp_path) == 0
+        alone = read_table(tmp_path / "ff.csv")[:, 3].max()
+        assert abs(amplitude - alone) <= 1e-13 * alone
+
+
 def test_compare_command(tmp_path):
     code = run(["compare", "--scheme-a", "fss", "--scheme-b", "ss",
                 "--rho-start", "0.0625", "--rho-factor", "0.5",

@@ -10,7 +10,7 @@ import pytest
 from scipy import special
 
 from nearcloak import specfun as sf
-from nearcloak.errors import DomainError, RangeError, SingularArgumentError
+from nearcloak.errors import DomainError, RangeError, ShapeError, SingularArgumentError
 
 import oracles
 
@@ -187,6 +187,9 @@ def test_legendre_bounded_and_domain_checked():
     assert np.max(np.abs(table)) <= 1.0 + 1e-12
     with pytest.raises(DomainError):
         sf.legendre_p_table(3, 1.2)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError):
+            sf.legendre_p_table(3, np.array([0.5, bad]))
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +329,8 @@ def test_upward_regime_lifts_the_argument_guard():
 
 def test_argument_guard_follows_the_top_order_of_the_call():
     # At top = 150 the order condition admits z = iy for y >= 150^2 = 22500:
-    # 2.3e4i passes and 2.2e4i is refused, as is any Im z < 20.  A batch is
-    # judged by its largest order, and a lower top admits 2.2e4i.
+    # 2.3e4i passes and 2.2e4i is refused, as is any Im z < 20.  Each row
+    # of a batch is judged at its own order, and a lower order admits 2.2e4i.
     for family in (sf.bessel_j, sf.bessel_h1):
         for z in (2.3e4j, 3e4 + 20j):
             base, ratios = family(150, z)
@@ -335,8 +338,11 @@ def test_argument_guard_follows_the_top_order_of_the_call():
         for z in (2.2e4j, 3e4 + 19.9j):
             with pytest.raises(RangeError, match="exceeds the guard .* top order 150"):
                 family(150, z)
+        base, ratios = family([10, 150], np.array([2.2e4j, 1.0]))
+        alone = family(10, 2.2e4j)
+        assert np.array_equal(base[0], alone[0]) and np.array_equal(ratios[0, :10], alone[1])
         with pytest.raises(RangeError, match="top order 150"):
-            family([10, 150], np.array([2.2e4j, 1.0]))
+            family([150, 10], np.array([2.2e4j, 1.0]))
         family(140, 2.2e4j)
     # J_n(iy) = i^n I_n(y): the admitted ratios are i I_{n+1}/I_n.
     y = 2.3e4
@@ -404,6 +410,7 @@ def test_batch_rows_equal_calls_at_their_own_order(name):
         alone = family(n, z)
         assert np.array_equal(base[row], alone[0])
         assert np.array_equal(ratios[row, :n], alone[1])
+        assert np.all(ratios[row, n:] == 1.0)  # the filler past the row's order
     # One order for all arguments: each row is the scalar call.
     same = family(12, zs)
     for row, z in enumerate(zs):
@@ -416,16 +423,15 @@ def test_batch_rows_equal_calls_at_their_own_order(name):
 def test_batch_row_agrees_with_its_call_across_the_route_boundary(spherical):
     # At the FSH angle, order 14 takes the upward step (14^2 Im z <= |z|^2)
     # and order 60 does not.  A row at order 14 in a batch whose top order
-    # is 60 takes the continued fraction, so it agrees with its own call to
-    # within rounding, not bit for bit.
+    # is 60 still takes the upward step, so it is its own call bit for bit,
+    # as is the row at order 60, which takes the continued fraction.
     z = 300.0 * cmath.exp(0.294j)
     assert sf._upward_is_stable(14, z) and not sf._upward_is_stable(60, z)
     base, ratios = sf.bessel_j([14, 60], np.array([z, z]), spherical)
-    alone = sf.bessel_j(14, z, spherical)
-    assert np.array_equal(base[0], alone[0])
-    batch = oracles.rebuilt((base[0], ratios[0, :14]), z.imag)
-    single = oracles.rebuilt(alone, z.imag)
-    assert all(abs(b - s) <= 1e-14 * abs(s) for b, s in zip(batch, single))
+    for row, n in enumerate((14, 60)):
+        alone = sf.bessel_j(n, z, spherical)
+        assert np.array_equal(base[row], alone[0])
+        assert np.array_equal(ratios[row, :n], alone[1])
 
 
 def test_upward_step_needs_the_order_condition():
@@ -461,3 +467,9 @@ def test_batch_guards_apply_to_every_argument():
         sf.bessel_j(3, np.array([1.0, 1e-60]))
     with pytest.raises(SingularArgumentError):
         sf.bessel_h1(3, np.array([1.0, 0.0]), spherical=True)
+    # one order per argument, or a single order for all of them
+    for family in (sf.bessel_j, sf.bessel_h1):
+        for orders, z in (([3, 4], 1.0), ([3], np.array([1.0, 2.0])),
+                          ([3, 4, 5], np.array([1.0, 2.0]))):
+            with pytest.raises(ShapeError, match="orders for"):
+                family(orders, z)
