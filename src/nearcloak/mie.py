@@ -48,19 +48,29 @@ in 2D, i/z^2 in 3D), not a cancelling sum.
 TAIL_THRESHOLD.
 
 All solvers are pure functions; modes are independent; returned
-solutions are immutable.
+solutions are immutable.  Far and near fields share one bounded,
+read-only, thread-safe cache of angle tables (``_angle_table``): the
+cos(n theta) table in 2D and the P_n(cos theta) table in 3D of each
+recently used angle grid, with its order rows rounded up to a multiple
+of 32.  It keeps the 16 most recent tables, at most 16 x rows x M
+float64 for M angles and rows <= specfun.ORDER_MAX + 1.  Row n of either
+table depends only on n and theta (an elementwise cos, or the Bonnet
+recurrence), so a sum over the first rows of a larger table is bit for
+bit the sum over a table built at its own size, and no result depends on
+what the cache holds.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import specfun
-from .errors import DomainError, RangeError, TruncationError
+from .errors import DomainError, RangeError, ShapeError, TruncationError
 from .media import check_passive, virtual_core_params
 
 TAIL_THRESHOLD = 1e-14
@@ -228,15 +238,21 @@ class FarFieldPattern:
     gamma_convention: str
 
     def __post_init__(self):
-        a = np.asarray(self.angles, dtype=float)
-        if a.ndim != 1 or a.size == 0 or not np.all(np.isfinite(a)) or np.any(np.diff(a) <= 0):
-            raise DomainError("angles must be a nonempty, finite, strictly increasing 1-d array")
-        hi = 2.0 * math.pi if self.gamma_convention == "2d" else math.pi
-        if a[0] < 0 or a[-1] > hi + 1e-12:
-            raise DomainError("angles outside the valid range")
-        object.__setattr__(self, "angles", a)
+        object.__setattr__(self, "angles", _far_field_angles(self.angles, self.gamma_convention))
         object.__setattr__(self, "amplitude",
                            np.asarray(self.amplitude, dtype=complex))
+
+
+def _far_field_angles(angles, gamma_convention: str) -> np.ndarray:
+    """``angles`` as a float array, or DomainError unless it is a nonempty,
+    finite, strictly increasing 1-d grid in [0, 2pi] ("2d") or [0, pi]."""
+    a = np.asarray(angles, dtype=float)
+    if a.ndim != 1 or a.size == 0 or not np.all(np.isfinite(a)) or np.any(np.diff(a) <= 0):
+        raise DomainError("angles must be a nonempty, finite, strictly increasing 1-d array")
+    hi = 2.0 * math.pi if gamma_convention == "2d" else math.pi
+    if a[0] < 0 or a[-1] > hi + 1e-12:
+        raise DomainError("angles outside the valid range")
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -440,9 +456,10 @@ def far_field(solution: ModalSolution, angles: np.ndarray) -> FarFieldPattern:
                    sum_n eps_n d_n (-i)^n cos(n theta),  eps_0 = 1, eps_n = 2.
     3D: A(theta) = (-i/k) sum_n (2n+1) d_n P_n(cos theta).
     """
-    angles = np.asarray(angles, dtype=float)
+    convention = f"{solution.dim}d"
+    angles = _far_field_angles(angles, convention)  # before they key the angle tables
     return FarFieldPattern(angles, _amplitude(solution.dim, solution.k, solution.d_n, angles),
-                           f"{solution.dim}d")
+                           convention)
 
 
 def _far_field_rows(solutions, angles: np.ndarray) -> np.ndarray:
@@ -466,9 +483,23 @@ def _angular_sum(dim: int, coef: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """sum_n eps_n coef_n cos(n theta) in 2D (eps_0 = 1, eps_n = 2), or
     sum_n (2n+1) coef_n P_n(cos theta) in 3D, per row of coef."""
     n = np.arange(coef.shape[-1])
-    if dim == 2:
-        return (np.where(n == 0, 1.0, 2.0) * coef) @ np.cos(np.outer(n, angles))
-    return ((2 * n + 1) * coef) @ specfun.legendre_p_table(n.size - 1, np.cos(angles))
+    # Rows rounded up to a multiple of 32, so that nearby n_max share a table.
+    rows = min(-(-n.size // 32) * 32, max(n.size, specfun.ORDER_MAX + 1))
+    weights = np.where(n == 0, 1.0, 2.0) if dim == 2 else 2 * n + 1
+    table = _angle_table(dim, np.asarray(angles, dtype=float).tobytes(), rows)
+    return (weights * coef) @ table[:n.size]
+
+
+@functools.lru_cache(maxsize=16)
+def _angle_table(dim: int, angle_bytes: bytes, rows: int) -> np.ndarray:
+    """Read-only (rows, M) table of cos(n theta) in 2D or P_n(cos theta) in
+    3D, n < rows, at the M float64 angles packed in ``angle_bytes``."""
+    angles = np.frombuffer(angle_bytes)
+    n = np.arange(rows)
+    table = (np.cos(np.outer(n, angles)) if dim == 2
+             else specfun.legendre_p_table(rows - 1, np.cos(angles)))
+    table.flags.writeable = False
+    return table
 
 
 def leading_asymptotic(dim: int, wave: WaveParams, rho: float,
@@ -571,6 +602,8 @@ def field_on_circle(solution: ModalSolution, r: float, thetas: np.ndarray,
     if r < 0 or not math.isfinite(r):
         raise DomainError(f"radius must be finite and nonnegative, got {r}")
     thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim != 1:
+        raise ShapeError(f"angles must be a 1-d array, got shape {thetas.shape}")
     if not np.all(np.isfinite(thetas)):
         raise DomainError("angles must be finite")
     if region is None:

@@ -215,6 +215,8 @@ def _all(row, nmax, z, spherical: bool) -> tuple[np.ndarray, np.ndarray]:
     callers cut off.
     """
     z = np.asarray(z, dtype=complex)
+    if isinstance(nmax, np.ndarray) and nmax.ndim == 0:
+        nmax = nmax[()]  # a 0-d order is the scalar it holds
     orders = list(nmax) if isinstance(nmax, (list, tuple, np.ndarray)) else [nmax] * z.size
     if len(orders) != z.size:
         raise ShapeError(f"{len(orders)} orders for {z.size} arguments")

@@ -1,8 +1,9 @@
 """Test-only oracles: the pointwise blow-up, Jacobian and anisotropic
 push-forward that media.cloak_tensor and media.virtual_core_params are
 checked against, readers and a reference writer for the library's
-outputs, Bessel values rebuilt in mpmath from specfun's ratio form, and
-the BIE system matrices evaluated densely at every ordered node pair."""
+outputs, Bessel values rebuilt in mpmath from specfun's ratio form, the
+BIE system matrices evaluated densely at every ordered node pair, and the
+modal angular sum with its angle table built afresh on every call."""
 
 from dataclasses import dataclass, field
 
@@ -12,7 +13,7 @@ import mpmath
 import numpy as np
 from scipy import special
 
-from nearcloak import analysis, bie, mie
+from nearcloak import analysis, bie, mie, specfun
 from nearcloak.errors import DomainError, NearCloakError
 from nearcloak.media import _GEOM_RTOL, RadialMapSpec, cloak_tensor
 
@@ -164,6 +165,15 @@ def field_at(solution, point, region: str | None = None,
     return complex(mie.field_on_circle(solution, r, np.array([theta]), region=region,
                                        scattered_only=scattered_only,
                                        radial_derivative=radial_derivative)[0])
+
+
+def angular_sum(dim: int, coef: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """mie._angular_sum with its angle table built at its own size on every
+    call, with no cache: the cached tables must reproduce it bit for bit."""
+    n = np.arange(coef.shape[-1])
+    if dim == 2:
+        return (np.where(n == 0, 1.0, 2.0) * coef) @ np.cos(np.outer(n, angles))
+    return ((2 * n + 1) * coef) @ specfun.legendre_p_table(n.size - 1, np.cos(angles))
 
 
 def rebuilt(sequence, scale: float) -> list:

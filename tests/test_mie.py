@@ -10,7 +10,7 @@ import pytest
 from scipy import special
 
 from nearcloak import media, mie, specfun
-from nearcloak.errors import DomainError, RangeError, TruncationError
+from nearcloak.errors import DomainError, RangeError, ShapeError, TruncationError
 from nearcloak.media import virtual_core_params
 from nearcloak.mie import SchemeSpec, WaveParams
 
@@ -441,6 +441,84 @@ def test_near_field_rejects_non_finite_angles(dim):
     if dim == 2:
         with pytest.raises(DomainError, match="finite"):
             mie.scattered_cauchy_data(sol, 1.0, np.array([0.0, math.nan]))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_near_field_rejects_angle_arrays_that_are_not_1d(dim):
+    sol = mie.solve(SchemeSpec.sound_hard(), dim, _wave(dim), 0.3)
+    for thetas in (np.zeros((2, 2)), np.array(0.5)):
+        with pytest.raises(ShapeError, match="1-d"):
+            mie.field_on_circle(sol, 0.5, thetas)
+    if dim == 2:
+        with pytest.raises(ShapeError, match="1-d"):
+            mie.scattered_cauchy_data(sol, 0.5, np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_far_field_checks_angles_before_the_sum(dim):
+    # Both dims raise the FarFieldPattern message, and no bad grid reaches
+    # the angle-table cache.
+    sol = mie.solve(SchemeSpec.sound_hard(), dim, _wave(dim), 0.3)
+    before = mie._angle_table.cache_info()
+    for angles in ([0.0, math.nan], [0.0, math.inf], [[0.0, 1.0]], [1.0, 0.5]):
+        with pytest.raises(DomainError, match="finite, strictly increasing 1-d array"):
+            mie.far_field(sol, np.array(angles))
+    with pytest.raises(DomainError, match="outside the valid range"):
+        mie.far_field(sol, np.array([0.0, 7.0]))
+    after = mie._angle_table.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+# ---------------------------------------------------------------------------
+# The angle-table cache
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("descending", [False, True], ids=["small-n-first", "large-n-first"])
+def test_cached_angular_sums_equal_the_uncached_oracle(dim, descending):
+    # Every row count below and at the multiples of 32 the tables are
+    # rounded to, reached in either order: a sum from the first rows of a
+    # larger table is the sum from a table of its own size, bit for bit.
+    mie._angle_table.cache_clear()
+    rng = np.random.default_rng(21)
+    hi = 2.0 * math.pi if dim == 2 else math.pi
+    for m in (1, 7, 100, 333, 720):
+        angles = np.linspace(0.0, hi, m)
+        for size in sorted((1, 2, 31, 32, 33, 200), reverse=descending):
+            coef = rng.normal(size=(2, size)) + 1j * rng.normal(size=(2, size))
+            got = mie._angular_sum(dim, coef, angles)
+            assert np.array_equal(got, oracles.angular_sum(dim, coef, angles))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_cached_angle_tables_are_read_only(dim):
+    table = mie._angle_table(dim, np.linspace(0.0, 1.0, 5).tobytes(), 32)
+    assert table.shape == (32, 5) and not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 2.0
+
+
+def test_angle_table_cache_stays_bounded():
+    coef = np.ones((1, 40), dtype=complex)
+    for i in range(50):
+        mie._angular_sum(2 + i % 2, coef, np.linspace(0.0, 1.0 + 0.01 * i, 9))
+    info = mie._angle_table.cache_info()
+    assert info.currsize <= info.maxsize
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_mutating_the_angle_array_after_a_call_changes_no_later_result(dim):
+    sol = mie.solve(SchemeSpec.finite_sound_hard(), dim, _wave(dim), 0.3)
+    angles = np.linspace(0.0, 3.0, 50)
+    far = mie.far_field(sol, angles).amplitude.copy()
+    near = mie.field_on_circle(sol, 0.5, angles)
+    kept = angles.copy()
+    angles *= 0.5  # same bytes length, new values
+    assert np.array_equal(mie.far_field(sol, kept).amplitude, far)
+    assert np.array_equal(mie.field_on_circle(sol, 0.5, kept), near)
+    assert np.array_equal(mie.far_field(sol, angles).amplitude,
+                          mie.far_field(sol, 0.5 * kept).amplitude)
+    assert np.array_equal(mie._angular_sum(dim, sol.d_n[None], angles)[0],
+                          oracles.angular_sum(dim, sol.d_n[None], 0.5 * kept)[0])
 
 
 @pytest.mark.parametrize("dim", [2, 3])

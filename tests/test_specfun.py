@@ -417,6 +417,10 @@ def test_batch_rows_equal_calls_at_their_own_order(name):
         alone = family(12, z)
         assert np.array_equal(same[0][row], alone[0])
         assert np.array_equal(same[1][row], alone[1])
+    # A 0-d order array is the scalar order it holds.
+    for z in (zs, zs[1]):
+        for got, want in zip(family(np.array(12), z), family(12, z)):
+            assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("spherical", [False, True])
