@@ -33,6 +33,7 @@ from .mie import ModalSolution, SchemeSpec, WaveParams
 
 DEFAULT_ANGLE_COUNT = 100
 DEFAULT_FIT_FRACTION = 2.0 / 3.0
+NEAR_FIELD_SAMPLES = 360  # angles per near_field_deviation circle
 FIT_MODELS = ("power-law", "inverse-log")
 
 CSV_SCHEMA_VERSION = 1
@@ -190,32 +191,32 @@ def compare_schemes(a: SweepResult, b: SweepResult) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Special-angle suppression and near-field deviation
 # ---------------------------------------------------------------------------
-def special_angle_suppression(dim: int, wave: WaveParams, rho_values,
-                              angle_count: int = DEFAULT_ANGLE_COUNT) -> np.ndarray:
-    """|A(theta*)| / max|A| per rho for the sound-hard scheme.
+def special_angle_suppression(dim: int, wave: WaveParams, rho_values) -> np.ndarray:
+    """|A(theta*)| / max|A| per rho for the sound-hard scheme, max|A| over
+    the DEFAULT_ANGLE_COUNT observation angles.
 
     theta* is the zero of the leading-order pattern (pi/3 in 2D,
     arccos(2/3) in 3D); the ratio decays ~rho^2 beyond the global rate
     because only the O((k rho)^{dim+2}) remainder survives there.
     """
     theta_star = SPECIAL_ANGLE_2D if dim == 2 else SPECIAL_ANGLE_3D
-    angles = observation_angles(dim, angle_count)
+    angles = observation_angles(dim, DEFAULT_ANGLE_COUNT)
     rho = _rho_grid(rho_values)
     solutions = mie.solve_many(SchemeSpec.sound_hard(), dim, wave, rho)
     amplitude = np.abs(mie._far_field_rows(solutions, np.append(angles, theta_star)))
     return amplitude[:, -1] / amplitude[:, :-1].max(axis=1)
 
 
-def near_field_deviation(fsh: ModalSolution, sh: ModalSolution, radius: float,
-                         sample_count: int = 360) -> float:
-    """sup over sampled angles of |u^s_fsh - u^s_sh| at the given radius."""
+def near_field_deviation(fsh: ModalSolution, sh: ModalSolution, radius: float) -> float:
+    """sup over NEAR_FIELD_SAMPLES equidistant angles of |u^s_fsh - u^s_sh|
+    at the given radius."""
     if fsh.dim != sh.dim or fsh.k != sh.k or fsh.rho != sh.rho:
         raise ShapeError("solutions must share dim, k and rho")
     if radius < fsh.rho:
         raise DomainError(
             f"radius {radius:g} is inside the scatterer (rho = {fsh.rho:g})")
     hi = 2.0 * math.pi if fsh.dim == 2 else math.pi
-    thetas = np.linspace(0.0, hi, sample_count, endpoint=fsh.dim == 3)
+    thetas = np.linspace(0.0, hi, NEAR_FIELD_SAMPLES, endpoint=fsh.dim == 3)
     ua = mie.field_on_circle(fsh, radius, thetas, region="exterior",
                              scattered_only=True)
     ub = mie.field_on_circle(sh, radius, thetas, region="exterior",

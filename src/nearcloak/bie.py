@@ -287,7 +287,7 @@ def _green_far_field(k: float, angles: np.ndarray, ys: np.ndarray, normals: np.n
     phase_out = np.exp(-1j * k * (xhat @ ys.T))          # (n_angles, N)
     dn_out = -1j * k * (xhat @ normals.T) * phase_out
     integrand = dn_out * u[None, :] - phase_out * flux[None, :]
-    return FarFieldPattern(angles, _gamma_2d(k) * weight * integrand.sum(axis=1), "2d")
+    return FarFieldPattern(angles, _gamma_2d(k) * weight * integrand.sum(axis=1), 2)
 
 
 def far_field_from_density(solution: DensitySolution, wave: WaveParams,
@@ -312,6 +312,8 @@ def far_field_from_cauchy_data(radius: float, u: np.ndarray, dudn: np.ndarray,
     (radial) derivative at equispaced angles 2 pi j / M on the circle of
     the given radius.
     """
+    if wave.d.size != 2:
+        raise DomainError("boundary-integral solver is 2D; give a 2-vector direction")
     u = np.asarray(u, dtype=complex)
     dudn = np.asarray(dudn, dtype=complex)
     if u.shape != dudn.shape or u.ndim != 1:

@@ -127,22 +127,14 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
 # Shared helpers
 # ---------------------------------------------------------------------------
 def _scheme_from(params: dict, key: str) -> mie.SchemeSpec:
-    kind = params[key]
-    if kind == "fss":
-        return mie.SchemeSpec.finite_sound_soft(params["fss_beta"])
-    if kind == "fsh":
-        return mie.SchemeSpec.finite_sound_hard(
-            params["fsh_c"], params["fsh_delta"], params["fsh_a"], params["fsh_b"])
-    return mie.SchemeSpec(kind)
+    return mie.SchemeSpec(params[key], fss_beta_coeff=params["fss_beta"],
+                          fsh_c=params["fsh_c"], fsh_delta=params["fsh_delta"],
+                          fsh_a=params["fsh_a"], fsh_b=params["fsh_b"])
 
 
 def _wave_from(params: dict, dim: int) -> mie.WaveParams:
     ang = float(params.get("incident_angle", 0.0))
-    if dim == 2:
-        d = np.array([math.cos(ang), math.sin(ang)])
-    else:
-        d = np.array([math.cos(ang), math.sin(ang), 0.0])
-    return mie.WaveParams(params["k"], d)
+    return mie.WaveParams(params["k"], np.array([math.cos(ang), math.sin(ang), 0.0][:dim]))
 
 
 def _contents_from(params: dict) -> tuple[float, complex]:

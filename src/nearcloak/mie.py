@@ -41,23 +41,31 @@ makes DJ(zc) huge and Q -> 1, so one formula holds there too.  The core
 coefficient comes from the layer's Wronskian Wr = J H' - J' H (2i/(pi z)
 in 2D, i/z^2 in 3D), not a cancelling sum.
 
-``solve_many`` is the solver's only entry: it runs the elimination on
-(B, n) arrays padded to the largest n_max of its rho values, and
-``solve`` is a batch of one.  Every solve picks n_max adaptively
-(``_truncated``), so a returned solution has a tail at or below
-TAIL_THRESHOLD.
+``solve_many`` is the solver's only entry, and ``solve`` is a batch of
+one.  ``_eliminate`` runs in passes over (B, n) arrays padded to the
+largest n_max of the pass's rows.  Each row starts at default_n_max; a
+row whose tail |d_{n_max}| / max|d_n| is above TAIL_THRESHOLD is solved
+again 8 orders higher, and one still above it at N_MAX_CAP raises
+TruncationError, so no returned solution has a larger tail.
+
+``far_field`` is one row of the batched far-field product
+(``_far_field_rows``, which the sweeps run over all their rho at once).
+A FarFieldPattern holds one amplitude per angle and its dim, 2 or 3,
+which sets the valid angle range.
 
 All solvers are pure functions; modes are independent; returned
 solutions are immutable.  Far and near fields share one bounded,
 read-only, thread-safe cache of angle tables (``_angle_table``): the
 cos(n theta) table in 2D and the P_n(cos theta) table in 3D of each
 recently used angle grid, with its order rows rounded up to a multiple
-of 32.  It keeps the 16 most recent tables, at most 16 x rows x M
-float64 for M angles and rows <= specfun.ORDER_MAX + 1.  Row n of either
-table depends only on n and theta (an elementwise cos, or the Bonnet
-recurrence), so a sum over the first rows of a larger table is bit for
-bit the sum over a table built at its own size, and no result depends on
-what the cache holds.
+of 32.  It keeps the 20 most recent tables, at most 20 x rows x M
+float64 for M angles and rows <= specfun.ORDER_MAX + 1.  Twenty slots
+hold the 18 tables that solves with n_max up to 95 cycle through when
+each takes a far field, near fields and near_field_deviation (three
+grids, three row counts, two dims).  Row n of either table depends only
+on n and theta (an elementwise cos, or the Bonnet recurrence), so a sum
+over the first rows of a larger table is bit for bit the sum over a
+table built at its own size, and no result depends on what the cache holds.
 """
 
 from __future__ import annotations
@@ -226,30 +234,37 @@ class ModalSolution:
 
 @dataclass(frozen=True)
 class FarFieldPattern:
-    """Sampled scattering amplitude A(theta), theta = angle(xhat, d).
+    """Sampled scattering amplitude A(theta), theta = angle(xhat, d), one
+    amplitude per angle.
 
-    gamma_convention records the normalisation of the underlying
-    far-field formula: "2d" means gamma = e^{i pi/4}/sqrt(8 pi k),
-    "3d" means gamma = 1/(4 pi).
+    dim (2 or 3) sets the angle range, [0, 2pi] or [0, pi], and the
+    normalisation of the underlying far-field formula: gamma =
+    e^{i pi/4}/sqrt(8 pi k) in 2D, gamma = 1/(4 pi) in 3D.
     """
 
     angles: np.ndarray
     amplitude: np.ndarray
-    gamma_convention: str
+    dim: int
 
     def __post_init__(self):
-        object.__setattr__(self, "angles", _far_field_angles(self.angles, self.gamma_convention))
-        object.__setattr__(self, "amplitude",
-                           np.asarray(self.amplitude, dtype=complex))
+        angles = _far_field_angles(self.angles, self.dim)
+        amplitude = np.asarray(self.amplitude, dtype=complex)
+        if amplitude.shape != angles.shape:
+            raise ShapeError(f"{angles.size} angles, but amplitudes of shape {amplitude.shape}")
+        object.__setattr__(self, "angles", angles)
+        object.__setattr__(self, "amplitude", amplitude)
 
 
-def _far_field_angles(angles, gamma_convention: str) -> np.ndarray:
-    """``angles`` as a float array, or DomainError unless it is a nonempty,
-    finite, strictly increasing 1-d grid in [0, 2pi] ("2d") or [0, pi]."""
+def _far_field_angles(angles, dim: int) -> np.ndarray:
+    """``angles`` as a float array, or DomainError unless dim is 2 or 3 and
+    it is a nonempty, finite, strictly increasing 1-d grid in [0, 2pi] (2D)
+    or [0, pi] (3D)."""
+    if dim not in (2, 3):
+        raise DomainError(f"dim must be 2 or 3, got {dim!r}")
     a = np.asarray(angles, dtype=float)
     if a.ndim != 1 or a.size == 0 or not np.all(np.isfinite(a)) or np.any(np.diff(a) <= 0):
         raise DomainError("angles must be a nonempty, finite, strictly increasing 1-d array")
-    hi = 2.0 * math.pi if gamma_convention == "2d" else math.pi
+    hi = 2.0 * math.pi if dim == 2 else math.pi
     if a[0] < 0 or a[-1] > hi + 1e-12:
         raise DomainError("angles outside the valid range")
     return a
@@ -267,27 +282,6 @@ def default_n_max(k: float, rho: float) -> int:
     """Initial truncation order: krho + 8 + 4 (krho)^(1/3), rounded up."""
     x = k * rho
     return int(math.ceil(x + 8.0 + 4.0 * x ** (1.0 / 3.0)))
-
-
-def _truncated(solve_at, k: float, rho: list[float]) -> tuple[ModalSolution, ...]:
-    """One solution per rho from ``solve_at(rows, orders)``, which solves
-    the elements ``rows`` each at its own order.  Each order grows from
-    default_n_max in steps of 8 (up to N_MAX_CAP, where it raises
-    TruncationError) while the tail of d_n is above TAIL_THRESHOLD; only
-    those elements are solved again."""
-    orders = [min(default_n_max(k, r), N_MAX_CAP) for r in rho]
-    out, rows = [None] * len(rho), list(range(len(rho)))
-    while rows:
-        for i, solution in zip(rows, solve_at(rows, [orders[i] for i in rows])):
-            if solution.truncation_tail <= TAIL_THRESHOLD:
-                out[i] = solution
-            elif orders[i] == N_MAX_CAP:
-                raise TruncationError(
-                    f"modal tail {solution.truncation_tail:.3g} is above {TAIL_THRESHOLD:g} "
-                    f"at the order cap n_max = {orders[i]} (k rho = {k * rho[i]:g})")
-            orders[i] = min(orders[i] + 8, N_MAX_CAP)
-        rows = [i for i in rows if out[i] is None]
-    return tuple(out)
 
 
 def _log_derivative(ratios: np.ndarray, z) -> np.ndarray:
@@ -348,10 +342,11 @@ def _layer_wavenumbers(scheme: SchemeSpec, rho: float, k: float,
 
 def _eliminate(dim: int, wave: WaveParams, rho: list[float], scheme: SchemeSpec,
                cores: list[tuple[float, complex]]) -> tuple[ModalSolution, ...]:
-    """The solution at each rho, from the one elimination of the module
-    docstring; ``solve_many`` checked dim and rho.  A lossy layer takes one
-    virtual core (sigma_a, q_a) per rho and flags in degenerate_modes the
-    modes whose outer elimination loses more than ~14 digits to cancellation."""
+    """The solution at each rho, from the one elimination and the
+    truncation passes of the module docstring; ``solve_many`` checked dim
+    and rho.  A lossy layer takes one virtual core (sigma_a, q_a) per rho
+    and flags in degenerate_modes the modes whose outer elimination loses
+    more than ~14 digits to cancellation."""
     lossy = scheme.kind not in ("ss", "sh")
     r = np.array(rho)
     zs = [wave.k * r]  # the real x = k rho; a lossy layer adds z1, z2 and zc
@@ -362,8 +357,11 @@ def _eliminate(dim: int, wave: WaveParams, rho: list[float], scheme: SchemeSpec,
         zs += [k_tilde * r, 0.5 * k_tilde * r, 0.5 * k2 * r]
         core_factor = c0 * coupling
 
-    def solve_at(rows: list[int], orders: list[int]) -> list[ModalSolution]:
-        nmax, size, sizes = max(orders), len(rows), [n + 1 for n in orders]
+    orders = [min(default_n_max(wave.k, x), N_MAX_CAP) for x in rho]
+    out, rows = [None] * len(rho), list(range(len(rho)))
+    while rows:
+        sizes = [orders[i] + 1 for i in rows]
+        nmax = max(sizes) - 1
         # Orders 0..n+1 give the ratios of orders 0..n; j[i] and h[i] are
         # the rows' sequences (base, ratios) at zs[i].
         j, h = ([fn(sizes, zr[rows], spherical=dim == 3) for zr in zs]
@@ -372,7 +370,7 @@ def _eliminate(dim: int, wave: WaveParams, rho: list[float], scheme: SchemeSpec,
                   for seqs in (j, h))
         phase = _I_POW[np.arange(nmax + 1) & 3] if dim == 2 else 1.0  # incident phase
         e = _values([j[0]], [h[0]])  # J_n(x)/H_n(x); x is real, so no Amos scale
-        coeffs, degenerate = (None, None, None), np.zeros((size, nmax + 1), dtype=bool)
+        coeffs, degenerate = (None, None, None), np.zeros((len(rows), nmax + 1), dtype=bool)
 
         if scheme.kind == "ss":
             num = den = np.ones_like(e)
@@ -407,16 +405,22 @@ def _eliminate(dim: int, wave: WaveParams, rho: list[float], scheme: SchemeSpec,
                  / (_values([j[3], h[3]]) * inner))
             coeffs = a, b, c
 
-        out = []
-        for row, (i, n) in enumerate(zip(rows, orders)):
+        for row, i in enumerate(rows):
+            n = orders[i]
             d_n, a_n, b_n, c_n = (None if x is None else x[row, :n + 1] for x in (d, *coeffs))
-            out.append(ModalSolution(
+            solution = ModalSolution(
                 dim=dim, rho=rho[i], k=wave.k, d_n=d_n, a_n=a_n, b_n=b_n, c_n=c_n,
                 k_layer=layers[i][0], k_core=layers[i][1],
-                degenerate_modes=tuple(np.flatnonzero(degenerate[row, :n + 1]).tolist())))
-        return out
-
-    return _truncated(solve_at, wave.k, rho)
+                degenerate_modes=tuple(np.flatnonzero(degenerate[row, :n + 1]).tolist()))
+            if solution.truncation_tail <= TAIL_THRESHOLD:
+                out[i] = solution
+            elif n == N_MAX_CAP:
+                raise TruncationError(
+                    f"modal tail {solution.truncation_tail:.3g} is above {TAIL_THRESHOLD:g} "
+                    f"at the order cap n_max = {n} (k rho = {wave.k * rho[i]:g})")
+            orders[i] = min(n + 8, N_MAX_CAP)
+        rows = [i for i in rows if out[i] is None]
+    return tuple(out)
 
 
 def solve_many(scheme: SchemeSpec, dim: int, wave: WaveParams, rho_values,
@@ -456,23 +460,17 @@ def far_field(solution: ModalSolution, angles: np.ndarray) -> FarFieldPattern:
                    sum_n eps_n d_n (-i)^n cos(n theta),  eps_0 = 1, eps_n = 2.
     3D: A(theta) = (-i/k) sum_n (2n+1) d_n P_n(cos theta).
     """
-    convention = f"{solution.dim}d"
-    angles = _far_field_angles(angles, convention)  # before they key the angle tables
-    return FarFieldPattern(angles, _amplitude(solution.dim, solution.k, solution.d_n, angles),
-                           convention)
+    angles = _far_field_angles(angles, solution.dim)  # before they key the angle tables
+    return FarFieldPattern(angles, _far_field_rows([solution], angles)[0], solution.dim)
 
 
 def _far_field_rows(solutions, angles: np.ndarray) -> np.ndarray:
     """far_field amplitudes of solutions sharing dim and k, one row each,
     from their d_n rows zero-padded into one (B, n) array."""
+    dim, k = solutions[0].dim, solutions[0].k
     d = np.zeros((len(solutions), max(s.n_max for s in solutions) + 1), dtype=complex)
     for row, s in zip(d, solutions):
         row[:s.n_max + 1] = s.d_n
-    return _amplitude(solutions[0].dim, solutions[0].k, d, angles)
-
-
-def _amplitude(dim: int, k: float, d: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """The far_field formula for coefficients d_n along the last axis of d."""
     if dim == 2:
         return (math.sqrt(2.0 / (math.pi * k)) * cmath.exp(-1j * math.pi / 4)
                 * _angular_sum(2, d * _I_POW[-np.arange(d.shape[-1]) & 3], angles))
@@ -490,7 +488,7 @@ def _angular_sum(dim: int, coef: np.ndarray, angles: np.ndarray) -> np.ndarray:
     return (weights * coef) @ table[:n.size]
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=20)
 def _angle_table(dim: int, angle_bytes: bytes, rows: int) -> np.ndarray:
     """Read-only (rows, M) table of cos(n theta) in 2D or P_n(cos theta) in
     3D, n < rows, at the M float64 angles packed in ``angle_bytes``."""

@@ -320,6 +320,16 @@ def test_far_field_rejects_nan_angles(far_field):
         far_field(np.array([0.0, math.nan]))
 
 
+def test_cauchy_data_far_field_needs_a_2d_wave():
+    # Both 2D entries raise the same error for a 3-vector direction.
+    wave3 = WaveParams(2.0, np.array([1.0, 0.0, 0.0]))
+    for solve in (lambda: bie.assemble_and_solve(bie.circle(0.5, 64), wave3),
+                  lambda: bie.far_field_from_cauchy_data(
+                      2.0, np.zeros(16), np.zeros(16), wave3, ANGLES)):
+        with pytest.raises(DomainError, match="2-vector direction"):
+            solve()
+
+
 @pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0])
 def test_cauchy_data_radius_must_be_finite_and_positive(radius):
     with pytest.raises(DomainError, match="finite and positive"):

@@ -469,6 +469,27 @@ def test_far_field_checks_angles_before_the_sum(dim):
     assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
+def test_far_field_pattern_needs_one_amplitude_per_angle():
+    with pytest.raises(ShapeError, match="2 angles"):
+        mie.FarFieldPattern([0.0, 1.0], [1.0, 2.0, 3.0], 2)
+    with pytest.raises(ShapeError):
+        mie.FarFieldPattern([0.0, 1.0], [[1.0, 2.0]], 3)
+
+
+@pytest.mark.parametrize("dim", [1, 4, "2d", "3D", None])
+def test_far_field_pattern_dim_must_be_2_or_3(dim):
+    with pytest.raises(DomainError, match="dim must be 2 or 3"):
+        mie.FarFieldPattern([0.0, 1.0], [1.0, 2.0], dim)
+
+
+def test_far_field_pattern_dim_sets_the_angle_range():
+    # 4.0 lies in [0, 2pi] but beyond pi.
+    pattern = mie.FarFieldPattern([0.0, 4.0], [1.0, 2.0j], 2)
+    assert pattern.dim == 2 and pattern.amplitude.dtype == complex
+    with pytest.raises(DomainError, match="outside the valid range"):
+        mie.FarFieldPattern([0.0, 4.0], [1.0, 2.0j], 3)
+
+
 # ---------------------------------------------------------------------------
 # The angle-table cache
 # ---------------------------------------------------------------------------
@@ -650,8 +671,8 @@ def test_near_field_deviation_slope():
     for rho in rhos:
         fsh = mie.solve(SchemeSpec.finite_sound_hard(), 2, WAVE2, rho)
         sh = mie.solve(SchemeSpec.sound_hard(), 2, WAVE2, rho)
-        devs.append(near_field_deviation(fsh, sh, 0.1, 180))
-        devs_on_boundary.append(near_field_deviation(fsh, sh, rho, 180))
+        devs.append(near_field_deviation(fsh, sh, 0.1))
+        devs_on_boundary.append(near_field_deviation(fsh, sh, rho))
     slope_fixed = _fit_slope(rhos, devs)            # fixed radius: rho^{2+delta}
     assert slope_fixed >= 2.4
     # On the obstacle the guarantee weakens to C rho^{1+delta}; the actual
@@ -694,7 +715,7 @@ def test_non_finite_inputs_are_domain_errors():
             with pytest.raises(DomainError):
                 mie.solve(scheme, 2, WAVE2, rho)
     with pytest.raises(DomainError):
-        mie.FarFieldPattern(np.array([]), np.array([]), "2d")
+        mie.FarFieldPattern(np.array([]), np.array([]), 2)
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
