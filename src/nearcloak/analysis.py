@@ -148,18 +148,20 @@ def sweep(scheme: SchemeSpec, dim: int, wave: WaveParams,
 
 def fit_decay(result: SweepResult, model: str,
               keep_fraction: float = DEFAULT_FIT_FRACTION) -> FitResult:
-    """Fit the decay of max|A| over the smallest ceil(keep_fraction*n) rhos.
+    """Fit the decay of max|A| over the smallest ceil(keep_fraction*n) rhos
+    (at least 3), with 0 < keep_fraction <= 1.
 
     power-law: log(max|A|) ~ slope*log(rho) + intercept.
     inverse-log: max|A| ~ slope/|ln rho| + intercept.
     ``residual`` is the RMS relative error of the model's prediction of
     max|A| on the fitted points, comparable across models.
     """
+    if not 0.0 < keep_fraction <= 1.0:  # "not" so that NaN fails too
+        raise DomainError(f"keep_fraction must lie in (0, 1], got {keep_fraction!r}")
     n = result.rho_values.size
     if n < 3:
         raise InsufficientDataError(f"need >= 3 sweep points, have {n}")
-    keep = max(3, int(math.ceil(keep_fraction * n)))
-    keep = min(keep, n)
+    keep = max(3, math.ceil(keep_fraction * n))
     rho = result.rho_values[n - keep:]   # values are sorted decreasing
     amp = result.max_amplitude[n - keep:]
 

@@ -147,8 +147,9 @@ def sample_cloak_grid(spec: RadialMapSpec, cells_per_side: int,
     """
     if dim not in (2, 3):
         raise DomainError(f"dim must be 2 or 3, got {dim}")
-    if cells_per_side < 1:
-        raise DomainError(f"need at least one cell per side, got {cells_per_side}")
+    if not isinstance(cells_per_side, (int, np.integer)) or cells_per_side < 1:
+        raise DomainError(f"need an integer count of at least one cell per side, "
+                          f"got {cells_per_side!r}")
     edges = np.linspace(-spec.r2, spec.r2, cells_per_side + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     pts = np.stack(np.meshgrid(*([centers] * dim), indexing="ij"), axis=-1).reshape(-1, dim)

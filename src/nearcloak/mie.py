@@ -56,16 +56,17 @@ which sets the valid angle range.
 All solvers are pure functions; modes are independent; returned
 solutions are immutable.  Far and near fields share one bounded,
 read-only, thread-safe cache of angle tables (``_angle_table``): the
-cos(n theta) table in 2D and the P_n(cos theta) table in 3D of each
-recently used angle grid, with its order rows rounded up to a multiple
-of 32.  It keeps the 20 most recent tables, at most 20 x rows x M
-float64 for M angles and rows <= specfun.ORDER_MAX + 1.  Twenty slots
-hold the 18 tables that solves with n_max up to 95 cycle through when
-each takes a far field, near fields and near_field_deviation (three
-grids, three row counts, two dims).  Row n of either table depends only
-on n and theta (an elementwise cos, or the Bonnet recurrence), so a sum
-over the first rows of a larger table is bit for bit the sum over a
-table built at its own size, and no result depends on what the cache holds.
+cos(n theta) table in 2D and the P_n(cos theta) table in 3D (numpy's
+forward recurrence, legvander) of each recently used angle grid, with
+its order rows rounded up to a multiple of 32.  It keeps the 20 most
+recent tables, at most 20 x rows x M float64 for M angles and rows <=
+224 (N_MAX_CAP + 1 rounded up).  Twenty slots hold the 18 tables that
+solves with n_max up to 95 cycle through when each takes a far field,
+near fields and near_field_deviation (three grids, three row counts,
+two dims).  Row n of either table depends only on n and theta (an
+elementwise cos, or the forward recurrence), so a sum over the first
+rows of a larger table is bit for bit the sum over a table built at its
+own size, and no result depends on what the cache holds.
 """
 
 from __future__ import annotations
@@ -482,7 +483,7 @@ def _angular_sum(dim: int, coef: np.ndarray, angles: np.ndarray) -> np.ndarray:
     sum_n (2n+1) coef_n P_n(cos theta) in 3D, per row of coef."""
     n = np.arange(coef.shape[-1])
     # Rows rounded up to a multiple of 32, so that nearby n_max share a table.
-    rows = min(-(-n.size // 32) * 32, max(n.size, specfun.ORDER_MAX + 1))
+    rows = -(-n.size // 32) * 32
     weights = np.where(n == 0, 1.0, 2.0) if dim == 2 else 2 * n + 1
     table = _angle_table(dim, np.asarray(angles, dtype=float).tobytes(), rows)
     return (weights * coef) @ table[:n.size]
@@ -495,7 +496,7 @@ def _angle_table(dim: int, angle_bytes: bytes, rows: int) -> np.ndarray:
     angles = np.frombuffer(angle_bytes)
     n = np.arange(rows)
     table = (np.cos(np.outer(n, angles)) if dim == 2
-             else specfun.legendre_p_table(rows - 1, np.cos(angles)))
+             else np.polynomial.legendre.legvander(np.cos(angles), rows - 1).T)
     table.flags.writeable = False
     return table
 
@@ -510,6 +511,8 @@ def leading_asymptotic(dim: int, wave: WaveParams, rho: float,
     conservation); the remainders are O((k rho)^{dim+2}).  Both vanish
     at theta = pi/3 (2D) and theta = arccos(2/3) (3D).
     """
+    if not 0.0 < rho < math.inf or not math.isfinite(theta):
+        raise DomainError(f"need a finite rho > 0 and a finite theta, got {rho!r}, {theta!r}")
     x = wave.k * rho
     if dim == 2:
         return (cmath.exp(1j * math.pi / 4) * math.sqrt(2.0 * math.pi / wave.k)

@@ -54,7 +54,6 @@ is one step for either direction, x <- 2(m + nu)/z - 1/x:
   method (Numerical Recipes, section 5.2): at a zero of f_m this keeps
   r_{m-1} r_m = -1 = f_{m+1}/f_{m-1}.  Upward recurrence is unstable for
   J and j there.
-* Legendre P_n: Bonnet recurrence.
 
 Guards: the order must satisfy n <= ORDER_MAX (200) and the argument
 must lie in the closed upper half-plane Im z >= 0 (a signed zero -0.0
@@ -98,7 +97,7 @@ import math
 import numpy as np
 from scipy import special
 
-from .errors import DomainError, RangeError, ShapeError, SingularArgumentError
+from .errors import RangeError, ShapeError, SingularArgumentError
 
 ORDER_MAX = 200
 ARGUMENT_GUARD = 2.0e4
@@ -242,22 +241,3 @@ def bessel_h1(nmax, z, spherical: bool = False) -> tuple[np.ndarray, np.ndarray]
     form: (H_0, H_1) e^{Im z} and H_{n+1}/H_n for n < nmax.  Raises on
     z = 0."""
     return _all(_hankel, nmax, z, spherical)
-
-
-# ---------------------------------------------------------------------------
-# Legendre polynomials
-# ---------------------------------------------------------------------------
-def legendre_p_table(nmax: int, x: np.ndarray) -> np.ndarray:
-    """P_0..P_nmax at each entry of x; shape (nmax+1, len(x))."""
-    _check_order(nmax)
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.abs(x) <= 1.0 + 1e-14):  # "not <=" so that NaN fails too
-        raise DomainError("Legendre argument outside [-1, 1]")
-    x = np.clip(x, -1.0, 1.0)
-    out = np.empty((nmax + 1,) + x.shape)
-    out[0] = 1.0
-    if nmax >= 1:
-        out[1] = x
-    for m in range(1, nmax):
-        out[m + 1] = ((2 * m + 1) * x * out[m] - m * out[m - 1]) / (m + 1)
-    return out

@@ -13,7 +13,7 @@ import mpmath
 import numpy as np
 from scipy import special
 
-from nearcloak import analysis, bie, mie, specfun
+from nearcloak import analysis, bie, mie
 from nearcloak.errors import DomainError, NearCloakError
 from nearcloak.media import _GEOM_RTOL, RadialMapSpec, cloak_tensor
 
@@ -173,7 +173,7 @@ def angular_sum(dim: int, coef: np.ndarray, angles: np.ndarray) -> np.ndarray:
     n = np.arange(coef.shape[-1])
     if dim == 2:
         return (np.where(n == 0, 1.0, 2.0) * coef) @ np.cos(np.outer(n, angles))
-    return ((2 * n + 1) * coef) @ specfun.legendre_p_table(n.size - 1, np.cos(angles))
+    return ((2 * n + 1) * coef) @ np.polynomial.legendre.legvander(np.cos(angles), n.size - 1).T
 
 
 def rebuilt(sequence, scale: float) -> list:

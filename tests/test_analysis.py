@@ -53,6 +53,19 @@ def test_fit_requires_three_points():
                   "cubic-spline")
 
 
+@pytest.mark.parametrize("keep_fraction", [0.0, -0.5, 1.0 + 1e-12, 5.0, math.nan])
+def test_fit_keep_fraction_must_lie_in_the_unit_interval(keep_fraction):
+    rhos = 0.5 ** np.arange(1, 9)
+    with pytest.raises(DomainError, match="keep_fraction"):
+        fit_decay(_synthetic(rhos, rhos ** 2), "power-law", keep_fraction=keep_fraction)
+
+
+def test_fit_keep_fraction_keeps_at_least_three_points():
+    rhos = 0.5 ** np.arange(1, 9)
+    assert fit_decay(_synthetic(rhos, rhos ** 2), "power-law", keep_fraction=1e-3).n_used == 3
+    assert fit_decay(_synthetic(rhos, rhos ** 2), "power-law", keep_fraction=1.0).n_used == 8
+
+
 def test_sweep_result_validation():
     with pytest.raises(DomainError):
         _synthetic([0.25, 0.5], [1.0, 2.0])  # not decreasing

@@ -274,6 +274,12 @@ def test_sample_cloak_grid_needs_a_cell():
             media.sample_cloak_grid(SPEC, cells, dim=2)
 
 
+@pytest.mark.parametrize("cells", [8.0, math.nan, "8"])
+def test_sample_cloak_grid_needs_an_integer_cell_count(cells):
+    with pytest.raises(DomainError, match="integer count"):
+        media.sample_cloak_grid(SPEC, cells, dim=2)
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_sample_cloak_grid_empty_shell_keeps_columns(dim):
     # One cell per side: the only center is the origin, inside the core.

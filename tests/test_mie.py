@@ -385,6 +385,14 @@ def test_far_field_depends_only_on_relative_angle():
     assert np.max(np.abs(a1.amplitude - a2.amplitude)) <= 1e-12 * np.max(np.abs(a1.amplitude))
 
 
+@pytest.mark.parametrize("rho, theta", [(-1.0, 0.0), (0.0, 0.0), (math.nan, 0.0),
+                                        (math.inf, 0.0), (0.01, math.nan), (0.01, -math.inf)])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_leading_asymptotic_checks_rho_and_theta(dim, rho, theta):
+    with pytest.raises(DomainError, match="finite rho > 0"):
+        mie.leading_asymptotic(dim, WAVE2 if dim == 2 else WAVE3, rho, theta)
+
+
 def test_leading_asymptotic_special_angle_zeros():
     # zero up to the floating representation of pi/3 and arccos(2/3)
     assert abs(mie.leading_asymptotic(2, WAVE2, 0.01, math.pi / 3)) < 1e-19
@@ -488,6 +496,45 @@ def test_far_field_pattern_dim_sets_the_angle_range():
     assert pattern.dim == 2 and pattern.amplitude.dtype == complex
     with pytest.raises(DomainError, match="outside the valid range"):
         mie.FarFieldPattern([0.0, 4.0], [1.0, 2.0j], 3)
+
+
+# ---------------------------------------------------------------------------
+# The 3D angle table: P_n(cos theta)
+# ---------------------------------------------------------------------------
+def _legendre_table(thetas, rows: int = 32) -> tuple[np.ndarray, np.ndarray]:
+    """x = cos(theta) and the cached 3D angle table, rows P_0..P_{rows-1}
+    at x.  No x outside [-1, 1] reaches a table: far_field and
+    field_on_circle check the angles first."""
+    thetas = np.asarray(thetas, dtype=float)
+    return np.cos(thetas), mie._angle_table(3, thetas.tobytes(), rows)
+
+
+def test_legendre_low_orders():
+    x, table = _legendre_table(np.arccos([-1.0, -0.3, 0.0, 0.8, 1.0]))
+    assert np.all(table[0] == 1.0)
+    assert np.array_equal(table[1], x)
+
+
+def test_legendre_p5_explicit_polynomial():
+    x, table = _legendre_table([math.acos(0.3)])
+    oracle = (63 * x ** 5 - 70 * x ** 3 + 15 * x) / 8.0
+    assert abs(oracle[0] - 0.3454) < 1e-4
+    assert abs(table[5, 0] - oracle[0]) < 1e-14
+
+
+def test_legendre_bounded():
+    _, table = _legendre_table(np.arccos(np.linspace(-1, 1, 201)))
+    assert np.max(np.abs(table[:13])) <= 1.0 + 1e-12
+
+
+def test_tallest_legendre_table_matches_mpmath():
+    # N_MAX_CAP + 1 = 200 orders round up to 224 rows, the tallest table.
+    assert -(-(mie.N_MAX_CAP + 1) // 32) * 32 == 224
+    x, table = _legendre_table(np.linspace(0.0, math.pi, 720), 224)
+    with mpmath.workdps(30):
+        for n in (0, 1, 5, 57, 111, 180, 223):
+            exact = np.array([float(mpmath.legendre(n, mpmath.mpf(v))) for v in x])
+            assert np.max(np.abs(table[n] - exact)) <= 3e-13
 
 
 # ---------------------------------------------------------------------------

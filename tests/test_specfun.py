@@ -10,7 +10,7 @@ import pytest
 from scipy import special
 
 from nearcloak import specfun as sf
-from nearcloak.errors import DomainError, RangeError, ShapeError, SingularArgumentError
+from nearcloak.errors import RangeError, ShapeError, SingularArgumentError
 
 import oracles
 
@@ -162,34 +162,6 @@ def test_spherical_at_zero():
     assert j_values(2, 0.0, spherical=True).tolist() == [1.0, 0.0, 0.0]
     with pytest.raises(SingularArgumentError):
         sf.bessel_h1(0, 0.0, spherical=True)
-
-
-# ---------------------------------------------------------------------------
-# Legendre polynomials
-# ---------------------------------------------------------------------------
-def test_legendre_low_orders():
-    for x in (-1.0, -0.3, 0.0, 0.8, 1.0):
-        p = sf.legendre_p_table(1, x)
-        assert p[0] == 1.0
-        assert p[1] == x
-
-
-def test_legendre_p5_explicit_polynomial():
-    x = 0.3
-    oracle = (63 * x ** 5 - 70 * x ** 3 + 15 * x) / 8.0
-    assert abs(oracle - 0.3454) < 1e-4
-    assert abs(sf.legendre_p_table(5, x)[5] - oracle) < 1e-14
-
-
-def test_legendre_bounded_and_domain_checked():
-    xs = np.linspace(-1, 1, 201)
-    table = sf.legendre_p_table(12, xs)
-    assert np.max(np.abs(table)) <= 1.0 + 1e-12
-    with pytest.raises(DomainError):
-        sf.legendre_p_table(3, 1.2)
-    for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(DomainError):
-            sf.legendre_p_table(3, np.array([0.5, bad]))
 
 
 # ---------------------------------------------------------------------------
