@@ -6,7 +6,8 @@ regularization parameter rho shrinks: algebraically like rho^2 / rho^3
 for the sound-hard linings, and for the sound-soft ones like 1/|ln rho|
 in 2D and like rho in 3D.
 This module runs the sweeps, fits both decay models, and compares
-schemes pointwise in rho.
+schemes pointwise in rho.  It does no file I/O: the output formats and
+their writers live in ``cli``.
 
 Fits use the smallest ceil(2/3 n) rho values by default; the large-rho
 end of a sweep is outside the asymptotic regime.  The two models are
@@ -21,9 +22,8 @@ models.  All results are deterministic functions of their inputs.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,9 +35,6 @@ DEFAULT_ANGLE_COUNT = 100
 DEFAULT_FIT_FRACTION = 2.0 / 3.0
 NEAR_FIELD_SAMPLES = 360  # angles per near_field_deviation circle
 FIT_MODELS = ("power-law", "inverse-log")
-
-CSV_SCHEMA_VERSION = 1
-_CSV_BLOCK_ROWS = 1024  # rows joined per write: peak memory stays flat
 
 # Leading-order zeros of the sound-hard pattern: theta* with
 # cos(theta*)/2 = 1/4 in 2D and = 1/3 in 3D.
@@ -71,29 +68,13 @@ class FitResult:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """max|A| over the observation grid per rho, plus the fitted decay."""
+    """max|A| per rho and its fit under ``model`` (NaN below three rho)."""
 
-    scheme: SchemeSpec
-    dim: int
-    k: float
     rho_values: np.ndarray
     max_amplitude: np.ndarray
+    model: str
     fitted_exponent: float
     fit_residual: float
-    model: str
-    angle_count: int = DEFAULT_ANGLE_COUNT
-
-    def __post_init__(self):
-        rho = np.asarray(self.rho_values, dtype=float)
-        amp = np.asarray(self.max_amplitude, dtype=float)
-        if rho.ndim != 1 or rho.size != amp.size:
-            raise ShapeError("rho_values and max_amplitude must match in length")
-        if np.any(np.diff(rho) >= 0):
-            raise DomainError("rho_values must be strictly decreasing")
-        if np.any(amp <= 0):
-            raise DomainError("max_amplitude entries must be positive")
-        object.__setattr__(self, "rho_values", rho)
-        object.__setattr__(self, "max_amplitude", amp)
 
 
 # ---------------------------------------------------------------------------
@@ -135,35 +116,38 @@ def sweep(scheme: SchemeSpec, dim: int, wave: WaveParams,
                 raise type(exc)(f"solver failed at rho={r:g}: {exc}") from exc
         raise
     maxima = np.abs(mie._far_field_rows(solutions, angles)).max(axis=1)
-    result = SweepResult(scheme=scheme, dim=dim, k=wave.k, rho_values=rho,
-                         max_amplitude=maxima, fitted_exponent=math.nan,
-                         fit_residual=math.nan, model=model,
-                         angle_count=angle_count)
-    if rho.size >= 3:
-        fit = fit_decay(result, model)
-        result = replace(result, fitted_exponent=fit.slope,
-                         fit_residual=fit.residual)
-    return result
+    fit = fit_decay(rho, maxima, model) if rho.size >= 3 else None
+    return SweepResult(rho_values=rho, max_amplitude=maxima, model=model,
+                       fitted_exponent=fit.slope if fit else math.nan,
+                       fit_residual=fit.residual if fit else math.nan)
 
 
-def fit_decay(result: SweepResult, model: str,
+def fit_decay(rho_values, max_amplitude, model: str,
               keep_fraction: float = DEFAULT_FIT_FRACTION) -> FitResult:
     """Fit the decay of max|A| over the smallest ceil(keep_fraction*n) rhos
-    (at least 3), with 0 < keep_fraction <= 1.
+    (at least 3), with 0 < keep_fraction <= 1, from 1-d arrays of equal
+    length: rho strictly decreasing, max|A| positive.
 
     power-law: log(max|A|) ~ slope*log(rho) + intercept.
     inverse-log: max|A| ~ slope/|ln rho| + intercept.
     ``residual`` is the RMS relative error of the model's prediction of
     max|A| on the fitted points, comparable across models.
     """
+    rho = np.asarray(rho_values, dtype=float)
+    amp = np.asarray(max_amplitude, dtype=float)
+    if rho.ndim != 1 or rho.shape != amp.shape:
+        raise ShapeError("rho_values and max_amplitude must be 1-d and match in length")
+    if np.any(np.diff(rho) >= 0):
+        raise DomainError("rho_values must be strictly decreasing")
+    if np.any(amp <= 0):
+        raise DomainError("max_amplitude entries must be positive")
     if not 0.0 < keep_fraction <= 1.0:  # "not" so that NaN fails too
         raise DomainError(f"keep_fraction must lie in (0, 1], got {keep_fraction!r}")
-    n = result.rho_values.size
+    n = rho.size
     if n < 3:
         raise InsufficientDataError(f"need >= 3 sweep points, have {n}")
     keep = max(3, math.ceil(keep_fraction * n))
-    rho = result.rho_values[n - keep:]   # values are sorted decreasing
-    amp = result.max_amplitude[n - keep:]
+    rho, amp = rho[n - keep:], amp[n - keep:]   # rho is sorted decreasing
 
     if model == "power-law":
         x = np.log(rho)
@@ -217,81 +201,9 @@ def near_field_deviation(fsh: ModalSolution, sh: ModalSolution, radius: float) -
     if radius < fsh.rho:
         raise DomainError(
             f"radius {radius:g} is inside the scatterer (rho = {fsh.rho:g})")
-    hi = 2.0 * math.pi if fsh.dim == 2 else math.pi
-    thetas = np.linspace(0.0, hi, NEAR_FIELD_SAMPLES, endpoint=fsh.dim == 3)
+    thetas = observation_angles(fsh.dim, NEAR_FIELD_SAMPLES)
     ua = mie.field_on_circle(fsh, radius, thetas, region="exterior",
                              scattered_only=True)
     ub = mie.field_on_circle(sh, radius, thetas, region="exterior",
                              scattered_only=True)
     return float(np.max(np.abs(ua - ub)))
-
-
-# ---------------------------------------------------------------------------
-# Persistence
-# ---------------------------------------------------------------------------
-def write_csv(path, schema: str, columns, rows, footer=()) -> None:
-    """Write a ``# schema=<schema>-v1`` CSV: header, rows of numbers written
-    as ``repr(float(v))`` (exact round trip), then ``# key,text`` footer lines.
-
-    The float64 table is built before the file is opened, so a bad row
-    leaves the file untouched.  Each distinct bit pattern (-0.0 keeps its
-    sign) is formatted once: grids repeat most of their values."""
-    table = np.ascontiguousarray(rows if isinstance(rows, np.ndarray) else list(rows),
-                                 dtype=float)
-    if table.size and table.shape[1:] != (len(columns),):
-        raise ShapeError(f"{len(columns)} columns, but rows of shape {table.shape}")
-    bits, inverse = np.unique(table.view(np.int64), return_inverse=True)
-    text = np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)
-    inverse = inverse.reshape(table.shape)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# schema={schema}-v{CSV_SCHEMA_VERSION}\n")
-        fh.write(",".join(columns) + "\n")
-        for start in range(0, len(table), _CSV_BLOCK_ROWS):
-            block = text[inverse[start:start + _CSV_BLOCK_ROWS]].tolist()
-            fh.writelines(",".join(row) + "\n" for row in block)
-        for key, value in footer:
-            fh.write(f"# {key},{value}\n")
-
-
-def write_sweep_csv(result: SweepResult, path) -> None:
-    """CSV with one (rho, max_abs_A) row per sweep point, fit in the footer."""
-    write_csv(path, "sweep", ["rho", "max_abs_A"],
-              zip(result.rho_values, result.max_amplitude),
-              footer=[("model", result.model),
-                      ("fitted_exponent", repr(float(result.fitted_exponent))),
-                      ("fit_residual", repr(float(result.fit_residual)))])
-
-
-def sweep_summary(result: SweepResult) -> dict:
-    return {
-        "schema": f"sweep-summary-v{CSV_SCHEMA_VERSION}",
-        "scheme": result.scheme.kind,
-        "dim": result.dim,
-        "k": result.k,
-        "angle_count": result.angle_count,
-        "model": result.model,
-        # JSON has no NaN: a sweep too short to fit writes null.
-        "exponent": _finite_or_none(result.fitted_exponent),
-        "residual": _finite_or_none(result.fit_residual),
-        "rho_values": [float(r) for r in result.rho_values],
-        "max_amplitude": [float(a) for a in result.max_amplitude],
-    }
-
-
-def _finite_or_none(x: float) -> float | None:
-    return float(x) if math.isfinite(x) else None
-
-
-def write_json(path, obj) -> None:
-    """Write ``obj`` as indented JSON with sorted keys and a final newline.
-
-    A non-finite float raises ValueError before the file is opened, as
-    strict JSON cannot hold it."""
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
-
-
-def write_sweep_json(result: SweepResult, path) -> None:
-    write_json(path, sweep_summary(result))
-

@@ -10,6 +10,10 @@ optional JSON config file (--config), overridden by explicit flags.
 ``--dump-config`` writes the fully resolved parameter set; feeding that
 file back through --config reproduces the outputs bit for bit.
 
+Every output format (the far-field, sweep, compare and media CSVs, the
+sweep summary JSON) and the two writers, ``write_csv`` and ``write_json``,
+live here; ``analysis`` only computes.
+
 Exit codes: 0 success, 2 usage error, 3 invalid parameter, 4 unwritable
 output path, 5 internal failure.  Failures also emit one JSON error
 record on stderr.
@@ -26,13 +30,16 @@ import sys
 import numpy as np
 
 from . import analysis, bie, media, mie
-from .errors import NearCloakError
+from .errors import NearCloakError, ShapeError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INVALID_PARAMETER = 3
 EXIT_UNWRITABLE_OUTPUT = 4
 EXIT_INTERNAL = 5
+
+CSV_SCHEMA_VERSION = 1
+_CSV_BLOCK_ROWS = 1024  # rows joined per write: peak memory stays flat
 
 # Every parameter is declared once, here: build_parser adds one flag per key
 # (--<key with _ as ->), typed by its default (str where the default is
@@ -149,11 +156,45 @@ def _rho_grid(params: dict) -> list[float]:
     return [start * factor ** j for j in range(count)]
 
 
+def write_csv(path, schema: str, columns, rows, footer=()) -> None:
+    """Write a ``# schema=<schema>-v1`` CSV: header, rows of numbers written
+    as ``repr(float(v))`` (exact round trip), then ``# key,text`` footer lines.
+
+    The float64 table is built before the file is opened, so a bad row
+    leaves the file untouched.  Each distinct bit pattern (-0.0 keeps its
+    sign) is formatted once: grids repeat most of their values."""
+    table = np.ascontiguousarray(rows if isinstance(rows, np.ndarray) else list(rows),
+                                 dtype=float)
+    if table.size and table.shape[1:] != (len(columns),):
+        raise ShapeError(f"{len(columns)} columns, but rows of shape {table.shape}")
+    bits, inverse = np.unique(table.view(np.int64), return_inverse=True)
+    text = np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)
+    inverse = inverse.reshape(table.shape)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# schema={schema}-v{CSV_SCHEMA_VERSION}\n")
+        fh.write(",".join(columns) + "\n")
+        for start in range(0, len(table), _CSV_BLOCK_ROWS):
+            block = text[inverse[start:start + _CSV_BLOCK_ROWS]].tolist()
+            fh.writelines(",".join(row) + "\n" for row in block)
+        for key, value in footer:
+            fh.write(f"# {key},{value}\n")
+
+
+def write_json(path, obj) -> None:
+    """Write ``obj`` as indented JSON with sorted keys and a final newline.
+
+    A non-finite float raises ValueError before the file is opened, as
+    strict JSON cannot hold it."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
+
+
 def _write_farfield_csv(path: str, pattern) -> None:
     # abs of the Python complex, not np.abs: they differ in the last bit.
-    analysis.write_csv(path, "farfield", ["theta", "re_A", "im_A", "abs_A"],
-                       ((th, a.real, a.imag, abs(a))
-                        for th, a in zip(pattern.angles, map(complex, pattern.amplitude))))
+    write_csv(path, "farfield", ["theta", "re_A", "im_A", "abs_A"],
+              ((th, a.real, a.imag, abs(a))
+               for th, a in zip(pattern.angles, map(complex, pattern.amplitude))))
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +216,22 @@ def _run_sweep(params: dict) -> None:
     result = analysis.sweep(scheme, dim, _wave_from(params, dim),
                             _rho_grid(params), angle_count=params["angles"],
                             contents=_contents_from(params), model=model)
-    analysis.write_sweep_csv(result, params["out"])
+    exponent, residual = float(result.fitted_exponent), float(result.fit_residual)
+    write_csv(params["out"], "sweep", ["rho", "max_abs_A"],
+              zip(result.rho_values, result.max_amplitude),
+              footer=[("model", result.model), ("fitted_exponent", repr(exponent)),
+                      ("fit_residual", repr(residual))])
     if params["json_out"]:
-        analysis.write_sweep_json(result, params["json_out"])
+        write_json(params["json_out"], {
+            "schema": f"sweep-summary-v{CSV_SCHEMA_VERSION}",
+            "scheme": scheme.kind, "dim": dim, "k": params["k"],
+            "angle_count": params["angles"], "model": result.model,
+            # JSON has no NaN: a sweep too short to fit writes null.
+            "exponent": exponent if math.isfinite(exponent) else None,
+            "residual": residual if math.isfinite(residual) else None,
+            "rho_values": result.rho_values.tolist(),
+            "max_amplitude": result.max_amplitude.tolist(),
+        })
 
 
 def _run_compare(params: dict) -> None:
@@ -192,10 +246,9 @@ def _run_compare(params: dict) -> None:
                                       angle_count=params["angles"],
                                       contents=contents))
     diff = analysis.compare_schemes(results[0], results[1])
-    analysis.write_csv(params["out"], "compare",
-                       ["rho", "max_abs_A_a", "max_abs_A_b", "abs_diff"],
-                       zip(results[0].rho_values, results[0].max_amplitude,
-                           results[1].max_amplitude, diff))
+    write_csv(params["out"], "compare", ["rho", "max_abs_A_a", "max_abs_A_b", "abs_diff"],
+              zip(results[0].rho_values, results[0].max_amplitude,
+                  results[1].max_amplitude, diff))
 
 
 def _run_bie(params: dict) -> None:
@@ -215,7 +268,7 @@ def _run_media(params: dict) -> None:
     rows = media.sample_cloak_grid(spec, params["cells"], dim=params["dim"])
     coords = "xyz"[:params["dim"]]
     iu = [f"sigma_{a}{b}" for i, a in enumerate(coords) for b in coords[i:]]
-    analysis.write_csv(params["out"], "media", [*coords, *iu, "re_q", "im_q"], rows)
+    write_csv(params["out"], "media", [*coords, *iu, "re_q", "im_q"], rows)
 
 
 _RUNNERS = {
@@ -253,7 +306,7 @@ def main(argv=None) -> int:
 
     if args.dump_config:
         try:
-            analysis.write_json(args.dump_config, {"command": args.command, **params})
+            write_json(args.dump_config, {"command": args.command, **params})
         except ValueError as exc:  # a non-finite flag has no JSON form
             return _fail(EXIT_INVALID_PARAMETER, type(exc).__name__, str(exc))
         except OSError as exc:

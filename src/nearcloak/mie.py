@@ -511,6 +511,8 @@ def leading_asymptotic(dim: int, wave: WaveParams, rho: float,
     conservation); the remainders are O((k rho)^{dim+2}).  Both vanish
     at theta = pi/3 (2D) and theta = arccos(2/3) (3D).
     """
+    if wave.d.size != dim:
+        raise DomainError(f"a {dim}D solve needs a {dim}-vector direction, got {wave.d.size}")
     if not 0.0 < rho < math.inf or not math.isfinite(theta):
         raise DomainError(f"need a finite rho > 0 and a finite theta, got {rho!r}, {theta!r}")
     x = wave.k * rho
@@ -525,6 +527,10 @@ def leading_asymptotic(dim: int, wave: WaveParams, rho: float,
 # ---------------------------------------------------------------------------
 # Near fields
 # ---------------------------------------------------------------------------
+# Closed radial extent of each region in units of rho: an interface is in both.
+_REGION_BOUNDS = {"exterior": (1.0, math.inf), "layer": (0.5, 1.0), "core": (0.0, 0.5)}
+
+
 def _region_of(solution: ModalSolution, r: float) -> str:
     if r >= solution.rho:
         return "exterior"
@@ -594,8 +600,9 @@ def field_on_circle(solution: ModalSolution, r: float, thetas: np.ndarray,
     2D assembly: u = sum_n eps_n R_n(r) cos(n theta); 3D assembly:
     u = sum_n (2n+1) i^n R_n(r) P_n(cos theta), with R_n the per-mode
     radial factor of the active region.  Points on an interface use the
-    outer region by convention.  In the exterior the incident wave is
-    added in closed form, e^{i k r cos theta} (radial derivative
+    outer region by convention; a named region must contain r (its
+    bounds are closed).  In the exterior the incident wave is added in
+    closed form, e^{i k r cos theta} (radial derivative
     i k cos theta e^{i k r cos theta}), so it is exact at any radius,
     not only where n_max resolves k r.  ``scattered_only`` drops it
     (exterior region only).
@@ -609,6 +616,11 @@ def field_on_circle(solution: ModalSolution, r: float, thetas: np.ndarray,
         raise DomainError("angles must be finite")
     if region is None:
         region = _region_of(solution, r)
+    else:
+        lo, hi = _REGION_BOUNDS.get(region, (0.0, math.inf))  # unknown: _radial_sums
+        if not lo * solution.rho <= r <= hi * solution.rho:
+            raise DomainError(f"r = {r:.6g} lies outside the {region} region "
+                              f"(rho = {solution.rho:.6g})")
     if scattered_only and region != "exterior":
         raise DomainError("scattered_only applies to the exterior region")
     radial = _radial_sums(solution, region, r, radial_derivative)

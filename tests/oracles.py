@@ -13,7 +13,7 @@ import mpmath
 import numpy as np
 from scipy import special
 
-from nearcloak import analysis, bie, mie
+from nearcloak import bie, cli, mie
 from nearcloak.errors import DomainError, NearCloakError
 from nearcloak.media import _GEOM_RTOL, RadialMapSpec, cloak_tensor
 
@@ -134,7 +134,7 @@ def cloak_medium_at(spec: RadialMapSpec, y: np.ndarray) -> MediumSpec:
 
 
 def read_sweep_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read back the (rho, max_abs_A) table of analysis.write_sweep_csv."""
+    """Read back the (rho, max_abs_A) table of a sweep CSV (cli._run_sweep)."""
     rho, amp = [], []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
@@ -148,9 +148,9 @@ def read_sweep_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_csv_per_value(path, schema: str, columns, rows, footer=()) -> None:
-    """The byte format of analysis.write_csv, one repr(float(v)) per value."""
+    """The byte format of cli.write_csv, one repr(float(v)) per value."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# schema={schema}-v{analysis.CSV_SCHEMA_VERSION}\n")
+        fh.write(f"# schema={schema}-v{cli.CSV_SCHEMA_VERSION}\n")
         fh.write(",".join(columns) + "\n")
         fh.writelines(",".join(map(repr, map(float, row))) + "\n" for row in rows)
         for key, text in footer:

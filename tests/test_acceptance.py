@@ -110,8 +110,8 @@ def test_06_fsh_near_cloak_rate():
 def _inverse_log_bars(result) -> tuple[float, float]:
     """Correlation of max|A| against 1/|log10 rho|, and the power-law
     residual over the inverse-log one, both over every point of the sweep."""
-    inv = fit_decay(result, "inverse-log", keep_fraction=1.0)
-    pow_ = fit_decay(result, "power-law", keep_fraction=1.0)
+    inv = fit_decay(result.rho_values, result.max_amplitude, "inverse-log", keep_fraction=1.0)
+    pow_ = fit_decay(result.rho_values, result.max_amplitude, "power-law", keep_fraction=1.0)
     corr10 = float(np.corrcoef(1.0 / np.abs(np.log10(result.rho_values)),
                                result.max_amplitude)[0, 1])
     return corr10, pow_.residual / inv.residual

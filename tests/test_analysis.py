@@ -7,8 +7,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from nearcloak import analysis, mie, specfun
-from nearcloak.analysis import SweepResult, fit_decay, sweep
+from nearcloak import analysis, cli, mie, specfun
+from nearcloak.analysis import fit_decay, sweep
 from nearcloak.errors import DomainError, InsufficientDataError, RangeError, ShapeError
 from nearcloak.mie import SchemeSpec, WaveParams
 
@@ -18,11 +18,8 @@ WAVE2 = WaveParams(2.0, np.array([1.0, 0.0]))
 WAVE3 = WaveParams(2.0, np.array([1.0, 0.0, 0.0]))
 
 
-def _synthetic(rhos, amps, model="power-law"):
-    return SweepResult(scheme=SchemeSpec.sound_hard(), dim=2, k=2.0,
-                       rho_values=np.asarray(rhos), max_amplitude=np.asarray(amps),
-                       fitted_exponent=math.nan, fit_residual=math.nan,
-                       model=model)
+def _synthetic(rhos, amps):
+    return np.asarray(rhos), np.asarray(amps)
 
 
 # ---------------------------------------------------------------------------
@@ -30,7 +27,7 @@ def _synthetic(rhos, amps, model="power-law"):
 # ---------------------------------------------------------------------------
 def test_fit_power_law_exact_synthetic():
     rhos = 0.5 ** np.arange(1, 9)
-    fit = fit_decay(_synthetic(rhos, 7 * rhos ** 2), "power-law")
+    fit = fit_decay(*_synthetic(rhos, 7 * rhos ** 2), "power-law")
     assert fit.slope == pytest.approx(2.0, abs=1e-12)
     assert fit.residual < 1e-12
     assert fit.correlation > 1 - 1e-12
@@ -39,7 +36,7 @@ def test_fit_power_law_exact_synthetic():
 def test_fit_inverse_log_exact_synthetic():
     rhos = 0.5 ** np.arange(1, 9)
     c = 0.37
-    fit = fit_decay(_synthetic(rhos, c / np.abs(np.log(rhos))), "inverse-log")
+    fit = fit_decay(*_synthetic(rhos, c / np.abs(np.log(rhos))), "inverse-log")
     assert fit.slope == pytest.approx(c, abs=1e-12)
     assert fit.residual < 1e-12
 
@@ -47,9 +44,9 @@ def test_fit_inverse_log_exact_synthetic():
 def test_fit_requires_three_points():
     rhos = np.array([0.5, 0.25])
     with pytest.raises(InsufficientDataError):
-        fit_decay(_synthetic(rhos, rhos ** 2), "power-law")
+        fit_decay(*_synthetic(rhos, rhos ** 2), "power-law")
     with pytest.raises(DomainError):
-        fit_decay(_synthetic(0.5 ** np.arange(1, 6), 0.5 ** np.arange(1, 6)),
+        fit_decay(*_synthetic(0.5 ** np.arange(1, 6), 0.5 ** np.arange(1, 6)),
                   "cubic-spline")
 
 
@@ -57,22 +54,40 @@ def test_fit_requires_three_points():
 def test_fit_keep_fraction_must_lie_in_the_unit_interval(keep_fraction):
     rhos = 0.5 ** np.arange(1, 9)
     with pytest.raises(DomainError, match="keep_fraction"):
-        fit_decay(_synthetic(rhos, rhos ** 2), "power-law", keep_fraction=keep_fraction)
+        fit_decay(*_synthetic(rhos, rhos ** 2), "power-law", keep_fraction=keep_fraction)
 
 
 def test_fit_keep_fraction_keeps_at_least_three_points():
     rhos = 0.5 ** np.arange(1, 9)
-    assert fit_decay(_synthetic(rhos, rhos ** 2), "power-law", keep_fraction=1e-3).n_used == 3
-    assert fit_decay(_synthetic(rhos, rhos ** 2), "power-law", keep_fraction=1.0).n_used == 8
+    assert fit_decay(*_synthetic(rhos, rhos ** 2), "power-law", keep_fraction=1e-3).n_used == 3
+    assert fit_decay(*_synthetic(rhos, rhos ** 2), "power-law", keep_fraction=1.0).n_used == 8
 
 
 def test_sweep_result_validation():
     with pytest.raises(DomainError):
-        _synthetic([0.25, 0.5], [1.0, 2.0])  # not decreasing
+        fit_decay(*_synthetic([0.25, 0.5], [1.0, 2.0]), "power-law")  # not decreasing
     with pytest.raises(ShapeError):
-        _synthetic([0.5, 0.25], [1.0])
+        fit_decay(*_synthetic([0.5, 0.25], [1.0]), "power-law")
     with pytest.raises(DomainError):
-        _synthetic([0.5, 0.25], [1.0, -1.0])
+        fit_decay(*_synthetic([0.5, 0.25], [1.0, -1.0]), "power-law")
+
+
+@pytest.mark.parametrize("model", analysis.FIT_MODELS)
+def test_fit_of_plain_lists_equals_fit_of_float_arrays(model):
+    rhos = [0.5 ** j for j in range(1, 9)]
+    amps = [0.3 * r ** 2 + 0.01 * r ** 3 for r in rhos]
+    assert fit_decay(rhos, amps, model) == fit_decay(np.array(rhos), np.array(amps), model)
+
+
+@pytest.mark.parametrize("kind, n", [("sh", 7), ("ss", 6), ("fsh", 4), ("fss", 9)])
+def test_window_fit_reproduces_the_sweep_fit(kind, n):
+    # The sweep fits the smallest ceil(2n/3) rho values; slicing that
+    # window out of the arrays and fitting all of it gives the same fit.
+    result = sweep(SchemeSpec(kind), 2, WAVE2, 0.5 ** np.arange(2, 2 + n))
+    m = math.ceil(2 * n / 3)
+    fit = fit_decay(result.rho_values[-m:], result.max_amplitude[-m:], result.model,
+                    keep_fraction=1.0)
+    assert (fit.slope, fit.residual) == (result.fitted_exponent, result.fit_residual)
 
 
 # ---------------------------------------------------------------------------
@@ -120,11 +135,11 @@ def test_max_amplitude_monotone_for_every_scheme():
 def test_fit_sanity_correct_model_wins_by_10x():
     rhos = 0.5 ** np.arange(5, 11)
     sh = sweep(SchemeSpec.sound_hard(), 2, WAVE2, rhos)
-    assert (fit_decay(sh, "inverse-log").residual
-            >= 10 * fit_decay(sh, "power-law").residual)
+    assert (fit_decay(sh.rho_values, sh.max_amplitude, "inverse-log").residual
+            >= 10 * fit_decay(sh.rho_values, sh.max_amplitude, "power-law").residual)
     ss = sweep(SchemeSpec.sound_soft(), 2, WAVE2, rhos)
-    assert (fit_decay(ss, "power-law").residual
-            >= 10 * fit_decay(ss, "inverse-log").residual)
+    assert (fit_decay(ss.rho_values, ss.max_amplitude, "power-law").residual
+            >= 10 * fit_decay(ss.rho_values, ss.max_amplitude, "inverse-log").residual)
 
 
 def test_compare_schemes():
@@ -164,7 +179,7 @@ def test_batched_sweep_judges_each_rho_at_its_own_order():
     scheme = SchemeSpec.finite_sound_hard(c=1, delta=1, a=1e-3, b=100)
     wave = WaveParams(300, [1, 0])
     result = sweep(scheme, 2, wave, [0.5, 0.14])
-    angles = analysis.observation_angles(2, result.angle_count)
+    angles = analysis.observation_angles(2, analysis.DEFAULT_ANGLE_COUNT)
     for rho, amplitude in zip(result.rho_values, result.max_amplitude):
         alone = np.abs(mie.far_field(mie.solve(scheme, 2, wave, rho), angles).amplitude).max()
         assert abs(amplitude - alone) <= 1e-13 * alone
@@ -232,15 +247,20 @@ def test_near_field_deviation_trivial_and_domain():
 # ---------------------------------------------------------------------------
 # Persistence
 # ---------------------------------------------------------------------------
+def _cli_sweep(tmp_path, rho_count, json_out=None):
+    """Write the 2D sound-hard sweep over rho = 2^-3 ... through the CLI."""
+    argv = ["sweep", "--scheme", "sh", "--dim", "2", "--k", "2", "--rho-start", "0.125",
+            "--rho-count", str(rho_count), "--out", str(tmp_path / "sweep.csv")]
+    assert cli.main(argv + (["--json-out", str(json_out)] if json_out else [])) == 0
+    return tmp_path / "sweep.csv"
+
+
 def test_sweep_csv_round_trip(tmp_path):
     result = sweep(SchemeSpec.sound_hard(), 2, WAVE2, 0.5 ** np.arange(3, 7))
-    path = tmp_path / "sweep.csv"
-    analysis.write_sweep_csv(result, path)
-    rho, amp = oracles.read_sweep_csv(path)
+    jpath = tmp_path / "sweep.json"
+    rho, amp = oracles.read_sweep_csv(_cli_sweep(tmp_path, 4, jpath))
     assert np.array_equal(rho, result.rho_values)
     assert np.array_equal(amp, result.max_amplitude)
-    jpath = tmp_path / "sweep.json"
-    analysis.write_sweep_json(result, jpath)
     import json
     payload = json.loads(jpath.read_text())
     assert payload["scheme"] == "sh"
@@ -251,10 +271,8 @@ def test_fit_reproducible_from_persisted_csv(tmp_path):
     # sweeps persist before fitting: re-fitting the CSV table must
     # reproduce the stored exponent exactly
     result = sweep(SchemeSpec.sound_hard(), 2, WAVE2, 0.5 ** np.arange(3, 9))
-    path = tmp_path / "sweep.csv"
-    analysis.write_sweep_csv(result, path)
-    rho, amp = oracles.read_sweep_csv(path)
-    refit = fit_decay(_synthetic(rho, amp), "power-law")
+    rho, amp = oracles.read_sweep_csv(_cli_sweep(tmp_path, 6))
+    refit = fit_decay(rho, amp, "power-law")
     assert refit.slope == result.fitted_exponent
     assert refit.residual == result.fit_residual
 
@@ -285,7 +303,7 @@ def test_write_csv_matches_the_per_value_writer(tmp_path, table, as_array):
     columns = [f"c{j}" for j in range(width)]
     footer = [("model", "power-law"), ("fitted_exponent", "nan")]
     given_rows = np.array(rows, dtype=float).reshape(-1, width) if as_array else rows
-    analysis.write_csv(tmp_path / "new.csv", "t", columns, given_rows, footer)
+    cli.write_csv(tmp_path / "new.csv", "t", columns, given_rows, footer)
     oracles.write_csv_per_value(tmp_path / "ref.csv", "t", columns, rows, footer)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
@@ -299,5 +317,5 @@ def test_write_csv_bad_row_leaves_the_file_untouched(tmp_path, rows, error):
     path = tmp_path / "t.csv"
     path.write_text("kept\n")
     with pytest.raises(error):
-        analysis.write_csv(path, "t", ["a", "b"], rows)
+        cli.write_csv(path, "t", ["a", "b"], rows)
     assert path.read_text() == "kept\n"

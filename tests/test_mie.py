@@ -393,6 +393,12 @@ def test_leading_asymptotic_checks_rho_and_theta(dim, rho, theta):
         mie.leading_asymptotic(dim, WAVE2 if dim == 2 else WAVE3, rho, theta)
 
 
+@pytest.mark.parametrize("dim, wave", [(3, WAVE2), (2, WAVE3)])
+def test_leading_asymptotic_checks_dim_against_the_wave(dim, wave):
+    with pytest.raises(DomainError, match=f"a {dim}D solve needs a {dim}-vector direction"):
+        mie.leading_asymptotic(dim, wave, 0.1, 0.0)
+
+
 def test_leading_asymptotic_special_angle_zeros():
     # zero up to the floating representation of pi/3 and arccos(2/3)
     assert abs(mie.leading_asymptotic(2, WAVE2, 0.01, math.pi / 3)) < 1e-19
@@ -642,8 +648,26 @@ def test_region_inferred_inside_a_layered_solution(dim, scheme):
             named = mie.field_on_circle(sol, r, th, region=region,
                                         radial_derivative=derivative)
             assert np.array_equal(inferred, named)
-    assert not np.array_equal(mie.field_on_circle(sol, 0.25 * rho, th),
-                              mie.field_on_circle(sol, 0.25 * rho, th, region="layer"))
+    with pytest.raises(DomainError, match="outside the layer region"):
+        mie.field_on_circle(sol, 0.25 * rho, th, region="layer")
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_named_region_must_contain_the_radius(dim):
+    # The regions are closed: exterior r >= rho, layer rho/2 <= r <= rho,
+    # core r <= rho/2; a radius outside the named one is an error.
+    rho = 0.1
+    th = np.linspace(0.0, math.pi, 5)
+    sh = mie.solve(SchemeSpec.sound_hard(), dim, _wave(dim), rho)
+    fsh = mie.solve(SchemeSpec.finite_sound_hard(), dim, _wave(dim), rho)
+    for sol, r, region in ((sh, 0.05, "exterior"), (fsh, 0.05, "exterior"),
+                           (fsh, 0.99 * rho, "core"), (fsh, 5 * rho, "core"),
+                           (fsh, 0.49 * rho, "layer"), (fsh, 1.01 * rho, "layer")):
+        with pytest.raises(DomainError, match=f"outside the {region} region"):
+            mie.field_on_circle(sol, r, th, region=region)
+    for r, region in ((rho, "exterior"), (rho, "layer"), (rho / 2, "layer"),
+                      (rho / 2, "core"), (0.0, "core")):
+        assert np.all(np.isfinite(mie.field_on_circle(fsh, r, th, region=region)))
 
 
 def test_field_region_dispatch_and_errors():
