@@ -8,18 +8,5 @@ cloak's material tensors.
 """
 
 from . import analysis, bie, media, mie, specfun
-from .analysis import FitResult, SweepResult, fit_decay, sweep
-from .bie import BoundaryCurve, DensitySolution, circle, kite
-from .media import RadialMapSpec
-from .mie import FarFieldPattern, ModalSolution, SchemeSpec, WaveParams
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "analysis", "bie", "media", "mie", "specfun",
-    "FitResult", "SweepResult", "fit_decay", "sweep",
-    "BoundaryCurve", "DensitySolution", "circle", "kite",
-    "RadialMapSpec",
-    "FarFieldPattern", "ModalSolution", "SchemeSpec", "WaveParams",
-    "__version__",
-]

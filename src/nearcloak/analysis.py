@@ -126,7 +126,8 @@ def fit_decay(rho_values, max_amplitude, model: str,
               keep_fraction: float = DEFAULT_FIT_FRACTION) -> FitResult:
     """Fit the decay of max|A| over the smallest ceil(keep_fraction*n) rhos
     (at least 3), with 0 < keep_fraction <= 1, from 1-d arrays of equal
-    length: rho strictly decreasing, max|A| positive.
+    length: rho and max|A| finite and positive, rho strictly decreasing,
+    and for inverse-log no fitted rho equal to 1.
 
     power-law: log(max|A|) ~ slope*log(rho) + intercept.
     inverse-log: max|A| ~ slope/|ln rho| + intercept.
@@ -137,10 +138,11 @@ def fit_decay(rho_values, max_amplitude, model: str,
     amp = np.asarray(max_amplitude, dtype=float)
     if rho.ndim != 1 or rho.shape != amp.shape:
         raise ShapeError("rho_values and max_amplitude must be 1-d and match in length")
+    for name, x in (("rho_values", rho), ("max_amplitude", amp)):
+        if not np.all((x > 0) & (x < math.inf)):  # "not" so that NaN fails too
+            raise DomainError(f"{name} entries must be finite and positive")
     if np.any(np.diff(rho) >= 0):
         raise DomainError("rho_values must be strictly decreasing")
-    if np.any(amp <= 0):
-        raise DomainError("max_amplitude entries must be positive")
     if not 0.0 < keep_fraction <= 1.0:  # "not" so that NaN fails too
         raise DomainError(f"keep_fraction must lie in (0, 1], got {keep_fraction!r}")
     n = rho.size
@@ -155,6 +157,8 @@ def fit_decay(rho_values, max_amplitude, model: str,
         pred = np.exp(slope * x + intercept)
         corr = float(np.corrcoef(x, np.log(amp))[0, 1])
     elif model == "inverse-log":
+        if np.any(rho == 1.0):
+            raise DomainError("an inverse-log fit needs rho != 1 in its window")
         x = 1.0 / np.abs(np.log(rho))
         slope, intercept = np.polyfit(x, amp, 1)
         pred = slope * x + intercept
@@ -198,9 +202,6 @@ def near_field_deviation(fsh: ModalSolution, sh: ModalSolution, radius: float) -
     at the given radius."""
     if fsh.dim != sh.dim or fsh.k != sh.k or fsh.rho != sh.rho:
         raise ShapeError("solutions must share dim, k and rho")
-    if radius < fsh.rho:
-        raise DomainError(
-            f"radius {radius:g} is inside the scatterer (rho = {fsh.rho:g})")
     thetas = observation_angles(fsh.dim, NEAR_FIELD_SAMPLES)
     ua = mie.field_on_circle(fsh, radius, thetas, region="exterior",
                              scattered_only=True)

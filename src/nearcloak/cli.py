@@ -70,14 +70,6 @@ _CHOICES = {
     "model": ["auto", *analysis.FIT_MODELS], "curve": ["circle", "kite"],
 }
 
-_HELP = {
-    "mie": "far-field pattern of one modal solve",
-    "sweep": "rho sweep of max|A| with decay fit",
-    "compare": "per-rho difference of two schemes",
-    "bie": "boundary-integral far field",
-    "media": "sample the cloak tensor on a grid",
-}
-
 # Types a --config value may take, by the type of its default (never bool).
 _CONFIG_TYPES = {int: (int,), float: (int, float), str: (str,), type(None): (str, type(None))}
 
@@ -93,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "boundary-integral solvers).")
     sub = parser.add_subparsers(dest="command")
     for command, defaults in _DEFAULTS.items():
-        p = sub.add_parser(command, help=_HELP[command])
+        p = sub.add_parser(command, help=_RUNNERS[command].__doc__)
         for key, default in defaults.items():
             p.add_argument("--" + key.replace("_", "-"), dest=key, choices=_CHOICES.get(key),
                            type=str if default is None else type(default))
@@ -201,6 +193,7 @@ def _write_farfield_csv(path: str, pattern) -> None:
 # Subcommand implementations
 # ---------------------------------------------------------------------------
 def _run_mie(params: dict) -> None:
+    """far-field pattern of one modal solve"""
     dim = params["dim"]
     wave = _wave_from(params, dim)
     scheme = _scheme_from(params, "scheme")
@@ -210,6 +203,7 @@ def _run_mie(params: dict) -> None:
 
 
 def _run_sweep(params: dict) -> None:
+    """rho sweep of max|A| with decay fit"""
     dim = params["dim"]
     scheme = _scheme_from(params, "scheme")
     model = None if params["model"] == "auto" else params["model"]
@@ -235,6 +229,7 @@ def _run_sweep(params: dict) -> None:
 
 
 def _run_compare(params: dict) -> None:
+    """per-rho difference of two schemes"""
     dim = params["dim"]
     wave = _wave_from(params, dim)
     rhos = _rho_grid(params)
@@ -252,6 +247,7 @@ def _run_compare(params: dict) -> None:
 
 
 def _run_bie(params: dict) -> None:
+    """boundary-integral far field"""
     wave = _wave_from(params, 2)
     angles = analysis.observation_angles(2, params["angles"])
     if params["curve"] == "circle":
@@ -264,6 +260,7 @@ def _run_bie(params: dict) -> None:
 
 
 def _run_media(params: dict) -> None:
+    """sample the cloak tensor on a grid"""
     spec = media.RadialMapSpec(params["rho"], params["r1"], params["r2"])
     rows = media.sample_cloak_grid(spec, params["cells"], dim=params["dim"])
     coords = "xyz"[:params["dim"]]
@@ -271,6 +268,7 @@ def _run_media(params: dict) -> None:
     write_csv(params["out"], "media", [*coords, *iu, "re_q", "im_q"], rows)
 
 
+# One runner per _DEFAULTS entry; its docstring is the subcommand's help.
 _RUNNERS = {
     "mie": _run_mie,
     "sweep": _run_sweep,
@@ -304,15 +302,9 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError, NearCloakError) as exc:
         return _fail(EXIT_INVALID_PARAMETER, type(exc).__name__, str(exc))
 
-    if args.dump_config:
-        try:
-            write_json(args.dump_config, {"command": args.command, **params})
-        except ValueError as exc:  # a non-finite flag has no JSON form
-            return _fail(EXIT_INVALID_PARAMETER, type(exc).__name__, str(exc))
-        except OSError as exc:
-            return _fail(EXIT_UNWRITABLE_OUTPUT, type(exc).__name__, str(exc))
-
     try:
+        if args.dump_config:  # a non-finite flag has no JSON form: ValueError
+            write_json(args.dump_config, {"command": args.command, **params})
         _RUNNERS[args.command](params)
     except (NearCloakError, ValueError) as exc:
         return _fail(EXIT_INVALID_PARAMETER, type(exc).__name__, str(exc))

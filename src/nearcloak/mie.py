@@ -48,6 +48,8 @@ row whose tail |d_{n_max}| / max|d_n| is above TAIL_THRESHOLD is solved
 again 8 orders higher, and one still above it at N_MAX_CAP raises
 TruncationError, so no returned solution has a larger tail.
 
+``field_on_circle`` picks its region by one rule (``_REGIONS``), with one error.
+
 ``far_field`` is one row of the batched far-field product
 (``_far_field_rows``, which the sweeps run over all their rho at once).
 A FarFieldPattern holds one amplitude per angle and its dim, 2 or 3,
@@ -519,36 +521,25 @@ def leading_asymptotic(dim: int, wave: WaveParams, rho: float,
     if dim == 2:
         return (cmath.exp(1j * math.pi / 4) * math.sqrt(2.0 * math.pi / wave.k)
                 * (math.cos(theta) / 2.0 - 0.25) * x ** 2)
-    if dim == 3:
-        return (math.cos(theta) / 2.0 - 1.0 / 3.0) * x ** 3 / wave.k
-    raise DomainError(f"dim must be 2 or 3, got {dim}")
+    return (math.cos(theta) / 2.0 - 1.0 / 3.0) * x ** 3 / wave.k
 
 
 # ---------------------------------------------------------------------------
 # Near fields
 # ---------------------------------------------------------------------------
-# Closed radial extent of each region in units of rho: an interface is in both.
-_REGION_BOUNDS = {"exterior": (1.0, math.inf), "layer": (0.5, 1.0), "core": (0.0, 0.5)}
-
-
-def _region_of(solution: ModalSolution, r: float) -> str:
-    if r >= solution.rho:
-        return "exterior"
-    if solution.is_layered:
-        if r >= 0.5 * solution.rho:
-            return "layer"
-        return "core"
-    raise DomainError(
-        f"r = {r:.6g} lies inside the obstacle of radius {solution.rho:.6g}")
+# Closed radial extent of each region in units of rho, outermost first (an
+# interface is in both).  A layered solution has all three, an obstacle one.
+_REGIONS = {"exterior": (1.0, math.inf), "layer": (0.5, 1.0), "core": (0.0, 0.5)}
 
 
 def _radial_sums(solution: ModalSolution, region: str, r: float,
                  derivative: bool) -> np.ndarray:
-    """Per-mode radial factors of the field expansion at radius r; in the
-    exterior only those of the scattered wave.  Each region's factors are
-    its normalised coefficients (ModalSolution) times in-range products and
-    quotients of ratio-form sequences; a radial derivative is the
-    wavenumber times each term times its log-derivative at r.
+    """Per-mode radial factors of the field expansion at radius r in a
+    region that contains it; in the exterior only those of the scattered
+    wave.  Each region's factors are its normalised coefficients
+    (ModalSolution) times in-range products and quotients of ratio-form
+    sequences; a radial derivative is the wavenumber times each term times
+    its log-derivative at r.
 
     The 2D factors carry their i^n phase inside the coefficients; the
     3D assembly applies (2n+1) i^n afterwards.
@@ -566,23 +557,19 @@ def _radial_sums(solution: ModalSolution, region: str, r: float,
         z = complex(wavenumber * r)
         (h,) = sequences(specfun.bessel_h1, z)
         terms = [(solution.d_n, [h], [], 0.0, h)]
-    elif not solution.is_layered:
-        raise DomainError("solution has no interior regions")
     elif region == "layer":
         wavenumber = solution.k_layer
         z, z1, z2 = wavenumber * r, wavenumber * solution.rho, 0.5 * wavenumber * solution.rho
         (j,), (h, h1, h2) = sequences(specfun.bessel_j, z), sequences(specfun.bessel_h1, z, z1, z2)
         terms = [(solution.a_n, [j, h1], [], z.imag - z1.imag, j),
                  (solution.b_n, [h], [h2], z2.imag - z.imag, h)]
-    elif region == "core":
+    else:  # the core
         wavenumber = solution.k_core
         z, zc = wavenumber * r, 0.5 * wavenumber * solution.rho
         if derivative and z == 0:
             raise DomainError("radial derivative undefined at the origin")
         (j,), (hc,) = sequences(specfun.bessel_j, z), sequences(specfun.bessel_h1, zc)
         terms = [(solution.c_n, [j, hc], [], z.imag - zc.imag, j)]
-    else:
-        raise DomainError(f"unknown region {region!r}")
     with np.errstate(over="ignore", invalid="ignore"):
         field = sum(coef * _values(num, den) * np.exp(scale)
                     * (_log_derivative(seq[1], z) if derivative else 1.0)
@@ -599,13 +586,14 @@ def field_on_circle(solution: ModalSolution, r: float, thetas: np.ndarray,
 
     2D assembly: u = sum_n eps_n R_n(r) cos(n theta); 3D assembly:
     u = sum_n (2n+1) i^n R_n(r) P_n(cos theta), with R_n the per-mode
-    radial factor of the active region.  Points on an interface use the
-    outer region by convention; a named region must contain r (its
-    bounds are closed).  In the exterior the incident wave is added in
-    closed form, e^{i k r cos theta} (radial derivative
-    i k cos theta e^{i k r cos theta}), so it is exact at any radius,
-    not only where n_max resolves k r.  ``scattered_only`` drops it
-    (exterior region only).
+    radial factor of the region: the named one, which must contain r, or
+    else the outermost region of the solution that contains r (closed, see
+    _REGIONS).  Otherwise DomainError "r = ... lies outside the <region>
+    region" names the region, or the exterior if none was named.  In the
+    exterior the incident wave is added in closed form, e^{i k r cos theta}
+    (radial derivative i k cos theta e^{i k r cos theta}), so it is exact
+    at any radius, not only where n_max resolves k r.  ``scattered_only``
+    drops it (exterior region only).
     """
     if r < 0 or not math.isfinite(r):
         raise DomainError(f"radius must be finite and nonnegative, got {r}")
@@ -614,13 +602,14 @@ def field_on_circle(solution: ModalSolution, r: float, thetas: np.ndarray,
         raise ShapeError(f"angles must be a 1-d array, got shape {thetas.shape}")
     if not np.all(np.isfinite(thetas)):
         raise DomainError("angles must be finite")
+    regions = [name for name, (lo, hi) in _REGIONS.items()
+               if (solution.is_layered or name == "exterior")
+               and lo * solution.rho <= r <= hi * solution.rho]
     if region is None:
-        region = _region_of(solution, r)
-    else:
-        lo, hi = _REGION_BOUNDS.get(region, (0.0, math.inf))  # unknown: _radial_sums
-        if not lo * solution.rho <= r <= hi * solution.rho:
-            raise DomainError(f"r = {r:.6g} lies outside the {region} region "
-                              f"(rho = {solution.rho:.6g})")
+        region = regions[0] if regions else "exterior"
+    if region not in regions:
+        raise DomainError(f"r = {r:.6g} lies outside the {region} region "
+                          f"(rho = {solution.rho:.6g})")
     if scattered_only and region != "exterior":
         raise DomainError("scattered_only applies to the exterior region")
     radial = _radial_sums(solution, region, r, radial_derivative)

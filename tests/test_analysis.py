@@ -72,6 +72,27 @@ def test_sweep_result_validation():
         fit_decay(*_synthetic([0.5, 0.25], [1.0, -1.0]), "power-law")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rho, amp, model", [
+    ([0.5, math.nan, 0.125], [1.0, 0.5, 0.25], "power-law"),
+    ([0.5, 0.25, 0.0], [1.0, 0.5, 0.25], "power-law"),
+    ([0.5, 0.25, -0.125], [1.0, 0.5, 0.25], "inverse-log"),
+    ([0.5, 0.25, 0.125], [1.0, math.nan, 0.25], "power-law"),
+    ([0.5, 0.25, 0.125], [1.0, math.inf, 0.25], "inverse-log"),
+    ([2.0, 1.0, 0.5], [1.0, 0.5, 0.25], "inverse-log"),  # 1/|ln rho| is infinite
+])
+def test_fit_rejects_data_outside_its_rule(rho, amp, model):
+    with pytest.raises(DomainError):
+        fit_decay(rho, amp, model)
+
+
+def test_inverse_log_fit_may_leave_rho_one_outside_its_window():
+    # The fit takes the smallest ceil(2 * 4 / 3) = 3 rho, which leave out rho = 1.
+    rho, amp = [1.0, 0.5, 0.25, 0.125], [1.0, 0.5, 0.3, 0.2]
+    assert fit_decay(rho, amp, "inverse-log") == fit_decay(rho[1:], amp[1:], "inverse-log",
+                                                           keep_fraction=1.0)
+
+
 @pytest.mark.parametrize("model", analysis.FIT_MODELS)
 def test_fit_of_plain_lists_equals_fit_of_float_arrays(model):
     rhos = [0.5 ** j for j in range(1, 9)]
@@ -241,6 +262,12 @@ def test_near_field_deviation_trivial_and_domain():
     with pytest.raises(ShapeError):
         analysis.near_field_deviation(sol, other, 0.2)
     with pytest.raises(DomainError):
+        analysis.near_field_deviation(sol, sol, 0.04)
+
+
+def test_near_field_deviation_inside_rho_names_the_exterior():
+    sol = mie.solve(SchemeSpec.sound_hard(), 2, WAVE2, 0.05)
+    with pytest.raises(DomainError, match="r = 0.04 lies outside the exterior region"):
         analysis.near_field_deviation(sol, sol, 0.04)
 
 

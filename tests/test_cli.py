@@ -335,6 +335,17 @@ def test_non_finite_radii_are_domain_errors_without_warnings(tmp_path, capsys, a
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_inverse_log_fit_through_rho_one_is_a_domain_error(tmp_path, capsys):
+    # rho = 2, 1, 0.5: the fitted window holds rho = 1, where 1/|ln rho| is infinite.
+    code = run(["sweep", "--scheme", "ss", "--rho-start", "2", "--rho-factor", "0.5",
+                "--rho-count", "3", "--out", "s.csv"], tmp_path)
+    assert code == cli.EXIT_INVALID_PARAMETER
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "DomainError"
+    assert not (tmp_path / "s.csv").exists()
+
+
 def _strict_json(path):
     def reject(name):
         raise ValueError(f"non-standard JSON constant {name}")

@@ -670,6 +670,21 @@ def test_named_region_must_contain_the_radius(dim):
         assert np.all(np.isfinite(mie.field_on_circle(fsh, r, th, region=region)))
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_every_region_miss_names_one_region(dim):
+    # One rule picks the region: a miss names the region asked for, or the
+    # exterior where none was named, whatever kind of region it is.
+    rho = 0.1
+    th = np.linspace(0.0, math.pi, 5)
+    sh = mie.solve(SchemeSpec.sound_hard(), dim, _wave(dim), rho)
+    fsh = mie.solve(SchemeSpec.finite_sound_hard(), dim, _wave(dim), rho)
+    for sol, r, region, named in ((sh, 0.05, None, "exterior"), (sh, rho, "layer", "layer"),
+                                  (fsh, rho, "nowhere", "nowhere")):
+        with pytest.raises(DomainError, match=rf"r = {r:g} lies outside the {named} region "
+                                              rf"\(rho = {rho:g}\)"):
+            mie.field_on_circle(sol, r, th, region=region)
+
+
 def test_field_region_dispatch_and_errors():
     rho = 0.05
     sol = mie.solve(SchemeSpec.finite_sound_soft(), 2, WAVE2, rho)
