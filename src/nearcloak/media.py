@@ -152,9 +152,16 @@ def sample_cloak_grid(spec: RadialMapSpec, cells_per_side: int,
                           f"got {cells_per_side!r}")
     edges = np.linspace(-spec.r2, spec.r2, cells_per_side + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    pts = np.stack(np.meshgrid(*([centers] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
-    radii = np.linalg.norm(pts, axis=1)
-    pts = pts[(radii >= spec.r1) & (radii <= spec.r2)]
+    # |y|^2 summed as np.linalg.norm sums it (x^2 + y^2, then + z^2), so the
+    # kept cells are bit for bit those of the full point cube; nonzero lists
+    # them in C order, the row order of meshgrid(indexing="ij").
+    squares = centers * centers
+    radii = squares[:, None] + squares
+    if dim == 3:
+        radii = radii[..., None] + squares
+    radii = np.sqrt(radii)
+    pts = np.stack([centers[i] for i in np.nonzero((radii >= spec.r1) & (radii <= spec.r2))],
+                   axis=-1)
     sigma, q = cloak_tensor(spec, pts)
     iu = np.triu_indices(dim)
     return np.column_stack([pts, sigma[:, iu[0], iu[1]], q, np.zeros_like(q)])

@@ -69,6 +69,8 @@ two dims).  Row n of either table depends only on n and theta (an
 elementwise cos, or the forward recurrence), so a sum over the first
 rows of a larger table is bit for bit the sum over a table built at its
 own size, and no result depends on what the cache holds.
+``scattered_cauchy_data`` builds the same table for its one grid and
+leaves the cache alone.
 """
 
 from __future__ import annotations
@@ -480,22 +482,34 @@ def _far_field_rows(solutions, angles: np.ndarray) -> np.ndarray:
     return (-1j / k) * _angular_sum(3, d, angles)
 
 
-def _angular_sum(dim: int, coef: np.ndarray, angles: np.ndarray) -> np.ndarray:
+def _angular_sum(dim: int, coef: np.ndarray, angles: np.ndarray,
+                 table: np.ndarray | None = None) -> np.ndarray:
     """sum_n eps_n coef_n cos(n theta) in 2D (eps_0 = 1, eps_n = 2), or
-    sum_n (2n+1) coef_n P_n(cos theta) in 3D, per row of coef."""
+    sum_n (2n+1) coef_n P_n(cos theta) in 3D, per row of coef, over the
+    cached angle table of ``angles`` unless ``table`` (their _tabulate at
+    _table_rows(coef.shape[-1]) rows) is given."""
     n = np.arange(coef.shape[-1])
-    # Rows rounded up to a multiple of 32, so that nearby n_max share a table.
-    rows = -(-n.size // 32) * 32
     weights = np.where(n == 0, 1.0, 2.0) if dim == 2 else 2 * n + 1
-    table = _angle_table(dim, np.asarray(angles, dtype=float).tobytes(), rows)
+    if table is None:
+        table = _angle_table(dim, np.asarray(angles, dtype=float).tobytes(), _table_rows(n.size))
     return (weights * coef) @ table[:n.size]
+
+
+def _table_rows(orders: int) -> int:
+    """Angle-table rows for orders 0..orders-1: rounded up to a multiple of
+    32, so that nearby n_max share a table."""
+    return -(-orders // 32) * 32
 
 
 @functools.lru_cache(maxsize=20)
 def _angle_table(dim: int, angle_bytes: bytes, rows: int) -> np.ndarray:
+    """The _tabulate of the M float64 angles packed in ``angle_bytes``."""
+    return _tabulate(dim, np.frombuffer(angle_bytes), rows)
+
+
+def _tabulate(dim: int, angles: np.ndarray, rows: int) -> np.ndarray:
     """Read-only (rows, M) table of cos(n theta) in 2D or P_n(cos theta) in
-    3D, n < rows, at the M float64 angles packed in ``angle_bytes``."""
-    angles = np.frombuffer(angle_bytes)
+    3D, n < rows, at the M float64 angles."""
     n = np.arange(rows)
     table = (np.cos(np.outer(n, angles)) if dim == 2
              else np.polynomial.legendre.legvander(np.cos(angles), rows - 1).T)
@@ -579,22 +593,10 @@ def _radial_sums(solution: ModalSolution, region: str, r: float,
     return wavenumber * field if derivative else field
 
 
-def field_on_circle(solution: ModalSolution, r: float, thetas: np.ndarray,
-                    region: str | None = None, scattered_only: bool = False,
-                    radial_derivative: bool = False) -> np.ndarray:
-    """Total (or scattered) field at radius r for an array of angles.
-
-    2D assembly: u = sum_n eps_n R_n(r) cos(n theta); 3D assembly:
-    u = sum_n (2n+1) i^n R_n(r) P_n(cos theta), with R_n the per-mode
-    radial factor of the region: the named one, which must contain r, or
-    else the outermost region of the solution that contains r (closed, see
-    _REGIONS).  Otherwise DomainError "r = ... lies outside the <region>
-    region" names the region, or the exterior if none was named.  In the
-    exterior the incident wave is added in closed form, e^{i k r cos theta}
-    (radial derivative i k cos theta e^{i k r cos theta}), so it is exact
-    at any radius, not only where n_max resolves k r.  ``scattered_only``
-    drops it (exterior region only).
-    """
+def _circle_terms(solution: ModalSolution, r: float, thetas, region: str | None,
+                  scattered_only: bool, radial_derivative: bool):
+    """field_on_circle's checked float angles, its region and the per-mode
+    factors that multiply cos(n theta) (2D) or (2n+1) P_n(cos theta) (3D)."""
     if r < 0 or not math.isfinite(r):
         raise DomainError(f"radius must be finite and nonnegative, got {r}")
     thetas = np.asarray(thetas, dtype=float)
@@ -615,6 +617,27 @@ def field_on_circle(solution: ModalSolution, r: float, thetas: np.ndarray,
     radial = _radial_sums(solution, region, r, radial_derivative)
     if solution.dim == 3:
         radial = _I_POW[np.arange(solution.n_max + 1) & 3] * radial
+    return thetas, region, radial
+
+
+def field_on_circle(solution: ModalSolution, r: float, thetas: np.ndarray,
+                    region: str | None = None, scattered_only: bool = False,
+                    radial_derivative: bool = False) -> np.ndarray:
+    """Total (or scattered) field at radius r for an array of angles.
+
+    2D assembly: u = sum_n eps_n R_n(r) cos(n theta); 3D assembly:
+    u = sum_n (2n+1) i^n R_n(r) P_n(cos theta), with R_n the per-mode
+    radial factor of the region: the named one, which must contain r, or
+    else the outermost region of the solution that contains r (closed, see
+    _REGIONS).  Otherwise DomainError "r = ... lies outside the <region>
+    region" names the region, or the exterior if none was named.  In the
+    exterior the incident wave is added in closed form, e^{i k r cos theta}
+    (radial derivative i k cos theta e^{i k r cos theta}), so it is exact
+    at any radius, not only where n_max resolves k r.  ``scattered_only``
+    drops it (exterior region only).
+    """
+    thetas, region, radial = _circle_terms(solution, r, thetas, region,
+                                           scattered_only, radial_derivative)
     u = _angular_sum(solution.dim, radial, thetas)
     if region == "exterior" and not scattered_only:
         cos = np.cos(thetas)
@@ -625,8 +648,13 @@ def field_on_circle(solution: ModalSolution, r: float, thetas: np.ndarray,
 
 def scattered_cauchy_data(solution: ModalSolution, radius: float,
                           thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Scattered field and its radial derivative on a circle (2D)."""
-    u = field_on_circle(solution, radius, thetas, scattered_only=True)
-    dudr = field_on_circle(solution, radius, thetas, scattered_only=True,
-                           radial_derivative=True)
-    return u, dudr
+    """Scattered field and its radial derivative on a circle (2D).
+
+    Both sums share one angle table, built for this call and not cached:
+    the circle grids of a BIE cross-check are shifted by the incident angle,
+    so a later call rarely asks for the same grid."""
+    thetas, _, u = _circle_terms(solution, radius, thetas, None, True, False)
+    _, _, dudr = _circle_terms(solution, radius, thetas, None, True, True)
+    table = _tabulate(solution.dim, thetas, _table_rows(u.size))
+    return (_angular_sum(solution.dim, u, thetas, table),
+            _angular_sum(solution.dim, dudr, thetas, table))

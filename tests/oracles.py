@@ -1,9 +1,10 @@
 """Test-only oracles: the pointwise blow-up, Jacobian and anisotropic
 push-forward that media.cloak_tensor and media.virtual_core_params are
-checked against, readers and a reference writer for the library's
-outputs, Bessel values rebuilt in mpmath from specfun's ratio form, the
-BIE system matrices evaluated densely at every ordered node pair, and the
-modal angular sum with its angle table built afresh on every call."""
+checked against, the cloak grid sampled over the full point cube,
+readers and a reference writer for the library's outputs, Bessel values
+rebuilt in mpmath from specfun's ratio form, the BIE system matrices
+evaluated densely at every ordered node pair, and the modal angular sum
+with its angle table built afresh on every call."""
 
 from dataclasses import dataclass, field
 
@@ -131,6 +132,19 @@ def push_forward(medium: MediumSpec, jac: JacobianData) -> MediumSpec:
 def cloak_medium_at(spec: RadialMapSpec, y: np.ndarray) -> MediumSpec:
     """Cloaking-shell parameters at one physical point y, R1 <= |y| <= R2."""
     return MediumSpec(*cloak_tensor(spec, y))
+
+
+def cloak_grid_rows(spec: RadialMapSpec, cells: int, dim: int) -> np.ndarray:
+    """media.sample_cloak_grid built over the full point cube: every cell
+    center from meshgrid, its norm, the shell mask, then cloak_tensor."""
+    edges = np.linspace(-spec.r2, spec.r2, cells + 1)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    pts = np.stack(np.meshgrid(*([centers] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
+    radii = np.linalg.norm(pts, axis=1)
+    pts = pts[(radii >= spec.r1) & (radii <= spec.r2)]
+    sigma, q = cloak_tensor(spec, pts)
+    iu = np.triu_indices(dim)
+    return np.column_stack([pts, sigma[:, iu[0], iu[1]], q, np.zeros_like(q)])
 
 
 def read_sweep_csv(path) -> tuple[np.ndarray, np.ndarray]:

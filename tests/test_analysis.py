@@ -324,6 +324,7 @@ def _csv_tables(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(table=_csv_tables(), as_array=st.booleans())
 @example(table=(3, []), as_array=True)
+@example(table=(1, []), as_array=False)
 @example(table=(2, [[-0.0, 0.0]]), as_array=False)
 def test_write_csv_matches_the_per_value_writer(tmp_path, table, as_array):
     width, rows = table
@@ -332,6 +333,18 @@ def test_write_csv_matches_the_per_value_writer(tmp_path, table, as_array):
     given_rows = np.array(rows, dtype=float).reshape(-1, width) if as_array else rows
     cli.write_csv(tmp_path / "new.csv", "t", columns, given_rows, footer)
     oracles.write_csv_per_value(tmp_path / "ref.csv", "t", columns, rows, footer)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("width", [1, 4])
+@pytest.mark.parametrize("count", [0, 2 * cli._CSV_BLOCK_ROWS + 1])
+def test_write_csv_matches_the_per_value_writer_across_blocks(tmp_path, width, count):
+    # Three blocks, the last of one row; at width 1 every value ends its row.
+    pool = np.array([-0.0, 0.0, math.nan, math.inf, -math.inf, 1.5, -2.25, 5e-324, 1e16])
+    rows = pool[np.arange(count * width).reshape(count, width) * 7 % pool.size]
+    columns = [f"c{j}" for j in range(width)]
+    cli.write_csv(tmp_path / "new.csv", "t", columns, rows, [("model", "power-law")])
+    oracles.write_csv_per_value(tmp_path / "ref.csv", "t", columns, rows, [("model", "power-law")])
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 

@@ -287,6 +287,15 @@ def test_sample_cloak_grid_empty_shell_keeps_columns(dim):
     assert rows.shape == (0, dim + dim * (dim + 1) // 2 + 2)
 
 
+@pytest.mark.parametrize("dim, cells", [(2, 1), (2, 23), (2, 64), (3, 1), (3, 9), (3, 12)])
+def test_sample_cloak_grid_equals_the_full_cube_oracle(dim, cells):
+    # Bit for bit, row order included; one cell per side is an empty shell.
+    rows = media.sample_cloak_grid(SPEC, cells, dim=dim)
+    ref = oracles.cloak_grid_rows(SPEC, cells, dim)
+    assert rows.shape == ref.shape and (cells == 1) == (rows.shape[0] == 0)
+    assert np.array_equal(rows.view(np.int64), ref.view(np.int64))
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("rho", [0.5, 1e-4])
 def test_sample_cloak_grid_matches_pointwise_pushforward(dim, rho):

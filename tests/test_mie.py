@@ -580,6 +580,20 @@ def test_angle_table_cache_stays_bounded():
 
 
 @pytest.mark.parametrize("dim", [2, 3])
+def test_cauchy_data_leaves_the_angle_cache_alone(dim):
+    # Its grid is a one-off: no cache slot, and the same sums bit for bit.
+    sol = mie.solve(SchemeSpec.finite_sound_hard(), dim, _wave(dim), 0.3)
+    phis = np.linspace(0.0, 2.0, 37) - 0.123
+    before = mie._angle_table.cache_info()
+    u, dudr = mie.scattered_cauchy_data(sol, 0.7, phis)
+    after = mie._angle_table.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+    assert np.array_equal(u, mie.field_on_circle(sol, 0.7, phis, scattered_only=True))
+    assert np.array_equal(dudr, mie.field_on_circle(sol, 0.7, phis, scattered_only=True,
+                                                    radial_derivative=True))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
 def test_mutating_the_angle_array_after_a_call_changes_no_later_result(dim):
     sol = mie.solve(SchemeSpec.finite_sound_hard(), dim, _wave(dim), 0.3)
     angles = np.linspace(0.0, 3.0, 50)
