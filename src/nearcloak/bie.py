@@ -40,16 +40,19 @@ system and raises ResonanceError above 1e12 instead of silently
 returning garbage.
 
 Kernel evaluation uses scipy's real-argument order-0/1 Bessel routines
-(j0, j1, y0, y1), and the system matrices are assembled in real
-arithmetic, each from one circulant carrying both log weights.  The
-kernel factors depend on a node pair only through |x_i - x_j| and
-|i - j| (the double layer adds the normal at the column node), so they
-are evaluated once per unordered pair, in row blocks, and mirrored: each
-Bessel routine runs about N^2/2 times, and the temporaries take
-O(N _ROW_BLOCK) memory, not O(N^2).  This module is the cross-validation
-oracle for the modal solver and deliberately shares none of its
-special-function machinery: specfun takes only the complex-argument jve
-and hankel1e from scipy, for orders 0 and 1.
+(j0, j1, y0, y1), and K and S are assembled in real arithmetic, each from
+one circulant carrying both log weights.  The kernel factors depend on a
+node pair only through |x_i - x_j| and |i - j| (the double layer adds the
+normal at the column node), so they are evaluated once per unordered
+pair, in row blocks, and mirrored: each Bessel routine runs about N^2/2
+times, and the temporaries take O(N _ROW_BLOCK) memory, not O(N^2).  S is
+only needed as S psi, so it is applied to psi block by block during the
+assembly and never stored: a solve holds two N x N complex arrays,
+1/2 I - K and its LU factors, 2 x 16 N^2 bytes (128 MiB at MAX_NODES).
+
+This module is the cross-validation oracle for the modal solver and
+deliberately shares none of its special-function machinery: specfun takes
+only the complex-argument jve and hankel1e from scipy, for orders 0 and 1.
 """
 
 from __future__ import annotations
@@ -168,8 +171,8 @@ def _geometry(curve: BoundaryCurve):
     return curve.nodes(), pts, d1, d2, normals, jac
 
 
-def _system_matrices(k: float, t, pts, d1, d2, normals, jac):
-    """Nystrom matrices of the double layer K and the single layer S.
+def _system_matrices(k: float, t, pts, d1, d2, normals, jac, psi):
+    """Nystrom matrix of the double layer K, and the single layer S applied to psi.
 
     Each kernel is split as k1 log(4 sin^2((t_i - t_j)/2)) + k2, weighted
     R_|i-j| k1 + c k2 with c = pi/N.  With the circulant
@@ -186,9 +189,13 @@ def _system_matrices(k: float, t, pts, d1, d2, normals, jac):
     columns j >= the block's first row, and each block is written to both
     (i, j) and (j, i) (the block's own square gets equal values twice).
     The mirrored q is (-dx, -dy).n_i/r; IEEE subtraction is antisymmetric
-    and hypot ignores signs, so every entry equals the one a full N x N
-    evaluation gives, bit for bit, from O(N _ROW_BLOCK) temporaries and
-    about N^2/2 calls of each Bessel function.
+    and hypot ignores signs, so every entry of K equals the one a full
+    N x N evaluation gives, bit for bit, from O(N _ROW_BLOCK) temporaries
+    and about N^2/2 calls of each Bessel function.
+
+    S is never stored: S psi sums each block times |x'| psi over the
+    block's columns into its rows, and the block's transpose beyond its own
+    square into those columns, then adds the diagonal in closed form.
     """
     n = t.size
     n_half = n // 2
@@ -196,9 +203,11 @@ def _system_matrices(k: float, t, pts, d1, d2, normals, jac):
     m = np.arange(n)
     row = log_weights(n_half)
     row[1:] -= c * np.log(4.0 * np.sin(0.5 * t[1:]) ** 2)
+    jac_psi = jac * psi
+    w = np.stack([jac_psi.real, jac_psi.imag], axis=1)
 
     kmat = np.empty((n, n), dtype=complex)
-    smat = np.empty((n, n), dtype=complex)
+    s_psi = np.zeros(n, dtype=complex)
     for i0 in range(0, n, _ROW_BLOCK):
         i1 = min(i0 + _ROW_BLOCK, n)
         rows, cols = slice(i0, i1), slice(i0, n)
@@ -221,20 +230,34 @@ def _system_matrices(k: float, t, pts, d1, d2, normals, jac):
 
         s_re = -(1.0 / (4.0 * math.pi)) * circ * j0 - 0.25 * c * y0
         s_im = (0.25 * c) * j0
-        smat.real[rows, cols] = s_re * jac[None, cols]
-        smat.imag[rows, cols] = s_im * jac[None, cols]
-        smat.real[cols, rows] = (s_re * jac[rows, None]).T
-        smat.imag[cols, rows] = (s_im * jac[rows, None]).T
+        # Placeholder diagonals out; S's closed-form diagonal is added below.
+        np.fill_diagonal(s_re, 0.0)
+        np.fill_diagonal(s_im, 0.0)
+        _add_product(s_psi[rows], s_re, s_im, w[cols])
+        _add_product(s_psi[i1:], s_re[:, i1 - i0:].T, s_im[:, i1 - i0:].T, w[rows])
 
     curvature = (d2[:, 0] * d1[:, 1] - d2[:, 1] * d1[:, 0]) / (4.0 * math.pi * jac ** 2)
     np.fill_diagonal(kmat, c * curvature)
     diag_s2 = jac * (0.25j - (np.log(0.5 * k * jac) + _EULER_GAMMA) / (2.0 * math.pi))
-    np.fill_diagonal(smat, row[0] * (-(1.0 / (4.0 * math.pi)) * jac) + c * diag_s2)
-    return kmat, smat
+    s_psi += (row[0] * (-(1.0 / (4.0 * math.pi)) * jac) + c * diag_s2) * psi
+    return kmat, s_psi
+
+
+def _add_product(out, a_re, a_im, x):
+    """out += (a_re + i a_im) x, for x given as (Re, Im) columns.
+
+    Real products only: a complex @ runs zgemm/zgemv (see _green_far_field)."""
+    p, q = a_re @ x, a_im @ x
+    out.real += p[:, 0] - q[:, 1]
+    out.imag += p[:, 1] + q[:, 0]
 
 
 def assemble_and_solve(curve: BoundaryCurve, wave: WaveParams) -> DensitySolution:
     """Assemble (1/2 I - K) v = g and solve it densely.
+
+    g = -S psi is summed during the assembly of K and S is never stored,
+    so the solve holds two N x N complex arrays, A = 1/2 I - K and its LU
+    factors (the residual needs A): 2 x 16 N^2 bytes, 128 MiB at MAX_NODES.
 
     Raises ResonanceError when the system's estimated condition number
     exceeds 1e12 (interior Dirichlet resonance of the curve).
@@ -243,19 +266,19 @@ def assemble_and_solve(curve: BoundaryCurve, wave: WaveParams) -> DensitySolutio
         raise DomainError("boundary-integral solver is 2D; give a 2-vector direction")
     k = wave.k
     t, pts, d1, d2, normals, jac = _geometry(curve)
-    kmat, smat = _system_matrices(k, t, pts, d1, d2, normals, jac)
-
     # psi = du^s/dnu = -d(e^{ik d.y})/dnu; the unit normal is normals/jac.
     phase = np.exp(1j * k * (pts @ wave.d))
     psi = -1j * k * (normals @ wave.d) / jac * phase
 
-    g = -(smat @ psi)
+    kmat, s_psi = _system_matrices(k, t, pts, d1, d2, normals, jac, psi)
+    g = -s_psi
     a = np.negative(kmat, out=kmat)  # 1/2 I - K, built in place
     a.flat[:: curve.n_points + 1] += 0.5
 
+    # The 1-norm's |A| temporary is freed before lu_factor copies A.
+    anorm = np.linalg.norm(a, 1)
     lu, piv = lu_factor(a)
     gecon = get_lapack_funcs(("gecon",), (a,))[0]
-    anorm = np.linalg.norm(a, 1)
     rcond, _ = gecon(lu, anorm, norm="1")
     cond = 1.0 / rcond if rcond > 0 else math.inf
     if cond > RESONANCE_CONDITION:

@@ -160,7 +160,7 @@ def write_csv(path, schema: str, columns, rows, footer=()) -> None:
     their values, and no Python work is done per row."""
     table = np.ascontiguousarray(rows if isinstance(rows, np.ndarray) else list(rows),
                                  dtype=float)
-    if table.size and table.shape[1:] != (len(columns),):
+    if len(table) and table.shape[1:] != (len(columns),):
         raise ShapeError(f"{len(columns)} columns, but rows of shape {table.shape}")
     bits, inverse = np.unique(table.view(np.int64), return_inverse=True)
     words = [repr(v) for v in bits.view(float).tolist()]

@@ -205,10 +205,11 @@ def rebuilt(sequence, scale: float) -> list:
 
 
 def dense_system_matrices(k, t, pts, d1, d2, normals, jac):
-    """bie._system_matrices formed as full N x N arrays, every kernel
-    factor evaluated at every ordered node pair (i, j), in the same
-    floating-point operations: the blocked, mirrored assembly must
-    reproduce it bit for bit."""
+    """The matrices K and S of bie._system_matrices formed as full N x N
+    arrays, every kernel factor evaluated at every ordered node pair (i, j),
+    in the same floating-point operations: the blocked, mirrored assembly
+    must reproduce K bit for bit.  It never stores S, so S is compared
+    through S psi."""
     n_half = t.size // 2
     c = math.pi / n_half
     m = np.arange(t.size)

@@ -352,6 +352,8 @@ def test_write_csv_matches_the_per_value_writer_across_blocks(tmp_path, width, c
     ([(1.0, 2.0), ("x", 3.0)], ValueError),     # not a number
     ([(1.0, 2.0), (3.0,)], ValueError),         # ragged
     ([(1.0, 2.0, 3.0)], ShapeError),            # wider than the header
+    ([()], ShapeError),                         # a row with no values
+    ([(), ()], ShapeError),
 ])
 def test_write_csv_bad_row_leaves_the_file_untouched(tmp_path, rows, error):
     path = tmp_path / "t.csv"
@@ -359,3 +361,18 @@ def test_write_csv_bad_row_leaves_the_file_untouched(tmp_path, rows, error):
     with pytest.raises(error):
         cli.write_csv(path, "t", ["a", "b"], rows)
     assert path.read_text() == "kept\n"
+
+
+def test_write_csv_empty_row_is_not_a_header_only_file(tmp_path):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ShapeError):
+        cli.write_csv(path, "t", ["a"], [[]])
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("rows", [[], np.empty((0, 2))])
+def test_write_csv_no_rows_writes_the_header_only(tmp_path, rows):
+    # An empty media shell has no cells, and its grid file still names its columns.
+    path = tmp_path / "t.csv"
+    cli.write_csv(path, "t", ["a", "b"], rows, [("cells", "0")])
+    assert path.read_text() == f"# schema=t-v{cli.CSV_SCHEMA_VERSION}\na,b\n# cells,0\n"

@@ -2,6 +2,7 @@
 
 import ast
 import math
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -131,10 +132,25 @@ def test_circle_trace_matches_modal_series():
 def test_zero_incident_gives_zero_density():
     # homogeneous system: the invertible operator maps only 0 to 0
     crv = bie.circle(0.5, 64)
-    kmat, _ = bie._system_matrices(WAVE.k, *bie._geometry(crv))
+    kmat, _ = bie._system_matrices(WAVE.k, *bie._geometry(crv), np.zeros(crv.n_points))
     a = 0.5 * np.eye(crv.n_points) - kmat
     v = lu_solve(lu_factor(a), np.zeros(crv.n_points, dtype=complex))
     assert np.max(np.abs(v)) == 0.0
+
+
+def test_solve_holds_two_system_sized_arrays():
+    # A = 1/2 I - K and its LU factors, 16 N^2 bytes each; S is never stored
+    # and the 1-norm's |A| is freed before the LU copy.  numpy reports its
+    # array allocations to tracemalloc, so the peak is deterministic.
+    n = 512
+    curve = bie.kite(n)
+    tracemalloc.start()
+    try:
+        bie.assemble_and_solve(curve, WAVE)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 16 * n ** 2
 
 
 def _split_kernel_matrices(k, t, pts, d1, d2, normals, jac):
@@ -166,15 +182,24 @@ def _split_kernel_matrices(k, t, pts, d1, d2, normals, jac):
             rw[idx] * s1 + (math.pi / n_half) * s2)
 
 
+def _random_density(n_points):
+    rng = np.random.default_rng(n_points)
+    return rng.standard_normal(n_points) + 1j * rng.standard_normal(n_points)
+
+
 @pytest.mark.parametrize("k", [0.5, 2.7, 20.0])
 @pytest.mark.parametrize("n_points", [8, 64, 66, 128, 200])
 @pytest.mark.parametrize("make", [bie.kite, lambda n: bie.circle(0.6, n)],
                          ids=["kite", "circle"])
 def test_system_matrices_match_split_kernel_reference(make, n_points, k):
     geometry = bie._geometry(make(n_points))
-    for got, ref in zip(bie._system_matrices(k, *geometry),
-                        _split_kernel_matrices(k, *geometry)):
-        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    psi = _random_density(n_points)
+    kmat, s_psi = bie._system_matrices(k, *geometry, psi)
+    k_ref, s_ref = _split_kernel_matrices(k, *geometry)
+    assert np.max(np.abs(kmat - k_ref)) <= 1e-12 * np.max(np.abs(k_ref))
+    # The entries of S agree to 1e-12 of max|S|; carried through the sum,
+    # entry i of S psi can be off by 1e-12 sum_j |S_ij| |psi_j| at most.
+    assert np.all(np.abs(s_psi - s_ref @ psi) <= 1e-12 * (np.abs(s_ref) @ np.abs(psi)))
 
 
 @pytest.mark.parametrize("n_points", [8, 66, 200, 256])
@@ -182,13 +207,20 @@ def test_system_matrices_match_split_kernel_reference(make, n_points, k):
                          ids=["kite", "circle"])
 def test_blocked_assembly_equals_dense_evaluation_bit_for_bit(make, n_points):
     # One block, a partial last block, and whole blocks: the mirrored
-    # entries carry the same bits as a dense evaluation at (j, i).
+    # entries of K carry the same bits as a dense evaluation at (j, i).
     geometry = bie._geometry(make(n_points))
+    psi = _random_density(n_points)
+    eps = np.finfo(float).eps
     for k in (0.5, 20.0):
-        for got, ref in zip(bie._system_matrices(k, *geometry),
-                            oracles.dense_system_matrices(k, *geometry)):
-            assert np.array_equal(got, ref)
-            assert np.array_equal(np.signbit(got.view(float)), np.signbit(ref.view(float)))
+        kmat, s_psi = bie._system_matrices(k, *geometry, psi)
+        k_ref, s_ref = oracles.dense_system_matrices(k, *geometry)
+        assert np.array_equal(kmat, k_ref)
+        assert np.array_equal(np.signbit(kmat.view(float)), np.signbit(k_ref.view(float)))
+        # S is never stored, so S psi is compared instead.  Each S_ij |x'_j|
+        # psi_j is rounded at a different step (the oracle rounds S_ij |x'_j|,
+        # the assembly |x'_j| psi_j), and the two sums add the terms in a
+        # different order: a few ulps of sum_j |S_ij| |psi_j| apart.
+        assert np.all(np.abs(s_psi - s_ref @ psi) <= 8 * eps * (np.abs(s_ref) @ np.abs(psi)))
 
 
 def test_kite_self_convergence():
