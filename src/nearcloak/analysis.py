@@ -10,10 +10,11 @@ schemes pointwise in rho.  It does no file I/O: the output formats and
 their writers live in ``cli``.
 
 Fits use the smallest ceil(2/3 n) rho values by default; the large-rho
-end of a sweep is outside the asymptotic regime.  The two models are
+end of a sweep is outside the asymptotic regime.  A model is one entry
+of ``_MODELS``, and every fit one least-squares line of its y against x:
 
-  power-law:    least squares of log(max|A|) against log(rho);
-  inverse-log:  least squares of max|A| against 1/|ln rho| (linear).
+  power-law:    log(max|A|) against log(rho);
+  inverse-log:  max|A| against 1/|ln rho|.
 
 For cross-model comparison, ``residual`` is the RMS relative prediction
 error of max|A| itself, which is dimensionless and comparable between
@@ -34,7 +35,6 @@ from .mie import ModalSolution, SchemeSpec, WaveParams
 DEFAULT_ANGLE_COUNT = 100
 DEFAULT_FIT_FRACTION = 2.0 / 3.0
 NEAR_FIELD_SAMPLES = 360  # angles per near_field_deviation circle
-FIT_MODELS = ("power-law", "inverse-log")
 
 # Leading-order zeros of the sound-hard pattern: theta* with
 # cos(theta*)/2 = 1/4 in 2D and = 1/3 in 3D.
@@ -54,14 +54,26 @@ def observation_angles(dim: int, count: int) -> np.ndarray:
     raise DomainError(f"dim must be 2 or 3, got {dim}")
 
 
+def _inverse_abs_log(rho: np.ndarray) -> np.ndarray:
+    if np.any(rho == 1.0):  # 1/|ln rho| is infinite at rho = 1
+        raise DomainError("an inverse-log fit needs rho != 1 in its window")
+    return 1.0 / np.abs(np.log(rho))
+
+
+# Fit model -> (x of rho, y of max|A|, y's inverse); the fit is y ~ slope x + c.
+_MODELS = {
+    "power-law": (np.log, np.log, np.exp),
+    "inverse-log": (_inverse_abs_log, lambda y: y, lambda y: y),
+}
+FIT_MODELS = tuple(_MODELS)
+
+
 @dataclass(frozen=True)
 class FitResult:
-    """Outcome of a decay fit; ``slope`` is the exponent for power-law."""
+    """A decay fit (fit_decay); ``slope`` is the exponent for power-law."""
 
     slope: float
     residual: float
-    intercept: float
-    correlation: float
     model: str
     n_used: int
 
@@ -91,18 +103,18 @@ def _rho_grid(rho_values) -> np.ndarray:
 def sweep(scheme: SchemeSpec, dim: int, wave: WaveParams,
           rho_values, angle_count: int = DEFAULT_ANGLE_COUNT,
           contents: tuple[float, complex] = (1.0, 1.0),
-          model: str | None = None) -> SweepResult:
-    """max|A| per rho over the observation grid, with the default fit.
+          model: str = "auto") -> SweepResult:
+    """max|A| per rho over the observation grid, with its decay fit.
 
     ``contents`` is the physical-space (sigma', q') of the cloaked region;
-    one mie.solve_many call and one far-field product cover all rho.  The
-    fit model defaults to power-law in 3D, where every lining decays
-    algebraically, and in 2D to power-law for the sound-hard family and
-    inverse-log for the sound-soft family.
+    one mie.solve_many call and one far-field product cover all rho.
+    ``model`` is one of FIT_MODELS or "auto", which picks power-law in 3D,
+    where every lining decays algebraically, and in 2D power-law for the
+    sound-hard family and inverse-log for the sound-soft family.
     """
-    if model is None:
+    if model == "auto":
         model = "power-law" if dim == 3 or scheme.kind in ("sh", "fsh") else "inverse-log"
-    elif model not in FIT_MODELS:
+    if model not in _MODELS:
         raise DomainError(f"unknown fit model {model!r}")
     rho = _rho_grid(rho_values)
     angles = observation_angles(dim, angle_count)
@@ -129,11 +141,12 @@ def fit_decay(rho_values, max_amplitude, model: str,
     length: rho and max|A| finite and positive, rho strictly decreasing,
     and for inverse-log no fitted rho equal to 1.
 
-    power-law: log(max|A|) ~ slope*log(rho) + intercept.
-    inverse-log: max|A| ~ slope/|ln rho| + intercept.
-    ``residual`` is the RMS relative error of the model's prediction of
-    max|A| on the fitted points, comparable across models.
+    The fit is the least-squares line y(max|A|) ~ slope x(rho) + c of the
+    model's _MODELS entry.  ``residual`` is the RMS relative error of its
+    prediction of max|A| on the fitted points, comparable across models.
     """
+    if model not in _MODELS:
+        raise DomainError(f"unknown fit model {model!r}")
     rho = np.asarray(rho_values, dtype=float)
     amp = np.asarray(max_amplitude, dtype=float)
     if rho.ndim != 1 or rho.shape != amp.shape:
@@ -151,24 +164,12 @@ def fit_decay(rho_values, max_amplitude, model: str,
     keep = max(3, math.ceil(keep_fraction * n))
     rho, amp = rho[n - keep:], amp[n - keep:]   # rho is sorted decreasing
 
-    if model == "power-law":
-        x = np.log(rho)
-        slope, intercept = np.polyfit(x, np.log(amp), 1)
-        pred = np.exp(slope * x + intercept)
-        corr = float(np.corrcoef(x, np.log(amp))[0, 1])
-    elif model == "inverse-log":
-        if np.any(rho == 1.0):
-            raise DomainError("an inverse-log fit needs rho != 1 in its window")
-        x = 1.0 / np.abs(np.log(rho))
-        slope, intercept = np.polyfit(x, amp, 1)
-        pred = slope * x + intercept
-        corr = float(np.corrcoef(x, amp)[0, 1])
-    else:
-        raise DomainError(f"unknown fit model {model!r}")
+    x_of, y_of, y_inverse = _MODELS[model]
+    x, y = x_of(rho), y_of(amp)
+    slope, intercept = np.polyfit(x, y, 1)
+    pred = y_inverse(slope * x + intercept)
     residual = float(np.sqrt(np.mean(((pred - amp) / amp) ** 2)))
-    return FitResult(slope=float(slope), residual=residual,
-                     intercept=float(intercept), correlation=corr,
-                     model=model, n_used=keep)
+    return FitResult(slope=float(slope), residual=residual, model=model, n_used=keep)
 
 
 def compare_schemes(a: SweepResult, b: SweepResult) -> np.ndarray:

@@ -212,10 +212,9 @@ def _run_sweep(params: dict) -> None:
     """rho sweep of max|A| with decay fit"""
     dim = params["dim"]
     scheme = _scheme_from(params, "scheme")
-    model = None if params["model"] == "auto" else params["model"]
     result = analysis.sweep(scheme, dim, _wave_from(params, dim),
                             _rho_grid(params), angle_count=params["angles"],
-                            contents=_contents_from(params), model=model)
+                            contents=_contents_from(params), model=params["model"])
     exponent, residual = float(result.fitted_exponent), float(result.fit_residual)
     write_csv(params["out"], "sweep", ["rho", "max_abs_A"],
               zip(result.rho_values, result.max_amplitude),

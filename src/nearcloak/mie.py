@@ -8,7 +8,7 @@ Solves time-harmonic scattering of a unit plane wave by
   (sigma_l, q_l), and a uniform core inside rho/2 with (sigma_a, q_a) --
   all in the virtual-space description.  The cloaked contents enter
   ``solve_many`` in physical space; media.virtual_core_params converts
-  them.
+  them for the lossy layers only, as the obstacles never use them.
 
 Per mode n, the exterior field is i^n J_n(k r) + d_n H_n^(1)(k r)
 (angular factor e^{i n theta}) in 2D, and the axisymmetric reduction
@@ -68,7 +68,11 @@ near fields and near_field_deviation (three grids, three row counts,
 two dims).  Row n of either table depends only on n and theta (an
 elementwise cos, or the forward recurrence), so a sum over the first
 rows of a larger table is bit for bit the sum over a table built at its
-own size, and no result depends on what the cache holds.
+own size, and no result depends on what the cache holds.  Each sum is
+two real products, of the real and of the imaginary parts of the
+weighted coefficients with the real table: a complex @ real product
+would copy the table to complex on every call and run zgemm or zgemv,
+with twice the flops (see also bie._green_far_field).
 ``scattered_cauchy_data`` builds the same table for its one grid and
 leaves the cache alone.
 """
@@ -346,18 +350,20 @@ def _layer_wavenumbers(scheme: SchemeSpec, rho: float, k: float,
 
 
 def _eliminate(dim: int, wave: WaveParams, rho: list[float], scheme: SchemeSpec,
-               cores: list[tuple[float, complex]]) -> tuple[ModalSolution, ...]:
+               contents: tuple[float, complex]) -> tuple[ModalSolution, ...]:
     """The solution at each rho, from the one elimination and the
-    truncation passes of the module docstring; ``solve_many`` checked dim
-    and rho.  A lossy layer takes one virtual core (sigma_a, q_a) per rho
-    and flags in degenerate_modes the modes whose outer elimination loses
-    more than ~14 digits to cancellation."""
+    truncation passes of the module docstring; ``solve_many`` checked dim,
+    rho and the physical contents.  A lossy layer converts the contents to
+    its virtual core (sigma_a, q_a) at each rho, and flags in
+    degenerate_modes the modes whose outer elimination loses more than ~14
+    digits to cancellation; the obstacles never use the contents."""
     lossy = scheme.kind not in ("ss", "sh")
     r = np.array(rho)
     zs = [wave.k * r]  # the real x = k rho; a lossy layer adds z1, z2 and zc
     layers = [(None, None)] * len(rho)
     if lossy:
-        layers = [_layer_wavenumbers(scheme, x, wave.k, core) for x, core in zip(rho, cores)]
+        layers = [_layer_wavenumbers(scheme, x, wave.k, virtual_core_params(*contents, x, dim))
+                  for x in rho]
         k_tilde, k2, c0, coupling = np.array(layers, dtype=complex).reshape(-1, 4).T
         zs += [k_tilde * r, 0.5 * k_tilde * r, 0.5 * k2 * r]
         core_factor = c0 * coupling
@@ -435,13 +441,16 @@ def solve_many(scheme: SchemeSpec, dim: int, wave: WaveParams, rho_values,
     Each element gets the n_max that ``solve`` picks for it, and equals its
     per-rho solve bit for bit."""
     rho = [float(r) for r in rho_values]
-    cores = [virtual_core_params(*contents, r, dim) for r in rho]
+    contents = check_passive(*contents)
+    for r in rho:
+        if not (math.isfinite(r) and r > 0):
+            raise DomainError(f"rho must be finite and positive, got {r}")
     if wave.d.size != dim:
         raise DomainError(f"a {dim}D solve needs a {dim}-vector direction, got {wave.d.size}")
     for x in (wave.k * r for r in rho):  # before k rho sizes the truncation order
         if not x <= specfun.ARGUMENT_GUARD:
             raise RangeError(f"|z| = {x:.3g} exceeds the guard {specfun.ARGUMENT_GUARD:g}")
-    return _eliminate(dim, wave, rho, scheme, cores)
+    return _eliminate(dim, wave, rho, scheme, contents)
 
 
 def solve(scheme: SchemeSpec, dim: int, wave: WaveParams, rho: float,
@@ -487,12 +496,14 @@ def _angular_sum(dim: int, coef: np.ndarray, angles: np.ndarray,
     """sum_n eps_n coef_n cos(n theta) in 2D (eps_0 = 1, eps_n = 2), or
     sum_n (2n+1) coef_n P_n(cos theta) in 3D, per row of coef, over the
     cached angle table of ``angles`` unless ``table`` (their _tabulate at
-    _table_rows(coef.shape[-1]) rows) is given."""
+    _table_rows(coef.shape[-1]) rows) is given, as two real products, of
+    the real and the imaginary parts (module docstring: no zgemm)."""
     n = np.arange(coef.shape[-1])
     weights = np.where(n == 0, 1.0, 2.0) if dim == 2 else 2 * n + 1
     if table is None:
         table = _angle_table(dim, np.asarray(angles, dtype=float).tobytes(), _table_rows(n.size))
-    return (weights * coef) @ table[:n.size]
+    w, rows = weights * coef, table[:n.size]
+    return w.real @ rows + 1j * (w.imag @ rows)
 
 
 def _table_rows(orders: int) -> int:

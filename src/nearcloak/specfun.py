@@ -25,31 +25,31 @@ Algorithms
 All four families obey f_{m-1} + f_{m+1} = (2(m + nu)/z) f_m (nu = 0
 cylindrical, 1/2 spherical: j_n and h_n^(1) are J and H of order n + 1/2
 times sqrt(pi/(2z)), which cancels in every ratio).  Divided by f_m it
-is one step for either direction, x <- 2(m + nu)/z - 1/x:
+is one step for either direction, x <- 2(m + nu)/z - 1/x.  One routine,
+``_sequence``, gives either kind by these routes in turn:
 
 * base values: orders 0 and 1 from scipy's exponentially scaled Amos
   routines (D. E. Amos, ACM TOMS 12, 265, 1986) at orders nu and nu + 1,
   jve for J/j and hankel1e for H/h, times sqrt(pi/(2z)) for the spherical
   families.
-* H_n and h_n: the step runs upward, s_m = 2(m + nu)/z - 1/s_{m-1}, from
-  s_0 = f_1/f_0 of the base values; H^(1) has no zeros in Im z >= 0.
-* J_n and j_n where Im z >= 20 and n^2 Im z <= |z|^2, with n the order
-  of the call: the same upward step, in O(n) steps (the regime split of
-  Amos; DLMF section 10.17).  The two solutions of the recurrence are
-  H^(1) and H^(2), with J = (H^(1) + H^(2))/2.  For
-  Im z >= 20, |H^(1)/H^(2)| is about e^{-2 Im z} <= e^{-40}, so
-  J_n = H^(2)_n/2 to rounding, with no cancellation.  J_0 and J_1 are
+* upward, for H_n and h_n (H^(1) has no zeros in Im z >= 0), and for J_n
+  and j_n where Im z >= 20 and n^2 Im z <= |z|^2, with n the order of the
+  call: s_m = 2(m + nu)/z - 1/s_{m-1} from s_0 = f_1/f_0 of the base
+  values, in O(n) steps (the regime split of Amos; DLMF section 10.17).
+  The recurrence's two solutions are H^(1) and H^(2), and J is their
+  mean.  For Im z >= 20, |H^(1)/H^(2)| is about e^{-2 Im z} <= e^{-40},
+  so J_n = H^(2)_n/2 to rounding, with no cancellation.  J_0 and J_1 are
   exact to rounding, and a rounding error at order 0 adds a multiple of
   H^(1), which grows relative to J_n by G(n) = |H^(1)_n/H^(1)_0| /
-  |H^(2)_n/H^(2)_0|.  The phase of Hankel's expansion,
-  z - n pi/2 - pi/4 +- n^2/(2z) + ..., gives ln G = n^2 Im z/|z|^2 for n
-  well below |z|, so the order condition caps that growth at e.  A
-  looser rule fails: n <= |z|/2 admits J_87(-40.94 + 271.55i), where
-  ln G = 27 and the step is off by 5e-5.
-* J_n and j_n elsewhere: the step runs downward on x = f_{m-1}/f_m, as the
-  continued fraction r_{m-1} = 1/(2(m + nu)/z - r_m) for r_m = f_{m+1}/f_m,
-  started from r = 0 at a Miller start well above the orders wanted, so it
-  costs O(|z|) steps.  The fraction normalises itself.  An exactly zero
+  |H^(2)_n/H^(2)_0|.  The phase of Hankel's expansion, z - n pi/2 - pi/4
+  +- n^2/(2z) + ..., gives ln G = n^2 Im z/|z|^2 for n well below |z|,
+  so the order condition caps that growth at e.  A looser rule fails:
+  n <= |z|/2 admits J_87(-40.94 + 271.55i), where ln G = 27 and the
+  step is off by 5e-5.
+* downward, for J_n and j_n elsewhere, on x = f_{m-1}/f_m: the continued
+  fraction r_{m-1} = 1/(2(m + nu)/z - r_m) for r_m = f_{m+1}/f_m, started
+  from r = 0 at a Miller start well above the orders wanted, so it costs
+  O(|z|) steps.  The fraction normalises itself.  An exactly zero
   denominator is replaced by a tiny value, as in the modified Lentz
   method (Numerical Recipes, section 5.2): at a zero of f_m this keeps
   r_{m-1} r_m = -1 = f_{m+1}/f_{m-1}.  Upward recurrence is unstable for
@@ -171,14 +171,15 @@ def _upward(base: list, n: int, z: complex, nu: float) -> list:
     return ratios[:n]
 
 
-def _bessel_j(n: int, z: complex, nu: float) -> tuple[list, list]:
-    """Base and ratios 0..n-1 of J_m (nu = 0) or j_m (nu = 1/2) at z: the
-    upward step where it is stable up to n, and elsewhere the downward
-    continued fraction from well above n."""
-    if z == 0:  # J_n(0) = j_n(0) = delta_{n0}; J_{n+1}/J_n -> 0
+def _sequence(n: int, z: complex, nu: float, hankel: bool) -> tuple[list, list]:
+    """Base and ratios 0..n-1 at z of J_m, or with ``hankel`` of H^(1)_m
+    (j_m, h^(1)_m for nu = 1/2), by the routes of the module docstring."""
+    if z == 0 and not hankel:  # J_n(0) = j_n(0) = delta_{n0}; J_{n+1}/J_n -> 0
         return [1.0, 0.0], [0.0] * n
-    base = _base(z, nu, False)
-    if _upward_is_stable(n, z):
+    if z == 0:
+        raise SingularArgumentError(f"{'spherical h_n' if nu else 'H_n'}^(1) is singular at z = 0")
+    base = _base(z, nu, hankel)
+    if hankel or _upward_is_stable(n, z):
         return base, _upward(base, n, z, nu)
     x = abs(z)
     start = n + 20 + int(x + 16.0 * x ** (1.0 / 3.0))
@@ -193,20 +194,11 @@ def _bessel_j(n: int, z: complex, nu: float) -> tuple[list, list]:
     return base, ratios
 
 
-def _hankel(n: int, z: complex, nu: float) -> tuple[list, list]:
-    """Base and ratios 0..n-1 of H^(1) (nu = 0) or h^(1) (nu = 1/2) at z
-    by the upward step."""
-    if z == 0:
-        raise SingularArgumentError(f"{'spherical h_n' if nu else 'H_n'}^(1) is singular at z = 0")
-    base = _base(z, nu, True)
-    return base, _upward(base, n, z, nu)
-
-
 # ---------------------------------------------------------------------------
 # Batch API (orders 0..nmax at each of a batch of arguments)
 # ---------------------------------------------------------------------------
-def _all(row, nmax, z, spherical: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(base, ratios) of ``row`` at each z, with one order nmax or one per z.
+def _all(hankel: bool, nmax, z, spherical: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(base, ratios) of _sequence at each z, with one order nmax or one per z.
 
     Each row is the call at its own order: its route, Miller start and
     argument guard follow that order alone.  Its ratios are padded past
@@ -223,7 +215,7 @@ def _all(row, nmax, z, spherical: bool) -> tuple[np.ndarray, np.ndarray]:
         _check_order(n)
     top = max(orders, default=0)
     nu = 0.5 if spherical else 0.0
-    rows = [row(n, _check_argument(x, n), nu) for n, x in zip(orders, z.ravel().tolist())]
+    rows = [_sequence(n, _check_argument(x, n), nu, hankel) for n, x in zip(orders, z.flat)]
     return (np.array([b for b, _ in rows], dtype=complex).reshape(z.shape + (2,)),
             np.array([r + [1.0] * (top - len(r)) for _, r in rows],
                      dtype=complex).reshape(z.shape + (top,)))
@@ -233,11 +225,11 @@ def bessel_j(nmax, z, spherical: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """J_0(z) .. J_nmax(z), or j_n with ``spherical``, in ratio form:
     (J_0, J_1) e^{-Im z} and J_{n+1}/J_n for n < nmax along the last axis,
     for a scalar z or a 1-d batch."""
-    return _all(_bessel_j, nmax, z, spherical)
+    return _all(False, nmax, z, spherical)
 
 
 def bessel_h1(nmax, z, spherical: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """H_0^(1)(z) .. H_nmax^(1)(z), or h_n^(1) with ``spherical``, in ratio
     form: (H_0, H_1) e^{Im z} and H_{n+1}/H_n for n < nmax.  Raises on
     z = 0."""
-    return _all(_hankel, nmax, z, spherical)
+    return _all(True, nmax, z, spherical)

@@ -183,11 +183,16 @@ def field_at(solution, point, region: str | None = None,
 
 def angular_sum(dim: int, coef: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """mie._angular_sum with its angle table built at its own size on every
-    call, with no cache: the cached tables must reproduce it bit for bit."""
+    call, with no cache: the cached tables must reproduce it bit for bit.
+    It forms the same real products of the weighted coefficients' real and
+    imaginary parts with the table."""
     n = np.arange(coef.shape[-1])
     if dim == 2:
-        return (np.where(n == 0, 1.0, 2.0) * coef) @ np.cos(np.outer(n, angles))
-    return ((2 * n + 1) * coef) @ np.polynomial.legendre.legvander(np.cos(angles), n.size - 1).T
+        w, table = np.where(n == 0, 1.0, 2.0) * coef, np.cos(np.outer(n, angles))
+    else:
+        w = (2 * n + 1) * coef
+        table = np.polynomial.legendre.legvander(np.cos(angles), n.size - 1).T
+    return w.real @ table + 1j * (w.imag @ table)
 
 
 def rebuilt(sequence, scale: float) -> list:

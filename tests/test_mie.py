@@ -859,11 +859,35 @@ def test_lossy_linings_reject_contents_without_a_wavenumber():
             mie.solve(scheme, dim, _wave(dim), 0.05, (1.0, 0.0))
 
 
-def test_solve_enters_physical_contents_through_virtual_core_params():
+def test_solve_enters_physical_contents_through_virtual_core_params(monkeypatch):
+    # The lossy layers convert the contents once per rho, and their core
+    # wavenumber is the one of that virtual core; the obstacles never do.
     rho, contents = 0.05, (2.5, 3.0 + 0.7j)
+    calls = []
+    monkeypatch.setattr(mie, "virtual_core_params",
+                        lambda *args: calls.append(args) or virtual_core_params(*args))
     for dim in (2, 3):
         for scheme in (SchemeSpec.finite_sound_hard(), SchemeSpec.finite_sound_soft()):
+            calls.clear()
+            sol = mie.solve_many(scheme, dim, _wave(dim), [rho, 2 * rho], contents)
+            assert calls == [(*contents, rho, dim), (*contents, 2 * rho, dim)]
             core = virtual_core_params(*contents, rho, dim)
-            direct = mie._eliminate(dim, _wave(dim), [rho], scheme, [core])[0]
-            sol = mie.solve(scheme, dim, _wave(dim), rho, contents)
-            assert np.array_equal(sol.d_n, direct.d_n)
+            assert sol[0].k_core == mie._layer_wavenumbers(scheme, rho, 2.0, core)[1]
+            direct = mie._eliminate(dim, _wave(dim), [rho], scheme, contents)[0]
+            assert np.array_equal(sol[0].d_n, direct.d_n)
+        for scheme in (SchemeSpec.sound_hard(), SchemeSpec.sound_soft()):
+            calls.clear()
+            mie.solve(scheme, dim, _wave(dim), rho, contents)
+            assert calls == []
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("scheme", [SchemeSpec.sound_hard(), SchemeSpec.sound_soft()],
+                         ids=["sh", "ss"])
+def test_obstacles_ignore_contents_beyond_the_virtual_range(dim, scheme):
+    # q' rho^-dim overflows at rho = 1e-6, but the obstacles never convert
+    # the contents: they solve, and d_n is that of the default contents.
+    with pytest.raises(RangeError):
+        virtual_core_params(1.0, 1e300, 1e-6, dim)
+    sol = mie.solve(scheme, dim, _wave(dim), 1e-6, (1.0, 1e300))
+    assert np.array_equal(sol.d_n, mie.solve(scheme, dim, _wave(dim), 1e-6, (1.0, 1.0)).d_n)
