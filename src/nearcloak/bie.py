@@ -31,7 +31,10 @@ The far field follows from the same representation,
 
 with gamma = e^{i pi/4}/sqrt(8 pi k), a smooth integrand handled by the
 trapezoid rule.  A companion routine evaluates the same representation
-from Cauchy data sampled on any circle enclosing the scatterer.
+from Cauchy data sampled on any circle enclosing the scatterer.  Both
+sum real products: cos and sin of k xhat.y and k xhat.nu are real
+arrays over the angle x point grid, and no complex exp or complex matrix
+is formed there.
 
 The direct second-kind equation is singular at interior Dirichlet
 eigenvalues of the curve (on a circle of radius a, the k with
@@ -49,6 +52,14 @@ times, and the temporaries take O(N _ROW_BLOCK) memory, not O(N^2).  S is
 only needed as S psi, so it is applied to psi block by block during the
 assembly and never stored: a solve holds two N x N complex arrays,
 1/2 I - K and its LU factors, 2 x 16 N^2 bytes (128 MiB at MAX_NODES).
+
+Each quantity of a solve is computed once.  The assembly returns the
+system as it is solved, A = 1/2 I - K and g = -S psi, with the sign in
+its constants (IEEE rounding is symmetric), so no pass negates or shifts
+an N x N array.  A curve builds its node geometry at construction, and the
+solve and the far field read it.  The 1-norm of A that the condition
+estimate needs is the one finiteness check: a non-finite system raises
+DomainError, and scipy's LU then runs without scanning A or g again.
 
 This module is the cross-validation oracle for the modal solver and
 deliberately shares none of its special-function machinery: specfun takes
@@ -84,6 +95,11 @@ class BoundaryCurve:
     ``modes`` holds (m, c_m) pairs with distinct integer m and finite
     complex c_m.  The parametrization must be regular (|x'(t)| > 0 at every
     node) and counterclockwise, so that (x2', -x1') is the outward normal.
+
+    The node geometry (_geometry) is derived data: the curve builds it once,
+    at construction, where the regularity check needs x' anyway, and keeps
+    it read-only in the private ``_node_geometry``, which every solve and
+    far field of the curve reads.
     """
 
     modes: tuple
@@ -100,23 +116,17 @@ class BoundaryCurve:
             raise DomainError("modes must be (integer m, finite complex c_m) pairs")
         if len({m for m, _ in self.modes}) < len(self.modes):
             raise DomainError("modes must not repeat an m")
-        if np.min(np.abs(_derivatives(self)[1])) <= 0:
+        object.__setattr__(self, "_node_geometry", _geometry(self))
+        if np.min(self._node_geometry[-1]) <= 0:
             raise DomainError("parametrization is not regular (|x'| = 0 at a node)")
-        # pi sum m |c_m|^2 is the signed area enclosed.
-        if not sum(m * abs(c) ** 2 for m, c in self.modes) > 0:
+        # pi sum m |c_m|^2 is the signed area enclosed.  On Python floats a
+        # product overflows to inf, where ** raises OverflowError and a numpy
+        # scalar warns.
+        if not sum(m * (abs(complex(c)) * abs(complex(c))) for m, c in self.modes) > 0:
             raise DomainError("curve must run counterclockwise (sum m |c_m|^2 > 0)")
 
     def nodes(self) -> np.ndarray:
         return 2.0 * math.pi * np.arange(self.n_points) / self.n_points
-
-
-def _derivatives(curve: BoundaryCurve):
-    """x, x', x'' at the nodes as complex arrays: sum_m (im)^k c_m e^{imt}."""
-    m = np.array([mode[0] for mode in curve.modes], dtype=float)
-    c = np.array([mode[1] for mode in curve.modes], dtype=complex)
-    terms = c * np.exp(1j * np.outer(curve.nodes(), m))
-    # Row sums, not a complex @: see _green_far_field.
-    return [(terms * (1j * m) ** k).sum(axis=1) for k in range(3)]
 
 
 def circle(radius: float, n_points: int = 256) -> BoundaryCurve:
@@ -165,35 +175,50 @@ def log_weights(n_half: int) -> np.ndarray:
 # Assembly and solve
 # ---------------------------------------------------------------------------
 def _geometry(curve: BoundaryCurve):
-    pts, d1, d2 = (np.stack([z.real, z.imag], axis=1) for z in _derivatives(curve))
-    normals = np.stack([d1[:, 1], -d1[:, 0]], axis=1)  # outward, length |x'|
-    jac = np.hypot(d1[:, 0], d1[:, 1])
-    return curve.nodes(), pts, d1, d2, normals, jac
+    """The curve's read-only node data: t, then x, x', x'' and the outward
+    normal (length |x'|) as (N, 2) real arrays, then |x'|.  x^(k) is the
+    mode sum sum_m (im)^k c_m e^{imt}."""
+    t = curve.nodes()
+    m = np.array([mode[0] for mode in curve.modes], dtype=float)
+    c = np.array([mode[1] for mode in curve.modes], dtype=complex)
+    terms = c * np.exp(1j * np.outer(t, m))
+    # Row sums, not a complex @ (see _add_product), viewed as (Re, Im) columns.
+    pts, d1, d2 = ((terms * (1j * m) ** k).sum(axis=1).view(float).reshape(-1, 2) for k in range(3))
+    geometry = (t, pts, d1, d2, np.stack([d1[:, 1], -d1[:, 0]], axis=1),
+                np.hypot(d1[:, 0], d1[:, 1]))
+    for array in geometry:
+        array.flags.writeable = False
+    return geometry
 
 
 def _system_matrices(k: float, t, pts, d1, d2, normals, jac, psi):
-    """Nystrom matrix of the double layer K, and the single layer S applied to psi.
+    """The Nystrom system A v = g as it is solved: A = 1/2 I - K, with K the
+    double layer, and g = -S psi, with S the single layer.
 
     Each kernel is split as k1 log(4 sin^2((t_i - t_j)/2)) + k2, weighted
     R_|i-j| k1 + c k2 with c = pi/N.  With the circulant
     C = R_|i-j| - c log(4 sin^2((t_i - t_j)/2)), which carries both log
-    weights, the off-diagonal entries are, for q = b/r,
+    weights, the off-diagonal entries of -K and -S are, for q = b/r,
 
-        K = q (-k/(4 pi) C J_1 - (k c/4) Y_1) + i q (k c/4) J_1,
-        S = (-C J_0/(4 pi) - (c/4) Y_0) |x'_j| + i (c/4) J_0 |x'_j|,
+        -K = q (k/(4 pi) C J_1 + (k c/4) Y_1) - i q (k c/4) J_1,
+        -S = (C J_0/(4 pi) + (c/4) Y_0) |x'_j| - i (c/4) J_0 |x'_j|,
 
     so only real arrays are formed; H = J + iY enters through J and Y.
+    The constants carry the sign, and IEEE rounding is symmetric, so A and
+    g equal the negated K and S psi bit for bit (but for the sign of an
+    exactly cancelling sum's zero) with no pass over an N x N array.  A's
+    diagonal is 1/2 - c times the curvature term.
 
     C and r = |x_i - x_j| are symmetric, so the Bessel factors are formed
     once per unordered node pair: rows run in blocks of _ROW_BLOCK over the
     columns j >= the block's first row, and each block is written to both
     (i, j) and (j, i) (the block's own square gets equal values twice).
     The mirrored q is (-dx, -dy).n_i/r; IEEE subtraction is antisymmetric
-    and hypot ignores signs, so every entry of K equals the one a full
+    and hypot ignores signs, so every entry of A equals the one a full
     N x N evaluation gives, bit for bit, from O(N _ROW_BLOCK) temporaries
     and about N^2/2 calls of each Bessel function.
 
-    S is never stored: S psi sums each block times |x'| psi over the
+    S is never stored: g sums each block of -S times |x'| psi over the
     block's columns into its rows, and the block's transpose beyond its own
     square into those columns, then adds the diagonal in closed form.
     """
@@ -206,8 +231,8 @@ def _system_matrices(k: float, t, pts, d1, d2, normals, jac, psi):
     jac_psi = jac * psi
     w = np.stack([jac_psi.real, jac_psi.imag], axis=1)
 
-    kmat = np.empty((n, n), dtype=complex)
-    s_psi = np.zeros(n, dtype=complex)
+    amat = np.empty((n, n), dtype=complex)
+    g = np.zeros(n, dtype=complex)
     for i0 in range(0, n, _ROW_BLOCK):
         i1 = min(i0 + _ROW_BLOCK, n)
         rows, cols = slice(i0, i1), slice(i0, n)
@@ -221,32 +246,33 @@ def _system_matrices(k: float, t, pts, d1, d2, normals, jac, psi):
         kr = k * r
         j0, j1, y0, y1 = special.j0(kr), special.j1(kr), special.y0(kr), special.y1(kr)
 
-        k_re = -(k / (4.0 * math.pi)) * circ * j1 - (0.25 * k * c) * y1
-        k_im = (0.25 * k * c) * j1
-        kmat.real[rows, cols] = q * k_re
-        kmat.imag[rows, cols] = q * k_im
-        kmat.real[cols, rows] = (q_mirror * k_re).T
-        kmat.imag[cols, rows] = (q_mirror * k_im).T
+        a_re = (k / (4.0 * math.pi)) * circ * j1 + (0.25 * k * c) * y1
+        a_im = (-0.25 * k * c) * j1
+        amat.real[rows, cols] = q * a_re
+        amat.imag[rows, cols] = q * a_im
+        amat.real[cols, rows] = (q_mirror * a_re).T
+        amat.imag[cols, rows] = (q_mirror * a_im).T
 
-        s_re = -(1.0 / (4.0 * math.pi)) * circ * j0 - 0.25 * c * y0
-        s_im = (0.25 * c) * j0
+        s_re = (1.0 / (4.0 * math.pi)) * circ * j0 + 0.25 * c * y0
+        s_im = (-0.25 * c) * j0
         # Placeholder diagonals out; S's closed-form diagonal is added below.
         np.fill_diagonal(s_re, 0.0)
         np.fill_diagonal(s_im, 0.0)
-        _add_product(s_psi[rows], s_re, s_im, w[cols])
-        _add_product(s_psi[i1:], s_re[:, i1 - i0:].T, s_im[:, i1 - i0:].T, w[rows])
+        _add_product(g[rows], s_re, s_im, w[cols])
+        _add_product(g[i1:], s_re[:, i1 - i0:].T, s_im[:, i1 - i0:].T, w[rows])
 
     curvature = (d2[:, 0] * d1[:, 1] - d2[:, 1] * d1[:, 0]) / (4.0 * math.pi * jac ** 2)
-    np.fill_diagonal(kmat, c * curvature)
+    np.fill_diagonal(amat, 0.5 - c * curvature)
     diag_s2 = jac * (0.25j - (np.log(0.5 * k * jac) + _EULER_GAMMA) / (2.0 * math.pi))
-    s_psi += (row[0] * (-(1.0 / (4.0 * math.pi)) * jac) + c * diag_s2) * psi
-    return kmat, s_psi
+    g += (row[0] * ((1.0 / (4.0 * math.pi)) * jac) - c * diag_s2) * psi
+    return amat, g
 
 
 def _add_product(out, a_re, a_im, x):
     """out += (a_re + i a_im) x, for x given as (Re, Im) columns.
 
-    Real products only: a complex @ runs zgemm/zgemv (see _green_far_field)."""
+    Real products only: a complex @ runs zgemm or zgemv, after which
+    OpenBLAS leaves the process's vector code slow until a dgemm runs."""
     p, q = a_re @ x, a_im @ x
     out.real += p[:, 0] - q[:, 1]
     out.imag += p[:, 1] + q[:, 0]
@@ -255,9 +281,13 @@ def _add_product(out, a_re, a_im, x):
 def assemble_and_solve(curve: BoundaryCurve, wave: WaveParams) -> DensitySolution:
     """Assemble (1/2 I - K) v = g and solve it densely.
 
-    g = -S psi is summed during the assembly of K and S is never stored,
-    so the solve holds two N x N complex arrays, A = 1/2 I - K and its LU
+    _system_matrices returns A = 1/2 I - K and g = -S psi as they are
+    solved, from the node geometry the curve built once; S is never
+    stored, so the solve holds two N x N complex arrays, A and its LU
     factors (the residual needs A): 2 x 16 N^2 bytes, 128 MiB at MAX_NODES.
+    The 1-norm of A, which the condition estimate needs anyway, is the one
+    finiteness check: a non-finite A or g (an overflowing curve or k)
+    raises DomainError, and scipy's LU runs without scanning A again.
 
     Raises ResonanceError when the system's estimated condition number
     exceeds 1e12 (interior Dirichlet resonance of the curve).
@@ -265,19 +295,19 @@ def assemble_and_solve(curve: BoundaryCurve, wave: WaveParams) -> DensitySolutio
     if wave.d.size != 2:
         raise DomainError("boundary-integral solver is 2D; give a 2-vector direction")
     k = wave.k
-    t, pts, d1, d2, normals, jac = _geometry(curve)
+    _, pts, _, _, normals, jac = curve._node_geometry
     # psi = du^s/dnu = -d(e^{ik d.y})/dnu; the unit normal is normals/jac.
     phase = np.exp(1j * k * (pts @ wave.d))
     psi = -1j * k * (normals @ wave.d) / jac * phase
 
-    kmat, s_psi = _system_matrices(k, t, pts, d1, d2, normals, jac, psi)
-    g = -s_psi
-    a = np.negative(kmat, out=kmat)  # 1/2 I - K, built in place
-    a.flat[:: curve.n_points + 1] += 0.5
-
-    # The 1-norm's |A| temporary is freed before lu_factor copies A.
-    anorm = np.linalg.norm(a, 1)
-    lu, piv = lu_factor(a)
+    # Overflow leaves inf or nan in A or g, which the check below reports.
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, g = _system_matrices(k, *curve._node_geometry, psi)
+        # The 1-norm's |A| temporary is freed before lu_factor copies A.
+        anorm = np.linalg.norm(a, 1)
+    if not (math.isfinite(anorm) and np.isfinite(g).all()):
+        raise DomainError(f"non-finite Nystrom system for {curve.name} at k={k:g}")
+    lu, piv = lu_factor(a, check_finite=False)
     gecon = get_lapack_funcs(("gecon",), (a,))[0]
     rcond, _ = gecon(lu, anorm, norm="1")
     cond = 1.0 / rcond if rcond > 0 else math.inf
@@ -285,7 +315,7 @@ def assemble_and_solve(curve: BoundaryCurve, wave: WaveParams) -> DensitySolutio
         raise ResonanceError(
             f"discrete system condition ~{cond:.2e}; k={k:g} is near an "
             f"interior resonance of {curve.name}")
-    v = lu_solve((lu, piv), g)
+    v = lu_solve((lu, piv), g, check_finite=False)
     gn = np.linalg.norm(g)
     residual = float(np.linalg.norm(a @ v - g) / gn) if gn > 0 else 0.0
     return DensitySolution(curve=curve, wave=wave, trace=v, neumann_data=psi,
@@ -295,22 +325,24 @@ def assemble_and_solve(curve: BoundaryCurve, wave: WaveParams) -> DensitySolutio
 # ---------------------------------------------------------------------------
 # Far fields
 # ---------------------------------------------------------------------------
-def _gamma_2d(k: float) -> complex:
-    return np.exp(1j * math.pi / 4) / math.sqrt(8.0 * math.pi * k)
-
-
 def _green_far_field(k: float, angles: np.ndarray, ys: np.ndarray, normals: np.ndarray,
                      u: np.ndarray, flux: np.ndarray, weight: float) -> FarFieldPattern:
     """A(xhat) = gamma w sum_j [d_nu e^{-ik xhat.y_j} u_j - e^{-ik xhat.y_j} flux_j]
-    over points y_j with normals nu_j and quadrature weight w."""
+    over points y_j with normals nu_j and quadrature weight w.
+
+    With e^{-ik xhat.y} = c + i s and dn = k xhat.nu, d_nu e^{-ik xhat.y} is
+    (c dn + i s dn)(-i), so the sum is two real-product sums (_add_product):
+    c dn + i s dn applied to -i u, and c + i s applied to -flux.  No complex
+    (angles x points) array is formed."""
     angles = np.asarray(angles, dtype=float)
     xhat = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    # The parentheses keep the products real: a complex @ runs zgemm, after
-    # which OpenBLAS leaves the process's vector code slow until a dgemm runs.
-    phase_out = np.exp(-1j * k * (xhat @ ys.T))          # (n_angles, N)
-    dn_out = -1j * k * (xhat @ normals.T) * phase_out
-    integrand = dn_out * u[None, :] - phase_out * flux[None, :]
-    return FarFieldPattern(angles, _gamma_2d(k) * weight * integrand.sum(axis=1), 2)
+    arg = -k * (xhat @ ys.T)
+    c, s, dn = np.cos(arg), np.sin(arg), k * (xhat @ normals.T)
+    amp = np.zeros(angles.size, dtype=complex)
+    _add_product(amp, c * dn, s * dn, np.stack([u.imag, -u.real], axis=1))
+    _add_product(amp, c, s, -np.stack([flux.real, flux.imag], axis=1))
+    gamma = np.exp(1j * math.pi / 4) / math.sqrt(8.0 * math.pi * k)
+    return FarFieldPattern(angles, gamma * weight * amp, 2)
 
 
 def far_field_from_density(solution: DensitySolution, wave: WaveParams,
@@ -321,7 +353,7 @@ def far_field_from_density(solution: DensitySolution, wave: WaveParams,
     k = wave.k
     if k != solution.wave.k or not np.array_equal(wave.d, solution.wave.d):
         raise DomainError("far field asked for a wave other than the solved one")
-    _, pts, _, _, normals, jac = _geometry(solution.curve)  # normals carry |x'|
+    _, pts, _, _, normals, jac = solution.curve._node_geometry  # normals carry |x'|
     return _green_far_field(k, angles, pts, normals, solution.trace,
                             solution.neumann_data * jac, math.pi / (solution.curve.n_points // 2))
 
@@ -337,8 +369,7 @@ def far_field_from_cauchy_data(radius: float, u: np.ndarray, dudn: np.ndarray,
     """
     if wave.d.size != 2:
         raise DomainError("boundary-integral solver is 2D; give a 2-vector direction")
-    u = np.asarray(u, dtype=complex)
-    dudn = np.asarray(dudn, dtype=complex)
+    u, dudn = np.asarray(u, dtype=complex), np.asarray(dudn, dtype=complex)
     if u.shape != dudn.shape or u.ndim != 1:
         raise ShapeError("u and dudn must be 1D arrays of equal length")
     if not (math.isfinite(radius) and radius > 0):

@@ -72,9 +72,11 @@ own size, and no result depends on what the cache holds.  Each sum is
 two real products, of the real and of the imaginary parts of the
 weighted coefficients with the real table: a complex @ real product
 would copy the table to complex on every call and run zgemm or zgemv,
-with twice the flops (see also bie._green_far_field).
+with twice the flops (see also bie._add_product).
 ``scattered_cauchy_data`` builds the same table for its one grid and
-leaves the cache alone.
+leaves the cache alone, and takes the field and its radial derivative
+from one pass over the exterior terms (``_radial_sums``): one Hankel
+sequence, not one per sum.
 """
 
 from __future__ import annotations
@@ -558,13 +560,14 @@ _REGIONS = {"exterior": (1.0, math.inf), "layer": (0.5, 1.0), "core": (0.0, 0.5)
 
 
 def _radial_sums(solution: ModalSolution, region: str, r: float,
-                 derivative: bool) -> np.ndarray:
+                 derivative: bool) -> list[np.ndarray]:
     """Per-mode radial factors of the field expansion at radius r in a
-    region that contains it; in the exterior only those of the scattered
+    region that contains it, and with ``derivative`` those of its radial
+    derivative after them; in the exterior only those of the scattered
     wave.  Each region's factors are its normalised coefficients
     (ModalSolution) times in-range products and quotients of ratio-form
-    sequences; a radial derivative is the wavenumber times each term times
-    its log-derivative at r.
+    sequences; a radial derivative is the wavenumber times each of the
+    same terms times its log-derivative at r.
 
     The 2D factors carry their i^n phase inside the coefficients; the
     3D assembly applies (2n+1) i^n afterwards.
@@ -596,18 +599,22 @@ def _radial_sums(solution: ModalSolution, region: str, r: float,
         (j,), (hc,) = sequences(specfun.bessel_j, z), sequences(specfun.bessel_h1, zc)
         terms = [(solution.c_n, [j, hc], [], z.imag - zc.imag, j)]
     with np.errstate(over="ignore", invalid="ignore"):
-        field = sum(coef * _values(num, den) * np.exp(scale)
-                    * (_log_derivative(seq[1], z) if derivative else 1.0)
-                    for coef, num, den, scale, seq in terms)
-    if not np.all(np.isfinite(field)):
+        values = [coef * _values(num, den) * np.exp(scale) for coef, num, den, scale, _ in terms]
+        sums = [sum(values)]
+        if derivative:
+            sums.append(wavenumber * sum(v * _log_derivative(seq[1], z)
+                                         for v, (*_, seq) in zip(values, terms)))
+    if not np.all(np.isfinite(sums)):
         raise RangeError(f"the {region} field at r = {r:.6g} leaves the double range")
-    return wavenumber * field if derivative else field
+    return sums
 
 
 def _circle_terms(solution: ModalSolution, r: float, thetas, region: str | None,
                   scattered_only: bool, radial_derivative: bool):
     """field_on_circle's checked float angles, its region and the per-mode
-    factors that multiply cos(n theta) (2D) or (2n+1) P_n(cos theta) (3D)."""
+    factors that multiply cos(n theta) (2D) or (2n+1) P_n(cos theta) (3D):
+    those of the field, then with ``radial_derivative`` those of its radial
+    derivative (_radial_sums)."""
     if r < 0 or not math.isfinite(r):
         raise DomainError(f"radius must be finite and nonnegative, got {r}")
     thetas = np.asarray(thetas, dtype=float)
@@ -627,7 +634,7 @@ def _circle_terms(solution: ModalSolution, r: float, thetas, region: str | None,
         raise DomainError("scattered_only applies to the exterior region")
     radial = _radial_sums(solution, region, r, radial_derivative)
     if solution.dim == 3:
-        radial = _I_POW[np.arange(solution.n_max + 1) & 3] * radial
+        radial = [_I_POW[np.arange(solution.n_max + 1) & 3] * sums for sums in radial]
     return thetas, region, radial
 
 
@@ -649,7 +656,7 @@ def field_on_circle(solution: ModalSolution, r: float, thetas: np.ndarray,
     """
     thetas, region, radial = _circle_terms(solution, r, thetas, region,
                                            scattered_only, radial_derivative)
-    u = _angular_sum(solution.dim, radial, thetas)
+    u = _angular_sum(solution.dim, radial[-1], thetas)
     if region == "exterior" and not scattered_only:
         cos = np.cos(thetas)
         incident = np.exp(1j * solution.k * r * cos)
@@ -661,11 +668,10 @@ def scattered_cauchy_data(solution: ModalSolution, radius: float,
                           thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Scattered field and its radial derivative on a circle (2D).
 
-    Both sums share one angle table, built for this call and not cached:
+    One pass over the exterior terms gives the radial factors of both, and
+    both sums share one angle table, built for this call and not cached:
     the circle grids of a BIE cross-check are shifted by the incident angle,
     so a later call rarely asks for the same grid."""
-    thetas, _, u = _circle_terms(solution, radius, thetas, None, True, False)
-    _, _, dudr = _circle_terms(solution, radius, thetas, None, True, True)
-    table = _tabulate(solution.dim, thetas, _table_rows(u.size))
-    return (_angular_sum(solution.dim, u, thetas, table),
-            _angular_sum(solution.dim, dudr, thetas, table))
+    thetas, _, radial = _circle_terms(solution, radius, thetas, None, True, True)
+    table = _tabulate(solution.dim, thetas, _table_rows(radial[0].size))
+    return tuple(_angular_sum(solution.dim, sums, thetas, table) for sums in radial)

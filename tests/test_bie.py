@@ -132,10 +132,49 @@ def test_circle_trace_matches_modal_series():
 def test_zero_incident_gives_zero_density():
     # homogeneous system: the invertible operator maps only 0 to 0
     crv = bie.circle(0.5, 64)
-    kmat, _ = bie._system_matrices(WAVE.k, *bie._geometry(crv), np.zeros(crv.n_points))
-    a = 0.5 * np.eye(crv.n_points) - kmat
+    a, g = bie._system_matrices(WAVE.k, *bie._geometry(crv), np.zeros(crv.n_points))
+    assert np.max(np.abs(g)) == 0.0
     v = lu_solve(lu_factor(a), np.zeros(crv.n_points, dtype=complex))
     assert np.max(np.abs(v)) == 0.0
+
+
+def test_curve_builds_its_geometry_once(monkeypatch):
+    # The curve builds its node geometry at construction; the solve and the
+    # far field read it.
+    calls = []
+    build = bie._geometry
+    monkeypatch.setattr(bie, "_geometry", lambda curve: calls.append(curve) or build(curve))
+    crv = bie.kite(64)
+    sol = bie.assemble_and_solve(crv, WAVE)
+    bie.far_field_from_density(sol, WAVE, ANGLES)
+    assert len(calls) == 1
+    assert all(not array.flags.writeable for array in crv._node_geometry)
+    for got, ref in zip(crv._node_geometry, build(crv)):
+        assert np.array_equal(got, ref)
+
+
+def test_non_finite_system_is_a_domain_error(monkeypatch):
+    # The 1-norm that feeds the condition estimate is the finiteness check,
+    # ahead of scipy's LU, which runs without scanning A.
+    system = bie._system_matrices
+
+    def with_nan(*args):
+        a, g = system(*args)
+        a[3, 5] = math.nan
+        return a, g
+
+    monkeypatch.setattr(bie, "_system_matrices", with_nan)
+    with pytest.raises(DomainError, match=r"non-finite Nystrom system for kite at k=2"):
+        bie.assemble_and_solve(bie.kite(64), WAVE)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_circle_is_a_domain_error_without_warnings():
+    # |c_m|^2 overflows to inf in the orientation check, for Python and
+    # numpy scalars alike; the overflowing system is reported as such.
+    assert bie.BoundaryCurve(((np.int64(1), np.complex128(1e200)),), 64).n_points == 64
+    with pytest.raises(DomainError, match=r"non-finite Nystrom system for circle\(r=1e\+200\)"):
+        bie.assemble_and_solve(bie.circle(1e200, 64), WAVE)
 
 
 def test_solve_holds_two_system_sized_arrays():
@@ -187,6 +226,14 @@ def _random_density(n_points):
     return rng.standard_normal(n_points) + 1j * rng.standard_normal(n_points)
 
 
+def _system_reference(k_ref):
+    """A = 1/2 I - K formed from a reference K: negated, then 1/2 added on
+    the diagonal."""
+    a_ref = np.negative(k_ref)
+    a_ref.flat[:: k_ref.shape[0] + 1] += 0.5
+    return a_ref
+
+
 @pytest.mark.parametrize("k", [0.5, 2.7, 20.0])
 @pytest.mark.parametrize("n_points", [8, 64, 66, 128, 200])
 @pytest.mark.parametrize("make", [bie.kite, lambda n: bie.circle(0.6, n)],
@@ -194,12 +241,12 @@ def _random_density(n_points):
 def test_system_matrices_match_split_kernel_reference(make, n_points, k):
     geometry = bie._geometry(make(n_points))
     psi = _random_density(n_points)
-    kmat, s_psi = bie._system_matrices(k, *geometry, psi)
+    a, g = bie._system_matrices(k, *geometry, psi)
     k_ref, s_ref = _split_kernel_matrices(k, *geometry)
-    assert np.max(np.abs(kmat - k_ref)) <= 1e-12 * np.max(np.abs(k_ref))
+    assert np.max(np.abs(a - _system_reference(k_ref))) <= 1e-12 * np.max(np.abs(k_ref))
     # The entries of S agree to 1e-12 of max|S|; carried through the sum,
-    # entry i of S psi can be off by 1e-12 sum_j |S_ij| |psi_j| at most.
-    assert np.all(np.abs(s_psi - s_ref @ psi) <= 1e-12 * (np.abs(s_ref) @ np.abs(psi)))
+    # entry i of g = -S psi can be off by 1e-12 sum_j |S_ij| |psi_j| at most.
+    assert np.all(np.abs(g + s_ref @ psi) <= 1e-12 * (np.abs(s_ref) @ np.abs(psi)))
 
 
 @pytest.mark.parametrize("n_points", [8, 66, 200, 256])
@@ -207,20 +254,22 @@ def test_system_matrices_match_split_kernel_reference(make, n_points, k):
                          ids=["kite", "circle"])
 def test_blocked_assembly_equals_dense_evaluation_bit_for_bit(make, n_points):
     # One block, a partial last block, and whole blocks: the mirrored
-    # entries of K carry the same bits as a dense evaluation at (j, i).
+    # entries of A carry the same bits as a dense evaluation of K at (j, i),
+    # negated and shifted by 1/2 on the diagonal, signed zeros included.
     geometry = bie._geometry(make(n_points))
     psi = _random_density(n_points)
     eps = np.finfo(float).eps
     for k in (0.5, 20.0):
-        kmat, s_psi = bie._system_matrices(k, *geometry, psi)
+        a, g = bie._system_matrices(k, *geometry, psi)
         k_ref, s_ref = oracles.dense_system_matrices(k, *geometry)
-        assert np.array_equal(kmat, k_ref)
-        assert np.array_equal(np.signbit(kmat.view(float)), np.signbit(k_ref.view(float)))
-        # S is never stored, so S psi is compared instead.  Each S_ij |x'_j|
-        # psi_j is rounded at a different step (the oracle rounds S_ij |x'_j|,
-        # the assembly |x'_j| psi_j), and the two sums add the terms in a
-        # different order: a few ulps of sum_j |S_ij| |psi_j| apart.
-        assert np.all(np.abs(s_psi - s_ref @ psi) <= 8 * eps * (np.abs(s_ref) @ np.abs(psi)))
+        a_ref = _system_reference(k_ref)
+        assert np.array_equal(a, a_ref)
+        assert np.array_equal(np.signbit(a.view(float)), np.signbit(a_ref.view(float)))
+        # S is never stored, so g = -S psi is compared instead.  Each
+        # S_ij |x'_j| psi_j is rounded at a different step (the oracle rounds
+        # S_ij |x'_j|, the assembly |x'_j| psi_j), and the two sums add the
+        # terms in a different order: a few ulps of sum_j |S_ij| |psi_j| apart.
+        assert np.all(np.abs(g + s_ref @ psi) <= 8 * eps * (np.abs(s_ref) @ np.abs(psi)))
 
 
 def test_kite_self_convergence():
@@ -281,6 +330,17 @@ def test_zero_density_and_no_incident_term_gives_zero_far_field():
     assert np.max(np.abs(amp)) == 0.0
     amp = bie.far_field_from_density(zero, WAVE, ANGLES).amplitude
     assert np.max(np.abs(amp)) == 0.0
+
+
+def test_far_field_of_real_density_data_matches_complex():
+    # Real trace and flux arrays give the far field of the same values
+    # stored as complex.
+    crv = bie.circle(0.5, 64)
+    real = np.cos(crv.nodes())
+    amps = [bie.far_field_from_density(
+        bie.DensitySolution(curve=crv, wave=WAVE, trace=v, neumann_data=v[::-1].copy()),
+        WAVE, ANGLES).amplitude for v in (real, real.astype(complex))]
+    assert np.array_equal(amps[0], amps[1])
 
 
 def test_plane_wave_only_term_matches_disk_closed_form():

@@ -328,6 +328,8 @@ def test_non_finite_or_too_few_inputs_are_domain_errors(tmp_path, capsys, args):
     ["media", "--r2", "inf"], ["bie", "--radius", "nan"], ["bie", "--radius", "inf"],
     # finite, but the squared radius of a grid cell overflows
     ["media", "--r2", "1e308"], ["media", "--r2", "1e154", "--dim", "3"],
+    # finite, but the Nystrom system overflows
+    ["bie", "--radius", "1e200", "--n-points", "64"],
 ], ids="_".join)
 def test_non_finite_radii_are_domain_errors_without_warnings(tmp_path, capsys, args):
     assert run(args + ["--out", "x.csv"], tmp_path) == cli.EXIT_INVALID_PARAMETER

@@ -582,15 +582,37 @@ def test_angle_table_cache_stays_bounded():
 @pytest.mark.parametrize("dim", [2, 3])
 def test_cauchy_data_leaves_the_angle_cache_alone(dim):
     # Its grid is a one-off: no cache slot, and the same sums bit for bit.
-    sol = mie.solve(SchemeSpec.finite_sound_hard(), dim, _wave(dim), 0.3)
     phis = np.linspace(0.0, 2.0, 37) - 0.123
-    before = mie._angle_table.cache_info()
-    u, dudr = mie.scattered_cauchy_data(sol, 0.7, phis)
-    after = mie._angle_table.cache_info()
-    assert (after.hits, after.misses) == (before.hits, before.misses)
-    assert np.array_equal(u, mie.field_on_circle(sol, 0.7, phis, scattered_only=True))
-    assert np.array_equal(dudr, mie.field_on_circle(sol, 0.7, phis, scattered_only=True,
-                                                    radial_derivative=True))
+    for scheme in (SchemeSpec.finite_sound_hard(), SchemeSpec.sound_hard()):
+        sol = mie.solve(scheme, dim, _wave(dim), 0.3)
+        before = mie._angle_table.cache_info()
+        u, dudr = mie.scattered_cauchy_data(sol, 0.7, phis)
+        after = mie._angle_table.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+        assert np.array_equal(u, mie.field_on_circle(sol, 0.7, phis, scattered_only=True))
+        assert np.array_equal(dudr, mie.field_on_circle(sol, 0.7, phis, scattered_only=True,
+                                                        radial_derivative=True))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("scheme", [SchemeSpec.sound_hard(), SchemeSpec.finite_sound_hard()],
+                         ids=["sh", "fsh"])
+def test_cauchy_data_evaluates_the_exterior_terms_once(monkeypatch, dim, scheme):
+    # The field and its radial derivative come from one pass over the same
+    # terms: one Hankel sequence, as one field_on_circle call makes.
+    sol = mie.solve(scheme, dim, _wave(dim), 0.3)
+    phis = np.linspace(0.0, 2.0, 37)
+    calls = []
+    for name in ("bessel_j", "bessel_h1"):
+        fn = getattr(specfun, name)
+        monkeypatch.setattr(specfun, name,
+                            lambda *args, _fn=fn, _name=name, **kw:
+                            calls.append(_name) or _fn(*args, **kw))
+    mie.scattered_cauchy_data(sol, 0.7, phis)
+    assert calls == ["bessel_h1"]
+    calls.clear()
+    mie.field_on_circle(sol, 0.7, phis, scattered_only=True, radial_derivative=True)
+    assert calls == ["bessel_h1"]
 
 
 @pytest.mark.parametrize("dim", [2, 3])
