@@ -45,21 +45,36 @@ returning garbage.
 Kernel evaluation uses scipy's real-argument order-0/1 Bessel routines
 (j0, j1, y0, y1), and K and S are assembled in real arithmetic, each from
 one circulant carrying both log weights.  The kernel factors depend on a
-node pair only through |x_i - x_j| and |i - j| (the double layer adds the
-normal at the column node), so they are evaluated once per unordered
-pair, in row blocks, and mirrored: each Bessel routine runs about N^2/2
-times, and the temporaries take O(N _ROW_BLOCK) memory, not O(N^2).  S is
-only needed as S psi, so it is applied to psi block by block during the
-assembly and never stored: a solve holds two N x N complex arrays,
-1/2 I - K and its LU factors, 2 x 16 N^2 bytes (128 MiB at MAX_NODES).
+node pair only through |x_i - x_j| and the circulant index (the double
+layer adds the normal at the column node), so one kernel pass
+(_kernel_pass) evaluates them once per unordered pair, in row blocks, and
+mirrors them: each Bessel routine runs about n^2/2 times over n nodes, and
+the temporaries take O(n _ROW_BLOCK) memory, not O(n^2).  S is only needed
+as S psi, so it is applied to psi block by block during the assembly and
+never stored.
+
+A curve whose modes are all real is mirror-symmetric, x(-t) = conj x(t),
+and the reflection P: node i -> N - i commutes with A = 1/2 I - K and with
+S.  The system then splits into independent even and odd blocks of about
+N/2 nodes each (_system; the symmetry reduction of Allgower, Boehmer,
+Georg and Miranda, SIAM J. Numer. Anal. 29, 1992): one kernel pass over nodes 0..N/2 against
+themselves and one over nodes 1..N/2-1 against their mirror images give
+both, from about N^2/4 calls of each Bessel routine, and each block has
+its own LU, a quarter of the full system's work.  The solve holds the two
+blocks and one block's LU factors at a time, about 12 N^2 bytes; a
+general curve takes one block over all N nodes, which holds 1/2 I - K and
+its LU factors, 2 x 16 N^2 bytes (128 MiB at MAX_NODES).  The condition
+estimate is the larger of the blocks' estimates, and the residual
+||A v - g||/||g|| is rebuilt from the blocks' residuals.
 
 Each quantity of a solve is computed once.  The assembly returns the
 system as it is solved, A = 1/2 I - K and g = -S psi, with the sign in
 its constants (IEEE rounding is symmetric), so no pass negates or shifts
 an N x N array.  A curve builds its node geometry at construction, and the
-solve and the far field read it.  The 1-norm of A that the condition
-estimate needs is the one finiteness check: a non-finite system raises
-DomainError, and scipy's LU then runs without scanning A or g again.
+solve and the far field read it.  The 1-norm of each block that the
+condition estimate needs is its one finiteness check: a non-finite system
+raises DomainError, and scipy's LU then runs without scanning A or g
+again.  A non-finite trace, residual or far field raises DomainError too.
 
 This module is the cross-validation oracle for the modal solver and
 deliberately shares none of its special-function machinery: specfun takes
@@ -177,11 +192,21 @@ def log_weights(n_half: int) -> np.ndarray:
 def _geometry(curve: BoundaryCurve):
     """The curve's read-only node data: t, then x, x', x'' and the outward
     normal (length |x'|) as (N, 2) real arrays, then |x'|.  x^(k) is the
-    mode sum sum_m (im)^k c_m e^{imt}."""
+    mode sum sum_m (im)^k c_m e^{imt}.
+
+    e^{imt_j} is w^((m j) mod N), from the N-th roots of unity w^p with
+    w^(N-p) = conj w^p and w^(N/2) = -1 exactly: the index arithmetic is
+    exact, and where every c_m is real the table holds x_(N-j) = conj x_j
+    bit for bit, with nodes 0 and N/2 on the real axis."""
     t = curve.nodes()
-    m = np.array([mode[0] for mode in curve.modes], dtype=float)
+    n = t.size
+    m = np.array([mode[0] for mode in curve.modes])
     c = np.array([mode[1] for mode in curve.modes], dtype=complex)
-    terms = c * np.exp(1j * np.outer(t, m))
+    half = np.exp((2j * math.pi / n) * np.arange(n // 2 + 1))
+    half[-1] = -1.0
+    roots = np.concatenate([half, half[-2:0:-1].conj()])
+    terms = c * roots[np.outer(np.arange(n), m) % n]
+    m = m.astype(float)
     # Row sums, not a complex @ (see _add_product), viewed as (Re, Im) columns.
     pts, d1, d2 = ((terms * (1j * m) ** k).sum(axis=1).view(float).reshape(-1, 2) for k in range(3))
     geometry = (t, pts, d1, d2, np.stack([d1[:, 1], -d1[:, 0]], axis=1),
@@ -191,9 +216,16 @@ def _geometry(curve: BoundaryCurve):
     return geometry
 
 
-def _system_matrices(k: float, t, pts, d1, d2, normals, jac, psi):
-    """The Nystrom system A v = g as it is solved: A = 1/2 I - K, with K the
-    double layer, and g = -S psi, with S the single layer.
+def _mirror_symmetric(curve: BoundaryCurve) -> bool:
+    """Whether every c_m is real, so that x(-t) = conj x(t): node N - j is
+    the mirror image of node j in the x-axis.  Read from the mode table
+    only."""
+    return all(complex(c).imag == 0 for _, c in curve.modes)
+
+
+def _kernel_pass(k: float, geometry, nodes, psi, reflect: bool = False):
+    """(A, g) over the node set ``nodes``: A = 1/2 I - K, with K the double
+    layer, and g = -S psi, with S the single layer, for each column of psi.
 
     Each kernel is split as k1 log(4 sin^2((t_i - t_j)/2)) + k2, weighted
     R_|i-j| k1 + c k2 with c = pi/N.  With the circulant
@@ -206,43 +238,56 @@ def _system_matrices(k: float, t, pts, d1, d2, normals, jac, psi):
     so only real arrays are formed; H = J + iY enters through J and Y.
     The constants carry the sign, and IEEE rounding is symmetric, so A and
     g equal the negated K and S psi bit for bit (but for the sign of an
-    exactly cancelling sum's zero) with no pass over an N x N array.  A's
+    exactly cancelling sum's zero) with no pass over an n x n array.  A's
     diagonal is 1/2 - c times the curvature term.
 
-    C and r = |x_i - x_j| are symmetric, so the Bessel factors are formed
-    once per unordered node pair: rows run in blocks of _ROW_BLOCK over the
-    columns j >= the block's first row, and each block is written to both
-    (i, j) and (j, i) (the block's own square gets equal values twice).
-    The mirrored q is (-dx, -dy).n_i/r; IEEE subtraction is antisymmetric
-    and hypot ignores signs, so every entry of A equals the one a full
-    N x N evaluation gives, bit for bit, from O(N _ROW_BLOCK) temporaries
-    and about N^2/2 calls of each Bessel function.
+    With ``reflect``, column j is the mirror image of node j instead: the
+    point (x_j, -y_j) with the normal (n_x, -n_y) and the index -j, so that
+    on a mirror-symmetric curve entry (i, j) is A[i, N - j] and C is
+    R_(i+j) mod N.  The two points never coincide there, so that pass has
+    no singular diagonal.
+
+    Either way C and r = |x_i - x_j| are symmetric, so the Bessel factors
+    are formed once per unordered pair: rows run in blocks of _ROW_BLOCK
+    over the columns j >= the block's first row, and each block is written
+    to both (i, j) and (j, i) (the block's own square gets equal values
+    twice).  The mirrored q is (-dx, -dy).n_i/r; IEEE subtraction is
+    antisymmetric and hypot ignores signs, so every entry of A equals the
+    one an evaluation at every ordered pair of the same rows and columns
+    gives, bit for bit, from O(n _ROW_BLOCK) temporaries and about n^2/2
+    calls of each Bessel function.
 
     S is never stored: g sums each block of -S times |x'| psi over the
     block's columns into its rows, and the block's transpose beyond its own
     square into those columns, then adds the diagonal in closed form.
     """
-    n = t.size
-    n_half = n // 2
+    t, pts, d1, d2, normals, jac = geometry
+    n_half = t.size // 2
     c = math.pi / n_half
-    m = np.arange(n)
     row = log_weights(n_half)
     row[1:] -= c * np.log(4.0 * np.sin(0.5 * t[1:]) ** 2)
-    jac_psi = jac * psi
-    w = np.stack([jac_psi.real, jac_psi.imag], axis=1)
+    m, pts, normals, jac = nodes, pts[nodes], normals[nodes], jac[nodes]
+    if reflect:
+        m_col, pts_col, normals_col = -m, pts * (1.0, -1.0), normals * (1.0, -1.0)
+    else:
+        m_col, pts_col, normals_col = m, pts, normals
+    jac_psi = jac[:, None] * psi
+    w = np.concatenate([jac_psi.real, jac_psi.imag], axis=1)
 
+    n = m.size
     amat = np.empty((n, n), dtype=complex)
-    g = np.zeros(n, dtype=complex)
+    g = np.zeros(psi.shape, dtype=complex)
     for i0 in range(0, n, _ROW_BLOCK):
         i1 = min(i0 + _ROW_BLOCK, n)
         rows, cols = slice(i0, i1), slice(i0, n)
-        dx = pts[rows, None, 0] - pts[None, cols, 0]
-        dy = pts[rows, None, 1] - pts[None, cols, 1]
+        dx = pts[rows, None, 0] - pts_col[None, cols, 0]
+        dy = pts[rows, None, 1] - pts_col[None, cols, 1]
         r = np.hypot(dx, dy)
-        np.fill_diagonal(r, 1.0)  # placeholder; diagonals are overwritten below
-        q = (dx * normals[None, cols, 0] + dy * normals[None, cols, 1]) / r
+        if not reflect:
+            np.fill_diagonal(r, 1.0)  # placeholder; diagonals are overwritten below
+        q = (dx * normals_col[None, cols, 0] + dy * normals_col[None, cols, 1]) / r
         q_mirror = ((-dx) * normals[rows, None, 0] + (-dy) * normals[rows, None, 1]) / r
-        circ = row[np.abs(m[rows, None] - m[None, cols])]
+        circ = row[np.abs(m[rows, None] - m_col[None, cols])]
         kr = k * r
         j0, j1, y0, y1 = special.j0(kr), special.j1(kr), special.y0(kr), special.y1(kr)
 
@@ -255,56 +300,97 @@ def _system_matrices(k: float, t, pts, d1, d2, normals, jac, psi):
 
         s_re = (1.0 / (4.0 * math.pi)) * circ * j0 + 0.25 * c * y0
         s_im = (-0.25 * c) * j0
-        # Placeholder diagonals out; S's closed-form diagonal is added below.
-        np.fill_diagonal(s_re, 0.0)
-        np.fill_diagonal(s_im, 0.0)
+        if not reflect:
+            # Placeholder diagonals out; S's closed-form diagonal is added below.
+            np.fill_diagonal(s_re, 0.0)
+            np.fill_diagonal(s_im, 0.0)
         _add_product(g[rows], s_re, s_im, w[cols])
         _add_product(g[i1:], s_re[:, i1 - i0:].T, s_im[:, i1 - i0:].T, w[rows])
 
-    curvature = (d2[:, 0] * d1[:, 1] - d2[:, 1] * d1[:, 0]) / (4.0 * math.pi * jac ** 2)
-    np.fill_diagonal(amat, 0.5 - c * curvature)
-    diag_s2 = jac * (0.25j - (np.log(0.5 * k * jac) + _EULER_GAMMA) / (2.0 * math.pi))
-    g += (row[0] * ((1.0 / (4.0 * math.pi)) * jac) - c * diag_s2) * psi
+    if not reflect:
+        d1, d2 = d1[nodes], d2[nodes]
+        curvature = (d2[:, 0] * d1[:, 1] - d2[:, 1] * d1[:, 0]) / (4.0 * math.pi * jac ** 2)
+        np.fill_diagonal(amat, 0.5 - c * curvature)
+        diag_s2 = jac * (0.25j - (np.log(0.5 * k * jac) + _EULER_GAMMA) / (2.0 * math.pi))
+        g += (row[0] * ((1.0 / (4.0 * math.pi)) * jac) - c * diag_s2)[:, None] * psi
     return amat, g
 
 
-def _add_product(out, a_re, a_im, x):
-    """out += (a_re + i a_im) x, for x given as (Re, Im) columns.
+def _system(k: float, curve: BoundaryCurve, psi: np.ndarray):
+    """The Nystrom system A v = g as it is solved, as a tuple of
+    (A, g, weight) blocks; _trace puts v together from their solutions.
 
-    Real products only: a complex @ runs zgemm or zgemv, after which
-    OpenBLAS leaves the process's vector code slow until a dgemm runs."""
-    p, q = a_re @ x, a_im @ x
-    out.real += p[:, 0] - q[:, 1]
-    out.imag += p[:, 1] + q[:, 0]
+    A general curve gives one block, A and g over all N nodes, weight 1.
 
+    A mirror-symmetric curve (_mirror_symmetric) gives two.  The reflection
+    P: node i -> N - i commutes with A and S, so A splits in the even and
+    odd node bases.  With h = N/2, I = 0..h and J = 1..h-1:
 
-def assemble_and_solve(curve: BoundaryCurve, wave: WaveParams) -> DensitySolution:
-    """Assemble (1/2 I - K) v = g and solve it densely.
+        A_e = A[I, I], with A[I, N - j] added to each column j in J,
+        A_o = A[J, J] - A[J, N - J],
+        g_e = (g + Pg)[I]/2 and g_o = (g - Pg)[J]/2,
 
-    _system_matrices returns A = 1/2 I - K and g = -S psi as they are
-    solved, from the node geometry the curve built once; S is never
-    stored, so the solve holds two N x N complex arrays, A and its LU
-    factors (the residual needs A): 2 x 16 N^2 bytes, 128 MiB at MAX_NODES.
-    The 1-norm of A, which the condition estimate needs anyway, is the one
-    finiteness check: a non-finite A or g (an overflowing curve or k)
-    raises DomainError, and scipy's LU runs without scanning A again.
-
-    Raises ResonanceError when the system's estimated condition number
-    exceeds 1e12 (interior Dirichlet resonance of the curve).
+    and v[i] = w_e[i] + w_o[i], v[N - i] = w_e[i] - w_o[i] (w_o = 0 at 0
+    and h).  Two kernel passes give them: nodes I against themselves, and
+    nodes J against their mirror images, which is A[J, N - J].  At the
+    fixed rows 0 and h, A[i, N - j] = A[i, j], so those rows of A_e take
+    A[i, J] twice, and of g_e, S[i, J] psi_e[J] twice (the third column of
+    the first pass).  Each Bessel function runs about N^2/4 times, against
+    N^2/2 for one block.  The weights are the squared norms of the even and
+    odd basis vectors, 1 on rows 0 and h and 2 on rows J, so that the
+    weighted block residuals sum to the full one.
     """
-    if wave.d.size != 2:
-        raise DomainError("boundary-integral solver is 2D; give a 2-vector direction")
-    k = wave.k
-    _, pts, _, _, normals, jac = curve._node_geometry
-    # psi = du^s/dnu = -d(e^{ik d.y})/dnu; the unit normal is normals/jac.
-    phase = np.exp(1j * k * (pts @ wave.d))
-    psi = -1j * k * (normals @ wave.d) / jac * phase
+    n = curve.n_points
+    geometry = curve._node_geometry
+    if not _mirror_symmetric(curve):
+        a, g = _kernel_pass(k, geometry, np.arange(n), psi[:, None])
+        return ((a, g[:, 0], 1.0),)
+    h = n // 2
+    fixed, inner = [0, h], slice(1, h)
+    mirrored = psi[-np.arange(h + 1) % n]
+    psi_e, psi_o = 0.5 * (psi[:h + 1] + mirrored), 0.5 * (psi[:h + 1] - mirrored)
+    psi_inner = psi_e.copy()
+    psi_inner[fixed] = 0.0
+    a_e, g_1 = _kernel_pass(k, geometry, np.arange(h + 1),
+                            np.stack([psi_e, psi_o, psi_inner], axis=1))
+    a_r, g_r = _kernel_pass(k, geometry, np.arange(1, h),
+                            np.stack([psi_e[inner], psi_o[inner]], axis=1), reflect=True)
+    a_o = a_e[inner, inner] - a_r
+    a_e[inner, inner] += a_r
+    del a_r
+    a_e[fixed, inner] *= 2.0
+    g_e = g_1[:, 0]
+    g_e[inner] += g_r[:, 0]
+    g_e[fixed] += g_1[fixed, 2]
+    weight_e = np.full(h + 1, 2.0)
+    weight_e[fixed] = 1.0
+    return (a_e, g_e, weight_e), (a_o, g_1[inner, 1] - g_r[:, 1], 2.0)
 
-    # Overflow leaves inf or nan in A or g, which the check below reports.
-    with np.errstate(over="ignore", invalid="ignore"):
-        a, g = _system_matrices(k, *curve._node_geometry, psi)
-        # The 1-norm's |A| temporary is freed before lu_factor copies A.
-        anorm = np.linalg.norm(a, 1)
+
+def _trace(n: int, solutions) -> np.ndarray:
+    """v at the N nodes from the blocks' solutions (see _system)."""
+    if len(solutions) == 1:
+        return solutions[0]
+    w_e, w_o = solutions
+    h = n // 2
+    v = np.empty(n, dtype=complex)
+    v[:h + 1] = w_e
+    v[1:h] += w_o
+    v[h + 1:] = (w_e[1:h] - w_o)[::-1]
+    return v
+
+
+def _solve_block(a, g, curve: BoundaryCurve, k: float):
+    """The LU solve of one block: x with a x = g, and the condition
+    estimate.
+
+    The 1-norm of a, which the condition estimate needs anyway, is the
+    finiteness check: a non-finite a or g (an overflowing curve or k)
+    raises DomainError, and scipy's LU runs without scanning a again.  The
+    1-norm's |a| temporary is freed before lu_factor copies a, and the LU
+    factors are freed on return.
+    """
+    anorm = np.linalg.norm(a, 1)
     if not (math.isfinite(anorm) and np.isfinite(g).all()):
         raise DomainError(f"non-finite Nystrom system for {curve.name} at k={k:g}")
     lu, piv = lu_factor(a, check_finite=False)
@@ -315,11 +401,70 @@ def assemble_and_solve(curve: BoundaryCurve, wave: WaveParams) -> DensitySolutio
         raise ResonanceError(
             f"discrete system condition ~{cond:.2e}; k={k:g} is near an "
             f"interior resonance of {curve.name}")
-    v = lu_solve((lu, piv), g, check_finite=False)
-    gn = np.linalg.norm(g)
-    residual = float(np.linalg.norm(a @ v - g) / gn) if gn > 0 else 0.0
-    return DensitySolution(curve=curve, wave=wave, trace=v, neumann_data=psi,
-                           residual=residual, condition_estimate=float(cond))
+    return lu_solve((lu, piv), g, check_finite=False), cond
+
+
+def _add_product(out, a_re, a_im, x):
+    """out += (a_re + i a_im) x, column by column, for x given as the real
+    columns [Re x | Im x].
+
+    Real products only: a complex @ runs zgemm or zgemv, after which
+    OpenBLAS leaves the process's vector code slow until a dgemm runs."""
+    p, q = a_re @ x, a_im @ x
+    cols = out.shape[1]
+    out.real += p[:, :cols] - q[:, cols:]
+    out.imag += p[:, cols:] + q[:, :cols]
+
+
+def assemble_and_solve(curve: BoundaryCurve, wave: WaveParams) -> DensitySolution:
+    """Assemble (1/2 I - K) v = g and solve it densely.
+
+    _system returns A = 1/2 I - K and g = -S psi as they are solved, from
+    the node geometry the curve built once: on a mirror-symmetric curve
+    (every c_m real, as for the circle and the kite) as an even and an odd
+    block of about N/2 nodes each, otherwise as one block.  Each block has
+    its own finiteness check, LU factors and condition estimate
+    (_solve_block).  S is never stored, so a two-block solve holds A_e,
+    A_o and one block's LU factors at a time, about 12 N^2 bytes; one
+    block holds A and its LU factors, 2 x 16 N^2 bytes, 128 MiB at
+    MAX_NODES (the residual needs A).
+
+    ``condition_estimate`` is the larger of the blocks' estimates, and
+    ``residual`` is ||A v - g||_2/||g||_2 of the full system, rebuilt from
+    the blocks' residuals with the weights of _system.
+
+    Raises ResonanceError when a block's estimated condition number
+    exceeds 1e12 (interior Dirichlet resonance of the curve), and
+    DomainError when the system, the trace or the residual is not finite.
+    """
+    if wave.d.size != 2:
+        raise DomainError("boundary-integral solver is 2D; give a 2-vector direction")
+    k = wave.k
+    _, pts, _, _, normals, jac = curve._node_geometry
+    # psi = du^s/dnu = -d(e^{ik d.y})/dnu; the unit normal is normals/jac.
+    phase = np.exp(1j * k * (pts @ wave.d))
+    psi = -1j * k * (normals @ wave.d) / jac * phase
+
+    # Overflow leaves inf or nan in a block or the residual, which the
+    # checks report.
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks = _system(k, curve, psi)
+        solutions, conds = zip(*(_solve_block(a, g, curve, k) for a, g, _ in blocks))
+        # The residuals follow every LU: under threaded BLAS, numpy's BLAS
+        # threads still spin after a product and slow a scipy LU that
+        # follows at once (8 ms against 0.5 ms at 129 nodes, two cores).
+        r2 = g2 = 0.0
+        for (a, g, weight), x in zip(blocks, solutions):
+            r = a @ x - g
+            r2 += np.sum(weight * (r.real ** 2 + r.imag ** 2))
+            g2 += np.sum(weight * (g.real ** 2 + g.imag ** 2))
+        residual = float(np.sqrt(r2 / g2)) if g2 > 0 else 0.0
+    # A non-finite trace leaves the residual non-finite too.
+    if not math.isfinite(residual):
+        raise DomainError(f"non-finite trace or residual for {curve.name} at k={k:g}")
+    return DensitySolution(curve=curve, wave=wave, trace=_trace(curve.n_points, solutions),
+                           neumann_data=psi, residual=residual,
+                           condition_estimate=float(max(conds)))
 
 
 # ---------------------------------------------------------------------------
@@ -333,16 +478,21 @@ def _green_far_field(k: float, angles: np.ndarray, ys: np.ndarray, normals: np.n
     With e^{-ik xhat.y} = c + i s and dn = k xhat.nu, d_nu e^{-ik xhat.y} is
     (c dn + i s dn)(-i), so the sum is two real-product sums (_add_product):
     c dn + i s dn applied to -i u, and c + i s applied to -flux.  No complex
-    (angles x points) array is formed."""
+    (angles x points) array is formed.  Non-finite amplitudes (overflowing
+    data or k) raise DomainError."""
     angles = np.asarray(angles, dtype=float)
     xhat = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    arg = -k * (xhat @ ys.T)
-    c, s, dn = np.cos(arg), np.sin(arg), k * (xhat @ normals.T)
-    amp = np.zeros(angles.size, dtype=complex)
-    _add_product(amp, c * dn, s * dn, np.stack([u.imag, -u.real], axis=1))
-    _add_product(amp, c, s, -np.stack([flux.real, flux.imag], axis=1))
-    gamma = np.exp(1j * math.pi / 4) / math.sqrt(8.0 * math.pi * k)
-    return FarFieldPattern(angles, gamma * weight * amp, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        arg = -k * (xhat @ ys.T)
+        c, s, dn = np.cos(arg), np.sin(arg), k * (xhat @ normals.T)
+        amp = np.zeros((angles.size, 1), dtype=complex)
+        _add_product(amp, c * dn, s * dn, np.stack([u.imag, -u.real], axis=1))
+        _add_product(amp, c, s, -np.stack([flux.real, flux.imag], axis=1))
+        gamma = np.exp(1j * math.pi / 4) / math.sqrt(8.0 * math.pi * k)
+        pattern = FarFieldPattern(angles, gamma * weight * amp[:, 0], 2)
+    if not np.isfinite(pattern.amplitude).all():
+        raise DomainError(f"non-finite far field at k={k:g}")
+    return pattern
 
 
 def far_field_from_density(solution: DensitySolution, wave: WaveParams,

@@ -1,6 +1,7 @@
 """Boundary-integral solver tests: quadrature, oracle agreement, far fields."""
 
 import ast
+import cmath
 import math
 import tracemalloc
 from pathlib import Path
@@ -19,6 +20,14 @@ import oracles
 
 WAVE = WaveParams(2.0, np.array([1.0, 0.0]))
 ANGLES = 2 * math.pi * np.arange(100) / 100
+
+
+def _turned(curve, angle):
+    """The curve turned about the origin by ``angle``: every c_m times
+    e^{i angle}, so that a mode is complex and the solve takes one block."""
+    turn = cmath.exp(1j * angle)
+    return bie.BoundaryCurve(tuple((m, c * turn) for m, c in curve.modes), curve.n_points,
+                             name=f"{curve.name} turned")
 
 
 # ---------------------------------------------------------------------------
@@ -54,16 +63,21 @@ def test_log_weights_match_mpmath_reference():
     assert np.max(np.abs(bie.log_weights(n_half) - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
+_MP_COS, _MP_SIN = np.frompyfunc(mpmath.cos, 1, 1), np.frompyfunc(mpmath.sin, 1, 1)
+
+
 def _closed_form_circle(radius, t):
-    return (radius * np.stack([np.cos(t), np.sin(t)], axis=-1),
-            radius * np.stack([-np.sin(t), np.cos(t)], axis=-1),
-            radius * np.stack([-np.cos(t), -np.sin(t)], axis=-1))
+    cos, sin = _MP_COS(t), _MP_SIN(t)
+    return (radius * np.stack([cos, sin], axis=-1),
+            radius * np.stack([-sin, cos], axis=-1),
+            radius * np.stack([-cos, -sin], axis=-1))
 
 
 def _closed_form_kite(t):
-    return (np.stack([np.cos(t) + 0.65 * np.cos(2 * t) - 0.65, 1.5 * np.sin(t)], axis=-1),
-            np.stack([-np.sin(t) - 1.3 * np.sin(2 * t), 1.5 * np.cos(t)], axis=-1),
-            np.stack([-np.cos(t) - 2.6 * np.cos(2 * t), -1.5 * np.sin(t)], axis=-1))
+    cos, sin, cos2, sin2 = _MP_COS(t), _MP_SIN(t), _MP_COS(2 * t), _MP_SIN(2 * t)
+    return (np.stack([cos + 0.65 * cos2 - 0.65, 1.5 * sin], axis=-1),
+            np.stack([-sin - 1.3 * sin2, 1.5 * cos], axis=-1),
+            np.stack([-cos - 2.6 * cos2, -1.5 * sin], axis=-1))
 
 
 @pytest.mark.parametrize("n_points", [8, 64, 2048])
@@ -71,10 +85,30 @@ def _closed_form_kite(t):
     (lambda n: bie.circle(0.37, n), lambda t: _closed_form_circle(0.37, t)),
     (bie.kite, _closed_form_kite)], ids=["circle", "kite"])
 def test_mode_tables_match_closed_forms(curve, closed_form, n_points):
+    # The closed forms are taken at 30 digits, at the exact nodes 2 pi j/N:
+    # cos and sin of t_j rounded to a double are themselves off by up to
+    # 1.14e-15 of the kite's max|x'| near t = 2 pi at N = 2048.
     crv = curve(n_points)
-    t, pts, d1, d2, _, _ = bie._geometry(crv)
-    for got, ref in zip((pts, d1, d2), closed_form(t)):
+    _, pts, d1, d2, _, _ = bie._geometry(crv)
+    with mpmath.workdps(30):
+        nodes = np.array([2 * mpmath.pi * j / n_points for j in range(n_points)], dtype=object)
+        refs = [ref.astype(float) for ref in closed_form(nodes)]
+    for got, ref in zip((pts, d1, d2), refs):
         assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def test_real_mode_tables_are_mirror_symmetric_bit_for_bit():
+    # x_(N-j) = conj x_j, x'_(N-j) = -conj x'_j and x''_(N-j) = conj x''_j
+    # exactly, with nodes 0 and N/2 on the real axis: the split solve
+    # folds the system on the curve's own nodes.
+    for crv in (bie.kite(66), bie.circle(0.6, 256)):
+        _, pts, d1, d2, normals, jac = crv._node_geometry
+        n = crv.n_points
+        mirror = -np.arange(n) % n
+        for array, sign in ((pts, (1, -1)), (d1, (-1, 1)), (d2, (1, -1)), (normals, (1, -1))):
+            assert np.array_equal(array[mirror], array * sign)
+        assert np.array_equal(jac[mirror], jac)
+        assert pts[0, 1] == pts[n // 2, 1] == 0.0
 
 
 def test_laplace_double_layer_gauss_identity():
@@ -130,12 +164,13 @@ def test_circle_trace_matches_modal_series():
 
 
 def test_zero_incident_gives_zero_density():
-    # homogeneous system: the invertible operator maps only 0 to 0
-    crv = bie.circle(0.5, 64)
-    a, g = bie._system_matrices(WAVE.k, *bie._geometry(crv), np.zeros(crv.n_points))
-    assert np.max(np.abs(g)) == 0.0
-    v = lu_solve(lu_factor(a), np.zeros(crv.n_points, dtype=complex))
-    assert np.max(np.abs(v)) == 0.0
+    # homogeneous system: the invertible operator maps only 0 to 0, in
+    # each block of either path
+    for crv in (bie.circle(0.5, 64), _turned(bie.circle(0.5, 64), 0.3)):
+        for a, g, _ in bie._system(WAVE.k, crv, np.zeros(crv.n_points, dtype=complex)):
+            assert np.max(np.abs(g)) == 0.0
+            v = lu_solve(lu_factor(a), np.zeros(g.size, dtype=complex))
+            assert np.max(np.abs(v)) == 0.0
 
 
 def test_curve_builds_its_geometry_once(monkeypatch):
@@ -154,18 +189,37 @@ def test_curve_builds_its_geometry_once(monkeypatch):
 
 
 def test_non_finite_system_is_a_domain_error(monkeypatch):
-    # The 1-norm that feeds the condition estimate is the finiteness check,
-    # ahead of scipy's LU, which runs without scanning A.
-    system = bie._system_matrices
+    # The 1-norm that feeds each block's condition estimate is the
+    # finiteness check, ahead of scipy's LU, which runs without scanning A;
+    # the kernel pass serves both the split and the one-block path.
+    kernel_pass = bie._kernel_pass
 
-    def with_nan(*args):
-        a, g = system(*args)
+    def with_nan(*args, **kwargs):
+        a, g = kernel_pass(*args, **kwargs)
         a[3, 5] = math.nan
         return a, g
 
-    monkeypatch.setattr(bie, "_system_matrices", with_nan)
-    with pytest.raises(DomainError, match=r"non-finite Nystrom system for kite at k=2"):
-        bie.assemble_and_solve(bie.kite(64), WAVE)
+    monkeypatch.setattr(bie, "_kernel_pass", with_nan)
+    for crv in (bie.kite(64), _turned(bie.kite(64), 0.3)):
+        with pytest.raises(DomainError, match=rf"non-finite Nystrom system for {crv.name} at k=2"):
+            bie.assemble_and_solve(crv, WAVE)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_wavenumber_is_a_domain_error_without_warnings():
+    # At k = 1e300 the system is finite, but ||g|| overflows, so the
+    # residual is not; on either path that is reported, not returned.
+    for crv in (bie.kite(64), _turned(bie.kite(64), 0.3)):
+        with pytest.raises(DomainError,
+                           match=rf"non-finite trace or residual for {crv.name} at k=1e\+300"):
+            bie.assemble_and_solve(crv, WaveParams(1e300, np.array([1.0, 0.0])))
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_far_field_is_a_domain_error_without_warnings():
+    huge = np.full(16, 1e308)
+    with pytest.raises(DomainError, match="non-finite far field at k=2"):
+        bie.far_field_from_cauchy_data(2.0, huge, huge, WAVE, ANGLES)
 
 
 @pytest.mark.filterwarnings("error")
@@ -178,9 +232,24 @@ def test_overflowing_circle_is_a_domain_error_without_warnings():
 
 
 def test_solve_holds_two_system_sized_arrays():
-    # A = 1/2 I - K and its LU factors, 16 N^2 bytes each; S is never stored
-    # and the 1-norm's |A| is freed before the LU copy.  numpy reports its
-    # array allocations to tracemalloc, so the peak is deterministic.
+    # One block: A = 1/2 I - K and its LU factors, 16 N^2 bytes each; S is
+    # never stored and the 1-norm's |A| is freed before the LU copy.  numpy
+    # reports its array allocations to tracemalloc, so the peak is
+    # deterministic.
+    n = 512
+    curve = _turned(bie.kite(n), 0.3)
+    tracemalloc.start()
+    try:
+        bie.assemble_and_solve(curve, WAVE)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 16 * n ** 2
+
+
+def test_split_solve_holds_one_system_sized_array():
+    # Two blocks of about N/2: A_e, A_o and one block's LU factors at a
+    # time, 12 N^2 bytes, where one block holds 32 N^2.
     n = 512
     curve = bie.kite(n)
     tracemalloc.start()
@@ -189,7 +258,21 @@ def test_solve_holds_two_system_sized_arrays():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * 16 * n ** 2
+    assert peak <= 1.25 * 16 * n ** 2
+
+
+def test_split_assembly_halves_the_kernel_evaluations(monkeypatch):
+    # Each Bessel function runs about N^2/4 times on a mirror-symmetric
+    # curve, and about N^2/2 times on a general one.
+    n = 512
+    sizes = []
+    j0 = special.j0
+    monkeypatch.setattr(special, "j0", lambda x: sizes.append(np.size(x)) or j0(x))
+    bie.assemble_and_solve(bie.kite(n), WAVE)
+    assert sum(sizes) <= n ** 2 / 4 + 64 * n
+    sizes.clear()
+    bie.assemble_and_solve(_turned(bie.kite(n), 0.3), WAVE)
+    assert sum(sizes) >= n ** 2 / 2
 
 
 def _split_kernel_matrices(k, t, pts, d1, d2, normals, jac):
@@ -234,34 +317,60 @@ def _system_reference(k_ref):
     return a_ref
 
 
+def _reference_blocks(curve, a, g, bound):
+    """(A, g, bound) per block of bie._system, from the full system A v = g
+    and an entrywise bound on g's error: one block for a general curve; for
+    a mirror-symmetric one, the even and odd folds of A and g, and for both
+    the even fold of the bound."""
+    if not bie._mirror_symmetric(curve):
+        return ((a, g, bound),)
+    n = g.size
+    h = n // 2
+    rows, inner = np.arange(h + 1), np.arange(1, h)
+    a_e = a[np.ix_(rows, rows)]
+    a_e[:, inner] += a[np.ix_(rows, n - inner)]
+    mirror = -np.arange(n) % n
+    g_e, g_o = 0.5 * (g + g[mirror]), 0.5 * (g - g[mirror])
+    b = 0.5 * (bound + bound[mirror])
+    return ((a_e, g_e[rows], b[rows]),
+            (a[np.ix_(inner, inner)] - a[np.ix_(inner, n - inner)], g_o[inner], b[inner]))
+
+
 @pytest.mark.parametrize("k", [0.5, 2.7, 20.0])
 @pytest.mark.parametrize("n_points", [8, 64, 66, 128, 200])
 @pytest.mark.parametrize("make", [bie.kite, lambda n: bie.circle(0.6, n)],
                          ids=["kite", "circle"])
 def test_system_matrices_match_split_kernel_reference(make, n_points, k):
-    geometry = bie._geometry(make(n_points))
+    # The split blocks of the curve and the one block of the curve turned.
     psi = _random_density(n_points)
-    a, g = bie._system_matrices(k, *geometry, psi)
-    k_ref, s_ref = _split_kernel_matrices(k, *geometry)
-    assert np.max(np.abs(a - _system_reference(k_ref))) <= 1e-12 * np.max(np.abs(k_ref))
-    # The entries of S agree to 1e-12 of max|S|; carried through the sum,
-    # entry i of g = -S psi can be off by 1e-12 sum_j |S_ij| |psi_j| at most.
-    assert np.all(np.abs(g + s_ref @ psi) <= 1e-12 * (np.abs(s_ref) @ np.abs(psi)))
+    for crv, count in ((make(n_points), 2), (_turned(make(n_points), 0.3), 1)):
+        k_ref, s_ref = _split_kernel_matrices(k, *crv._node_geometry)
+        # The entries of S agree to 1e-12 of max|S|; carried through the
+        # sum, entry i of g = -S psi can be off by 1e-12 sum_j |S_ij| |psi_j|.
+        refs = _reference_blocks(crv, _system_reference(k_ref), -(s_ref @ psi),
+                                 1e-12 * (np.abs(s_ref) @ np.abs(psi)))
+        blocks = bie._system(k, crv, psi)
+        assert len(blocks) == len(refs) == count
+        for (a, g, _), (a_ref, g_ref, bound) in zip(blocks, refs):
+            assert np.max(np.abs(a - a_ref)) <= 1e-12 * np.max(np.abs(k_ref))
+            assert np.all(np.abs(g - g_ref) <= bound)
 
 
 @pytest.mark.parametrize("n_points", [8, 66, 200, 256])
 @pytest.mark.parametrize("make", [bie.kite, lambda n: bie.circle(0.6, n)],
                          ids=["kite", "circle"])
 def test_blocked_assembly_equals_dense_evaluation_bit_for_bit(make, n_points):
-    # One block, a partial last block, and whole blocks: the mirrored
-    # entries of A carry the same bits as a dense evaluation of K at (j, i),
-    # negated and shifted by 1/2 on the diagonal, signed zeros included.
-    geometry = bie._geometry(make(n_points))
+    # One kernel pass over all N nodes (the turned curve has a complex
+    # mode): with one block, a partial last block, and whole blocks, the
+    # mirrored entries of A carry the same bits as a dense evaluation of K
+    # at (j, i), negated and shifted by 1/2 on the diagonal, signed zeros
+    # included.
+    crv = _turned(make(n_points), 0.3)
     psi = _random_density(n_points)
     eps = np.finfo(float).eps
     for k in (0.5, 20.0):
-        a, g = bie._system_matrices(k, *geometry, psi)
-        k_ref, s_ref = oracles.dense_system_matrices(k, *geometry)
+        (a, g, _), = bie._system(k, crv, psi)
+        k_ref, s_ref = oracles.dense_system_matrices(k, *crv._node_geometry)
         a_ref = _system_reference(k_ref)
         assert np.array_equal(a, a_ref)
         assert np.array_equal(np.signbit(a.view(float)), np.signbit(a_ref.view(float)))
@@ -270,6 +379,83 @@ def test_blocked_assembly_equals_dense_evaluation_bit_for_bit(make, n_points):
         # S_ij |x'_j|, the assembly |x'_j| psi_j), and the two sums add the
         # terms in a different order: a few ulps of sum_j |S_ij| |psi_j| apart.
         assert np.all(np.abs(g + s_ref @ psi) <= 8 * eps * (np.abs(s_ref) @ np.abs(psi)))
+
+
+@pytest.mark.parametrize("n_points", [8, 66, 200, 256])
+@pytest.mark.parametrize("make", [bie.kite, lambda n: bie.circle(0.6, n)],
+                         ids=["kite", "circle"])
+def test_split_blocks_equal_fold_of_dense_evaluation(make, n_points):
+    # A_e, A_o, g_e and g_o are the even and odd folds of the full system on
+    # the curve's own (mirror-symmetric) nodes, to a few ulps: the fold adds
+    # A[i, j] and A[i, N - j] once more, and g's sums run in another order.
+    crv = make(n_points)
+    psi = _random_density(n_points)
+    eps = np.finfo(float).eps
+    for k in (0.5, 20.0):
+        k_ref, s_ref = oracles.dense_system_matrices(k, *crv._node_geometry)
+        refs = _reference_blocks(crv, _system_reference(k_ref), -(s_ref @ psi),
+                                 8 * eps * (np.abs(s_ref) @ np.abs(psi)))
+        blocks = bie._system(k, crv, psi)
+        assert len(blocks) == len(refs) == 2
+        for (a, g, _), (a_ref, g_ref, bound) in zip(blocks, refs):
+            assert np.max(np.abs(a - a_ref)) <= 8 * eps * np.max(np.abs(a_ref))
+            assert np.all(np.abs(g - g_ref) <= bound)
+
+
+@pytest.mark.parametrize("k", [0.5, 2.7, 20.0])
+@pytest.mark.parametrize("n_points", [64, 256])
+@pytest.mark.parametrize("make", [bie.kite, lambda n: bie.circle(0.6, n)],
+                         ids=["kite", "circle"])
+def test_split_solve_matches_full_dense_solve(make, n_points, k):
+    # The trace from the two blocks against one LU of the full dense system
+    # on the same nodes, for two incident directions.
+    crv = make(n_points)
+    k_ref, s_ref = oracles.dense_system_matrices(k, *crv._node_geometry)
+    lu = lu_factor(_system_reference(k_ref))
+    for angle in (0.0, 1.1):
+        wave = WaveParams(k, np.array([math.cos(angle), math.sin(angle)]))
+        sol = bie.assemble_and_solve(crv, wave)
+        v = lu_solve(lu, -(s_ref @ sol.neumann_data))
+        assert np.max(np.abs(sol.trace - v)) <= 1e-13 * np.max(np.abs(v))
+
+
+def test_residual_and_condition_estimate_are_the_full_systems(monkeypatch):
+    # With each block's solution perturbed, so that the residual is far
+    # above rounding, the residual rebuilt from the weighted block
+    # residuals is ||A v - g||/||g|| of the full system at the returned
+    # trace.  The condition estimate is the larger block's: on kite(128)
+    # at k = 2 the even block's 1-norm condition number is 26.5 and the
+    # odd block's 13.2.
+    solve_block = bie._solve_block
+    rng = np.random.default_rng(7)
+
+    def perturbed(a, g, curve, k):
+        x, cond = solve_block(a, g, curve, k)
+        return x + 1e-3 * rng.standard_normal(x.size), cond
+
+    monkeypatch.setattr(bie, "_solve_block", perturbed)
+    for crv in (bie.kite(128), _turned(bie.kite(128), 0.3)):
+        sol = bie.assemble_and_solve(crv, WAVE)
+        k_ref, s_ref = oracles.dense_system_matrices(WAVE.k, *crv._node_geometry)
+        g = -(s_ref @ sol.neumann_data)
+        full = np.linalg.norm(_system_reference(k_ref) @ sol.trace - g) / np.linalg.norm(g)
+        assert abs(sol.residual - full) <= 1e-10 * full
+        conds = [np.linalg.cond(a, 1) for a, _, _ in bie._system(WAVE.k, crv, sol.neumann_data)]
+        assert max(conds) / 1.5 <= sol.condition_estimate <= max(conds) * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("k", [0.5, 2.7, 20.0])
+def test_split_and_one_block_solves_give_one_far_field(k):
+    # The kite solves as two blocks; turned by 0.3 rad, as one.  Turning the
+    # incidence and the observation angles with it gives the same pattern.
+    turn, incidence = 0.3, 0.4
+    angles = ANGLES[ANGLES + turn <= 2 * math.pi]
+    amps = []
+    for crv, shift in ((bie.kite(256), 0.0), (_turned(bie.kite(256), turn), turn)):
+        wave = WaveParams(k, np.array([math.cos(incidence + shift), math.sin(incidence + shift)]))
+        sol = bie.assemble_and_solve(crv, wave)
+        amps.append(bie.far_field_from_density(sol, wave, angles + shift).amplitude)
+    assert np.max(np.abs(amps[0] - amps[1])) <= 1e-12 * np.max(np.abs(amps[0]))
 
 
 def test_kite_self_convergence():
@@ -434,13 +620,15 @@ def test_cauchy_data_radius_must_be_finite_and_positive(radius):
 def test_interior_resonance_detected():
     # The direct second-kind equation degenerates at interior Dirichlet
     # eigenvalues; on the unit circle the first is k = j_{0,1}.
-    k_res = special.jn_zeros(0, 1)[0]
-    with pytest.raises(ResonanceError):
+    # So are j_{1,1} and j_{2,1}, whose modes are both even and odd.
+    for order in (0, 1, 2):
+        k_res = special.jn_zeros(order, 1)[0]
+        with pytest.raises(ResonanceError):
+            bie.assemble_and_solve(bie.circle(1.0, 128),
+                                   WaveParams(k_res, np.array([1.0, 0.0])))
+        # slightly detuned wavenumbers are fine
         bie.assemble_and_solve(bie.circle(1.0, 128),
-                               WaveParams(k_res, np.array([1.0, 0.0])))
-    # slightly detuned wavenumbers are fine
-    bie.assemble_and_solve(bie.circle(1.0, 128),
-                           WaveParams(k_res + 0.05, np.array([1.0, 0.0])))
+                               WaveParams(k_res + 0.05, np.array([1.0, 0.0])))
 
 
 def test_interior_neumann_eigenvalue_is_not_resonant():

@@ -338,6 +338,17 @@ def test_non_finite_radii_are_domain_errors_without_warnings(tmp_path, capsys, a
 
 
 @pytest.mark.filterwarnings("error")
+def test_overflowing_bie_wavenumber_is_a_domain_error_without_warnings(tmp_path, capsys):
+    # The system is finite, but its residual overflows: no far field of NaNs.
+    args = ["bie", "--k", "1e300", "--n-points", "64", "--out", "x.csv"]
+    assert run(args, tmp_path) == cli.EXIT_INVALID_PARAMETER
+    record = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert record["error"] == "DomainError"
+    assert record["message"] == "non-finite trace or residual for circle(r=0.5) at k=1e+300"
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")
 def test_inverse_log_fit_through_rho_one_is_a_domain_error(tmp_path, capsys):
     # rho = 2, 1, 0.5: the fitted window holds rho = 1, where 1/|ln rho| is infinite.
     code = run(["sweep", "--scheme", "ss", "--rho-start", "2", "--rho-factor", "0.5",

@@ -5,7 +5,8 @@ sound-soft/sound-hard linings and passivity |S_n| <= 1 for the lossy
 FSS/FSH linings, with S_n = 1 + 2 d_n (-i)^n in 2D (d_n carries i^n) and
 S_n = 1 + 2 d_n in 3D; for the lossy linings the optical theorem becomes
 the inequality scattered power <= extinction.  The BIE far field is
-invariant under rotating the obstacle and the incident direction together.
+invariant under rotating the obstacle and the incident direction together,
+and reciprocal: A(xhat; d) = A(-d; -xhat).
 The sequence properties pin specfun's ratio form (log-derivatives, and
 values rebuilt in mpmath from the base value and the ratio products) and
 the solver's in-range products and quotients of sequences to an
@@ -190,6 +191,24 @@ def test_bie_far_field_is_rotation_invariant(amps, phases, k, alpha):
         bie.assemble_and_solve(_star_curve(amps, phases, alpha), turned), turned,
         angles + alpha).amplitude
     assert np.max(np.abs(a0 - a1)) <= 1e-12 * np.max(np.abs(a0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(star=st.none() | st.tuples(coefficients, phase_triples, st.floats(0.1, 3.0)),
+       k=st.floats(0.5, 7.0), i=st.integers(0, 63), j=st.integers(0, 63))
+def test_bie_far_field_is_reciprocal(star, k, i, j):
+    # A(xhat; d) = A(-d; -xhat), on the kite (mirror-symmetric: two blocks)
+    # and on turned star curves (a complex mode: one block).
+    crv = bie.kite(256) if star is None else _star_curve(*star, n_points=256)
+    angles = 2 * math.pi * np.arange(64) / 64
+
+    def pattern(index):
+        wave = WaveParams(k, np.array([math.cos(angles[index]), math.sin(angles[index])]))
+        return bie.far_field_from_density(bie.assemble_and_solve(crv, wave), wave,
+                                          angles).amplitude
+
+    a_d, a_x = pattern(i), pattern((j + 32) % 64)
+    assert abs(a_d[j] - a_x[(i + 32) % 64]) <= 1e-12 * np.max(np.abs(a_d))
 
 
 @SETTINGS
