@@ -96,7 +96,7 @@ from .mie import FarFieldPattern, WaveParams
 _EULER_GAMMA = 0.5772156649015328606
 MAX_NODES = 2048
 RESONANCE_CONDITION = 1e12
-# Rows per block of the kernel assembly (_system_matrices).
+# Rows per block of a kernel pass (_kernel_pass).
 _ROW_BLOCK = 64
 
 

@@ -210,12 +210,13 @@ def rebuilt(sequence, scale: float) -> list:
 
 
 def dense_system_matrices(k, t, pts, d1, d2, normals, jac):
-    """The double layer K and single layer S behind bie._system_matrices,
-    formed as full N x N arrays, every kernel factor evaluated at every
-    ordered node pair (i, j), in the same floating-point operations up to
-    sign: the blocked, mirrored assembly of A = 1/2 I - K must reproduce
-    -K shifted by 1/2 on the diagonal bit for bit.  It never stores S, so
-    S is compared through g = -S psi."""
+    """The double layer K and single layer S behind bie._system, formed as
+    full N x N arrays, every kernel factor evaluated at every ordered node
+    pair (i, j), in the same floating-point operations up to sign: the
+    blocked, mirrored one-block assembly of A = 1/2 I - K must reproduce
+    -K shifted by 1/2 on the diagonal bit for bit, and the even and odd
+    blocks of a mirror-symmetric curve its fold to a few ulps.  The
+    assembly never stores S, so S is compared through g = -S psi."""
     n_half = t.size // 2
     c = math.pi / n_half
     m = np.arange(t.size)
