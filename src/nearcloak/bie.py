@@ -22,7 +22,9 @@ the spectral log-quadrature weights
 
 on 2N equispaced nodes (exact for trigonometric polynomials of degree
 < N), the smooth parts with the plain trapezoid rule.  Convergence is
-spectral on analytic curves.
+spectral on analytic curves.  The rule depends only on node differences,
+so the nodes may sit half a step off t = 0, and they do: node j of the 2N
+is t_j = (2j + 1) pi/(2N) (BoundaryCurve.nodes).
 
 The far field follows from the same representation,
 
@@ -53,19 +55,20 @@ the temporaries take O(n _ROW_BLOCK) memory, not O(n^2).  S is only needed
 as S psi, so it is applied to psi block by block during the assembly and
 never stored.
 
-A curve whose modes are all real is mirror-symmetric, x(-t) = conj x(t),
-and the reflection P: node i -> N - i commutes with A = 1/2 I - K and with
-S.  The system then splits into independent even and odd blocks of about
-N/2 nodes each (_system; the symmetry reduction of Allgower, Boehmer,
-Georg and Miranda, SIAM J. Numer. Anal. 29, 1992): one kernel pass over nodes 0..N/2 against
-themselves and one over nodes 1..N/2-1 against their mirror images give
-both, from about N^2/4 calls of each Bessel routine, and each block has
-its own LU, a quarter of the full system's work.  The solve holds the two
-blocks and one block's LU factors at a time, about 12 N^2 bytes; a
-general curve takes one block over all N nodes, which holds 1/2 I - K and
-its LU factors, 2 x 16 N^2 bytes (128 MiB at MAX_NODES).  The condition
-estimate is the larger of the blocks' estimates, and the residual
-||A v - g||/||g|| is rebuilt from the blocks' residuals.
+A curve whose modes are all real is mirror-symmetric, x(-t) = conj x(t).
+No node lies on its axis, and the reflection P: node i -> N - 1 - i
+commutes with A = 1/2 I - K and with S.  The system then splits into
+independent even and odd blocks of exactly N/2 nodes each (_system; the
+symmetry reduction of Allgower, Boehmer, Georg and Miranda, SIAM J.
+Numer. Anal. 29, 1992): two kernel passes over nodes 0..N/2-1, one
+against themselves and one against their mirror images, give both, from
+about N^2/4 calls of each Bessel routine, and each block has its own LU,
+an eighth of the full system's LU work.  The solve holds the two blocks and
+one block's LU factors at a time, 12 N^2 bytes; a general curve takes one
+block over all N nodes, which holds 1/2 I - K and its LU factors,
+2 x 16 N^2 bytes (128 MiB at MAX_NODES).  The condition estimate is the
+larger of the blocks' estimates, and the residual ||A v - g||/||g|| is
+the blocks' residuals summed.
 
 Each quantity of a solve is computed once.  The assembly returns the
 system as it is solved, A = 1/2 I - K and g = -S psi, with the sign in
@@ -141,7 +144,10 @@ class BoundaryCurve:
             raise DomainError("curve must run counterclockwise (sum m |c_m|^2 > 0)")
 
     def nodes(self) -> np.ndarray:
-        return 2.0 * math.pi * np.arange(self.n_points) / self.n_points
+        """t_j = (2j + 1) pi/N, j = 0..N-1: equispaced, half a step off
+        t = 0, so that no node of a mirror-symmetric curve lies on its axis
+        and the reflection t -> -t maps node j to node N - 1 - j."""
+        return math.pi * (2 * np.arange(self.n_points) + 1) / self.n_points
 
 
 def circle(radius: float, n_points: int = 256) -> BoundaryCurve:
@@ -190,22 +196,23 @@ def log_weights(n_half: int) -> np.ndarray:
 # Assembly and solve
 # ---------------------------------------------------------------------------
 def _geometry(curve: BoundaryCurve):
-    """The curve's read-only node data: t, then x, x', x'' and the outward
-    normal (length |x'|) as (N, 2) real arrays, then |x'|.  x^(k) is the
-    mode sum sum_m (im)^k c_m e^{imt}.
+    """The curve's read-only node data: t (curve.nodes()), then x, x', x''
+    and the outward normal (length |x'|) as (N, 2) real arrays, then |x'|.
+    x^(k) is the mode sum sum_m (im)^k c_m e^{imt}.
 
-    e^{imt_j} is w^((m j) mod N), from the N-th roots of unity w^p with
-    w^(N-p) = conj w^p and w^(N/2) = -1 exactly: the index arithmetic is
-    exact, and where every c_m is real the table holds x_(N-j) = conj x_j
-    bit for bit, with nodes 0 and N/2 on the real axis."""
+    With t_j = (2j + 1) pi/N, e^{imt_j} is w^((m (2j + 1)) mod 2N), from the
+    2N-th roots of unity w^p with w^(2N-p) = conj w^p and w^N = -1 exactly:
+    the index arithmetic is exact, and where every c_m is real the table
+    holds x_(N-1-j) = conj x_j bit for bit (x' with the sign flipped, x'',
+    the normals and |x'| alike), with no node on the real axis."""
     t = curve.nodes()
     n = t.size
     m = np.array([mode[0] for mode in curve.modes])
     c = np.array([mode[1] for mode in curve.modes], dtype=complex)
-    half = np.exp((2j * math.pi / n) * np.arange(n // 2 + 1))
+    half = np.exp((1j * math.pi / n) * np.arange(n + 1))
     half[-1] = -1.0
     roots = np.concatenate([half, half[-2:0:-1].conj()])
-    terms = c * roots[np.outer(np.arange(n), m) % n]
+    terms = c * roots[np.outer(2 * np.arange(n) + 1, m) % (2 * n)]
     m = m.astype(float)
     # Row sums, not a complex @ (see _add_product), viewed as (Re, Im) columns.
     pts, d1, d2 = ((terms * (1j * m) ** k).sum(axis=1).view(float).reshape(-1, 2) for k in range(3))
@@ -217,15 +224,16 @@ def _geometry(curve: BoundaryCurve):
 
 
 def _mirror_symmetric(curve: BoundaryCurve) -> bool:
-    """Whether every c_m is real, so that x(-t) = conj x(t): node N - j is
-    the mirror image of node j in the x-axis.  Read from the mode table
+    """Whether every c_m is real, so that x(-t) = conj x(t): node N - 1 - j
+    is the mirror image of node j in the x-axis.  Read from the mode table
     only."""
     return all(complex(c).imag == 0 for _, c in curve.modes)
 
 
-def _kernel_pass(k: float, geometry, nodes, psi, reflect: bool = False):
-    """(A, g) over the node set ``nodes``: A = 1/2 I - K, with K the double
-    layer, and g = -S psi, with S the single layer, for each column of psi.
+def _kernel_pass(k: float, geometry, n: int, psi, reflect: bool = False):
+    """(A, g) over the first n nodes of the curve's ``geometry``:
+    A = 1/2 I - K, with K the double layer, and g = -S psi, with S the
+    single layer, for each column of psi (n rows).
 
     Each kernel is split as k1 log(4 sin^2((t_i - t_j)/2)) + k2, weighted
     R_|i-j| k1 + c k2 with c = pi/N.  With the circulant
@@ -241,11 +249,14 @@ def _kernel_pass(k: float, geometry, nodes, psi, reflect: bool = False):
     exactly cancelling sum's zero) with no pass over an n x n array.  A's
     diagonal is 1/2 - c times the curvature term.
 
+    The log factor is taken at the node offsets t_m - t_0 = 2 pi m/N,
+    which the nodes' half-step shift leaves unchanged.
+
     With ``reflect``, column j is the mirror image of node j instead: the
-    point (x_j, -y_j) with the normal (n_x, -n_y) and the index -j, so that
-    on a mirror-symmetric curve entry (i, j) is A[i, N - j] and C is
-    R_(i+j) mod N.  The two points never coincide there, so that pass has
-    no singular diagonal.
+    point (x_j, -y_j) with the normal (n_x, -n_y) and the index -j - 1, so
+    that on a mirror-symmetric curve entry (i, j) is A[i, N - 1 - j] and C
+    is R_(i+j+1).  Node i is never node N - 1 - j there (n <= N/2), so
+    that pass has no singular diagonal.
 
     Either way C and r = |x_i - x_j| are symmetric, so the Bessel factors
     are formed once per unordered pair: rows run in blocks of _ROW_BLOCK
@@ -261,20 +272,19 @@ def _kernel_pass(k: float, geometry, nodes, psi, reflect: bool = False):
     block's columns into its rows, and the block's transpose beyond its own
     square into those columns, then adds the diagonal in closed form.
     """
-    t, pts, d1, d2, normals, jac = geometry
-    n_half = t.size // 2
-    c = math.pi / n_half
-    row = log_weights(n_half)
-    row[1:] -= c * np.log(4.0 * np.sin(0.5 * t[1:]) ** 2)
-    m, pts, normals, jac = nodes, pts[nodes], normals[nodes], jac[nodes]
+    size = geometry[0].size
+    c = math.pi / (size // 2)
+    row = log_weights(size // 2)
+    row[1:] -= c * np.log(4.0 * np.sin(math.pi * np.arange(1, size) / size) ** 2)
+    _, pts, d1, d2, normals, jac = (array[:n] for array in geometry)
+    m = np.arange(n)
     if reflect:
-        m_col, pts_col, normals_col = -m, pts * (1.0, -1.0), normals * (1.0, -1.0)
+        m_col, pts_col, normals_col = -m - 1, pts * (1.0, -1.0), normals * (1.0, -1.0)
     else:
         m_col, pts_col, normals_col = m, pts, normals
     jac_psi = jac[:, None] * psi
     w = np.concatenate([jac_psi.real, jac_psi.imag], axis=1)
 
-    n = m.size
     amat = np.empty((n, n), dtype=complex)
     g = np.zeros(psi.shape, dtype=complex)
     for i0 in range(0, n, _ROW_BLOCK):
@@ -308,7 +318,6 @@ def _kernel_pass(k: float, geometry, nodes, psi, reflect: bool = False):
         _add_product(g[i1:], s_re[:, i1 - i0:].T, s_im[:, i1 - i0:].T, w[rows])
 
     if not reflect:
-        d1, d2 = d1[nodes], d2[nodes]
         curvature = (d2[:, 0] * d1[:, 1] - d2[:, 1] * d1[:, 0]) / (4.0 * math.pi * jac ** 2)
         np.fill_diagonal(amat, 0.5 - c * curvature)
         diag_s2 = jac * (0.25j - (np.log(0.5 * k * jac) + _EULER_GAMMA) / (2.0 * math.pi))
@@ -317,67 +326,48 @@ def _kernel_pass(k: float, geometry, nodes, psi, reflect: bool = False):
 
 
 def _system(k: float, curve: BoundaryCurve, psi: np.ndarray):
-    """The Nystrom system A v = g as it is solved, as a tuple of
-    (A, g, weight) blocks; _trace puts v together from their solutions.
+    """The Nystrom system A v = g as it is solved, as a tuple of (A, g)
+    blocks; _trace puts v together from their solutions.
 
-    A general curve gives one block, A and g over all N nodes, weight 1.
+    A general curve gives one block, A and g over all N nodes.
 
-    A mirror-symmetric curve (_mirror_symmetric) gives two.  The reflection
-    P: node i -> N - i commutes with A and S, so A splits in the even and
-    odd node bases.  With h = N/2, I = 0..h and J = 1..h-1:
+    A mirror-symmetric curve (_mirror_symmetric) gives two of N/2 x N/2.
+    The reflection P: node i -> N - 1 - i commutes with A and S, and no
+    node is its own image, so A splits in the even and odd node bases.
+    With h = N/2, I = 0..h-1, A_1 = A[I, I] and A_R = A[I, N - 1 - I]:
 
-        A_e = A[I, I], with A[I, N - j] added to each column j in J,
-        A_o = A[J, J] - A[J, N - J],
-        g_e = (g + Pg)[I]/2 and g_o = (g - Pg)[J]/2,
+        A_e = A_1 + A_R,  A_o = A_1 - A_R,
+        g_e = (g + Pg)[I]/2 = -(S_1 + S_R) psi_e,
+        g_o = (g - Pg)[I]/2 = -(S_1 - S_R) psi_o,
 
-    and v[i] = w_e[i] + w_o[i], v[N - i] = w_e[i] - w_o[i] (w_o = 0 at 0
-    and h).  Two kernel passes give them: nodes I against themselves, and
-    nodes J against their mirror images, which is A[J, N - J].  At the
-    fixed rows 0 and h, A[i, N - j] = A[i, j], so those rows of A_e take
-    A[i, J] twice, and of g_e, S[i, J] psi_e[J] twice (the third column of
-    the first pass).  Each Bessel function runs about N^2/4 times, against
-    N^2/2 for one block.  The weights are the squared norms of the even and
-    odd basis vectors, 1 on rows 0 and h and 2 on rows J, so that the
-    weighted block residuals sum to the full one.
+    with psi_e, psi_o = (psi + P psi)[I]/2, (psi - P psi)[I]/2, and
+    v[i] = w_e[i] + w_o[i], v[N - 1 - i] = w_e[i] - w_o[i].  Two kernel
+    passes over nodes I give them: against themselves (A_1 and S_1) and
+    against their mirror images (A_R and S_R), each applied to both psi_e
+    and psi_o.  Each Bessel function runs about N^2/4 times, against N^2/2
+    for one block.  The even and odd basis vectors have one squared norm,
+    2, so the block residuals sum to the full one with no weights.
     """
     n = curve.n_points
     geometry = curve._node_geometry
     if not _mirror_symmetric(curve):
-        a, g = _kernel_pass(k, geometry, np.arange(n), psi[:, None])
-        return ((a, g[:, 0], 1.0),)
+        a, g = _kernel_pass(k, geometry, n, psi[:, None])
+        return ((a, g[:, 0]),)
     h = n // 2
-    fixed, inner = [0, h], slice(1, h)
-    mirrored = psi[-np.arange(h + 1) % n]
-    psi_e, psi_o = 0.5 * (psi[:h + 1] + mirrored), 0.5 * (psi[:h + 1] - mirrored)
-    psi_inner = psi_e.copy()
-    psi_inner[fixed] = 0.0
-    a_e, g_1 = _kernel_pass(k, geometry, np.arange(h + 1),
-                            np.stack([psi_e, psi_o, psi_inner], axis=1))
-    a_r, g_r = _kernel_pass(k, geometry, np.arange(1, h),
-                            np.stack([psi_e[inner], psi_o[inner]], axis=1), reflect=True)
-    a_o = a_e[inner, inner] - a_r
-    a_e[inner, inner] += a_r
-    del a_r
-    a_e[fixed, inner] *= 2.0
-    g_e = g_1[:, 0]
-    g_e[inner] += g_r[:, 0]
-    g_e[fixed] += g_1[fixed, 2]
-    weight_e = np.full(h + 1, 2.0)
-    weight_e[fixed] = 1.0
-    return (a_e, g_e, weight_e), (a_o, g_1[inner, 1] - g_r[:, 1], 2.0)
+    psi_eo = 0.5 * np.stack([psi[:h] + psi[h:][::-1], psi[:h] - psi[h:][::-1]], axis=1)
+    a_e, g_1 = _kernel_pass(k, geometry, h, psi_eo)
+    a_r, g_r = _kernel_pass(k, geometry, h, psi_eo, reflect=True)
+    a_o = a_e - a_r
+    a_e += a_r
+    return (a_e, g_1[:, 0] + g_r[:, 0]), (a_o, g_1[:, 1] - g_r[:, 1])
 
 
-def _trace(n: int, solutions) -> np.ndarray:
+def _trace(solutions) -> np.ndarray:
     """v at the N nodes from the blocks' solutions (see _system)."""
     if len(solutions) == 1:
         return solutions[0]
     w_e, w_o = solutions
-    h = n // 2
-    v = np.empty(n, dtype=complex)
-    v[:h + 1] = w_e
-    v[1:h] += w_o
-    v[h + 1:] = (w_e[1:h] - w_o)[::-1]
-    return v
+    return np.concatenate([w_e + w_o, (w_e - w_o)[::-1]])
 
 
 def _solve_block(a, g, curve: BoundaryCurve, k: float):
@@ -422,16 +412,15 @@ def assemble_and_solve(curve: BoundaryCurve, wave: WaveParams) -> DensitySolutio
     _system returns A = 1/2 I - K and g = -S psi as they are solved, from
     the node geometry the curve built once: on a mirror-symmetric curve
     (every c_m real, as for the circle and the kite) as an even and an odd
-    block of about N/2 nodes each, otherwise as one block.  Each block has
-    its own finiteness check, LU factors and condition estimate
-    (_solve_block).  S is never stored, so a two-block solve holds A_e,
-    A_o and one block's LU factors at a time, about 12 N^2 bytes; one
-    block holds A and its LU factors, 2 x 16 N^2 bytes, 128 MiB at
-    MAX_NODES (the residual needs A).
+    block of N/2 nodes each, otherwise as one block.  Each block has its
+    own finiteness check, LU factors and condition estimate (_solve_block).
+    S is never stored, so a two-block solve holds A_e, A_o and one block's
+    LU factors at a time, 12 N^2 bytes; one block holds A and its LU
+    factors, 2 x 16 N^2 bytes, 128 MiB at MAX_NODES (the residual needs A).
 
     ``condition_estimate`` is the larger of the blocks' estimates, and
-    ``residual`` is ||A v - g||_2/||g||_2 of the full system, rebuilt from
-    the blocks' residuals with the weights of _system.
+    ``residual`` is ||A v - g||_2/||g||_2 of the full system: the blocks'
+    squared residuals summed over their squared right-hand sides.
 
     Raises ResonanceError when a block's estimated condition number
     exceeds 1e12 (interior Dirichlet resonance of the curve), and
@@ -449,20 +438,20 @@ def assemble_and_solve(curve: BoundaryCurve, wave: WaveParams) -> DensitySolutio
     # checks report.
     with np.errstate(over="ignore", invalid="ignore"):
         blocks = _system(k, curve, psi)
-        solutions, conds = zip(*(_solve_block(a, g, curve, k) for a, g, _ in blocks))
+        solutions, conds = zip(*(_solve_block(a, g, curve, k) for a, g in blocks))
         # The residuals follow every LU: under threaded BLAS, numpy's BLAS
         # threads still spin after a product and slow a scipy LU that
         # follows at once (8 ms against 0.5 ms at 129 nodes, two cores).
         r2 = g2 = 0.0
-        for (a, g, weight), x in zip(blocks, solutions):
+        for (a, g), x in zip(blocks, solutions):
             r = a @ x - g
-            r2 += np.sum(weight * (r.real ** 2 + r.imag ** 2))
-            g2 += np.sum(weight * (g.real ** 2 + g.imag ** 2))
+            r2 += np.sum(r.real ** 2 + r.imag ** 2)
+            g2 += np.sum(g.real ** 2 + g.imag ** 2)
         residual = float(np.sqrt(r2 / g2)) if g2 > 0 else 0.0
     # A non-finite trace leaves the residual non-finite too.
     if not math.isfinite(residual):
         raise DomainError(f"non-finite trace or residual for {curve.name} at k={k:g}")
-    return DensitySolution(curve=curve, wave=wave, trace=_trace(curve.n_points, solutions),
+    return DensitySolution(curve=curve, wave=wave, trace=_trace(solutions),
                            neumann_data=psi, residual=residual,
                            condition_estimate=float(max(conds)))
 
@@ -520,8 +509,8 @@ def far_field_from_cauchy_data(radius: float, u: np.ndarray, dudn: np.ndarray,
     if wave.d.size != 2:
         raise DomainError("boundary-integral solver is 2D; give a 2-vector direction")
     u, dudn = np.asarray(u, dtype=complex), np.asarray(dudn, dtype=complex)
-    if u.shape != dudn.shape or u.ndim != 1:
-        raise ShapeError("u and dudn must be 1D arrays of equal length")
+    if u.shape != dudn.shape or u.ndim != 1 or u.size == 0:
+        raise ShapeError("u and dudn must be nonempty 1D arrays of equal length")
     if not (math.isfinite(radius) and radius > 0):
         raise DomainError(f"sampling radius must be finite and positive, got {radius}")
     m = u.size

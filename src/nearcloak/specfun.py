@@ -115,7 +115,7 @@ _LENTZ_TINY = 1e-30
 # Argument validation
 # ---------------------------------------------------------------------------
 def _check_order(n: int) -> None:
-    if not isinstance(n, (int, np.integer)) or n < 0:
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
         raise RangeError(f"order must be a nonnegative integer, got {n!r}")
     if n > ORDER_MAX:
         raise RangeError(f"order {n} exceeds the supported maximum {ORDER_MAX}")

@@ -221,7 +221,7 @@ def dense_system_matrices(k, t, pts, d1, d2, normals, jac):
     c = math.pi / n_half
     m = np.arange(t.size)
     row = bie.log_weights(n_half)
-    row[1:] -= c * np.log(4.0 * np.sin(0.5 * t[1:]) ** 2)
+    row[1:] -= c * np.log(4.0 * np.sin(math.pi * m[1:] / t.size) ** 2)
     circ = row[np.abs(m[:, None] - m[None, :])]
 
     dx = pts[:, None, 0] - pts[None, :, 0]

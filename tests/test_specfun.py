@@ -276,8 +276,9 @@ def test_range_guards():
         sf.bessel_j(sf.ORDER_MAX + 1, 1.0)
     with pytest.raises(RangeError):
         sf.bessel_j(0, 3.0e4)
-    with pytest.raises(RangeError):
-        sf.bessel_j(-1, 1.0)
+    for order in (-1, True):
+        with pytest.raises(RangeError, match="order must be a nonnegative integer"):
+            sf.bessel_j(order, 1.0)
     with pytest.raises(SingularArgumentError):
         sf.bessel_h1(0, 0.0)
     # the J ratios are admissible at z = 0, where they take their limit 0
