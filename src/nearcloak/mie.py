@@ -46,7 +46,12 @@ one.  ``_eliminate`` runs in passes over (B, n) arrays padded to the
 largest n_max of the pass's rows.  Each row starts at default_n_max; a
 row whose tail |d_{n_max}| / max|d_n| is above TAIL_THRESHOLD is solved
 again 8 orders higher, and one still above it at N_MAX_CAP raises
-TruncationError, so no returned solution has a larger tail.
+TruncationError, so no returned solution has a larger tail.  A pass
+makes one specfun.bessel_j and one specfun.bessel_h1 call over its
+argument arrays concatenated, each row at its own order: x alone for an
+obstacle, so B rows, and x, z1, z2 and zc for a lossy layer, so 4B.
+Each kind takes one log-derivative, the sequences at each argument are
+views of these arrays, and the pass's tails are computed together.
 
 ``field_on_circle`` picks its region by one rule (``_REGIONS``), with one error.
 
@@ -235,8 +240,9 @@ class ModalSolution:
     @property
     def truncation_tail(self) -> float:
         """|d_n| at n_max over the largest |d_n| (0 if every d_n is 0)."""
-        peak = float(np.max(np.abs(self.d_n)))
-        return float(abs(self.d_n[-1])) / peak if peak else 0.0
+        size = np.abs(self.d_n)
+        peak = float(np.max(size))
+        return float(size[-1]) / peak if peak else 0.0
 
     @property
     def is_layered(self) -> bool:
@@ -314,17 +320,21 @@ def _values(num, den=()) -> np.ndarray:
     a quotient of one kind, stays in double range where its factors need
     not, since its ratios do.
     """
-    base, ratio, weight = 1.0, 1.0, 1.0
+    (base, ratio), *num = num
+    weight = np.abs(base)
     for b, r in num:
         base, ratio, weight = base * b, ratio * r, weight * np.abs(b)
     for b, r in den:
         base, ratio, weight = base / b, ratio / r, weight * np.abs(b)
     one = weight[..., 1] > weight[..., 0]  # anchored at order 1
-    steps = ratio[..., :-1].copy()
-    steps[..., :1] = np.where(one[..., None], 1.0, steps[..., :1])  # skip f_1/f_0
+    anchor = np.where(one, base[..., 1], base[..., 0])
     out = np.empty(ratio.shape, dtype=complex)
-    out[..., 0] = np.where(one, base[..., 1] / np.where(one, ratio[..., 0], 1.0), base[..., 0])
-    out[..., 1:] = np.where(one, base[..., 1], base[..., 0])[..., None] * np.cumprod(steps, axis=-1)
+    steps = out[..., 1:]  # orders 1..N-1: the anchor times a running product
+    steps[...] = ratio[..., :-1]
+    steps[one, :1] = 1.0  # skip f_1/f_0
+    np.cumprod(steps, axis=-1, out=steps)
+    np.multiply(anchor[..., None], steps, out=steps)
+    out[..., 0] = anchor / np.where(one, ratio[..., 0], 1.0)
     return out
 
 
@@ -375,12 +385,19 @@ def _eliminate(dim: int, wave: WaveParams, rho: list[float], scheme: SchemeSpec,
     while rows:
         sizes = [orders[i] + 1 for i in rows]
         nmax = max(sizes) - 1
-        # Orders 0..n+1 give the ratios of orders 0..n; j[i] and h[i] are
-        # the rows' sequences (base, ratios) at zs[i].
-        j, h = ([fn(sizes, zr[rows], spherical=dim == 3) for zr in zs]
-                for fn in (specfun.bessel_j, specfun.bessel_h1))
-        dj, dh = ([_log_derivative(ratios, zr[rows]) for (_, ratios), zr in zip(seqs, zs)]
-                  for seqs in (j, h))
+        # Orders 0..n+1 give the ratios of orders 0..n.  One call per kind
+        # over the rows' arguments at every z of zs, concatenated: j[i] and
+        # h[i] are the rows' sequences (base, ratios) at zs[i], dj[i] and
+        # dh[i] their log-derivatives, all views of the one call's arrays.
+        z = np.concatenate([zr[rows] for zr in zs])
+        parts = [slice(i * len(rows), (i + 1) * len(rows)) for i in range(len(zs))]
+        seqs, logds = [], []
+        for fn in (specfun.bessel_j, specfun.bessel_h1):
+            base, ratios = fn(sizes * len(zs), z, spherical=dim == 3)
+            logd = _log_derivative(ratios, z)
+            seqs.append([(base[p], ratios[p]) for p in parts])
+            logds.append([logd[p] for p in parts])
+        (j, h), (dj, dh) = seqs, logds
         phase = _I_POW[np.arange(nmax + 1) & 3] if dim == 2 else 1.0  # incident phase
         e = _values([j[0]], [h[0]])  # J_n(x)/H_n(x); x is real, so no Amos scale
         coeffs, degenerate = (None, None, None), np.zeros((len(rows), nmax + 1), dtype=bool)
@@ -418,18 +435,26 @@ def _eliminate(dim: int, wave: WaveParams, rho: list[float], scheme: SchemeSpec,
                  / (_values([j[3], h[3]]) * inner))
             coeffs = a, b, c
 
+        # Each row's tail, |d_n| at its n_max over its largest |d_n| (0 if
+        # every d_n is 0), as ModalSolution.truncation_tail reads it.
+        last = np.array(sizes) - 1
+        magnitude = np.abs(d)
+        peak = np.max(magnitude, axis=1, where=np.arange(nmax + 1) <= last[:, None], initial=0.0)
+        tails = np.divide(magnitude[np.arange(len(rows)), last], peak,
+                          out=np.zeros_like(peak), where=peak != 0).tolist()
+        flagged = degenerate.any(axis=1).tolist()
         for row, i in enumerate(rows):
             n = orders[i]
-            d_n, a_n, b_n, c_n = (None if x is None else x[row, :n + 1] for x in (d, *coeffs))
-            solution = ModalSolution(
-                dim=dim, rho=rho[i], k=wave.k, d_n=d_n, a_n=a_n, b_n=b_n, c_n=c_n,
-                k_layer=layers[i][0], k_core=layers[i][1],
-                degenerate_modes=tuple(np.flatnonzero(degenerate[row, :n + 1]).tolist()))
-            if solution.truncation_tail <= TAIL_THRESHOLD:
-                out[i] = solution
+            if tails[row] <= TAIL_THRESHOLD:
+                d_n, a_n, b_n, c_n = (None if x is None else x[row, :n + 1] for x in (d, *coeffs))
+                out[i] = ModalSolution(
+                    dim=dim, rho=rho[i], k=wave.k, d_n=d_n, a_n=a_n, b_n=b_n, c_n=c_n,
+                    k_layer=layers[i][0], k_core=layers[i][1],
+                    degenerate_modes=tuple(np.flatnonzero(degenerate[row, :n + 1]).tolist())
+                    if flagged[row] else ())
             elif n == N_MAX_CAP:
                 raise TruncationError(
-                    f"modal tail {solution.truncation_tail:.3g} is above {TAIL_THRESHOLD:g} "
+                    f"modal tail {tails[row]:.3g} is above {TAIL_THRESHOLD:g} "
                     f"at the order cap n_max = {n} (k rho = {wave.k * rho[i]:g})")
             orders[i] = min(n + 8, N_MAX_CAP)
         rows = [i for i in rows if out[i] is None]

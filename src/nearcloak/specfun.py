@@ -18,20 +18,26 @@ Amos-scaled value is the base times a cumulative ratio product.
 Both functions take a scalar z or a 1-d array of B arguments, and one
 order nmax or one per argument; base has shape (2,) or (B, 2), ratios
 (top,) or (B, top) with top the largest nmax.  A batch row is the call
-at its own order, bit for bit, padded past that order with 1.0.
+at its own order, bit for bit, padded past that order with 1.0.  A batch
+makes one Amos call, over the (B, 2) grid of its arguments and the
+orders nu and nu + 1, for every base value; the rest is scalar and per
+row, on Python complex numbers: the checks, the scale factors of the
+base values and the recurrence.  So a row's bits do not depend on the
+batch it is in, and a scalar call is a batch of one.
 
 Algorithms
 ----------
 All four families obey f_{m-1} + f_{m+1} = (2(m + nu)/z) f_m (nu = 0
 cylindrical, 1/2 spherical: j_n and h_n^(1) are J and H of order n + 1/2
 times sqrt(pi/(2z)), which cancels in every ratio).  Divided by f_m it
-is one step for either direction, x <- 2(m + nu)/z - 1/x.  One routine,
-``_sequence``, gives either kind by these routes in turn:
+is one step for either direction, x <- 2(m + nu)/z - 1/x.  ``_base``
+gives the base values of a batch and one routine, ``_sequence``, the
+ratios of either kind at each row, by these routes in turn:
 
 * base values: orders 0 and 1 from scipy's exponentially scaled Amos
   routines (D. E. Amos, ACM TOMS 12, 265, 1986) at orders nu and nu + 1,
-  jve for J/j and hankel1e for H/h, times sqrt(pi/(2z)) for the spherical
-  families.
+  jve for J/j and hankel1e for H/h (times e^{i Re z}), times
+  sqrt(pi/(2z)) for the spherical families.
 * upward, for H_n and h_n (H^(1) has no zeros in Im z >= 0), and for J_n
   and j_n where Im z >= 20 and n^2 Im z <= |z|^2, with n the order of the
   call: s_m = 2(m + nu)/z - 1/s_{m-1} from s_0 = f_1/f_0 of the base
@@ -121,36 +127,50 @@ def _check_order(n: int) -> None:
         raise RangeError(f"order {n} exceeds the supported maximum {ORDER_MAX}")
 
 
-def _check_argument(z: complex, n: int) -> complex:
-    """z as a complex, or RangeError; ``n`` is the order of the call."""
-    z = complex(z)
+def _check_argument(z: complex, n: int) -> None:
+    """RangeError unless z is in range; ``n`` is the order of the call."""
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise RangeError("non-finite argument")
-    if abs(z) > ARGUMENT_GUARD and not (abs(z) <= _UPWARD_GUARD
-                                        and _upward_is_stable(n, z)):
-        raise RangeError(f"|z| = {abs(z):.3g} exceeds the guard {ARGUMENT_GUARD:g} "
+    size = abs(z)
+    if size > ARGUMENT_GUARD and not (size <= _UPWARD_GUARD and _upward_is_stable(n, z)):
+        raise RangeError(f"|z| = {size:.3g} exceeds the guard {ARGUMENT_GUARD:g} "
                          f"({_UPWARD_GUARD:g} where Im z >= 20 and top^2 Im z <= |z|^2 "
                          f"at the top order {n})")
-    if 0 < abs(z) < ARGUMENT_FLOOR:
-        raise RangeError(f"|z| = {abs(z):.3g} is below the floor {ARGUMENT_FLOOR:g}")
+    if 0 < size < ARGUMENT_FLOOR:
+        raise RangeError(f"|z| = {size:.3g} is below the floor {ARGUMENT_FLOOR:g}")
     if z.imag < 0:
         raise RangeError(f"Im z = {z.imag:.3g} lies below the real axis")
-    return z
 
 
 # ---------------------------------------------------------------------------
 # One sequence in ratio form
 # ---------------------------------------------------------------------------
-def _base(z: complex, nu: float, hankel: bool) -> list[complex]:
-    """Orders 0 and 1 at z != 0 of J (nu = 0) or j (nu = 1/2), or with
-    ``hankel`` of H^(1) or h^(1), Amos-scaled: for Im z >= 0, jve =
-    J e^{-Im z} and hankel1e = H e^{-iz}, here times e^{i Re z}; j, h are
-    sqrt(pi/(2z)) times J, H at order n + 1/2."""
-    v = (nu, nu + 1.0)
-    f = special.hankel1e(v, z) * cmath.exp(1j * z.real) if hankel else special.jve(v, z)
-    if nu:
-        f = f * cmath.sqrt(math.pi / (2.0 * z))
-    return f.tolist()
+def _base(z: list[complex], nu: float, hankel: bool) -> list[list[complex]]:
+    """Orders 0 and 1 at each z of a batch of J (nu = 0) or j (nu = 1/2),
+    or with ``hankel`` of H^(1) or h^(1), Amos-scaled, from one jve or
+    hankel1e call over the (B, 2) grid of orders (nu, nu + 1) and
+    arguments: for Im z >= 0, jve = J e^{-Im z} and hankel1e = H e^{-iz},
+    here times e^{i Re z}; j, h are sqrt(pi/(2z)) times J, H at order
+    n + 1/2.  The scale factors are applied row by row in Python, so a
+    row's bits do not depend on the batch.  At z = 0, J and j give (1, 0)
+    and H and h raise SingularArgumentError."""
+    if hankel and 0 in z:
+        raise SingularArgumentError(f"{'spherical h_n' if nu else 'H_n'}^(1) is singular at z = 0")
+    grid = np.array(z, dtype=complex)[:, None]
+    amos = (special.hankel1e if hankel else special.jve)((nu, nu + 1.0), grid).tolist()
+    rows = []
+    for x, (f0, f1) in zip(z, amos):
+        if x == 0:  # J_n(0) = j_n(0) = delta_{n0}
+            f0, f1 = 1.0, 0.0
+        else:
+            if hankel:
+                scale = cmath.exp(1j * x.real)
+                f0, f1 = f0 * scale, f1 * scale
+            if nu:
+                scale = cmath.sqrt(math.pi / (2.0 * x))
+                f0, f1 = f0 * scale, f1 * scale
+        rows.append([f0, f1])
+    return rows
 
 
 def _upward_is_stable(n: int, z: complex) -> bool:
@@ -171,16 +191,14 @@ def _upward(base: list, n: int, z: complex, nu: float) -> list:
     return ratios[:n]
 
 
-def _sequence(n: int, z: complex, nu: float, hankel: bool) -> tuple[list, list]:
-    """Base and ratios 0..n-1 at z of J_m, or with ``hankel`` of H^(1)_m
-    (j_m, h^(1)_m for nu = 1/2), by the routes of the module docstring."""
-    if z == 0 and not hankel:  # J_n(0) = j_n(0) = delta_{n0}; J_{n+1}/J_n -> 0
-        return [1.0, 0.0], [0.0] * n
-    if z == 0:
-        raise SingularArgumentError(f"{'spherical h_n' if nu else 'H_n'}^(1) is singular at z = 0")
-    base = _base(z, nu, hankel)
+def _sequence(n: int, z: complex, nu: float, hankel: bool, base: list) -> list:
+    """Ratios 0..n-1 at z of J_m, or with ``hankel`` of H^(1)_m (j_m,
+    h^(1)_m for nu = 1/2), with these _base values, by the routes of the
+    module docstring."""
+    if z == 0:  # J_{n+1}/J_n -> 0
+        return [0.0] * n
     if hankel or _upward_is_stable(n, z):
-        return base, _upward(base, n, z, nu)
+        return _upward(base, n, z, nu)
     x = abs(z)
     start = n + 20 + int(x + 16.0 * x ** (1.0 / 3.0))
     two_over_z = 2.0 / z
@@ -191,14 +209,16 @@ def _sequence(n: int, z: complex, nu: float, hankel: bool) -> tuple[list, list]:
     for m in range(n, 0, -1):
         r = 1.0 / (((m + nu) * two_over_z - r) or _LENTZ_TINY)
         ratios[m - 1] = r
-    return base, ratios
+    return ratios
 
 
 # ---------------------------------------------------------------------------
 # Batch API (orders 0..nmax at each of a batch of arguments)
 # ---------------------------------------------------------------------------
 def _all(hankel: bool, nmax, z, spherical: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(base, ratios) of _sequence at each z, with one order nmax or one per z.
+    """(base, ratios) at each z, with one order nmax or one per z: the base
+    values of every row from one _base call, the checks and _sequence per
+    row.
 
     Each row is the call at its own order: its route, Miller start and
     argument guard follow that order alone.  Its ratios are padded past
@@ -215,10 +235,14 @@ def _all(hankel: bool, nmax, z, spherical: bool) -> tuple[np.ndarray, np.ndarray
         _check_order(n)
     top = max(orders, default=0)
     nu = 0.5 if spherical else 0.0
-    rows = [_sequence(n, _check_argument(x, n), nu, hankel) for n, x in zip(orders, z.flat)]
-    return (np.array([b for b, _ in rows], dtype=complex).reshape(z.shape + (2,)),
-            np.array([r + [1.0] * (top - len(r)) for _, r in rows],
-                     dtype=complex).reshape(z.shape + (top,)))
+    args = z.ravel().tolist()
+    for n, x in zip(orders, args):
+        _check_argument(x, n)
+    bases = _base(args, nu, hankel)
+    ratios = [_sequence(n, x, nu, hankel, b) + [1.0] * (top - n)
+              for n, x, b in zip(orders, args, bases)]
+    return (np.array(bases, dtype=complex).reshape(z.shape + (2,)),
+            np.array(ratios, dtype=complex).reshape(z.shape + (top,)))
 
 
 def bessel_j(nmax, z, spherical: bool = False) -> tuple[np.ndarray, np.ndarray]:

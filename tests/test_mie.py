@@ -298,6 +298,32 @@ def test_tail_decay_property():
             assert np.all(np.diff(nz) < 0)  # strictly decreasing past the peak
 
 
+@pytest.mark.parametrize("kind, dim, k, rhos, passes", [
+    ("ss", 2, 2.0, [0.5, 1e-3, 0.2], 1),
+    ("fsh", 3, 2.0, [0.5, 1e-3, 0.2], 1),
+    ("fsh", 2, 122.0, [0.01, 0.3, 1e-4], 2),  # k rho = 36.6 is solved again at n + 8
+])
+def test_each_truncation_pass_makes_one_call_per_kind(monkeypatch, kind, dim, k, rhos, passes):
+    # One bessel_j and one bessel_h1 call per pass, each over every argument
+    # array of the pass concatenated: k rho alone for an obstacle, and k rho,
+    # kt rho, kt rho/2, k_2 rho/2 for a lossy layer.
+    calls = []
+    for name in ("bessel_j", "bessel_h1"):
+        fn = getattr(specfun, name)
+        monkeypatch.setattr(specfun, name,
+                            lambda nmax, z, *args, _fn=fn, _name=name, **kw:
+                            calls.append((_name, list(nmax))) or _fn(nmax, z, *args, **kw))
+    sols = mie.solve_many(SchemeSpec(kind), dim, WaveParams(k, np.eye(dim)[0]), rhos)
+    arrays = 1 if kind == "ss" else 4
+    assert [name for name, _ in calls] == ["bessel_j", "bessel_h1"] * passes
+    first = [mie.default_n_max(k, rho) + 1 for rho in rhos] * arrays
+    assert calls[0][1] == calls[1][1] == first
+    if passes == 2:  # only the row whose tail is above threshold, 8 orders up
+        assert calls[2][1] == calls[3][1] == [first[1] + 8] * arrays
+        assert sols[1].n_max == mie.default_n_max(k, rhos[1]) + 8
+    assert all(sol.truncation_tail <= mie.TAIL_THRESHOLD for sol in sols)
+
+
 def test_adaptive_truncation_clamped_at_order_cap():
     # k rho = 165: the adaptive order would step past the cap (195 -> 203);
     # it stops at n_max = 199, where the tail is still 1.55e-13.

@@ -233,14 +233,18 @@ def test_star_mode_table_matches_polar_form(amps, phases, alpha):
 
 @SETTINGS
 @given(dim=dims, k=wavenumbers, kind=st.sampled_from(["ss", "sh", "fss", "fsh"]),
-       large=st.floats(0.25, 0.5), small=st.lists(radii, min_size=1, max_size=5))
-def test_batched_solve_equals_per_rho_solves(dim, k, kind, large, small):
+       large=st.floats(0.25, 0.5), small=st.lists(radii, min_size=1, max_size=5),
+       sigma=st.floats(0.1, 10.0), q=st.complex_numbers(max_magnitude=5.0).map(
+           lambda q: complex(q.real, abs(q.imag))).filter(lambda q: abs(q) >= 0.01))
+def test_batched_solve_equals_per_rho_solves(dim, k, kind, large, small, sigma, q):
     # A rho near 0.5 and one near 1e-6 need different n_max, so the batch
-    # is padded; the grid is unsorted on purpose.
+    # is padded; the grid is unsorted on purpose.  The contents (sigma', q')
+    # set the core argument of the lossy linings' pass over four argument
+    # arrays; the obstacles only check them.
     rhos = small + [large]
     scheme, wave = SchemeSpec(kind), _wave(dim, k)
-    batch = mie.solve_many(scheme, dim, wave, rhos)
-    singles = [mie.solve(scheme, dim, wave, rho) for rho in rhos]
+    batch = mie.solve_many(scheme, dim, wave, rhos, (sigma, q))
+    singles = [mie.solve(scheme, dim, wave, rho, (sigma, q)) for rho in rhos]
     assume(len({sol.n_max for sol in singles}) > 1)
     assert len(batch) == len(rhos)
     for got, expected in zip(batch, singles):

@@ -411,6 +411,53 @@ def test_batch_row_agrees_with_its_call_across_the_route_boundary(spherical):
         assert np.array_equal(ratios[row, :n], alone[1])
 
 
+def _every_route(rng, size, hankel):
+    """``size`` seeded (orders, arguments), one order per row, taking the
+    routes of _sequence in turn: z = 0 (J and j only; H and h raise there),
+    small real z, upward-stable complex z with |z| <= 2e4, complex z on the
+    continued fraction, and 2e4 < |z| <= 1e8 on the upward step."""
+    orders, zs = [], []
+    while len(zs) < size:
+        n, route = int(rng.integers(0, 81)), len(zs) % 5
+        turn = cmath.exp(1j * rng.uniform(0.01, math.pi - 0.01))
+        if route == 0 and not hankel:
+            z = 0j
+        elif route in (0, 1):
+            z = complex(rng.uniform(1e-3, 30.0))
+        else:
+            lo, hi = {2: (50.0, sf.ARGUMENT_GUARD), 3: (0.5, 60.0), 4: (sf.ARGUMENT_GUARD, 1e8)}[route]
+            z = math.exp(rng.uniform(math.log(lo), math.log(hi))) * turn
+            if sf._upward_is_stable(n, z) != (route != 3):
+                continue
+        orders.append(n)
+        zs.append(z)
+    return orders, np.array(zs)
+
+
+@pytest.mark.parametrize("spherical", [False, True])
+@pytest.mark.parametrize("hankel", [False, True], ids=["j", "h1"])
+def test_batch_over_every_route_is_its_rows_own_calls(hankel, spherical):
+    # One Amos call serves the whole batch; every row keeps the bits of its
+    # own call, and the last row those of a batch of one.
+    family = sf.bessel_h1 if hankel else sf.bessel_j
+    orders, zs = _every_route(np.random.default_rng(34), 2000, hankel)
+    size = np.abs(zs)
+    stable = np.array([sf._upward_is_stable(n, z) for n, z in zip(orders, zs)])
+    assert np.sum(zs == 0) == (0 if hankel else 400)
+    assert np.sum((zs.imag == 0) & (zs != 0)) == (800 if hankel else 400)
+    assert np.sum((zs.imag > 0) & ~stable) == 400  # the fraction, for J and j
+    assert np.sum(stable & (size <= sf.ARGUMENT_GUARD)) == 400
+    assert np.sum(stable & (size > sf.ARGUMENT_GUARD)) == 400
+    base, ratios = family(orders, zs, spherical)
+    for row, (n, z) in enumerate(zip(orders, zs)):
+        alone = family(n, z, spherical)
+        assert np.array_equal(base[row], alone[0])
+        assert np.array_equal(ratios[row, :n], alone[1])
+    one = family(orders[-1:], zs[-1:], spherical)
+    assert np.array_equal(one[0][0], base[1999])
+    assert np.array_equal(one[1][0], ratios[1999, :orders[-1]])
+
+
 def test_upward_step_needs_the_order_condition():
     # At z = -40.94 + 271.55i the upward step from J_0, J_1 is off by 5e-5
     # at order 87, which n <= |z|/2 would admit: a rounding error at order
@@ -418,7 +465,7 @@ def test_upward_step_needs_the_order_condition():
     # order condition leaves it to the continued fraction.
     z, n = complex(-40.94, 271.55), 87
     assert n <= abs(z) / 2 and not sf._upward_is_stable(n, z)
-    base = sf._base(z, 0.0, False)
+    (base,) = sf._base([z], 0.0, False)
     upward = oracles.rebuilt((base, sf._upward(base, n, z, 0.0)), z.imag)
     fraction = oracles.rebuilt(sf.bessel_j(n, z), z.imag)
     with mpmath.workdps(60):
