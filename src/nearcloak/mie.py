@@ -17,29 +17,38 @@ theta is the angle between the observation direction and the incident
 direction.  The layer carries wavenumber k_tilde = k sqrt(q_l/sigma_l),
 branch fixed so Im k_tilde >= 0, and the core k_2 = k sqrt(q_a/sigma_a).
 
-Every lining goes through one explicit elimination per mode; only the
-exterior condition at x = k rho tells them apart.  It runs on plain
-complex arrays of ratios and log-derivatives (see specfun), which stay
-in double range however lossy the layer: for the finite sound-hard
-layer, Im(kt rho) grows like rho^{-delta}, and J and H there split as
-e^{+-Im(kt rho)}.  With DJ = J'/J, DH = H'/H, z1 = kt rho, z2 = kt rho/2,
-zc = k_2 rho/2, E = J_n(x)/H_n(x) and F = sqrt(sigma_a q_a)/sqrt(sigma_l q_l),
+Every lining goes through one explicit elimination per mode and hands
+it one pair (P, R): the condition R u_x = P u that the lining sets on the
+mode's exterior total field u at x = k rho (u_x = du/dx).  Only the pair
+tells the linings apart.  The elimination runs on plain complex arrays of
+ratios and log-derivatives (see specfun), which stay in double range
+however lossy the layer: for the finite sound-hard layer, Im(kt rho)
+grows like rho^{-delta}, and J and H there split as e^{+-Im(kt rho)}.
+With DJ = J'/J, DH = H'/H, z1 = kt rho, z2 = kt rho/2, zc = k_2 rho/2,
+E = J_n(x)/H_n(x) and F = sqrt(sigma_a q_a)/sqrt(sigma_l q_l),
 
-    d_n = -i^n E (DJ(x) - W)/(DH(x) - W)     (no i^n in 3D),
+    d_n = -i^n E (R DJ(x) - P)/(R DH(x) - P)     (no i^n in 3D).
 
-with W = 0 for SH, W -> inf for SS (d_n = -i^n E) and, for a lossy layer,
+The sound-soft wall is (P, R) = (1, 0), so d_n = -i^n E, and the
+sound-hard wall (0, 1).  A lossy layer forms
 
     Q = (DJ(z2) - F DJ(zc)) / (DH(z2) - F DJ(zc)),
     X = [J_n(z2)/J_n(z1)] [H_n(z1)/H_n(z2)],       t = -X Q,
-    W = (DJ(z1) + t DH(z1)) / ((1 + t) C_0),       C_0 = 1/sqrt(sigma_l q_l).
+    (P, R) = (DJ(z1) + t DH(z1), (1 + t) C_0),     C_0 = 1/sqrt(sigma_l q_l).
 
-Q is the inner interface, Upsilon_0 = b_n/a_n = -(J/H)(z2) Q, and W the
-impedance-like quotient of the outer one.  E and X are base ratios times
-running ratio products (``_values``); |X| ~ e^{-Im z1} underflows
+Q is the inner interface: the same quotient with the core's pair
+(F DJ(zc), 1).  Upsilon_0 = b_n/a_n = -(J/H)(z2) Q, and W = P/R is the
+impedance-like quotient of the outer interface.  E and X are base ratios
+times running ratio products (``_values``); |X| ~ e^{-Im z1} underflows
 harmlessly.  At a zero of J_n(zc) the fraction's tiny-denominator guard
-makes DJ(zc) huge and Q -> 1, so one formula holds there too.  The core
-coefficient comes from the layer's Wronskian Wr = J H' - J' H (2i/(pi z)
-in 2D, i/z^2 in 3D), not a cancelling sum.
+makes DJ(zc) huge and Q -> 1, so one formula holds there too.  The layer
+coefficients follow from the exterior total field at rho, U = i^n J_n(x)
+R (DH(x) - DJ(x))/(R DH(x) - P), and the core coefficient from the
+layer's Wronskian Wr = J H' - J' H (2i/(pi z) in 2D, i/z^2 in 3D), not a
+cancelling sum.  Every lining flags a mode as degenerate where
+max(|R DH(x)|, |P|) > DEGENERATE_CONDITION |R DH(x) - P|, so that the
+quotient loses more than ~14 digits to cancellation; the walls never do
+(1 against 1 for SS, |DH| against |DH| for SH).
 
 ``solve_many`` is the solver's only entry, and ``solve`` is a batch of
 one.  ``_eliminate`` runs in passes over (B, n) arrays padded to the
@@ -89,6 +98,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -344,10 +354,26 @@ def _values(num, den=()) -> np.ndarray:
 def _layer_wavenumbers(scheme: SchemeSpec, rho: float, k: float,
                        core: tuple[float, complex]) -> tuple[complex, complex, complex, complex]:
     """(k_tilde, k_2, C_0, sqrt(q_a sigma_a)) of the lining at this rho and
-    of the virtual core (sigma_a, q_a)."""
-    sigma_l, q_l = check_passive(*scheme.layer_params(rho))
+    of the virtual core (sigma_a, q_a).
+
+    Where a power of rho leaves the double range, so that sigma_l, k_tilde
+    or C_0 is not a normal double (FSH at a small C or a large delta), a
+    RangeError names the lining, rho and (sigma_l, q_l)."""
+    where = f"the {scheme.kind} layer at rho = {rho:g}"
+    try:
+        sigma_l, q_l = scheme.layer_params(rho)
+    except OverflowError:  # rho ** p above the double range
+        raise RangeError(f"{where} leaves the double range: (sigma_l, q_l) overflows") from None
+
+    def normal(v):
+        return cmath.isfinite(v) and abs(v) >= sys.float_info.min
+
+    if normal(sigma_l):
+        k_tilde, c0 = k * cmath.sqrt(q_l / sigma_l), 1.0 / cmath.sqrt(sigma_l * q_l)
+    if not (normal(sigma_l) and normal(k_tilde) and normal(c0)):
+        raise RangeError(f"{where} leaves the double range: "
+                         f"(sigma_l, q_l) = ({sigma_l:g}, {q_l:g})")
     sigma_a, q_a = check_passive(*core)
-    k_tilde = k * cmath.sqrt(q_l / sigma_l)
     if k_tilde.imag < 0:
         k_tilde = -k_tilde
     k2 = k * cmath.sqrt(q_a / sigma_a)
@@ -356,29 +382,32 @@ def _layer_wavenumbers(scheme: SchemeSpec, rho: float, k: float,
                           f"core (sigma_a, q_a) = ({sigma_a:g}, {q_a:g})")
     if k2.imag < 0:
         k2 = -k2
-    c0 = 1.0 / cmath.sqrt(sigma_l * q_l)
     coupling = cmath.sqrt(q_a * sigma_a)
     return k_tilde, k2, c0, coupling
+
+
+# The pair (P, R) of each ideal wall, R u_x = P u at x = k rho (module
+# docstring): u = 0 on the sound-soft wall and u_x = 0 on the sound-hard one.
+_WALL_PAIRS = {"ss": (1.0, 0.0), "sh": (0.0, 1.0)}
 
 
 def _eliminate(dim: int, wave: WaveParams, rho: list[float], scheme: SchemeSpec,
                contents: tuple[float, complex]) -> tuple[ModalSolution, ...]:
     """The solution at each rho, from the one elimination and the
     truncation passes of the module docstring; ``solve_many`` checked dim,
-    rho and the physical contents.  A lossy layer converts the contents to
-    its virtual core (sigma_a, q_a) at each rho, and flags in
-    degenerate_modes the modes whose outer elimination loses more than ~14
-    digits to cancellation; the obstacles never use the contents."""
-    lossy = scheme.kind not in ("ss", "sh")
-    r = np.array(rho)
-    zs = [wave.k * r]  # the real x = k rho; a lossy layer adds z1, z2 and zc
+    rho and the physical contents.  A wall hands the exterior its fixed
+    pair (P, R) from _WALL_PAIRS, a lossy layer the one it forms over the
+    virtual core of the contents at each rho (the walls never use them);
+    one formula gives every lining's d_n and one test its degenerate_modes."""
+    wall = _WALL_PAIRS.get(scheme.kind)
+    radii = np.array(rho)
+    zs = [wave.k * radii]  # the real x = k rho; a lossy layer adds z1, z2 and zc
     layers = [(None, None)] * len(rho)
-    if lossy:
+    if wall is None:
         layers = [_layer_wavenumbers(scheme, x, wave.k, virtual_core_params(*contents, x, dim))
                   for x in rho]
         k_tilde, k2, c0, coupling = np.array(layers, dtype=complex).reshape(-1, 4).T
-        zs += [k_tilde * r, 0.5 * k_tilde * r, 0.5 * k2 * r]
-        core_factor = c0 * coupling
+        zs += [k_tilde * radii, 0.5 * k_tilde * radii, 0.5 * k2 * radii]
 
     orders = [min(default_n_max(wave.k, x), N_MAX_CAP) for x in rho]
     out, rows = [None] * len(rho), list(range(len(rho)))
@@ -395,39 +424,37 @@ def _eliminate(dim: int, wave: WaveParams, rho: list[float], scheme: SchemeSpec,
         for fn in (specfun.bessel_j, specfun.bessel_h1):
             base, ratios = fn(sizes * len(zs), z, spherical=dim == 3)
             logd = _log_derivative(ratios, z)
-            seqs.append([(base[p], ratios[p]) for p in parts])
-            logds.append([logd[p] for p in parts])
+            seqs.append([(base[part], ratios[part]) for part in parts])
+            logds.append([logd[part] for part in parts])
         (j, h), (dj, dh) = seqs, logds
         phase = _I_POW[np.arange(nmax + 1) & 3] if dim == 2 else 1.0  # incident phase
         e = _values([j[0]], [h[0]])  # J_n(x)/H_n(x); x is real, so no Amos scale
-        coeffs, degenerate = (None, None, None), np.zeros((len(rows), nmax + 1), dtype=bool)
 
-        if scheme.kind == "ss":
-            num = den = np.ones_like(e)
-        elif scheme.kind == "sh":
-            num, den = dj[0], dh[0]
-        else:
-            factor, c0_rows = core_factor[rows, None], c0[rows, None]
+        coeffs = (None, None, None)
+        if wall is None:
+            # The inner interface is the quotient of the core's pair (F DJ(zc), 1).
+            core = (c0 * coupling)[rows, None] * dj[3]
+            inner = dh[2] - core
+            q = (dj[2] - core) / inner
             # e^{-Im z1} and e^{-Im z2} restore the Amos scales (Im z1 = 2 Im z2).
             decay1, decay2 = (np.exp(-zs[i][rows].imag)[:, None] for i in (1, 2))
-            inner = dh[2] - factor * dj[3]
-            q = (dj[2] - factor * dj[3]) / inner
             t = -_values([j[2], h[1]], [j[1], h[2]]) * decay1 * q
-            w = (dj[1] + t * dh[1]) / ((1.0 + t) * c0_rows)
-            num, den = dj[0] - w, dh[0] - w
-            degenerate = np.maximum(np.abs(dh[0]), np.abs(w)) > DEGENERATE_CONDITION * np.abs(den)
-
+            p, r = dj[1] + t * dh[1], (1.0 + t) * c0[rows, None]
+        else:
+            p, r = wall
+        rdh = r * dh[0]
+        den = rdh - p
+        degenerate = np.maximum(np.abs(rdh), np.abs(p)) > DEGENERATE_CONDITION * np.abs(den)
         # An exactly zero denominator is a degenerate mode: d_n = 0.
         nonzero = den != 0
-        d = -phase * e * np.divide(num, den, out=np.zeros_like(e), where=nonzero)
+        d = -phase * e * np.divide(r * dj[0] - p, den, out=np.zeros_like(e), where=nonzero)
 
-        if lossy:
-            # U = J_n(x) (DH - DJ)/(DH - W) times i^n: the exterior total field at rho.
-            u = phase * _values([j[0]]) * np.divide(
-                j[0][1] - h[0][1], den, out=np.zeros_like(e), where=nonzero)
-            # The normalised coefficients of ModalSolution; J_n(z2) H_n(z1)
-            # and H_n(z1)/H_n(z2) carry e^{-Im z2}.
-            a = u / (_values([j[1], h[1]]) * (1.0 + t))  # a_n / H_n(z1)
+        if wall is None:
+            # a_n / H_n(z1) = U / (J_n(z1) H_n(z1) (1 + t)), where U = i^n J_n(x)
+            # R (DH - DJ)/(R DH - P) is the exterior total field at rho and
+            # R = (1 + t) C_0.  J_n(z2) H_n(z1) and H_n(z1)/H_n(z2) carry e^{-Im z2}.
+            a = phase * _values([j[0]]) * c0[rows, None] * np.divide(
+                j[0][1] - h[0][1], den, out=np.zeros_like(e), where=nonzero) / _values([j[1], h[1]])
             b = -q * _values([j[2], h[1]]) * decay2 * a  # b_n H_n(z2)
             z2 = zs[2][rows, None]  # core coefficient from the layer's Wronskian at z2
             wronskian = 2j / (math.pi * z2) if dim == 2 else 1j / (z2 * z2)

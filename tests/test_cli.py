@@ -413,6 +413,24 @@ def test_virtual_contents_overflow_is_invalid_parameter(tmp_path, capsys, flags)
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flags, message", [
+    # sigma_l = 1e-309 is subnormal: q_l / sigma_l overflows
+    (["--fsh-c", "1e-300", "--rho", "1e-3"],
+     "the fsh layer at rho = 0.001 leaves the double range: (sigma_l, q_l) = (1e-309, 3+2j)"),
+    # sigma_l = 0.1^602 underflows to 0
+    (["--fsh-delta", "300", "--rho", "0.1"],
+     "the fsh layer at rho = 0.1 leaves the double range: (sigma_l, q_l) = (0, 3+2j)"),
+], ids=["subnormal_sigma", "zero_sigma"])
+def test_lossy_layer_beyond_the_double_range_is_invalid_parameter(tmp_path, capsys, flags,
+                                                                  message):
+    args = ["mie", "--scheme", "fsh", *flags, "--out", "x.csv"]
+    assert run(args, tmp_path) == cli.EXIT_INVALID_PARAMETER
+    record = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert (record["error"], record["message"]) == ("RangeError", message)
+    assert not (tmp_path / "x.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # Golden files (schema stability)
 # ---------------------------------------------------------------------------

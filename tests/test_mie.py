@@ -185,6 +185,62 @@ def test_layered_degenerate_core_branch():
     assert sol.d_n[0] == pytest.approx(sol_eps.d_n[0], rel=1e-5)
 
 
+def _golden_max(f, lo, hi, steps=80):
+    """The point of [lo, hi] where golden-section search finds f largest."""
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = hi - g * (hi - lo), lo + g * (hi - lo)
+    fa, fb = f(a), f(b)
+    for _ in range(steps):
+        if fa > fb:
+            hi, b, fb = b, a, fa
+            a = hi - g * (hi - lo)
+            fa = f(a)
+        else:
+            lo, a, fa = a, b, fb
+            b = lo + g * (hi - lo)
+            fb = f(b)
+    return a if fa > fb else b
+
+
+def test_degenerate_mode_is_flagged_at_a_layer_resonance():
+    # A lossless layer over contents that are nearly a sound-hard wall: at
+    # the q_l where |d_6| peaks, the exterior denominator R DH - P of mode 6
+    # cancels to below 1e-14 of its terms, and only that mode is flagged.
+    # d_6 itself is not pinned, as the cancellation is what the flag reports.
+    rho, contents = 0.025, (1e-30, 1e-30)
+
+    def solve(q_l):
+        return mie.solve(SchemeSpec.layered(1.0, q_l), 2, WAVE2, rho, contents)
+
+    q_l = _golden_max(lambda q_l: abs(solve(q_l).d_n[6]), 30073.0, 30074.5)
+    sol = solve(q_l)
+    assert sol.degenerate_modes == (6,)
+    assert np.all(np.isfinite(sol.d_n))
+    for wall in (SchemeSpec.sound_soft(), SchemeSpec.sound_hard()):
+        assert mie.solve(wall, 2, WAVE2, rho, contents).degenerate_modes == ()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("scheme, k, rho, message", [
+    # sigma_l = 1e-309 is subnormal, and q_l / sigma_l overflows
+    (SchemeSpec.finite_sound_hard(c=1e-300), 2.0, 1e-3,
+     "leaves the double range: (sigma_l, q_l) = (1e-309, 3+2j)"),
+    # sigma_l = 0.1^602 underflows to 0
+    (SchemeSpec.finite_sound_hard(delta=300.0), 2.0, 0.1,
+     "leaves the double range: (sigma_l, q_l) = (0, 3+2j)"),
+    # q_l = 1 + i beta rho^-2 overflows
+    (SchemeSpec.finite_sound_soft(beta_coeff=1e300), 2.0, 1e-20,
+     "leaves the double range: (sigma_l, q_l) = (1, 1+infj)"),
+    # sigma_l = rho^3 overflows in the power itself
+    (SchemeSpec.finite_sound_hard(), 1e-150, 1e150,
+     "leaves the double range: (sigma_l, q_l) overflows"),
+], ids=["subnormal_sigma", "zero_sigma", "infinite_q", "overflowing_sigma"])
+def test_layer_beyond_the_double_range_is_a_range_error(dim, scheme, k, rho, message):
+    with pytest.raises(RangeError) as info:
+        mie.solve(scheme, dim, WaveParams(k, np.eye(dim)[0]), rho)
+    assert str(info.value) == f"the {scheme.kind} layer at rho = {rho:g} {message}"
+
+
 def _mp_sequence(dim, kind, n_max, z):
     """(values, derivatives) of orders 0..n_max of J/H (2D) or j/h (3D) at z
     in mpmath.  H runs up from orders 0 and 1, as the recurrence is stable
@@ -202,10 +258,10 @@ def _mp_sequence(dim, kind, n_max, z):
 
 def _interface_solve(dim, k, rho, layer, core, n_max):
     """(d_n, a_n, b_n, c_n) of every mode n <= n_max from the four interface
-    conditions, solved in 50-digit mpmath: continuity of u and sigma du/dr
-    at rho and rho/2.  The layer field of mode n is a_n J_n(kt r) +
-    b_n H_n(kt r), the core field c_n J_n(k2 r).  Returns kt, k2 and the
-    coefficients."""
+    conditions, solved in mpmath at its working precision: continuity of u
+    and sigma du/dr at rho and rho/2.  The layer field of mode n is
+    a_n J_n(kt r) + b_n H_n(kt r), the core field c_n J_n(k2 r).  Returns
+    kt, k2 and the coefficients."""
     k, rho = mpmath.mpf(k), mpmath.mpf(rho)
     (s_l, q_l), (s_a, q_a) = [(mpmath.mpf(s), mpmath.mpc(q)) for s, q in (layer, core)]
     kt, k2 = k * mpmath.sqrt(q_l / s_l), k * mpmath.sqrt(q_a / s_a)
@@ -244,20 +300,31 @@ def _mp_field(dim, terms, thetas):
     return np.array([complex(u) for u in out])
 
 
-@pytest.mark.parametrize("dim, rho, contents", [
-    (2, 1e-3, None), (3, 1e-3, None),
+@pytest.mark.parametrize("scheme, dim, rho, contents, digits", [
+    pytest.param(SchemeSpec.finite_sound_hard(), 2, 1e-3, None, 50, id="2-0.001-None"),
+    pytest.param(SchemeSpec.finite_sound_hard(), 3, 1e-3, None, 50, id="3-0.001-None"),
     # q' = q_a rho^2 with J_0(k2 rho/2) = 0 in the virtual core
-    (2, 0.1, (1.0, (2.0 * special.jn_zeros(0, 1)[0] / (2.0 * 0.1)) ** 2 * 0.1 ** 2)),
+    pytest.param(SchemeSpec.finite_sound_hard(), 2, 0.1,
+                 (1.0, (2.0 * special.jn_zeros(0, 1)[0] / (2.0 * 0.1)) ** 2 * 0.1 ** 2), 50,
+                 id="2-0.1-contents2"),
+    pytest.param(SchemeSpec.finite_sound_soft(), 2, 1e-2, (2.0, 0.5 + 0.2j), 50, id="fss-2"),
+    pytest.param(SchemeSpec.finite_sound_soft(), 3, 1e-2, (2.0, 0.5 + 0.2j), 50, id="fss-3"),
+    pytest.param(SchemeSpec.layered(1.5, 2 + 0.3j), 2, 1e-2, (2.0, 0.5 + 0.2j), 50,
+                 id="layered-2"),
+    # At 50 digits mpmath's LU calls this unscaled system singular.
+    pytest.param(SchemeSpec.layered(1.5, 2 + 0.3j), 3, 1e-2, (2.0, 0.5 + 0.2j), 80,
+                 id="layered-3"),
 ])
-def test_layered_coefficients_match_multiprecision_interface_solve(dim, rho, contents):
+def test_layered_coefficients_match_multiprecision_interface_solve(scheme, dim, rho, contents,
+                                                                   digits):
     # d_n, and the near field in the layer and the core (values and radial
-    # derivatives), against the 50-digit solve summed mode by mode.
-    scheme = SchemeSpec.finite_sound_hard()
+    # derivatives), against the multiprecision solve summed mode by mode.
+    # The first three cases are FSH with the default contents unless given.
     contents = contents or (1.0, 1.0)
     core = virtual_core_params(*contents, rho, dim)
     sol = mie.solve(scheme, dim, _wave(dim), rho, contents)
     th = np.linspace(0.0, math.pi, 7)
-    with mpmath.workdps(50):
+    with mpmath.workdps(digits):
         kt, k2, coeffs = _interface_solve(dim, 2.0, rho, scheme.layer_params(rho), core,
                                           sol.n_max)
         for n, (d, _, _, _) in enumerate(coeffs):
