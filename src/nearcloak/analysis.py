@@ -6,8 +6,11 @@ regularization parameter rho shrinks: algebraically like rho^2 / rho^3
 for the sound-hard linings, and for the sound-soft ones like 1/|ln rho|
 in 2D and like rho in 3D.
 This module runs the sweeps, fits both decay models, and compares
-schemes pointwise in rho.  It does no file I/O: the output formats and
-their writers live in ``cli``.
+schemes pointwise in rho.  A sweep records what it measured; its fit is
+computed from that record on demand (``SweepResult.fit``), so a caller
+that only compares max|A| runs no fit.  ``sweep`` and
+``special_angle_suppression`` solve their rho grids through one path.
+It does no file I/O: the output formats and their writers live in ``cli``.
 
 Fits use the smallest ceil(2/3 n) rho values by default; the large-rho
 end of a sweep is outside the asymptotic regime.  A model is one entry
@@ -80,13 +83,19 @@ class FitResult:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """max|A| per rho and its fit under ``model`` (NaN below three rho)."""
+    """max|A| per rho (rho decreasing) and the fit model the sweep chose."""
 
     rho_values: np.ndarray
     max_amplitude: np.ndarray
     model: str
-    fitted_exponent: float
-    fit_residual: float
+
+    @property
+    def fit(self) -> FitResult | None:
+        """fit_decay of this sweep under ``model``, computed on each access;
+        None below three rho."""
+        if self.rho_values.size < 3:
+            return None
+        return fit_decay(self.rho_values, self.max_amplitude, self.model)
 
 
 # ---------------------------------------------------------------------------
@@ -100,38 +109,45 @@ def _rho_grid(rho_values) -> np.ndarray:
     return rho
 
 
-def sweep(scheme: SchemeSpec, dim: int, wave: WaveParams,
-          rho_values, angle_count: int = DEFAULT_ANGLE_COUNT,
-          contents: tuple[float, complex] = (1.0, 1.0),
-          model: str = "auto") -> SweepResult:
-    """max|A| per rho over the observation grid, with its decay fit.
+def _grid_amplitudes(scheme: SchemeSpec, dim: int, wave: WaveParams, rho_values, angles,
+                     contents: tuple[float, complex]) -> tuple[np.ndarray, np.ndarray]:
+    """The rho grid (_rho_grid) and |A| at ``angles``, one row per rho.
 
-    ``contents`` is the physical-space (sigma', q') of the cloaked region;
-    one mie.solve_many call and one far-field product cover all rho.
-    ``model`` is one of FIT_MODELS or "auto", which picks power-law in 3D,
-    where every lining decays algebraically, and in 2D power-law for the
-    sound-hard family and inverse-log for the sound-soft family.
-    """
-    if model == "auto":
-        model = "power-law" if dim == 3 or scheme.kind in ("sh", "fsh") else "inverse-log"
-    if model not in _MODELS:
-        raise DomainError(f"unknown fit model {model!r}")
+    One mie.solve_many call covers the grid; where it fails, the grid is
+    solved one rho at a time to name the largest failing rho."""
     rho = _rho_grid(rho_values)
-    angles = observation_angles(dim, angle_count)
     try:
         solutions = mie.solve_many(scheme, dim, wave, rho, contents)
     except NearCloakError:
-        for r in rho:  # solve one rho at a time to name the largest failing one
+        for r in rho:
             try:
                 mie.solve(scheme, dim, wave, r, contents)
             except NearCloakError as exc:
                 raise type(exc)(f"solver failed at rho={r:g}: {exc}") from exc
         raise
-    maxima = np.abs(mie._far_field_rows(solutions, angles)).max(axis=1)
-    fit = fit_decay(rho, maxima, model) if rho.size >= 3 else None
-    return SweepResult(rho_values=rho, max_amplitude=maxima, model=model,
-                       fitted_exponent=fit.slope if fit else math.nan,
-                       fit_residual=fit.residual if fit else math.nan)
+    return rho, np.abs(mie._far_field_rows(solutions, angles))
+
+
+def sweep(scheme: SchemeSpec, dim: int, wave: WaveParams,
+          rho_values, angle_count: int = DEFAULT_ANGLE_COUNT,
+          contents: tuple[float, complex] = (1.0, 1.0),
+          model: str = "auto") -> SweepResult:
+    """max|A| per rho over the observation grid and the model of its fit.
+
+    ``contents`` is the physical-space (sigma', q') of the cloaked region;
+    one mie.solve_many call and one far-field product cover all rho.
+    ``model`` is one of FIT_MODELS or "auto", which picks power-law in 3D,
+    where every lining decays algebraically, and in 2D power-law for the
+    sound-hard family and inverse-log for the sound-soft family.  The fit
+    itself runs only when ``fit`` of the result is read.
+    """
+    if model == "auto":
+        model = "power-law" if dim == 3 or scheme.kind in ("sh", "fsh") else "inverse-log"
+    if model not in _MODELS:
+        raise DomainError(f"unknown fit model {model!r}")
+    rho, amplitude = _grid_amplitudes(scheme, dim, wave, rho_values,
+                                      observation_angles(dim, angle_count), contents)
+    return SweepResult(rho_values=rho, max_amplitude=amplitude.max(axis=1), model=model)
 
 
 def fit_decay(rho_values, max_amplitude, model: str,
@@ -191,10 +207,9 @@ def special_angle_suppression(dim: int, wave: WaveParams, rho_values) -> np.ndar
     because only the O((k rho)^{dim+2}) remainder survives there.
     """
     theta_star = SPECIAL_ANGLE_2D if dim == 2 else SPECIAL_ANGLE_3D
-    angles = observation_angles(dim, DEFAULT_ANGLE_COUNT)
-    rho = _rho_grid(rho_values)
-    solutions = mie.solve_many(SchemeSpec.sound_hard(), dim, wave, rho)
-    amplitude = np.abs(mie._far_field_rows(solutions, np.append(angles, theta_star)))
+    angles = np.append(observation_angles(dim, DEFAULT_ANGLE_COUNT), theta_star)
+    _, amplitude = _grid_amplitudes(SchemeSpec.sound_hard(), dim, wave, rho_values, angles,
+                                    (1.0, 1.0))
     return amplitude[:, -1] / amplitude[:, :-1].max(axis=1)
 
 

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: ``mie`` (far-field pattern of one solve), ``sweep``
-(rho sweep with decay fit), ``compare`` (two schemes on one rho grid),
+(rho sweep with decay fit), ``compare`` (two schemes on one rho grid, no fit),
 ``bie`` (boundary-integral far field on a circle or kite), ``media``
 (cloak tensor sampled on a grid).  Parameters come from built-in
 defaults (the reference experiment: k = 2, d = +x, 100 observation
@@ -30,7 +30,7 @@ import sys
 import numpy as np
 
 from . import analysis, bie, media, mie
-from .errors import NearCloakError, ShapeError
+from .errors import DomainError, NearCloakError, ShapeError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -133,6 +133,8 @@ def _scheme_from(params: dict, key: str) -> mie.SchemeSpec:
 
 def _wave_from(params: dict, dim: int) -> mie.WaveParams:
     ang = float(params.get("incident_angle", 0.0))
+    if not math.isfinite(ang):
+        raise DomainError(f"incident angle must be finite, got {ang}")
     return mie.WaveParams(params["k"], np.array([math.cos(ang), math.sin(ang), 0.0][:dim]))
 
 
@@ -208,26 +210,31 @@ def _run_mie(params: dict) -> None:
     _write_farfield_csv(params["out"], pattern)
 
 
+def _sweep(params: dict, key: str, model: str = "auto") -> analysis.SweepResult:
+    """analysis.sweep of the scheme under ``key`` over the flags' rho grid."""
+    dim = params["dim"]
+    wave, rhos, contents = _wave_from(params, dim), _rho_grid(params), _contents_from(params)
+    return analysis.sweep(_scheme_from(params, key), dim, wave, rhos,
+                          angle_count=params["angles"], contents=contents, model=model)
+
+
 def _run_sweep(params: dict) -> None:
     """rho sweep of max|A| with decay fit"""
-    dim = params["dim"]
-    scheme = _scheme_from(params, "scheme")
-    result = analysis.sweep(scheme, dim, _wave_from(params, dim),
-                            _rho_grid(params), angle_count=params["angles"],
-                            contents=_contents_from(params), model=params["model"])
-    exponent, residual = float(result.fitted_exponent), float(result.fit_residual)
+    result = _sweep(params, "scheme", params["model"])
+    fit = result.fit  # before any file is opened, so a failing fit writes nothing
     write_csv(params["out"], "sweep", ["rho", "max_abs_A"],
               zip(result.rho_values, result.max_amplitude),
-              footer=[("model", result.model), ("fitted_exponent", repr(exponent)),
-                      ("fit_residual", repr(residual))])
+              footer=[("model", result.model),
+                      ("fitted_exponent", repr(fit.slope) if fit else "nan"),
+                      ("fit_residual", repr(fit.residual) if fit else "nan")])
     if params["json_out"]:
         write_json(params["json_out"], {
             "schema": f"sweep-summary-v{CSV_SCHEMA_VERSION}",
-            "scheme": scheme.kind, "dim": dim, "k": params["k"],
+            "scheme": params["scheme"], "dim": params["dim"], "k": params["k"],
             "angle_count": params["angles"], "model": result.model,
             # JSON has no NaN: a sweep too short to fit writes null.
-            "exponent": exponent if math.isfinite(exponent) else None,
-            "residual": residual if math.isfinite(residual) else None,
+            "exponent": fit.slope if fit else None,
+            "residual": fit.residual if fit else None,
             "rho_values": result.rho_values.tolist(),
             "max_amplitude": result.max_amplitude.tolist(),
         })
@@ -235,20 +242,10 @@ def _run_sweep(params: dict) -> None:
 
 def _run_compare(params: dict) -> None:
     """per-rho difference of two schemes"""
-    dim = params["dim"]
-    wave = _wave_from(params, dim)
-    rhos = _rho_grid(params)
-    contents = _contents_from(params)
-    results = []
-    for key in ("scheme_a", "scheme_b"):
-        scheme = _scheme_from(params, key)
-        results.append(analysis.sweep(scheme, dim, wave, rhos,
-                                      angle_count=params["angles"],
-                                      contents=contents))
-    diff = analysis.compare_schemes(results[0], results[1])
+    a, b = _sweep(params, "scheme_a"), _sweep(params, "scheme_b")
     write_csv(params["out"], "compare", ["rho", "max_abs_A_a", "max_abs_A_b", "abs_diff"],
-              zip(results[0].rho_values, results[0].max_amplitude,
-                  results[1].max_amplitude, diff))
+              zip(a.rho_values, a.max_amplitude, b.max_amplitude,
+                  analysis.compare_schemes(a, b)))
 
 
 def _run_bie(params: dict) -> None:

@@ -97,13 +97,21 @@ def check_passive(sigma: float, q: complex) -> tuple[float, complex]:
     """(sigma, q) as (float, complex) if it is a passive isotropic medium.
 
     sigma must be finite and positive, q finite with Im q >= -1e-15 |q|.
+    A tolerated Im q <= 0, signed zero included, is returned as +0.0, so
+    that sqrt(q/sigma) and sqrt(sigma q) both lie on the principal branch
+    with Im >= 0.
     """
     sigma, q = float(sigma), complex(q)
     if not (math.isfinite(sigma) and sigma > 0):
         raise DomainError(f"sigma must be finite and positive, got {sigma}")
     if not cmath.isfinite(q) or q.imag < -1e-15 * abs(q):
         raise DomainError(f"q must be finite with Im q >= 0, got {q}")
-    return sigma, q
+    return sigma, q if q.imag > 0 else complex(q.real, 0.0)
+
+
+def _check_rho(rho: float) -> None:
+    if not (math.isfinite(rho) and rho > 0):
+        raise DomainError(f"rho must be finite and positive, got {rho}")
 
 
 def virtual_core_params(sigma: float, q: complex, rho: float,
@@ -118,14 +126,13 @@ def virtual_core_params(sigma: float, q: complex, rho: float,
     1e-6) raises RangeError.
     """
     sigma, q = check_passive(sigma, q)
-    if not (math.isfinite(rho) and rho > 0):
-        raise DomainError(f"rho must be finite and positive, got {rho}")
+    _check_rho(rho)
     if dim not in (2, 3):
         raise DomainError(f"dim must be 2 or 3, got {dim}")
     try:
         sigma_v, q_v = sigma * rho ** (2 - dim), q * rho ** (-dim)
         if math.isfinite(sigma_v) and cmath.isfinite(q_v):
-            return sigma_v, q_v
+            return check_passive(sigma_v, q_v)  # a tiny sigma' rho^(2-dim) may round to 0
     except OverflowError:
         pass
     raise RangeError(f"virtual contents overflow at rho = {rho:g}")

@@ -14,8 +14,10 @@ Per mode n, the exterior field is i^n J_n(k r) + d_n H_n^(1)(k r)
 (angular factor e^{i n theta}) in 2D, and the axisymmetric reduction
 (2n+1) i^n [j_n(k r) + d_n h_n^(1)(k r)] P_n(cos theta) in 3D, where
 theta is the angle between the observation direction and the incident
-direction.  The layer carries wavenumber k_tilde = k sqrt(q_l/sigma_l),
-branch fixed so Im k_tilde >= 0, and the core k_2 = k sqrt(q_a/sigma_a).
+direction.  The layer carries wavenumber k_tilde = k sqrt(q_l/sigma_l)
+and the core k_2 = k sqrt(q_a/sigma_a), both on the principal branch:
+media.check_passive returns Im q >= 0 (+0.0 for a tolerated Im q <= 0),
+so Im k_tilde >= 0 and Im k_2 >= 0.
 
 Every lining goes through one explicit elimination per mode and hands
 it one pair (P, R): the condition R u_x = P u that the lining sets on the
@@ -105,7 +107,7 @@ import numpy as np
 
 from . import specfun
 from .errors import DomainError, RangeError, ShapeError, TruncationError
-from .media import check_passive, virtual_core_params
+from .media import _check_rho, check_passive, virtual_core_params
 
 TAIL_THRESHOLD = 1e-14
 DEGENERATE_CONDITION = 1e14
@@ -141,8 +143,9 @@ class SchemeSpec:
     kinds: "ss" and "sh" are the ideal sound-soft/sound-hard linings;
     "fss" is the lossy layer sigma_l = 1, q_l = 1 + i beta rho^-2;
     "fsh" is the lossy layer sigma_l = C rho^{2+2 delta}, q_l = a + i b;
-    "layered" takes explicit (sigma_l, q_l) values as given, which must be
-    passive (media.check_passive) with q_l != 0.
+    "layered" takes explicit (sigma_l, q_l) values, which must be passive
+    (media.check_passive, whose checked pair layer_params returns) with
+    q_l != 0.
     """
 
     kind: str
@@ -188,14 +191,16 @@ class SchemeSpec:
         return cls("layered", layer_sigma=sigma_l, layer_q=q_l)
 
     def layer_params(self, rho: float) -> tuple[float, complex]:
-        """Virtual-space (sigma_l, q_l) of the lossy layer at this rho."""
+        """Virtual-space (sigma_l, q_l) of the lossy layer at this rho, which
+        must be finite and positive."""
+        _check_rho(rho)
         if self.kind == "fss":
             return 1.0, 1.0 + 1j * self.fss_beta_coeff / rho ** 2
         if self.kind == "fsh":
             return (self.fsh_c * rho ** (2.0 + 2.0 * self.fsh_delta),
                     self.fsh_a + 1j * self.fsh_b)
         if self.kind == "layered":
-            return self.layer_sigma, complex(self.layer_q)
+            return check_passive(self.layer_sigma, self.layer_q)
         raise DomainError(f"scheme {self.kind!r} has no lossy layer")
 
 
@@ -354,7 +359,7 @@ def _values(num, den=()) -> np.ndarray:
 def _layer_wavenumbers(scheme: SchemeSpec, rho: float, k: float,
                        core: tuple[float, complex]) -> tuple[complex, complex, complex, complex]:
     """(k_tilde, k_2, C_0, sqrt(q_a sigma_a)) of the lining at this rho and
-    of the virtual core (sigma_a, q_a).
+    of the virtual core (sigma_a, q_a) that virtual_core_params checked.
 
     Where a power of rho leaves the double range, so that sigma_l, k_tilde
     or C_0 is not a normal double (FSH at a small C or a large delta), a
@@ -373,15 +378,11 @@ def _layer_wavenumbers(scheme: SchemeSpec, rho: float, k: float,
     if not (normal(sigma_l) and normal(k_tilde) and normal(c0)):
         raise RangeError(f"{where} leaves the double range: "
                          f"(sigma_l, q_l) = ({sigma_l:g}, {q_l:g})")
-    sigma_a, q_a = check_passive(*core)
-    if k_tilde.imag < 0:
-        k_tilde = -k_tilde
+    sigma_a, q_a = core
     k2 = k * cmath.sqrt(q_a / sigma_a)
     if k2 == 0:
         raise DomainError(f"lossy linings need contents with q' != 0, got the virtual "
                           f"core (sigma_a, q_a) = ({sigma_a:g}, {q_a:g})")
-    if k2.imag < 0:
-        k2 = -k2
     coupling = cmath.sqrt(q_a * sigma_a)
     return k_tilde, k2, c0, coupling
 
@@ -497,8 +498,7 @@ def solve_many(scheme: SchemeSpec, dim: int, wave: WaveParams, rho_values,
     rho = [float(r) for r in rho_values]
     contents = check_passive(*contents)
     for r in rho:
-        if not (math.isfinite(r) and r > 0):
-            raise DomainError(f"rho must be finite and positive, got {r}")
+        _check_rho(r)
     if wave.d.size != dim:
         raise DomainError(f"a {dim}D solve needs a {dim}-vector direction, got {wave.d.size}")
     for x in (wave.k * r for r in rho):  # before k rho sizes the truncation order

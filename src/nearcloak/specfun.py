@@ -89,8 +89,9 @@ against a 50-digit oracle the worst were 3.6e-15 and 1.1e-15.
 
 Branch convention: the principal branch of ln and sqrt is used
 throughout.  The domain is the closed upper half-plane, which holds
-every argument the modal solver forms: the layers are passive, and
-mie._layer_wavenumbers picks Im k_tilde >= 0 and Im k_2 >= 0.
+every argument the modal solver forms: the layers are passive, with
+Im q >= 0 as media.check_passive returns it, so the principal square
+roots of mie._layer_wavenumbers have Im k_tilde >= 0 and Im k_2 >= 0.
 
 All functions are pure and hold no global state; concurrent use is safe.
 """

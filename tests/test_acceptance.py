@@ -33,7 +33,7 @@ def test_01_sh_rate_2d():
     t0 = time.monotonic()
     result = sweep(SchemeSpec.sound_hard(), 2, WAVE2, [0.5 ** j for j in range(3, 11)])
     elapsed = time.monotonic() - t0
-    e = result.fitted_exponent
+    e = result.fit.slope
     _report("criterion 1 (2D SH rate)",
             f"exponent {e:.4f} in [1.9, 2.1], runtime {elapsed:.2f}s < 5s",
             1.9 <= e <= 2.1 and elapsed < 5.0)
@@ -43,7 +43,7 @@ def test_02_sh_rate_3d():
     t0 = time.monotonic()
     result = sweep(SchemeSpec.sound_hard(), 3, WAVE3, [0.5 ** j for j in range(3, 11)])
     elapsed = time.monotonic() - t0
-    e = result.fitted_exponent
+    e = result.fit.slope
     _report("criterion 2 (3D SH rate)",
             f"exponent {e:.4f} in [2.9, 3.1], runtime {elapsed:.2f}s < 5s",
             2.9 <= e <= 3.1 and elapsed < 5.0)
@@ -100,8 +100,8 @@ def test_05_fsh_to_sh_coefficient_convergence():
 def test_06_fsh_near_cloak_rate():
     scheme = SchemeSpec.finite_sound_hard()
     rhos = [0.5 ** j for j in range(3, 11)]
-    e2 = sweep(scheme, 2, WAVE2, rhos).fitted_exponent
-    e3 = sweep(scheme, 3, WAVE3, rhos).fitted_exponent
+    e2 = sweep(scheme, 2, WAVE2, rhos).fit.slope
+    e3 = sweep(scheme, 3, WAVE3, rhos).fit.slope
     _report("criterion 6 (FSH near-cloak rate)",
             f"exponent 2D {e2:.4f} in [1.9, 2.1], 3D {e3:.4f} in [2.9, 3.1]",
             1.9 <= e2 <= 2.1 and 2.9 <= e3 <= 3.1)
@@ -254,8 +254,8 @@ def test_12_baseline_rates():
     # The unlined baselines: SS and FSS decay like rho in 3D (default fit)
     # and like 1/|ln rho| in 2D, which FSS reaches only below rho ~ 4e-3.
     rhos3 = [0.5 ** j for j in range(3, 15)]
-    e_ss = sweep(SchemeSpec.sound_soft(), 3, WAVE3, rhos3).fitted_exponent
-    e_fss = sweep(SchemeSpec.finite_sound_soft(), 3, WAVE3, rhos3).fitted_exponent
+    e_ss = sweep(SchemeSpec.sound_soft(), 3, WAVE3, rhos3).fit.slope
+    e_fss = sweep(SchemeSpec.finite_sound_soft(), 3, WAVE3, rhos3).fit.slope
     fss2 = sweep(SchemeSpec.finite_sound_soft(), 2, WAVE2, [0.5 ** j for j in range(8, 21)])
     corr10, ratio = _inverse_log_bars(fss2)
     _report("criterion 12 (baseline rates)",

@@ -107,16 +107,21 @@ def test_window_fit_reproduces_the_sweep_fit(kind, n):
     m = math.ceil(2 * n / 3)
     fit = fit_decay(result.rho_values[-m:], result.max_amplitude[-m:], result.model,
                     keep_fraction=1.0)
-    assert (fit.slope, fit.residual) == (result.fitted_exponent, result.fit_residual)
+    assert (fit.slope, fit.residual) == (result.fit.slope, result.fit.residual)
 
 
 # ---------------------------------------------------------------------------
 # Real sweeps
 # ---------------------------------------------------------------------------
+def test_sweep_below_three_rho_has_no_fit(monkeypatch):
+    monkeypatch.setattr(analysis, "fit_decay", lambda *args: pytest.fail("fitted"))
+    assert sweep(SchemeSpec.sound_hard(), 2, WAVE2, [0.5, 0.25]).fit is None
+
+
 def test_sh_sweep_exponent_near_two():
     result = sweep(SchemeSpec.sound_hard(), 2, WAVE2, 0.5 ** np.arange(3, 9))
     assert result.model == "power-law"
-    assert 1.9 <= result.fitted_exponent <= 2.1
+    assert 1.9 <= result.fit.slope <= 2.1
 
 
 def test_default_model_is_power_law_in_3d_and_by_family_in_2d():
@@ -140,8 +145,8 @@ def test_sweep_determinism():
     a = sweep(SchemeSpec.finite_sound_hard(), 2, WAVE2, rhos)
     b = sweep(SchemeSpec.finite_sound_hard(), 2, WAVE2, rhos)
     assert np.array_equal(a.max_amplitude, b.max_amplitude)
-    assert a.fitted_exponent == b.fitted_exponent
-    assert a.fit_residual == b.fit_residual
+    assert a.fit.slope == b.fit.slope
+    assert a.fit.residual == b.fit.residual
 
 
 def test_max_amplitude_monotone_for_every_scheme():
@@ -185,7 +190,7 @@ def test_fsh_with_delta_one_keeps_its_rate_down_to_rho_1e6(dim, k):
     fsh = sweep(SchemeSpec.finite_sound_hard(delta=1.0), dim, wave, rhos)
     sh = sweep(SchemeSpec.sound_hard(), dim, wave, rhos)
     window = (1.9, 2.1) if dim == 2 else (2.9, 3.1)
-    assert window[0] <= fsh.fitted_exponent <= window[1]
+    assert window[0] <= fsh.fit.slope <= window[1]
     assert abs(fsh.max_amplitude[-1] / sh.max_amplitude[-1] - 1.0) <= 1e-3
     layer = mie.solve(SchemeSpec.finite_sound_hard(delta=1.0), dim, wave, rhos[-1]).k_layer
     assert abs(layer * rhos[-1]) > 2.0 * specfun.ARGUMENT_GUARD
@@ -222,7 +227,7 @@ def test_sweep_error_annotated_with_rho():
         sweep(SchemeSpec.sound_hard(), 2, WAVE2, [8.0e4, 4.0e4, 2.0e4])
 
 
-@pytest.mark.parametrize("scheme", ["sh", "fsh"])
+@pytest.mark.parametrize("scheme", ["sh", "fsh", "special-angle"])
 @pytest.mark.parametrize("dim, wave", [(2, WAVE2), (3, WAVE3)], ids=["2d", "3d"])
 @pytest.mark.parametrize("rhos, message", [
     ([0.5, 1e-60], "solver failed at rho=1e-60: |z| = 2e-60 is below the floor 1e-50"),
@@ -231,8 +236,12 @@ def test_sweep_error_annotated_with_rho():
 def test_batched_sweep_error_names_the_largest_failing_rho(scheme, dim, wave, rhos, message):
     # The whole grid is one batched solve; its error must still name the
     # largest rho that fails on its own, with the solver's error type.
+    # special_angle_suppression solves its sound-hard grid the same way.
     with pytest.raises(RangeError) as info:
-        sweep(SchemeSpec(scheme), dim, wave, rhos)
+        if scheme == "special-angle":
+            analysis.special_angle_suppression(dim, wave, rhos)
+        else:
+            sweep(SchemeSpec(scheme), dim, wave, rhos)
     assert str(info.value) == message
 
 
@@ -290,7 +299,7 @@ def test_sweep_csv_round_trip(tmp_path):
     import json
     payload = json.loads(jpath.read_text())
     assert payload["scheme"] == "sh"
-    assert payload["exponent"] == pytest.approx(result.fitted_exponent)
+    assert payload["exponent"] == pytest.approx(result.fit.slope)
 
 
 def test_fit_reproducible_from_persisted_csv(tmp_path):
@@ -299,8 +308,8 @@ def test_fit_reproducible_from_persisted_csv(tmp_path):
     result = sweep(SchemeSpec.sound_hard(), 2, WAVE2, 0.5 ** np.arange(3, 9))
     rho, amp = oracles.read_sweep_csv(_cli_sweep(tmp_path, 6))
     refit = fit_decay(rho, amp, "power-law")
-    assert refit.slope == result.fitted_exponent
-    assert refit.residual == result.fit_residual
+    assert refit.slope == result.fit.slope
+    assert refit.residual == result.fit.residual
 
 
 # Edge values of the byte format; integers must read as their float.

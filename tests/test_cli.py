@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import nearcloak
-from nearcloak import cli, media
+from nearcloak import analysis, cli, media
+from nearcloak.mie import SchemeSpec, WaveParams
 
 import oracles
 
@@ -311,7 +312,8 @@ def test_invalid_physics_parameter(tmp_path):
 
 @pytest.mark.parametrize("args", [
     ["mie", "--rho", "inf"], ["mie", "--rho", "nan"],
-    ["bie", "--incident-angle", "nan"],
+    ["bie", "--incident-angle", "nan"], ["bie", "--incident-angle", "inf"],
+    ["bie", "--incident-angle=-inf"],  # "=": argparse reads a bare -inf as an option
     ["mie", "--scheme", "fsh", "--fsh-delta", "inf"],
     ["mie", "--scheme", "fsh", "--fsh-c", "nan"],
     ["mie", "--scheme", "fss", "--fss-beta", "inf"],
@@ -357,6 +359,29 @@ def test_inverse_log_fit_through_rho_one_is_a_domain_error(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and json.loads(err[0])["error"] == "DomainError"
     assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_compare_through_rho_one_writes_each_schemes_sweep(tmp_path):
+    # compare fits nothing, so a grid that no inverse-log fit admits still
+    # compares; each max|A| column is that scheme's own sweep.
+    code = run(["compare", "--scheme-a", "fss", "--scheme-b", "ss", "--rho-start", "2",
+                "--rho-factor", "0.5", "--rho-count", "3", "--out", "cmp.csv"], tmp_path)
+    assert code == 0
+    table = read_table(tmp_path / "cmp.csv")
+    assert table[:, 0].tolist() == [2.0, 1.0, 0.5]
+    wave = WaveParams(2.0, np.array([1.0, 0.0]))
+    for column, kind in ((1, "fss"), (2, "ss")):
+        result = analysis.sweep(SchemeSpec(kind), 2, wave, [2.0, 1.0, 0.5])
+        assert np.array_equal(table[:, column], result.max_amplitude)
+
+
+def test_compare_runs_no_fit(tmp_path, monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("compare ran a fit")
+    monkeypatch.setattr(analysis, "fit_decay", no_fit)
+    assert run(["compare", "--out", "cmp.csv"], tmp_path) == 0
+    assert read_table(tmp_path / "cmp.csv").shape == (7, 4)
 
 
 def _strict_json(path):

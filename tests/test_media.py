@@ -216,9 +216,16 @@ def test_virtual_core_params_checks_the_contents():
         with pytest.raises(DomainError):
             media.virtual_core_params(sigma, q, rho, dim)
     # Rounding-level negative Im q passes, as it always has.
-    assert media.virtual_core_params(1.0, 1.0 - 1e-16j, 0.1, 2)[1].imag < 0
+    assert media.virtual_core_params(1.0, 1.0 - 1e-16j, 0.1, 2)[1].imag == 0.0
     with pytest.raises(RangeError):   # rho^-3 beyond the double range
         media.virtual_core_params(1.0, 1.0, 1e-200, 3)
+
+
+def test_virtual_sigma_rounding_to_zero_is_a_domain_error():
+    # sigma' / rho in 3D rounds to 0: the virtual pair is checked as passive,
+    # so no solver divides by that 0.
+    with pytest.raises(DomainError, match="sigma must be finite and positive, got 0.0"):
+        media.virtual_core_params(5e-324, 1.0, 4.0, 3)
 
 
 @pytest.mark.parametrize("sigma, q, rho, dim", [

@@ -241,6 +241,36 @@ def test_layer_beyond_the_double_range_is_a_range_error(dim, scheme, k, rho, mes
     assert str(info.value) == f"the {scheme.kind} layer at rho = {rho:g} {message}"
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("lining, q", [
+    ("layer", 2.0 - 1e-16j), ("layer", complex(-4.0, -0.0)),
+    ("core", 0.5 - 1e-16j), ("core", complex(-4.0, -0.0)),
+], ids=["layer-tiny", "layer-signed-zero", "core-tiny", "core-signed-zero"])
+def test_tolerated_negative_im_q_solves_as_im_q_zero(dim, lining, q):
+    # check_passive tolerates Im q down to -1e-15 |q|.  Such a q, and a q
+    # whose Im is -0.0, must solve exactly as the same q with Im q = +0.0:
+    # no wavenumber may leave the principal branch that C_0 and the core
+    # coupling sqrt(sigma_a q_a) stay on.
+    def solve(q):
+        if lining == "layer":
+            return mie.solve(SchemeSpec.layered(1.5, q), dim, _wave(dim), 0.1)
+        return mie.solve(SchemeSpec.finite_sound_soft(), dim, _wave(dim), 0.1, (2.0, q))
+
+    got, want = solve(q), solve(complex(q.real, 0.0))
+    for name in ("d_n", "a_n", "b_n", "c_n"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert (got.k_layer, got.k_core) == (want.k_layer, want.k_core)
+
+
+@pytest.mark.parametrize("scheme, rho", [
+    (SchemeSpec.finite_sound_soft(), 0.0), (SchemeSpec.finite_sound_hard(delta=0.3), -0.5),
+    (SchemeSpec.finite_sound_hard(), math.nan)], ids=["fss-zero", "fsh-negative", "fsh-nan"])
+def test_layer_params_checks_rho(scheme, rho):
+    with pytest.raises(DomainError) as info:
+        scheme.layer_params(rho)
+    assert str(info.value) == f"rho must be finite and positive, got {rho}"
+
+
 def _mp_sequence(dim, kind, n_max, z):
     """(values, derivatives) of orders 0..n_max of J/H (2D) or j/h (3D) at z
     in mpmath.  H runs up from orders 0 and 1, as the recurrence is stable
