@@ -41,8 +41,8 @@ is formed there.
 The direct second-kind equation is singular at interior Dirichlet
 eigenvalues of the curve (on a circle of radius a, the k with
 J_n(ka) = 0); the solver estimates the condition number of the discrete
-system and raises ResonanceError above 1e12 instead of silently
-returning garbage.
+system (on a circle it computes it exactly) and raises ResonanceError
+above 1e12 instead of silently returning garbage.
 
 Kernel evaluation uses scipy's real-argument order-0/1 Bessel routines
 (j0, j1, y0, y1), and K and S are assembled in real arithmetic, each from
@@ -70,8 +70,20 @@ block over all N nodes, which holds 1/2 I - K and its LU factors,
 larger of the blocks' estimates, and the residual ||A v - g||/||g|| is
 the blocks' residuals summed.
 
-Each quantity of a solve is computed once.  The assembly returns the
-system as it is solved, A = 1/2 I - K and g = -S psi, with the sign in
+A circle (_circular: no mode but m = 0 and m = 1, about any centre,
+with any complex c_1) takes neither block path.  There |x_i - x_j|, the
+double layer's normal term and the circulant index depend only on
+i - j mod N, so A and S are circulant, and the DFT diagonalises them (the
+cyclic case of the same symmetry reduction).  _solve_circulant evaluates
+one column of each, from the entry formulas and the log-weight row that
+the kernel pass uses (_off_diagonal, _diagonal, _log_row): N values of
+each Bessel routine, O(N) kernel work, and FFTs in place of the LU, with
+no N x N array.  Its condition number
+is the exact 1-norm one, ||a||_1 ||IFFT(1/FFT(a))||_1 for A's column a,
+not an estimate, and its residual takes A v from the circulant product.
+
+Each quantity of a solve is computed once.  The dense assembly returns
+the system as it is solved, A = 1/2 I - K and g = -S psi, with the sign in
 its constants (IEEE rounding is symmetric), so no pass negates or shifts
 an N x N array.  A curve builds its node geometry at construction, and the
 solve and the far field read it.  The 1-norm of each block that the
@@ -230,6 +242,42 @@ def _mirror_symmetric(curve: BoundaryCurve) -> bool:
     return all(complex(c).imag == 0 for _, c in curve.modes)
 
 
+def _circular(curve: BoundaryCurve) -> bool:
+    """Whether the curve has no mode but m = 0 and m = 1, so that it is a
+    circle about c_0 and A and S are circulant (_solve_circulant).  Read
+    from the mode table only."""
+    return all(m in (0, 1) for m, _ in curve.modes)
+
+
+def _log_row(size: int):
+    """(c, C) on ``size`` nodes: the trapezoid weight c = pi/(size/2) and the
+    circulant row C_m = R_m - c log(4 sin^2(pi m/size)), m = 0..size-1, that
+    carries both log weights (C_0 = R_0; see _kernel_pass)."""
+    c = math.pi / (size // 2)
+    row = log_weights(size // 2)
+    row[1:] -= c * np.log(4.0 * np.sin(math.pi * np.arange(1, size) / size) ** 2)
+    return c, row
+
+
+def _off_diagonal(k: float, c: float, circ, r):
+    """(a_re, a_im, s_re, s_im) off the diagonal, at node distances r with
+    circulant entries circ: -K = q (a_re + i a_im) and -S = (s_re + i s_im)
+    |x'_j| (_kernel_pass).  The one place the Bessel routines run."""
+    kr = k * r
+    j0, j1, y0, y1 = special.j0(kr), special.j1(kr), special.y0(kr), special.y1(kr)
+    return ((k / (4.0 * math.pi)) * circ * j1 + (0.25 * k * c) * y1, (-0.25 * k * c) * j1,
+            (1.0 / (4.0 * math.pi)) * circ * j0 + 0.25 * c * y0, (-0.25 * c) * j0)
+
+
+def _diagonal(k: float, c: float, row0: float, d1, d2, jac):
+    """The diagonals of A = 1/2 I - K and of -S at nodes with derivatives
+    d1, d2 and |x'| = jac: 1/2 - c times the curvature term, and -S's
+    closed form."""
+    curvature = (d2[:, 0] * d1[:, 1] - d2[:, 1] * d1[:, 0]) / (4.0 * math.pi * jac ** 2)
+    diag_s2 = jac * (0.25j - (np.log(0.5 * k * jac) + _EULER_GAMMA) / (2.0 * math.pi))
+    return 0.5 - c * curvature, row0 * ((1.0 / (4.0 * math.pi)) * jac) - c * diag_s2
+
+
 def _kernel_pass(k: float, geometry, n: int, psi, reflect: bool = False):
     """(A, g) over the first n nodes of the curve's ``geometry``:
     A = 1/2 I - K, with K the double layer, and g = -S psi, with S the
@@ -272,10 +320,7 @@ def _kernel_pass(k: float, geometry, n: int, psi, reflect: bool = False):
     block's columns into its rows, and the block's transpose beyond its own
     square into those columns, then adds the diagonal in closed form.
     """
-    size = geometry[0].size
-    c = math.pi / (size // 2)
-    row = log_weights(size // 2)
-    row[1:] -= c * np.log(4.0 * np.sin(math.pi * np.arange(1, size) / size) ** 2)
+    c, row = _log_row(geometry[0].size)
     _, pts, d1, d2, normals, jac = (array[:n] for array in geometry)
     m = np.arange(n)
     if reflect:
@@ -298,18 +343,11 @@ def _kernel_pass(k: float, geometry, n: int, psi, reflect: bool = False):
         q = (dx * normals_col[None, cols, 0] + dy * normals_col[None, cols, 1]) / r
         q_mirror = ((-dx) * normals[rows, None, 0] + (-dy) * normals[rows, None, 1]) / r
         circ = row[np.abs(m[rows, None] - m_col[None, cols])]
-        kr = k * r
-        j0, j1, y0, y1 = special.j0(kr), special.j1(kr), special.y0(kr), special.y1(kr)
-
-        a_re = (k / (4.0 * math.pi)) * circ * j1 + (0.25 * k * c) * y1
-        a_im = (-0.25 * k * c) * j1
+        a_re, a_im, s_re, s_im = _off_diagonal(k, c, circ, r)
         amat.real[rows, cols] = q * a_re
         amat.imag[rows, cols] = q * a_im
         amat.real[cols, rows] = (q_mirror * a_re).T
         amat.imag[cols, rows] = (q_mirror * a_im).T
-
-        s_re = (1.0 / (4.0 * math.pi)) * circ * j0 + 0.25 * c * y0
-        s_im = (-0.25 * c) * j0
         if not reflect:
             # Placeholder diagonals out; S's closed-form diagonal is added below.
             np.fill_diagonal(s_re, 0.0)
@@ -318,10 +356,9 @@ def _kernel_pass(k: float, geometry, n: int, psi, reflect: bool = False):
         _add_product(g[i1:], s_re[:, i1 - i0:].T, s_im[:, i1 - i0:].T, w[rows])
 
     if not reflect:
-        curvature = (d2[:, 0] * d1[:, 1] - d2[:, 1] * d1[:, 0]) / (4.0 * math.pi * jac ** 2)
-        np.fill_diagonal(amat, 0.5 - c * curvature)
-        diag_s2 = jac * (0.25j - (np.log(0.5 * k * jac) + _EULER_GAMMA) / (2.0 * math.pi))
-        g += (row[0] * ((1.0 / (4.0 * math.pi)) * jac) - c * diag_s2)[:, None] * psi
+        a_diag, s_diag = _diagonal(k, c, row[0], d1, d2, jac)
+        np.fill_diagonal(amat, a_diag)
+        g += s_diag[:, None] * psi
     return amat, g
 
 
@@ -370,6 +407,20 @@ def _trace(solutions) -> np.ndarray:
     return np.concatenate([w_e + w_o, (w_e - w_o)[::-1]])
 
 
+def _check_condition(cond: float, curve: BoundaryCurve, k: float) -> None:
+    """ResonanceError when a condition number exceeds RESONANCE_CONDITION."""
+    if cond > RESONANCE_CONDITION:
+        raise ResonanceError(
+            f"discrete system condition ~{cond:.2e}; k={k:g} is near an "
+            f"interior resonance of {curve.name}")
+
+
+def _check_system(anorm: float, g, curve: BoundaryCurve, k: float) -> None:
+    """DomainError unless the system's 1-norm and right-hand side are finite."""
+    if not (math.isfinite(anorm) and np.isfinite(g).all()):
+        raise DomainError(f"non-finite Nystrom system for {curve.name} at k={k:g}")
+
+
 def _solve_block(a, g, curve: BoundaryCurve, k: float):
     """The LU solve of one block: x with a x = g, and the condition
     estimate.
@@ -381,16 +432,12 @@ def _solve_block(a, g, curve: BoundaryCurve, k: float):
     factors are freed on return.
     """
     anorm = np.linalg.norm(a, 1)
-    if not (math.isfinite(anorm) and np.isfinite(g).all()):
-        raise DomainError(f"non-finite Nystrom system for {curve.name} at k={k:g}")
+    _check_system(anorm, g, curve, k)
     lu, piv = lu_factor(a, check_finite=False)
     gecon = get_lapack_funcs(("gecon",), (a,))[0]
     rcond, _ = gecon(lu, anorm, norm="1")
     cond = 1.0 / rcond if rcond > 0 else math.inf
-    if cond > RESONANCE_CONDITION:
-        raise ResonanceError(
-            f"discrete system condition ~{cond:.2e}; k={k:g} is near an "
-            f"interior resonance of {curve.name}")
+    _check_condition(cond, curve, k)
     return lu_solve((lu, piv), g, check_finite=False), cond
 
 
@@ -406,25 +453,81 @@ def _add_product(out, a_re, a_im, x):
     out.imag += p[:, cols:] + q[:, :cols]
 
 
+def _solve_blocks(k: float, curve: BoundaryCurve, psi: np.ndarray):
+    """(v, condition estimate, [(A v - g, g) per block]) from the blocks
+    of _system, each solved by _solve_block."""
+    blocks = _system(k, curve, psi)
+    solutions, conds = zip(*(_solve_block(a, g, curve, k) for a, g in blocks))
+    # The residuals follow every LU: under threaded BLAS, numpy's BLAS
+    # threads still spin after a product and slow a scipy LU that follows
+    # at once (8 ms against 0.5 ms at 129 nodes, two cores).
+    return (_trace(solutions), max(conds),
+            [(a @ x - g, g) for (a, g), x in zip(blocks, solutions)])
+
+
+def _solve_circulant(k: float, curve: BoundaryCurve, psi: np.ndarray):
+    """(v, condition number, [(A v - g, g)]) of a circle (_circular).
+
+    On a circle |x_i - x_j|, the double layer's q at (i, j) and the
+    circulant index depend only on i - j mod N, so A and S are circulant:
+    column 0 determines each (entry i of column 0 is the pair (i, 0) of
+    _kernel_pass, from the same _log_row, _off_diagonal and _diagonal),
+    and the DFT diagonalises them.  With lambda = FFT(a) for A's column a,
+    g = IFFT(FFT(s) FFT(psi)) for -S's column s, and v = IFFT(FFT(g)/lambda):
+    N values of each Bessel routine and O(N log N) work, no N x N array.
+
+    The condition number is exact: every column of a circulant is a
+    rotation of its first, and A^-1 is the circulant of IFFT(1/lambda), so
+    cond_1(A) = ||a||_1 ||IFFT(1/lambda)||_1, infinite where lambda has a
+    zero.  The residual takes A v from the same circulant product."""
+    _, pts, d1, d2, normals, jac = curve._node_geometry
+    c, row = _log_row(curve.n_points)
+    dx, dy = pts[:, 0] - pts[0, 0], pts[:, 1] - pts[0, 1]
+    r = np.hypot(dx, dy)
+    r[0] = 1.0  # placeholder; the diagonal is set below
+    q = (dx * normals[0, 0] + dy * normals[0, 1]) / r
+    a_re, a_im, s_re, s_im = _off_diagonal(k, c, row, r)
+    a = q * (a_re + 1j * a_im)
+    s = jac[0] * (s_re + 1j * s_im)
+    a_diag, s_diag = _diagonal(k, c, row[0], d1[:1], d2[:1], jac[:1])
+    a[0], s[0] = a_diag[0], s_diag[0]
+
+    g = np.fft.ifft(np.fft.fft(s) * np.fft.fft(psi))
+    anorm = np.abs(a).sum()
+    _check_system(anorm, g, curve, k)
+    lam = np.fft.fft(a)
+    inverse_norm = np.abs(np.fft.ifft(1.0 / lam)).sum()
+    cond = anorm * inverse_norm if math.isfinite(inverse_norm) else math.inf
+    _check_condition(cond, curve, k)
+    v = np.fft.ifft(np.fft.fft(g) / lam)
+    return v, float(cond), [(np.fft.ifft(lam * np.fft.fft(v)) - g, g)]
+
+
 def assemble_and_solve(curve: BoundaryCurve, wave: WaveParams) -> DensitySolution:
-    """Assemble (1/2 I - K) v = g and solve it densely.
+    """Assemble (1/2 I - K) v = g and solve it.
 
-    _system returns A = 1/2 I - K and g = -S psi as they are solved, from
-    the node geometry the curve built once: on a mirror-symmetric curve
-    (every c_m real, as for the circle and the kite) as an even and an odd
-    block of N/2 nodes each, otherwise as one block.  Each block has its
-    own finiteness check, LU factors and condition estimate (_solve_block).
-    S is never stored, so a two-block solve holds A_e, A_o and one block's
-    LU factors at a time, 12 N^2 bytes; one block holds A and its LU
-    factors, 2 x 16 N^2 bytes, 128 MiB at MAX_NODES (the residual needs A).
+    A circle (_circular: no mode but m = 0 and m = 1, any complex c_1)
+    solves as a circulant (_solve_circulant), from one column of A and of
+    S: N values of each Bessel routine, FFTs and no LU, and its
+    ``condition_estimate`` is the exact 1-norm condition number.
 
-    ``condition_estimate`` is the larger of the blocks' estimates, and
+    Every other curve solves densely: _system returns A = 1/2 I - K and
+    g = -S psi as they are solved, from the node geometry the curve built
+    once, on a mirror-symmetric curve (every c_m real, as for the kite) as
+    an even and an odd block of N/2 nodes each, otherwise as one block.
+    Each block has its own finiteness check, LU factors and condition
+    estimate (_solve_block).  S is never stored, so a two-block solve holds
+    A_e, A_o and one block's LU factors at a time, 12 N^2 bytes; one block
+    holds A and its LU factors, 2 x 16 N^2 bytes, 128 MiB at MAX_NODES
+    (the residual needs A).  ``condition_estimate`` is the larger of the
+    blocks' estimates.
+
     ``residual`` is ||A v - g||_2/||g||_2 of the full system: the blocks'
     squared residuals summed over their squared right-hand sides.
 
-    Raises ResonanceError when a block's estimated condition number
-    exceeds 1e12 (interior Dirichlet resonance of the curve), and
-    DomainError when the system, the trace or the residual is not finite.
+    Raises ResonanceError when the (estimated) condition number exceeds
+    1e12 (interior Dirichlet resonance of the curve), and DomainError when
+    the system, the trace or the residual is not finite.
     """
     if wave.d.size != 2:
         raise DomainError("boundary-integral solver is 2D; give a 2-vector direction")
@@ -434,26 +537,22 @@ def assemble_and_solve(curve: BoundaryCurve, wave: WaveParams) -> DensitySolutio
     phase = np.exp(1j * k * (pts @ wave.d))
     psi = -1j * k * (normals @ wave.d) / jac * phase
 
-    # Overflow leaves inf or nan in a block or the residual, which the
-    # checks report.
-    with np.errstate(over="ignore", invalid="ignore"):
-        blocks = _system(k, curve, psi)
-        solutions, conds = zip(*(_solve_block(a, g, curve, k) for a, g in blocks))
-        # The residuals follow every LU: under threaded BLAS, numpy's BLAS
-        # threads still spin after a product and slow a scipy LU that
-        # follows at once (8 ms against 0.5 ms at 129 nodes, two cores).
+    # Overflow leaves inf or nan in the system or the residual, and a zero
+    # eigenvalue of a circulant an inf in its inverse, which the checks
+    # report.
+    solve = _solve_circulant if _circular(curve) else _solve_blocks
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        trace, cond, residuals = solve(k, curve, psi)
         r2 = g2 = 0.0
-        for (a, g), x in zip(blocks, solutions):
-            r = a @ x - g
+        for r, g in residuals:
             r2 += np.sum(r.real ** 2 + r.imag ** 2)
             g2 += np.sum(g.real ** 2 + g.imag ** 2)
         residual = float(np.sqrt(r2 / g2)) if g2 > 0 else 0.0
     # A non-finite trace leaves the residual non-finite too.
     if not math.isfinite(residual):
         raise DomainError(f"non-finite trace or residual for {curve.name} at k={k:g}")
-    return DensitySolution(curve=curve, wave=wave, trace=_trace(solutions),
-                           neumann_data=psi, residual=residual,
-                           condition_estimate=float(max(conds)))
+    return DensitySolution(curve=curve, wave=wave, trace=trace, neumann_data=psi,
+                           residual=residual, condition_estimate=float(cond))
 
 
 # ---------------------------------------------------------------------------

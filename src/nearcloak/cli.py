@@ -25,6 +25,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -228,16 +229,20 @@ def _run_sweep(params: dict) -> None:
                       ("fitted_exponent", repr(fit.slope) if fit else "nan"),
                       ("fit_residual", repr(fit.residual) if fit else "nan")])
     if params["json_out"]:
-        write_json(params["json_out"], {
-            "schema": f"sweep-summary-v{CSV_SCHEMA_VERSION}",
-            "scheme": params["scheme"], "dim": params["dim"], "k": params["k"],
-            "angle_count": params["angles"], "model": result.model,
-            # JSON has no NaN: a sweep too short to fit writes null.
-            "exponent": fit.slope if fit else None,
-            "residual": fit.residual if fit else None,
-            "rho_values": result.rho_values.tolist(),
-            "max_amplitude": result.max_amplitude.tolist(),
-        })
+        try:
+            write_json(params["json_out"], {
+                "schema": f"sweep-summary-v{CSV_SCHEMA_VERSION}",
+                "scheme": params["scheme"], "dim": params["dim"], "k": params["k"],
+                "angle_count": params["angles"], "model": result.model,
+                # JSON has no NaN: a sweep too short to fit writes null.
+                "exponent": fit.slope if fit else None,
+                "residual": fit.residual if fit else None,
+                "rho_values": result.rho_values.tolist(),
+                "max_amplitude": result.max_amplitude.tolist(),
+            })
+        except (OSError, ValueError):
+            os.remove(params["out"])  # both outputs or neither
+            raise
 
 
 def _run_compare(params: dict) -> None:

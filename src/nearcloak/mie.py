@@ -363,7 +363,10 @@ def _layer_wavenumbers(scheme: SchemeSpec, rho: float, k: float,
 
     Where a power of rho leaves the double range, so that sigma_l, k_tilde
     or C_0 is not a normal double (FSH at a small C or a large delta), a
-    RangeError names the lining, rho and (sigma_l, q_l)."""
+    RangeError names the lining, rho and (sigma_l, q_l).  Where k_2 or
+    sqrt(q_a sigma_a) is not a normal double (a subnormal sigma_a), a
+    RangeError names rho and the virtual core (sigma_a, q_a); q_a = 0 is a
+    DomainError."""
     where = f"the {scheme.kind} layer at rho = {rho:g}"
     try:
         sigma_l, q_l = scheme.layer_params(rho)
@@ -379,11 +382,13 @@ def _layer_wavenumbers(scheme: SchemeSpec, rho: float, k: float,
         raise RangeError(f"{where} leaves the double range: "
                          f"(sigma_l, q_l) = ({sigma_l:g}, {q_l:g})")
     sigma_a, q_a = core
-    k2 = k * cmath.sqrt(q_a / sigma_a)
-    if k2 == 0:
+    if q_a == 0:
         raise DomainError(f"lossy linings need contents with q' != 0, got the virtual "
                           f"core (sigma_a, q_a) = ({sigma_a:g}, {q_a:g})")
-    coupling = cmath.sqrt(q_a * sigma_a)
+    k2, coupling = k * cmath.sqrt(q_a / sigma_a), cmath.sqrt(q_a * sigma_a)
+    if not (normal(k2) and normal(coupling)):
+        raise RangeError(f"the virtual core at rho = {rho:g} leaves the double range: "
+                         f"(sigma_a, q_a) = ({sigma_a:g}, {q_a:g})")
     return k_tilde, k2, c0, coupling
 
 

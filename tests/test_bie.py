@@ -415,6 +415,57 @@ def test_split_solve_matches_full_dense_solve(make, n_points, k):
         assert np.max(np.abs(sol.trace - v)) <= 1e-13 * np.max(np.abs(v))
 
 
+def _circles(n_points):
+    """A circle about the origin (real c_1), one off the origin (a mode-0
+    term) and one turned (complex c_1): each solves as a circulant."""
+    return (bie.circle(0.6, n_points),
+            bie.BoundaryCurve(((0, 0.3 - 0.2j), (1, 0.6)), n_points, name="off-centre"),
+            _turned(bie.circle(0.6, n_points), 0.3))
+
+
+def _no_dense_system(*args):
+    raise AssertionError("a circle was solved through _system")
+
+
+@pytest.mark.parametrize("k", [0.5, 2.7, 20.0])
+@pytest.mark.parametrize("n_points", [8, 64, 66, 256])
+def test_circulant_solve_matches_full_dense_solve(monkeypatch, n_points, k):
+    # The circulant solve against one LU of the full dense system on the
+    # same nodes, with no dense assembly.
+    monkeypatch.setattr(bie, "_system", _no_dense_system)
+    wave = WaveParams(k, np.array([math.cos(1.1), math.sin(1.1)]))
+    for crv in _circles(n_points):
+        k_ref, s_ref = oracles.dense_system_matrices(k, *crv._node_geometry)
+        sol = bie.assemble_and_solve(crv, wave)
+        v = lu_solve(lu_factor(_system_reference(k_ref)), -(s_ref @ sol.neumann_data))
+        assert np.max(np.abs(sol.trace - v)) <= 1e-13 * np.max(np.abs(v))
+
+
+def test_circulant_solve_evaluates_one_kernel_column(monkeypatch):
+    # N arguments of each Bessel routine per circle solve, against N^2/4
+    # for the mirror split and N^2/2 for one block.
+    n = 512
+    sizes = []
+    j0 = special.j0
+    monkeypatch.setattr(special, "j0", lambda x: sizes.append(np.size(x)) or j0(x))
+    for crv in _circles(n):
+        sizes.clear()
+        bie.assemble_and_solve(crv, WAVE)
+        assert sum(sizes) <= n
+
+
+@pytest.mark.parametrize("k", [0.5, 2.7, 20.0])
+def test_circulant_condition_number_is_exact(k):
+    # ||a||_1 ||IFFT(1/lambda)||_1 is the 1-norm condition number of the
+    # full system, not an estimate of it (nor the larger block's).
+    wave = WaveParams(k, np.array([1.0, 0.0]))
+    for crv in _circles(128):
+        k_ref, _ = oracles.dense_system_matrices(k, *crv._node_geometry)
+        cond = np.linalg.cond(_system_reference(k_ref), 1)
+        sol = bie.assemble_and_solve(crv, wave)
+        assert abs(sol.condition_estimate - cond) <= 1e-8 * cond
+
+
 def test_residual_and_condition_estimate_are_the_full_systems(monkeypatch):
     # With each block's solution perturbed, so that the residual is far
     # above rounding, the residual rebuilt from the weighted block

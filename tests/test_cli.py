@@ -398,6 +398,14 @@ def test_short_sweep_writes_strict_json_without_a_fit(tmp_path):
     assert len(payload["max_amplitude"]) == 2
 
 
+def test_sweep_whose_json_cannot_be_written_leaves_no_csv(tmp_path, capsys):
+    # Both outputs or neither: the CSV written first is removed.
+    args = ["sweep", "--rho-count", "4", "--out", "s.csv", "--json-out", "nodir/x.json"]
+    assert run(args, tmp_path) == cli.EXIT_UNWRITABLE_OUTPUT
+    assert json.loads(capsys.readouterr().err.splitlines()[-1])["exit_code"] == 4
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_dump_config_of_non_finite_flag_writes_nothing(tmp_path, capsys):
     args = ["mie", "--k", "inf", "--out", "x.csv", "--dump-config", "cfg.json"]
     assert run(args, tmp_path) == cli.EXIT_INVALID_PARAMETER
@@ -446,7 +454,12 @@ def test_virtual_contents_overflow_is_invalid_parameter(tmp_path, capsys, flags)
     # sigma_l = 0.1^602 underflows to 0
     (["--fsh-delta", "300", "--rho", "0.1"],
      "the fsh layer at rho = 0.1 leaves the double range: (sigma_l, q_l) = (0, 3+2j)"),
-], ids=["subnormal_sigma", "zero_sigma"])
+    # (the later --scheme wins) sigma_a = 1e-320/0.5 is subnormal: q_a/sigma_a
+    # overflows, so k_2 is infinite
+    (["--scheme", "fss", "--dim", "3", "--core-sigma", "1e-320", "--rho", "0.5"],
+     "the virtual core at rho = 0.5 leaves the double range: "
+     "(sigma_a, q_a) = (1.99998e-320, 8+0j)"),
+], ids=["subnormal_sigma", "zero_sigma", "subnormal_core_sigma"])
 def test_lossy_layer_beyond_the_double_range_is_invalid_parameter(tmp_path, capsys, flags,
                                                                   message):
     args = ["mie", "--scheme", "fsh", *flags, "--out", "x.csv"]
