@@ -215,12 +215,17 @@ def special_angle_suppression(dim: int, wave: WaveParams, rho_values) -> np.ndar
 
 def near_field_deviation(fsh: ModalSolution, sh: ModalSolution, radius: float) -> float:
     """sup over NEAR_FIELD_SAMPLES equidistant angles of |u^s_fsh - u^s_sh|
-    at the given radius."""
+    at the given radius.  The scattered field is linear in the exterior
+    coefficients, so the difference is one exterior field, of d_n^fsh -
+    d_n^sh with the shorter sequence zero-padded: one Hankel sequence and
+    one angular sum.  A radius below rho raises the DomainError of
+    field_on_circle that names the exterior region."""
     if fsh.dim != sh.dim or fsh.k != sh.k or fsh.rho != sh.rho:
         raise ShapeError("solutions must share dim, k and rho")
-    thetas = observation_angles(fsh.dim, NEAR_FIELD_SAMPLES)
-    ua = mie.field_on_circle(fsh, radius, thetas, region="exterior",
-                             scattered_only=True)
-    ub = mie.field_on_circle(sh, radius, thetas, region="exterior",
-                             scattered_only=True)
-    return float(np.max(np.abs(ua - ub)))
+    gap = np.zeros(max(fsh.d_n.size, sh.d_n.size), dtype=complex)
+    gap[:fsh.d_n.size] = fsh.d_n
+    gap[:sh.d_n.size] -= sh.d_n
+    u = mie.field_on_circle(ModalSolution(fsh.dim, fsh.rho, fsh.k, gap), radius,
+                            observation_angles(fsh.dim, NEAR_FIELD_SAMPLES),
+                            region="exterior", scattered_only=True)
+    return float(np.max(np.abs(u)))

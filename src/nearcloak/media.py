@@ -73,21 +73,36 @@ def cloak_tensor(spec: RadialMapSpec, y: np.ndarray) -> tuple[np.ndarray, np.nda
 
     Closed-form push-forward of (I, 1) under the blow-up: with f = |y| in
     [R1, R2], r = F^{-1}(f), t = f/r and J = s t^(dim-1), sigma =
-    (t^2/J) I + ((s^2 - t^2)/J) yhat yhat^T and q = 1/J.
+    (t^2/J) I + ((s^2 - t^2)/J) yhat yhat^T and q = 1/J.  All dim^2
+    entries come from the one evaluator that ``sample_cloak_grid`` asks
+    for its upper triangle alone (``_cloak_entries``).
     """
     y = np.asarray(y, dtype=float)
-    dim, s = y.shape[-1], spec.slope
+    dim = y.shape[-1]
     f = np.linalg.norm(y, axis=-1)
     # "not <=" so that a NaN point fails too.
     outside = ~((spec.r1 * (1 - _GEOM_RTOL) <= f) & (f <= spec.r2 * (1 + _GEOM_RTOL)))
     if np.any(outside):
         raise DomainError(f"|y| = {f[outside][0]:.6g} outside [{spec.r1:.6g}, {spec.r2:.6g}]")
+    entries, q = _cloak_entries(spec, [y[..., a] for a in range(dim)], f,
+                                [(a, b) for a in range(dim) for b in range(dim)])
+    return np.stack(entries, axis=-1).reshape(*y.shape, dim), q
+
+
+def _cloak_entries(spec: RadialMapSpec, coords, f,
+                   pairs) -> tuple[list[np.ndarray], np.ndarray]:
+    """The entries sigma_ab (...) of cloak_tensor for the requested index
+    pairs (a, b), and q (...), at the shell points with coordinates
+    ``coords`` (dim arrays (...)) and norms f (...).  Each entry is
+    t^2/J delta_ab + ((s^2 - t^2)/J) (yhat_a yhat_b), in that order, so
+    an off-diagonal keeps the +0.0 that 0.0 + (-0.0) gives."""
+    s = spec.slope
     t = f / spec.inverse_radius(f)
-    jac = s * t ** (dim - 1)
-    tang, radial = (t * t / jac)[..., None, None], (s * s / jac)[..., None, None]
-    yhat = y / f[..., None]
-    proj = yhat[..., :, None] * yhat[..., None, :]
-    return tang * np.eye(dim) + (radial - tang) * proj, 1.0 / jac
+    jac = s * t ** (len(coords) - 1)
+    tang = t * t / jac
+    aniso = s * s / jac - tang
+    yhat = [c / f for c in coords]
+    return [tang * float(a == b) + aniso * (yhat[a] * yhat[b]) for a, b in pairs], 1.0 / jac
 
 
 # ---------------------------------------------------------------------------
@@ -145,30 +160,34 @@ def sample_cloak_grid(spec: RadialMapSpec, cells_per_side: int,
                       dim: int = 2) -> np.ndarray:
     """Sample the cloak tensor on a cell-centered grid over [-R2, R2]^dim.
 
-    Cell centers never hit the inner interface |y| = R1 exactly, where
-    the tangential entries are singular.  Rows hold the point, the
-    row-major upper triangle of sigma, then Re q and Im q; points outside
-    the shell are skipped (an empty shell gives zero rows).  One
-    ``cloak_tensor`` call covers all kept centers; positivity needs no
-    per-cell check, as s > 0 and r >= rho > 0 make t, J > 0.
+    The n cell centers per axis are c_i = R2 (2i + 1 - n)/n, exactly
+    antisymmetric (c_{n-1-i} = -c_i), so every axis reflection of a kept
+    cell, and in 2D the swap of x and y, is a kept cell with the same
+    |sigma_ab| and q bit for bit.  Rows hold the point, the row-major
+    upper triangle of sigma, then Re q and Im q; points outside the closed
+    shell R1 <= |y| <= R2 are skipped (an empty shell gives zero rows).
+    One ``_cloak_entries`` call evaluates only those dim (dim+1)/2 entries
+    on all kept centers; positivity needs no per-cell check, as s > 0 and
+    r >= rho > 0 make t, J > 0.
     """
     if dim not in (2, 3):
         raise DomainError(f"dim must be 2 or 3, got {dim}")
-    if not isinstance(cells_per_side, (int, np.integer)) or cells_per_side < 1:
+    if (not isinstance(cells_per_side, (int, np.integer)) or isinstance(cells_per_side, bool)
+            or cells_per_side < 1):
         raise DomainError(f"need an integer count of at least one cell per side, "
                           f"got {cells_per_side!r}")
-    edges = np.linspace(-spec.r2, spec.r2, cells_per_side + 1)
-    centers = 0.5 * (edges[:-1] + edges[1:])
+    n = cells_per_side
+    centers = spec.r2 * (2.0 * np.arange(n) + (1 - n)) / n
     # |y|^2 summed as np.linalg.norm sums it (x^2 + y^2, then + z^2), so the
-    # kept cells are bit for bit those of the full point cube; nonzero lists
-    # them in C order, the row order of meshgrid(indexing="ij").
+    # kept cells and their norms are bit for bit those of the full point
+    # cube; nonzero lists them in C order, the row order of
+    # meshgrid(indexing="ij").
     squares = centers * centers
     radii = squares[:, None] + squares
     if dim == 3:
         radii = radii[..., None] + squares
     radii = np.sqrt(radii)
-    pts = np.stack([centers[i] for i in np.nonzero((radii >= spec.r1) & (radii <= spec.r2))],
-                   axis=-1)
-    sigma, q = cloak_tensor(spec, pts)
-    iu = np.triu_indices(dim)
-    return np.column_stack([pts, sigma[:, iu[0], iu[1]], q, np.zeros_like(q)])
+    kept = np.nonzero((radii >= spec.r1) & (radii <= spec.r2))
+    coords = [centers[i] for i in kept]
+    entries, q = _cloak_entries(spec, coords, radii[kept], list(zip(*np.triu_indices(dim))))
+    return np.column_stack([*coords, *entries, q, np.zeros_like(q)])

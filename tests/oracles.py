@@ -136,9 +136,9 @@ def cloak_medium_at(spec: RadialMapSpec, y: np.ndarray) -> MediumSpec:
 
 def cloak_grid_rows(spec: RadialMapSpec, cells: int, dim: int) -> np.ndarray:
     """media.sample_cloak_grid built over the full point cube: every cell
-    center from meshgrid, its norm, the shell mask, then cloak_tensor."""
-    edges = np.linspace(-spec.r2, spec.r2, cells + 1)
-    centers = 0.5 * (edges[:-1] + edges[1:])
+    center c_i = R2 (2i + 1 - n)/n from meshgrid, its norm, the shell mask,
+    then cloak_tensor."""
+    centers = spec.r2 * (2.0 * np.arange(cells) + (1 - cells)) / cells
     pts = np.stack(np.meshgrid(*([centers] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
     radii = np.linalg.norm(pts, axis=1)
     pts = pts[(radii >= spec.r1) & (radii <= spec.r2)]

@@ -1,5 +1,7 @@
 """Sweep/fit orchestration tests."""
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -277,6 +279,28 @@ def test_near_field_deviation_inside_rho_names_the_exterior():
     sol = mie.solve(SchemeSpec.sound_hard(), 2, WAVE2, 0.05)
     with pytest.raises(DomainError, match="r = 0.04 lies outside the exterior region"):
         analysis.near_field_deviation(sol, sol, 0.04)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("lossy, lossless", [
+    (SchemeSpec.finite_sound_soft(), SchemeSpec.sound_soft()),
+    (SchemeSpec.finite_sound_hard(), SchemeSpec.sound_hard())], ids=["fss", "fsh"])
+def test_near_field_deviation_is_the_sup_of_the_two_fields(dim, lossy, lossless):
+    # One exterior field of the coefficient difference against the two
+    # scattered fields subtracted; the truncated copies take the zero pad
+    # on either side.
+    thetas = analysis.observation_angles(dim, analysis.NEAR_FIELD_SAMPLES)
+    for k, rho in ((0.7, 0.5), (2.0, 0.05), (6.3, 1e-3)):
+        wave = WaveParams(k, np.eye(dim)[0])
+        a, b = mie.solve(lossy, dim, wave, rho), mie.solve(lossless, dim, wave, rho)
+        pairs = [(a, b), (dataclasses.replace(a, d_n=a.d_n[:-3]), b),
+                 (a, dataclasses.replace(b, d_n=b.d_n[:-2]))]
+        for (u, v), r in itertools.product(pairs, (rho, 1.5 * rho, 4 * rho)):
+            fu, fv = (mie.field_on_circle(sol, r, thetas, region="exterior", scattered_only=True)
+                      for sol in (u, v))
+            scale = max(np.max(np.abs(fu)), np.max(np.abs(fv)))
+            assert (abs(analysis.near_field_deviation(u, v, r) - np.max(np.abs(fu - fv)))
+                    <= 1e-13 * scale)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Transformation-acoustics tests: maps, Jacobians, push-forwards."""
 
+import itertools
 import math
 
 import numpy as np
@@ -281,7 +282,7 @@ def test_sample_cloak_grid_needs_a_cell():
             media.sample_cloak_grid(SPEC, cells, dim=2)
 
 
-@pytest.mark.parametrize("cells", [8.0, math.nan, "8"])
+@pytest.mark.parametrize("cells", [8.0, math.nan, "8", True])
 def test_sample_cloak_grid_needs_an_integer_cell_count(cells):
     with pytest.raises(DomainError, match="integer count"):
         media.sample_cloak_grid(SPEC, cells, dim=2)
@@ -324,6 +325,59 @@ def test_sample_cloak_grid_matches_pointwise_pushforward(dim, rho):
         tol = 1e-12 + 1e-14 * f / (f - spec.offset)
         assert np.max(np.abs(row[dim:-2] - ref.sigma[iu])) <= tol * np.max(np.abs(ref.sigma))
         assert abs(complex(row[-2], row[-1]) - ref.q) <= tol * abs(ref.q)
+
+
+def _mirror_images(dim):
+    """(point map, entry map) of each axis reflection, and in 2D of the x-y
+    swap, on the rows of sample_cloak_grid: a reflection negates the
+    off-diagonals that involve its axis, the swap exchanges sigma_xx and
+    sigma_yy."""
+    iu = list(zip(*np.triu_indices(dim)))
+    images = []
+    for axis in range(dim):
+        flip = np.where(np.arange(dim) == axis, -1.0, 1.0)
+        sign = np.array([-1.0 if (a == axis) != (b == axis) else 1.0 for a, b in iu] + [1.0, 1.0])
+        images.append((lambda p, flip=flip: p * flip, lambda e, sign=sign: e * sign))
+    if dim == 2:
+        images.append((lambda p: p[:, ::-1], lambda e: e[:, [2, 1, 0, 3, 4]]))
+    return images
+
+
+@pytest.mark.parametrize("rho, r1, r2", [(0.5, 2.0, 3.0), (1e-4, 1.7, 2.7), (0.01, 2.3, 3.3)])
+@pytest.mark.parametrize("dim, cells", [(2, 9), (2, 23), (2, 24), (2, 84), (3, 9), (3, 14), (3, 26)])
+def test_sample_cloak_grid_is_exactly_mirror_symmetric(dim, cells, rho, r1, r2):
+    # Bit for bit, with signed zeros aside ("==", and -0.0 + 0.0 keys).
+    rows = media.sample_cloak_grid(RadialMapSpec(rho, r1, r2), cells, dim=dim)
+    pts, entries = rows[:, :dim], rows[:, dim:]
+    centers = np.unique(pts)
+    assert centers.size == cells and np.array_equal(centers[::-1], -centers)
+    index = {p: i for i, p in enumerate(map(tuple, (pts + 0.0).tolist()))}
+    for move_point, move_entries in _mirror_images(dim):
+        image = [index.get(p) for p in map(tuple, (move_point(pts) + 0.0).tolist())]
+        assert None not in image
+        assert np.array_equal(entries[image], move_entries(entries))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_cloak_tensor_keeps_the_bits_of_the_dense_closed_form(dim):
+    # The (..., dim, dim) broadcast of t^2/J I + ((s^2 - t^2)/J) yhat yhat^T,
+    # signed zeros included: the axis points put +-0.0 in every slot.
+    rng = np.random.default_rng(11)
+    y = rng.normal(size=(300, dim))
+    y *= rng.uniform(SPEC.r1, SPEC.r2, (300, 1)) / np.linalg.norm(y, axis=-1, keepdims=True)
+    on_axes = [np.where(np.arange(dim) == axis, side * 2.5, zeros)
+               for axis in range(dim) for side in (1.0, -1.0)
+               for zeros in itertools.product((0.0, -0.0), repeat=dim)]
+    y = np.vstack([y, on_axes])
+    s, f = SPEC.slope, np.linalg.norm(y, axis=-1)
+    t = f / SPEC.inverse_radius(f)
+    jac = s * t ** (dim - 1)
+    tang, radial = (t * t / jac)[:, None, None], (s * s / jac)[:, None, None]
+    yhat = y / f[:, None]
+    ref = tang * np.eye(dim) + (radial - tang) * (yhat[:, :, None] * yhat[:, None, :])
+    sigma, q = media.cloak_tensor(SPEC, y)
+    assert np.array_equal(sigma.view(np.int64), ref.view(np.int64))
+    assert np.array_equal(q.view(np.int64), (1.0 / jac).view(np.int64))
 
 
 def test_cloak_tensor_broadcasts_over_leading_axes():
