@@ -105,12 +105,15 @@ import numpy as np
 from scipy import special
 from scipy.linalg import lu_factor, lu_solve, get_lapack_funcs
 
-from .errors import DomainError, ResonanceError, ShapeError
+from .errors import DomainError, RangeError, ResonanceError, ShapeError
 from .mie import FarFieldPattern, WaveParams
 
 _EULER_GAMMA = 0.5772156649015328606
 MAX_NODES = 2048
 RESONANCE_CONDITION = 1e12
+# Below this k times the curve's diameter the far field is lost to rounding:
+# a circle's is off the modal series by about 3e-17/(k radius), relative.
+MIN_K_DIAMETER = 2e-8
 # Rows per block of a kernel pass (_kernel_pass).
 _ROW_BLOCK = 64
 
@@ -149,10 +152,10 @@ class BoundaryCurve:
         object.__setattr__(self, "_node_geometry", _geometry(self))
         if np.min(self._node_geometry[-1]) <= 0:
             raise DomainError("parametrization is not regular (|x'| = 0 at a node)")
-        # pi sum m |c_m|^2 is the signed area enclosed.  On Python floats a
-        # product overflows to inf, where ** raises OverflowError and a numpy
-        # scalar warns.
-        if not sum(m * (abs(complex(c)) * abs(complex(c))) for m, c in self.modes) > 0:
+        # pi sum m |c_m|^2 is the signed area enclosed; scaled by the largest
+        # |c_m| (nonzero on a regular curve), no term overflows or underflows.
+        scale = max(abs(complex(c)) for _, c in self.modes)
+        if not sum(m * abs(complex(c) / scale) ** 2 for m, c in self.modes) > 0:
             raise DomainError("curve must run counterclockwise (sum m |c_m|^2 > 0)")
 
     def nodes(self) -> np.ndarray:
@@ -525,23 +528,29 @@ def assemble_and_solve(curve: BoundaryCurve, wave: WaveParams) -> DensitySolutio
     ``residual`` is ||A v - g||_2/||g||_2 of the full system: the blocks'
     squared residuals summed over their squared right-hand sides.
 
-    Raises ResonanceError when the (estimated) condition number exceeds
-    1e12 (interior Dirichlet resonance of the curve), and DomainError when
-    the system, the trace or the residual is not finite.
+    Raises RangeError when k times the curve's diameter (twice the largest
+    distance of a node from the centre c_0) is below MIN_K_DIAMETER = 2e-8,
+    ResonanceError when the (estimated) condition number exceeds 1e12
+    (interior Dirichlet resonance of the curve), and DomainError when the
+    system, the trace or the residual is not finite.
     """
     if wave.d.size != 2:
         raise DomainError("boundary-integral solver is 2D; give a 2-vector direction")
     k = wave.k
     _, pts, _, _, normals, jac = curve._node_geometry
-    # psi = du^s/dnu = -d(e^{ik d.y})/dnu; the unit normal is normals/jac.
-    phase = np.exp(1j * k * (pts @ wave.d))
-    psi = -1j * k * (normals @ wave.d) / jac * phase
-
-    # Overflow leaves inf or nan in the system or the residual, and a zero
-    # eigenvalue of a circulant an inf in its inverse, which the checks
-    # report.
+    centre = sum(complex(c) for m, c in curve.modes if m == 0)
+    # Overflow leaves inf or nan in the diameter, psi, the system or the
+    # residual, and a zero eigenvalue of a circulant an inf in its inverse,
+    # which the checks report.
     solve = _solve_circulant if _circular(curve) else _solve_blocks
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        diameter = 2.0 * np.max(np.hypot(pts[:, 0] - centre.real, pts[:, 1] - centre.imag))
+        if k * diameter < MIN_K_DIAMETER:
+            raise RangeError(f"k = {k:g} times the diameter {diameter:g} of {curve.name} "
+                             f"is below the floor {MIN_K_DIAMETER:g}")
+        # psi = du^s/dnu = -d(e^{ik d.y})/dnu; the unit normal is normals/jac.
+        phase = np.exp(1j * k * (pts @ wave.d))
+        psi = -1j * k * (normals @ wave.d) / jac * phase
         trace, cond, residuals = solve(k, curve, psi)
         r2 = g2 = 0.0
         for r, g in residuals:

@@ -10,9 +10,10 @@ Jacobian matrix M = dy/dx and J = det M > 0, the push-forward rule is
     sigma_new = (1/J) M sigma M^T,      q_new = q / J,
 
 which leaves the governing equation invariant.  The cloak construction
-pushes the homogeneous medium (I, 1) forward under the radial map that
-blows the ball of radius rho up to the ball of radius R1 inside R2;
-``cloak_tensor`` is that push-forward in closed form.
+pushes the homogeneous medium (I, 1) forward under the radial map
+|x| -> R1 + s (|x| - rho) that blows the ball of radius rho up to the
+ball of radius R1 inside R2; ``cloak_tensor`` is that push-forward in
+closed form.
 
 Two coordinate descriptions are used throughout: the *physical* space
 (cloak shell between R1 and R2, lossy layer between R1/2 and R1) and the
@@ -40,10 +41,10 @@ _GEOM_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class RadialMapSpec:
-    """The radial blow-up |x| = rho -> |y| = R1 inside the ball R2.
-
-    y = F(x) = (c + s |x|) x/|x| with s = (R2-R1)/(R2-rho) and
-    c = (R1-rho) R2/(R2-rho); the map is the identity on |x| = R2.
+    """The radial blow-up y = F(x) = (R1 + s (|x| - rho)) x/|x|, slope
+    s = (R2-R1)/(R2-rho): |x| = rho -> |y| = R1, the identity on |x| = R2.
+    Its stretch |y|/|x| peaks at R1/rho; a rho where (R1/rho)^2 overflows
+    (below about 1.5e-154 at R1 = 2) raises RangeError.
     """
 
     rho: float
@@ -55,24 +56,20 @@ class RadialMapSpec:
         if not (0.0 < self.rho < self.r1 < self.r2 and 3.0 * self.r2 * self.r2 < math.inf):
             raise DomainError(f"need 0 < rho < R1 < R2 with 3 R2^2 finite, "
                               f"got rho={self.rho}, R1={self.r1}, R2={self.r2}")
+        stretch = self.r1 / self.rho
+        if not stretch * stretch < math.inf:
+            raise RangeError(f"rho = {self.rho:g}: the stretch (R1/rho)^2 overflows")
 
     @property
     def slope(self) -> float:
         return (self.r2 - self.r1) / (self.r2 - self.rho)
-
-    @property
-    def offset(self) -> float:
-        return (self.r1 - self.rho) * self.r2 / (self.r2 - self.rho)
-
-    def inverse_radius(self, s):
-        return (np.asarray(s, dtype=float) - self.offset) / self.slope
 
 
 def cloak_tensor(spec: RadialMapSpec, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cloaking-shell sigma (..., dim, dim) and real q (...) at y (..., dim).
 
     Closed-form push-forward of (I, 1) under the blow-up: with f = |y| in
-    [R1, R2], r = F^{-1}(f), t = f/r and J = s t^(dim-1), sigma =
+    [R1, R2], r = rho + max(f - R1, 0)/s, t = f/r, J = s t^(dim-1), sigma =
     (t^2/J) I + ((s^2 - t^2)/J) yhat yhat^T and q = 1/J.  All dim^2
     entries come from the one evaluator that ``sample_cloak_grid`` asks
     for its upper triangle alone (``_cloak_entries``).
@@ -95,9 +92,10 @@ def _cloak_entries(spec: RadialMapSpec, coords, f,
     pairs (a, b), and q (...), at the shell points with coordinates
     ``coords`` (dim arrays (...)) and norms f (...).  Each entry is
     t^2/J delta_ab + ((s^2 - t^2)/J) (yhat_a yhat_b), in that order, so
-    an off-diagonal keeps the +0.0 that 0.0 + (-0.0) gives."""
+    an off-diagonal keeps the +0.0 that 0.0 + (-0.0) gives.  r is never
+    below rho, not even at an f that the tolerance admits below R1."""
     s = spec.slope
-    t = f / spec.inverse_radius(f)
+    t = f / (spec.rho + np.maximum(f - spec.r1, 0.0) / s)
     jac = s * t ** (len(coords) - 1)
     tang = t * t / jac
     aniso = s * s / jac - tang

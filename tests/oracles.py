@@ -78,9 +78,19 @@ class JacobianData:
         return cls(m, float(np.linalg.det(m)))
 
 
+def _slope(spec: RadialMapSpec) -> float:
+    """s = (R2 - R1)/(R2 - rho), from the spec's radii alone."""
+    return (spec.r2 - spec.r1) / (spec.r2 - spec.rho)
+
+
 def forward_radius(spec: RadialMapSpec, r):
-    """|F(x)| for |x| = r: c + s r."""
-    return spec.offset + spec.slope * np.asarray(r, dtype=float)
+    """|F(x)| for |x| = r: R1 + s (r - rho)."""
+    return spec.r1 + _slope(spec) * (np.asarray(r, dtype=float) - spec.rho)
+
+
+def inverse_radius(spec: RadialMapSpec, f):
+    """|F^{-1}(y)| for |y| = f: rho + (f - R1)/s."""
+    return spec.rho + (np.asarray(f, dtype=float) - spec.r1) / _slope(spec)
 
 
 def radial_blowup(spec: RadialMapSpec, x: np.ndarray) -> np.ndarray:
@@ -98,13 +108,13 @@ def radial_blowup_inverse(spec: RadialMapSpec, y: np.ndarray) -> np.ndarray:
     s = float(np.linalg.norm(y))
     if s < spec.r1 * (1 - _GEOM_RTOL) or s > spec.r2 * (1 + _GEOM_RTOL):
         raise DomainError(f"|y| = {s:.6g} outside [{spec.r1:.6g}, {spec.r2:.6g}]")
-    return float(spec.inverse_radius(s)) * y / s
+    return float(inverse_radius(spec, s)) * y / s
 
 
 def radial_jacobian(spec: RadialMapSpec, x: np.ndarray) -> JacobianData:
     """Analytic Jacobian of the radial blow-up at x.
 
-    M = (f(r)/r)(I - xhat xhat^T) + f'(r) xhat xhat^T with f(r) = c + s r,
+    M = (f(r)/r)(I - xhat xhat^T) + f'(r) xhat xhat^T with f(r) = R1 + s (r - rho),
     so the radial stretch is s and each tangential stretch is f(r)/r.
     """
     x = np.asarray(x, dtype=float)
@@ -116,8 +126,8 @@ def radial_jacobian(spec: RadialMapSpec, x: np.ndarray) -> JacobianData:
     f = float(forward_radius(spec, r))
     tang = f / r
     proj = np.outer(xhat, xhat)
-    m = tang * (np.eye(dim) - proj) + spec.slope * proj
-    det = spec.slope * tang ** (dim - 1)
+    m = tang * (np.eye(dim) - proj) + _slope(spec) * proj
+    det = _slope(spec) * tang ** (dim - 1)
     return JacobianData(m, det)
 
 

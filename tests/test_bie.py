@@ -13,7 +13,7 @@ from scipy import special
 from scipy.linalg import lu_factor, lu_solve
 
 from nearcloak import bie, mie, specfun
-from nearcloak.errors import DomainError, ResonanceError, ShapeError
+from nearcloak.errors import DomainError, RangeError, ResonanceError, ShapeError
 from nearcloak.mie import SchemeSpec, WaveParams
 
 import oracles
@@ -224,11 +224,35 @@ def test_overflowing_far_field_is_a_domain_error_without_warnings():
 
 @pytest.mark.filterwarnings("error")
 def test_overflowing_circle_is_a_domain_error_without_warnings():
-    # |c_m|^2 overflows to inf in the orientation check, for Python and
-    # numpy scalars alike; the overflowing system is reported as such.
+    # The orientation check scales each |c_m| by the largest, so nothing
+    # overflows there, for Python and numpy scalars alike; the overflowing
+    # system is reported as such.
     assert bie.BoundaryCurve(((np.int64(1), np.complex128(1e200)),), 64).n_points == 64
     with pytest.raises(DomainError, match=r"non-finite Nystrom system for circle\(r=1e\+200\)"):
         bie.assemble_and_solve(bie.circle(1e200, 64), WAVE)
+
+
+@pytest.mark.parametrize("n_points", [64, 256, 1024])
+@pytest.mark.parametrize("radius", [1e-6, 0.5, 40.0])
+def test_circle_just_above_the_low_frequency_floor_matches_the_modal_series(radius,
+                                                                            n_points):
+    wave = WaveParams(1.01 * bie.MIN_K_DIAMETER / (2.0 * radius), np.array([1.0, 0.0]))
+    sol = bie.assemble_and_solve(bie.circle(radius, n_points), wave)
+    a_bie = bie.far_field_from_density(sol, wave, ANGLES).amplitude
+    a_mie = mie.far_field(mie.solve(SchemeSpec.sound_hard(), 2, wave, radius), ANGLES).amplitude
+    assert np.max(np.abs(a_bie - a_mie)) <= 1e-8 * np.max(np.abs(a_mie))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("curve, k", [
+    (bie.circle(0.5, 64), 0.99 * bie.MIN_K_DIAMETER), (bie.circle(1e-200, 64), 2.0),
+    (bie.kite(64), 1e-200), (_turned(bie.kite(64), 0.3), 5e-9),
+], ids=["circle", "tiny_circle", "kite", "turned_kite"])
+def test_below_the_low_frequency_floor_is_a_range_error(curve, k):
+    # Where k times the diameter is this small, the far field is lost to
+    # rounding (the kite's |A| = 3.474 k^{3/2} would be 3.5e-300 at 1e-200).
+    with pytest.raises(RangeError, match=rf"k = {k:g} times the diameter .* of "):
+        bie.assemble_and_solve(curve, WaveParams(k, np.array([1.0, 0.0])))
 
 
 def test_solve_holds_two_system_sized_arrays():
@@ -711,13 +735,18 @@ def test_curve_validation():
                                WaveParams(2.0, np.array([1.0, 0.0, 0.0])))
 
 
+@pytest.mark.filterwarnings("error")
 def test_clockwise_curves_are_rejected():
     # Run clockwise, the circle would solve with the inward normal and a
     # far field 100% off the sound-hard series.
     with pytest.raises(DomainError, match="counterclockwise"):
         bie.BoundaryCurve(((-1, 0.5),), 256)
-    with pytest.raises(DomainError, match="counterclockwise"):
-        bie.BoundaryCurve(tuple((-m, c) for m, c in bie.kite(64).modes), 64)
+    # At any scale: |c_m|^2 underflows to 0 at 1e-200 and overflows at 1e200.
+    for scale in (1.0, 1e-200, 1e200):
+        modes = tuple((m, scale * c) for m, c in bie.kite(64).modes)
+        assert bie.BoundaryCurve(modes, 64).n_points == 64
+        with pytest.raises(DomainError, match="counterclockwise"):
+            bie.BoundaryCurve(tuple((-m, c) for m, c in modes), 64)
     # x = 0.1 e^{-it} runs clockwise, but a repeated m would hide that
     # from the sum over the table.
     with pytest.raises(DomainError, match="repeat"):

@@ -330,13 +330,49 @@ def test_non_finite_or_too_few_inputs_are_domain_errors(tmp_path, capsys, args):
     ["media", "--r2", "inf"], ["bie", "--radius", "nan"], ["bie", "--radius", "inf"],
     # finite, but the squared radius of a grid cell overflows
     ["media", "--r2", "1e308"], ["media", "--r2", "1e154", "--dim", "3"],
-    # finite, but the Nystrom system overflows
+    # finite, but the Nystrom system overflows (and at 1e308 the incident data)
     ["bie", "--radius", "1e200", "--n-points", "64"],
+    ["bie", "--radius", "1e308", "--n-points", "64"],
 ], ids="_".join)
 def test_non_finite_radii_are_domain_errors_without_warnings(tmp_path, capsys, args):
     assert run(args + ["--out", "x.csv"], tmp_path) == cli.EXIT_INVALID_PARAMETER
     assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "DomainError"
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("args", [
+    # (R1/rho)^2 overflows
+    ["media", "--rho", "1e-160"], ["media", "--rho", "1e-160", "--dim", "3"],
+    # k times the curve's diameter is below the low-frequency floor
+    ["bie", "--radius", "1e-20"], ["bie", "--radius", "1e-200"],
+    ["bie", "--curve", "kite", "--k", "1e-200"],
+], ids="_".join)
+def test_scales_beyond_the_solvers_range_are_range_errors(tmp_path, capsys, args):
+    assert run(args + ["--out", "x.csv"], tmp_path) == cli.EXIT_INVALID_PARAMETER
+    assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "RangeError"
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dim", [2, 3])
+def test_media_at_rho_1e_17_writes_finite_rows(tmp_path, dim):
+    # Cells on |y| = R1 = 2 take the closed form at r = rho, t = R1/rho.  The
+    # entries are of size t/s, so they hold the radial eigenvalue s rho/R1
+    # only to within rounding of that size.
+    args = ["media", "--cells", "9", "--rho", "1e-17", "--dim", str(dim), "--out", "m.csv"]
+    assert run(args, tmp_path) == 0
+    table = read_table(tmp_path / "m.csv")
+    assert np.isfinite(table).all()
+    spec = media.RadialMapSpec(1e-17, 2.0, 3.0)
+    on_r1 = [row for row in table if np.linalg.norm(row[:dim]) == 2.0]
+    assert len(on_r1) >= 4
+    iu = np.triu_indices(dim)
+    unit = oracles.MediumSpec.isotropic(1.0, 1.0, dim)
+    for row in on_r1:
+        ref = oracles.push_forward(unit, oracles.radial_jacobian(spec, 1e-17 * row[:dim] / 2.0))
+        assert np.allclose(row[dim:-2], ref.sigma[iu], rtol=1e-12, atol=1e-12 * ref.sigma_max)
+        assert row[-2] == pytest.approx(ref.q.real, rel=1e-12) and row[-1] == 0.0
 
 
 @pytest.mark.filterwarnings("error")

@@ -265,6 +265,32 @@ def test_radial_map_validation():
     for bad in ((0.5, 2.0, math.inf), (math.nan, 2.0, 3.0), (0.5, math.nan, 3.0)):
         with pytest.raises(DomainError):
             RadialMapSpec(*bad)
+    # The tangential stretch peaks at R1/rho; its square must be a double.
+    assert RadialMapSpec(1.6e-154, 2.0, 3.0).rho == 1.6e-154
+    for rho in (1.4e-154, 1e-160, 5e-324):
+        with pytest.raises(RangeError, match=f"rho = {rho:g}"):
+            RadialMapSpec(rho, 2.0, 3.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("rho", [0.5, 1e-4, 1e-12, 3e-16, 1e-17, 1e-150])
+def test_sample_cloak_grid_stays_finite_as_rho_goes_to_zero(dim, rho):
+    # With 9 cells, centres at 0, +-2/3, ..., +-8/3 put cells on |y| = R1 = 2
+    # exactly (4 in 2D, 30 in 3D); each maps to r = rho, so q = 1/J is the
+    # closed form at t = R1/rho bit for bit.
+    spec = RadialMapSpec(rho, 2.0, 3.0)
+    rows = media.sample_cloak_grid(spec, 9, dim=dim)
+    assert np.isfinite(rows).all()
+    on_r1 = np.linalg.norm(rows[:, :dim], axis=1) == spec.r1
+    assert np.count_nonzero(on_r1) == (4 if dim == 2 else 30)
+    q_at_rho = 1.0 / (spec.slope * (spec.r1 / rho) ** (dim - 1))
+    assert np.all(rows[on_r1, -2] == q_at_rho)
+    # A point that the domain check admits just below R1 maps to r = rho too.
+    f = spec.r1 * (1 - 5e-13)
+    sigma, q = media.cloak_tensor(spec, np.array([[f] + [0.0] * (dim - 1)]))
+    assert np.isfinite(sigma).all()
+    assert q[0] == pytest.approx(1.0 / (spec.slope * (f / rho) ** (dim - 1)), rel=1e-12)
 
 
 def test_sample_cloak_grid_shell_only():
@@ -309,8 +335,8 @@ def test_sample_cloak_grid_equals_the_full_cube_oracle(dim, cells):
 def test_sample_cloak_grid_matches_pointwise_pushforward(dim, rho):
     # Every row against the independent single-point chain: inverse map,
     # analytic Jacobian, generic push-forward of (I, 1).  The two paths
-    # may round |y| differently in the last bit, and r = (|y| - c)/s
-    # amplifies that by cond = |y|/(|y| - c), up to ~4e4 next to R1 at
+    # may round |y| differently in the last bit, and r = rho + (|y| - R1)/s
+    # amplifies that by cond = |y|/(s r), up to ~4e4 next to R1 at
     # rho = 1e-4; the tolerance allows ~45 ulps of |y| on top of 1e-12.
     spec = RadialMapSpec(rho, 2.0, 3.0)
     rows = media.sample_cloak_grid(spec, 13 if dim == 2 else 9, dim=dim)
@@ -322,7 +348,7 @@ def test_sample_cloak_grid_matches_pointwise_pushforward(dim, rho):
         ref = oracles.push_forward(unit, oracles.radial_jacobian(
             spec, oracles.radial_blowup_inverse(spec, y)))
         f = np.linalg.norm(y)
-        tol = 1e-12 + 1e-14 * f / (f - spec.offset)
+        tol = 1e-12 + 1e-14 * f / (spec.slope * oracles.inverse_radius(spec, f))
         assert np.max(np.abs(row[dim:-2] - ref.sigma[iu])) <= tol * np.max(np.abs(ref.sigma))
         assert abs(complex(row[-2], row[-1]) - ref.q) <= tol * abs(ref.q)
 
@@ -370,7 +396,7 @@ def test_cloak_tensor_keeps_the_bits_of_the_dense_closed_form(dim):
                for zeros in itertools.product((0.0, -0.0), repeat=dim)]
     y = np.vstack([y, on_axes])
     s, f = SPEC.slope, np.linalg.norm(y, axis=-1)
-    t = f / SPEC.inverse_radius(f)
+    t = f / (SPEC.rho + np.maximum(f - SPEC.r1, 0.0) / s)
     jac = s * t ** (dim - 1)
     tang, radial = (t * t / jac)[:, None, None], (s * s / jac)[:, None, None]
     yhat = y / f[:, None]
