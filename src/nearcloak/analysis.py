@@ -137,12 +137,11 @@ def sweep(scheme: SchemeSpec, dim: int, wave: WaveParams,
     ``contents`` is the physical-space (sigma', q') of the cloaked region;
     one mie.solve_many call and one far-field product cover all rho.
     ``model`` is one of FIT_MODELS or "auto", which picks power-law in 3D,
-    where every lining decays algebraically, and in 2D power-law for the
-    sound-hard family and inverse-log for the sound-soft family.  The fit
-    itself runs only when ``fit`` of the result is read.
+    where every lining decays algebraically, and in 2D the lining's own
+    (mie._LININGS).  The fit runs only when the result's ``fit`` is read.
     """
     if model == "auto":
-        model = "power-law" if dim == 3 or scheme.kind in ("sh", "fsh") else "inverse-log"
+        model = "power-law" if dim == 3 else mie._LININGS[scheme.kind][2]
     if model not in _MODELS:
         raise DomainError(f"unknown fit model {model!r}")
     rho, amplitude = _grid_amplitudes(scheme, dim, wave, rho_values,

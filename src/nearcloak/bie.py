@@ -42,7 +42,9 @@ The direct second-kind equation is singular at interior Dirichlet
 eigenvalues of the curve (on a circle of radius a, the k with
 J_n(ka) = 0); the solver estimates the condition number of the discrete
 system (on a circle it computes it exactly) and raises ResonanceError
-above 1e12 instead of silently returning garbage.
+above 1e12 instead of silently returning garbage.  Likewise it raises
+TruncationError where the nodes do not resolve the wave, read off the
+solved trace's spectrum (assemble_and_solve, DensitySolution.trace_tail).
 
 Kernel evaluation uses scipy's real-argument order-0/1 Bessel routines
 (j0, j1, y0, y1), and K and S are assembled in real arithmetic, each from
@@ -105,12 +107,14 @@ import numpy as np
 from scipy import special
 from scipy.linalg import lu_factor, lu_solve, get_lapack_funcs
 
-from .errors import DomainError, RangeError, ResonanceError, ShapeError
+from .errors import DomainError, RangeError, ResonanceError, ShapeError, TruncationError
 from .mie import FarFieldPattern, WaveParams
 
 _EULER_GAMMA = 0.5772156649015328606
 MAX_NODES = 2048
 RESONANCE_CONDITION = 1e12
+# Above this trace_tail the nodes do not resolve the wave (assemble_and_solve).
+TRACE_TAIL_THRESHOLD = 0.1
 # Below this k times the curve's diameter the far field is lost to rounding:
 # a circle's is off the modal series by about 3e-17/(k radius), relative.
 MIN_K_DIAMETER = 2e-8
@@ -187,6 +191,7 @@ class DensitySolution:
     neumann_data: np.ndarray   # psi = du^s/dnu = -d(u^i)/dnu at the nodes
     residual: float = 0.0
     condition_estimate: float = 0.0
+    trace_tail: float = 0.0    # tau, the trace's DFT tail (assemble_and_solve)
 
     def __post_init__(self):
         n = self.curve.n_points
@@ -528,11 +533,28 @@ def assemble_and_solve(curve: BoundaryCurve, wave: WaveParams) -> DensitySolutio
     ``residual`` is ||A v - g||_2/||g||_2 of the full system: the blocks'
     squared residuals summed over their squared right-hand sides.
 
+    ``trace_tail`` is tau, the largest |v_m| over |m| >= N/4 of the DFT of
+    the trace over the largest |v_m|.  The trace of a wave the nodes
+    resolve has spent its Fourier coefficients well below N/4; one they
+    miss fills the band, and aliasing keeps tau near 1.  So tau bounds the
+    share of the trace in the upper half of the band the nodes sample, not
+    the error.  On the kite and on circles of radius 0.5 and 1, at N in
+    {32, 64, 256, 1024} and k from 1 to 60 (far fields at 100 angles
+    against 2048 nodes), every solve that passed was within 3.7e-6 of
+    max|A|, and every one more than 1e-5 off read tau >= 0.19.  tau
+    over-reads on circles, whose circulant solve is exact mode by mode up
+    to |m| = N/2 (radius 1 at k = 60 on 256 nodes reads 0.28 at an error
+    of 8e-8), and under-reads on coarse grids (the kite at k = 1 on 32
+    nodes reads 9.2e-4 at an error of 3.6e-6, and at k = 28 on 256 nodes,
+    incidence 1.1, 0.031 at 4.2e-7).  256 kite nodes read tau <= 0.037
+    up to k = 25, accurate to 2e-9, and so pass.
+
     Raises RangeError when k times the curve's diameter (twice the largest
     distance of a node from the centre c_0) is below MIN_K_DIAMETER = 2e-8,
     ResonanceError when the (estimated) condition number exceeds 1e12
-    (interior Dirichlet resonance of the curve), and DomainError when the
-    system, the trace or the residual is not finite.
+    (interior Dirichlet resonance of the curve), DomainError when the
+    system, the trace or the residual is not finite, and then
+    TruncationError when tau exceeds TRACE_TAIL_THRESHOLD = 0.1.
     """
     if wave.d.size != 2:
         raise DomainError("boundary-integral solver is 2D; give a 2-vector direction")
@@ -560,8 +582,15 @@ def assemble_and_solve(curve: BoundaryCurve, wave: WaveParams) -> DensitySolutio
     # A non-finite trace leaves the residual non-finite too.
     if not math.isfinite(residual):
         raise DomainError(f"non-finite trace or residual for {curve.name} at k={k:g}")
+    n = curve.n_points
+    spectrum, m = np.abs(np.fft.fft(trace)), np.arange(n)
+    peak = spectrum.max()
+    tail = float(spectrum[4 * np.minimum(m, n - m) >= n].max() / peak) if peak else 0.0
+    if tail > TRACE_TAIL_THRESHOLD:
+        raise TruncationError(f"{n} nodes do not resolve {curve.name} at k={k:g}: the trace's "
+                              f"DFT tail is {tail:.3g}, above {TRACE_TAIL_THRESHOLD:g}")
     return DensitySolution(curve=curve, wave=wave, trace=trace, neumann_data=psi,
-                           residual=residual, condition_estimate=float(cond))
+                           residual=residual, condition_estimate=float(cond), trace_tail=tail)
 
 
 # ---------------------------------------------------------------------------

@@ -44,13 +44,14 @@ _CSV_BLOCK_ROWS = 1024  # rows joined per write: peak memory stays flat
 
 # Every parameter is declared once, here: build_parser adds one flag per key
 # (--<key with _ as ->), typed by its default (str where the default is
-# None).  The scheme key(s) come first, so the flags keep their order.
+# None).  The scheme key(s) come first, so the flags keep their order; a
+# lining's flags are its SchemeSpec constants, in order, and their defaults.
+_LINING_FLAGS = {"fsh": ("fsh_c", "fsh_delta", "fsh_a", "fsh_b"), "fss": ("fss_beta",)}
 _SCHEME_DEFAULTS = {
     "dim": 2, "k": 2.0, "angles": analysis.DEFAULT_ANGLE_COUNT,
-    "fsh_c": mie.SchemeSpec.fsh_c, "fsh_delta": mie.SchemeSpec.fsh_delta,
-    "fsh_a": mie.SchemeSpec.fsh_a, "fsh_b": mie.SchemeSpec.fsh_b,
-    "fss_beta": mie.SchemeSpec.fss_beta_coeff, "core_sigma": 1.0,
-    "core_q_re": 1.0, "core_q_im": 0.0,
+    **{flag: value for kind, flags in _LINING_FLAGS.items()
+       for flag, value in zip(flags, mie.SchemeSpec(kind).constants)},
+    "core_sigma": 1.0, "core_q_re": 1.0, "core_q_im": 0.0,
 }
 _RHO_GRID_DEFAULTS = {"rho_start": 0.5, "rho_factor": 0.5, "rho_count": 7}
 
@@ -127,9 +128,7 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
 # Shared helpers
 # ---------------------------------------------------------------------------
 def _scheme_from(params: dict, key: str) -> mie.SchemeSpec:
-    return mie.SchemeSpec(params[key], fss_beta_coeff=params["fss_beta"],
-                          fsh_c=params["fsh_c"], fsh_delta=params["fsh_delta"],
-                          fsh_a=params["fsh_a"], fsh_b=params["fsh_b"])
+    return mie.SchemeSpec(params[key], tuple(map(params.get, _LINING_FLAGS.get(params[key], ()))))
 
 
 def _wave_from(params: dict, dim: int) -> mie.WaveParams:
@@ -317,7 +316,7 @@ def main(argv=None) -> int:
         return _fail(EXIT_INVALID_PARAMETER, type(exc).__name__, str(exc))
     except OSError as exc:
         return _fail(EXIT_UNWRITABLE_OUTPUT, type(exc).__name__, str(exc))
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         return _fail(EXIT_INTERNAL, type(exc).__name__, str(exc))
     return EXIT_OK
 

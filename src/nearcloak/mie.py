@@ -19,8 +19,11 @@ and the core k_2 = k sqrt(q_a/sigma_a), both on the principal branch:
 media.check_passive returns Im q >= 0 (+0.0 for a tolerated Im q <= 0),
 so Im k_tilde >= 0 and Im k_2 >= 0.
 
-Every lining goes through one explicit elimination per mode and hands
-it one pair (P, R): the condition R u_x = P u that the lining sets on the
+A lining is one row of _LININGS: its constants' defaults and check, the
+model its 2D sweeps fit, and its wall's pair (P, R) or its lossy layer's
+law rho -> (sigma_l, q_l); a SchemeSpec is a kind and its constants.
+Every lining goes through one explicit elimination per mode and hands it
+one pair (P, R): the condition R u_x = P u that the lining sets on the
 mode's exterior total field u at x = k rho (u_x = du/dx).  Only the pair
 tells the linings apart.  The elimination runs on plain complex arrays of
 ratios and log-derivatives (see specfun), which stay in double range
@@ -136,38 +139,47 @@ class WaveParams:
         object.__setattr__(self, "d", d / norm)
 
 
+def _finite_positive(kind: str, constants: tuple) -> None:
+    if not all(0 < v < math.inf for v in constants):
+        raise DomainError(f"{kind.upper()} requires finite constants > 0, got {constants}")
+
+
+def _passive_nonzero(kind: str, layer: tuple) -> None:
+    if check_passive(*layer)[1] == 0:
+        raise DomainError(f"a layered lining needs q_l != 0, got (sigma_l, q_l) = {layer}")
+
+
+# kind -> (defaults of its constants, check of its constants, the model a 2D
+# analysis.sweep(model="auto") fits, its wall's (P, R) or layer's law).
+_LININGS = {
+    "ss": ((), _finite_positive, "inverse-log", (1.0, 0.0)),  # u = 0
+    "sh": ((), _finite_positive, "power-law", (0.0, 1.0)),  # u_x = 0
+    "fss": ((2.5,), _finite_positive, "inverse-log",
+            lambda rho, beta: (1.0, 1.0 + 1j * beta / rho ** 2)),
+    "fsh": ((1.0, 0.5, 3.0, 2.0), _finite_positive, "power-law",
+            lambda rho, c, delta, a, b: (c * rho ** (2.0 + 2.0 * delta), a + 1j * b)),
+    "layered": ((1.0, 1.0 + 0j), _passive_nonzero, "inverse-log",
+                lambda rho, sigma_l, q_l: check_passive(sigma_l, q_l)),
+}
+_FSS, _FSH = _LININGS["fss"][0], _LININGS["fsh"][0]
+
+
 @dataclass(frozen=True)
 class SchemeSpec:
-    """Which lining to use and its layer parameters (virtual space).
-
-    kinds: "ss" and "sh" are the ideal sound-soft/sound-hard linings;
-    "fss" is the lossy layer sigma_l = 1, q_l = 1 + i beta rho^-2;
-    "fsh" is the lossy layer sigma_l = C rho^{2+2 delta}, q_l = a + i b;
-    "layered" takes explicit (sigma_l, q_l) values, which must be passive
-    (media.check_passive, whose checked pair layer_params returns) with
-    q_l != 0.
-    """
+    """A _LININGS kind and its own constants, in order; its defaults if omitted."""
 
     kind: str
-    fss_beta_coeff: float = 2.5
-    fsh_c: float = 1.0
-    fsh_delta: float = 0.5
-    fsh_a: float = 3.0
-    fsh_b: float = 2.0
-    layer_sigma: float = 1.0
-    layer_q: complex = 1.0 + 0j
+    constants: tuple | None = None
 
     def __post_init__(self):
-        if self.kind not in ("ss", "sh", "fss", "fsh", "layered"):
+        if self.kind not in _LININGS:
             raise DomainError(f"unknown scheme kind {self.kind!r}")
-        if self.kind == "fsh" and not all(
-                0 < v < math.inf for v in (self.fsh_c, self.fsh_delta, self.fsh_a, self.fsh_b)):
-            raise DomainError("FSH requires finite C, delta, a, b > 0")
-        if self.kind == "fss" and not 0 < self.fss_beta_coeff < math.inf:
-            raise DomainError("FSS requires a finite beta > 0")
-        if self.kind == "layered" and check_passive(self.layer_sigma, self.layer_q)[1] == 0:
-            raise DomainError("a layered lining needs q_l != 0, got the layer "
-                              f"(sigma_l, q_l) = ({self.layer_sigma:g}, {self.layer_q:g})")
+        defaults, check, _, _ = _LININGS[self.kind]
+        constants = defaults if self.constants is None else tuple(self.constants)
+        if len(constants) != len(defaults):
+            raise DomainError(f"{self.kind!r} takes {len(defaults)} constants, got {constants}")
+        check(self.kind, constants)
+        object.__setattr__(self, "constants", constants)
 
     @classmethod
     def sound_soft(cls) -> "SchemeSpec":
@@ -178,30 +190,25 @@ class SchemeSpec:
         return cls("sh")
 
     @classmethod
-    def finite_sound_soft(cls, beta_coeff: float = fss_beta_coeff) -> "SchemeSpec":
-        return cls("fss", fss_beta_coeff=beta_coeff)
+    def finite_sound_soft(cls, beta_coeff: float = _FSS[0]) -> "SchemeSpec":
+        return cls("fss", (beta_coeff,))
 
     @classmethod
-    def finite_sound_hard(cls, c: float = fsh_c, delta: float = fsh_delta,
-                          a: float = fsh_a, b: float = fsh_b) -> "SchemeSpec":
-        return cls("fsh", fsh_c=c, fsh_delta=delta, fsh_a=a, fsh_b=b)
+    def finite_sound_hard(cls, c: float = _FSH[0], delta: float = _FSH[1],
+                          a: float = _FSH[2], b: float = _FSH[3]) -> "SchemeSpec":
+        return cls("fsh", (c, delta, a, b))
 
     @classmethod
     def layered(cls, sigma_l: float, q_l: complex) -> "SchemeSpec":
-        return cls("layered", layer_sigma=sigma_l, layer_q=q_l)
+        return cls("layered", (sigma_l, q_l))
 
     def layer_params(self, rho: float) -> tuple[float, complex]:
-        """Virtual-space (sigma_l, q_l) of the lossy layer at this rho, which
-        must be finite and positive."""
+        """Virtual-space (sigma_l, q_l) of the lossy layer at a finite rho > 0."""
         _check_rho(rho)
-        if self.kind == "fss":
-            return 1.0, 1.0 + 1j * self.fss_beta_coeff / rho ** 2
-        if self.kind == "fsh":
-            return (self.fsh_c * rho ** (2.0 + 2.0 * self.fsh_delta),
-                    self.fsh_a + 1j * self.fsh_b)
-        if self.kind == "layered":
-            return check_passive(self.layer_sigma, self.layer_q)
-        raise DomainError(f"scheme {self.kind!r} has no lossy layer")
+        law = _LININGS[self.kind][-1]
+        if not callable(law):
+            raise DomainError(f"scheme {self.kind!r} has no lossy layer")
+        return law(rho, *self.constants)
 
 
 @dataclass(frozen=True)
@@ -392,24 +399,19 @@ def _layer_wavenumbers(scheme: SchemeSpec, rho: float, k: float,
     return k_tilde, k2, c0, coupling
 
 
-# The pair (P, R) of each ideal wall, R u_x = P u at x = k rho (module
-# docstring): u = 0 on the sound-soft wall and u_x = 0 on the sound-hard one.
-_WALL_PAIRS = {"ss": (1.0, 0.0), "sh": (0.0, 1.0)}
-
-
 def _eliminate(dim: int, wave: WaveParams, rho: list[float], scheme: SchemeSpec,
                contents: tuple[float, complex]) -> tuple[ModalSolution, ...]:
     """The solution at each rho, from the one elimination and the
     truncation passes of the module docstring; ``solve_many`` checked dim,
     rho and the physical contents.  A wall hands the exterior its fixed
-    pair (P, R) from _WALL_PAIRS, a lossy layer the one it forms over the
+    pair (P, R) from _LININGS, a lossy layer the one it forms over the
     virtual core of the contents at each rho (the walls never use them);
     one formula gives every lining's d_n and one test its degenerate_modes."""
-    wall = _WALL_PAIRS.get(scheme.kind)
+    law = _LININGS[scheme.kind][-1]  # a wall's pair (P, R), or a lossy layer's law
     radii = np.array(rho)
     zs = [wave.k * radii]  # the real x = k rho; a lossy layer adds z1, z2 and zc
     layers = [(None, None)] * len(rho)
-    if wall is None:
+    if callable(law):
         layers = [_layer_wavenumbers(scheme, x, wave.k, virtual_core_params(*contents, x, dim))
                   for x in rho]
         k_tilde, k2, c0, coupling = np.array(layers, dtype=complex).reshape(-1, 4).T
@@ -437,7 +439,7 @@ def _eliminate(dim: int, wave: WaveParams, rho: list[float], scheme: SchemeSpec,
         e = _values([j[0]], [h[0]])  # J_n(x)/H_n(x); x is real, so no Amos scale
 
         coeffs = (None, None, None)
-        if wall is None:
+        if callable(law):
             # The inner interface is the quotient of the core's pair (F DJ(zc), 1).
             core = (c0 * coupling)[rows, None] * dj[3]
             inner = dh[2] - core
@@ -447,7 +449,7 @@ def _eliminate(dim: int, wave: WaveParams, rho: list[float], scheme: SchemeSpec,
             t = -_values([j[2], h[1]], [j[1], h[2]]) * decay1 * q
             p, r = dj[1] + t * dh[1], (1.0 + t) * c0[rows, None]
         else:
-            p, r = wall
+            p, r = law
         rdh = r * dh[0]
         den = rdh - p
         degenerate = np.maximum(np.abs(rdh), np.abs(p)) > DEGENERATE_CONDITION * np.abs(den)
@@ -455,7 +457,7 @@ def _eliminate(dim: int, wave: WaveParams, rho: list[float], scheme: SchemeSpec,
         nonzero = den != 0
         d = -phase * e * np.divide(r * dj[0] - p, den, out=np.zeros_like(e), where=nonzero)
 
-        if wall is None:
+        if callable(law):
             # a_n / H_n(z1) = U / (J_n(z1) H_n(z1) (1 + t)), where U = i^n J_n(x)
             # R (DH - DJ)/(R DH - P) is the exterior total field at rho and
             # R = (1 + t) C_0.  J_n(z2) H_n(z1) and H_n(z1)/H_n(z2) carry e^{-Im z2}.

@@ -221,6 +221,11 @@ def test_observation_angle_count_must_be_an_integer_of_at_least_two():
                 analysis.observation_angles(dim, count)
 
 
+def test_observation_angles_need_dim_2_or_3():
+    with pytest.raises(DomainError, match="dim must be 2 or 3"):
+        analysis.observation_angles(4, 10)
+
+
 def test_sweep_error_annotated_with_rho():
     with pytest.raises(RangeError, match="rho=8"):
         # FSS beta rule is fine, but rho >= R1-scale geometry is nonsense

@@ -13,7 +13,7 @@ from scipy import special
 from scipy.linalg import lu_factor, lu_solve
 
 from nearcloak import bie, mie, specfun
-from nearcloak.errors import DomainError, RangeError, ResonanceError, ShapeError
+from nearcloak.errors import DomainError, RangeError, ResonanceError, ShapeError, TruncationError
 from nearcloak.mie import SchemeSpec, WaveParams
 
 import oracles
@@ -422,21 +422,43 @@ def test_split_blocks_equal_fold_of_dense_evaluation(make, n_points):
             assert np.all(np.abs(g - g_ref) <= bound)
 
 
+def _unchecked_solve(crv, wave):
+    """(v, psi) from the solve that assemble_and_solve runs, without the
+    checks that follow it: psi as assemble_and_solve forms it, op for op."""
+    _, pts, _, _, normals, jac = crv._node_geometry
+    psi = -1j * wave.k * (normals @ wave.d) / jac * np.exp(1j * wave.k * (pts @ wave.d))
+    solve = bie._solve_circulant if bie._circular(crv) else bie._solve_blocks
+    return solve(wave.k, crv, psi)[0], psi
+
+
+def _check_public_solve(crv, wave, trace, unresolved):
+    """assemble_and_solve raises TruncationError where the nodes do not
+    resolve the wave, and elsewhere returns ``trace`` bit for bit."""
+    if unresolved:
+        with pytest.raises(TruncationError, match=rf"{crv.n_points} nodes do not resolve"):
+            bie.assemble_and_solve(crv, wave)
+    else:
+        assert np.array_equal(bie.assemble_and_solve(crv, wave).trace, trace)
+
+
 @pytest.mark.parametrize("k", [0.5, 2.7, 20.0])
 @pytest.mark.parametrize("n_points", [64, 256])
 @pytest.mark.parametrize("make", [bie.kite, lambda n: bie.circle(0.6, n)],
                          ids=["kite", "circle"])
 def test_split_solve_matches_full_dense_solve(make, n_points, k):
     # The trace from the two blocks against one LU of the full dense system
-    # on the same nodes, for two incident directions.
+    # on the same nodes, for two incident directions.  The kite's 64 nodes
+    # do not resolve k = 20, so there the solve is compared below the
+    # resolution check of assemble_and_solve, which raises.
     crv = make(n_points)
     k_ref, s_ref = oracles.dense_system_matrices(k, *crv._node_geometry)
     lu = lu_factor(_system_reference(k_ref))
     for angle in (0.0, 1.1):
         wave = WaveParams(k, np.array([math.cos(angle), math.sin(angle)]))
-        sol = bie.assemble_and_solve(crv, wave)
-        v = lu_solve(lu, -(s_ref @ sol.neumann_data))
-        assert np.max(np.abs(sol.trace - v)) <= 1e-13 * np.max(np.abs(v))
+        trace, psi = _unchecked_solve(crv, wave)
+        v = lu_solve(lu, -(s_ref @ psi))
+        assert np.max(np.abs(trace - v)) <= 1e-13 * np.max(np.abs(v))
+        _check_public_solve(crv, wave, trace, crv.name == "kite" and (n_points, k) == (64, 20.0))
 
 
 def _circles(n_points):
@@ -455,14 +477,17 @@ def _no_dense_system(*args):
 @pytest.mark.parametrize("n_points", [8, 64, 66, 256])
 def test_circulant_solve_matches_full_dense_solve(monkeypatch, n_points, k):
     # The circulant solve against one LU of the full dense system on the
-    # same nodes, with no dense assembly.
+    # same nodes, with no dense assembly.  Eight nodes do not resolve
+    # k = 2.7 or 20, so there the solve is compared below the resolution
+    # check of assemble_and_solve, which raises.
     monkeypatch.setattr(bie, "_system", _no_dense_system)
     wave = WaveParams(k, np.array([math.cos(1.1), math.sin(1.1)]))
     for crv in _circles(n_points):
         k_ref, s_ref = oracles.dense_system_matrices(k, *crv._node_geometry)
-        sol = bie.assemble_and_solve(crv, wave)
-        v = lu_solve(lu_factor(_system_reference(k_ref)), -(s_ref @ sol.neumann_data))
-        assert np.max(np.abs(sol.trace - v)) <= 1e-13 * np.max(np.abs(v))
+        trace, psi = _unchecked_solve(crv, wave)
+        v = lu_solve(lu_factor(_system_reference(k_ref)), -(s_ref @ psi))
+        assert np.max(np.abs(trace - v)) <= 1e-13 * np.max(np.abs(v))
+        _check_public_solve(crv, wave, trace, n_points == 8 and k > 1)
 
 
 def test_circulant_solve_evaluates_one_kernel_column(monkeypatch):
@@ -761,3 +786,36 @@ def test_far_field_needs_the_solved_wave():
     same = WaveParams(2.0, np.array([1.0, 0.0]))
     assert np.array_equal(bie.far_field_from_density(sol, same, ANGLES).amplitude,
                           bie.far_field_from_density(sol, WAVE, ANGLES).amplitude)
+
+
+def test_density_solution_trace_must_match_the_node_count():
+    crv = bie.kite(64)
+    with pytest.raises(ShapeError, match="node count"):
+        bie.DensitySolution(crv, WAVE, np.zeros(63, complex), np.zeros(64, complex))
+
+
+def test_trace_tail_is_the_trace_spectrum_above_a_quarter_of_the_nodes():
+    # tau = max |v_m| over |m| >= N/4 of the trace's DFT, over max |v_m|.
+    # Resolved solves read far below TRACE_TAIL_THRESHOLD: the golden
+    # 64-node kite 7.6e-6, criterion 9's 256-node kite and the default
+    # circle at rounding.
+    for crv, below in ((bie.kite(64), 1e-5), (bie.kite(256), 1e-13), (bie.circle(0.5), 1e-13)):
+        sol = bie.assemble_and_solve(crv, WAVE)
+        n = crv.n_points
+        spectrum = np.abs(np.fft.fft(sol.trace))
+        band = np.abs(np.fft.fftfreq(n, 1.0 / n)) >= n / 4
+        assert sol.trace_tail == spectrum[band].max() / spectrum.max()
+        assert sol.trace_tail < below
+
+
+@pytest.mark.parametrize("k", [40.0, 60.0])
+def test_nodes_that_miss_the_wave_raise_truncation_error(k):
+    # 256 kite nodes resolve k = 20 (tau = 1.1e-4, far field within 2e-15
+    # of 2,048 nodes) but not k = 40 (tau = 0.69, 8 % off) or k = 60
+    # (tau = 1.0, 39 % off).
+    wave = WaveParams(k, np.array([1.0, 0.0]))
+    with pytest.raises(TruncationError, match=rf"256 nodes do not resolve kite at k={k:g}: "
+                                               r"the trace's DFT tail is [\d.]+, above 0\.1"):
+        bie.assemble_and_solve(bie.kite(256), wave)
+    sol = bie.assemble_and_solve(bie.kite(256), WaveParams(20.0, np.array([1.0, 0.0])))
+    assert 1e-5 < sol.trace_tail < 1e-3

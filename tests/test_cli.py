@@ -129,6 +129,29 @@ def test_media_and_bie_commands(tmp_path):
     assert read_table(tmp_path / "b.csv").shape == (100, 4)
 
 
+@pytest.mark.parametrize("k", ["40", "60"])
+def test_bie_whose_nodes_miss_the_wave_writes_nothing(tmp_path, capsys, k):
+    # The default 256 kite nodes resolve k = 20, but not k = 40 or 60.
+    assert run(["bie", "--curve", "kite", "--k", "20", "--out", "ok.csv"], tmp_path) == 0
+    assert run(["bie", "--curve", "kite", "--k", k, "--out", "x.csv"],
+               tmp_path) == cli.EXIT_INVALID_PARAMETER
+    record = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert record["error"] == "TruncationError" and f"kite at k={k}" in record["message"]
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_internal_failure_exits_5_with_one_json_record(tmp_path, capsys, monkeypatch):
+    def divide_by_zero(params):
+        return 1 / 0
+
+    monkeypatch.setitem(cli._RUNNERS, "mie", divide_by_zero)
+    assert run(["mie", "--out", "x.csv"], tmp_path) == cli.EXIT_INTERNAL == 5
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0]) == {"error": "ZeroDivisionError", "message": "division by zero",
+                                  "exit_code": 5}
+
+
 # ---------------------------------------------------------------------------
 # Config handling
 # ---------------------------------------------------------------------------

@@ -308,6 +308,11 @@ def test_sample_cloak_grid_needs_a_cell():
             media.sample_cloak_grid(SPEC, cells, dim=2)
 
 
+def test_sample_cloak_grid_needs_dim_2_or_3():
+    with pytest.raises(DomainError, match="dim must be 2 or 3"):
+        media.sample_cloak_grid(SPEC, 9, dim=4)
+
+
 @pytest.mark.parametrize("cells", [8.0, math.nan, "8", True])
 def test_sample_cloak_grid_needs_an_integer_cell_count(cells):
     with pytest.raises(DomainError, match="integer count"):

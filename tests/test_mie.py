@@ -1,6 +1,7 @@
 """Modal-solver tests: coefficients, far fields, near fields, energy."""
 
 import cmath
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -948,6 +949,41 @@ def test_scheme_validation():
         SchemeSpec.finite_sound_soft(beta_coeff=0.0)
     with pytest.raises(DomainError):
         SchemeSpec.sound_hard().layer_params(0.1)
+
+
+def test_scheme_is_its_kind_and_that_kinds_own_constants():
+    # Two fields; a kind takes exactly its own constants, its defaults
+    # where they are omitted, so that equal linings compare equal.
+    assert [f.name for f in dataclasses.fields(SchemeSpec)] == ["kind", "constants"]
+    assert SchemeSpec("fsh") == SchemeSpec.finite_sound_hard() == SchemeSpec("fsh", (1, 0.5, 3, 2))
+    assert SchemeSpec("fss").constants == (2.5,) and SchemeSpec("sh").constants == ()
+    assert SchemeSpec("sh", []) == SchemeSpec.sound_hard()
+    assert SchemeSpec.layered(1.5, 2 + 0.3j).constants == (1.5, 2 + 0.3j)
+    for kind, constants in [("sh", (1.0,)), ("ss", (2.5,)), ("fss", ()), ("fss", (2.5, 1.0)),
+                            ("fsh", (1.0, 0.5, 3.0)), ("layered", (1.0,))]:
+        with pytest.raises(DomainError, match=f"'{kind}' takes"):
+            SchemeSpec(kind, constants)
+    with pytest.raises(DomainError, match="FSH requires finite constants > 0"):
+        SchemeSpec("fsh", (1.0, -0.5, 3.0, 2.0))
+    with pytest.raises(DomainError, match="q_l != 0"):
+        SchemeSpec("layered", (1.0, 0.0))
+    # Each lossy law in its defining form, op for op.
+    rho = 0.3
+    assert SchemeSpec.finite_sound_soft(0.7).layer_params(rho) == (1.0, 1.0 + 1j * 0.7 / rho ** 2)
+    assert SchemeSpec.finite_sound_hard(2.0, 0.3, 1.0, 3.0).layer_params(rho) == (
+        2.0 * rho ** (2.0 + 2.0 * 0.3), 1.0 + 1j * 3.0)
+
+
+def test_field_on_circle_rejects_bad_radii_and_region_options():
+    rho, thetas = 0.05, np.linspace(0.0, 1.0, 4)
+    sol = mie.solve(SchemeSpec.finite_sound_soft(), 2, WAVE2, rho)
+    for r in (-1.0, math.nan):
+        with pytest.raises(DomainError, match="radius must be finite and nonnegative"):
+            mie.field_on_circle(sol, r, thetas)
+    with pytest.raises(DomainError, match="radial derivative undefined at the origin"):
+        mie.field_on_circle(sol, 0.0, thetas, radial_derivative=True)  # in the core
+    with pytest.raises(DomainError, match="scattered_only applies to the exterior region"):
+        mie.field_on_circle(sol, 0.75 * rho, thetas, scattered_only=True)  # in the layer
 
 
 def test_non_finite_inputs_are_domain_errors():

@@ -286,6 +286,11 @@ def test_range_guards():
     assert base[1].tolist() == [1.0, 0.0] and ratios[1].tolist() == [0.0, 0.0, 0.0]
 
 
+def test_non_finite_argument_is_a_range_error():
+    with pytest.raises(RangeError, match="non-finite argument"):
+        sf.bessel_j(3, complex(math.nan, 0))
+
+
 def test_upward_regime_lifts_the_argument_guard():
     # Beyond |z| = 2e4, up to 1e8, the arguments where every order of the
     # call takes the upward step are admitted: Im z >= 20 and
