@@ -101,21 +101,16 @@ class SweepResult:
 # ---------------------------------------------------------------------------
 # Sweeps
 # ---------------------------------------------------------------------------
-def _rho_grid(rho_values) -> np.ndarray:
-    """The distinct rho values, sorted decreasing; raises on an empty list."""
-    rho = np.asarray(sorted(set(float(r) for r in rho_values), reverse=True))
-    if rho.size == 0:
-        raise InsufficientDataError("empty rho list")
-    return rho
-
-
 def _grid_amplitudes(scheme: SchemeSpec, dim: int, wave: WaveParams, rho_values, angles,
                      contents: tuple[float, complex]) -> tuple[np.ndarray, np.ndarray]:
-    """The rho grid (_rho_grid) and |A| at ``angles``, one row per rho.
+    """The rho grid, the distinct rho values sorted decreasing, and |A| at
+    ``angles``, one row per rho.
 
     One mie.solve_many call covers the grid; where it fails, the grid is
     solved one rho at a time to name the largest failing rho."""
-    rho = _rho_grid(rho_values)
+    rho = np.asarray(sorted(set(float(r) for r in rho_values), reverse=True))
+    if rho.size == 0:
+        raise InsufficientDataError("empty rho list")
     try:
         solutions = mie.solve_many(scheme, dim, wave, rho, contents)
     except NearCloakError:

@@ -33,7 +33,8 @@ The far field follows from the same representation,
 
 with gamma = e^{i pi/4}/sqrt(8 pi k), a smooth integrand handled by the
 trapezoid rule.  A companion routine evaluates the same representation
-from Cauchy data sampled on any circle enclosing the scatterer.  Both
+from Cauchy data sampled on any circle enclosing the scatterer.  The
+solve and that routine check the wave with WaveParams.require_dim(2).  Both
 sum real products: cos and sin of k xhat.y and k xhat.nu are real
 arrays over the angle x point grid, and no complex exp or complex matrix
 is formed there.
@@ -104,8 +105,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
-from scipy.linalg import lu_factor, lu_solve, get_lapack_funcs
 
 from .errors import DomainError, RangeError, ResonanceError, ShapeError, TruncationError
 from .mie import FarFieldPattern, WaveParams
@@ -271,6 +270,8 @@ def _off_diagonal(k: float, c: float, circ, r):
     """(a_re, a_im, s_re, s_im) off the diagonal, at node distances r with
     circulant entries circ: -K = q (a_re + i a_im) and -S = (s_re + i s_im)
     |x'_j| (_kernel_pass).  The one place the Bessel routines run."""
+    # Imported here, not at the top, so that `import nearcloak` loads no scipy.
+    from scipy import special
     kr = k * r
     j0, j1, y0, y1 = special.j0(kr), special.j1(kr), special.y0(kr), special.y1(kr)
     return ((k / (4.0 * math.pi)) * circ * j1 + (0.25 * k * c) * y1, (-0.25 * k * c) * j1,
@@ -372,7 +373,7 @@ def _kernel_pass(k: float, geometry, n: int, psi, reflect: bool = False):
 
 def _system(k: float, curve: BoundaryCurve, psi: np.ndarray):
     """The Nystrom system A v = g as it is solved, as a tuple of (A, g)
-    blocks; _trace puts v together from their solutions.
+    blocks; _solve_blocks puts v together from their solutions.
 
     A general curve gives one block, A and g over all N nodes.
 
@@ -407,14 +408,6 @@ def _system(k: float, curve: BoundaryCurve, psi: np.ndarray):
     return (a_e, g_1[:, 0] + g_r[:, 0]), (a_o, g_1[:, 1] - g_r[:, 1])
 
 
-def _trace(solutions) -> np.ndarray:
-    """v at the N nodes from the blocks' solutions (see _system)."""
-    if len(solutions) == 1:
-        return solutions[0]
-    w_e, w_o = solutions
-    return np.concatenate([w_e + w_o, (w_e - w_o)[::-1]])
-
-
 def _check_condition(cond: float, curve: BoundaryCurve, k: float) -> None:
     """ResonanceError when a condition number exceeds RESONANCE_CONDITION."""
     if cond > RESONANCE_CONDITION:
@@ -439,6 +432,8 @@ def _solve_block(a, g, curve: BoundaryCurve, k: float):
     1-norm's |a| temporary is freed before lu_factor copies a, and the LU
     factors are freed on return.
     """
+    # Imported here, not at the top, so that only a dense BIE solve loads scipy.linalg.
+    from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
     anorm = np.linalg.norm(a, 1)
     _check_system(anorm, g, curve, k)
     lu, piv = lu_factor(a, check_finite=False)
@@ -463,14 +458,15 @@ def _add_product(out, a_re, a_im, x):
 
 def _solve_blocks(k: float, curve: BoundaryCurve, psi: np.ndarray):
     """(v, condition estimate, [(A v - g, g) per block]) from the blocks
-    of _system, each solved by _solve_block."""
+    of _system, each solved by _solve_block: v is one block's solution, or
+    w_e + w_o at nodes I and w_e - w_o at N - 1 - I from the even and odd."""
     blocks = _system(k, curve, psi)
-    solutions, conds = zip(*(_solve_block(a, g, curve, k) for a, g in blocks))
+    w, conds = zip(*(_solve_block(a, g, curve, k) for a, g in blocks))
+    trace = w[0] if len(w) == 1 else np.concatenate([w[0] + w[1], (w[0] - w[1])[::-1]])
     # The residuals follow every LU: under threaded BLAS, numpy's BLAS
     # threads still spin after a product and slow a scipy LU that follows
     # at once (8 ms against 0.5 ms at 129 nodes, two cores).
-    return (_trace(solutions), max(conds),
-            [(a @ x - g, g) for (a, g), x in zip(blocks, solutions)])
+    return trace, max(conds), [(a @ x - g, g) for (a, g), x in zip(blocks, w)]
 
 
 def _solve_circulant(k: float, curve: BoundaryCurve, psi: np.ndarray):
@@ -538,26 +534,31 @@ def assemble_and_solve(curve: BoundaryCurve, wave: WaveParams) -> DensitySolutio
     resolve has spent its Fourier coefficients well below N/4; one they
     miss fills the band, and aliasing keeps tau near 1.  So tau bounds the
     share of the trace in the upper half of the band the nodes sample, not
-    the error.  On the kite and on circles of radius 0.5 and 1, at N in
-    {32, 64, 256, 1024} and k from 1 to 60 (far fields at 100 angles
-    against 2048 nodes), every solve that passed was within 3.7e-6 of
-    max|A|, and every one more than 1e-5 off read tau >= 0.19.  tau
-    over-reads on circles, whose circulant solve is exact mode by mode up
-    to |m| = N/2 (radius 1 at k = 60 on 256 nodes reads 0.28 at an error
-    of 8e-8), and under-reads on coarse grids (the kite at k = 1 on 32
-    nodes reads 9.2e-4 at an error of 3.6e-6, and at k = 28 on 256 nodes,
-    incidence 1.1, 0.031 at 4.2e-7).  256 kite nodes read tau <= 0.037
-    up to k = 25, accurate to 2e-9, and so pass.
+    the error.  Measured on far fields at 100 angles, relative to max|A|:
+    on the kite at N in {32, 64, 256, 1024} and k from 1 to 60, against
+    2048 nodes, every solve that passed was within 3.7e-6, and every one
+    more than 1e-5 off read tau >= 0.19.  256 kite nodes pass up to k = 25
+    (tau <= 0.037, accurate to 2e-9) and raise at k = 40 and 60 (8 % and
+    39 % off).  tau under-reads on coarse grids (the kite at k = 1 on 32
+    nodes reads 9.2e-4 at an error of 3.6e-6), and over-reads on circles,
+    whose circulant solve is exact mode by mode up to |m| = N/2.  On
+    circles of radius 0.5 and 1, at N in {32, 64, 128, 256, 1024} and k
+    from 1 to 300 where k radius <= 0.75 N and the modal series converges,
+    against mie.far_field, every solve that passed was within 3.0e-8,
+    every one more than 1e-5 off raised, and those it stopped though
+    within 1e-5 were 8.3e-8 to 3.1e-6 off.  The band |m| >= 3N/8 would
+    pass 13 % at radius 0.5, N = 64, k = 40 (band tail 0.061), and 1.5e-3
+    at N = 256, k = 150 (1.3e-5).
 
     Raises RangeError when k times the curve's diameter (twice the largest
-    distance of a node from the centre c_0) is below MIN_K_DIAMETER = 2e-8,
+    distance of a node from the centre c_0) is below MIN_K_DIAMETER = 2e-8
+    (above it every circle of a scan stayed within 1e-8 of mie.far_field),
     ResonanceError when the (estimated) condition number exceeds 1e12
     (interior Dirichlet resonance of the curve), DomainError when the
     system, the trace or the residual is not finite, and then
     TruncationError when tau exceeds TRACE_TAIL_THRESHOLD = 0.1.
     """
-    if wave.d.size != 2:
-        raise DomainError("boundary-integral solver is 2D; give a 2-vector direction")
+    wave.require_dim(2)
     k = wave.k
     _, pts, _, _, normals, jac = curve._node_geometry
     centre = sum(complex(c) for m, c in curve.modes if m == 0)
@@ -643,8 +644,7 @@ def far_field_from_cauchy_data(radius: float, u: np.ndarray, dudn: np.ndarray,
     (radial) derivative at equispaced angles 2 pi j / M on the circle of
     the given radius.
     """
-    if wave.d.size != 2:
-        raise DomainError("boundary-integral solver is 2D; give a 2-vector direction")
+    wave.require_dim(2)
     u, dudn = np.asarray(u, dtype=complex), np.asarray(dudn, dtype=complex)
     if u.shape != dudn.shape or u.ndim != 1 or u.size == 0:
         raise ShapeError("u and dudn must be nonempty 1D arrays of equal length")

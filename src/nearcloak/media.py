@@ -23,7 +23,8 @@ shell and the dilation x -> x/rho on the small ball.
 ``virtual_core_params`` is the one conversion of cloaked contents from
 physical to virtual space (the push-forward under the inverse dilation),
 and ``check_passive`` the one check that a pair (sigma, q) is a passive
-isotropic medium.
+isotropic medium.  The tests check these against the pointwise map, its
+Jacobian and the anisotropic push-forward in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -70,7 +71,8 @@ def cloak_tensor(spec: RadialMapSpec, y: np.ndarray) -> tuple[np.ndarray, np.nda
 
     Closed-form push-forward of (I, 1) under the blow-up: with f = |y| in
     [R1, R2], r = rho + max(f - R1, 0)/s, t = f/r, J = s t^(dim-1), sigma =
-    (t^2/J) I + ((s^2 - t^2)/J) yhat yhat^T and q = 1/J.  All dim^2
+    (t^2/J) I + ((s^2 - t^2)/J) yhat yhat^T and q = 1/J.  |y| = R1 maps to
+    r = rho exactly, so every entry stays finite as rho -> 0.  All dim^2
     entries come from the one evaluator that ``sample_cloak_grid`` asks
     for its upper triangle alone (``_cloak_entries``).
     """
@@ -173,7 +175,8 @@ def sample_cloak_grid(spec: RadialMapSpec, cells_per_side: int,
     random points of |y| = R1 = 2 (R2 = 3), cloak_tensor's smallest
     eigenvalue is off by 1.2e-6 relative at rho = 1e-4 (2.2e-6 in 3D) and
     by 1.4 % at 1e-6 (1.9 % in 3D), and at 1e-8 it is negative at about
-    1,470 of them, in 2D and in 3D.
+    1,470 of them, in 2D and in 3D.  The media CSV writes these Cartesian
+    entries.
     """
     if dim not in (2, 3):
         raise DomainError(f"dim must be 2 or 3, got {dim}")

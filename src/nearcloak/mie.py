@@ -8,7 +8,8 @@ Solves time-harmonic scattering of a unit plane wave by
   (sigma_l, q_l), and a uniform core inside rho/2 with (sigma_a, q_a) --
   all in the virtual-space description.  The cloaked contents enter
   ``solve_many`` in physical space; media.virtual_core_params converts
-  them for the lossy layers only, as the obstacles never use them.
+  them for the lossy layers only, as the obstacles never use them (so
+  contents that overflow in virtual space do not stop an obstacle).
 
 Per mode n, the exterior field is i^n J_n(k r) + d_n H_n^(1)(k r)
 (angular factor e^{i n theta}) in 2D, and the axisymmetric reduction
@@ -65,9 +66,14 @@ makes one specfun.bessel_j and one specfun.bessel_h1 call over its
 argument arrays concatenated, each row at its own order: x alone for an
 obstacle, so B rows, and x, z1, z2 and zc for a lossy layer, so 4B.
 Each kind takes one log-derivative, the sequences at each argument are
-views of these arrays, and the pass's tails are computed together.
+views of these arrays, and the pass's tails are computed together, by the
+one tail formula (``_tails``) that ModalSolution.truncation_tail reads.
+Every solver entry checks the wave with WaveParams.require_dim, one
+DomainError for a direction of the wrong size.
 
-``field_on_circle`` picks its region by one rule (``_REGIONS``), with one error.
+One table, ``_REGIONS``, holds the regions' radii in units of rho: the
+elimination reads the layer's and the core's from it, and
+``field_on_circle`` picks its region by it, with one error.
 
 ``far_field`` is one row of the batched far-field product
 (``_far_field_rows``, which the sweeps run over all their rho at once).
@@ -138,6 +144,11 @@ class WaveParams:
             raise DomainError("incident direction must be a 2- or 3-vector of unit length")
         object.__setattr__(self, "d", d / norm)
 
+    def require_dim(self, dim: int) -> None:
+        """DomainError unless d is a dim-vector, as a dim-D solve needs."""
+        if self.d.size != dim:
+            raise DomainError(f"a {dim}D solve needs a {dim}-vector direction, got {self.d.size}")
+
 
 def _finite_positive(kind: str, constants: tuple) -> None:
     if not all(0 < v < math.inf for v in constants):
@@ -162,6 +173,10 @@ _LININGS = {
                 lambda rho, sigma_l, q_l: check_passive(sigma_l, q_l)),
 }
 _FSS, _FSH = _LININGS["fss"][0], _LININGS["fsh"][0]
+
+# Closed radial extent of each region in units of rho, outermost first (an
+# interface is in both).  A layered solution has all three, an obstacle one.
+_REGIONS = {"exterior": (1.0, math.inf), "layer": (0.5, 1.0), "core": (0.0, 0.5)}
 
 
 @dataclass(frozen=True)
@@ -262,9 +277,7 @@ class ModalSolution:
     @property
     def truncation_tail(self) -> float:
         """|d_n| at n_max over the largest |d_n| (0 if every d_n is 0)."""
-        size = np.abs(self.d_n)
-        peak = float(np.max(size))
-        return float(size[-1]) / peak if peak else 0.0
+        return float(_tails(np.abs(self.d_n)[None], np.array([self.n_max]))[0])
 
     @property
     def is_layered(self) -> bool:
@@ -321,6 +334,15 @@ def default_n_max(k: float, rho: float) -> int:
     """Initial truncation order: krho + 8 + 4 (krho)^(1/3), rounded up."""
     x = k * rho
     return int(math.ceil(x + 8.0 + 4.0 * x ** (1.0 / 3.0)))
+
+
+def _tails(magnitude: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Each row's truncation tail: its |d_n| (a row of ``magnitude``) at its
+    n_max (``last``) over its largest |d_n| up to there, 0 if all are 0."""
+    peak = np.max(magnitude, axis=1, where=np.arange(magnitude.shape[1]) <= last[:, None],
+                  initial=0.0)
+    return np.divide(magnitude[np.arange(last.size), last], peak,
+                     out=np.zeros_like(peak), where=peak != 0)
 
 
 def _log_derivative(ratios: np.ndarray, z) -> np.ndarray:
@@ -415,7 +437,9 @@ def _eliminate(dim: int, wave: WaveParams, rho: list[float], scheme: SchemeSpec,
         layers = [_layer_wavenumbers(scheme, x, wave.k, virtual_core_params(*contents, x, dim))
                   for x in rho]
         k_tilde, k2, c0, coupling = np.array(layers, dtype=complex).reshape(-1, 4).T
-        zs += [k_tilde * radii, 0.5 * k_tilde * radii, 0.5 * k2 * radii]
+        # z1 and z2 at the layer's outer radius rho and its inner one, zc at the core's.
+        zs += [k_tilde * radii, _REGIONS["layer"][0] * k_tilde * radii,
+               _REGIONS["core"][1] * k2 * radii]
 
     orders = [min(default_n_max(wave.k, x), N_MAX_CAP) for x in rho]
     out, rows = [None] * len(rho), list(range(len(rho)))
@@ -470,13 +494,7 @@ def _eliminate(dim: int, wave: WaveParams, rho: list[float], scheme: SchemeSpec,
                  / (_values([j[3], h[3]]) * inner))
             coeffs = a, b, c
 
-        # Each row's tail, |d_n| at its n_max over its largest |d_n| (0 if
-        # every d_n is 0), as ModalSolution.truncation_tail reads it.
-        last = np.array(sizes) - 1
-        magnitude = np.abs(d)
-        peak = np.max(magnitude, axis=1, where=np.arange(nmax + 1) <= last[:, None], initial=0.0)
-        tails = np.divide(magnitude[np.arange(len(rows)), last], peak,
-                          out=np.zeros_like(peak), where=peak != 0).tolist()
+        tails = _tails(np.abs(d), np.array(sizes) - 1).tolist()
         flagged = degenerate.any(axis=1).tolist()
         for row, i in enumerate(rows):
             n = orders[i]
@@ -506,8 +524,7 @@ def solve_many(scheme: SchemeSpec, dim: int, wave: WaveParams, rho_values,
     contents = check_passive(*contents)
     for r in rho:
         _check_rho(r)
-    if wave.d.size != dim:
-        raise DomainError(f"a {dim}D solve needs a {dim}-vector direction, got {wave.d.size}")
+    wave.require_dim(dim)
     for x in (wave.k * r for r in rho):  # before k rho sizes the truncation order
         if not x <= specfun.ARGUMENT_GUARD:
             raise RangeError(f"|z| = {x:.3g} exceeds the guard {specfun.ARGUMENT_GUARD:g}")
@@ -599,8 +616,7 @@ def leading_asymptotic(dim: int, wave: WaveParams, rho: float,
     conservation); the remainders are O((k rho)^{dim+2}).  Both vanish
     at theta = pi/3 (2D) and theta = arccos(2/3) (3D).
     """
-    if wave.d.size != dim:
-        raise DomainError(f"a {dim}D solve needs a {dim}-vector direction, got {wave.d.size}")
+    wave.require_dim(dim)
     if not 0.0 < rho < math.inf or not math.isfinite(theta):
         raise DomainError(f"need a finite rho > 0 and a finite theta, got {rho!r}, {theta!r}")
     x = wave.k * rho
@@ -613,11 +629,6 @@ def leading_asymptotic(dim: int, wave: WaveParams, rho: float,
 # ---------------------------------------------------------------------------
 # Near fields
 # ---------------------------------------------------------------------------
-# Closed radial extent of each region in units of rho, outermost first (an
-# interface is in both).  A layered solution has all three, an obstacle one.
-_REGIONS = {"exterior": (1.0, math.inf), "layer": (0.5, 1.0), "core": (0.0, 0.5)}
-
-
 def _radial_sums(solution: ModalSolution, region: str, r: float,
                  derivative: bool) -> list[np.ndarray]:
     """Per-mode radial factors of the field expansion at radius r in a
@@ -646,13 +657,14 @@ def _radial_sums(solution: ModalSolution, region: str, r: float,
         terms = [(solution.d_n, [h], [], 0.0, h)]
     elif region == "layer":
         wavenumber = solution.k_layer
-        z, z1, z2 = wavenumber * r, wavenumber * solution.rho, 0.5 * wavenumber * solution.rho
+        z, z1 = wavenumber * r, wavenumber * solution.rho
+        z2 = _REGIONS["layer"][0] * wavenumber * solution.rho
         (j,), (h, h1, h2) = sequences(specfun.bessel_j, z), sequences(specfun.bessel_h1, z, z1, z2)
         terms = [(solution.a_n, [j, h1], [], z.imag - z1.imag, j),
                  (solution.b_n, [h], [h2], z2.imag - z.imag, h)]
     else:  # the core
         wavenumber = solution.k_core
-        z, zc = wavenumber * r, 0.5 * wavenumber * solution.rho
+        z, zc = wavenumber * r, _REGIONS["core"][1] * wavenumber * solution.rho
         if derivative and z == 0:
             raise DomainError("radial derivative undefined at the origin")
         (j,), (hc,) = sequences(specfun.bessel_j, z), sequences(specfun.bessel_h1, zc)
@@ -711,7 +723,8 @@ def field_on_circle(solution: ModalSolution, r: float, thetas: np.ndarray,
     exterior the incident wave is added in closed form, e^{i k r cos theta}
     (radial derivative i k cos theta e^{i k r cos theta}), so it is exact
     at any radius, not only where n_max resolves k r.  ``scattered_only``
-    drops it (exterior region only).
+    drops it (exterior region only).  The angles must be a finite 1-d
+    array (DomainError, ShapeError).
     """
     thetas, region, radial = _circle_terms(solution, r, thetas, region,
                                            scattered_only, radial_derivative)

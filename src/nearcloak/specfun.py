@@ -102,7 +102,6 @@ import cmath
 import math
 
 import numpy as np
-from scipy import special
 
 from .errors import RangeError, ShapeError, SingularArgumentError
 
@@ -155,6 +154,8 @@ def _base(z: list[complex], nu: float, hankel: bool) -> list[list[complex]]:
     n + 1/2.  The scale factors are applied row by row in Python, so a
     row's bits do not depend on the batch.  At z = 0, J and j give (1, 0)
     and H and h raise SingularArgumentError."""
+    # Imported here, not at the top, so that `import nearcloak` loads no scipy.
+    from scipy import special
     if hankel and 0 in z:
         raise SingularArgumentError(f"{'spherical h_n' if nu else 'H_n'}^(1) is singular at z = 0")
     grid = np.array(z, dtype=complex)[:, None]

@@ -819,3 +819,56 @@ def test_nodes_that_miss_the_wave_raise_truncation_error(k):
         bie.assemble_and_solve(bie.kite(256), wave)
     sol = bie.assemble_and_solve(bie.kite(256), WaveParams(20.0, np.array([1.0, 0.0])))
     assert 1e-5 < sol.trace_tail < 1e-3
+
+
+def test_resolution_check_on_circles_passes_only_accurate_solves():
+    # tau over-reads on circles, whose circulant solve is exact mode by mode
+    # up to |m| = N/2, but every circle solve it passes is accurate, and
+    # every inaccurate one raises (the worst that passes here is 3.0e-8).
+    # The band |m| >= 3N/8 would pass radius 0.5 at N = 64, k = 40 (a band
+    # tail of 0.061) 13 % off.  Errors are relative to the modal max|A|.
+    cases = 0
+    for radius in (0.5, 1.0):
+        for n_points in (32, 64, 128, 256):
+            crv = bie.circle(radius, n_points)
+            for k in (1, 2, 5, 10, 20, 30, 40, 60, 80, 100, 120, 150):
+                if k * radius > 0.75 * n_points:
+                    continue
+                cases += 1
+                wave = WaveParams(float(k), np.array([1.0, 0.0]))
+                exact = mie.far_field(mie.solve(SchemeSpec.sound_hard(), 2, wave, radius),
+                                      ANGLES).amplitude
+
+                def error(solution):
+                    far = bie.far_field_from_density(solution, wave, ANGLES).amplitude
+                    return np.max(np.abs(far - exact)) / np.max(np.abs(exact))
+
+                trace, psi = _unchecked_solve(crv, wave)
+                if error(bie.DensitySolution(crv, wave, trace, psi)) > 1e-5:
+                    with pytest.raises(TruncationError):
+                        bie.assemble_and_solve(crv, wave)
+                try:
+                    solution = bie.assemble_and_solve(crv, wave)
+                except TruncationError:
+                    continue
+                assert error(solution) <= 1e-7, (radius, n_points, k)
+    assert cases == 73
+
+
+def test_every_entry_states_the_one_wave_rule():
+    # WaveParams.require_dim: one check and one message for every solver.
+    wave2 = WaveParams(2.0, np.array([1.0, 0.0]))
+    wave3 = WaveParams(2.0, np.array([0.0, 0.0, 1.0]))
+    entries = [
+        (2, 3, lambda: bie.assemble_and_solve(bie.circle(0.5, 64), wave3)),
+        (2, 3, lambda: bie.far_field_from_cauchy_data(2.0, np.zeros(16), np.zeros(16), wave3,
+                                                      ANGLES)),
+        (2, 3, lambda: mie.solve(SchemeSpec.sound_hard(), 2, wave3, 0.3)),
+        (2, 3, lambda: mie.leading_asymptotic(2, wave3, 0.1, 0.0)),
+        (3, 2, lambda: mie.solve(SchemeSpec.sound_hard(), 3, wave2, 0.3)),
+        (3, 2, lambda: mie.leading_asymptotic(3, wave2, 0.1, 0.0)),
+    ]
+    for dim, size, entry in entries:
+        with pytest.raises(DomainError) as raised:
+            entry()
+        assert str(raised.value) == f"a {dim}D solve needs a {dim}-vector direction, got {size}"

@@ -28,11 +28,12 @@ def run(args, cwd):
 
 
 def _fresh_process(args, cwd):
-    """Run the CLI in a new interpreter, whose parser has never parsed."""
+    """Run the interpreter with ``args`` in a new process: a CLI run there
+    has a parser that has never parsed and modules never imported."""
     src = str(Path(nearcloak.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "nearcloak", *args], cwd=cwd, env=env,
+    proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc
@@ -239,7 +240,7 @@ def test_consecutive_calls_share_no_parameters(tmp_path, first, second):
     (tmp_path / "a.json").unlink()
     assert run(second, tmp_path) == 0
     assert not (tmp_path / "a.json").exists()
-    _fresh_process([*second[:-1], "fresh.csv"], tmp_path)
+    _fresh_process(["-m", "nearcloak", *second[:-1], "fresh.csv"], tmp_path)
     assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
 
 
@@ -254,8 +255,20 @@ def test_no_arguments_prints_usage_and_fails(capsys):
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):
-    proc = _fresh_process(["--help"], tmp_path)
+    proc = _fresh_process(["-m", "nearcloak", "--help"], tmp_path)
     assert "sweep" in proc.stdout and "bie" in proc.stdout
+
+
+@pytest.mark.parametrize("code", [
+    "import nearcloak",
+    "from nearcloak import cli; status = cli.main(['media', '--cells', '5', '--out', 'm.csv'])",
+    "from nearcloak import cli; status = cli.main(['--help'])",
+], ids=["import", "media", "help"])
+def test_start_up_loads_no_scipy(tmp_path, code):
+    # Each module imports scipy where it calls it, so the package's import,
+    # a media run and --help load none of it (about 0.3 s of start-up).
+    _fresh_process(["-c", f"import sys; status = 0; {code}; "
+                          "sys.exit(status or 'scipy' in sys.modules)"], tmp_path)
 
 
 def test_unknown_subcommand_is_usage_error():
