@@ -33,6 +33,7 @@ import numpy as np
 
 from . import mie
 from .errors import DomainError, InsufficientDataError, NearCloakError, ShapeError
+from .media import _check_dim
 from .mie import ModalSolution, SchemeSpec, WaveParams
 
 DEFAULT_ANGLE_COUNT = 100
@@ -50,11 +51,10 @@ def observation_angles(dim: int, count: int) -> np.ndarray:
     if not isinstance(count, (int, np.integer)) or count < 2:
         raise DomainError(f"need an integer count of at least two observation angles, "
                           f"got {count!r}")
+    _check_dim(dim)
     if dim == 2:
         return 2.0 * math.pi * np.arange(count) / count
-    if dim == 3:
-        return np.linspace(0.0, math.pi, count)
-    raise DomainError(f"dim must be 2 or 3, got {dim}")
+    return np.linspace(0.0, math.pi, count)
 
 
 def _inverse_abs_log(rho: np.ndarray) -> np.ndarray:

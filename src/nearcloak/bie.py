@@ -32,71 +32,27 @@ The far field follows from the same representation,
                                 + e^{-ik xhat.y} d(e^{ik d.y})/dnu ] ds(y),
 
 with gamma = e^{i pi/4}/sqrt(8 pi k), a smooth integrand handled by the
-trapezoid rule.  A companion routine evaluates the same representation
-from Cauchy data sampled on any circle enclosing the scatterer.  The
-solve and that routine check the wave with WaveParams.require_dim(2).  Both
-sum real products: cos and sin of k xhat.y and k xhat.nu are real
-arrays over the angle x point grid, and no complex exp or complex matrix
-is formed there.
-
-The direct second-kind equation is singular at interior Dirichlet
-eigenvalues of the curve (on a circle of radius a, the k with
-J_n(ka) = 0); the solver estimates the condition number of the discrete
-system (on a circle it computes it exactly) and raises ResonanceError
-above 1e12 instead of silently returning garbage.  Likewise it raises
-TruncationError where the nodes do not resolve the wave, read off the
-solved trace's spectrum (assemble_and_solve, DensitySolution.trace_tail).
-
-Kernel evaluation uses scipy's real-argument order-0/1 Bessel routines
-(j0, j1, y0, y1), and K and S are assembled in real arithmetic, each from
-one circulant carrying both log weights.  The kernel factors depend on a
-node pair only through |x_i - x_j| and the circulant index (the double
-layer adds the normal at the column node), so one kernel pass
-(_kernel_pass) evaluates them once per unordered pair, in row blocks, and
-mirrors them: each Bessel routine runs about n^2/2 times over n nodes, and
-the temporaries take O(n _ROW_BLOCK) memory, not O(n^2).  S is only needed
-as S psi, so it is applied to psi block by block during the assembly and
-never stored.
-
-A curve whose modes are all real is mirror-symmetric, x(-t) = conj x(t).
-No node lies on its axis, and the reflection P: node i -> N - 1 - i
-commutes with A = 1/2 I - K and with S.  The system then splits into
-independent even and odd blocks of exactly N/2 nodes each (_system; the
-symmetry reduction of Allgower, Boehmer, Georg and Miranda, SIAM J.
-Numer. Anal. 29, 1992): two kernel passes over nodes 0..N/2-1, one
-against themselves and one against their mirror images, give both, from
-about N^2/4 calls of each Bessel routine, and each block has its own LU,
-an eighth of the full system's LU work.  The solve holds the two blocks and
-one block's LU factors at a time, 12 N^2 bytes; a general curve takes one
-block over all N nodes, which holds 1/2 I - K and its LU factors,
-2 x 16 N^2 bytes (128 MiB at MAX_NODES).  The condition estimate is the
-larger of the blocks' estimates, and the residual ||A v - g||/||g|| is
-the blocks' residuals summed.
-
-A circle (_circular: no mode but m = 0 and m = 1, about any centre,
-with any complex c_1) takes neither block path.  There |x_i - x_j|, the
-double layer's normal term and the circulant index depend only on
-i - j mod N, so A and S are circulant, and the DFT diagonalises them (the
-cyclic case of the same symmetry reduction).  _solve_circulant evaluates
-one column of each, from the entry formulas and the log-weight row that
-the kernel pass uses (_off_diagonal, _diagonal, _log_row): N values of
-each Bessel routine, O(N) kernel work, and FFTs in place of the LU, with
-no N x N array.  Its condition number
-is the exact 1-norm one, ||a||_1 ||IFFT(1/FFT(a))||_1 for A's column a,
-not an estimate, and its residual takes A v from the circulant product.
-
-Each quantity of a solve is computed once.  The dense assembly returns
-the system as it is solved, A = 1/2 I - K and g = -S psi, with the sign in
-its constants (IEEE rounding is symmetric), so no pass negates or shifts
-an N x N array.  A curve builds its node geometry at construction, and the
-solve and the far field read it.  The 1-norm of each block that the
-condition estimate needs is its one finiteness check: a non-finite system
-raises DomainError, and scipy's LU then runs without scanning A or g
-again.  A non-finite trace, residual or far field raises DomainError too.
+trapezoid rule.  The direct second-kind equation is singular at interior
+Dirichlet eigenvalues of the curve (on a circle of radius a, the k with
+J_n(ka) = 0).
 
 This module is the cross-validation oracle for the modal solver and
 deliberately shares none of its special-function machinery: specfun takes
 only the complex-argument jve and hankel1e from scipy, for orders 0 and 1.
+
+Each mechanism is stated once, in the function that holds it:
+* ``assemble_and_solve`` checks the wave with WaveParams.require_dim(2),
+  picks the solve, and raises ResonanceError near a resonance and
+  TruncationError where the nodes do not resolve the wave.
+* ``_kernel_pass`` assembles A = 1/2 I - K and g = -S psi in real
+  arithmetic, once per unordered node pair, and never stores S; the
+  Bessel routines run in ``_off_diagonal`` only.
+* ``_system`` splits a mirror-symmetric curve into an even and an odd
+  block, and ``_solve_block`` solves each by LU with a condition estimate.
+* ``_solve_circulant`` solves a circle by FFTs, from one column of A
+  and of S.
+* ``_green_far_field`` sums the far field in real products, for
+  ``far_field_from_density`` and ``far_field_from_cauchy_data``.
 """
 
 from __future__ import annotations
@@ -269,7 +225,8 @@ def _log_row(size: int):
 def _off_diagonal(k: float, c: float, circ, r):
     """(a_re, a_im, s_re, s_im) off the diagonal, at node distances r with
     circulant entries circ: -K = q (a_re + i a_im) and -S = (s_re + i s_im)
-    |x'_j| (_kernel_pass).  The one place the Bessel routines run."""
+    |x'_j| (_kernel_pass).  The one place the Bessel routines, scipy's
+    real-argument j0, j1, y0 and y1, run."""
     # Imported here, not at the top, so that `import nearcloak` loads no scipy.
     from scipy import special
     kr = k * r
@@ -387,11 +344,13 @@ def _system(k: float, curve: BoundaryCurve, psi: np.ndarray):
         g_o = (g - Pg)[I]/2 = -(S_1 - S_R) psi_o,
 
     with psi_e, psi_o = (psi + P psi)[I]/2, (psi - P psi)[I]/2, and
-    v[i] = w_e[i] + w_o[i], v[N - 1 - i] = w_e[i] - w_o[i].  Two kernel
-    passes over nodes I give them: against themselves (A_1 and S_1) and
-    against their mirror images (A_R and S_R), each applied to both psi_e
-    and psi_o.  Each Bessel function runs about N^2/4 times, against N^2/2
-    for one block.  The even and odd basis vectors have one squared norm,
+    v[i] = w_e[i] + w_o[i], v[N - 1 - i] = w_e[i] - w_o[i] (the symmetry
+    reduction of Allgower, Boehmer, Georg and Miranda, SIAM J. Numer.
+    Anal. 29, 1992).  Two kernel passes over nodes I give them: against
+    themselves (A_1 and S_1) and against their mirror images (A_R and
+    S_R), each applied to both psi_e and psi_o.  Each Bessel function runs
+    about N^2/4 times, against N^2/2 for one block, and each block's LU is
+    an eighth of the full system's LU work.  The even and odd basis vectors have one squared norm,
     2, so the block residuals sum to the full one with no weights.
     """
     n = curve.n_points
@@ -473,7 +432,8 @@ def _solve_circulant(k: float, curve: BoundaryCurve, psi: np.ndarray):
     """(v, condition number, [(A v - g, g)]) of a circle (_circular).
 
     On a circle |x_i - x_j|, the double layer's q at (i, j) and the
-    circulant index depend only on i - j mod N, so A and S are circulant:
+    circulant index depend only on i - j mod N, so A and S are circulant
+    (the cyclic case of _system's symmetry reduction):
     column 0 determines each (entry i of column 0 is the pair (i, 0) of
     _kernel_pass, from the same _log_row, _off_diagonal and _diagonal),
     and the DFT diagonalises them.  With lambda = FFT(a) for A's column a,

@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "boundary-integral solvers).")
     sub = parser.add_subparsers(dest="command")
     for command, defaults in _DEFAULTS.items():
-        p = sub.add_parser(command, help=_RUNNERS[command].__doc__)
+        p = sub.add_parser(command, help=_RUNNERS[command][0])
         for key, default in defaults.items():
             p.add_argument("--" + key.replace("_", "-"), dest=key, choices=_CHOICES.get(key),
                            type=str if default is None else type(default))
@@ -201,7 +201,6 @@ def _write_farfield_csv(path: str, pattern) -> None:
 # Subcommand implementations
 # ---------------------------------------------------------------------------
 def _run_mie(params: dict) -> None:
-    """far-field pattern of one modal solve"""
     dim = params["dim"]
     wave = _wave_from(params, dim)
     scheme = _scheme_from(params, "scheme")
@@ -219,7 +218,6 @@ def _sweep(params: dict, key: str, model: str = "auto") -> analysis.SweepResult:
 
 
 def _run_sweep(params: dict) -> None:
-    """rho sweep of max|A| with decay fit"""
     result = _sweep(params, "scheme", params["model"])
     fit = result.fit  # before any file is opened, so a failing fit writes nothing
     write_csv(params["out"], "sweep", ["rho", "max_abs_A"],
@@ -245,7 +243,6 @@ def _run_sweep(params: dict) -> None:
 
 
 def _run_compare(params: dict) -> None:
-    """per-rho difference of two schemes"""
     a, b = _sweep(params, "scheme_a"), _sweep(params, "scheme_b")
     write_csv(params["out"], "compare", ["rho", "max_abs_A_a", "max_abs_A_b", "abs_diff"],
               zip(a.rho_values, a.max_amplitude, b.max_amplitude,
@@ -253,7 +250,6 @@ def _run_compare(params: dict) -> None:
 
 
 def _run_bie(params: dict) -> None:
-    """boundary-integral far field"""
     wave = _wave_from(params, 2)
     angles = analysis.observation_angles(2, params["angles"])
     if params["curve"] == "circle":
@@ -266,7 +262,6 @@ def _run_bie(params: dict) -> None:
 
 
 def _run_media(params: dict) -> None:
-    """sample the cloak tensor on a grid"""
     spec = media.RadialMapSpec(params["rho"], params["r1"], params["r2"])
     rows = media.sample_cloak_grid(spec, params["cells"], dim=params["dim"])
     coords = "xyz"[:params["dim"]]
@@ -274,13 +269,14 @@ def _run_media(params: dict) -> None:
     write_csv(params["out"], "media", [*coords, *iu, "re_q", "im_q"], rows)
 
 
-# One runner per _DEFAULTS entry; its docstring is the subcommand's help.
+# One (help, runner) per _DEFAULTS entry: the subcommand's --help line and
+# the function that runs it.
 _RUNNERS = {
-    "mie": _run_mie,
-    "sweep": _run_sweep,
-    "compare": _run_compare,
-    "bie": _run_bie,
-    "media": _run_media,
+    "mie": ("far-field pattern of one modal solve", _run_mie),
+    "sweep": ("rho sweep of max|A| with decay fit", _run_sweep),
+    "compare": ("per-rho difference of two schemes", _run_compare),
+    "bie": ("boundary-integral far field", _run_bie),
+    "media": ("sample the cloak tensor on a grid", _run_media),
 }
 
 
@@ -311,7 +307,7 @@ def main(argv=None) -> int:
     try:
         if args.dump_config:  # a non-finite flag has no JSON form: ValueError
             write_json(args.dump_config, {"command": args.command, **params})
-        _RUNNERS[args.command](params)
+        _RUNNERS[args.command][1](params)
     except (NearCloakError, ValueError) as exc:
         return _fail(EXIT_INVALID_PARAMETER, type(exc).__name__, str(exc))
     except OSError as exc:

@@ -129,6 +129,11 @@ def _check_rho(rho: float) -> None:
         raise DomainError(f"rho must be finite and positive, got {rho}")
 
 
+def _check_dim(dim: int) -> None:
+    if dim not in (2, 3):
+        raise DomainError(f"dim must be 2 or 3, got {dim!r}")
+
+
 def virtual_core_params(sigma: float, q: complex, rho: float,
                         dim: int) -> tuple[float, complex]:
     """Virtual-space (sigma_a, q_a) of physical cloaked contents (sigma', q').
@@ -142,8 +147,7 @@ def virtual_core_params(sigma: float, q: complex, rho: float,
     """
     sigma, q = check_passive(sigma, q)
     _check_rho(rho)
-    if dim not in (2, 3):
-        raise DomainError(f"dim must be 2 or 3, got {dim}")
+    _check_dim(dim)
     try:
         sigma_v, q_v = sigma * rho ** (2 - dim), q * rho ** (-dim)
         if math.isfinite(sigma_v) and cmath.isfinite(q_v):
@@ -178,8 +182,7 @@ def sample_cloak_grid(spec: RadialMapSpec, cells_per_side: int,
     1,470 of them, in 2D and in 3D.  The media CSV writes these Cartesian
     entries.
     """
-    if dim not in (2, 3):
-        raise DomainError(f"dim must be 2 or 3, got {dim}")
+    _check_dim(dim)
     if (not isinstance(cells_per_side, (int, np.integer)) or isinstance(cells_per_side, bool)
             or cells_per_side < 1):
         raise DomainError(f"need an integer count of at least one cell per side, "

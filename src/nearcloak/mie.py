@@ -20,18 +20,12 @@ and the core k_2 = k sqrt(q_a/sigma_a), both on the principal branch:
 media.check_passive returns Im q >= 0 (+0.0 for a tolerated Im q <= 0),
 so Im k_tilde >= 0 and Im k_2 >= 0.
 
-A lining is one row of _LININGS: its constants' defaults and check, the
-model its 2D sweeps fit, and its wall's pair (P, R) or its lossy layer's
-law rho -> (sigma_l, q_l); a SchemeSpec is a kind and its constants.
-Every lining goes through one explicit elimination per mode and hands it
-one pair (P, R): the condition R u_x = P u that the lining sets on the
-mode's exterior total field u at x = k rho (u_x = du/dx).  Only the pair
-tells the linings apart.  The elimination runs on plain complex arrays of
-ratios and log-derivatives (see specfun), which stay in double range
-however lossy the layer: for the finite sound-hard layer, Im(kt rho)
-grows like rho^{-delta}, and J and H there split as e^{+-Im(kt rho)}.
-With DJ = J'/J, DH = H'/H, z1 = kt rho, z2 = kt rho/2, zc = k_2 rho/2,
-E = J_n(x)/H_n(x) and F = sqrt(sigma_a q_a)/sqrt(sigma_l q_l),
+A lining is one row of _LININGS, and a SchemeSpec is a kind and its
+constants.  Every lining hands the one elimination per mode a pair
+(P, R): the condition R u_x = P u that it sets on the mode's exterior
+total field u at x = k rho (u_x = du/dx).  Only the pair tells the
+linings apart.  With DJ = J'/J, DH = H'/H, z1 = kt rho, z2 = kt rho/2,
+zc = k_2 rho/2, E = J_n(x)/H_n(x) and F = sqrt(sigma_a q_a)/sqrt(sigma_l q_l),
 
     d_n = -i^n E (R DJ(x) - P)/(R DH(x) - P)     (no i^n in 3D).
 
@@ -44,64 +38,23 @@ sound-hard wall (0, 1).  A lossy layer forms
 
 Q is the inner interface: the same quotient with the core's pair
 (F DJ(zc), 1).  Upsilon_0 = b_n/a_n = -(J/H)(z2) Q, and W = P/R is the
-impedance-like quotient of the outer interface.  E and X are base ratios
-times running ratio products (``_values``); |X| ~ e^{-Im z1} underflows
-harmlessly.  At a zero of J_n(zc) the fraction's tiny-denominator guard
-makes DJ(zc) huge and Q -> 1, so one formula holds there too.  The layer
-coefficients follow from the exterior total field at rho, U = i^n J_n(x)
-R (DH(x) - DJ(x))/(R DH(x) - P), and the core coefficient from the
-layer's Wronskian Wr = J H' - J' H (2i/(pi z) in 2D, i/z^2 in 3D), not a
-cancelling sum.  Every lining flags a mode as degenerate where
-max(|R DH(x)|, |P|) > DEGENERATE_CONDITION |R DH(x) - P|, so that the
-quotient loses more than ~14 digits to cancellation; the walls never do
-(1 against 1 for SS, |DH| against |DH| for SH).
+impedance-like quotient of the outer interface.  Every lining flags a
+mode as degenerate where max(|R DH(x)|, |P|) > DEGENERATE_CONDITION
+|R DH(x) - P|, so that the quotient loses more than ~14 digits to
+cancellation; the walls never do (1 against 1 for SS, |DH| against |DH|
+for SH).  All solvers are pure functions; modes are independent;
+returned solutions are immutable.
 
-``solve_many`` is the solver's only entry, and ``solve`` is a batch of
-one.  ``_eliminate`` runs in passes over (B, n) arrays padded to the
-largest n_max of the pass's rows.  Each row starts at default_n_max; a
-row whose tail |d_{n_max}| / max|d_n| is above TAIL_THRESHOLD is solved
-again 8 orders higher, and one still above it at N_MAX_CAP raises
-TruncationError, so no returned solution has a larger tail.  A pass
-makes one specfun.bessel_j and one specfun.bessel_h1 call over its
-argument arrays concatenated, each row at its own order: x alone for an
-obstacle, so B rows, and x, z1, z2 and zc for a lossy layer, so 4B.
-Each kind takes one log-derivative, the sequences at each argument are
-views of these arrays, and the pass's tails are computed together, by the
-one tail formula (``_tails``) that ModalSolution.truncation_tail reads.
-Every solver entry checks the wave with WaveParams.require_dim, one
-DomainError for a direction of the wrong size.
-
-One table, ``_REGIONS``, holds the regions' radii in units of rho: the
-elimination reads the layer's and the core's from it, and
-``field_on_circle`` picks its region by it, with one error.
-
-``far_field`` is one row of the batched far-field product
-(``_far_field_rows``, which the sweeps run over all their rho at once).
-A FarFieldPattern holds one amplitude per angle and its dim, 2 or 3,
-which sets the valid angle range.
-
-All solvers are pure functions; modes are independent; returned
-solutions are immutable.  Far and near fields share one bounded,
-read-only, thread-safe cache of angle tables (``_angle_table``): the
-cos(n theta) table in 2D and the P_n(cos theta) table in 3D (numpy's
-forward recurrence, legvander) of each recently used angle grid, with
-its order rows rounded up to a multiple of 32.  It keeps the 20 most
-recent tables, at most 20 x rows x M float64 for M angles and rows <=
-224 (N_MAX_CAP + 1 rounded up).  Twenty slots hold the 18 tables that
-solves with n_max up to 95 cycle through when each takes a far field,
-near fields and near_field_deviation (three grids, three row counts,
-two dims).  Row n of either table depends only on n and theta (an
-elementwise cos, or the forward recurrence), so a sum over the first
-rows of a larger table is bit for bit the sum over a table built at its
-own size, and no result depends on what the cache holds.  Each sum is
-two real products, of the real and of the imaginary parts of the
-weighted coefficients with the real table: a complex @ real product
-would copy the table to complex on every call and run zgemm or zgemv,
-with twice the flops (see also bie._add_product).
-``scattered_cauchy_data`` builds the same table for its one grid and
-leaves the cache alone, and takes the field and its radial derivative
-from one pass over the exterior terms (``_radial_sums``): one Hankel
-sequence, not one per sum.
+Each mechanism is stated once, in the function that holds it:
+* ``solve_many`` is the solver's one entry (``solve`` a batch of one),
+  and checks the wave with WaveParams.require_dim.
+* ``_eliminate`` runs the elimination on ratio-form sequences, in
+  truncation passes, with the one tail formula ``_tails``.
+* ``_REGIONS`` holds the regions' radii; ``field_on_circle`` picks its
+  region by it, and ``_radial_sums`` gives that region's radial factors.
+* ``_far_field_rows`` gives far fields of many solutions at once (the
+  sweeps run it over all their rho); ``far_field`` is one of its rows.
+* ``_angular_sum`` sums over the cached angle tables of ``_angle_table``.
 """
 
 from __future__ import annotations
@@ -116,7 +69,7 @@ import numpy as np
 
 from . import specfun
 from .errors import DomainError, RangeError, ShapeError, TruncationError
-from .media import _check_rho, check_passive, virtual_core_params
+from .media import _check_dim, _check_rho, check_passive, virtual_core_params
 
 TAIL_THRESHOLD = 1e-14
 DEGENERATE_CONDITION = 1e14
@@ -311,8 +264,7 @@ def _far_field_angles(angles, dim: int) -> np.ndarray:
     """``angles`` as a float array, or DomainError unless dim is 2 or 3 and
     it is a nonempty, finite, strictly increasing 1-d grid in [0, 2pi] (2D)
     or [0, pi] (3D)."""
-    if dim not in (2, 3):
-        raise DomainError(f"dim must be 2 or 3, got {dim!r}")
+    _check_dim(dim)
     a = np.asarray(angles, dtype=float)
     if a.ndim != 1 or a.size == 0 or not np.all(np.isfinite(a)) or np.any(np.diff(a) <= 0):
         raise DomainError("angles must be a nonempty, finite, strictly increasing 1-d array")
@@ -423,12 +375,29 @@ def _layer_wavenumbers(scheme: SchemeSpec, rho: float, k: float,
 
 def _eliminate(dim: int, wave: WaveParams, rho: list[float], scheme: SchemeSpec,
                contents: tuple[float, complex]) -> tuple[ModalSolution, ...]:
-    """The solution at each rho, from the one elimination and the
-    truncation passes of the module docstring; ``solve_many`` checked dim,
-    rho and the physical contents.  A wall hands the exterior its fixed
-    pair (P, R) from _LININGS, a lossy layer the one it forms over the
-    virtual core of the contents at each rho (the walls never use them);
-    one formula gives every lining's d_n and one test its degenerate_modes."""
+    """The solution at each rho, from the one elimination of the module
+    docstring; ``solve_many`` checked dim, rho and the physical contents.
+    A wall hands the exterior its fixed pair (P, R) from _LININGS, a lossy
+    layer the one it forms over the virtual core of the contents at each
+    rho (the walls never use them); one formula gives every lining's d_n
+    and one test its degenerate_modes.
+
+    The elimination runs on plain complex arrays of ratios and
+    log-derivatives (specfun), which stay in double range however lossy
+    the layer: for the finite sound-hard layer, Im(kt rho) grows like
+    rho^{-delta}, and J and H there split as e^{+-Im(kt rho)}.  E, X and
+    the coefficients are base ratios times running ratio products
+    (_values).
+
+    It runs in passes over (B, n) arrays padded to the largest n_max of
+    the pass's rows.  Each row starts at default_n_max; a row whose tail
+    |d_{n_max}| / max|d_n| (_tails) is above TAIL_THRESHOLD is solved
+    again 8 orders higher, and one still above it at N_MAX_CAP raises
+    TruncationError, so no returned solution has a larger tail.  A pass
+    makes one specfun.bessel_j and one specfun.bessel_h1 call over its
+    argument arrays concatenated, each row at its own order: x alone for
+    an obstacle, so B rows, and x, z1, z2 and zc for a lossy layer, so 4B.
+    """
     law = _LININGS[scheme.kind][-1]  # a wall's pair (P, R), or a lossy layer's law
     radii = np.array(rho)
     zs = [wave.k * radii]  # the real x = k rho; a lossy layer adds z1, z2 and zc
@@ -465,10 +434,13 @@ def _eliminate(dim: int, wave: WaveParams, rho: list[float], scheme: SchemeSpec,
         coeffs = (None, None, None)
         if callable(law):
             # The inner interface is the quotient of the core's pair (F DJ(zc), 1).
+            # At a zero of J_n(zc) the fraction's tiny-denominator guard makes
+            # DJ(zc) huge and Q -> 1, so this one formula holds there too.
             core = (c0 * coupling)[rows, None] * dj[3]
             inner = dh[2] - core
             q = (dj[2] - core) / inner
-            # e^{-Im z1} and e^{-Im z2} restore the Amos scales (Im z1 = 2 Im z2).
+            # e^{-Im z1} and e^{-Im z2} restore the Amos scales (Im z1 = 2 Im z2);
+            # |X| ~ e^{-Im z1} underflows harmlessly.
             decay1, decay2 = (np.exp(-zs[i][rows].imag)[:, None] for i in (1, 2))
             t = -_values([j[2], h[1]], [j[1], h[2]]) * decay1 * q
             p, r = dj[1] + t * dh[1], (1.0 + t) * c0[rows, None]
@@ -488,7 +460,9 @@ def _eliminate(dim: int, wave: WaveParams, rho: list[float], scheme: SchemeSpec,
             a = phase * _values([j[0]]) * c0[rows, None] * np.divide(
                 j[0][1] - h[0][1], den, out=np.zeros_like(e), where=nonzero) / _values([j[1], h[1]])
             b = -q * _values([j[2], h[1]]) * decay2 * a  # b_n H_n(z2)
-            z2 = zs[2][rows, None]  # core coefficient from the layer's Wronskian at z2
+            # The core coefficient from the layer's Wronskian J H' - J' H at z2,
+            # not a cancelling sum.
+            z2 = zs[2][rows, None]
             wronskian = 2j / (math.pi * z2) if dim == 2 else 1j / (z2 * z2)
             c = (a * _values([h[1]], [h[2]]) * decay2 * wronskian  # c_n / H_n(zc)
                  / (_values([j[3], h[3]]) * inner))
@@ -574,8 +548,11 @@ def _angular_sum(dim: int, coef: np.ndarray, angles: np.ndarray,
     """sum_n eps_n coef_n cos(n theta) in 2D (eps_0 = 1, eps_n = 2), or
     sum_n (2n+1) coef_n P_n(cos theta) in 3D, per row of coef, over the
     cached angle table of ``angles`` unless ``table`` (their _tabulate at
-    _table_rows(coef.shape[-1]) rows) is given, as two real products, of
-    the real and the imaginary parts (module docstring: no zgemm)."""
+    _table_rows(coef.shape[-1]) rows) is given.  The sum is two real
+    products, of the real and of the imaginary parts of the weighted
+    coefficients with the real table: a complex @ real product would copy
+    the table to complex on every call and run zgemm or zgemv, with twice
+    the flops (see also bie._add_product)."""
     n = np.arange(coef.shape[-1])
     weights = np.where(n == 0, 1.0, 2.0) if dim == 2 else 2 * n + 1
     if table is None:
@@ -592,7 +569,19 @@ def _table_rows(orders: int) -> int:
 
 @functools.lru_cache(maxsize=20)
 def _angle_table(dim: int, angle_bytes: bytes, rows: int) -> np.ndarray:
-    """The _tabulate of the M float64 angles packed in ``angle_bytes``."""
+    """The _tabulate of the M float64 angles packed in ``angle_bytes``,
+    from the one bounded, read-only, thread-safe cache that far and near
+    fields share.
+
+    It keeps the 20 most recent tables, at most 20 x rows x M float64 for
+    rows <= 224 (N_MAX_CAP + 1 rounded up).  Twenty slots hold the 18
+    tables that solves with n_max up to 95 cycle through when each takes a
+    far field, near fields and near_field_deviation (three grids, three
+    row counts, two dims).  Row n of a table depends only on n and theta
+    (an elementwise cos, or numpy's forward recurrence in legvander), so a
+    sum over the first rows of a larger table is bit for bit the sum over
+    a table built at its own size, and no result depends on what the
+    cache holds."""
     return _tabulate(dim, np.frombuffer(angle_bytes), rows)
 
 
@@ -617,8 +606,9 @@ def leading_asymptotic(dim: int, wave: WaveParams, rho: float,
     at theta = pi/3 (2D) and theta = arccos(2/3) (3D).
     """
     wave.require_dim(dim)
-    if not 0.0 < rho < math.inf or not math.isfinite(theta):
-        raise DomainError(f"need a finite rho > 0 and a finite theta, got {rho!r}, {theta!r}")
+    _check_rho(rho)
+    if not math.isfinite(theta):
+        raise DomainError(f"theta must be finite, got {theta!r}")
     x = wave.k * rho
     if dim == 2:
         return (cmath.exp(1j * math.pi / 4) * math.sqrt(2.0 * math.pi / wave.k)
@@ -740,8 +730,8 @@ def scattered_cauchy_data(solution: ModalSolution, radius: float,
                           thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Scattered field and its radial derivative on a circle (2D).
 
-    One pass over the exterior terms gives the radial factors of both, and
-    both sums share one angle table, built for this call and not cached:
+    One pass over the exterior terms gives the radial factors of both (one
+    Hankel sequence, not one per sum), and both sums share one angle table, built for this call and not cached:
     the circle grids of a BIE cross-check are shifted by the incident angle,
     so a later call rarely asks for the same grid."""
     thetas, _, radial = _circle_terms(solution, radius, thetas, None, True, True)

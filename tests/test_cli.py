@@ -27,14 +27,18 @@ def run(args, cwd):
         os.chdir(old)
 
 
-def _fresh_process(args, cwd):
+def _fresh_process(args, cwd, optimize=sys.flags.optimize):
     """Run the interpreter with ``args`` in a new process: a CLI run there
-    has a parser that has never parsed and modules never imported."""
+    has a parser that has never parsed and modules never imported.  It runs
+    at the suite's own optimisation level (``python -OO -m pytest`` gives
+    -OO) unless ``optimize`` says otherwise, and raises a RuntimeWarning as
+    an error, as pytest does in the suite."""
     src = str(Path(nearcloak.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=60)
+    flags = ["-" + "O" * optimize] if optimize else []
+    proc = subprocess.run([sys.executable, *flags, "-W", "error::RuntimeWarning", *args],
+                          cwd=cwd, env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc
 
@@ -141,11 +145,48 @@ def test_bie_whose_nodes_miss_the_wave_writes_nothing(tmp_path, capsys, k):
     assert not (tmp_path / "x.csv").exists()
 
 
+# (args, exit code, args of a run whose CSV it writes byte for byte, or None)
+EXIT_CASES = [
+    (["mie", "--scheme", "fsh", "--dim", "3"], 0, None),
+    (["bie"], 0, None),
+    # A circle's circulant solve: FFTs with a division by the eigenvalues.
+    (["bie", "--radius", "0.7", "--k", "4.7", "--n-points", "1024"], 0, None),
+    # 256 nodes on this circle resolve k = 60 (tau = 2.9e-15), but not
+    # k = 150, whose far field would be 1.5e-3 off.
+    (["bie", "--radius", "0.5", "--k", "60"], 0, None),
+    (["bie", "--radius", "0.5", "--k", "150"], cli.EXIT_INVALID_PARAMETER, None),
+    # Odd cell counts put centres on the axes (coordinates exactly 0.0), and
+    # in 3D six on |y| = R1 = 2, whose preimage is r = rho.
+    (["media", "--cells", "23", "--rho", "1e-4"], 0, None),
+    (["media", "--dim", "3", "--cells", "9", "--rho", "1e-4"], 0, None),
+    # Near the smallest rho whose stretch (R1/rho)^2 is a double.
+    (["media", "--dim", "3", "--cells", "9", "--rho", "1e-150"], 0, None),
+    # Im q' = -1e-17 is inside the passivity tolerance and read as 0 ("=":
+    # argparse reads a bare -1e-17 as an option).
+    (["mie", "--scheme", "fss", "--rho", "0.5", "--core-q-im=-1e-17"], 0,
+     ["mie", "--scheme", "fss", "--rho", "0.5", "--core-q-im", "0"]),
+]
+
+
+@pytest.mark.parametrize("args, code, twin", EXIT_CASES,
+                         ids=["_".join(args) for args, _, _ in EXIT_CASES])
+def test_runs_exit_with_their_code_and_finite_rows(tmp_path, capsys, args, code, twin):
+    assert run([*args, "--out", "x.csv"], tmp_path) == code
+    if code:
+        assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "TruncationError"
+        assert not (tmp_path / "x.csv").exists()
+        return
+    assert np.isfinite(read_table(tmp_path / "x.csv")).all()
+    if twin:
+        assert run([*twin, "--out", "twin.csv"], tmp_path) == 0
+        assert (tmp_path / "x.csv").read_bytes() == (tmp_path / "twin.csv").read_bytes()
+
+
 def test_internal_failure_exits_5_with_one_json_record(tmp_path, capsys, monkeypatch):
     def divide_by_zero(params):
         return 1 / 0
 
-    monkeypatch.setitem(cli._RUNNERS, "mie", divide_by_zero)
+    monkeypatch.setitem(cli._RUNNERS, "mie", (cli._RUNNERS["mie"][0], divide_by_zero))
     assert run(["mie", "--out", "x.csv"], tmp_path) == cli.EXIT_INTERNAL == 5
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
@@ -257,6 +298,16 @@ def test_no_arguments_prints_usage_and_fails(capsys):
 def test_python_dash_m_runs_the_cli(tmp_path):
     proc = _fresh_process(["-m", "nearcloak", "--help"], tmp_path)
     assert "sweep" in proc.stdout and "bie" in proc.stdout
+
+
+def test_help_under_python_dash_oo_lists_every_subcommand_with_its_help(tmp_path):
+    # -OO strips docstrings; the help lines live in _RUNNERS, so it prints
+    # the same text.
+    stripped = _fresh_process(["-m", "nearcloak", "--help"], tmp_path, optimize=2).stdout
+    for command, (help_text, _) in cli._RUNNERS.items():
+        assert any(line.split() == [command, *help_text.split()]
+                   for line in stripped.splitlines()), command
+    assert stripped == _fresh_process(["-m", "nearcloak", "--help"], tmp_path, optimize=0).stdout
 
 
 @pytest.mark.parametrize("code", [

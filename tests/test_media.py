@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from nearcloak import media, mie
+from nearcloak import analysis, media, mie
 from nearcloak.errors import DomainError, RangeError
 from nearcloak.media import RadialMapSpec
 from nearcloak.mie import SchemeSpec, WaveParams
@@ -311,6 +311,17 @@ def test_sample_cloak_grid_needs_a_cell():
 def test_sample_cloak_grid_needs_dim_2_or_3():
     with pytest.raises(DomainError, match="dim must be 2 or 3"):
         media.sample_cloak_grid(SPEC, 9, dim=4)
+
+
+@pytest.mark.parametrize("call", [
+    lambda dim: analysis.observation_angles(dim, 10),
+    lambda dim: mie.FarFieldPattern([0.0, 1.0], [1.0, 2.0], dim),
+    lambda dim: media.virtual_core_params(1.0, 1.0, 0.5, dim),
+    lambda dim: media.sample_cloak_grid(SPEC, 9, dim=dim),
+], ids=["observation_angles", "FarFieldPattern", "virtual_core_params", "sample_cloak_grid"])
+def test_every_dim_check_names_the_value_it_got(call):
+    with pytest.raises(DomainError, match=r"^dim must be 2 or 3, got '2'$"):
+        call("2")
 
 
 @pytest.mark.parametrize("cells", [8.0, math.nan, "8", True])

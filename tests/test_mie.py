@@ -513,7 +513,8 @@ def test_far_field_depends_only_on_relative_angle():
                                         (math.inf, 0.0), (0.01, math.nan), (0.01, -math.inf)])
 @pytest.mark.parametrize("dim", [2, 3])
 def test_leading_asymptotic_checks_rho_and_theta(dim, rho, theta):
-    with pytest.raises(DomainError, match="finite rho > 0"):
+    message = "theta must be finite" if 0 < rho < math.inf else "rho must be finite and positive"
+    with pytest.raises(DomainError, match=message):
         mie.leading_asymptotic(dim, WAVE2 if dim == 2 else WAVE3, rho, theta)
 
 

@@ -1,8 +1,11 @@
 """The README's examples run as documented: the library block prints the
-rho^2 exponent, and every command of the CLI block exits 0."""
+rho^2 exponent, every command of the CLI block exits 0, every example of
+the exit-code list exits with its code and error type, and the config-key
+table matches cli._DEFAULTS."""
 
 import contextlib
 import io
+import json
 import os
 import re
 import shlex
@@ -42,3 +45,55 @@ def test_cli_examples_exit_zero(tmp_path):
             assert cli.main(args) == 0, args
     finally:
         os.chdir(old)
+
+
+def test_cli_table_lists_every_config_key_with_its_subcommands_and_default():
+    # Rows are | `key`[, `key`...] | subcommands or all | defaults | meaning |;
+    # a row with one `literal` per key gives each key's default.
+    readme = {}
+    for keys, commands, defaults in re.findall(
+            r"^\| (`\w+`(?:, `\w+`)*) +\| ([\w, ]+?) +\| (.+?) +\|", README, flags=re.M):
+        keys, literals = re.findall(r"`(\w+)`", keys), re.findall(r"`([^`]*)`", defaults)
+        for i, key in enumerate(keys):
+            readme[key] = (set(cli._DEFAULTS) if commands == "all" else set(commands.split(", ")),
+                           literals[i] if len(literals) == len(keys) else None)
+    taking = {}
+    for command, defaults in cli._DEFAULTS.items():
+        for key, default in defaults.items():
+            taking.setdefault(key, {})[command] = default
+    assert {key: commands for key, (commands, _) in readme.items()} == {
+        key: set(by_command) for key, by_command in taking.items()}
+    for key, (_, literal) in readme.items():
+        if literal is not None:
+            assert {str(default) for default in taking[key].values()} == {literal}, key
+
+
+def _exit_examples():
+    """(args, exit code, error type or None, message or None) of every
+    subcommand example in the Exit codes list: a top bullet gives the code,
+    a bullet under it the type, and the examples of nested bullets inherit
+    both; an example followed by ": `text`" gives its message."""
+    section = README.split("### Exit codes\n", 1)[1].split("\n## ", 1)[0]
+    examples, code, error = [], None, None
+    for bullet in re.split(r"\n(?= *- )", section):
+        head = re.match(r"- \*\*(\d)\*\*|  - `(\w+)`", bullet)
+        if head and head[1]:
+            code, error = int(head[1]), None
+        elif head:
+            error = head[2]
+        text = re.sub(r"\n +", " ", bullet)
+        for command, message in re.findall(
+                rf"`((?:{'|'.join(cli._DEFAULTS)}) -[^`]*)`(?:: `([^`]*)`)?", text):
+            examples.append((shlex.split(command), code, error, message or None))
+    return examples
+
+
+def test_exit_code_examples_exit_with_their_code_and_type(tmp_path, capsys, monkeypatch):
+    examples = _exit_examples()
+    assert len(examples) == 23
+    monkeypatch.chdir(tmp_path)
+    for args, code, error, message in examples:
+        assert cli.main(args) == code, args
+        record = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert error in (None, record["error"]), args
+        assert message in (None, record["message"]), args
