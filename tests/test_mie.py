@@ -396,6 +396,12 @@ def test_tail_decay_property():
             assert np.all(np.diff(nz) < 0)  # strictly decreasing past the peak
 
 
+def _classical_n_max(k, rho):
+    """The classical start x + 8 + 4 x^(1/3), x = k rho, rounded up."""
+    x = k * rho
+    return int(math.ceil(x + 8.0 + 4.0 * x ** (1.0 / 3.0)))
+
+
 @pytest.mark.parametrize("kind, dim, k, rhos, passes", [
     ("ss", 2, 2.0, [0.5, 1e-3, 0.2], 1),
     ("fsh", 3, 2.0, [0.5, 1e-3, 0.2], 1),
@@ -405,6 +411,8 @@ def test_each_truncation_pass_makes_one_call_per_kind(monkeypatch, kind, dim, k,
     # One bessel_j and one bessel_h1 call per pass, each over every argument
     # array of the pass concatenated: k rho alone for an obstacle, and k rho,
     # kt rho, kt rho/2, k_2 rho/2 for a lossy layer.
+    if passes == 2:  # default_n_max passes k rho = 36.6 at once; start it lower
+        monkeypatch.setattr(mie, "default_n_max", _classical_n_max)
     calls = []
     for name in ("bessel_j", "bessel_h1"):
         fn = getattr(specfun, name)
@@ -422,9 +430,29 @@ def test_each_truncation_pass_makes_one_call_per_kind(monkeypatch, kind, dim, k,
     assert all(sol.truncation_tail <= mie.TAIL_THRESHOLD for sol in sols)
 
 
+@pytest.mark.parametrize("kind", ["ss", "sh", "fss", "fsh"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_first_truncation_pass_meets_the_tail_test(kind, dim):
+    # Every solve keeps its first pass's order; below k rho = 19.5 that is
+    # the classical start, and above it no more than 3 orders past the
+    # smallest order whose tail passes.
+    for rho in (0.1, 0.45):
+        for x in np.geomspace(0.01, 150.0, 30):
+            k = x / rho
+            sol = mie.solve(SchemeSpec(kind), dim, WaveParams(k, np.eye(dim)[0]), rho)
+            start = mie.default_n_max(k, rho)
+            assert sol.n_max == min(start, mie.N_MAX_CAP)
+            if x < 19.5:
+                assert start == _classical_n_max(k, rho)
+            else:
+                mag = np.abs(sol.d_n)
+                passing = np.flatnonzero(mag <= mie.TAIL_THRESHOLD * np.maximum.accumulate(mag))
+                assert sol.n_max - passing[0] <= 3, (x, rho)
+
+
 def test_adaptive_truncation_clamped_at_order_cap():
-    # k rho = 165: the adaptive order would step past the cap (195 -> 203);
-    # it stops at n_max = 199, where the tail is still 1.55e-13.
+    # k rho = 165: default_n_max (203) is past the cap, so the solve stops
+    # at n_max = 199, where the tail is still 1.55e-13.
     wave = WaveParams(330.0, np.array([1.0, 0.0]))
     with pytest.raises(TruncationError, match=r"1\.55e-13 .* n_max = 199 \(k rho = 165\)"):
         mie.solve(SchemeSpec.sound_hard(), 2, wave, 0.5)

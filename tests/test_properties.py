@@ -143,6 +143,23 @@ def test_interface_continuity_and_flux(dim, scheme, k, rho, sigma, q_re, q_im):
         assert r * np.max(np.abs(flux)) <= 1e-10 * scale
 
 
+@pytest.mark.parametrize("kind", ["fss", "fsh"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_field_is_continuous_at_rho_for_large_k_rho(kind, dim):
+    # k rho from 10 to 60, beyond the wavenumbers above.  The tail test
+    # reads d_n only, and the near field at rho sums terms of the size of
+    # J_n(k rho), about sqrt|d_n|, so the jump is far above 1e-10 of
+    # max|u| here: 3D FSS at k rho = 33, rho = 0.1 read 4.9e-7 with the
+    # classical start x + 8 + 4 x^(1/3), the bound below.
+    th = np.linspace(0.0, math.pi, 7)
+    for rho in (0.1, 0.45):
+        for x in np.geomspace(10.0, 60.0, 13):
+            sol = mie.solve(SchemeSpec(kind), dim, _wave(dim, x / rho), rho)
+            outside = mie.field_on_circle(sol, rho, th, region="exterior")
+            inside = mie.field_on_circle(sol, rho, th, region="layer")
+            assert np.max(np.abs(outside - inside)) <= 5e-7 * np.max(np.abs(outside)), x
+
+
 # ---------------------------------------------------------------------------
 # Cloaked contents under the dilation x -> rho x
 # ---------------------------------------------------------------------------
