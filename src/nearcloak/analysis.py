@@ -1,20 +1,21 @@
-"""Experiment orchestration: rho sweeps, decay fits, scheme comparisons.
+"""Experiment orchestration: rho sweeps and decay fits.
 
 The quantitative cloaking claims are all statements about how the
 discrete maximum of |A| over an observation grid decays as the
 regularization parameter rho shrinks: algebraically like rho^2 / rho^3
 for the sound-hard linings, and for the sound-soft ones like 1/|ln rho|
 in 2D and like rho in 3D.
-This module runs the sweeps, fits both decay models, and compares
-schemes pointwise in rho.  A sweep records what it measured; its fit is
-computed from that record on demand (``SweepResult.fit``), so a caller
-that only compares max|A| runs no fit.  ``sweep`` and
-``special_angle_suppression`` solve their rho grids through one path.
-It does no file I/O: the output formats and their writers live in ``cli``.
+This module runs the sweeps and fits both decay models.  A sweep records
+what it measured; its fit is computed from that record on demand
+(``SweepResult.fit``), so a caller that only compares max|A| runs no fit.
+``sweep`` and ``special_angle_suppression`` solve their rho grids through
+one path.  It does no file I/O: the output formats and their writers live
+in ``cli``.
 
-Fits use the smallest ceil(2/3 n) rho values by default; the large-rho
-end of a sweep is outside the asymptotic regime.  A model is one entry
-of ``_MODELS``, and every fit one least-squares line of its y against x:
+``fit_decay`` fits every point it is given; a sweep's ``fit`` gives it
+the smallest max(3, ceil(2n/3)) of its n rho, since the large-rho end of
+a sweep is outside the asymptotic regime.  A model is one entry of
+``_MODELS``, and every fit one least-squares line of its y against x:
 
   power-law:    log(max|A|) against log(rho);
   inverse-log:  max|A| against 1/|ln rho|.
@@ -37,7 +38,6 @@ from .media import _check_dim
 from .mie import ModalSolution, SchemeSpec, WaveParams
 
 DEFAULT_ANGLE_COUNT = 100
-DEFAULT_FIT_FRACTION = 2.0 / 3.0
 NEAR_FIELD_SAMPLES = 360  # angles per near_field_deviation circle
 
 # Leading-order zeros of the sound-hard pattern: theta* with
@@ -59,7 +59,7 @@ def observation_angles(dim: int, count: int) -> np.ndarray:
 
 def _inverse_abs_log(rho: np.ndarray) -> np.ndarray:
     if np.any(rho == 1.0):  # 1/|ln rho| is infinite at rho = 1
-        raise DomainError("an inverse-log fit needs rho != 1 in its window")
+        raise DomainError("an inverse-log fit needs every rho != 1")
     return 1.0 / np.abs(np.log(rho))
 
 
@@ -91,11 +91,13 @@ class SweepResult:
 
     @property
     def fit(self) -> FitResult | None:
-        """fit_decay of this sweep under ``model``, computed on each access;
-        None below three rho."""
-        if self.rho_values.size < 3:
+        """fit_decay under ``model`` of the smallest max(3, ceil(2n/3)) of
+        the n rho, computed on each access; None below three rho."""
+        n = len(self.rho_values)
+        if n < 3:
             return None
-        return fit_decay(self.rho_values, self.max_amplitude, self.model)
+        keep = max(3, math.ceil(2 * n / 3))
+        return fit_decay(self.rho_values[n - keep:], self.max_amplitude[n - keep:], self.model)
 
 
 # ---------------------------------------------------------------------------
@@ -144,12 +146,10 @@ def sweep(scheme: SchemeSpec, dim: int, wave: WaveParams,
     return SweepResult(rho_values=rho, max_amplitude=amplitude.max(axis=1), model=model)
 
 
-def fit_decay(rho_values, max_amplitude, model: str,
-              keep_fraction: float = DEFAULT_FIT_FRACTION) -> FitResult:
-    """Fit the decay of max|A| over the smallest ceil(keep_fraction*n) rhos
-    (at least 3), with 0 < keep_fraction <= 1, from 1-d arrays of equal
-    length: rho and max|A| finite and positive, rho strictly decreasing,
-    and for inverse-log no fitted rho equal to 1.
+def fit_decay(rho_values, max_amplitude, model: str) -> FitResult:
+    """Fit the decay of max|A| over all of its (at least 3) points, from
+    1-d arrays of equal length: rho and max|A| finite and positive, rho
+    strictly decreasing, and for inverse-log no rho equal to 1.
 
     The fit is the least-squares line y(max|A|) ~ slope x(rho) + c of the
     model's _MODELS entry.  ``residual`` is the RMS relative error of its
@@ -166,27 +166,15 @@ def fit_decay(rho_values, max_amplitude, model: str,
             raise DomainError(f"{name} entries must be finite and positive")
     if np.any(np.diff(rho) >= 0):
         raise DomainError("rho_values must be strictly decreasing")
-    if not 0.0 < keep_fraction <= 1.0:  # "not" so that NaN fails too
-        raise DomainError(f"keep_fraction must lie in (0, 1], got {keep_fraction!r}")
-    n = rho.size
-    if n < 3:
-        raise InsufficientDataError(f"need >= 3 sweep points, have {n}")
-    keep = max(3, math.ceil(keep_fraction * n))
-    rho, amp = rho[n - keep:], amp[n - keep:]   # rho is sorted decreasing
+    if rho.size < 3:
+        raise InsufficientDataError(f"need >= 3 sweep points, have {rho.size}")
 
     x_of, y_of, y_inverse = _MODELS[model]
     x, y = x_of(rho), y_of(amp)
     slope, intercept = np.polyfit(x, y, 1)
     pred = y_inverse(slope * x + intercept)
     residual = float(np.sqrt(np.mean(((pred - amp) / amp) ** 2)))
-    return FitResult(slope=float(slope), residual=residual, model=model, n_used=keep)
-
-
-def compare_schemes(a: SweepResult, b: SweepResult) -> np.ndarray:
-    """Per-rho |max|A|_a - max|A|_b|; the grids must match exactly."""
-    if a.rho_values.shape != b.rho_values.shape or np.any(a.rho_values != b.rho_values):
-        raise ShapeError("sweeps were run on different rho grids")
-    return np.abs(a.max_amplitude - b.max_amplitude)
+    return FitResult(slope=float(slope), residual=residual, model=model, n_used=rho.size)
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,8 @@ class RadialMapSpec:
 
 
 def cloak_tensor(spec: RadialMapSpec, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cloaking-shell sigma (..., dim, dim) and real q (...) at y (..., dim).
+    """Cloaking-shell sigma (..., dim, dim) and real q (...) at y (..., dim),
+    dim 2 or 3.
 
     Closed-form push-forward of (I, 1) under the blow-up: with f = |y| in
     [R1, R2], r = rho + max(f - R1, 0)/s, t = f/r, J = s t^(dim-1), sigma =
@@ -77,7 +78,10 @@ def cloak_tensor(spec: RadialMapSpec, y: np.ndarray) -> tuple[np.ndarray, np.nda
     for its upper triangle alone (``_cloak_entries``).
     """
     y = np.asarray(y, dtype=float)
+    if y.ndim == 0:
+        raise DomainError("y must have a last axis of 2 or 3 coordinates, got a scalar")
     dim = y.shape[-1]
+    _check_dim(dim)
     f = np.linalg.norm(y, axis=-1)
     # "not <=" so that a NaN point fails too.
     outside = ~((spec.r1 * (1 - _GEOM_RTOL) <= f) & (f <= spec.r2 * (1 + _GEOM_RTOL)))

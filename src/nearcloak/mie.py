@@ -696,9 +696,11 @@ def _circle_terms(solution: ModalSolution, r: float, thetas, region: str | None,
         raise ShapeError(f"angles must be a 1-d array, got shape {thetas.shape}")
     if not np.all(np.isfinite(thetas)):
         raise DomainError("angles must be finite")
-    regions = [name for name, (lo, hi) in _REGIONS.items()
-               if (solution.is_layered or name == "exterior")
-               and lo * solution.rho <= r <= hi * solution.rho]
+    available = [name for name in _REGIONS if solution.is_layered or name == "exterior"]
+    if region is not None and region not in available:
+        raise DomainError(f"the solution has no {region!r} region, only {', '.join(available)}")
+    regions = [name for name in available
+               if _REGIONS[name][0] * solution.rho <= r <= _REGIONS[name][1] * solution.rho]
     if region is None:
         region = regions[0] if regions else "exterior"
     if region not in regions:
@@ -722,12 +724,14 @@ def field_on_circle(solution: ModalSolution, r: float, thetas: np.ndarray,
     radial factor of the region: the named one, which must contain r, or
     else the outermost region of the solution that contains r (closed, see
     _REGIONS).  Otherwise DomainError "r = ... lies outside the <region>
-    region" names the region, or the exterior if none was named.  In the
-    exterior the incident wave is added in closed form, e^{i k r cos theta}
-    (radial derivative i k cos theta e^{i k r cos theta}), so it is exact
-    at any radius, not only where n_max resolves k r.  ``scattered_only``
-    drops it (exterior region only).  The angles must be a finite 1-d
-    array (DomainError, ShapeError).
+    region" names the region, or the exterior if none was named.  A name
+    that is not one of the solution's regions raises a DomainError that
+    lists them (an obstacle has the exterior only).  In the exterior the
+    incident wave is added in closed form, e^{i k r cos theta} (radial
+    derivative i k cos theta e^{i k r cos theta}), so it is exact at any
+    radius, not only where n_max resolves k r.  ``scattered_only`` drops
+    it (exterior region only).  The angles must be a finite 1-d array
+    (DomainError, ShapeError).
 
     n_max is set by the tail of d_n alone, but the terms at r = rho are of
     the size of J_n(k rho), about sqrt|d_n|: at large k rho the exterior

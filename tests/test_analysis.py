@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from nearcloak import analysis, cli, mie, specfun
-from nearcloak.analysis import fit_decay, sweep
+from nearcloak.analysis import SweepResult, fit_decay, sweep
 from nearcloak.errors import DomainError, InsufficientDataError, RangeError, ShapeError
 from nearcloak.mie import SchemeSpec, WaveParams
 
@@ -51,17 +51,11 @@ def test_fit_requires_three_points():
                   "cubic-spline")
 
 
-@pytest.mark.parametrize("keep_fraction", [0.0, -0.5, 1.0 + 1e-12, 5.0, math.nan])
-def test_fit_keep_fraction_must_lie_in_the_unit_interval(keep_fraction):
-    rhos = 0.5 ** np.arange(1, 9)
-    with pytest.raises(DomainError, match="keep_fraction"):
-        fit_decay(*_synthetic(rhos, rhos ** 2), "power-law", keep_fraction=keep_fraction)
-
-
-def test_fit_keep_fraction_keeps_at_least_three_points():
-    rhos = 0.5 ** np.arange(1, 9)
-    assert fit_decay(*_synthetic(rhos, rhos ** 2), "power-law", keep_fraction=1e-3).n_used == 3
-    assert fit_decay(*_synthetic(rhos, rhos ** 2), "power-law", keep_fraction=1.0).n_used == 8
+def test_sweep_fit_window_keeps_at_least_three_points():
+    # The window is the smallest max(3, ceil(2n/3)) of the n rho.
+    for n, kept in ((3, 3), (4, 3), (8, 6)):
+        rhos = 0.5 ** np.arange(1, n + 1)
+        assert SweepResult(rhos, rhos ** 2, "power-law").fit.n_used == kept
 
 
 def test_sweep_result_validation():
@@ -88,10 +82,9 @@ def test_fit_rejects_data_outside_its_rule(rho, amp, model):
 
 
 def test_inverse_log_fit_may_leave_rho_one_outside_its_window():
-    # The fit takes the smallest ceil(2 * 4 / 3) = 3 rho, which leave out rho = 1.
-    rho, amp = [1.0, 0.5, 0.25, 0.125], [1.0, 0.5, 0.3, 0.2]
-    assert fit_decay(rho, amp, "inverse-log") == fit_decay(rho[1:], amp[1:], "inverse-log",
-                                                           keep_fraction=1.0)
+    # The sweep's fit takes the smallest ceil(2 * 4 / 3) = 3 rho, which leave out rho = 1.
+    rho, amp = np.array([1.0, 0.5, 0.25, 0.125]), np.array([1.0, 0.5, 0.3, 0.2])
+    assert SweepResult(rho, amp, "inverse-log").fit == fit_decay(rho[1:], amp[1:], "inverse-log")
 
 
 @pytest.mark.parametrize("model", analysis.FIT_MODELS)
@@ -107,8 +100,7 @@ def test_window_fit_reproduces_the_sweep_fit(kind, n):
     # window out of the arrays and fitting all of it gives the same fit.
     result = sweep(SchemeSpec(kind), 2, WAVE2, 0.5 ** np.arange(2, 2 + n))
     m = math.ceil(2 * n / 3)
-    fit = fit_decay(result.rho_values[-m:], result.max_amplitude[-m:], result.model,
-                    keep_fraction=1.0)
+    fit = fit_decay(result.rho_values[-m:], result.max_amplitude[-m:], result.model)
     assert (fit.slope, fit.residual) == (result.fit.slope, result.fit.residual)
 
 
@@ -162,21 +154,9 @@ def test_max_amplitude_monotone_for_every_scheme():
 def test_fit_sanity_correct_model_wins_by_10x():
     rhos = 0.5 ** np.arange(5, 11)
     sh = sweep(SchemeSpec.sound_hard(), 2, WAVE2, rhos)
-    assert (fit_decay(sh.rho_values, sh.max_amplitude, "inverse-log").residual
-            >= 10 * fit_decay(sh.rho_values, sh.max_amplitude, "power-law").residual)
+    assert dataclasses.replace(sh, model="inverse-log").fit.residual >= 10 * sh.fit.residual
     ss = sweep(SchemeSpec.sound_soft(), 2, WAVE2, rhos)
-    assert (fit_decay(ss.rho_values, ss.max_amplitude, "power-law").residual
-            >= 10 * fit_decay(ss.rho_values, ss.max_amplitude, "inverse-log").residual)
-
-
-def test_compare_schemes():
-    rhos = 0.5 ** np.arange(3, 7)
-    a = sweep(SchemeSpec.sound_hard(), 2, WAVE2, rhos)
-    diff = analysis.compare_schemes(a, a)
-    assert np.all(diff == 0.0)
-    b = sweep(SchemeSpec.sound_hard(), 2, WAVE2, 0.5 ** np.arange(4, 8))
-    with pytest.raises(ShapeError):
-        analysis.compare_schemes(a, b)
+    assert dataclasses.replace(ss, model="power-law").fit.residual >= 10 * ss.fit.residual
 
 
 @pytest.mark.parametrize("k", [1.0, 2.0, 4.0])
@@ -336,7 +316,7 @@ def test_fit_reproducible_from_persisted_csv(tmp_path):
     # reproduce the stored exponent exactly
     result = sweep(SchemeSpec.sound_hard(), 2, WAVE2, 0.5 ** np.arange(3, 9))
     rho, amp = oracles.read_sweep_csv(_cli_sweep(tmp_path, 6))
-    refit = fit_decay(rho, amp, "power-law")
+    refit = SweepResult(rho, amp, "power-law").fit
     assert refit.slope == result.fit.slope
     assert refit.residual == result.fit.residual
 

@@ -296,8 +296,10 @@ def test_no_arguments_prints_usage_and_fails(capsys):
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):
-    proc = _fresh_process(["-m", "nearcloak", "--help"], tmp_path)
-    assert "sweep" in proc.stdout and "bie" in proc.stdout
+    # Both entries the README documents: the package and its cli module.
+    for module in ("nearcloak", "nearcloak.cli"):
+        proc = _fresh_process(["-m", module, "--help"], tmp_path)
+        assert "sweep" in proc.stdout and "bie" in proc.stdout, module
 
 
 def test_help_under_python_dash_oo_lists_every_subcommand_with_its_help(tmp_path):

@@ -437,6 +437,16 @@ def test_cloak_tensor_broadcasts_over_leading_axes():
         oracles.cloak_medium_at(SPEC, np.array([0.0, 3.5]))
 
 
+@pytest.mark.parametrize("y, message", [
+    (np.full(4, 1.25), "dim must be 2 or 3, got 4"),
+    (np.array([2.5]), "dim must be 2 or 3, got 1"),
+    (np.array(2.5), "y must have a last axis of 2 or 3 coordinates, got a scalar"),
+])
+def test_cloak_tensor_takes_points_of_two_or_three_coordinates(y, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        media.cloak_tensor(SPEC, y)
+
+
 def test_cloak_tensor_rejects_nan_points():
     with pytest.raises(DomainError):
         media.cloak_tensor(RadialMapSpec(0.5, 2.0, 3.0), np.array([[math.nan, 2.5]]))

@@ -867,11 +867,23 @@ def test_every_region_miss_names_one_region(dim):
     th = np.linspace(0.0, math.pi, 5)
     sh = mie.solve(SchemeSpec.sound_hard(), dim, _wave(dim), rho)
     fsh = mie.solve(SchemeSpec.finite_sound_hard(), dim, _wave(dim), rho)
-    for sol, r, region, named in ((sh, 0.05, None, "exterior"), (sh, rho, "layer", "layer"),
-                                  (fsh, rho, "nowhere", "nowhere")):
+    for sol, r, region, named in ((sh, 0.05, None, "exterior"), (sh, 0.05, "exterior", "exterior"),
+                                  (fsh, rho / 4, "layer", "layer")):
         with pytest.raises(DomainError, match=rf"r = {r:g} lies outside the {named} region "
                                               rf"\(rho = {rho:g}\)"):
             mie.field_on_circle(sol, r, th, region=region)
+
+
+@pytest.mark.parametrize("kind, region, regions", [
+    ("fsh", "shell", "exterior, layer, core"),  # not a region of any solution
+    ("fsh", "nowhere", "exterior, layer, core"),
+    ("sh", "layer", "exterior"),  # an obstacle has no layer
+])
+def test_a_region_the_solution_lacks_is_named_with_those_it_has(kind, region, regions):
+    sol = mie.solve(SchemeSpec(kind), 2, WAVE2, 0.3)
+    with pytest.raises(DomainError, match=rf"^the solution has no '{region}' region, "
+                                          rf"only {regions}$"):
+        mie.field_on_circle(sol, 0.2, np.linspace(0.0, math.pi, 5), region=region)
 
 
 def test_field_region_dispatch_and_errors():

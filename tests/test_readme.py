@@ -1,9 +1,12 @@
 """The README's examples run as documented: the library block prints the
 rho^2 exponent, every command of the CLI block exits 0, every example of
-the exit-code list exits with its code and error type, and the config-key
-table matches cli._DEFAULTS."""
+the exit-code list exits with its code and error type, the config-key
+table matches cli._DEFAULTS, and each Layout bullet names its module's
+public functions and classes."""
 
 import contextlib
+import importlib
+import inspect
 import io
 import json
 import os
@@ -33,6 +36,24 @@ def test_library_example_prints_the_rho_squared_exponent():
     with contextlib.redirect_stdout(out):
         exec(compile(code, "README.md", "exec"), {})
     assert 1.9 <= float(out.getvalue()) <= 2.1
+
+
+def test_layout_bullets_name_every_public_function_and_class():
+    # A bullet "- `nearcloak.<module>` — ..." runs to the next bullet; it
+    # names a function or class in backticks, possibly with a call or an
+    # attribute after the name.
+    section = README.split("## Layout\n", 1)[1].split("\n## ", 1)[0]
+    bullets = dict(re.findall(r"^- `nearcloak\.(\w+)` — (.*?)(?=^- |\Z)", section,
+                              flags=re.M | re.S))
+    assert set(bullets) == {"specfun", "media", "mie", "bie", "analysis", "cli"}
+    unnamed = {}
+    for name, bullet in bullets.items():
+        module = importlib.import_module(f"nearcloak.{name}")
+        public = {attr for attr, obj in vars(module).items()
+                  if not attr.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+                  and obj.__module__ == module.__name__}
+        unnamed[name] = sorted(public - set(re.findall(r"`(\w+)", bullet)))
+    assert unnamed == {name: [] for name in bullets}
 
 
 def test_cli_examples_exit_zero(tmp_path):
