@@ -44,9 +44,10 @@ Each mechanism is stated once, in the function that holds it:
 * ``assemble_and_solve`` checks the wave with WaveParams.require_dim(2),
   picks the solve, and raises ResonanceError near a resonance and
   TruncationError where the nodes do not resolve the wave.
-* ``_kernel_pass`` assembles A = 1/2 I - K and g = -S psi in real
-  arithmetic, once per unordered node pair, and never stores S; the
-  Bessel routines run in ``_off_diagonal`` only.
+* ``_kernel_pass`` assembles A = 1/2 I - K and g = -S psi in real arithmetic
+  against the columns it is given, the mirror pass against nodes N - 1 - I
+  of the exact node table, once per unordered node pair; it never stores S,
+  and the Bessel routines run in ``_off_diagonal`` only.
 * ``_system`` splits a mirror-symmetric curve into an even and an odd
   block, and ``_solve_block`` solves each by LU with a condition estimate.
 * ``_solve_circulant`` solves a circle by FFTs, from one column of A
@@ -244,10 +245,11 @@ def _diagonal(k: float, c: float, row0: float, d1, d2, jac):
     return 0.5 - c * curvature, row0 * ((1.0 / (4.0 * math.pi)) * jac) - c * diag_s2
 
 
-def _kernel_pass(k: float, geometry, n: int, psi, reflect: bool = False):
-    """(A, g) over the first n nodes of the curve's ``geometry``:
-    A = 1/2 I - K, with K the double layer, and g = -S psi, with S the
-    single layer, for each column of psi (n rows).
+def _kernel_pass(k: float, geometry, cols, psi):
+    """(A, g) over the curve's ``geometry``, row i at node i and column j
+    at node cols[j], i, j < n = cols.size: A = 1/2 I - K, with K the double
+    layer, and g = -S psi, with S the single layer, for each column of psi
+    (row j at node cols[j]).
 
     Each kernel is split as k1 log(4 sin^2((t_i - t_j)/2)) + k2, weighted
     R_|i-j| k1 + c k2 with c = pi/N.  With the circulant
@@ -260,69 +262,61 @@ def _kernel_pass(k: float, geometry, n: int, psi, reflect: bool = False):
     so only real arrays are formed; H = J + iY enters through J and Y.
     The constants carry the sign, and IEEE rounding is symmetric, so A and
     g equal the negated K and S psi bit for bit (but for the sign of an
-    exactly cancelling sum's zero) with no pass over an n x n array.  A's
-    diagonal is 1/2 - c times the curvature term.
+    exactly cancelling sum's zero) with no pass over an n x n array.  The
+    log factor is taken at the node offsets t_m - t_0 = 2 pi m/N, which the
+    nodes' half-step shift leaves unchanged.
 
-    The log factor is taken at the node offsets t_m - t_0 = 2 pi m/N,
-    which the nodes' half-step shift leaves unchanged.
-
-    With ``reflect``, column j is the mirror image of node j instead: the
-    point (x_j, -y_j) with the normal (n_x, -n_y) and the index -j - 1, so
-    that on a mirror-symmetric curve entry (i, j) is A[i, N - 1 - j] and C
-    is R_(i+j+1).  Node i is never node N - 1 - j there (n <= N/2), so
-    that pass has no singular diagonal.
-
-    Either way C and r = |x_i - x_j| are symmetric, so the Bessel factors
-    are formed once per unordered pair: rows run in blocks of _ROW_BLOCK
-    over the columns j >= the block's first row, and each block is written
-    to both (i, j) and (j, i) (the block's own square gets equal values
-    twice).  The mirrored q is (-dx, -dy).n_i/r; IEEE subtraction is
-    antisymmetric and hypot ignores signs, so every entry of A equals the
-    one an evaluation at every ordered pair of the same rows and columns
-    gives, bit for bit, from O(n _ROW_BLOCK) temporaries and about n^2/2
-    calls of each Bessel function.
+    _system passes the rows themselves, cols = 0..n-1, whose diagonal is
+    singular (A's is 1/2 - c times the curvature term), or their mirror
+    images on a mirror-symmetric curve, cols = N - 1 - (0..n-1).  Either way
+    C and r are symmetric in (i, j), on the mirror images because
+    _geometry's table holds them exactly, so the Bessel factors are formed
+    once per unordered pair: rows run in blocks of _ROW_BLOCK over the
+    columns j >= the block's first row, and each block is written to both
+    (i, j) and (j, i) (its own square gets equal values twice), the latter
+    with q = (-dx, -dy).n_i/r.  IEEE subtraction is antisymmetric and hypot
+    ignores signs, so every entry of A equals the one an evaluation at
+    every ordered pair gives, bit for bit, from O(n _ROW_BLOCK) temporaries
+    and about n^2/2 calls of each Bessel function.
 
     S is never stored: g sums each block of -S times |x'| psi over the
     block's columns into its rows, and the block's transpose beyond its own
     square into those columns, then adds the diagonal in closed form.
     """
     c, row = _log_row(geometry[0].size)
-    _, pts, d1, d2, normals, jac = (array[:n] for array in geometry)
-    m = np.arange(n)
-    if reflect:
-        m_col, pts_col, normals_col = -m - 1, pts * (1.0, -1.0), normals * (1.0, -1.0)
-    else:
-        m_col, pts_col, normals_col = m, pts, normals
-    jac_psi = jac[:, None] * psi
+    _, pts, d1, d2, normals, jac = geometry
+    n, m = cols.size, np.arange(cols.size)
+    singular = np.array_equal(cols, m)
+    pts_col, normals_col, jac_psi = pts[cols], normals[cols], jac[cols, None] * psi
     w = np.concatenate([jac_psi.real, jac_psi.imag], axis=1)
 
     amat = np.empty((n, n), dtype=complex)
     g = np.zeros(psi.shape, dtype=complex)
     for i0 in range(0, n, _ROW_BLOCK):
         i1 = min(i0 + _ROW_BLOCK, n)
-        rows, cols = slice(i0, i1), slice(i0, n)
-        dx = pts[rows, None, 0] - pts_col[None, cols, 0]
-        dy = pts[rows, None, 1] - pts_col[None, cols, 1]
+        rows, block = slice(i0, i1), slice(i0, n)
+        dx = pts[rows, None, 0] - pts_col[None, block, 0]
+        dy = pts[rows, None, 1] - pts_col[None, block, 1]
         r = np.hypot(dx, dy)
-        if not reflect:
+        if singular:
             np.fill_diagonal(r, 1.0)  # placeholder; diagonals are overwritten below
-        q = (dx * normals_col[None, cols, 0] + dy * normals_col[None, cols, 1]) / r
+        q = (dx * normals_col[None, block, 0] + dy * normals_col[None, block, 1]) / r
         q_mirror = ((-dx) * normals[rows, None, 0] + (-dy) * normals[rows, None, 1]) / r
-        circ = row[np.abs(m[rows, None] - m_col[None, cols])]
+        circ = row[np.abs(m[rows, None] - cols[None, block])]
         a_re, a_im, s_re, s_im = _off_diagonal(k, c, circ, r)
-        amat.real[rows, cols] = q * a_re
-        amat.imag[rows, cols] = q * a_im
-        amat.real[cols, rows] = (q_mirror * a_re).T
-        amat.imag[cols, rows] = (q_mirror * a_im).T
-        if not reflect:
+        amat.real[rows, block] = q * a_re
+        amat.imag[rows, block] = q * a_im
+        amat.real[block, rows] = (q_mirror * a_re).T
+        amat.imag[block, rows] = (q_mirror * a_im).T
+        if singular:
             # Placeholder diagonals out; S's closed-form diagonal is added below.
             np.fill_diagonal(s_re, 0.0)
             np.fill_diagonal(s_im, 0.0)
-        _add_product(g[rows], s_re, s_im, w[cols])
+        _add_product(g[rows], s_re, s_im, w[block])
         _add_product(g[i1:], s_re[:, i1 - i0:].T, s_im[:, i1 - i0:].T, w[rows])
 
-    if not reflect:
-        a_diag, s_diag = _diagonal(k, c, row[0], d1, d2, jac)
+    if singular:
+        a_diag, s_diag = _diagonal(k, c, row[0], d1[:n], d2[:n], jac[:n])
         np.fill_diagonal(amat, a_diag)
         g += s_diag[:, None] * psi
     return amat, g
@@ -346,22 +340,22 @@ def _system(k: float, curve: BoundaryCurve, psi: np.ndarray):
     with psi_e, psi_o = (psi + P psi)[I]/2, (psi - P psi)[I]/2, and
     v[i] = w_e[i] + w_o[i], v[N - 1 - i] = w_e[i] - w_o[i] (the symmetry
     reduction of Allgower, Boehmer, Georg and Miranda, SIAM J. Numer.
-    Anal. 29, 1992).  Two kernel passes over nodes I give them: against
-    themselves (A_1 and S_1) and against their mirror images (A_R and
-    S_R), each applied to both psi_e and psi_o.  Each Bessel function runs
-    about N^2/4 times, against N^2/2 for one block, and each block's LU is
-    an eighth of the full system's LU work.  The even and odd basis vectors have one squared norm,
-    2, so the block residuals sum to the full one with no weights.
+    Anal. 29, 1992).  Two kernel passes with rows I give them, against
+    columns I (A_1, S_1) and N - 1 - I (A_R, S_R) of the node table, whose
+    exact mirror symmetry (_geometry) the split relies on; each takes psi_e
+    and psi_o.  Each Bessel function runs about N^2/4 times (N^2/2 for one
+    block), and each block's LU is an eighth of the full system's.  The even
+    and odd basis vectors have one squared norm, 2, so the block residuals
+    sum to the full one with no weights.
     """
-    n = curve.n_points
-    geometry = curve._node_geometry
+    n, geometry = curve.n_points, curve._node_geometry
     if not _mirror_symmetric(curve):
-        a, g = _kernel_pass(k, geometry, n, psi[:, None])
+        a, g = _kernel_pass(k, geometry, np.arange(n), psi[:, None])
         return ((a, g[:, 0]),)
     h = n // 2
     psi_eo = 0.5 * np.stack([psi[:h] + psi[h:][::-1], psi[:h] - psi[h:][::-1]], axis=1)
-    a_e, g_1 = _kernel_pass(k, geometry, h, psi_eo)
-    a_r, g_r = _kernel_pass(k, geometry, h, psi_eo, reflect=True)
+    a_e, g_1 = _kernel_pass(k, geometry, np.arange(h), psi_eo)
+    a_r, g_r = _kernel_pass(k, geometry, n - 1 - np.arange(h), psi_eo)
     a_o = a_e - a_r
     a_e += a_r
     return (a_e, g_1[:, 0] + g_r[:, 0]), (a_o, g_1[:, 1] - g_r[:, 1])
@@ -513,10 +507,10 @@ def assemble_and_solve(curve: BoundaryCurve, wave: WaveParams) -> DensitySolutio
     Raises RangeError when k times the curve's diameter (twice the largest
     distance of a node from the centre c_0) is below MIN_K_DIAMETER = 2e-8
     (above it every circle of a scan stayed within 1e-8 of mie.far_field),
-    ResonanceError when the (estimated) condition number exceeds 1e12
-    (interior Dirichlet resonance of the curve), DomainError when the
-    system, the trace or the residual is not finite, and then
-    TruncationError when tau exceeds TRACE_TAIL_THRESHOLD = 0.1.
+    ResonanceError when the (estimated) condition number exceeds 1e12 (an
+    interior Dirichlet resonance; the far field errs by up to about 5e-16
+    times it), DomainError when the system, the trace or the residual is not
+    finite, then TruncationError when tau exceeds TRACE_TAIL_THRESHOLD = 0.1.
     """
     wave.require_dim(2)
     k = wave.k

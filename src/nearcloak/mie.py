@@ -88,8 +88,8 @@ class WaveParams:
     d: np.ndarray
 
     def __post_init__(self):
-        if not (self.k > 0 and math.isfinite(self.k)):
-            raise DomainError(f"wavenumber must be positive, got {self.k}")
+        if not _positive_reals((self.k,)):
+            raise DomainError(f"wavenumber must be a finite real number > 0, got {self.k!r}")
         d = np.asarray(self.d, dtype=float)
         norm = float(np.linalg.norm(d))
         # "not <=" so that a NaN or infinite direction fails too.
@@ -103,8 +103,13 @@ class WaveParams:
             raise DomainError(f"a {dim}D solve needs a {dim}-vector direction, got {self.d.size}")
 
 
+def _positive_reals(values) -> bool:
+    return all(isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+               and 0 < v < math.inf for v in values)
+
+
 def _finite_positive(kind: str, constants: tuple) -> None:
-    if not all(0 < v < math.inf for v in constants):
+    if not _positive_reals(constants):
         raise DomainError(f"{kind.upper()} requires finite constants > 0, got {constants}")
 
 

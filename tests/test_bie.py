@@ -422,6 +422,22 @@ def test_split_blocks_equal_fold_of_dense_evaluation(make, n_points):
             assert np.all(np.abs(g - g_ref) <= bound)
 
 
+@pytest.mark.parametrize("k", [0.5, 2.0, 7.0])
+@pytest.mark.parametrize("n_points", [64, 256, 512])
+def test_split_blocks_are_the_one_block_pass_folded_bit_for_bit(n_points, k):
+    # The mirror pass reads nodes N - 1 - I off the node table, so A_R is
+    # A[I, N - 1 - I] of the pass over all N nodes, and A_e, A_o its folds.
+    crv = bie.kite(n_points)
+    h = n_points // 2
+    rows, mirror = np.arange(h), n_points - 1 - np.arange(h)
+    psi = _random_density(n_points)
+    a, _ = bie._kernel_pass(k, crv._node_geometry, np.arange(n_points), psi[:, None])
+    a_1, a_r = a[np.ix_(rows, rows)], a[np.ix_(rows, mirror)]
+    (a_e, _), (a_o, _) = bie._system(k, crv, psi)
+    assert np.array_equal(a_e, a_1 + a_r)
+    assert np.array_equal(a_o, a_1 - a_r)
+
+
 def _unchecked_solve(crv, wave):
     """(v, psi) from the solve that assemble_and_solve runs, without the
     checks that follow it: psi as assemble_and_solve forms it, op for op."""
@@ -726,6 +742,24 @@ def test_interior_resonance_detected():
         # slightly detuned wavenumbers are fine
         bie.assemble_and_solve(bie.circle(1.0, 128),
                                WaveParams(k_res + 0.05, np.array([1.0, 0.0])))
+
+
+@pytest.mark.parametrize("n_points", [64, 256])
+@pytest.mark.parametrize("detuning", [1e-3, 1e-5, 1e-7])
+def test_near_resonant_far_field_error_scales_with_the_condition_number(detuning, n_points):
+    # Just above k = j_{0,1} on the unit circle every path's far field is
+    # off the modal series by at most about 4.6e-16 times the condition
+    # number, relative to max|A|: the circulant, the mirror split (a zero
+    # mode 3 keeps the circle but leaves the circulant path) and one block.
+    wave = WaveParams(special.jn_zeros(0, 1)[0] + detuning, np.array([1.0, 0.0]))
+    a_mie = mie.far_field(mie.solve(SchemeSpec.sound_hard(), 2, wave, 1.0), ANGLES).amplitude
+    for c_1 in (None, 1.0, cmath.exp(0.3j)):
+        crv = (bie.circle(1.0, n_points) if c_1 is None
+               else bie.BoundaryCurve(((1, c_1), (3, 0.0)), n_points))
+        sol = bie.assemble_and_solve(crv, wave)
+        a_bie = bie.far_field_from_density(sol, wave, ANGLES).amplitude
+        bound = 1e-15 * sol.condition_estimate * np.max(np.abs(a_mie))
+        assert np.max(np.abs(a_bie - a_mie)) <= bound, (c_1, sol.condition_estimate)
 
 
 def test_interior_neumann_eigenvalue_is_not_resonant():

@@ -971,8 +971,10 @@ def test_near_field_deviation_slope():
 
 
 def test_wave_params_validation():
-    with pytest.raises(DomainError):
-        WaveParams(-1.0, np.array([1.0, 0.0]))
+    for k in (-1.0, 2 + 0j, True, "2", math.nan, math.inf):
+        with pytest.raises(DomainError, match="wavenumber must be a finite real number > 0"):
+            WaveParams(k, np.array([1.0, 0.0]))
+    assert WaveParams(np.float64(2.0), np.array([1.0, 0.0])).k == 2.0
     with pytest.raises(DomainError):
         WaveParams(2.0, np.array([1.0, 1.0]))
     with pytest.raises(DomainError):
@@ -1040,13 +1042,16 @@ def test_non_finite_inputs_are_domain_errors():
         mie.FarFieldPattern(np.array([]), np.array([]), 2)
 
 
-@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 3 + 1j, "2", True, np.True_])
 def test_scheme_constants_must_be_finite(bad):
+    # Finite real numbers only: a complex or str constant is no TypeError of
+    # a comparison, and a bool is no beta = 1.
     for name in ("c", "delta", "a", "b"):
         with pytest.raises(DomainError):
             SchemeSpec.finite_sound_hard(**{name: bad})
     with pytest.raises(DomainError):
         SchemeSpec.finite_sound_soft(beta_coeff=bad)
+    assert SchemeSpec.finite_sound_soft(np.float32(2.5)).constants == (2.5,)
 
 
 def test_layered_lining_and_contents_must_be_passive():

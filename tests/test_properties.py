@@ -197,18 +197,22 @@ phase_triples = st.lists(st.floats(0.0, 2 * math.pi), min_size=3, max_size=3).ma
 @SETTINGS
 @given(amps=coefficients, phases=st.just(np.zeros(3)) | phase_triples, k=wavenumbers,
        alpha=st.floats(0.0, math.pi))
+# The unit circle 4.2e-6 above j_{0,1}: condition 3.65e5, far fields 8.1e-12 apart.
+@example(amps=np.zeros(3), phases=np.zeros(3), k=2.404829753003892, alpha=1.0)
 def test_bie_far_field_is_rotation_invariant(amps, phases, k, alpha):
     # With zero phases every c_m is real: the unturned star solves as two
-    # blocks and the turned one as one.  theta + alpha stays inside [0, 2 pi]
+    # blocks and the turned one as one.  theta + alpha stays inside [0, 2 pi].
+    # Two correct solves differ by about 1.3e-17 times the condition number,
+    # which near an interior resonance outgrows the fixed 1e-12.
     angles = np.linspace(0.0, 2 * math.pi - alpha, 32)
     wave = WaveParams(k, np.array([1.0, 0.0]))
     turned = WaveParams(k, np.array([math.cos(alpha), math.sin(alpha)]))
-    a0 = bie.far_field_from_density(
-        bie.assemble_and_solve(_star_curve(amps, phases, 0.0), wave), wave, angles).amplitude
-    a1 = bie.far_field_from_density(
-        bie.assemble_and_solve(_star_curve(amps, phases, alpha), turned), turned,
-        angles + alpha).amplitude
-    assert np.max(np.abs(a0 - a1)) <= 1e-12 * np.max(np.abs(a0))
+    sol0 = bie.assemble_and_solve(_star_curve(amps, phases, 0.0), wave)
+    sol1 = bie.assemble_and_solve(_star_curve(amps, phases, alpha), turned)
+    a0 = bie.far_field_from_density(sol0, wave, angles).amplitude
+    a1 = bie.far_field_from_density(sol1, turned, angles + alpha).amplitude
+    cond = max(sol0.condition_estimate, sol1.condition_estimate)
+    assert np.max(np.abs(a0 - a1)) <= (1e-12 + 1e-15 * cond) * np.max(np.abs(a0))
 
 
 @settings(max_examples=25, deadline=None)
