@@ -34,7 +34,7 @@ import numpy as np
 
 from . import mie
 from .errors import DomainError, InsufficientDataError, NearCloakError, ShapeError
-from .media import _check_dim
+from .media import _INTEGER, _check_dim, _check_positive, _number
 from .mie import ModalSolution, SchemeSpec, WaveParams
 
 DEFAULT_ANGLE_COUNT = 100
@@ -48,9 +48,8 @@ SPECIAL_ANGLE_3D = math.acos(2.0 / 3.0)
 
 def observation_angles(dim: int, count: int) -> np.ndarray:
     """Equidistant observation grid: [0, 2pi) in 2D, [0, pi] in 3D."""
-    if not isinstance(count, (int, np.integer)) or count < 2:
-        raise DomainError(f"need an integer count of at least two observation angles, "
-                          f"got {count!r}")
+    if not (_number(count, _INTEGER) and count >= 2):
+        raise DomainError(f"need an integer count of at least two angles, got {count!r}")
     _check_dim(dim)
     if dim == 2:
         return 2.0 * math.pi * np.arange(count) / count
@@ -110,7 +109,7 @@ def _grid_amplitudes(scheme: SchemeSpec, dim: int, wave: WaveParams, rho_values,
 
     One mie.solve_many call covers the grid; where it fails, the grid is
     solved one rho at a time to name the largest failing rho."""
-    rho = np.asarray(sorted(set(float(r) for r in rho_values), reverse=True))
+    rho = np.asarray(sorted({_check_positive("rho", r) for r in rho_values}, reverse=True))
     if rho.size == 0:
         raise InsufficientDataError("empty rho list")
     try:

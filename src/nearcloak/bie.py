@@ -64,6 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, RangeError, ResonanceError, ShapeError, TruncationError
+from .media import _COMPLEX, _INTEGER, _check_positive, _number
 from .mie import FarFieldPattern, WaveParams
 
 _EULER_GAMMA = 0.5772156649015328606
@@ -85,9 +86,9 @@ _ROW_BLOCK = 64
 class BoundaryCurve:
     """Closed curve x(t) = sum_m c_m e^{imt}, t in [0, 2pi), in the complex plane.
 
-    ``modes`` holds (m, c_m) pairs with distinct integer m and finite
-    complex c_m.  The parametrization must be regular (|x'(t)| > 0 at every
-    node) and counterclockwise, so that (x2', -x1') is the outward normal.
+    ``modes`` holds (m, c_m) pairs, checked as distinct integer m and finite
+    complex c_m (media._number).  The parametrization must be regular (|x'|
+    > 0 at every node) and counterclockwise: (x2', -x1') is the outward normal.
 
     The node geometry (_geometry) is derived data: the curve builds it once,
     at construction, where the regularity check needs x' anyway, and keeps
@@ -101,12 +102,12 @@ class BoundaryCurve:
 
     def __post_init__(self):
         n = self.n_points
-        if not isinstance(n, (int, np.integer)) or n % 2 or n < 8:
+        if not (_number(n, _INTEGER) and n % 2 == 0 and n >= 8):
             raise DomainError(f"n_points must be an even integer >= 8, got {n!r}")
         if n > MAX_NODES:
             raise DomainError(f"n_points capped at {MAX_NODES} for the dense solver")
-        if not all(isinstance(m, (int, np.integer)) and np.isfinite(c) for m, c in self.modes):
-            raise DomainError("modes must be (integer m, finite complex c_m) pairs")
+        if not all(_number(m, _INTEGER) and _number(c, _COMPLEX) for m, c in self.modes):
+            raise DomainError(f"modes must be (int m, finite complex c_m) pairs, got {self.modes}")
         if len({m for m, _ in self.modes}) < len(self.modes):
             raise DomainError("modes must not repeat an m")
         object.__setattr__(self, "_node_geometry", _geometry(self))
@@ -126,8 +127,7 @@ class BoundaryCurve:
 
 
 def circle(radius: float, n_points: int = 256) -> BoundaryCurve:
-    if not (math.isfinite(radius) and radius > 0):
-        raise DomainError(f"circle radius must be finite and positive, got {radius}")
+    radius = _check_positive("circle radius", radius)
     return BoundaryCurve(((1, radius),), n_points, name=f"circle(r={radius:g})")
 
 
@@ -602,8 +602,7 @@ def far_field_from_cauchy_data(radius: float, u: np.ndarray, dudn: np.ndarray,
     u, dudn = np.asarray(u, dtype=complex), np.asarray(dudn, dtype=complex)
     if u.shape != dudn.shape or u.ndim != 1 or u.size == 0:
         raise ShapeError("u and dudn must be nonempty 1D arrays of equal length")
-    if not (math.isfinite(radius) and radius > 0):
-        raise DomainError(f"sampling radius must be finite and positive, got {radius}")
+    radius = _check_positive("sampling radius", radius)
     m = u.size
     phis = 2.0 * math.pi * np.arange(m) / m
     ys = radius * np.stack([np.cos(phis), np.sin(phis)], axis=1)

@@ -132,9 +132,9 @@ def _scheme_from(params: dict, key: str) -> mie.SchemeSpec:
 
 
 def _wave_from(params: dict, dim: int) -> mie.WaveParams:
-    ang = float(params.get("incident_angle", 0.0))
-    if not math.isfinite(ang):
-        raise DomainError(f"incident angle must be finite, got {ang}")
+    ang = params.get("incident_angle", 0.0)
+    if not media._number(ang):
+        raise DomainError(f"incident angle must be finite, got {ang!r}")
     return mie.WaveParams(params["k"], np.array([math.cos(ang), math.sin(ang), 0.0][:dim]))
 
 
@@ -301,6 +301,10 @@ def main(argv=None) -> int:
 
     try:
         params = _resolve(args.command, args)
+        # One file per output, so that no output overwrites another.
+        paths = [p for p in (params["out"], params.get("json_out"), args.dump_config) if p]
+        if len({os.path.realpath(p) for p in paths}) < len(paths):
+            raise NearCloakError(f"output paths must name different files, got {paths}")
     except (OSError, json.JSONDecodeError, NearCloakError) as exc:
         return _fail(EXIT_INVALID_PARAMETER, type(exc).__name__, str(exc))
 

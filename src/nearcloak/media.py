@@ -23,13 +23,13 @@ shell and the dilation x -> x/rho on the small ball.
 ``virtual_core_params`` is the one conversion of cloaked contents from
 physical to virtual space (the push-forward under the inverse dilation),
 and ``check_passive`` the one check that a pair (sigma, q) is a passive
-isotropic medium.  The tests check these against the pointwise map, its
-Jacobian and the anisotropic push-forward in tests/oracles.py.
+isotropic medium.  ``_number`` is the one rule for every number the package
+takes.  The tests check these against the pointwise map, its Jacobian and
+the anisotropic push-forward in tests/oracles.py.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -38,6 +38,26 @@ import numpy as np
 from .errors import DomainError, RangeError
 
 _GEOM_RTOL = 1e-12
+_INTEGER = (int, np.integer)
+_REAL = (float, *_INTEGER, np.floating)
+_COMPLEX = (complex, *_REAL, np.complexfloating)
+
+
+def _number(value, kinds=_REAL) -> bool:
+    """Whether ``value`` is a finite number of ``kinds`` and not a bool."""
+    return isinstance(value, kinds) and type(value) is not bool and abs(value) < math.inf
+
+
+def _check_positive(name: str, value, rule: str = "finite and positive") -> float:
+    """``value`` as a float, or DomainError unless it is a real _number > 0."""
+    if not (_number(value) and value > 0):
+        raise DomainError(f"{name} must be {rule}, got {value!r}")
+    return float(value)
+
+
+def _check_dim(dim) -> None:
+    if not (_number(dim, _INTEGER) and dim in (2, 3)):
+        raise DomainError(f"dim must be 2 or 3, got {dim!r}")
 
 
 @dataclass(frozen=True)
@@ -53,8 +73,10 @@ class RadialMapSpec:
     r2: float
 
     def __post_init__(self):
+        for name in ("rho", "r1", "r2"):
+            object.__setattr__(self, name, _check_positive(name, getattr(self, name)))
         # 3 R2^2 bounds the squared radius of every grid cell (sample_cloak_grid).
-        if not (0.0 < self.rho < self.r1 < self.r2 and 3.0 * self.r2 * self.r2 < math.inf):
+        if not (self.rho < self.r1 < self.r2 and 3.0 * self.r2 * self.r2 < math.inf):
             raise DomainError(f"need 0 < rho < R1 < R2 with 3 R2^2 finite, "
                               f"got rho={self.rho}, R1={self.r1}, R2={self.r2}")
         stretch = self.r1 / self.rho
@@ -115,27 +137,15 @@ def _cloak_entries(spec: RadialMapSpec, coords, f,
 def check_passive(sigma: float, q: complex) -> tuple[float, complex]:
     """(sigma, q) as (float, complex) if it is a passive isotropic medium.
 
-    sigma must be finite and positive, q finite with Im q >= -1e-15 |q|.
+    sigma must be a real _number > 0, q a complex one with Im q >= -1e-15 |q|.
     A tolerated Im q <= 0, signed zero included, is returned as +0.0, so
     that sqrt(q/sigma) and sqrt(sigma q) both lie on the principal branch
     with Im >= 0.
     """
-    sigma, q = float(sigma), complex(q)
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise DomainError(f"sigma must be finite and positive, got {sigma}")
-    if not cmath.isfinite(q) or q.imag < -1e-15 * abs(q):
-        raise DomainError(f"q must be finite with Im q >= 0, got {q}")
+    sigma = _check_positive("sigma", sigma)
+    if not _number(q, _COMPLEX) or (q := complex(q)).imag < -1e-15 * abs(q):
+        raise DomainError(f"q must be finite with Im q >= 0, got {q!r}")
     return sigma, q if q.imag > 0 else complex(q.real, 0.0)
-
-
-def _check_rho(rho: float) -> None:
-    if not (math.isfinite(rho) and rho > 0):
-        raise DomainError(f"rho must be finite and positive, got {rho}")
-
-
-def _check_dim(dim: int) -> None:
-    if dim not in (2, 3):
-        raise DomainError(f"dim must be 2 or 3, got {dim!r}")
 
 
 def virtual_core_params(sigma: float, q: complex, rho: float,
@@ -150,11 +160,11 @@ def virtual_core_params(sigma: float, q: complex, rho: float,
     1e-6) raises RangeError.
     """
     sigma, q = check_passive(sigma, q)
-    _check_rho(rho)
+    rho = _check_positive("rho", rho)
     _check_dim(dim)
     try:
         sigma_v, q_v = sigma * rho ** (2 - dim), q * rho ** (-dim)
-        if math.isfinite(sigma_v) and cmath.isfinite(q_v):
+        if _number(sigma_v) and _number(q_v, _COMPLEX):
             return check_passive(sigma_v, q_v)  # a tiny sigma' rho^(2-dim) may round to 0
     except OverflowError:
         pass
@@ -187,8 +197,7 @@ def sample_cloak_grid(spec: RadialMapSpec, cells_per_side: int,
     entries.
     """
     _check_dim(dim)
-    if (not isinstance(cells_per_side, (int, np.integer)) or isinstance(cells_per_side, bool)
-            or cells_per_side < 1):
+    if not (_number(cells_per_side, _INTEGER) and cells_per_side >= 1):
         raise DomainError(f"need an integer count of at least one cell per side, "
                           f"got {cells_per_side!r}")
     n = cells_per_side

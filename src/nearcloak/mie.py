@@ -69,7 +69,7 @@ import numpy as np
 
 from . import specfun
 from .errors import DomainError, RangeError, ShapeError, TruncationError
-from .media import _check_dim, _check_rho, check_passive, virtual_core_params
+from .media import _check_dim, _check_positive, _number, check_passive, virtual_core_params
 
 TAIL_THRESHOLD = 1e-14
 DEGENERATE_CONDITION = 1e14
@@ -88,8 +88,8 @@ class WaveParams:
     d: np.ndarray
 
     def __post_init__(self):
-        if not _positive_reals((self.k,)):
-            raise DomainError(f"wavenumber must be a finite real number > 0, got {self.k!r}")
+        object.__setattr__(self, "k", _check_positive("wavenumber", self.k,
+                                                      "a finite real number > 0"))
         d = np.asarray(self.d, dtype=float)
         norm = float(np.linalg.norm(d))
         # "not <=" so that a NaN or infinite direction fails too.
@@ -98,24 +98,22 @@ class WaveParams:
         object.__setattr__(self, "d", d / norm)
 
     def require_dim(self, dim: int) -> None:
-        """DomainError unless d is a dim-vector, as a dim-D solve needs."""
+        """DomainError unless dim is 2 or 3 and d a dim-vector, as a solve needs."""
+        _check_dim(dim)
         if self.d.size != dim:
             raise DomainError(f"a {dim}D solve needs a {dim}-vector direction, got {self.d.size}")
 
 
-def _positive_reals(values) -> bool:
-    return all(isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
-               and 0 < v < math.inf for v in values)
-
-
-def _finite_positive(kind: str, constants: tuple) -> None:
-    if not _positive_reals(constants):
+def _finite_positive(kind: str, constants: tuple) -> tuple[float, ...]:
+    if not all(_number(c) and c > 0 for c in constants):
         raise DomainError(f"{kind.upper()} requires finite constants > 0, got {constants}")
+    return tuple(map(float, constants))
 
 
-def _passive_nonzero(kind: str, layer: tuple) -> None:
-    if check_passive(*layer)[1] == 0:
+def _passive_nonzero(kind: str, layer: tuple) -> tuple[float, complex]:
+    if (checked := check_passive(*layer))[1] == 0:
         raise DomainError(f"a layered lining needs q_l != 0, got (sigma_l, q_l) = {layer}")
+    return checked
 
 
 # kind -> (defaults of its constants, check of its constants, the model a 2D
@@ -127,8 +125,7 @@ _LININGS = {
             lambda rho, beta: (1.0, 1.0 + 1j * beta / rho ** 2)),
     "fsh": ((1.0, 0.5, 3.0, 2.0), _finite_positive, "power-law",
             lambda rho, c, delta, a, b: (c * rho ** (2.0 + 2.0 * delta), a + 1j * b)),
-    "layered": ((1.0, 1.0 + 0j), _passive_nonzero, "inverse-log",
-                lambda rho, sigma_l, q_l: check_passive(sigma_l, q_l)),
+    "layered": ((1.0, 1.0 + 0j), _passive_nonzero, "inverse-log", lambda rho, *layer: layer),
 }
 _FSS, _FSH = _LININGS["fss"][0], _LININGS["fsh"][0]
 
@@ -151,8 +148,7 @@ class SchemeSpec:
         constants = defaults if self.constants is None else tuple(self.constants)
         if len(constants) != len(defaults):
             raise DomainError(f"{self.kind!r} takes {len(defaults)} constants, got {constants}")
-        check(self.kind, constants)
-        object.__setattr__(self, "constants", constants)
+        object.__setattr__(self, "constants", check(self.kind, constants))
 
     @classmethod
     def sound_soft(cls) -> "SchemeSpec":
@@ -177,11 +173,10 @@ class SchemeSpec:
 
     def layer_params(self, rho: float) -> tuple[float, complex]:
         """Virtual-space (sigma_l, q_l) of the lossy layer at a finite rho > 0."""
-        _check_rho(rho)
         law = _LININGS[self.kind][-1]
         if not callable(law):
             raise DomainError(f"scheme {self.kind!r} has no lossy layer")
-        return law(rho, *self.constants)
+        return law(_check_positive("rho", rho), *self.constants)
 
 
 @dataclass(frozen=True)
@@ -512,10 +507,8 @@ def solve_many(scheme: SchemeSpec, dim: int, wave: WaveParams, rho_values,
 
     Each element gets the n_max that ``solve`` picks for it, and equals its
     per-rho solve bit for bit."""
-    rho = [float(r) for r in rho_values]
+    rho = [_check_positive("rho", r) for r in rho_values]
     contents = check_passive(*contents)
-    for r in rho:
-        _check_rho(r)
     wave.require_dim(dim)
     for x in (wave.k * r for r in rho):  # before k rho sizes the truncation order
         if not x <= specfun.ARGUMENT_GUARD:
@@ -624,8 +617,8 @@ def leading_asymptotic(dim: int, wave: WaveParams, rho: float,
     at theta = pi/3 (2D) and theta = arccos(2/3) (3D).
     """
     wave.require_dim(dim)
-    _check_rho(rho)
-    if not math.isfinite(theta):
+    rho = _check_positive("rho", rho)
+    if not _number(theta):
         raise DomainError(f"theta must be finite, got {theta!r}")
     x = wave.k * rho
     if dim == 2:
@@ -690,12 +683,12 @@ def _radial_sums(solution: ModalSolution, region: str, r: float,
 
 def _circle_terms(solution: ModalSolution, r: float, thetas, region: str | None,
                   scattered_only: bool, radial_derivative: bool):
-    """field_on_circle's checked float angles, its region and the per-mode
-    factors that multiply cos(n theta) (2D) or (2n+1) P_n(cos theta) (3D):
-    those of the field, then with ``radial_derivative`` those of its radial
-    derivative (_radial_sums)."""
-    if r < 0 or not math.isfinite(r):
-        raise DomainError(f"radius must be finite and nonnegative, got {r}")
+    """field_on_circle's checked float radius and angles, its region and the
+    per-mode factors that multiply cos(n theta) (2D) or (2n+1) P_n(cos theta)
+    (3D): those of the field, then with ``radial_derivative`` those of its
+    radial derivative (_radial_sums)."""
+    if not (_number(r) and (r := float(r)) >= 0):
+        raise DomainError(f"radius must be finite and nonnegative, got {r!r}")
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 1:
         raise ShapeError(f"angles must be a 1-d array, got shape {thetas.shape}")
@@ -716,7 +709,7 @@ def _circle_terms(solution: ModalSolution, r: float, thetas, region: str | None,
     radial = _radial_sums(solution, region, r, radial_derivative)
     if solution.dim == 3:
         radial = [_I_POW[np.arange(solution.n_max + 1) & 3] * sums for sums in radial]
-    return thetas, region, radial
+    return r, thetas, region, radial
 
 
 def field_on_circle(solution: ModalSolution, r: float, thetas: np.ndarray,
@@ -744,8 +737,8 @@ def field_on_circle(solution: ModalSolution, r: float, thetas: np.ndarray,
     field (8.5e-8 for 3D FSS at k rho = 35, rho = 0.1; 2.1e-11 with eight
     more orders).
     """
-    thetas, region, radial = _circle_terms(solution, r, thetas, region,
-                                           scattered_only, radial_derivative)
+    r, thetas, region, radial = _circle_terms(solution, r, thetas, region,
+                                              scattered_only, radial_derivative)
     u = _angular_sum(solution.dim, radial[-1], thetas)
     if region == "exterior" and not scattered_only:
         cos = np.cos(thetas)
@@ -756,12 +749,12 @@ def field_on_circle(solution: ModalSolution, r: float, thetas: np.ndarray,
 
 def scattered_cauchy_data(solution: ModalSolution, radius: float,
                           thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Scattered field and its radial derivative on a circle (2D).
+    """Scattered field and its radial derivative at r = ``radius``, in 2D or 3D.
 
     One pass over the exterior terms gives the radial factors of both (one
-    Hankel sequence, not one per sum), and both sums share one angle table, built for this call and not cached:
-    the circle grids of a BIE cross-check are shifted by the incident angle,
-    so a later call rarely asks for the same grid."""
-    thetas, _, radial = _circle_terms(solution, radius, thetas, None, True, True)
+    Hankel sequence), and both sums share one angle table, built for this
+    call and not cached: the circle grids of a BIE cross-check are shifted
+    by the incident angle, so a later call rarely asks for the same grid."""
+    _, thetas, _, radial = _circle_terms(solution, radius, thetas, None, True, True)
     table = _tabulate(solution.dim, thetas, _table_rows(radial[0].size))
     return tuple(_angular_sum(solution.dim, sums, thetas, table) for sums in radial)

@@ -531,6 +531,21 @@ def test_sweep_whose_json_cannot_be_written_leaves_no_csv(tmp_path, capsys):
     assert not (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["sweep", "--rho-count", "3", "--out", "s.csv", "--json-out", "s.csv"],
+    ["sweep", "--rho-count", "3", "--out", "s.csv", "--json-out", "sub/../s.csv"],
+    ["mie", "--angles", "8", "--out", "x", "--dump-config", "x"],
+    ["mie", "--angles", "8", "--out", "x", "--dump-config", "./x"],
+], ids=["sweep", "sweep_dotdot", "mie", "mie_dot"])
+def test_outputs_naming_one_file_write_nothing(tmp_path, capsys, args):
+    # Each output would overwrite the one before it at that path.
+    (tmp_path / "sub").mkdir()
+    assert run(args, tmp_path) == cli.EXIT_INVALID_PARAMETER
+    record = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert record["error"] == "NearCloakError" and "different files" in record["message"]
+    assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+
+
 def test_dump_config_of_non_finite_flag_writes_nothing(tmp_path, capsys):
     args = ["mie", "--k", "inf", "--out", "x.csv", "--dump-config", "cfg.json"]
     assert run(args, tmp_path) == cli.EXIT_INVALID_PARAMETER

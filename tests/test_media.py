@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from nearcloak import analysis, media, mie
+from nearcloak import analysis, bie, media, mie
 from nearcloak.errors import DomainError, RangeError
 from nearcloak.media import RadialMapSpec
 from nearcloak.mie import SchemeSpec, WaveParams
@@ -450,3 +450,102 @@ def test_cloak_tensor_takes_points_of_two_or_three_coordinates(y, message):
 def test_cloak_tensor_rejects_nan_points():
     with pytest.raises(DomainError):
         media.cloak_tensor(RadialMapSpec(0.5, 2.0, 3.0), np.array([[math.nan, 2.5]]))
+
+
+# ---------------------------------------------------------------------------
+# The number rule (media._number): every scalar entry, one table per kind
+# ---------------------------------------------------------------------------
+_WAVE2 = WaveParams(2.0, np.array([1.0, 0.0]))
+_SH = SchemeSpec.sound_hard()
+_SOLUTION = mie.solve(_SH, 2, _WAVE2, 0.3)
+_ANGLES = np.array([0.0, 1.0])
+
+# name -> (the entry called at one number v, a good v).
+_REAL_ENTRIES = {
+    "WaveParams.k": (lambda v: WaveParams(v, np.array([1.0, 0.0])), 1),
+    "fss beta": (lambda v: SchemeSpec.finite_sound_soft(v), 1),
+    "fsh delta": (lambda v: SchemeSpec.finite_sound_hard(delta=v), 1),
+    "layered sigma_l": (lambda v: SchemeSpec.layered(v, 1.0), 1),
+    "layer_params rho": (lambda v: SchemeSpec("fss").layer_params(v), 1),
+    "check_passive sigma": (lambda v: media.check_passive(v, 1.0), 1),
+    "virtual_core_params sigma": (lambda v: media.virtual_core_params(v, 1.0, 0.5, 2), 1),
+    "virtual_core_params rho": (lambda v: media.virtual_core_params(1.0, 1.0, v, 2), 1),
+    "RadialMapSpec rho": (lambda v: RadialMapSpec(v, 2.0, 3.0), 1),
+    "RadialMapSpec r1": (lambda v: RadialMapSpec(0.5, v, 3.0), 2),
+    "RadialMapSpec r2": (lambda v: RadialMapSpec(0.5, 2.0, v), 3),
+    "solve rho": (lambda v: mie.solve(_SH, 2, _WAVE2, v), 1),
+    "solve_many rho": (lambda v: mie.solve_many(_SH, 2, _WAVE2, [0.3, v]), 1),
+    "solve contents sigma": (
+        lambda v: mie.solve(SchemeSpec("fsh"), 2, _WAVE2, 0.3, (v, 1.0)), 1),
+    "sweep rho": (lambda v: analysis.sweep(_SH, 2, _WAVE2, [0.3, v], angle_count=4), 1),
+    "leading_asymptotic rho": (lambda v: mie.leading_asymptotic(2, _WAVE2, v, 0.0), 1),
+    "leading_asymptotic theta": (lambda v: mie.leading_asymptotic(2, _WAVE2, 0.1, v), 1),
+    "field_on_circle r": (lambda v: mie.field_on_circle(_SOLUTION, v, _ANGLES), 1),
+    "scattered_cauchy_data radius": (
+        lambda v: mie.scattered_cauchy_data(_SOLUTION, v, _ANGLES), 1),
+    "bie.circle radius": (lambda v: bie.circle(v, 16), 1),
+    "far_field_from_cauchy_data radius": (lambda v: bie.far_field_from_cauchy_data(
+        v, np.zeros(8), np.zeros(8), _WAVE2, _ANGLES), 1),
+}
+_COMPLEX_ENTRIES = {
+    "check_passive q": (lambda v: media.check_passive(1.0, v), 1),
+    "virtual_core_params q": (lambda v: media.virtual_core_params(1.0, v, 0.5, 2), 1),
+    "layered q_l": (lambda v: SchemeSpec.layered(1.0, v), 1),
+    "solve contents q": (lambda v: mie.solve(SchemeSpec("fsh"), 2, _WAVE2, 0.3, (1.0, v)), 1),
+    "BoundaryCurve c_m": (lambda v: bie.BoundaryCurve(((1, v),), 16), 1),
+}
+_INTEGER_ENTRIES = {
+    "sample_cloak_grid cells": (lambda v: media.sample_cloak_grid(SPEC, v, dim=2), 4),
+    "observation_angles count": (lambda v: analysis.observation_angles(2, v), 4),
+    "BoundaryCurve n_points": (lambda v: bie.circle(1.0, v), 16),
+    "BoundaryCurve m": (lambda v: bie.BoundaryCurve(((v, 1.0),), 16), 1),
+}
+_DIM_ENTRIES = {
+    "WaveParams.require_dim": (lambda v: _WAVE2.require_dim(v), 2),
+    "solve dim": (lambda v: mie.solve(_SH, v, _WAVE2, 0.3), 2),
+    "leading_asymptotic dim": (lambda v: mie.leading_asymptotic(v, _WAVE2, 0.1, 0.0), 2),
+    "FarFieldPattern dim": (lambda v: mie.FarFieldPattern(_ANGLES, [1.0, 2.0], v), 2),
+    "observation_angles dim": (lambda v: analysis.observation_angles(v, 4), 2),
+    "virtual_core_params dim": (lambda v: media.virtual_core_params(1.0, 1.0, 0.5, v), 2),
+    "sample_cloak_grid dim": (lambda v: media.sample_cloak_grid(SPEC, 4, dim=v), 2),
+}
+_REALS = (int, np.int64, np.float32, np.float64)
+# kind -> (its entries, the values each must refuse, the types each takes).
+_RULES = {
+    "real": (_REAL_ENTRIES, [True, np.True_, "0.5", 0.5 + 0j, math.nan, math.inf], _REALS),
+    "complex": (_COMPLEX_ENTRIES, [True, np.True_, "1", complex(math.nan, 0.0),
+                                   complex(0.0, math.inf), math.inf],
+                (*_REALS, complex, np.complex64)),
+    "integer": (_INTEGER_ENTRIES, [True, np.True_, "4", 4.0, np.float64(4), math.nan, math.inf],
+                (int, np.int64, np.int32)),
+    "dim": (_DIM_ENTRIES, [2.0, True, np.float64(2), np.True_, "2", 4], (int, np.int64)),
+}
+
+
+@pytest.mark.parametrize("kind, name", [(kind, name) for kind, (entries, _, _) in _RULES.items()
+                                        for name in entries])
+def test_every_scalar_entry_follows_the_number_rule(kind, name):
+    # Each refuses a bool, a str, a number of the wrong kind and a non-finite
+    # value with a DomainError that names it, and takes the numpy types.
+    entries, bad, types = _RULES[kind]
+    call, good = entries[name]
+    for value in bad:
+        with pytest.raises(DomainError) as info:
+            call(value)
+        assert repr(value) in str(info.value), (value, str(info.value))
+    for number in types:
+        call(number(good))
+
+
+def test_numpy_scalars_are_used_as_python_numbers():
+    # A float32 is used at its exact value in double precision: numpy would
+    # keep a float32 times a Python float in single precision.
+    v = np.float32(0.7)
+    assert type(WaveParams(v, np.array([1.0, 0.0])).k) is float
+    assert type(SchemeSpec.finite_sound_soft(v).constants[0]) is float
+    assert type(RadialMapSpec(np.float32(0.5), 2.0, v + 2).slope) is float
+    sigma, q = media.check_passive(v, np.complex64(1 + 1j))
+    assert (type(sigma), type(q)) == (float, complex)
+    solution = mie.solve(_SH, 2, WaveParams(3.0, np.array([1.0, 0.0])), 0.3)
+    assert np.array_equal(mie.field_on_circle(solution, v, _ANGLES),
+                          mie.field_on_circle(solution, float(v), _ANGLES))
