@@ -2,9 +2,9 @@
 
 The quantitative cloaking claims are all statements about how the
 discrete maximum of |A| over an observation grid decays as the
-regularization parameter rho shrinks: algebraically like rho^2 / rho^3
+regularization parameter rho shrinks: algebraically like rho^N in R^N
 for the sound-hard linings, and for the sound-soft ones like 1/|ln rho|
-in 2D and like rho in 3D.
+in 2D and like rho^(N-2) in N >= 3 (N from 2 to media.DIM_MAX, as in mie).
 This module runs the sweeps and fits both decay models.  A sweep records
 what it measured; its fit is computed from that record on demand
 (``SweepResult.fit``), so a caller that only compares max|A| runs no fit.
@@ -34,24 +34,18 @@ import numpy as np
 
 from . import mie
 from .errors import DomainError, InsufficientDataError, NearCloakError, ShapeError
-from .media import _INTEGER, _check_dim, _check_positive, _number
+from .media import _INTEGER, DIM_MAX, _check_dim, _check_positive, _number
 from .mie import ModalSolution, SchemeSpec, WaveParams
 
 DEFAULT_ANGLE_COUNT = 100
 NEAR_FIELD_SAMPLES = 360  # angles per near_field_deviation circle
 
-# Leading-order zeros of the sound-hard pattern: theta* with
-# cos(theta*)/2 = 1/4 in 2D and = 1/3 in 3D.
-SPECIAL_ANGLE_2D = math.pi / 3.0
-SPECIAL_ANGLE_3D = math.acos(2.0 / 3.0)
-
 
 def observation_angles(dim: int, count: int) -> np.ndarray:
-    """Equidistant observation grid: [0, 2pi) in 2D, [0, pi] in 3D."""
+    """Equidistant observation grid: [0, 2pi) in 2D, [0, pi] in N >= 3."""
     if not (_number(count, _INTEGER) and count >= 2):
         raise DomainError(f"need an integer count of at least two angles, got {count!r}")
-    _check_dim(dim)
-    if dim == 2:
+    if _check_dim(dim, DIM_MAX) == 2:
         return 2.0 * math.pi * np.arange(count) / count
     return np.linspace(0.0, math.pi, count)
 
@@ -132,12 +126,14 @@ def sweep(scheme: SchemeSpec, dim: int, wave: WaveParams,
 
     ``contents`` is the physical-space (sigma', q') of the cloaked region;
     one mie.solve_many call and one far-field product cover all rho.
-    ``model`` is one of FIT_MODELS or "auto", which picks power-law in 3D,
-    where every lining decays algebraically, and in 2D the lining's own
-    (mie._LININGS).  The fit runs only when the result's ``fit`` is read.
+    ``model`` is one of FIT_MODELS or "auto", which picks power-law in
+    N >= 3, where every lining decays algebraically, and in 2D the
+    lining's own (mie._LININGS).  The fit runs only when the result's
+    ``fit`` is read.
     """
+    dim = _check_dim(dim, DIM_MAX)
     if model == "auto":
-        model = "power-law" if dim == 3 else mie._LININGS[scheme.kind][2]
+        model = "power-law" if dim >= 3 else mie._LININGS[scheme.kind][2]
     if model not in _MODELS:
         raise DomainError(f"unknown fit model {model!r}")
     rho, amplitude = _grid_amplitudes(scheme, dim, wave, rho_values,
@@ -181,14 +177,12 @@ def fit_decay(rho_values, max_amplitude, model: str) -> FitResult:
 # ---------------------------------------------------------------------------
 def special_angle_suppression(dim: int, wave: WaveParams, rho_values) -> np.ndarray:
     """|A(theta*)| / max|A| per rho for the sound-hard scheme, max|A| over
-    the DEFAULT_ANGLE_COUNT observation angles.
-
-    theta* is the zero of the leading-order pattern (pi/3 in 2D,
-    arccos(2/3) in 3D); the ratio decays ~rho^2 beyond the global rate
-    because only the O((k rho)^{dim+2}) remainder survives there.
-    """
-    theta_star = SPECIAL_ANGLE_2D if dim == 2 else SPECIAL_ANGLE_3D
-    angles = np.append(observation_angles(dim, DEFAULT_ANGLE_COUNT), theta_star)
+    the DEFAULT_ANGLE_COUNT observation angles.  theta* = arccos((N - 1)/N)
+    is the zero of mie.leading_asymptotic (pi/3 in 2D, arccos(2/3) in 3D);
+    the ratio decays ~rho^2 beyond the global rate because only the
+    O((k rho)^{N+2}) remainder survives there."""
+    dim = _check_dim(dim, DIM_MAX)
+    angles = np.append(observation_angles(dim, DEFAULT_ANGLE_COUNT), math.acos((dim - 1) / dim))
     _, amplitude = _grid_amplitudes(SchemeSpec.sound_hard(), dim, wave, rho_values, angles,
                                     (1.0, 1.0))
     return amplitude[:, -1] / amplitude[:, :-1].max(axis=1)

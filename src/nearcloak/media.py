@@ -30,22 +30,31 @@ the anisotropic push-forward in tests/oracles.py.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, RangeError
+from .specfun import OFFSETS
 
 _GEOM_RTOL = 1e-12
 _INTEGER = (int, np.integer)
 _REAL = (float, *_INTEGER, np.floating)
 _COMPLEX = (complex, *_REAL, np.complexfloating)
+DIM_MAX = 2 + round(2 * OFFSETS[-1])  # of a modal solve; the cloak tensor keeps 2 and 3
 
 
 def _number(value, kinds=_REAL) -> bool:
-    """Whether ``value`` is a finite number of ``kinds`` and not a bool."""
-    return isinstance(value, kinds) and type(value) is not bool and abs(value) < math.inf
+    """Whether ``value`` is a number of ``kinds``, not a bool, whose parts,
+    then modulus, are finite doubles: hypot returns inf where abs() of a
+    complex raises, and an int that no double holds raises OverflowError."""
+    try:
+        return (isinstance(value, kinds) and type(value) is not bool and cmath.isfinite(value)
+                and math.hypot(value.real, value.imag) < math.inf)
+    except OverflowError:
+        return False
 
 
 def _check_positive(name: str, value, rule: str = "finite and positive") -> float:
@@ -55,9 +64,13 @@ def _check_positive(name: str, value, rule: str = "finite and positive") -> floa
     return float(value)
 
 
-def _check_dim(dim) -> None:
-    if not (_number(dim, _INTEGER) and dim in (2, 3)):
-        raise DomainError(f"dim must be 2 or 3, got {dim!r}")
+def _check_dim(dim, top: int = 3) -> int:
+    """``dim`` as an int, or DomainError unless it is an integer from 2 to
+    ``top``: 3, or DIM_MAX for a modal solve."""
+    if not (_number(dim, _INTEGER) and 2 <= dim <= top):
+        rule = "2 or 3" if top == 3 else f"an integer from 2 to {top}"
+        raise DomainError(f"dim must be {rule}, got {dim!r}")
+    return int(dim)
 
 
 @dataclass(frozen=True)
@@ -102,8 +115,7 @@ def cloak_tensor(spec: RadialMapSpec, y: np.ndarray) -> tuple[np.ndarray, np.nda
     y = np.asarray(y, dtype=float)
     if y.ndim == 0:
         raise DomainError("y must have a last axis of 2 or 3 coordinates, got a scalar")
-    dim = y.shape[-1]
-    _check_dim(dim)
+    dim = _check_dim(y.shape[-1])
     f = np.linalg.norm(y, axis=-1)
     # "not <=" so that a NaN point fails too.
     outside = ~((spec.r1 * (1 - _GEOM_RTOL) <= f) & (f <= spec.r2 * (1 + _GEOM_RTOL)))
@@ -137,10 +149,10 @@ def _cloak_entries(spec: RadialMapSpec, coords, f,
 def check_passive(sigma: float, q: complex) -> tuple[float, complex]:
     """(sigma, q) as (float, complex) if it is a passive isotropic medium.
 
-    sigma must be a real _number > 0, q a complex one with Im q >= -1e-15 |q|.
-    A tolerated Im q <= 0, signed zero included, is returned as +0.0, so
-    that sqrt(q/sigma) and sqrt(sigma q) both lie on the principal branch
-    with Im >= 0.
+    sigma must be a real _number > 0, q a complex one (so |q| is finite)
+    with Im q >= -1e-15 |q|.  A tolerated Im q <= 0, signed zero included,
+    is returned as +0.0, so that sqrt(q/sigma) and sqrt(sigma q) both lie
+    on the principal branch with Im >= 0.
     """
     sigma = _check_positive("sigma", sigma)
     if not _number(q, _COMPLEX) or (q := complex(q)).imag < -1e-15 * abs(q):
@@ -155,13 +167,13 @@ def virtual_core_params(sigma: float, q: complex, rho: float,
     The dilation x -> rho x (M = rho I, J = rho^dim) maps the contents of
     the half-unit ball to the ball of radius rho/2 as
     (sigma' rho^(2-dim), q' rho^-dim): (sigma', q'/rho^2) in 2D and
-    (sigma'/rho, q'/rho^3) in 3D.  A power of rho or a product beyond the
-    double range (rho below about 1e-103 in 3D, or q' = 1e300 at rho =
-    1e-6) raises RangeError.
+    (sigma'/rho, q'/rho^3) in 3D, dim 2 to DIM_MAX.  A power of rho or a
+    product beyond the double range (rho below about 1e-103 in 3D, or
+    q' = 1e300 at rho = 1e-6) raises RangeError.
     """
     sigma, q = check_passive(sigma, q)
     rho = _check_positive("rho", rho)
-    _check_dim(dim)
+    dim = _check_dim(dim, DIM_MAX)
     try:
         sigma_v, q_v = sigma * rho ** (2 - dim), q * rho ** (-dim)
         if _number(sigma_v) and _number(q_v, _COMPLEX):
@@ -196,7 +208,7 @@ def sample_cloak_grid(spec: RadialMapSpec, cells_per_side: int,
     1,470 of them, in 2D and in 3D.  The media CSV writes these Cartesian
     entries.
     """
-    _check_dim(dim)
+    dim = _check_dim(dim)
     if not (_number(cells_per_side, _INTEGER) and cells_per_side >= 1):
         raise DomainError(f"need an integer count of at least one cell per side, "
                           f"got {cells_per_side!r}")

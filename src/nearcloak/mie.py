@@ -1,4 +1,4 @@
-"""Exact modal solver for concentric circular/spherical scatterers.
+"""Exact modal solver for concentric radial scatterers in R^N, 2 <= N <= 7.
 
 Solves time-harmonic scattering of a unit plane wave by
 * a sound-soft (Dirichlet) or sound-hard (Neumann) obstacle of radius
@@ -11,14 +11,19 @@ Solves time-harmonic scattering of a unit plane wave by
   them for the lossy layers only, as the obstacles never use them (so
   contents that overflow in virtual space do not stop an obstacle).
 
-Per mode n, the exterior field is i^n J_n(k r) + d_n H_n^(1)(k r)
-(angular factor e^{i n theta}) in 2D, and the axisymmetric reduction
-(2n+1) i^n [j_n(k r) + d_n h_n^(1)(k r)] P_n(cos theta) in 3D, where
-theta is the angle between the observation direction and the incident
-direction.  The layer carries wavenumber k_tilde = k sqrt(q_l/sigma_l)
-and the core k_2 = k sqrt(q_a/sigma_a), both on the principal branch:
-media.check_passive returns Im q >= 0 (+0.0 for a tolerated Im q <= 0),
-so Im k_tilde >= 0 and Im k_2 >= 0.
+Each formula is stated once, in lam = (N - 2)/2: mode n in R^N is
+r^-lam Z_{n+lam}(kr), which specfun gives as J_n, H_n = Gamma(lam + 1)
+(2/z)^lam Z_{n+lam}(z) (J_n, H_n^(1) in 2D, j_n, h_n^(1) in 3D), and
+
+    u = sum_n w_n i^n [J_n(k r) + d_n H_n(k r)] P_n(cos theta)
+
+outside, theta the angle from the incident direction, w_n the number of
+degree-n harmonics (_weights) and P_n the Gegenbauer polynomial with
+P_n(1) = 1 (_tabulate).  In 2D, d_n carries the i^n (i^n J_n + d_n H_n),
+the one convention that is not a formula in lam.  The layer carries
+k_tilde = k sqrt(q_l/sigma_l) and the core k_2 = k sqrt(q_a/sigma_a), on
+the principal branch: media.check_passive returns Im q >= 0 (+0.0 for a
+tolerated Im q <= 0), so Im k_tilde >= 0 and Im k_2 >= 0.
 
 A lining is one row of _LININGS, and a SchemeSpec is a kind and its
 constants.  Every lining hands the one elimination per mode a pair
@@ -27,7 +32,7 @@ total field u at x = k rho (u_x = du/dx).  Only the pair tells the
 linings apart.  With DJ = J'/J, DH = H'/H, z1 = kt rho, z2 = kt rho/2,
 zc = k_2 rho/2, E = J_n(x)/H_n(x) and F = sqrt(sigma_a q_a)/sqrt(sigma_l q_l),
 
-    d_n = -i^n E (R DJ(x) - P)/(R DH(x) - P)     (no i^n in 3D).
+    d_n = -i^n E (R DJ(x) - P)/(R DH(x) - P)     (i^n in 2D only).
 
 The sound-soft wall is (P, R) = (1, 0), so d_n = -i^n E, and the
 sound-hard wall (0, 1).  A lossy layer forms
@@ -46,15 +51,13 @@ for SH).  All solvers are pure functions; modes are independent;
 returned solutions are immutable.
 
 Each mechanism is stated once, in the function that holds it:
-* ``solve_many`` is the solver's one entry (``solve`` a batch of one),
-  and checks the wave with WaveParams.require_dim.
-* ``_eliminate`` runs the elimination on ratio-form sequences, in
-  truncation passes, with the one tail formula ``_tails``.
-* ``_REGIONS`` holds the regions' radii; ``field_on_circle`` picks its
-  region by it, and ``_radial_sums`` gives that region's radial factors.
-* ``_far_field_rows`` gives far fields of many solutions at once (the
-  sweeps run it over all their rho); ``far_field`` is one of its rows.
-* ``_angular_sum`` sums over the cached angle tables of ``_angle_table``.
+``solve_many`` is the solver's one entry (``solve`` a batch of one) and
+checks the wave (WaveParams.require_dim); ``_eliminate`` runs the
+elimination in truncation passes, with the one tail formula ``_tails``;
+``_REGIONS`` holds the regions' radii, by which ``field_on_circle`` picks
+a region and ``_radial_sums`` its radial factors; ``_far_field_rows``
+gives the far fields of many solutions at once (``far_field`` is one
+row); ``_angular_sum`` sums over the cached tables of ``_angle_table``.
 """
 
 from __future__ import annotations
@@ -69,7 +72,8 @@ import numpy as np
 
 from . import specfun
 from .errors import DomainError, RangeError, ShapeError, TruncationError
-from .media import _check_dim, _check_positive, _number, check_passive, virtual_core_params
+from .media import (DIM_MAX, _check_dim, _check_positive, _number, check_passive,
+                    virtual_core_params)
 
 TAIL_THRESHOLD = 1e-14
 DEGENERATE_CONDITION = 1e14
@@ -82,7 +86,7 @@ _I_POW = np.array([1.0, 1.0j, -1.0, -1.0j])  # i^n for n mod 4; (-i)^n = _I_POW[
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class WaveParams:
-    """Incident plane wave: wavenumber k > 0 and unit direction d."""
+    """Incident plane wave: wavenumber k > 0 and unit direction d in R^N."""
 
     k: float
     d: np.ndarray
@@ -93,15 +97,18 @@ class WaveParams:
         d = np.asarray(self.d, dtype=float)
         norm = float(np.linalg.norm(d))
         # "not <=" so that a NaN or infinite direction fails too.
-        if d.ndim != 1 or d.size not in (2, 3) or not abs(norm - 1.0) <= 1e-10:
-            raise DomainError("incident direction must be a 2- or 3-vector of unit length")
+        if d.ndim != 1 or not 2 <= d.size <= DIM_MAX or not abs(norm - 1.0) <= 1e-10:
+            raise DomainError(f"incident direction must be a vector of 2 to {DIM_MAX} "
+                              f"components and unit length")
         object.__setattr__(self, "d", d / norm)
 
-    def require_dim(self, dim: int) -> None:
-        """DomainError unless dim is 2 or 3 and d a dim-vector, as a solve needs."""
-        _check_dim(dim)
+    def require_dim(self, dim: int) -> int:
+        """dim as an int, or DomainError unless it is an integer from 2 to
+        DIM_MAX and d a dim-vector, as a solve needs."""
+        dim = _check_dim(dim, DIM_MAX)
         if self.d.size != dim:
             raise DomainError(f"a {dim}D solve needs a {dim}-vector direction, got {self.d.size}")
+        return dim
 
 
 def _finite_positive(kind: str, constants: tuple) -> tuple[float, ...]:
@@ -183,31 +190,25 @@ class SchemeSpec:
 class ModalSolution:
     """Modal coefficients of a radial scattering solve.
 
-    d_n are the exterior scattering coefficients (2D convention includes
-    the i^n factor; the 3D entries are the axisymmetric reflection
-    coefficients multiplying (2n+1) i^n h_n P_n).  For transmission
-    solves a_n/b_n (layer) and c_n (core) are also populated.  The layer
-    field of mode n, a_n^phys J_n(kt r) + b_n^phys H_n(kt r), and the core
-    field c_n^phys J_n(k_2 r) leave the double range factor by factor, so
-    the stored coefficients are normalised: each J factor carries H_n at
-    its region's outer radius, each H factor is divided by H_n at the inner
-    radius,
+    d_n are the exterior coefficients of the module docstring (with the
+    i^n in 2D), and a transmission solve has a_n/b_n (layer) and c_n
+    (core).  Its layer field of mode n, a_n^phys J_n(kt r) +
+    b_n^phys H_n(kt r), and core field c_n^phys J_n(k_2 r) leave the double
+    range factor by factor, so the stored coefficients are normalised: each
+    J factor carries H_n at its region's outer radius, each H factor is
+    divided by H_n at the inner radius,
 
         layer:  a_n J_n(kt r) H_n(kt rho) + b_n H_n(kt r) / H_n(kt rho/2),
         core:   c_n J_n(k_2 r) H_n(k_2 rho/2),
 
     i.e. a_n = a_n^phys / H_n(kt rho), b_n = b_n^phys H_n(kt rho/2) and
-    c_n = c_n^phys / H_n(k_2 rho/2), with H (h in 3D) at the layer or core
-    wavenumber.  Each product J_n(w r) H_n(w R) with r <= R and each
-    quotient H_n(w r)/H_n(w R) with r >= R is at most of order one, so
-    the coefficients are of the order of the mode's field (underflow to 0
-    where that is negligible).  k_layer (Im >= 0) and k_core are the
-    layer and core wavenumbers k_tilde and k_2 of a transmission solve,
-    None for an obstacle.  n_max and the truncation tail are read off d_n.
-
-    branch_flags is a class constant, always None: the inner interface has
-    one formula and so no branches, but bench/spans.py still counts the
-    "zero-core" flags of every solve it traces.
+    c_n = c_n^phys / H_n(k_2 rho/2).  Each J_n(w r) H_n(w R) with r <= R and
+    each H_n(w r)/H_n(w R) with r >= R is at most of order one, so the
+    coefficients are of the order of the mode's field (underflow to 0
+    where that is negligible).  k_layer (Im >= 0) and k_core are k_tilde
+    and k_2, None for an obstacle.  n_max and the tail are read off d_n.
+    branch_flags is always None (one inner-interface formula), and
+    bench/spans.py still counts its "zero-core" flags.
     """
 
     dim: int
@@ -240,18 +241,15 @@ class ModalSolution:
 @dataclass(frozen=True)
 class FarFieldPattern:
     """Sampled scattering amplitude A(theta), theta = angle(xhat, d), one
-    amplitude per angle.
-
-    dim (2 or 3) sets the angle range, [0, 2pi] or [0, pi], and the
-    normalisation of the underlying far-field formula: gamma =
-    e^{i pi/4}/sqrt(8 pi k) in 2D, gamma = 1/(4 pi) in 3D.
-    """
+    amplitude per angle, with u^s ~ e^{ikr} r^{-(dim-1)/2} A(xhat); the
+    angles lie in [0, 2pi] in 2D and in [0, pi] above."""
 
     angles: np.ndarray
     amplitude: np.ndarray
     dim: int
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", _check_dim(self.dim, DIM_MAX))
         angles = _far_field_angles(self.angles, self.dim)
         amplitude = np.asarray(self.amplitude, dtype=complex)
         if amplitude.shape != angles.shape:
@@ -261,14 +259,12 @@ class FarFieldPattern:
 
 
 def _far_field_angles(angles, dim: int) -> np.ndarray:
-    """``angles`` as a float array, or DomainError unless dim is 2 or 3 and
-    it is a nonempty, finite, strictly increasing 1-d grid in [0, 2pi] (2D)
-    or [0, pi] (3D)."""
-    _check_dim(dim)
+    """``angles`` as a float array, or DomainError unless it is a nonempty,
+    finite, strictly increasing 1-d grid in the range of FarFieldPattern."""
     a = np.asarray(angles, dtype=float)
     if a.ndim != 1 or a.size == 0 or not np.all(np.isfinite(a)) or np.any(np.diff(a) <= 0):
         raise DomainError("angles must be a nonempty, finite, strictly increasing 1-d array")
-    hi = 2.0 * math.pi if dim == 2 else math.pi
+    hi = 2.0 * math.pi if _check_dim(dim, DIM_MAX) == 2 else math.pi
     if a[0] < 0 or a[-1] > hi + 1e-12:
         raise DomainError("angles outside the valid range")
     return a
@@ -284,16 +280,12 @@ N_MAX_CAP = specfun.ORDER_MAX - 1
 
 def default_n_max(k: float, rho: float) -> int:
     """Initial truncation order: x + max(8 + 4t, 1 + 6.6t), rounded up,
-    with x = k rho and t = x^(1/3).
-
-    Past the turning point n = x, |J_n(x)/H_n(x)| falls like
-    (1/2) e^{-(4/3) zeta^{3/2}}, zeta = 2^{1/3} (n - x)/t (the Airy regime
-    of the large-order asymptotics, DLMF 10.20), and the walls' d_n with
-    it.  That is below TAIL_THRESHOLD from n - x = 6.53 t; the second
-    term takes 6.6 t plus one order.  It is the larger from x = (7/2.6)^3,
-    about 19.5; below that the first term gives the classical order
-    x + 8 + 4t, which each term's sum from x keeps exact to the bit.
-    """
+    with x = k rho and t = x^(1/3).  Past the turning point n = x,
+    |J_n(x)/H_n(x)| falls like (1/2) e^{-(4/3) zeta^{3/2}}, zeta = 2^{1/3}
+    (n - x)/t (DLMF 10.20), and the walls' d_n with it: below
+    TAIL_THRESHOLD from n - x = 6.53 t.  The second term is the larger from
+    x = (7/2.6)^3, about 19.5; below it the classical x + 8 + 4t stays, to
+    the bit, as each term's sum from x."""
     x = k * rho
     t = x ** (1.0 / 3.0)
     return int(math.ceil(max(x + 8.0 + 4.0 * t, x + 1.0 + 6.6 * t)))
@@ -317,16 +309,11 @@ def _log_derivative(ratios: np.ndarray, z) -> np.ndarray:
 def _values(num, den=()) -> np.ndarray:
     """Orders 0..N-1 of the product of the sequences ``num`` over that of
     ``den``, each in ratio form (Amos-scaled base, N ratios): the base
-    quotient at an anchor order times the running product of the ratio
-    quotients.
-
-    The anchor is order 0 or 1, whichever has the larger product of |base
-    values| over all factors.  J_0 and J_1 share no zero, so it avoids a
-    (near) zero of every J factor; for one J sequence it is the larger of
-    its orders 0 and 1.  A product of J and H at comparable arguments, or
-    a quotient of one kind, stays in double range where its factors need
-    not, since its ratios do.
-    """
+    quotient at an anchor order, 0 or 1, whichever has the larger product
+    of |base values| over all factors (J_0 and J_1 share no zero), times
+    the running product of the ratio quotients.  A product of J and H at
+    comparable arguments, or a quotient of one kind, stays in double range
+    where its factors need not, since its ratios do."""
     (base, ratio), *num = num
     weight = np.abs(base)
     for b, r in num:
@@ -352,13 +339,10 @@ def _layer_wavenumbers(scheme: SchemeSpec, rho: float, k: float,
                        core: tuple[float, complex]) -> tuple[complex, complex, complex, complex]:
     """(k_tilde, k_2, C_0, sqrt(q_a sigma_a)) of the lining at this rho and
     of the virtual core (sigma_a, q_a) that virtual_core_params checked.
-
-    Where a power of rho leaves the double range, so that sigma_l, k_tilde
-    or C_0 is not a normal double (FSH at a small C or a large delta), a
-    RangeError names the lining, rho and (sigma_l, q_l).  Where k_2 or
-    sqrt(q_a sigma_a) is not a normal double (a subnormal sigma_a), a
-    RangeError names rho and the virtual core (sigma_a, q_a); q_a = 0 is a
-    DomainError."""
+    Where sigma_l, k_tilde or C_0 is not a normal double (FSH at a small C
+    or a large delta), a RangeError names the lining, rho and
+    (sigma_l, q_l); where k_2 or sqrt(q_a sigma_a) is not (a subnormal
+    sigma_a), it names rho and the core.  q_a = 0 is a DomainError."""
     where = f"the {scheme.kind} layer at rho = {rho:g}"
     try:
         sigma_l, q_l = scheme.layer_params(rho)
@@ -388,30 +372,24 @@ def _eliminate(dim: int, wave: WaveParams, rho: list[float], scheme: SchemeSpec,
                contents: tuple[float, complex]) -> tuple[ModalSolution, ...]:
     """The solution at each rho, from the one elimination of the module
     docstring; ``solve_many`` checked dim, rho and the physical contents.
-    A wall hands the exterior its fixed pair (P, R) from _LININGS, a lossy
-    layer the one it forms over the virtual core of the contents at each
-    rho (the walls never use them); one formula gives every lining's d_n
-    and one test its degenerate_modes.
+    A wall hands the exterior its pair (P, R) from _LININGS, a lossy layer
+    the one it forms over the virtual core of the contents at each rho.
 
-    The elimination runs on plain complex arrays of ratios and
-    log-derivatives (specfun), which stay in double range however lossy
-    the layer: for the finite sound-hard layer, Im(kt rho) grows like
-    rho^{-delta}, and J and H there split as e^{+-Im(kt rho)}.  E, X and
-    the coefficients are base ratios times running ratio products
-    (_values).
-
-    It runs in passes over (B, n) arrays padded to the largest n_max of
-    the pass's rows.  Each row starts at default_n_max, whose tail
-    |d_{n_max}| / max|d_n| (_tails) is within TAIL_THRESHOLD for the
-    linings up to k rho = 160.  As a fallback, for contents that slow the
-    decay, a row whose tail is above it is solved again 8 orders higher,
-    and one still above it at N_MAX_CAP raises TruncationError, so no
-    returned solution has a larger tail.  A pass
-    makes one specfun.bessel_j and one specfun.bessel_h1 call over its
-    argument arrays concatenated, each row at its own order: x alone for
-    an obstacle, so B rows, and x, z1, z2 and zc for a lossy layer, so 4B.
+    The elimination runs on complex arrays of ratios and log-derivatives
+    (specfun), which stay in double range however lossy the layer (for
+    FSH, Im(kt rho) grows like rho^{-delta}, and J and H split as
+    e^{+-Im(kt rho)}); E, X and the coefficients come from _values.  It
+    runs in passes over (B, n) arrays padded to the pass's largest n_max.
+    Each row starts at default_n_max, whose tail |d_{n_max}| / max|d_n|
+    (_tails) is within TAIL_THRESHOLD for the linings up to k rho = 160; a
+    row above it (contents that slow the decay) is solved again 8 orders
+    higher, and one still above it at N_MAX_CAP raises TruncationError.
+    A pass makes one specfun.bessel_j and one specfun.bessel_h1 call over
+    its argument arrays concatenated, each row at its own order: x for an
+    obstacle (B rows), and x, z1, z2 and zc for a lossy layer (4B).
     """
     law = _LININGS[scheme.kind][-1]  # a wall's pair (P, R), or a lossy layer's law
+    lam = (dim - 2) / 2
     radii = np.array(rho)
     zs = [wave.k * radii]  # the real x = k rho; a lossy layer adds z1, z2 and zc
     layers = [(None, None)] * len(rho)
@@ -436,7 +414,7 @@ def _eliminate(dim: int, wave: WaveParams, rho: list[float], scheme: SchemeSpec,
         parts = [slice(i * len(rows), (i + 1) * len(rows)) for i in range(len(zs))]
         seqs, logds = [], []
         for fn in (specfun.bessel_j, specfun.bessel_h1):
-            base, ratios = fn(sizes * len(zs), z, spherical=dim == 3)
+            base, ratios = fn(sizes * len(zs), z, lam)
             logd = _log_derivative(ratios, z)
             seqs.append([(base[part], ratios[part]) for part in parts])
             logds.append([logd[part] for part in parts])
@@ -474,9 +452,11 @@ def _eliminate(dim: int, wave: WaveParams, rho: list[float], scheme: SchemeSpec,
                 j[0][1] - h[0][1], den, out=np.zeros_like(e), where=nonzero) / _values([j[1], h[1]])
             b = -q * _values([j[2], h[1]]) * decay2 * a  # b_n H_n(z2)
             # The core coefficient from the layer's Wronskian J H' - J' H at z2,
-            # not a cancelling sum.
+            # not a cancelling sum: Gamma(lam + 1)^2 (2/z)^(2 lam) 2i/(pi z),
+            # 2i/(pi z) in 2D and i/z^2 in 3D.
             z2 = zs[2][rows, None]
-            wronskian = 2j / (math.pi * z2) if dim == 2 else 1j / (z2 * z2)
+            wronskian = (2j / (math.pi * z2)
+                         * (math.gamma(lam + 1.0) ** 2 * (2.0 / z2) ** (dim - 2)))
             c = (a * _values([h[1]], [h[2]]) * decay2 * wronskian  # c_n / H_n(zc)
                  / (_values([j[3], h[3]]) * inner))
             coeffs = a, b, c
@@ -509,7 +489,7 @@ def solve_many(scheme: SchemeSpec, dim: int, wave: WaveParams, rho_values,
     per-rho solve bit for bit."""
     rho = [_check_positive("rho", r) for r in rho_values]
     contents = check_passive(*contents)
-    wave.require_dim(dim)
+    dim = wave.require_dim(dim)
     for x in (wave.k * r for r in rho):  # before k rho sizes the truncation order
         if not x <= specfun.ARGUMENT_GUARD:
             raise RangeError(f"|z| = {x:.3g} exceeds the guard {specfun.ARGUMENT_GUARD:g}")
@@ -531,12 +511,11 @@ def solve(scheme: SchemeSpec, dim: int, wave: WaveParams, rho: float,
 # Far field
 # ---------------------------------------------------------------------------
 def far_field(solution: ModalSolution, angles: np.ndarray) -> FarFieldPattern:
-    """Scattering amplitude on a grid of angles theta = angle(xhat, d).
-
-    2D: A(theta) = sqrt(2/(pi k)) e^{-i pi/4}
-                   sum_n eps_n d_n (-i)^n cos(n theta),  eps_0 = 1, eps_n = 2.
-    3D: A(theta) = (-i/k) sum_n (2n+1) d_n P_n(cos theta).
-    """
+    """Scattering amplitude A(theta) = C sum_n w_n d_n P_n(cos theta) on a
+    grid of angles theta = angle(xhat, d), with 2D's d_n times (-i)^n and
+    C = sqrt(2/(pi k)) Gamma(lam + 1) (2/k)^lam e^{-i(2 lam + 1) pi/4}, from
+    i^n H_n(kr) ~ C e^{ikr} r^{-lam-1/2}: sqrt(2/(pi k)) e^{-i pi/4} in 2D
+    and -i/k in 3D."""
     angles = _far_field_angles(angles, solution.dim)  # before they key the angle tables
     return FarFieldPattern(angles, _far_field_rows([solution], angles)[0], solution.dim)
 
@@ -549,27 +528,42 @@ def _far_field_rows(solutions, angles: np.ndarray) -> np.ndarray:
     for row, s in zip(d, solutions):
         row[:s.n_max + 1] = s.d_n
     if dim == 2:
-        return (math.sqrt(2.0 / (math.pi * k)) * cmath.exp(-1j * math.pi / 4)
-                * _angular_sum(2, d * _I_POW[-np.arange(d.shape[-1]) & 3], angles))
-    return (-1j / k) * _angular_sum(3, d, angles)
+        d *= _I_POW[-np.arange(d.shape[-1]) & 3]
+    # C = Gamma(lam + 1)/Gamma(3/2)^m sqrt(2/(pi k))^(1 - m) k^-m (-i)^((m + 1)/2),
+    # m = 2 lam, whose factors are exactly 1 where 2D and 3D need none.
+    m = dim - 2
+    gain = (math.gamma(m / 2 + 1.0) / math.gamma(1.5) ** m
+            * math.sqrt(2.0 / (math.pi * k)) ** (1 - m) / k ** m)
+    phase = _I_POW[-((m + 1) // 2) & 3] * (cmath.exp(-1j * math.pi / 4) if m % 2 == 0 else 1.0)
+    return gain * complex(phase) * _angular_sum(dim, d, angles)
 
 
 def _angular_sum(dim: int, coef: np.ndarray, angles: np.ndarray,
                  table: np.ndarray | None = None) -> np.ndarray:
-    """sum_n eps_n coef_n cos(n theta) in 2D (eps_0 = 1, eps_n = 2), or
-    sum_n (2n+1) coef_n P_n(cos theta) in 3D, per row of coef, over the
-    cached angle table of ``angles`` unless ``table`` (their _tabulate at
+    """sum_n w_n coef_n P_n(cos theta) per row of coef, over the cached
+    angle table of ``angles`` unless ``table`` (their _tabulate at
     _table_rows(coef.shape[-1]) rows) is given.  The sum is two real
     products, of the real and of the imaginary parts of the weighted
     coefficients with the real table: a complex @ real product would copy
     the table to complex on every call and run zgemm or zgemv, with twice
     the flops (see also bie._add_product)."""
-    n = np.arange(coef.shape[-1])
-    weights = np.where(n == 0, 1.0, 2.0) if dim == 2 else 2 * n + 1
+    n, size = coef.shape[-1], _table_rows(coef.shape[-1])
     if table is None:
-        table = _angle_table(dim, np.asarray(angles, dtype=float).tobytes(), _table_rows(n.size))
-    w, rows = weights * coef, table[:n.size]
+        table = _angle_table(dim, np.asarray(angles, dtype=float).tobytes(), size)
+    w, rows = _weights(dim, size)[:n] * coef, table[:n]
     return w.real @ rows + 1j * (w.imag @ rows)
+
+
+@functools.lru_cache(maxsize=None)  # at most 6 dims x 7 row counts
+def _weights(dim: int, rows: int) -> np.ndarray:
+    """Read-only w_0 = 1 and w_n = 2(n + lam)/(n + 2 lam) C(n + 2 lam, n),
+    n < rows, the number of degree-n harmonics in R^dim, in exact integers:
+    eps_n = (1, 2, 2, ...) in 2D and 2n + 1 in 3D."""
+    m = dim - 2
+    weights = np.array([1] + [(2 * n + m) * math.comb(n + m, n) // (n + m)
+                              for n in range(1, rows)], dtype=float)
+    weights.flags.writeable = False
+    return weights
 
 
 def _table_rows(orders: int) -> int:
@@ -582,49 +576,49 @@ def _table_rows(orders: int) -> int:
 def _angle_table(dim: int, angle_bytes: bytes, rows: int) -> np.ndarray:
     """The _tabulate of the M float64 angles packed in ``angle_bytes``,
     from the one bounded, read-only, thread-safe cache that far and near
-    fields share.
-
-    It keeps the 20 most recent tables, at most 20 x rows x M float64 for
-    rows <= 224 (N_MAX_CAP + 1 rounded up).  Twenty slots hold the 18
-    tables that solves with n_max up to 95 cycle through when each takes a
-    far field, near fields and near_field_deviation (three grids, three
-    row counts, two dims).  Row n of a table depends only on n and theta
-    (an elementwise cos, or numpy's forward recurrence in legvander), so a
-    sum over the first rows of a larger table is bit for bit the sum over
-    a table built at its own size, and no result depends on what the
-    cache holds."""
+    fields share: the 20 most recent tables, of rows <= 224 (N_MAX_CAP + 1
+    rounded up), hold the 18 that solves with n_max up to 95 cycle through
+    when each takes a far field, near fields and near_field_deviation in
+    2D and 3D.  Row n depends only on n and theta, so a sum over the first
+    rows of a larger table is bit for bit the sum over one of its own
+    size, and no result depends on what the cache holds."""
     return _tabulate(dim, np.frombuffer(angle_bytes), rows)
 
 
 def _tabulate(dim: int, angles: np.ndarray, rows: int) -> np.ndarray:
-    """Read-only (rows, M) table of cos(n theta) in 2D or P_n(cos theta) in
-    3D, n < rows, at the M float64 angles."""
-    n = np.arange(rows)
-    table = (np.cos(np.outer(n, angles)) if dim == 2
-             else np.polynomial.legendre.legvander(np.cos(angles), rows - 1).T)
+    """Read-only (rows, M) table of P_n(x), x = cos theta, n < rows, at the
+    M float64 angles: P_0 = 1, P_1 = x and the normalised Gegenbauer step
+    P_{n+1} = ((2n + 2 lam) x P_n - n P_{n-1})/(n + 2 lam), cos n theta in
+    2D and in 3D the Legendre P_n of numpy's legvander, bit for bit."""
+    x, twice = np.cos(angles), dim - 2
+    table = np.empty((rows, x.size))
+    table[0], table[1:2] = 1.0, x
+    for n in range(1, rows - 1):
+        table[n + 1] = (table[n] * x * (2 * n + twice) - table[n - 1] * n) / (n + twice)
     table.flags.writeable = False
     return table
 
 
 def leading_asymptotic(dim: int, wave: WaveParams, rho: float,
                        theta: float) -> complex:
-    """Leading small-krho term of the sound-hard amplitude.
+    """Leading small-krho term of the sound-hard amplitude in R^N,
 
-    2D: e^{i pi/4} sqrt(2 pi/k) (cos(theta)/2 - 1/4) (k rho)^2,
-    3D: (1/k) (cos(theta)/2 - 1/3) (k rho)^3.
-    The phases follow from the exact modal series (and energy
-    conservation); the remainders are O((k rho)^{dim+2}).  Both vanish
-    at theta = pi/3 (2D) and theta = arccos(2/3) (3D).
+        e^{i(1 - 2 lam) pi/4} sqrt(2 pi/k) (cos(theta)/2 - (N - 1)/(2N)) (k rho)^N
+        / ((N - 1) Gamma(lam + 1) (2k)^lam),
+
+    from d_0 = -K and d_1 = K/(N - 1), K = i pi x^N/(2^(N-1) N Gamma(lam + 1)^2),
+    x = k rho: e^{i pi/4} sqrt(2 pi/k) (cos(theta)/2 - 1/4) x^2 in 2D and
+    (cos(theta)/2 - 1/3) x^3/k in 3D, with a remainder O(x^(N+2)).  It
+    vanishes at theta* = arccos((N - 1)/N): pi/3 in 2D, arccos(2/3) in 3D.
     """
-    wave.require_dim(dim)
+    dim = wave.require_dim(dim)
     rho = _check_positive("rho", rho)
     if not _number(theta):
         raise DomainError(f"theta must be finite, got {theta!r}")
-    x = wave.k * rho
-    if dim == 2:
-        return (cmath.exp(1j * math.pi / 4) * math.sqrt(2.0 * math.pi / wave.k)
-                * (math.cos(theta) / 2.0 - 0.25) * x ** 2)
-    return (math.cos(theta) / 2.0 - 1.0 / 3.0) * x ** 3 / wave.k
+    lam = (dim - 2) / 2
+    return (cmath.exp(1j * (1 - 2 * lam) * math.pi / 4) * math.sqrt(2.0 * math.pi / wave.k)
+            * (math.cos(theta) / 2.0 - (dim - 1) / (2 * dim)) * (wave.k * rho) ** dim
+            / ((dim - 1) * math.gamma(lam + 1.0) * (2.0 * wave.k) ** lam))
 
 
 # ---------------------------------------------------------------------------
@@ -632,21 +626,17 @@ def leading_asymptotic(dim: int, wave: WaveParams, rho: float,
 # ---------------------------------------------------------------------------
 def _radial_sums(solution: ModalSolution, region: str, r: float,
                  derivative: bool) -> list[np.ndarray]:
-    """Per-mode radial factors of the field expansion at radius r in a
-    region that contains it, and with ``derivative`` those of its radial
-    derivative after them; in the exterior only those of the scattered
-    wave.  Each region's factors are its normalised coefficients
-    (ModalSolution) times in-range products and quotients of ratio-form
-    sequences; a radial derivative is the wavenumber times each of the
-    same terms times its log-derivative at r.
-
-    The 2D factors carry their i^n phase inside the coefficients; the
-    3D assembly applies (2n+1) i^n afterwards.
-    """
-    nmax, dim = solution.n_max, solution.dim
+    """Per-mode radial factors of the field at radius r in a region that
+    contains it (in the exterior, of the scattered wave), then with
+    ``derivative`` those of its radial derivative: the normalised
+    coefficients (ModalSolution) times in-range products and quotients of
+    ratio-form sequences, and for the derivative the wavenumber times each
+    term times its log-derivative at r.  The i^n of N >= 3 is applied by
+    _circle_terms."""
+    nmax, lam = solution.n_max, (solution.dim - 2) / 2
 
     def sequences(fn, *z):
-        base, ratios = fn(nmax + 1, np.array(z), spherical=dim == 3)
+        base, ratios = fn(nmax + 1, np.array(z), lam)
         return list(zip(base, ratios))
 
     # Each term: (coefficients, sequences over, sequences under, Amos-scale
@@ -684,9 +674,9 @@ def _radial_sums(solution: ModalSolution, region: str, r: float,
 def _circle_terms(solution: ModalSolution, r: float, thetas, region: str | None,
                   scattered_only: bool, radial_derivative: bool):
     """field_on_circle's checked float radius and angles, its region and the
-    per-mode factors that multiply cos(n theta) (2D) or (2n+1) P_n(cos theta)
-    (3D): those of the field, then with ``radial_derivative`` those of its
-    radial derivative (_radial_sums)."""
+    per-mode factors that multiply w_n P_n(cos theta): those of the field,
+    then with ``radial_derivative`` those of its radial derivative
+    (_radial_sums), times i^n in N >= 3."""
     if not (_number(r) and (r := float(r)) >= 0):
         raise DomainError(f"radius must be finite and nonnegative, got {r!r}")
     thetas = np.asarray(thetas, dtype=float)
@@ -707,7 +697,7 @@ def _circle_terms(solution: ModalSolution, r: float, thetas, region: str | None,
     if scattered_only and region != "exterior":
         raise DomainError("scattered_only applies to the exterior region")
     radial = _radial_sums(solution, region, r, radial_derivative)
-    if solution.dim == 3:
+    if solution.dim != 2:
         radial = [_I_POW[np.arange(solution.n_max + 1) & 3] * sums for sums in radial]
     return r, thetas, region, radial
 
@@ -717,19 +707,17 @@ def field_on_circle(solution: ModalSolution, r: float, thetas: np.ndarray,
                     radial_derivative: bool = False) -> np.ndarray:
     """Total (or scattered) field at radius r for an array of angles.
 
-    2D assembly: u = sum_n eps_n R_n(r) cos(n theta); 3D assembly:
-    u = sum_n (2n+1) i^n R_n(r) P_n(cos theta), with R_n the per-mode
-    radial factor of the region: the named one, which must contain r, or
-    else the outermost region of the solution that contains r (closed, see
-    _REGIONS).  Otherwise DomainError "r = ... lies outside the <region>
-    region" names the region, or the exterior if none was named.  A name
-    that is not one of the solution's regions raises a DomainError that
-    lists them (an obstacle has the exterior only).  In the exterior the
-    incident wave is added in closed form, e^{i k r cos theta} (radial
-    derivative i k cos theta e^{i k r cos theta}), so it is exact at any
-    radius, not only where n_max resolves k r.  ``scattered_only`` drops
-    it (exterior region only).  The angles must be a finite 1-d array
-    (DomainError, ShapeError).
+    u = sum_n w_n i^n R_n(r) P_n(cos theta) (the i^n inside R_n in 2D),
+    with R_n the per-mode radial factor of the named region, which must
+    contain r, or else of the outermost region of the solution that
+    contains r (closed, see _REGIONS).  Otherwise DomainError "r = ...
+    lies outside the <region> region" names the region, or the exterior
+    if none was named; a name that is not one of the solution's regions
+    raises a DomainError that lists them.  In the exterior the incident
+    wave is added in closed form, e^{i k r cos theta} (radial derivative
+    i k cos theta e^{i k r cos theta}), exact at any radius;
+    ``scattered_only`` drops it (exterior only).  The angles must be a
+    finite 1-d array (DomainError, ShapeError).
 
     n_max is set by the tail of d_n alone, but the terms at r = rho are of
     the size of J_n(k rho), about sqrt|d_n|: at large k rho the exterior
@@ -749,7 +737,7 @@ def field_on_circle(solution: ModalSolution, r: float, thetas: np.ndarray,
 
 def scattered_cauchy_data(solution: ModalSolution, radius: float,
                           thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Scattered field and its radial derivative at r = ``radius``, in 2D or 3D.
+    """Scattered field and its radial derivative at r = ``radius``, in R^N.
 
     One pass over the exterior terms gives the radial factors of both (one
     Hankel sequence), and both sums share one angle table, built for this

@@ -2,9 +2,10 @@
 push-forward that media.cloak_tensor and media.virtual_core_params are
 checked against, the cloak grid sampled over the full point cube,
 readers and a reference writer for the library's outputs, Bessel values
-rebuilt in mpmath from specfun's ratio form, the BIE system matrices
-evaluated densely at every ordered node pair, and the modal angular sum
-with its angle table built afresh on every call."""
+rebuilt in mpmath from specfun's ratio form, the multiprecision modal
+solves of each mode's interface conditions in R^N and their angular sums,
+the BIE system matrices evaluated densely at every ordered node pair, and
+the modal angular sum with its angle table built afresh on every call."""
 
 from dataclasses import dataclass, field
 
@@ -193,16 +194,111 @@ def field_at(solution, point, region: str | None = None,
 
 def angular_sum(dim: int, coef: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """mie._angular_sum with its angle table built at its own size on every
-    call, with no cache: the cached tables must reproduce it bit for bit.
-    It forms the same real products of the weighted coefficients' real and
-    imaginary parts with the table."""
-    n = np.arange(coef.shape[-1])
-    if dim == 2:
-        w, table = np.where(n == 0, 1.0, 2.0) * coef, np.cos(np.outer(n, angles))
-    else:
-        w = (2 * n + 1) * coef
-        table = np.polynomial.legendre.legvander(np.cos(angles), n.size - 1).T
+    call, with no cache, and its weights from the count of degree-n
+    harmonics C(n + N - 1, n) - C(n + N - 3, n - 2) in R^N: the cached
+    tables and weights must reproduce it bit for bit.  It forms the same
+    real products of the weighted coefficients' real and imaginary parts
+    with the table."""
+    size = coef.shape[-1]
+    weights = np.array([math.comb(n + dim - 1, n) - (math.comb(n + dim - 3, n - 2) if n >= 2 else 0)
+                        for n in range(size)], dtype=float)
+    w, table = weights * coef, mie._tabulate(dim, np.asarray(angles, dtype=float), size)
     return w.real @ table + 1j * (w.imag @ table)
+
+
+def mp_sequence(dim, kind, n_max, z):
+    """(values, derivatives) of orders 0..n_max of specfun's J family
+    (``kind`` "j") or H family ("h") of R^dim at z in mpmath:
+    Gamma(lam + 1) (2/z)^lam Z_{n+lam}(z), lam = (dim - 2)/2, on the branch
+    continuous from the upper half-plane (J_n, H_n in 2D, j_n, h_n in 3D).
+    H runs up from orders 0 and 1, as the recurrence is stable upward for
+    it (mpmath's integer-order Y is slow)."""
+    lam = mpmath.mpf(dim - 2) / 2
+    s = mpmath.gamma(lam + 1) * mpmath.exp(-lam * mpmath.log(z / 2))
+    if kind == "j":
+        f = [s * mpmath.besselj(n + lam, z) for n in range(n_max + 2)]
+    else:
+        f = [s * mpmath.hankel1(n + lam, z) for n in range(2)]
+        for n in range(1, n_max + 1):
+            f.append(2 * (n + lam) / z * f[n] - f[n - 1])
+    return f[:-1], [n / z * f[n] - f[n + 1] for n in range(n_max + 1)]
+
+
+def wall_solve(dim, k, rho, kind, n_max):
+    """d_n of every mode n <= n_max of the sound-soft ("ss": u = 0) or
+    sound-hard ("sh": du/dr = 0) ball of radius rho in R^dim, in mpmath at
+    its working precision, with the i^n of the 2D convention."""
+    x = mpmath.mpf(k) * mpmath.mpf(rho)
+    (j, dj), (h, dh) = (mp_sequence(dim, family, n_max, x) for family in "jh")
+    u, v = (j, h) if kind == "ss" else (dj, dh)
+    return [-(1j ** n if dim == 2 else 1) * u[n] / v[n] for n in range(n_max + 1)]
+
+
+def interface_solve(dim, k, rho, layer, core, n_max):
+    """(d_n, a_n, b_n, c_n) of every mode n <= n_max from the four interface
+    conditions, solved in mpmath at its working precision: continuity of u
+    and sigma du/dr at rho and rho/2.  The layer field of mode n is
+    a_n J_n(kt r) + b_n H_n(kt r), the core field c_n J_n(k2 r), with the
+    radial functions of mp_sequence.  Returns kt, k2 and the coefficients."""
+    k, rho = mpmath.mpf(k), mpmath.mpf(rho)
+    (s_l, q_l), (s_a, q_a) = [(mpmath.mpf(s), mpmath.mpc(q)) for s, q in (layer, core)]
+    kt, k2 = k * mpmath.sqrt(q_l / s_l), k * mpmath.sqrt(q_a / s_a)
+
+    def value_and_flux(kind, wavenumber, sigma, r):
+        f, df = mp_sequence(dim, kind, n_max, wavenumber * r)
+        return [(v, sigma * wavenumber * dv) for v, dv in zip(f, df)]
+
+    jk, hk = (value_and_flux(kind, k, 1, rho) for kind in "jh")
+    jt, ht = (value_and_flux(kind, kt, s_l, rho) for kind in "jh")
+    jt2, ht2 = (value_and_flux(kind, kt, s_l, rho / 2) for kind in "jh")
+    jc = value_and_flux("j", k2, s_a, rho / 2)
+    out = []
+    for n in range(n_max + 1):
+        phase = 1j ** n if dim == 2 else 1
+        m = [[hk[n][0], -jt[n][0], -ht[n][0], 0],
+             [hk[n][1], -jt[n][1], -ht[n][1], 0],
+             [0, jt2[n][0], ht2[n][0], -jc[n][0]],
+             [0, jt2[n][1], ht2[n][1], -jc[n][1]]]
+        out.append(_equilibrated_solve(m, [-phase * jk[n][0], -phase * jk[n][1], 0, 0]))
+    return kt, k2, out
+
+
+def _equilibrated_solve(m, b):
+    """The solution x of m x = b (lists of mpmath numbers), from the LU solve
+    of the system with each row, then each column, scaled to a largest
+    modulus of 1: the entries of an interface system span hundreds of
+    orders of magnitude, which mpmath's absolute pivot test would call
+    singular.  The scales are powers of two, so they round nothing."""
+    def scale(v):
+        return mpmath.ldexp(1, -int(mpmath.floor(mpmath.log(v, 2)))) if v else 1
+
+    rows = [scale(max(abs(v) for v in row)) for row in m]
+    m = [[v * r for v in row] for row, r in zip(m, rows)]
+    cols = [scale(max(abs(row[j]) for row in m)) for j in range(len(m))]
+    y = mpmath.lu_solve(mpmath.matrix([[v * c for v, c in zip(row, cols)] for row in m]),
+                        mpmath.matrix([v * r for v, r in zip(b, rows)]))
+    return [y[j] * cols[j] for j in range(len(cols))]
+
+
+def mp_field(dim, terms, thetas):
+    """sum_n w_n i^n R_n P_n(cos theta) in mpmath, for the radial factors R_n
+    of ``terms`` (no i^n in 2D, where R_n carries it): w_n the number of
+    degree-n harmonics in R^dim, P_n the Gegenbauer polynomial of order
+    (dim - 2)/2 normalised to P_n(1) = 1, cos n theta in 2D."""
+    lam = mpmath.mpf(dim - 2) / 2
+    out = []
+    for th in thetas:
+        th = mpmath.mpf(th)
+        total = 0
+        for n, r in enumerate(terms):
+            w = math.comb(n + dim - 1, n) - (math.comb(n + dim - 3, n - 2) if n >= 2 else 0)
+            if dim == 2:
+                total += w * r * mpmath.cos(n * th)
+            else:
+                p = mpmath.gegenbauer(n, lam, mpmath.cos(th)) / mpmath.gegenbauer(n, lam, 1)
+                total += w * 1j ** n * r * p
+        out.append(total)
+    return np.array([complex(u) for u in out])
 
 
 def rebuilt(sequence, scale: float) -> list:

@@ -263,3 +263,19 @@ def test_12_baseline_rates():
             f"correlation vs 1/|log10 rho| {corr10:.5f} >= 0.99, "
             f"power-law residual / inverse-log residual {ratio:.1f} >= 10",
             0.9 <= e_ss <= 1.1 and 0.9 <= e_fss <= 1.1 and corr10 >= 0.99 and ratio >= 10.0)
+
+
+def test_16_rates_beyond_3d():
+    # The abstract's rho^N "in R^N, N >= 2", beyond the 2D and 3D of
+    # criteria 1, 2, 6 and 12: at k = 2 over rho = 2^-4 .. 2^-15, SH and FSH
+    # decay like rho^N and SS like rho^(N - 2), in N = 4 and 5, within the
+    # +-0.1 of criteria 1 and 2.
+    rhos = [0.5 ** j for j in range(4, 16)]
+    exponents, ok = [], True
+    for dim in (4, 5):
+        wave = WaveParams(K, np.eye(dim)[0])
+        for kind, target in (("sh", dim), ("fsh", dim), ("ss", dim - 2)):
+            e = sweep(SchemeSpec(kind), dim, wave, rhos).fit.slope
+            exponents.append(f"{dim}D {kind.upper()} {e:.4f} in [{target - 0.1}, {target + 0.1}]")
+            ok = ok and abs(e - target) <= 0.1
+    _report("criterion 16 (rates in 4D and 5D)", ", ".join(exponents), ok)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from nearcloak import analysis, cli, mie, specfun
+from nearcloak import analysis, cli, media, mie, specfun
 from nearcloak.analysis import SweepResult, fit_decay, sweep
 from nearcloak.errors import DomainError, InsufficientDataError, RangeError, ShapeError
 from nearcloak.mie import SchemeSpec, WaveParams
@@ -201,9 +201,14 @@ def test_observation_angle_count_must_be_an_integer_of_at_least_two():
                 analysis.observation_angles(dim, count)
 
 
-def test_observation_angles_need_dim_2_or_3():
-    with pytest.raises(DomainError, match="dim must be 2 or 3"):
-        analysis.observation_angles(4, 10)
+def test_observation_angles_need_a_dim_from_2_to_dim_max():
+    # [0, pi] in every dimension above 2.
+    assert np.array_equal(analysis.observation_angles(media.DIM_MAX, 5),
+                          analysis.observation_angles(3, 5))
+    for dim in (1, media.DIM_MAX + 1):
+        with pytest.raises(DomainError, match=f"^dim must be an integer from 2 to "
+                                              f"{media.DIM_MAX}, got {dim}$"):
+            analysis.observation_angles(dim, 10)
 
 
 def test_sweep_error_annotated_with_rho():

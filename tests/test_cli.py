@@ -182,6 +182,16 @@ def test_runs_exit_with_their_code_and_finite_rows(tmp_path, capsys, args, code,
         assert (tmp_path / "x.csv").read_bytes() == (tmp_path / "twin.csv").read_bytes()
 
 
+def test_contents_whose_modulus_overflows_exit_3(tmp_path, capsys):
+    # Both parts of q' are finite doubles, but |q'| = 2.1e308 is not: the
+    # number rule refuses it before any abs() can raise OverflowError (exit 5).
+    args = ["mie", "--scheme", "sh", "--core-q-re", "1.5e308", "--core-q-im", "1.5e308"]
+    assert run([*args, "--out", "x.csv"], tmp_path) == cli.EXIT_INVALID_PARAMETER
+    record = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert record["error"] == "DomainError" and "q must be finite" in record["message"]
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_internal_failure_exits_5_with_one_json_record(tmp_path, capsys, monkeypatch):
     def divide_by_zero(params):
         return 1 / 0

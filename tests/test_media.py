@@ -212,7 +212,7 @@ def test_virtual_core_params_checks_the_contents():
            (math.inf, 1.0, 0.1, 3), (1.0, 1.0 - 1e-3j, 0.1, 2),
            (1.0, complex(math.inf, 0.0), 0.1, 2), (1.0, complex(1.0, math.nan), 0.1, 3),
            (1.0, 1.0, 0.0, 2), (1.0, 1.0, -0.1, 2), (1.0, 1.0, math.nan, 2),
-           (1.0, 1.0, math.inf, 3), (1.0, 1.0, 0.1, 4)]
+           (1.0, 1.0, math.inf, 3), (1.0, 1.0, 0.1, media.DIM_MAX + 1), (1.0, 1.0, 0.1, 1)]
     for sigma, q, rho, dim in bad:
         with pytest.raises(DomainError):
             media.virtual_core_params(sigma, q, rho, dim)
@@ -220,6 +220,28 @@ def test_virtual_core_params_checks_the_contents():
     assert media.virtual_core_params(1.0, 1.0 - 1e-16j, 0.1, 2)[1].imag == 0.0
     with pytest.raises(RangeError):   # rho^-3 beyond the double range
         media.virtual_core_params(1.0, 1.0, 1e-200, 3)
+
+
+def test_a_numpy_dim_is_used_as_a_python_int():
+    # rho ** -np.int64(3) would be a numpy power, which overflows to inf with
+    # a RuntimeWarning (an error in these tests); the checked dim is an int.
+    with pytest.raises(RangeError, match="virtual contents overflow"):
+        media.virtual_core_params(1.0, 1.0, 1e-200, np.int64(3))
+    assert (media.virtual_core_params(2.0, 1.0, 0.5, np.int64(5))
+            == media.virtual_core_params(2.0, 1.0, 0.5, 5) == (2.0 * 0.5 ** -3, 0.5 ** -5 + 0j))
+    assert type(media._check_dim(np.int64(3))) is int
+
+
+@pytest.mark.parametrize("q", [complex(1.5e308, 1.5e308), complex(-1.5e308, 1.5e308)])
+def test_a_complex_whose_modulus_overflows_is_not_a_number(q):
+    # Both parts are finite, but |q| is beyond the double range, where abs()
+    # raises OverflowError: the number rule refuses it with a DomainError.
+    assert not media._number(q, media._COMPLEX)
+    with pytest.raises(DomainError, match="q must be finite"):
+        media.check_passive(1.0, q)
+    # Below the overflow, the parts and the modulus are finite.
+    assert media.check_passive(1.0, complex(1e308, 1e308)) == (1.0, complex(1e308, 1e308))
+    assert not media._number(10 ** 400) and media._number(10 ** 300)
 
 
 def test_virtual_sigma_rounding_to_zero_is_a_domain_error():
@@ -320,7 +342,8 @@ def test_sample_cloak_grid_needs_dim_2_or_3():
     lambda dim: media.sample_cloak_grid(SPEC, 9, dim=dim),
 ], ids=["observation_angles", "FarFieldPattern", "virtual_core_params", "sample_cloak_grid"])
 def test_every_dim_check_names_the_value_it_got(call):
-    with pytest.raises(DomainError, match=r"^dim must be 2 or 3, got '2'$"):
+    rule = rf"(2 or 3|an integer from 2 to {media.DIM_MAX})"
+    with pytest.raises(DomainError, match=rf"^dim must be {rule}, got '2'$"):
         call("2")
 
 
@@ -518,7 +541,8 @@ _RULES = {
                 (*_REALS, complex, np.complex64)),
     "integer": (_INTEGER_ENTRIES, [True, np.True_, "4", 4.0, np.float64(4), math.nan, math.inf],
                 (int, np.int64, np.int32)),
-    "dim": (_DIM_ENTRIES, [2.0, True, np.float64(2), np.True_, "2", 4], (int, np.int64)),
+    "dim": (_DIM_ENTRIES, [2.0, True, np.float64(2), np.True_, "2", media.DIM_MAX + 1],
+            (int, np.int64)),
 }
 
 

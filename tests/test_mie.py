@@ -21,8 +21,9 @@ WAVE2 = WaveParams(2.0, np.array([1.0, 0.0]))
 WAVE3 = WaveParams(2.0, np.array([1.0, 0.0, 0.0]))
 
 
-def _wave(dim, k=2.0):
-    return WAVE2 if dim == 2 else WaveParams(k, np.array([1.0, 0.0, 0.0]))
+def _wave(dim):
+    """The k = 2 wave along the first axis of R^dim."""
+    return WaveParams(2.0, np.eye(dim)[0])
 
 
 def _fit_slope(x, y):
@@ -272,65 +273,6 @@ def test_layer_params_checks_rho(scheme, rho):
     assert str(info.value) == f"rho must be finite and positive, got {rho}"
 
 
-def _mp_sequence(dim, kind, n_max, z):
-    """(values, derivatives) of orders 0..n_max of J/H (2D) or j/h (3D) at z
-    in mpmath.  H runs up from orders 0 and 1, as the recurrence is stable
-    upward for it (mpmath's integer-order Y is slow)."""
-    nu = 0 if dim == 2 else mpmath.mpf(1) / 2
-    s = 1 if dim == 2 else mpmath.sqrt(mpmath.pi / (2 * z))
-    if kind == "j":
-        f = [s * mpmath.besselj(n + nu, z) for n in range(n_max + 2)]
-    else:
-        f = [s * mpmath.hankel1(n + nu, z) for n in range(2)]
-        for n in range(1, n_max + 1):
-            f.append(2 * (n + nu) / z * f[n] - f[n - 1])
-    return f[:-1], [n / z * f[n] - f[n + 1] for n in range(n_max + 1)]
-
-
-def _interface_solve(dim, k, rho, layer, core, n_max):
-    """(d_n, a_n, b_n, c_n) of every mode n <= n_max from the four interface
-    conditions, solved in mpmath at its working precision: continuity of u
-    and sigma du/dr at rho and rho/2.  The layer field of mode n is
-    a_n J_n(kt r) + b_n H_n(kt r), the core field c_n J_n(k2 r).  Returns
-    kt, k2 and the coefficients."""
-    k, rho = mpmath.mpf(k), mpmath.mpf(rho)
-    (s_l, q_l), (s_a, q_a) = [(mpmath.mpf(s), mpmath.mpc(q)) for s, q in (layer, core)]
-    kt, k2 = k * mpmath.sqrt(q_l / s_l), k * mpmath.sqrt(q_a / s_a)
-
-    def value_and_flux(kind, wavenumber, sigma, r):
-        f, df = _mp_sequence(dim, kind, n_max, wavenumber * r)
-        return [(v, sigma * wavenumber * dv) for v, dv in zip(f, df)]
-
-    jk, hk = (value_and_flux(kind, k, 1, rho) for kind in "jh")
-    jt, ht = (value_and_flux(kind, kt, s_l, rho) for kind in "jh")
-    jt2, ht2 = (value_and_flux(kind, kt, s_l, rho / 2) for kind in "jh")
-    jc = value_and_flux("j", k2, s_a, rho / 2)
-    out = []
-    for n in range(n_max + 1):
-        phase = 1j ** n if dim == 2 else 1
-        m = mpmath.matrix([[hk[n][0], -jt[n][0], -ht[n][0], 0],
-                           [hk[n][1], -jt[n][1], -ht[n][1], 0],
-                           [0, jt2[n][0], ht2[n][0], -jc[n][0]],
-                           [0, jt2[n][1], ht2[n][1], -jc[n][1]]])
-        out.append(mpmath.lu_solve(m, mpmath.matrix([-phase * jk[n][0], -phase * jk[n][1], 0, 0])))
-    return kt, k2, out
-
-
-def _mp_field(dim, terms, thetas):
-    """sum_n eps_n R_n cos(n theta) (2D) or sum_n (2n+1) i^n R_n P_n(cos theta)
-    (3D) in mpmath, for the radial factors R_n of ``terms``."""
-    out = []
-    for th in thetas:
-        th = mpmath.mpf(th)
-        if dim == 2:
-            out.append(sum((1 if n == 0 else 2) * r * mpmath.cos(n * th)
-                           for n, r in enumerate(terms)))
-        else:
-            out.append(sum((2 * n + 1) * 1j ** n * r * mpmath.legendre(n, mpmath.cos(th))
-                           for n, r in enumerate(terms)))
-    return np.array([complex(u) for u in out])
-
-
 @pytest.mark.parametrize("scheme, dim, rho, contents, digits", [
     pytest.param(SchemeSpec.finite_sound_hard(), 2, 1e-3, None, 50, id="2-0.001-None"),
     pytest.param(SchemeSpec.finite_sound_hard(), 3, 1e-3, None, 50, id="3-0.001-None"),
@@ -342,7 +284,7 @@ def _mp_field(dim, terms, thetas):
     pytest.param(SchemeSpec.finite_sound_soft(), 3, 1e-2, (2.0, 0.5 + 0.2j), 50, id="fss-3"),
     pytest.param(SchemeSpec.layered(1.5, 2 + 0.3j), 2, 1e-2, (2.0, 0.5 + 0.2j), 50,
                  id="layered-2"),
-    # At 50 digits mpmath's LU calls this unscaled system singular.
+    # Kept at the 80 digits its system needed before the oracle scaled it.
     pytest.param(SchemeSpec.layered(1.5, 2 + 0.3j), 3, 1e-2, (2.0, 0.5 + 0.2j), 80,
                  id="layered-3"),
 ])
@@ -356,7 +298,7 @@ def test_layered_coefficients_match_multiprecision_interface_solve(scheme, dim, 
     sol = mie.solve(scheme, dim, _wave(dim), rho, contents)
     th = np.linspace(0.0, math.pi, 7)
     with mpmath.workdps(digits):
-        kt, k2, coeffs = _interface_solve(dim, 2.0, rho, scheme.layer_params(rho), core,
+        kt, k2, coeffs = oracles.interface_solve(dim, 2.0, rho, scheme.layer_params(rho), core,
                                           sol.n_max)
         for n, (d, _, _, _) in enumerate(coeffs):
             assert abs(sol.d_n[n] - complex(d)) <= 1e-12 * abs(complex(d))
@@ -364,11 +306,11 @@ def test_layered_coefficients_match_multiprecision_interface_solve(scheme, dim, 
                                  ("core", 0.25 * rho, ((3, "j", k2),))):
             fields = [0, 0]  # radial factors of the value and of the derivative
             for i, kind, wavenumber in parts:
-                f, df = _mp_sequence(dim, kind, sol.n_max, wavenumber * mpmath.mpf(r))
+                f, df = oracles.mp_sequence(dim, kind, sol.n_max, wavenumber * mpmath.mpf(r))
                 fields = [fields[0] + np.array([x[i] * v for x, v in zip(coeffs, f)]),
                           fields[1] + np.array([x[i] * wavenumber * v for x, v in zip(coeffs, df)])]
             for derivative, terms in enumerate(fields):
-                expected = _mp_field(dim, terms, th)
+                expected = oracles.mp_field(dim, terms, th)
                 got = mie.field_on_circle(sol, r, th, region=region,
                                           radial_derivative=bool(derivative))
                 assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected)), \
@@ -643,9 +585,11 @@ def test_far_field_pattern_needs_one_amplitude_per_angle():
         mie.FarFieldPattern([0.0, 1.0], [[1.0, 2.0]], 3)
 
 
-@pytest.mark.parametrize("dim", [1, 4, "2d", "3D", None])
+@pytest.mark.parametrize("dim", [1, media.DIM_MAX + 1, "2d", "3D", None])
 def test_far_field_pattern_dim_must_be_2_or_3(dim):
-    with pytest.raises(DomainError, match="dim must be 2 or 3"):
+    # Named for the range of its first cases; a pattern takes any integer dim
+    # from 2 to DIM_MAX, as a modal solve does.
+    with pytest.raises(DomainError, match=f"dim must be an integer from 2 to {media.DIM_MAX}"):
         mie.FarFieldPattern([0.0, 1.0], [1.0, 2.0], dim)
 
 
@@ -1118,3 +1062,99 @@ def test_obstacles_ignore_contents_beyond_the_virtual_range(dim, scheme):
         virtual_core_params(1.0, 1e300, 1e-6, dim)
     sol = mie.solve(scheme, dim, _wave(dim), 1e-6, (1.0, 1e300))
     assert np.array_equal(sol.d_n, mie.solve(scheme, dim, _wave(dim), 1e-6, (1.0, 1.0)).d_n)
+
+
+# ---------------------------------------------------------------------------
+# Any dimension N from 2 to DIM_MAX: one solver in lam = (N - 2)/2
+# ---------------------------------------------------------------------------
+def test_dims_from_2_to_the_cap_solve_and_one_above_it_is_refused():
+    assert media.DIM_MAX == 2 + round(2 * specfun.OFFSETS[-1]) == 7
+    for dim in range(2, media.DIM_MAX + 1):
+        sol = mie.solve(SchemeSpec.finite_sound_hard(), dim, _wave(dim), 0.1)
+        assert sol.dim == dim and np.all(np.isfinite(sol.d_n)) and sol.truncation_tail <= 1e-14
+    with pytest.raises(DomainError, match="incident direction"):
+        _wave(media.DIM_MAX + 1)
+    with pytest.raises(DomainError, match=f"dim must be an integer from 2 to {media.DIM_MAX}"):
+        mie.solve(SchemeSpec.sound_hard(), media.DIM_MAX + 1, WAVE2, 0.1)
+
+
+def test_weights_count_the_harmonics_of_each_degree():
+    n = np.arange(64)
+    assert np.array_equal(mie._weights(2, 64), np.where(n == 0, 1.0, 2.0))
+    assert np.array_equal(mie._weights(3, 64), 2 * n + 1)
+    assert np.array_equal(mie._weights(4, 64), (n + 1) ** 2)
+    assert np.array_equal(mie._weights(5, 64), (n + 1) * (n + 2) * (2 * n + 3) // 6)
+
+
+def test_angle_tables_are_normalised_gegenbauer_polynomials():
+    # cos n theta in 2D (the recurrence against numpy's cos), numpy's
+    # legvander bit for bit in 3D, and mpmath's Gegenbauer polynomials above.
+    rows = 224
+    angles = np.linspace(0.0, 2 * math.pi, 361)[:-1]
+    cosines = np.cos(np.outer(np.arange(rows), angles))
+    assert np.max(np.abs(mie._tabulate(2, angles, rows) - cosines)) <= 5e-13
+    angles = np.linspace(0.0, math.pi, 100)
+    assert np.array_equal(mie._tabulate(3, angles, rows),
+                          np.polynomial.legendre.legvander(np.cos(angles), rows - 1).T)
+    angles = np.linspace(0.0, math.pi, 13)
+    for dim in (4, 5, media.DIM_MAX):
+        table, lam = mie._tabulate(dim, angles, rows), mpmath.mpf(dim - 2) / 2
+        with mpmath.workdps(30):
+            for n in (0, 1, 2, 31, 100, rows - 1):
+                exact = [mpmath.gegenbauer(n, lam, mpmath.cos(mpmath.mpf(th)))
+                         / mpmath.gegenbauer(n, lam, 1) for th in angles]
+                assert np.max(np.abs(table[n] - np.array(exact, dtype=float))) <= 1e-14
+
+
+@pytest.mark.parametrize("dim", [4, 5])
+@pytest.mark.parametrize("kind", ["sh", "fsh", "ss", "fss", "layered"])
+def test_coefficients_in_four_and_five_dimensions_match_the_interface_system(dim, kind):
+    # d_n against a 40-digit solve of each mode's interface conditions with
+    # radial functions r^-lam J_{n+lam}(kr), r^-lam H_{n+lam}(kr), within
+    # 1e-12 of max|d_n|, over rho = 1e-1 .. 1e-3 in half decades.  The
+    # lossless walls keep every mode's S_n = 1 + 2 d_n on the unit circle.
+    scheme = SchemeSpec.layered(1.0, 1.0) if kind == "layered" else SchemeSpec(kind)
+    for rho in 10.0 ** -np.arange(1.0, 3.01, 0.5):
+        sol = mie.solve(scheme, dim, _wave(dim), rho)
+        with mpmath.workdps(40):
+            if kind in ("sh", "ss"):
+                expected = oracles.wall_solve(dim, 2.0, rho, kind, sol.n_max)
+            else:
+                core = virtual_core_params(1.0, 1.0, rho, dim)
+                _, _, coeffs = oracles.interface_solve(dim, 2.0, rho, scheme.layer_params(rho),
+                                                       core, sol.n_max)
+                expected = [c[0] for c in coeffs]
+            expected = np.array([complex(d) for d in expected])
+        assert np.max(np.abs(sol.d_n - expected)) <= 1e-12 * np.max(np.abs(expected)), rho
+        if kind in ("sh", "ss"):
+            assert np.max(np.abs(np.abs(1 + 2 * sol.d_n) - 1)) <= 1e-14
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, media.DIM_MAX])
+def test_far_field_constant_is_the_scattered_field_at_large_radius(dim):
+    # u^s(r) e^{-ikr} r^{(N-1)/2} -> A at the rate 1/r: its Richardson
+    # extrapolation from k r = 8000 and 16000 is A to 1e-7 of max|A|.
+    th = np.linspace(0.0, math.pi, 7)
+    for scheme in (SchemeSpec.sound_hard(), SchemeSpec.finite_sound_soft()):
+        sol = mie.solve(scheme, dim, _wave(dim), 0.4)
+        far = mie.far_field(sol, th).amplitude
+        near = [mie.field_on_circle(sol, r, th, scattered_only=True)
+                * np.exp(-2j * r) * r ** ((dim - 1) / 2) for r in (4000.0, 8000.0)]
+        assert np.max(np.abs(2 * near[1] - near[0] - far)) <= 1e-7 * np.max(np.abs(far))
+
+
+@pytest.mark.parametrize("dim", [4, 5])
+def test_leading_asymptotic_in_four_and_five_dimensions(dim):
+    # The small-ball term is the series' leading order (criterion 3's 5e-3),
+    # its remainder falls like (k rho)^2 relative, and it vanishes at
+    # arccos((N - 1)/N).
+    wave = _wave(dim)
+    rels = []
+    for rho in (0.02, 0.01):
+        sol = mie.solve(SchemeSpec.sound_hard(), dim, wave, rho)
+        a_series = mie.far_field(sol, np.array([math.pi])).amplitude[0]
+        a_lead = mie.leading_asymptotic(dim, wave, rho, math.pi)
+        rels.append(abs(a_series - a_lead) / abs(a_lead))
+    assert rels[1] <= 5e-3 and 3.5 <= rels[0] / rels[1] <= 4.5
+    special = mie.leading_asymptotic(dim, wave, 0.01, math.acos((dim - 1) / dim))
+    assert abs(special) <= 1e-15 * abs(mie.leading_asymptotic(dim, wave, 0.01, math.pi))

@@ -281,7 +281,10 @@ def test_batched_solve_equals_per_rho_solves(dim, k, kind, large, small, sigma, 
 # ---------------------------------------------------------------------------
 # Ratio-form sequences against an element-wise mpmath oracle
 # ---------------------------------------------------------------------------
-FAMILIES = [(kind, spherical) for kind in ("j", "h") for spherical in (False, True)]
+# specfun's order offsets lam = (N - 2)/2 of N = 2 to 5: cylindrical, spherical,
+# and those of R^4 and R^5.
+OFFSETS = (0.0, 0.5, 1.0, 1.5)
+FAMILIES = [(kind, lam) for kind in ("j", "h") for lam in OFFSETS]
 
 arguments = st.builds(
     lambda r, angle: complex(r * math.cos(angle), r * math.sin(angle)),
@@ -291,8 +294,8 @@ arguments = st.builds(
 
 def _sequence(family, nmax, z):
     """specfun's (base, ratios) of orders 0..nmax of one family at z."""
-    kind, spherical = family
-    return (specfun.bessel_j if kind == "j" else specfun.bessel_h1)(nmax, z, spherical)
+    kind, lam = family
+    return (specfun.bessel_j if kind == "j" else specfun.bessel_h1)(nmax, z, lam)
 
 
 def _scale(family, z) -> float:
@@ -306,7 +309,7 @@ def _log_abs(x) -> float:
 
 @SETTINGS
 @given(family=st.sampled_from(FAMILIES), nmax=st.integers(1, 30), z=arguments)
-@example(family=("j", False), nmax=4, z=148.4131591025766 + 0j)  # J_3 near a zero
+@example(family=("j", 0.0), nmax=4, z=148.4131591025766 + 0j)  # J_3 near a zero
 def test_array_derivative_matches_elementwise(family, nmax, z):
     # Derivatives f_n' = f_n (n/z - f_{n+1}/f_n), from the log-derivatives
     # the solver forms and the values rebuilt from the ratio form, against
@@ -349,24 +352,30 @@ def test_array_arithmetic_matches_elementwise(fa, fb, nmax, za, zb):
                                    rel=1e-13, abs=0.0)
 
 
-def _mp_j(spherical, n, z):
-    """j_n(z) = sqrt(pi/(2z)) J_{n+1/2}(z) or J_n(z) in mpmath."""
-    if spherical:
-        return mpmath.sqrt(mpmath.pi / (2 * z)) * mpmath.besselj(n + mpmath.mpf(1) / 2, z)
-    return mpmath.besselj(n, z)
+def _front(lam, z):
+    """Gamma(lam + 1) (2/z)^lam in mpmath, on the branch continuous from the
+    upper half-plane: sqrt(pi/(2z)) at lam = 1/2."""
+    lam = mpmath.mpf(lam)
+    return mpmath.gamma(lam + 1) * mpmath.exp(-lam * mpmath.log(z / 2))
+
+
+def _mp_j(lam, n, z):
+    """Gamma(lam + 1) (2/z)^lam J_{n+lam}(z) in mpmath: J_n(z) at lam = 0,
+    j_n(z) at lam = 1/2."""
+    return _front(lam, z) * mpmath.besselj(n + mpmath.mpf(lam), z)
 
 
 @SETTINGS
-@given(spherical=st.booleans(), nmax=st.integers(0, 60),
+@given(lam=st.sampled_from(OFFSETS), nmax=st.integers(0, 60),
        r=st.floats(math.log(1e-40), math.log(1.5e4)).map(math.exp),
        angle=st.floats(0.0, math.pi))
 # At the first zeros of J_0 and j_0, and next to the first, the values are
 # rebuilt from the order-1 base value.
-@example(spherical=False, nmax=5, r=2.404825557695773, angle=0.0)
-@example(spherical=True, nmax=5, r=math.pi, angle=0.0)
-@example(spherical=False, nmax=5, r=abs(2.404825557695773 + 1e-9j),
+@example(lam=0.0, nmax=5, r=2.404825557695773, angle=0.0)
+@example(lam=0.5, nmax=5, r=math.pi, angle=0.0)
+@example(lam=0.0, nmax=5, r=abs(2.404825557695773 + 1e-9j),
          angle=cmath.phase(2.404825557695773 + 1e-9j))
-def test_j_families_match_mpmath(spherical, nmax, r, angle):
+def test_j_families_match_mpmath(lam, nmax, r, angle):
     # The closed upper half-plane, from the power-law regime to |z| = 1.5e4.
     # Errors are measured against the local envelope
     # max(|f_n|, |f_n'| min(1, |z|/(n+1))), which is |f_n| except next to
@@ -375,15 +384,48 @@ def test_j_families_match_mpmath(spherical, nmax, r, angle):
     # its ~|z| steps through the oscillatory range, hence the term in |z|
     # (1.3e-12 at |z| = 1.4e4 on the real axis).
     z = complex(r * math.cos(angle), r * math.sin(angle))
-    seq = specfun.bessel_j(nmax, z, spherical)
+    seq = specfun.bessel_j(nmax, z, lam)
     got = oracles.rebuilt(seq, z.imag)
     with mpmath.workdps(60):  # mpmath's complex besselj loses digits at 30
         zm = mpmath.mpc(z)
-        f = [_mp_j(spherical, n, zm) for n in range(nmax + 2)]
+        f = [_mp_j(lam, n, zm) for n in range(nmax + 2)]
         for n in range(nmax + 1):
             slope = abs(n / zm * f[n] - f[n + 1]) * min(1.0, r / (n + 1))
             tol = 1e-12 + 1e-15 * abs(_log_abs(got[n])) + 2e-16 * r
             assert abs(got[n] - f[n]) <= tol * max(abs(f[n]), slope), (n, z)
+
+
+def _deeper_fraction(n, z, lam):
+    """The J family's ratios 0..n-1 at z by specfun's continued fraction in
+    its own operations, started 60 + |z| + 32 |z|^(1/3) orders above its
+    Miller start max(n, |z|) + 10 + 8 |z|^(1/3)."""
+    x = abs(z)
+    start = int(max(n, x) + 10.0 + 8.0 * x ** (1.0 / 3.0)) + int(60.0 + x + 32.0 * x ** (1.0 / 3.0))
+    two_over_z, r = 2.0 / z, 0j
+    for m in range(start, n, -1):
+        r = 1.0 / (((m + lam) * two_over_z - r) or specfun._LENTZ_TINY)
+    ratios = [0j] * n
+    for m in range(n, 0, -1):
+        r = 1.0 / (((m + lam) * two_over_z - r) or specfun._LENTZ_TINY)
+        ratios[m - 1] = r
+    return ratios
+
+
+@SETTINGS
+@given(lam=st.sampled_from(OFFSETS), n=st.integers(1, specfun.ORDER_MAX),
+       r=st.floats(math.log(1e-3), math.log(specfun.ARGUMENT_GUARD)).map(math.exp),
+       angle=st.one_of(st.just(0.0), st.just(math.pi), st.floats(0.0, math.pi)))
+@example(lam=0.0, n=1, r=1e-3, angle=0.0)
+@example(lam=1.5, n=200, r=2e4, angle=0.0)
+@example(lam=0.5, n=1, r=2e4, angle=math.pi)
+def test_miller_start_is_deep_enough_to_the_bit(lam, n, r, angle):
+    # Wherever the J family takes the continued fraction, its ratios equal,
+    # bit for bit, those of a start 60 + |z| + 32 |z|^(1/3) orders deeper.
+    z = complex(-r, 0.0) if angle == math.pi else complex(r * math.cos(angle), r * math.sin(angle))
+    assume(z.imag >= 0 and not specfun._upward_is_stable(n, z))
+    _, ratios = specfun.bessel_j(n, z, lam)
+    deeper = np.array(_deeper_fraction(n, z, lam), dtype=complex)
+    assert np.array_equal(ratios.view(np.uint64), deeper.view(np.uint64))
 
 
 @st.composite
@@ -403,62 +445,62 @@ def upward_regime(draw):
 
 
 @SETTINGS
-@given(spherical=st.booleans(), point=upward_regime())
+@given(lam=st.sampled_from(OFFSETS), point=upward_regime())
 # Order 87 here lies outside the order condition (the upward step would be
 # off by 5e-5), so the continued fraction serves it.
-@example(spherical=False, point=(complex(-40.94, 271.55), 87))
-def test_j_families_match_mpmath_in_the_upward_regime(spherical, point):
+@example(lam=0.0, point=(complex(-40.94, 271.55), 87))
+def test_j_families_match_mpmath_in_the_upward_regime(lam, point):
     # Values rebuilt from the base and the ratio products against the
     # 60-digit oracle at orders 0, 1, nmax/2 and nmax.  The start values
     # J_0, J_1 are exact to rounding and the order condition keeps the
     # growth of their rounding below e, so 1e-14 holds here, against
     # 1e-12 + 2e-16 |z| for the continued fraction on the real axis.  Below
     # |z| = 21.8, where Amos's jve leaves its asymptotic expansion, jve
-    # itself is off by up to 2.6e-14 at orders 1/2 and 3/2, and the j_n
-    # values carry that.
+    # itself is off by up to 2.6e-14 at orders 1/2 and 3/2, and the values
+    # of a half-integer offset carry that.
     z, nmax = point
-    seq = specfun.bessel_j(nmax, z, spherical)
+    seq = specfun.bessel_j(nmax, z, lam)
     got = oracles.rebuilt(seq, z.imag)
-    tol = 3e-14 if spherical and abs(z) < 21.8 else 1e-14
+    tol = 3e-14 if lam % 1 and abs(z) < 21.8 else 1e-14
     with mpmath.workdps(60):
         zm = mpmath.mpc(z)
         for n in sorted({0, min(1, nmax), nmax // 2, nmax}):
-            exact = _mp_j(spherical, n, zm)
+            exact = _mp_j(lam, n, zm)
             assert abs(got[n] - exact) <= tol * abs(exact), (n, z)
 
 
-def _mp_h(spherical, nmax, z):
-    """H_n^(1)(z) or h_n^(1)(z), n = 0..nmax, in mpmath.
+def _mp_h(lam, nmax, z):
+    """Gamma(lam + 1) (2/z)^lam H_{n+lam}^(1)(z), n = 0..nmax, in mpmath:
+    H_n^(1)(z) at lam = 0, h_n^(1)(z) at lam = 1/2.
 
     H_nu(z) = (2/(pi i)) e^{-i pi nu/2} K_nu(-iz), with K_nu run up from two
-    orders by its recurrence, which is stable upward; h_n is H_{n+1/2}
-    times sqrt(pi/2)/sqrt(z), the upper-half-plane branch of
-    sqrt(pi/(2z)).  mpmath.hankel1 is not used: it forms J + iY, which
-    cancels, and returns 0 once Im z reaches about 150.
+    orders by its recurrence, which is stable upward.  mpmath.hankel1 is
+    not used: it forms J + iY, which cancels, and returns 0 once Im z
+    reaches about 150.
     """
     zm = mpmath.mpc(z)
-    w, nu = -1j * zm, mpmath.mpf(1) / 2 if spherical else mpmath.mpf(0)
+    w, nu = -1j * zm, mpmath.mpf(lam)
     k = [mpmath.besselk(nu, w), mpmath.besselk(nu + 1, w)]
     for n in range(1, nmax):
         k.append(k[n - 1] + 2 * (nu + n) / w * k[n])
-    front = mpmath.sqrt(mpmath.pi / 2) / mpmath.sqrt(zm) if spherical else 1
+    front = _front(lam, zm)
     return [front * 2 / (mpmath.pi * 1j) * mpmath.exp(-1j * mpmath.pi * (nu + n) / 2) * k[n]
             for n in range(nmax + 1)]
 
 
 @SETTINGS
-@given(spherical=st.booleans(), nmax=st.integers(0, 30),
+@given(lam=st.sampled_from(OFFSETS), nmax=st.integers(0, 30),
        r=st.one_of(st.floats(math.log(1e-40), math.log(12.5)),
                    st.floats(math.log(12.5), math.log(100.0)),
                    st.floats(math.log(100.0), math.log(2e4))).map(math.exp),
        angle=st.one_of(st.just(0.0), st.just(math.pi), st.floats(0.0, math.pi)))
-@example(spherical=False, nmax=1, r=13.49, angle=0.0)
-@example(spherical=False, nmax=22, r=13.21, angle=0.0)
-@example(spherical=False, nmax=3, r=200.0, angle=0.0)
-@example(spherical=False, nmax=3, r=1.7e4, angle=math.pi)
-@example(spherical=False, nmax=4, r=6.6193, angle=1.9663)
-@example(spherical=False, nmax=30, r=3.810767422066023e-35, angle=0.0)
-def test_h_families_match_mpmath(spherical, nmax, r, angle):
+@example(lam=0.0, nmax=1, r=13.49, angle=0.0)
+@example(lam=0.0, nmax=22, r=13.21, angle=0.0)
+@example(lam=0.0, nmax=3, r=200.0, angle=0.0)
+@example(lam=0.0, nmax=3, r=1.7e4, angle=math.pi)
+@example(lam=0.0, nmax=4, r=6.6193, angle=1.9663)
+@example(lam=0.0, nmax=30, r=3.810767422066023e-35, angle=0.0)
+def test_h_families_match_mpmath(lam, nmax, r, angle):
     # Log-uniform |z| in three bands (small, moderate and large arguments),
     # real axes included.  The tolerances are the error budget of the
     # specfun docstring: the values, rebuilt in mpmath from scipy's hankel1e
@@ -467,10 +509,10 @@ def test_h_families_match_mpmath(spherical, nmax, r, angle):
     # |ln|H_n||.
     z = complex(-r, 0.0) if angle == math.pi else complex(r * math.cos(angle),
                                                           r * math.sin(angle))
-    seq = specfun.bessel_h1(nmax, z, spherical)
+    seq = specfun.bessel_h1(nmax, z, lam)
     got = oracles.rebuilt(seq, -z.imag)
     with mpmath.workdps(50):
-        expected = _mp_h(spherical, nmax, z)
+        expected = _mp_h(lam, nmax, z)
         for n in range(nmax + 1):
             tol = (1e-14 if r < 100.0 else 1e-15) + 2.3e-16 * abs(_log_abs(got[n]))
             assert abs(got[n] - expected[n]) <= tol * abs(expected[n]), (n, z)

@@ -111,7 +111,7 @@ def _exit_examples():
 
 def test_exit_code_examples_exit_with_their_code_and_type(tmp_path, capsys, monkeypatch):
     examples = _exit_examples()
-    assert len(examples) == 23
+    assert len(examples) == 24
     monkeypatch.chdir(tmp_path)
     for args, code, error, message in examples:
         assert cli.main(args) == code, args

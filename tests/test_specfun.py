@@ -61,18 +61,18 @@ def y0_series(z: complex) -> complex:
 # ---------------------------------------------------------------------------
 # Values from the ratio form
 # ---------------------------------------------------------------------------
-def j_values(nmax, z, spherical=False):
-    """J_0..J_nmax(z) (or j_n), rebuilt from specfun's base and ratios."""
+def j_values(nmax, z, lam=0.0):
+    """J_0..J_nmax(z) (j_n at lam = 1/2), rebuilt from specfun's base and ratios."""
     z = complex(z)
     return np.array([complex(v) for v in
-                     oracles.rebuilt(sf.bessel_j(nmax, z, spherical), z.imag)])
+                     oracles.rebuilt(sf.bessel_j(nmax, z, lam), z.imag)])
 
 
-def h_values(nmax, z, spherical=False):
-    """H_0..H_nmax(z) (or h_n), rebuilt from specfun's base and ratios."""
+def h_values(nmax, z, lam=0.0):
+    """H_0..H_nmax(z) (h_n at lam = 1/2), rebuilt from specfun's base and ratios."""
     z = complex(z)
     return np.array([complex(v) for v in
-                     oracles.rebuilt(sf.bessel_h1(nmax, z, spherical), -z.imag)])
+                     oracles.rebuilt(sf.bessel_h1(nmax, z, lam), -z.imag)])
 
 
 # ---------------------------------------------------------------------------
@@ -142,9 +142,9 @@ def test_h_deriv_magnitude_decays_exponentially():
 # ---------------------------------------------------------------------------
 def test_spherical_closed_forms():
     for z in (0.7, 2.0 + 1.5j, 9.0 + 0.3j):
-        j0 = j_values(0, z, spherical=True)[0]
+        j0 = j_values(0, z, lam=0.5)[0]
         assert abs(j0 - cmath.sin(z) / z) < 1e-13 * abs(j0)
-        h0 = h_values(0, z, spherical=True)[0]
+        h0 = h_values(0, z, lam=0.5)[0]
         assert abs(h0 - (-1j * cmath.exp(1j * z) / z)) < 1e-13 * abs(h0)
 
 
@@ -152,16 +152,16 @@ def test_spherical_j1_closed_form_oracle():
     z = 0.1
     oracle = math.sin(z) / z ** 2 - math.cos(z) / z
     assert abs(oracle - 0.0333001) < 5e-7  # quoted to 6 digits
-    base, ratios = sf.bessel_j(1, z, spherical=True)
+    base, ratios = sf.bessel_j(1, z, lam=0.5)
     assert abs(base[1] - oracle) < 1e-14
     assert abs(base[0] * ratios[0] - oracle) < 1e-14
 
 
 def test_spherical_at_zero():
-    assert sf.bessel_j(0, 0.0, spherical=True)[0][0] == 1.0
-    assert j_values(2, 0.0, spherical=True).tolist() == [1.0, 0.0, 0.0]
+    assert sf.bessel_j(0, 0.0, lam=0.5)[0][0] == 1.0
+    assert j_values(2, 0.0, lam=0.5).tolist() == [1.0, 0.0, 0.0]
     with pytest.raises(SingularArgumentError):
-        sf.bessel_h1(0, 0.0, spherical=True)
+        sf.bessel_h1(0, 0.0, lam=0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +260,10 @@ def test_spherical_cross_check_against_scipy():
         z = complex(rng.uniform(0.1, 30.0)
                     * cmath.exp(1j * rng.uniform(0.0, math.pi)))
         front = cmath.sqrt(math.pi / (2 * z))
-        ours = j_values(n, z, spherical=True)[n]
+        ours = j_values(n, z, lam=0.5)[n]
         ref = front * complex(special.jv(n + 0.5, z))
         assert abs(ours - ref) <= 1e-9 * abs(ref)
-        ours = h_values(n, z, spherical=True)[n]
+        ours = h_values(n, z, lam=0.5)[n]
         ref = front * complex(special.hankel1(n + 0.5, z))
         assert abs(ours - ref) <= 1e-9 * abs(ref)
 
@@ -330,14 +330,25 @@ def test_argument_guard_follows_the_top_order_of_the_call():
     assert np.max(np.abs(ratios - ref) / np.abs(ref)) <= 1e-13
 
 
+def _family(hankel, lam):
+    """(the specfun family at order offset lam, the sign of its Amos scale,
+    its mpmath oracle Gamma(lam + 1) (2/z)^lam Z_{n+lam}(z))."""
+    bessel = mpmath.hankel1 if hankel else mpmath.besselj
+    return (lambda n, z: (sf.bessel_h1 if hankel else sf.bessel_j)(n, z, lam),
+            -1.0 if hankel else 1.0,
+            lambda n, z: (mpmath.gamma(lam + 1) * mpmath.exp(-lam * mpmath.log(z / 2))
+                          * bessel(n + lam, z)))
+
+
 FAMILIES = {
-    "bessel_j_all": (lambda n, z: sf.bessel_j(n, z), 1.0, mpmath.besselj),
-    "bessel_h1_all": (lambda n, z: sf.bessel_h1(n, z), -1.0, mpmath.hankel1),
-    "spherical_j_all": (lambda n, z: sf.bessel_j(n, z, spherical=True), 1.0,
-                        lambda n, z: mpmath.sqrt(mpmath.pi / (2 * z)) * mpmath.besselj(n + 0.5, z)),
-    "spherical_h1_all": (lambda n, z: sf.bessel_h1(n, z, spherical=True), -1.0,
-                         lambda n, z: mpmath.sqrt(mpmath.pi / (2 * z)) * mpmath.hankel1(n + 0.5, z)),
+    "bessel_j_all": _family(False, 0.0), "bessel_h1_all": _family(True, 0.0),
+    "spherical_j_all": _family(False, 0.5), "spherical_h1_all": _family(True, 0.5),
+    "offset1_j_all": _family(False, 1.0), "offset1_h1_all": _family(True, 1.0),
+    "offset1.5_j_all": _family(False, 1.5), "offset1.5_h1_all": _family(True, 1.5),
 }
+# The order offsets of the batch tests: ids False and True are the
+# cylindrical and spherical cases, as they have always been named.
+OFFSETS = pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 1.5], ids=["False", "True", "1", "1.5"])
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
@@ -364,12 +375,12 @@ def test_argument_floor(name):
 
 def test_spherical_derivatives_closed_forms():
     z = 1.7 + 0.6j
-    j0 = j_values(0, z, spherical=True)[0]
-    d = j0 * -sf.bessel_j(1, z, spherical=True)[1][0]
+    j0 = j_values(0, z, lam=0.5)[0]
+    d = j0 * -sf.bessel_j(1, z, lam=0.5)[1][0]
     expected = cmath.cos(z) / z - cmath.sin(z) / z ** 2  # j_0' = -j_1
     assert abs(d - expected) < 1e-13 * abs(expected)
-    h0 = h_values(0, z, spherical=True)[0]
-    d = h0 * -sf.bessel_h1(1, z, spherical=True)[1][0]
+    h0 = h_values(0, z, lam=0.5)[0]
+    d = h0 * -sf.bessel_h1(1, z, lam=0.5)[1][0]
     h1 = -cmath.exp(1j * z) * (1.0 / z + 1j / z ** 2)
     assert abs(d + h1) < 1e-13 * abs(h1)  # h_0' = -h_1
 
@@ -401,17 +412,17 @@ def test_batch_rows_equal_calls_at_their_own_order(name):
             assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("spherical", [False, True])
-def test_batch_row_agrees_with_its_call_across_the_route_boundary(spherical):
+@OFFSETS
+def test_batch_row_agrees_with_its_call_across_the_route_boundary(lam):
     # At the FSH angle, order 14 takes the upward step (14^2 Im z <= |z|^2)
     # and order 60 does not.  A row at order 14 in a batch whose top order
     # is 60 still takes the upward step, so it is its own call bit for bit,
     # as is the row at order 60, which takes the continued fraction.
     z = 300.0 * cmath.exp(0.294j)
     assert sf._upward_is_stable(14, z) and not sf._upward_is_stable(60, z)
-    base, ratios = sf.bessel_j([14, 60], np.array([z, z]), spherical)
+    base, ratios = sf.bessel_j([14, 60], np.array([z, z]), lam)
     for row, n in enumerate((14, 60)):
-        alone = sf.bessel_j(n, z, spherical)
+        alone = sf.bessel_j(n, z, lam)
         assert np.array_equal(base[row], alone[0])
         assert np.array_equal(ratios[row, :n], alone[1])
 
@@ -439,9 +450,9 @@ def _every_route(rng, size, hankel):
     return orders, np.array(zs)
 
 
-@pytest.mark.parametrize("spherical", [False, True])
+@OFFSETS
 @pytest.mark.parametrize("hankel", [False, True], ids=["j", "h1"])
-def test_batch_over_every_route_is_its_rows_own_calls(hankel, spherical):
+def test_batch_over_every_route_is_its_rows_own_calls(hankel, lam):
     # One Amos call serves the whole batch; every row keeps the bits of its
     # own call, and the last row those of a batch of one.
     family = sf.bessel_h1 if hankel else sf.bessel_j
@@ -453,12 +464,12 @@ def test_batch_over_every_route_is_its_rows_own_calls(hankel, spherical):
     assert np.sum((zs.imag > 0) & ~stable) == 400  # the fraction, for J and j
     assert np.sum(stable & (size <= sf.ARGUMENT_GUARD)) == 400
     assert np.sum(stable & (size > sf.ARGUMENT_GUARD)) == 400
-    base, ratios = family(orders, zs, spherical)
+    base, ratios = family(orders, zs, lam)
     for row, (n, z) in enumerate(zip(orders, zs)):
-        alone = family(n, z, spherical)
+        alone = family(n, z, lam)
         assert np.array_equal(base[row], alone[0])
         assert np.array_equal(ratios[row, :n], alone[1])
-    one = family(orders[-1:], zs[-1:], spherical)
+    one = family(orders[-1:], zs[-1:], lam)
     assert np.array_equal(one[0][0], base[1999])
     assert np.array_equal(one[1][0], ratios[1999, :orders[-1]])
 
@@ -491,11 +502,30 @@ def test_lower_half_plane_is_out_of_range(name):
     assert np.array_equal(on_axis[1], plain[1])
 
 
+@pytest.mark.parametrize("lam", [-0.5, 0.25, sf.OFFSETS[-1] + 0.5, math.nan, True, "0.5", 1j])
+def test_order_offset_is_a_half_integer_up_to_the_cap(lam):
+    for family in (sf.bessel_j, sf.bessel_h1):
+        with pytest.raises(RangeError, match="order offset must be one of"):
+            family(3, 1.0, lam)
+
+
+def test_offsets_one_and_three_halves_in_closed_form():
+    # Gamma(2) (2/z) J_{n+1}(z) and Gamma(5/2) (2/z)^(3/2) J_{n+3/2}(z), whose
+    # order 0 is 2 J_1(z)/z and 3 (sin z - z cos z)/z^3 = 3 j_1(z)/z.
+    for z in (0.7, 2.0 + 1.5j, 9.0 + 0.3j):
+        f = j_values(1, z, lam=1.0)
+        assert abs(f[0] - 2.0 * complex(special.jv(1, z)) / z) < 1e-13 * abs(f[0])
+        f = j_values(0, z, lam=1.5)
+        exact = 3.0 * (cmath.sin(z) - z * cmath.cos(z)) / z ** 3
+        assert abs(f[0] - exact) < 1e-13 * abs(exact)
+        assert sf.bessel_j(0, 0.0, lam=1.5)[0].tolist() == [1.0, 0.0]
+
+
 def test_batch_guards_apply_to_every_argument():
     with pytest.raises(RangeError, match="below the floor"):
         sf.bessel_j(3, np.array([1.0, 1e-60]))
     with pytest.raises(SingularArgumentError):
-        sf.bessel_h1(3, np.array([1.0, 0.0]), spherical=True)
+        sf.bessel_h1(3, np.array([1.0, 0.0]), lam=0.5)
     # one order per argument, or a single order for all of them
     for family in (sf.bessel_j, sf.bessel_h1):
         for orders, z in (([3, 4], 1.0), ([3], np.array([1.0, 2.0])),
