@@ -65,7 +65,7 @@ import numpy as np
 
 from .errors import DomainError, RangeError, ResonanceError, ShapeError, TruncationError
 from .media import _COMPLEX, _INTEGER, _check_positive, _number
-from .mie import FarFieldPattern, WaveParams
+from .mie import FarFieldPattern, WaveParams, _far_field_angles
 
 _EULER_GAMMA = 0.5772156649015328606
 MAX_NODES = 2048
@@ -561,7 +561,7 @@ def _green_far_field(k: float, angles: np.ndarray, ys: np.ndarray, normals: np.n
     c dn + i s dn applied to -i u, and c + i s applied to -flux.  No complex
     (angles x points) array is formed.  Non-finite amplitudes (overflowing
     data or k) raise DomainError."""
-    angles = np.asarray(angles, dtype=float)
+    angles = _far_field_angles(angles, 2)
     xhat = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
         arg = -k * (xhat @ ys.T)

@@ -68,7 +68,7 @@ _DEFAULTS = {
 
 _SCHEMES = ["ss", "sh", "fss", "fsh"]
 _CHOICES = {
-    "scheme": _SCHEMES, "scheme_a": _SCHEMES, "scheme_b": _SCHEMES, "dim": [2, 3],
+    "scheme": _SCHEMES, "scheme_a": _SCHEMES, "scheme_b": _SCHEMES,
     "model": ["auto", *analysis.FIT_MODELS], "curve": ["circle", "kite"],
 }
 
@@ -135,7 +135,8 @@ def _wave_from(params: dict, dim: int) -> mie.WaveParams:
     ang = params.get("incident_angle", 0.0)
     if not media._number(ang):
         raise DomainError(f"incident angle must be finite, got {ang!r}")
-    return mie.WaveParams(params["k"], np.array([math.cos(ang), math.sin(ang), 0.0][:dim]))
+    dim = media._check_dim(dim, media.DIM_MAX)  # before the dim-vector is built
+    return mie.WaveParams(params["k"], np.array([math.cos(ang), math.sin(ang)] + [0.0] * (dim - 2)))
 
 
 def _contents_from(params: dict) -> tuple[float, complex]:
@@ -147,6 +148,12 @@ def _rho_grid(params: dict) -> list[float]:
                             params["rho_count"])
     if not (0 < factor < 1 and start > 0 and count >= 1):
         raise NearCloakError("need rho_start > 0, 0 < rho_factor < 1, rho_count >= 1")
+    try:  # the ends first, so that no grid is built to hold a bad rho
+        last = start * factor ** (count - 1)
+    except OverflowError:  # a count that no double holds: the grid reaches 0.0
+        last = 0.0
+    for rho in (start, last):  # the grid falls from one to the other
+        media._check_positive("rho", rho)
     return [start * factor ** j for j in range(count)]
 
 

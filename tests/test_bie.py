@@ -700,15 +700,25 @@ def test_cauchy_data_shape_error():
             bie.far_field_from_cauchy_data(2.0, u, dudn, WAVE, ANGLES)
 
 
-@pytest.mark.parametrize("far_field", [
+FAR_FIELDS = [
     lambda a: mie.far_field(mie.solve(SchemeSpec.sound_hard(), 2, WAVE, 0.5), a),
     lambda a: bie.far_field_from_density(
         bie.assemble_and_solve(bie.circle(0.5, 64), WAVE), WAVE, a),
-    lambda a: bie.far_field_from_cauchy_data(2.0, np.zeros(16), np.zeros(16), WAVE, a)],
-    ids=["mie", "density", "cauchy"])
+    lambda a: bie.far_field_from_cauchy_data(2.0, np.zeros(16), np.zeros(16), WAVE, a)]
+
+
+@pytest.mark.parametrize("far_field", FAR_FIELDS, ids=["mie", "density", "cauchy"])
 def test_far_field_rejects_nan_angles(far_field):
     with pytest.raises(DomainError, match="finite"):
         far_field(np.array([0.0, math.nan]))
+
+
+@pytest.mark.parametrize("far_field", FAR_FIELDS, ids=["mie", "density", "cauchy"])
+def test_far_field_rejects_a_2d_angle_array(far_field):
+    # The angles are checked by one rule before the sum, so no entry fails
+    # with numpy's broadcasting error instead.
+    with pytest.raises(DomainError, match="1-d array"):
+        far_field(np.array([[0.0, 1.0], [2.0, 3.0]]))
 
 
 def test_cauchy_data_far_field_needs_a_2d_wave():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import nearcloak
-from nearcloak import analysis, cli, media
+from nearcloak import analysis, cli, media, mie
 from nearcloak.mie import SchemeSpec, WaveParams
 
 import oracles
@@ -27,19 +27,19 @@ def run(args, cwd):
         os.chdir(old)
 
 
-def _fresh_process(args, cwd, optimize=sys.flags.optimize):
-    """Run the interpreter with ``args`` in a new process: a CLI run there
-    has a parser that has never parsed and modules never imported.  It runs
-    at the suite's own optimisation level (``python -OO -m pytest`` gives
-    -OO) unless ``optimize`` says otherwise, and raises a RuntimeWarning as
-    an error, as pytest does in the suite."""
+def _fresh_process(args, cwd, optimize=sys.flags.optimize, status=0):
+    """Run the interpreter with ``args`` in a new process that must exit
+    with ``status``: a CLI run there has a parser that has never parsed and
+    modules never imported.  It runs at the suite's own optimisation level
+    (``python -OO -m pytest`` gives -OO) unless ``optimize`` says otherwise,
+    and raises a RuntimeWarning as an error, as pytest does in the suite."""
     src = str(Path(nearcloak.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     flags = ["-" + "O" * optimize] if optimize else []
     proc = subprocess.run([sys.executable, *flags, "-W", "error::RuntimeWarning", *args],
                           cwd=cwd, env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == status, proc.stderr
     return proc
 
 
@@ -254,6 +254,8 @@ def test_config_value_of_wrong_type_rejected(tmp_path, capsys, command, cfg):
 
 def _non_default(key, default):
     """A valid value of a parameter that differs from its default."""
+    if key == "dim":
+        return 3  # the one non-default dim that every subcommand takes
     if key in cli._CHOICES:
         return next(c for c in cli._CHOICES[key] if c != default)
     if default is None:
@@ -395,6 +397,81 @@ def test_overflowing_k_rho_is_a_range_error_without_warnings(tmp_path, capsys, c
     assert run([command, *lining, *flags, "--out", "x.csv"], tmp_path) == cli.EXIT_INVALID_PARAMETER
     assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "RangeError"
     assert not (tmp_path / "x.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# Dimensions and rho grids, checked by the library's rules
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("dim", [4, 5, 6, 7])
+@pytest.mark.parametrize("scheme", ["sh", "fss"])
+def test_mie_in_rn_writes_the_in_process_far_field(tmp_path, scheme, dim):
+    assert run(["mie", "--scheme", scheme, "--dim", str(dim), "--out", "ff.csv"], tmp_path) == 0
+    wave = WaveParams(2.0, np.eye(dim)[0])
+    pattern = mie.far_field(mie.solve(SchemeSpec(scheme), dim, wave, 0.5, (1.0, 1.0 + 0j)),
+                            analysis.observation_angles(dim, 100))
+    rows = [(theta, a.real, a.imag, abs(a))
+            for theta, a in zip(pattern.angles, map(complex, pattern.amplitude))]
+    oracles.write_csv_per_value(tmp_path / "ref.csv", "farfield",
+                                ["theta", "re_A", "im_A", "abs_A"], rows)
+    assert (tmp_path / "ff.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5, 6, 7])
+@pytest.mark.parametrize("scheme, rate", [("sh", 0), ("fsh", 0), ("ss", 2), ("fss", 2)])
+def test_sweep_in_rn_fits_the_abstracts_rate(tmp_path, scheme, rate, dim):
+    # rho^N for the sound-hard linings and rho^(N - 2) for the sound-soft
+    # ones, in the +-0.1 windows of the acceptance criteria.
+    assert run(["sweep", "--scheme", scheme, "--dim", str(dim), "--k", "2",
+                "--rho-start", "0.0625", "--rho-count", "12", "--out", "s.csv"], tmp_path) == 0
+    assert abs(read_footer(tmp_path / "s.csv", "fitted_exponent") - (dim - rate)) <= 0.1
+
+
+@pytest.mark.parametrize("args", [
+    ["mie", "--dim", "8"], ["mie", "--dim", "1"], ["sweep", "--dim", "8"],
+    ["compare", "--dim=-2"], ["mie", "--config", "cfg.json"],  # the file holds {"dim": 8}
+], ids="_".join)
+def test_modal_dims_beyond_the_solver_are_domain_errors(tmp_path, capsys, args):
+    # The library's dim rule; --dim 1000000000 is the capped case below.
+    (tmp_path / "cfg.json").write_text(json.dumps({"dim": 8}))
+    assert run([*args, "--out", "x.csv"], tmp_path) == cli.EXIT_INVALID_PARAMETER
+    record = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert record["error"] == "DomainError" and "an integer from 2 to 7" in record["message"]
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_media_dims_are_2_or_3_and_a_dim_is_an_integer(tmp_path, capsys):
+    assert run(["media", "--dim", "4", "--out", "m.csv"], tmp_path) == cli.EXIT_INVALID_PARAMETER
+    record = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert (record["error"], record["message"]) == ("DomainError", "dim must be 2 or 3, got 4")
+    assert run(["mie", "--dim", "2.5", "--out", "x.csv"], tmp_path) == cli.EXIT_USAGE
+    assert list(tmp_path.iterdir()) == []
+
+
+_CAPPED_MAIN = """import resource, sys
+from nearcloak import cli
+# The address space now, plus 64 MB: no input of 1e9 values fits.
+size = int(open("/proc/self/statm").read().split()[0]) * resource.getpagesize()
+resource.setrlimit(resource.RLIMIT_AS, (size + 2**26, resource.getrlimit(resource.RLIMIT_AS)[1]))
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs Linux's /proc")
+@pytest.mark.parametrize("args, message", [
+    (["mie", "--dim", "1000000000"], "dim must be an integer from 2 to 7, got 1000000000"),
+    # The grid's last rho, rho_start * rho_factor^(count - 1), is 0.0; at
+    # 1e400 the power has no double.
+    (["sweep", "--rho-count", str(10**12)], "rho must be finite and positive, got 0.0"),
+    (["sweep", "--rho-count", str(10**400)], "rho must be finite and positive, got 0.0"),
+], ids=["dim_1e9", "rho_count_1e12", "rho_count_1e400"])
+def test_huge_inputs_exit_3_before_anything_is_built(tmp_path, args, message):
+    # Each is checked before a direction or grid of its size is built,
+    # which would raise MemoryError (exit 5) under the cap.
+    proc = _fresh_process(["-c", _CAPPED_MAIN, *args], tmp_path,
+                          status=cli.EXIT_INVALID_PARAMETER)
+    record = json.loads(proc.stderr.splitlines()[-1])
+    assert (record["error"], record["message"]) == ("DomainError", message)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_media_without_cells_is_invalid_parameter(tmp_path, capsys):

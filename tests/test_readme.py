@@ -58,7 +58,7 @@ def test_layout_bullets_name_every_public_function_and_class():
 
 def test_cli_examples_exit_zero(tmp_path):
     commands = _commands()
-    assert len(commands) == 5
+    assert len(commands) == 6
     old = os.getcwd()
     os.chdir(tmp_path)
     try:
@@ -111,7 +111,7 @@ def _exit_examples():
 
 def test_exit_code_examples_exit_with_their_code_and_type(tmp_path, capsys, monkeypatch):
     examples = _exit_examples()
-    assert len(examples) == 24
+    assert len(examples) == 27
     monkeypatch.chdir(tmp_path)
     for args, code, error, message in examples:
         assert cli.main(args) == code, args
