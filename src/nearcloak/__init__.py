@@ -2,9 +2,9 @@
 
 Simulates time-harmonic scattering by regularized invisibility cloaks:
 sound-soft, sound-hard, and their finite lossy-layer realizations, via
-exact modal series (2D/3D) cross-validated by a 2D boundary-integral
-solver, plus the transformation-acoustics algebra that produces the
-cloak's material tensors.
+exact modal series in R^N, N = 2 to 7, cross-validated by a 2D
+boundary-integral solver, plus the transformation-acoustics algebra
+that produces the cloak's material tensors.
 """
 
 from . import analysis, bie, media, mie, specfun

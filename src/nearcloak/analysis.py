@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mie
-from .errors import DomainError, InsufficientDataError, NearCloakError, ShapeError
+from .errors import DomainError, InsufficientDataError, NearCloakError, RangeError, ShapeError
 from .media import _INTEGER, DIM_MAX, _check_dim, _check_positive, _number
 from .mie import ModalSolution, SchemeSpec, WaveParams
 
@@ -101,11 +101,14 @@ def _grid_amplitudes(scheme: SchemeSpec, dim: int, wave: WaveParams, rho_values,
     """The rho grid, the distinct rho values sorted decreasing, and |A| at
     ``angles``, one row per rho.
 
-    One mie.solve_many call covers the grid; where it fails, the grid is
-    solved one rho at a time to name the largest failing rho."""
+    After the checks that no single rho decides, one mie.solve_many call
+    covers the grid; where it fails, the grid is solved one rho at a time
+    to name the largest failing rho.  A max|A| that underflows to 0 (7D,
+    rho below about 1e-46) is a RangeError naming the largest such rho."""
     rho = np.asarray(sorted({_check_positive("rho", r) for r in rho_values}, reverse=True))
     if rho.size == 0:
         raise InsufficientDataError("empty rho list")
+    dim, contents = mie._check_grid(scheme, dim, wave, contents)
     try:
         solutions = mie.solve_many(scheme, dim, wave, rho, contents)
     except NearCloakError:
@@ -115,7 +118,10 @@ def _grid_amplitudes(scheme: SchemeSpec, dim: int, wave: WaveParams, rho_values,
             except NearCloakError as exc:
                 raise type(exc)(f"solver failed at rho={r:g}: {exc}") from exc
         raise
-    return rho, np.abs(mie._far_field_rows(solutions, angles))
+    amplitude = np.abs(mie._far_field_rows(solutions, angles))
+    if (zero := amplitude.max(axis=1) == 0).any():  # rho decreases: argmax is the largest
+        raise RangeError(f"max|A| underflows to 0 at rho={rho[zero.argmax()]:g}")
+    return rho, amplitude
 
 
 def sweep(scheme: SchemeSpec, dim: int, wave: WaveParams,

@@ -52,7 +52,7 @@ returned solutions are immutable.
 
 Each mechanism is stated once, in the function that holds it:
 ``solve_many`` is the solver's one entry (``solve`` a batch of one) and
-checks the wave (WaveParams.require_dim); ``_eliminate`` runs the
+checks what no single rho decides (``_check_grid``); ``_eliminate`` runs the
 elimination in truncation passes, with the one tail formula ``_tails``;
 ``_REGIONS`` holds the regions' radii, by which ``field_on_circle`` picks
 a region and ``_radial_sums`` its radial factors; ``_far_field_rows``
@@ -342,7 +342,7 @@ def _layer_wavenumbers(scheme: SchemeSpec, rho: float, k: float,
     Where sigma_l, k_tilde or C_0 is not a normal double (FSH at a small C
     or a large delta), a RangeError names the lining, rho and
     (sigma_l, q_l); where k_2 or sqrt(q_a sigma_a) is not (a subnormal
-    sigma_a), it names rho and the core.  q_a = 0 is a DomainError."""
+    sigma_a), it names rho and the core."""
     where = f"the {scheme.kind} layer at rho = {rho:g}"
     try:
         sigma_l, q_l = scheme.layer_params(rho)
@@ -358,9 +358,6 @@ def _layer_wavenumbers(scheme: SchemeSpec, rho: float, k: float,
         raise RangeError(f"{where} leaves the double range: "
                          f"(sigma_l, q_l) = ({sigma_l:g}, {q_l:g})")
     sigma_a, q_a = core
-    if q_a == 0:
-        raise DomainError(f"lossy linings need contents with q' != 0, got the virtual "
-                          f"core (sigma_a, q_a) = ({sigma_a:g}, {q_a:g})")
     k2, coupling = k * cmath.sqrt(q_a / sigma_a), cmath.sqrt(q_a * sigma_a)
     if not (normal(k2) and normal(coupling)):
         raise RangeError(f"the virtual core at rho = {rho:g} leaves the double range: "
@@ -461,6 +458,9 @@ def _eliminate(dim: int, wave: WaveParams, rho: list[float], scheme: SchemeSpec,
                  / (_values([j[3], h[3]]) * inner))
             coeffs = a, b, c
 
+        for x in (d, *coeffs):  # the solutions are read-only views of these
+            if x is not None:
+                x.flags.writeable = False
         tails = _tails(np.abs(d), np.array(sizes) - 1).tolist()
         flagged = degenerate.any(axis=1).tolist()
         for row, i in enumerate(rows):
@@ -488,12 +488,24 @@ def solve_many(scheme: SchemeSpec, dim: int, wave: WaveParams, rho_values,
     Each element gets the n_max that ``solve`` picks for it, and equals its
     per-rho solve bit for bit."""
     rho = [_check_positive("rho", r) for r in rho_values]
-    contents = check_passive(*contents)
-    dim = wave.require_dim(dim)
+    dim, contents = _check_grid(scheme, dim, wave, contents)
     for x in (wave.k * r for r in rho):  # before k rho sizes the truncation order
         if not x <= specfun.ARGUMENT_GUARD:
             raise RangeError(f"|z| = {x:.3g} exceeds the guard {specfun.ARGUMENT_GUARD:g}")
     return _eliminate(dim, wave, rho, scheme, contents)
+
+
+def _check_grid(scheme: SchemeSpec, dim: int, wave: WaveParams,
+               contents: tuple[float, complex]) -> tuple[int, tuple[float, complex]]:
+    """dim and contents, checked as solve_many needs them at every rho: the
+    DomainError of check_passive, of WaveParams.require_dim, or of q' = 0
+    in a lossy lining, whose core would need J_n at k_2 rho/2 = 0."""
+    contents = check_passive(*contents)
+    dim = wave.require_dim(dim)
+    if callable(_LININGS[scheme.kind][-1]) and contents[1] == 0:
+        raise DomainError(f"lossy linings need contents with q' != 0, "
+                          f"got (sigma', q') = ({contents[0]:g}, {contents[1]:g})")
+    return dim, contents
 
 
 def solve(scheme: SchemeSpec, dim: int, wave: WaveParams, rho: float,
@@ -540,49 +552,43 @@ def _far_field_rows(solutions, angles: np.ndarray) -> np.ndarray:
 
 def _angular_sum(dim: int, coef: np.ndarray, angles: np.ndarray,
                  table: np.ndarray | None = None) -> np.ndarray:
-    """sum_n w_n coef_n P_n(cos theta) per row of coef, over the cached
-    angle table of ``angles`` unless ``table`` (their _tabulate at
-    _table_rows(coef.shape[-1]) rows) is given.  The sum is two real
+    """sum_n w_n coef_n P_n(cos theta) per row of coef, n <= N_MAX_CAP (or
+    ShapeError), over the cached angle table of ``angles`` unless ``table``
+    (their _tabulate at coef.shape[-1] rows) is given.  The sum is two real
     products, of the real and of the imaginary parts of the weighted
     coefficients with the real table: a complex @ real product would copy
     the table to complex on every call and run zgemm or zgemv, with twice
     the flops (see also bie._add_product)."""
-    n, size = coef.shape[-1], _table_rows(coef.shape[-1])
+    if (n := coef.shape[-1]) > N_MAX_CAP + 1:
+        raise ShapeError(f"{n} orders, above the N_MAX_CAP + 1 = {N_MAX_CAP + 1} of any solve")
     if table is None:
-        table = _angle_table(dim, np.asarray(angles, dtype=float).tobytes(), size)
-    w, rows = _weights(dim, size)[:n] * coef, table[:n]
+        table = _angle_table(dim, np.asarray(angles, dtype=float).tobytes())
+    w, rows = _weights(dim)[:n] * coef, table[:n]
     return w.real @ rows + 1j * (w.imag @ rows)
 
 
-@functools.lru_cache(maxsize=None)  # at most 6 dims x 7 row counts
-def _weights(dim: int, rows: int) -> np.ndarray:
+@functools.lru_cache(maxsize=None)  # one per dim
+def _weights(dim: int) -> np.ndarray:
     """Read-only w_0 = 1 and w_n = 2(n + lam)/(n + 2 lam) C(n + 2 lam, n),
-    n < rows, the number of degree-n harmonics in R^dim, in exact integers:
-    eps_n = (1, 2, 2, ...) in 2D and 2n + 1 in 3D."""
+    n <= N_MAX_CAP, the number of degree-n harmonics in R^dim, in exact
+    integers: eps_n = (1, 2, 2, ...) in 2D and 2n + 1 in 3D."""
     m = dim - 2
     weights = np.array([1] + [(2 * n + m) * math.comb(n + m, n) // (n + m)
-                              for n in range(1, rows)], dtype=float)
+                              for n in range(1, N_MAX_CAP + 1)], dtype=float)
     weights.flags.writeable = False
     return weights
 
 
-def _table_rows(orders: int) -> int:
-    """Angle-table rows for orders 0..orders-1: rounded up to a multiple of
-    32, so that nearby n_max share a table."""
-    return -(-orders // 32) * 32
-
-
 @functools.lru_cache(maxsize=20)
-def _angle_table(dim: int, angle_bytes: bytes, rows: int) -> np.ndarray:
-    """The _tabulate of the M float64 angles packed in ``angle_bytes``,
-    from the one bounded, read-only, thread-safe cache that far and near
-    fields share: the 20 most recent tables, of rows <= 224 (N_MAX_CAP + 1
-    rounded up), hold the 18 that solves with n_max up to 95 cycle through
-    when each takes a far field, near fields and near_field_deviation in
-    2D and 3D.  Row n depends only on n and theta, so a sum over the first
-    rows of a larger table is bit for bit the sum over one of its own
-    size, and no result depends on what the cache holds."""
-    return _tabulate(dim, np.frombuffer(angle_bytes), rows)
+def _angle_table(dim: int, angle_bytes: bytes) -> np.ndarray:
+    """The _tabulate of the M float64 angles packed in ``angle_bytes`` at
+    N_MAX_CAP + 1 rows, every order a solve reaches, from the one bounded,
+    read-only, thread-safe cache that far and near fields share: one table
+    per grid, the 20 most recent grids.  Row n depends only on n and
+    theta, so a sum over its first rows is bit for bit the sum over a
+    table of their own size, and no result depends on what the cache
+    holds."""
+    return _tabulate(dim, np.frombuffer(angle_bytes), N_MAX_CAP + 1)
 
 
 def _tabulate(dim: int, angles: np.ndarray, rows: int) -> np.ndarray:
@@ -744,5 +750,5 @@ def scattered_cauchy_data(solution: ModalSolution, radius: float,
     call and not cached: the circle grids of a BIE cross-check are shifted
     by the incident angle, so a later call rarely asks for the same grid."""
     _, thetas, _, radial = _circle_terms(solution, radius, thetas, None, True, True)
-    table = _tabulate(solution.dim, thetas, _table_rows(radial[0].size))
+    table = _tabulate(solution.dim, thetas, radial[0].size)
     return tuple(_angular_sum(solution.dim, sums, thetas, table) for sums in radial)

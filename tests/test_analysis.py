@@ -237,6 +237,34 @@ def test_batched_sweep_error_names_the_largest_failing_rho(scheme, dim, wave, rh
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("run", ["sweep", "special-angle"])
+def test_a_wave_of_the_wrong_dimension_is_the_solvers_error(run):
+    # No single rho causes it, so the message names none.
+    with pytest.raises(DomainError, match="^a 3D solve needs a 3-vector direction, got 2$"):
+        if run == "sweep":
+            sweep(SchemeSpec("sh"), 3, WAVE2, [0.5, 0.25])
+        else:
+            analysis.special_angle_suppression(3, WAVE2, [0.5, 0.25])
+
+
+def test_contents_are_checked_once_for_the_grid():
+    with pytest.raises(DomainError, match=r"^q must be finite with Im q >= 0, got \(1-1j\)$"):
+        sweep(SchemeSpec("sh"), 2, WAVE2, [0.5, 0.25], contents=(1.0, 1.0 - 1.0j))
+    with pytest.raises(DomainError, match="^lossy linings need contents with q' != 0"):
+        sweep(SchemeSpec("fsh"), 2, WAVE2, [0.5, 0.25], contents=(1.0, 0.0))
+    sweep(SchemeSpec("sh"), 2, WAVE2, [0.5, 0.25], contents=(1.0, 0.0))
+
+
+def test_an_underflowing_max_amplitude_names_its_rho():
+    # In 7D max|A| ~ (k rho)^7 is 0.0 below about rho = 1e-46: no ratio or
+    # fit can read it.
+    wave = WaveParams(2.0, np.eye(7)[0])
+    with pytest.raises(RangeError, match="^max\\|A\\| underflows to 0 at rho=1e-47$"):
+        analysis.special_angle_suppression(7, wave, [1e-46, 1e-47, 1e-48])
+    with pytest.raises(RangeError, match="at rho=1e-47$"):
+        sweep(SchemeSpec("sh"), 7, wave, [1e-45, 1e-46, 1e-47, 1e-48])
+
+
 # ---------------------------------------------------------------------------
 # Special angles and near field
 # ---------------------------------------------------------------------------

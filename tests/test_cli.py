@@ -447,6 +447,35 @@ def test_media_dims_are_2_or_3_and_a_dim_is_an_integer(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("args", [
+    ["sweep", "--scheme", "sh"], ["compare", "--scheme-a", "ss", "--scheme-b", "sh"],
+], ids=["sweep", "compare"])
+def test_a_7d_grid_whose_max_amplitude_underflows_is_a_range_error(tmp_path, capsys, args):
+    # 0.5^153 = 4.4e-47: max|A| of SH is 0.0 there, and no fit or column
+    # can read it; 150 rho end on the subnormal 2.7367017e-317 and pass.
+    flags = [*args, "--dim", "7", "--out", "x.csv"]
+    assert run([*flags, "--rho-count", "154"], tmp_path) == cli.EXIT_INVALID_PARAMETER
+    record = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert (record["error"], record["message"]) == ("RangeError",
+                                                    "max|A| underflows to 0 at rho=4.37906e-47")
+    assert list(tmp_path.iterdir()) == []
+    assert run([*flags, "--rho-count", "150"], tmp_path) == 0
+    assert 2.7367017e-317 in read_table(tmp_path / "x.csv")[-1]
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--core-q-im=-1"], "q must be finite with Im q >= 0, got (1-1j)"),
+    (["--scheme", "fsh", "--core-q-re", "0"],
+     "lossy linings need contents with q' != 0, got (sigma', q') = (1, 0+0j)"),
+], ids=["active", "lossy_q_0"])
+def test_contents_errors_name_no_rho(tmp_path, capsys, flags, message):
+    # The whole grid is at fault, so the sweep gives the message of mie.
+    for command in ("sweep", "mie"):
+        assert run([command, *flags, "--out", "x.csv"], tmp_path) == cli.EXIT_INVALID_PARAMETER
+        record = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert (record["error"], record["message"]) == ("DomainError", message)
+
+
 _CAPPED_MAIN = """import resource, sys
 from nearcloak import cli
 # The address space now, plus 64 MB: no input of 1e9 values fits.

@@ -604,12 +604,12 @@ def test_far_field_pattern_dim_sets_the_angle_range():
 # ---------------------------------------------------------------------------
 # The 3D angle table: P_n(cos theta)
 # ---------------------------------------------------------------------------
-def _legendre_table(thetas, rows: int = 32) -> tuple[np.ndarray, np.ndarray]:
-    """x = cos(theta) and the cached 3D angle table, rows P_0..P_{rows-1}
+def _legendre_table(thetas) -> tuple[np.ndarray, np.ndarray]:
+    """x = cos(theta) and the cached 3D angle table, rows P_0..P_{N_MAX_CAP}
     at x.  No x outside [-1, 1] reaches a table: far_field and
     field_on_circle check the angles first."""
     thetas = np.asarray(thetas, dtype=float)
-    return np.cos(thetas), mie._angle_table(3, thetas.tobytes(), rows)
+    return np.cos(thetas), mie._angle_table(3, thetas.tobytes())
 
 
 def test_legendre_low_orders():
@@ -631,11 +631,11 @@ def test_legendre_bounded():
 
 
 def test_tallest_legendre_table_matches_mpmath():
-    # N_MAX_CAP + 1 = 200 orders round up to 224 rows, the tallest table.
-    assert -(-(mie.N_MAX_CAP + 1) // 32) * 32 == 224
-    x, table = _legendre_table(np.linspace(0.0, math.pi, 720), 224)
+    # Every table has N_MAX_CAP + 1 = 200 rows, orders 0 to 199.
+    x, table = _legendre_table(np.linspace(0.0, math.pi, 720))
+    assert table.shape == (mie.N_MAX_CAP + 1, 720) == (200, 720)
     with mpmath.workdps(30):
-        for n in (0, 1, 5, 57, 111, 180, 223):
+        for n in (0, 1, 5, 57, 111, 180, 199):
             exact = np.array([float(mpmath.legendre(n, mpmath.mpf(v))) for v in x])
             assert np.max(np.abs(table[n] - exact)) <= 3e-13
 
@@ -662,8 +662,8 @@ def test_cached_angular_sums_equal_the_uncached_oracle(dim, descending):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_cached_angle_tables_are_read_only(dim):
-    table = mie._angle_table(dim, np.linspace(0.0, 1.0, 5).tobytes(), 32)
-    assert table.shape == (32, 5) and not table.flags.writeable
+    table = mie._angle_table(dim, np.linspace(0.0, 1.0, 5).tobytes())
+    assert table.shape == (200, 5) and not table.flags.writeable
     with pytest.raises(ValueError):
         table[0, 0] = 2.0
 
@@ -674,6 +674,35 @@ def test_angle_table_cache_stays_bounded():
         mie._angular_sum(2 + i % 2, coef, np.linspace(0.0, 1.0 + 0.01 * i, 9))
     info = mie._angle_table.cache_info()
     assert info.currsize <= info.maxsize
+
+
+def test_one_grid_holds_one_table_for_every_order():
+    # Far fields near both ends of the orders a solve reaches share the one
+    # table of their grid, of N_MAX_CAP + 1 rows.
+    mie._angle_table.cache_clear()
+    angles = np.linspace(0.0, math.pi, 37)
+    low, high = (mie.solve(SchemeSpec.sound_hard(), 3, WAVE3, rho) for rho in (0.1, 30.0))
+    assert low.n_max <= 12 and high.n_max >= 85
+    for sol in (low, high):
+        mie.far_field(sol, angles)
+    info = mie._angle_table.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+    assert mie._angle_table(3, angles.tobytes()).shape == (mie.N_MAX_CAP + 1, 37)
+
+
+def test_a_sum_over_more_orders_than_any_solve_is_a_shape_error():
+    sol = mie.ModalSolution(3, 0.5, 2.0, np.full(mie.N_MAX_CAP + 2, 1e-20, dtype=complex))
+    with pytest.raises(ShapeError, match="201 orders"):
+        mie.far_field(sol, np.linspace(0.0, math.pi, 5))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_returned_solutions_are_read_only(dim):
+    sol = mie.solve(SchemeSpec.finite_sound_hard(), dim, _wave(dim), 0.3)
+    for name in ("d_n", "a_n", "b_n", "c_n"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(sol, name)[-1] = 1.0
+    assert sol.truncation_tail <= mie.TAIL_THRESHOLD
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -1080,10 +1109,10 @@ def test_dims_from_2_to_the_cap_solve_and_one_above_it_is_refused():
 
 def test_weights_count_the_harmonics_of_each_degree():
     n = np.arange(64)
-    assert np.array_equal(mie._weights(2, 64), np.where(n == 0, 1.0, 2.0))
-    assert np.array_equal(mie._weights(3, 64), 2 * n + 1)
-    assert np.array_equal(mie._weights(4, 64), (n + 1) ** 2)
-    assert np.array_equal(mie._weights(5, 64), (n + 1) * (n + 2) * (2 * n + 3) // 6)
+    assert np.array_equal(mie._weights(2)[:64], np.where(n == 0, 1.0, 2.0))
+    assert np.array_equal(mie._weights(3)[:64], 2 * n + 1)
+    assert np.array_equal(mie._weights(4)[:64], (n + 1) ** 2)
+    assert np.array_equal(mie._weights(5)[:64], (n + 1) * (n + 2) * (2 * n + 3) // 6)
 
 
 def test_angle_tables_are_normalised_gegenbauer_polynomials():
